@@ -17,7 +17,7 @@
 //! much lower density than the DCS algorithms produce — exactly the qualitative contrast
 //! of Tables VIII/IX.
 
-use dcs_core::engine::{ContrastSolver, EngineSolution, SolveContext, SolveStats, SolverDetail};
+use dcs_core::engine::{SolveContext, SolveStats};
 use dcs_graph::{SignedGraph, VertexId, VertexSubset, Weight};
 
 /// Configuration of the EgoScan substitute.
@@ -197,22 +197,6 @@ impl EgoScan {
     }
 }
 
-impl ContrastSolver for EgoScan {
-    fn name(&self) -> &'static str {
-        "egoscan"
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        let (result, stats) = self.solve_bounded(gd, cx);
-        EngineSolution {
-            subset: result.subset,
-            objective: result.total_degree,
-            detail: SolverDetail::Subset,
-            stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,20 +290,17 @@ mod tests {
             ],
         );
         let direct = EgoScan::default().solve(&gd);
-        let engine = EgoScan::default().solve_in(&gd, &SolveContext::unbounded());
+        let (engine, stats) = EgoScan::default().solve_bounded(&gd, &SolveContext::unbounded());
         assert_eq!(engine.subset, direct.subset);
-        assert_eq!(engine.objective, direct.total_degree);
-        assert!(engine.stats.termination.is_converged());
-        assert!(engine.stats.candidates > 0);
+        assert_eq!(engine.total_degree, direct.total_degree);
+        assert!(stats.termination.is_converged());
+        assert!(stats.candidates > 0);
 
         let token = dcs_core::engine::CancelToken::new();
         token.cancel();
-        let cancelled =
-            EgoScan::default().solve_in(&gd, &SolveContext::unbounded().with_cancel(&token));
-        assert_eq!(
-            cancelled.stats.termination,
-            dcs_core::engine::Termination::Cancelled
-        );
+        let (cancelled, stats) =
+            EgoScan::default().solve_bounded(&gd, &SolveContext::unbounded().with_cancel(&token));
+        assert_eq!(stats.termination, dcs_core::engine::Termination::Cancelled);
         assert!(cancelled
             .subset
             .iter()

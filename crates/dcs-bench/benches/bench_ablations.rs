@@ -27,7 +27,7 @@ fn bench_ablations(c: &mut Criterion) {
 
     // 1. Smart initialisation on/off.
     group.bench_function("newsea_smart_init", |b| {
-        b.iter(|| NewSea::new(config).solve_on_positive_part(&gd_plus))
+        b.iter(|| NewSea::new(config).solve(&gd_plus))
     });
     group.bench_function("seacd_refine_sweep_capped", |b| {
         b.iter(|| SeaCd::new(config).sweep(&gd_plus, Some(50), false, |g, x| refine(g, x, &config)))

@@ -31,7 +31,7 @@ fn bench_dcsga(c: &mut Criterion) {
         },
     );
     group.bench_function(BenchmarkId::new("newsea_full", gd_plus.num_edges()), |b| {
-        b.iter(|| NewSea::new(config).solve_on_positive_part(&gd_plus))
+        b.iter(|| NewSea::new(config).solve(&gd_plus))
     });
     group.bench_function(
         BenchmarkId::new("smart_initialization_order", gd_plus.num_edges()),

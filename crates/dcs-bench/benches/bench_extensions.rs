@@ -3,9 +3,11 @@
 //! streaming monitor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcs_core::dcsga::{parallel_newsea, parallel_sweep, refine, DcsgaConfig, NewSea, SeaCd};
+use dcs_core::dcsga::{parallel_sweep, refine, DcsgaConfig, NewSea, SeaCd};
 use dcs_core::streaming::{StreamingConfig, StreamingDcs};
-use dcs_core::{difference_graph, top_k_affinity, top_k_average_degree, DensityMeasure};
+use dcs_core::{
+    difference_graph, top_k_affinity, top_k_average_degree, DensityMeasure, SolveContext,
+};
 use dcs_datasets::{CoauthorConfig, Scale, TrafficConfig, TransactionConfig};
 use dcs_densest::{greedy_peeling, greedy_quasi_clique};
 
@@ -22,11 +24,12 @@ fn bench_parallel_sweeps(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("newsea_sequential", |b| {
-        b.iter(|| NewSea::new(config).solve_on_positive_part(&gd_plus))
+        b.iter(|| NewSea::new(config).solve(&gd_plus))
     });
     for threads in [2usize, 4] {
         group.bench_function(BenchmarkId::new("newsea_parallel", threads), |b| {
-            b.iter(|| parallel_newsea(&gd, config, threads))
+            let cx = SolveContext::unbounded().with_threads(threads);
+            b.iter(|| NewSea::new(config).solve_bounded(&gd, &[], &cx))
         });
     }
     group.bench_function("sweep_sequential", |b| {

@@ -48,8 +48,8 @@ use std::time::Instant;
 
 use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::{
-    mine_difference_in, scaled_difference_graph, top_k_in, ContrastSolver, DensityMeasure,
-    MeasureSolver, SharedWorkspace, SolveContext, StreamingConfig, StreamingDcs,
+    mine_difference_in, scaled_difference_graph, top_k_in, DensityMeasure, MeasureSolver,
+    SharedWorkspace, SolveContext, StreamingConfig, StreamingDcs,
 };
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId};
 use serde_json::{json, Value};
@@ -692,7 +692,7 @@ fn main() {
         let mut remaining = (*gd).clone();
         let mut rounds = 0usize;
         while rounds < config.topk && remaining.num_positive_edges() > 0 {
-            let solution = solver.solve_seeded_in(&remaining, &[], &SolveContext::unbounded());
+            let solution = solver.solve_bounded(&remaining, &[], &SolveContext::unbounded());
             if solution.objective <= 0.0 || solution.subset.is_empty() {
                 break;
             }
@@ -728,7 +728,7 @@ fn main() {
         let mut points = 0usize;
         for &alpha in &alphas {
             let gd_alpha = scaled_difference_graph(&g2, &baseline, alpha).unwrap();
-            let solution = solver.solve_seeded_in(&gd_alpha, &[], &SolveContext::unbounded());
+            let solution = solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
             if !solution.subset.is_empty() {
                 points += 1;
             }
@@ -832,7 +832,7 @@ fn main() {
         let mut points = 0usize;
         for &alpha in &alphas {
             let gd_alpha = scaled_difference_graph(&ga_g2, &ga_baseline, alpha).unwrap();
-            let solution = ga_solver.solve_seeded_in(&gd_alpha, &[], &SolveContext::unbounded());
+            let solution = ga_solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
             if !solution.subset.is_empty() {
                 points += 1;
             }

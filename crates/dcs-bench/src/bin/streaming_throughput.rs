@@ -40,7 +40,7 @@
 use std::time::{Duration, Instant};
 
 use dcs_core::dcsad::DcsGreedy;
-use dcs_core::{ContrastSolver, DensityMeasure, SolveContext, StreamingConfig, StreamingDcs};
+use dcs_core::{DensityMeasure, MeasureSolver, SolveContext, StreamingConfig, StreamingDcs};
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId};
 use dcs_server::{Client, Server, ServerConfig};
 use serde_json::{json, Value};
@@ -424,12 +424,14 @@ fn main() {
         );
     }
 
-    // --- Engine-wrapper overhead: the unified `ContrastSolver` interface must be
-    // free when unbounded.  Interleave direct `solve()` calls with trait-dispatched
-    // `solve_in(unbounded)` calls on the final difference snapshot and compare
-    // medians; the engine path additionally reports `SolveStats`.
+    // --- Engine-wrapper overhead: measure dispatch through `MeasureSolver` must be
+    // free when unbounded.  Interleave direct `solve()` calls with
+    // `MeasureSolver::solve_bounded(unbounded)` calls on the final difference
+    // snapshot and compare medians; the engine path additionally reports
+    // `SolveStats`.
     let gd = monitor.difference_snapshot();
     let solver = DcsGreedy::default();
+    let engine_solver = MeasureSolver::AverageDegree(solver.clone());
     let cx = SolveContext::unbounded();
     let rounds = 15;
     let mut direct_ms = Vec::with_capacity(rounds);
@@ -441,7 +443,7 @@ fn main() {
         direct_ms.push(start.elapsed().as_secs_f64() * 1e3);
 
         let start = Instant::now();
-        let engine = ContrastSolver::solve_in(&solver, &gd, &cx);
+        let engine = engine_solver.solve_bounded(&*gd, &[], &cx);
         engine_ms.push(start.elapsed().as_secs_f64() * 1e3);
 
         assert_eq!(

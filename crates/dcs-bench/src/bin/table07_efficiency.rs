@@ -35,7 +35,7 @@ fn run_dataset(name: &str, gd_type: &str, gd: &SignedGraph, limit: Option<usize>
     let config = DcsgaConfig::default();
     let gd_plus = gd.positive_part();
 
-    let (newsea, newsea_t) = time(|| NewSea::new(config).solve_on_positive_part(&gd_plus));
+    let (newsea, newsea_t) = time(|| NewSea::new(config).solve(&gd_plus));
     let (seacd, seacd_t) =
         time(|| SeaCd::new(config).sweep(&gd_plus, limit, false, |g, x| refine(g, x, &config)));
     let (sea, sea_t) = time(|| {

@@ -181,4 +181,20 @@ fn errors_are_reported_not_panicked() {
     let (p1, p2) = write_labeled_pair(&dir);
     assert!(dcs_cli::run(&strings(&["mine", &p1, &p2, "--measure", "entropy"])).is_err());
     assert!(dcs_cli::run(&strings(&["topk", &p1, &p2, "--k", "minus-one"])).is_err());
+
+    // An empty pair is not an error: every mining command prints an empty result.
+    let e1 = dir.join("empty1.edges").to_string_lossy().into_owned();
+    let e2 = dir.join("empty2.edges").to_string_lossy().into_owned();
+    std::fs::write(&e1, "").unwrap();
+    std::fs::write(&e2, "").unwrap();
+    for args in [
+        &["mine", &e1, &e2, "--numeric"][..],
+        &["mine", &e1, &e2, "--numeric", "--measure", "affinity"],
+        &["compare", &e1, &e2, "--numeric"],
+        &["sweep", &e1, &e2, "--numeric", "--measure", "degree"],
+        &["topk", &e1, &e2, "--numeric"],
+    ] {
+        let result = dcs_cli::run(&strings(args));
+        assert!(result.is_ok(), "{args:?}: {result:?}");
+    }
 }

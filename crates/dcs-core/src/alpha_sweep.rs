@@ -22,7 +22,7 @@
 use dcs_graph::{SignedGraph, VertexId, Weight};
 
 use crate::diff::{CsrBuffers, ScaledDifferenceTemplate};
-use crate::engine::{ContrastSolver, MeasureSolver, SolveContext, SolveStats, Termination};
+use crate::engine::{MeasureSolver, SolveContext, SolveStats, Termination};
 use crate::error::DcsError;
 use crate::solution::{ContrastReport, DensityMeasure};
 
@@ -90,7 +90,7 @@ pub fn alpha_sweep_in(
         }
         let gd = template.materialize_with(alpha, buffers);
         let point_cx = cx.after_work(stats.iterations);
-        let solution = solver.solve_seeded_in(&gd, &seed, &point_cx);
+        let solution = solver.solve_bounded(&gd, &seed, &point_cx);
         let truncated = !solution.termination().is_converged();
         stats.absorb(&solution.stats);
         seed = solution.subset.clone();

@@ -27,9 +27,10 @@ pub enum CandidateKind {
     GreedyOnGd,
     /// The greedy peel of the positive part `G_{D+}`.
     GreedyOnGdPlus,
-    /// A single vertex (only when `G_D` has no positively weighted edge).
+    /// A single vertex when `G_D` has no positively weighted edge, or the empty set
+    /// when it has no (alive) vertex at all; the density is 0 either way.
     SingleVertex,
-    /// The warm-start seed passed to [`DcsGreedy::solve_seeded`] (the support of a
+    /// The warm-start seed passed to [`DcsGreedy::solve_bounded`] (the support of a
     /// previous mine on a slightly different graph).
     WarmStart,
 }
@@ -70,59 +71,45 @@ impl DcsGreedy {
 
     /// Runs DCSGreedy on a difference graph `G_D` (any signed graph is accepted).
     pub fn solve(&self, gd: &SignedGraph) -> DcsadSolution {
-        self.solve_seeded(gd, &[])
+        self.solve_bounded(gd, &[], &SolveContext::unbounded()).0
     }
 
-    /// Runs DCSGreedy with a **warm-start seed**: the seed subset (typically the
-    /// support of the previous mine on a slightly-changed graph) competes as an
-    /// extra candidate, so the returned contrast is never worse than re-evaluating
-    /// the previous solution on the current graph.  Out-of-range seed vertices are
-    /// dropped; an empty (or fully dropped) seed reduces to [`Self::solve`].
-    pub fn solve_seeded(&self, gd: &SignedGraph, seed: &[VertexId]) -> DcsadSolution {
-        self.solve_bounded(gd, seed, &SolveContext::unbounded()).0
-    }
-
-    /// [`Self::solve_seeded`] under a [`SolveContext`]: the candidate peels check the
-    /// context's cancellation token / deadline / budget once per vertex removal and
-    /// return best-so-far when a bound trips.
+    /// The DCSGreedy entry point: mines `graph` — a [`SignedGraph`] or a masked
+    /// [`GraphView`] of one — under a [`SolveContext`].
     ///
+    /// A view mines the alive-induced difference graph without materialising it;
+    /// this is how the top-k driver masks out previously mined subgraphs instead of
+    /// rewriting the CSR.  The view must not be positive-filtered (candidates are
+    /// evaluated in the signed graph); `G_{D+}` is reached internally through
+    /// [`GraphView::positive_part`], so it is never materialised either.  Scratch
+    /// state (peel heaps, degree arrays) comes from the context's
+    /// [`crate::workspace::SolverWorkspace`] and is reused across calls.
+    ///
+    /// `seed` is a **warm start**: the seed subset (typically the support of the
+    /// previous mine on a slightly-changed graph) competes as an extra candidate, so
+    /// the returned contrast is never worse than re-evaluating the previous solution
+    /// on the current graph.  Out-of-range and dead seed vertices are dropped; an
+    /// empty (or fully dropped) seed is a cold solve.
+    ///
+    /// The candidate peels check the context's cancellation token / deadline /
+    /// budget once per vertex removal and return best-so-far when a bound trips.
     /// The returned subset is always valid; on a non-converged termination the
     /// data-dependent ratio of Theorem 2 is not a certificate (the `G_{D+}` peel may
     /// have been truncated) — check [`SolveStats::termination`] before trusting it.
-    pub fn solve_bounded(
+    /// A graph with no (alive) vertex yields the empty subset with density 0.
+    pub fn solve_bounded<'a>(
         &self,
-        gd: &SignedGraph,
+        graph: impl Into<GraphView<'a>>,
         seed: &[VertexId],
         cx: &SolveContext,
     ) -> (DcsadSolution, SolveStats) {
-        self.solve_view_bounded(GraphView::full(gd), seed, cx)
-    }
-
-    /// [`Self::solve_bounded`] on a masked [`GraphView`]: mines the alive-induced
-    /// difference graph without materialising it — the per-round entry point of the
-    /// top-k driver, which masks out previously mined subgraphs instead of rewriting
-    /// the CSR.  Scratch state (peel heaps, degree arrays) comes from the context's
-    /// [`crate::workspace::SolverWorkspace`] and is reused across calls.
-    ///
-    /// The view must not be positive-filtered (candidates are evaluated in the
-    /// signed graph); `G_{D+}` is reached internally through
-    /// [`GraphView::positive_part`], so it is never materialised either.
-    pub fn solve_view_bounded(
-        &self,
-        view: GraphView<'_>,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> (DcsadSolution, SolveStats) {
+        let view = graph.into();
         debug_assert!(
             !view.is_positive_only(),
-            "solve_view_bounded mines the signed difference graph"
+            "DcsGreedy mines the signed difference graph"
         );
         let gd = view.graph();
         let n = gd.num_vertices();
-        assert!(
-            view.alive_count() > 0,
-            "the difference graph must have at least one (alive) vertex"
-        );
         let mut meter = cx.meter();
         let threads = cx.threads();
         let mut ws = cx.workspace();
@@ -135,13 +122,14 @@ impl DcsGreedy {
             ..
         } = &mut *ws;
 
-        // Case 1: no positive edges — any single alive vertex is optimal (density 0).
+        // Case 1: no positive edges — any single alive vertex is optimal (density 0),
+        // and with no alive vertex at all the answer is the empty set.
         let max_edge = view.max_weight_edge();
         let has_positive = matches!(max_edge, Some((_, _, w)) if w > 0.0);
         if !has_positive {
             return (
                 DcsadSolution {
-                    subset: vec![view.first_alive().expect("alive vertex exists")],
+                    subset: view.first_alive().into_iter().collect(),
                     density_difference: 0.0,
                     data_dependent_ratio: 1.0,
                     winner: CandidateKind::SingleVertex,
@@ -469,13 +457,17 @@ mod tests {
         // competes as a candidate and refinement never decreases density), and
         // never worse than the cold solve.
         for seed in [vec![2, 3], vec![0, 1, 2, 3, 4], vec![1, 4], vec![3, 99]] {
-            let warm = DcsGreedy::new().solve_seeded(&gd, &seed);
+            let warm = DcsGreedy::new()
+                .solve_bounded(&gd, &seed, &SolveContext::unbounded())
+                .0;
             let in_range: Vec<_> = seed.iter().copied().filter(|&v| v < 5).collect();
             assert!(warm.density_difference >= gd.average_degree(&in_range) - 1e-9);
             assert!(warm.density_difference >= cold.density_difference - 1e-9);
         }
         // An empty seed is exactly the cold solve.
-        let empty = DcsGreedy::new().solve_seeded(&gd, &[]);
+        let empty = DcsGreedy::new()
+            .solve_bounded(&gd, &[], &SolveContext::unbounded())
+            .0;
         assert_eq!(empty.subset, cold.subset);
         assert_eq!(empty.winner, cold.winner);
     }

@@ -15,20 +15,19 @@
 //! oracle for downstream users.
 
 use dcs_densest::Embedding;
-use dcs_graph::{GraphView, SignedGraph, VertexId};
+use dcs_graph::{GraphView, VertexId};
 
 /// The (global) KKT violation of `x`: the amount by which the most violating vertex
 /// breaks the conditions above, i.e.
 /// `max( max_u |∇_u − λ| over supported u , max_u (∇_u − λ)⁺ over unsupported u )`
 /// with `λ = 2 f(x)`.  A true KKT point has violation 0.
-pub fn kkt_violation(g: &SignedGraph, x: &Embedding) -> f64 {
-    kkt_violation_view(GraphView::full(g), x)
-}
-
-/// [`kkt_violation`] over a [`GraphView`]: the conditions are those of the filtered
-/// subgraph (dead vertices are outside the problem, filtered edges contribute no
-/// gradient), so a view-based solve can be certified without materialising the view.
-pub fn kkt_violation_view(view: GraphView<'_>, x: &Embedding) -> f64 {
+///
+/// `graph` is a [`SignedGraph`](dcs_graph::SignedGraph) or any [`GraphView`] of one:
+/// on a view the conditions are those of the filtered subgraph (dead vertices are
+/// outside the problem, filtered edges contribute no gradient), so a view-based solve
+/// can be certified without materialising the view.
+pub fn kkt_violation<'a>(graph: impl Into<GraphView<'a>>, x: &Embedding) -> f64 {
+    let view = graph.into();
     let lambda = 2.0 * x.affinity_view(view);
     let mut violation: f64 = 0.0;
     // Supported vertices: gradient must equal λ.
@@ -59,23 +58,18 @@ pub fn kkt_violation_view(view: GraphView<'_>, x: &Embedding) -> f64 {
 }
 
 /// Returns `true` if `x` satisfies the KKT conditions of Eq. 7 within tolerance `eps`.
-pub fn is_kkt_point(g: &SignedGraph, x: &Embedding, eps: f64) -> bool {
-    kkt_violation(g, x) <= eps
-}
-
-/// [`is_kkt_point`] over a [`GraphView`].
-pub fn is_kkt_point_view(view: GraphView<'_>, x: &Embedding, eps: f64) -> bool {
-    kkt_violation_view(view, x) <= eps
+pub fn is_kkt_point<'a>(graph: impl Into<GraphView<'a>>, x: &Embedding, eps: f64) -> bool {
+    kkt_violation(graph, x) <= eps
 }
 
 /// The local KKT gap of Eq. 11 restricted to the working set `support`:
 /// `max_{k∈S, x_k<1} ∇_k f(x) − min_{k∈S, x_k>0} ∇_k f(x)` (clamped at 0).
-pub fn local_kkt_gap(g: &SignedGraph, x: &Embedding, support: &[VertexId]) -> f64 {
-    local_kkt_gap_view(GraphView::full(g), x, support)
-}
-
-/// [`local_kkt_gap`] over a [`GraphView`].
-pub fn local_kkt_gap_view(view: GraphView<'_>, x: &Embedding, support: &[VertexId]) -> f64 {
+pub fn local_kkt_gap<'a>(
+    graph: impl Into<GraphView<'a>>,
+    x: &Embedding,
+    support: &[VertexId],
+) -> f64 {
+    let view = graph.into();
     let mut max_grad = f64::NEG_INFINITY;
     let mut min_grad = f64::INFINITY;
     for &k in support {
@@ -97,140 +91,19 @@ pub fn local_kkt_gap_view(view: GraphView<'_>, x: &Embedding, support: &[VertexI
 
 /// Returns `true` if `x` is a local KKT point on `support` within tolerance `eps`
 /// (Eq. 10/11).
-pub fn is_local_kkt_point(g: &SignedGraph, x: &Embedding, support: &[VertexId], eps: f64) -> bool {
-    local_kkt_gap(g, x, support) <= eps
-}
-
-/// [`kkt_violation_view`] scanned by `threads` workers over disjoint vertex ranges.
-///
-/// **Bit-identical to the sequential oracle.** Every per-vertex gradient is the same
-/// CSR-row-order sum the sequential scan computes, and the reduction is a pure
-/// `max`/`or`, which is reorder-safe; per-range results are merged in ascending range
-/// order.  The sequential scan reaches unsupported vertices through the support's
-/// adjacency lists; this one scans the whole alive range and keeps exactly the
-/// vertices with at least one supported neighbour — the same set, because edge
-/// visibility in a [`GraphView`] is symmetric.
-pub fn kkt_violation_view_par(view: GraphView<'_>, x: &Embedding, threads: usize) -> f64 {
-    if threads <= 1 {
-        return kkt_violation_view(view, x);
-    }
-    let lambda = 2.0 * x.affinity_view(view);
-    let support = x.support();
-    let support = &support;
-    let n = view.num_vertices();
-    let support_chunk = support.len().div_ceil(threads).max(1);
-    let vertex_chunk = n.div_ceil(threads).max(1);
-
-    let merged: Vec<(f64, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut violation: f64 = 0.0;
-                    // Supported vertices of this range: gradient must equal λ.
-                    let s0 = (t * support_chunk).min(support.len());
-                    let s1 = ((t + 1) * support_chunk).min(support.len());
-                    for &u in &support[s0..s1] {
-                        let grad = 2.0 * x.weighted_sum_at_view(view, u);
-                        violation = violation.max((grad - lambda).abs());
-                    }
-                    // Unsupported vertices of this range adjacent to the support:
-                    // gradient must not exceed λ.
-                    let v0 = (t * vertex_chunk).min(n);
-                    let v1 = ((t + 1) * vertex_chunk).min(n);
-                    let mut checked_zero = false;
-                    for v in v0..v1 {
-                        let v = v as VertexId;
-                        if !view.is_alive(v) || x.get(v) > 0.0 {
-                            continue;
-                        }
-                        let adjacent = view.neighbors(v).any(|e| x.get(e.neighbor) > 0.0);
-                        if !adjacent {
-                            continue;
-                        }
-                        let grad = 2.0 * x.weighted_sum_at_view(view, v);
-                        violation = violation.max((grad - lambda).max(0.0));
-                        checked_zero = true;
-                    }
-                    (violation, checked_zero)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("KKT scan worker panicked"))
-            .collect()
-    });
-
-    let mut violation: f64 = 0.0;
-    let mut checked_zero = false;
-    for (part, checked) in merged {
-        violation = violation.max(part);
-        checked_zero |= checked;
-    }
-    if lambda < 0.0 && (!checked_zero || x.support_size() < view.alive_count()) {
-        violation = violation.max(-lambda);
-    }
-    violation
-}
-
-/// [`local_kkt_gap_view`] scanned by `threads` workers over disjoint ranges of the
-/// working set.  Bit-identical to the sequential gap: per-vertex gradients are the
-/// same row-order sums and the `max`/`min` reductions are reorder-safe; per-range
-/// extrema are merged in ascending range order.
-pub fn local_kkt_gap_view_par(
-    view: GraphView<'_>,
+pub fn is_local_kkt_point<'a>(
+    graph: impl Into<GraphView<'a>>,
     x: &Embedding,
     support: &[VertexId],
-    threads: usize,
-) -> f64 {
-    if threads <= 1 {
-        return local_kkt_gap_view(view, x, support);
-    }
-    let chunk = support.len().div_ceil(threads).max(1);
-    let merged: Vec<(f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = support
-            .chunks(chunk)
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut max_grad = f64::NEG_INFINITY;
-                    let mut min_grad = f64::INFINITY;
-                    for &k in range {
-                        let grad = 2.0 * x.weighted_sum_at_view(view, k);
-                        let xk = x.get(k);
-                        if xk < 1.0 {
-                            max_grad = max_grad.max(grad);
-                        }
-                        if xk > 0.0 {
-                            min_grad = min_grad.min(grad);
-                        }
-                    }
-                    (max_grad, min_grad)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("local KKT scan worker panicked"))
-            .collect()
-    });
-
-    let mut max_grad = f64::NEG_INFINITY;
-    let mut min_grad = f64::INFINITY;
-    for (hi, lo) in merged {
-        max_grad = max_grad.max(hi);
-        min_grad = min_grad.min(lo);
-    }
-    if max_grad == f64::NEG_INFINITY || min_grad == f64::INFINITY {
-        0.0
-    } else {
-        (max_grad - min_grad).max(0.0)
-    }
+    eps: f64,
+) -> bool {
+    local_kkt_gap(graph, x, support) <= eps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_graph::GraphBuilder;
+    use dcs_graph::{GraphBuilder, SignedGraph};
 
     fn k3() -> SignedGraph {
         GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])

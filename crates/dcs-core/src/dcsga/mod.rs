@@ -43,10 +43,9 @@ mod seacd;
 pub use arena::DcsgaScratch;
 pub use coord_descent::{descend_to_local_kkt, CoordDescentOutcome};
 pub use newsea::{
-    smart_initialization_order, smart_initialization_order_in, smart_initialization_order_par_in,
-    smart_initialization_order_view_into, NewSea, SmartInitStats,
+    smart_initialization_order, smart_initialization_order_in, NewSea, SmartInitStats,
 };
-pub use parallel::{parallel_newsea, parallel_sweep};
+pub use parallel::parallel_sweep;
 pub use refine::{refine, refine_with_workspace};
 pub use seacd::{SeaCd, SeaCdRun, SeaCdSweep};
 

@@ -14,8 +14,8 @@
 //! so far.  In the paper this prunes 1–3 orders of magnitude of initialisations with no
 //! observed loss of quality.
 //!
-//! The canonical path is **view-based and dense**: [`NewSea::solve_on_view_bounded`]
-//! takes any [`GraphView`] of the signed `G_D` and mines its positive-filtered
+//! The canonical path is **view-based and dense**: [`NewSea::solve_bounded`]
+//! takes `G_D` or any [`GraphView`] of it and mines its positive-filtered
 //! overlay directly — `G_{D+}` is never materialised, and the whole sweep (core
 //! numbers, µ ordering, every SEACD run and refinement) lives in the workspace's
 //! dense embedding arena, so steady-state solves allocate nothing but the returned
@@ -42,7 +42,7 @@ pub struct SmartInitStats {
     /// Expansion errors observed (expected 0 for the coordinate-descent shrink).
     pub expansion_errors: usize,
     /// Number of warm-start initialisations run from a caller-provided seed
-    /// ([`NewSea::solve_seeded`]); 0 for cold solves.
+    /// ([`NewSea::solve_bounded`]); 0 for cold solves.
     pub seeded_runs: usize,
 }
 
@@ -69,76 +69,35 @@ impl NewSea {
     /// by Theorem 5) and returns a positive-clique solution.  If `G_D` has no
     /// positive edge the optimum is 0 and an empty embedding is returned.
     pub fn solve(&self, gd: &SignedGraph) -> DcsgaSolution {
-        self.solve_seeded(gd, &[])
+        self.solve_bounded(gd, &[], &SolveContext::unbounded()).0
     }
 
-    /// Mines with a **warm-start seed**: before the µ_u-ordered sweep, one SEACD run
-    /// is started from the uniform embedding on `seed` (typically the support of the
-    /// previous mine on a slightly-changed graph).  A good seed establishes a strong
-    /// incumbent objective immediately, so the Theorem-6 early-exit bound prunes far
-    /// more initialisations; a useless seed costs one extra local search.  Seed
-    /// vertices that are out of range or isolated in `G_{D+}` are dropped; an empty
-    /// seed reduces to [`Self::solve`].
-    pub fn solve_seeded(&self, gd: &SignedGraph, seed: &[VertexId]) -> DcsgaSolution {
-        self.solve_bounded(gd, seed, &SolveContext::unbounded()).0
-    }
-
-    /// Same as [`Self::solve`] but takes a materialised `G_{D+}` directly — a legacy
-    /// wrapper kept for callers that already hold the positive part; the canonical
-    /// path mines the positive-filtered view of `G_D` without building it.
-    pub fn solve_on_positive_part(&self, gd_plus: &SignedGraph) -> DcsgaSolution {
-        self.solve_on_positive_part_seeded(gd_plus, &[])
-    }
-
-    /// [`Self::solve_seeded`] on an already-materialised `G_{D+}` (legacy wrapper;
-    /// the positive filter is a no-op on it).
-    pub fn solve_on_positive_part_seeded(
-        &self,
-        gd_plus: &SignedGraph,
-        seed: &[VertexId],
-    ) -> DcsgaSolution {
-        self.solve_on_positive_part_bounded(gd_plus, seed, &SolveContext::unbounded())
-            .0
-    }
-
-    /// [`Self::solve_seeded`] under a [`SolveContext`]: mines the positive-filtered
-    /// view of `gd` under the context's bounds and workspace.
-    pub fn solve_bounded(
-        &self,
-        gd: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> (DcsgaSolution, SolveStats) {
-        self.solve_on_view_bounded(GraphView::full(gd), seed, cx)
-    }
-
-    /// [`Self::solve_on_positive_part_seeded`] under a [`SolveContext`] (legacy
-    /// wrapper over the view path).
-    pub fn solve_on_positive_part_bounded(
-        &self,
-        gd_plus: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> (DcsgaSolution, SolveStats) {
-        self.solve_on_view_bounded(GraphView::full(gd_plus), seed, cx)
-    }
-
-    /// The canonical NewSEA entry point: the µ_u-ordered sweep over the
-    /// **positive-filtered overlay** of `view`, under a [`SolveContext`].
+    /// The NewSEA entry point: the µ_u-ordered sweep over the **positive-filtered
+    /// overlay** of `graph`, under a [`SolveContext`].
     ///
-    /// `view` is a view of the signed difference graph (masked by the top-k driver,
-    /// full everywhere else); the solver adds the positive filter itself, so
-    /// `G_{D+}` is never materialised and affinity jobs never copy the CSR.  The
-    /// context is checked before every initialisation and after every SEACD shrink
-    /// round (work units are coordinate-descent iterations), so a deadline,
+    /// `graph` is the signed difference graph or a view of it (masked by the top-k
+    /// driver, full everywhere else); the solver adds the positive filter itself, so
+    /// `G_{D+}` is never materialised and affinity jobs never copy the CSR.  An
+    /// already-positive graph passes through the filter unchanged.
+    ///
+    /// `seed` is a **warm start**: before the sweep, one SEACD run is started from the
+    /// uniform embedding on `seed` (typically the support of the previous mine on a
+    /// slightly-changed graph).  A good seed establishes a strong incumbent objective
+    /// immediately, so the Theorem-6 early-exit bound prunes far more
+    /// initialisations; a useless seed costs one extra local search.  Seed vertices
+    /// that are out of range, dead or isolated in `G_{D+}` are dropped; an empty seed
+    /// is a cold solve.
+    ///
+    /// The context is checked before every initialisation and after every SEACD
+    /// shrink round (work units are coordinate-descent iterations), so a deadline,
     /// cancellation or exhausted budget returns the best incumbent found so far.
     /// Theorem-6 early-exit prunes are reported through both [`SmartInitStats`] and
     /// [`SolveStats::prunes`].  All scratch state — the µ ordering, core numbers,
     /// and the dense embedding arena shared with SEACD, the KKT shrink and the
     /// refinement — lives in the context's workspace.
-    pub fn solve_on_view_bounded(
+    pub fn solve_bounded<'a>(
         &self,
-        view: GraphView<'_>,
+        graph: impl Into<GraphView<'a>>,
         seed: &[VertexId],
         cx: &SolveContext,
     ) -> (DcsgaSolution, SolveStats) {
@@ -153,7 +112,7 @@ impl NewSea {
         } = &mut *ws;
         let solution = sweep_in(
             &self.config,
-            view,
+            graph.into(),
             seed,
             &mut meter,
             init_order,
@@ -226,11 +185,12 @@ fn sweep_in<A: EmbeddingArena>(
     }
 
     // --- Smart-initialisation upper bounds (Theorem 6), into reused buffers. -----
-    if threads > 1 && pview.alive_count() >= PAR_INIT_MIN_VERTICES {
-        smart_initialization_order_par_in(pview, order, max_incident, cores, threads);
+    let init_threads = if pview.alive_count() >= PAR_INIT_MIN_VERTICES {
+        threads
     } else {
-        smart_initialization_order_in(pview, order, max_incident, cores);
-    }
+        1
+    };
+    smart_initialization_order_in(pview, order, max_incident, cores, init_threads);
 
     // --- Warm start: one run from the seed to establish a strong incumbent. ------
     let mut best_objective: Weight = 0.0;
@@ -314,36 +274,43 @@ fn sweep_in<A: EmbeddingArena>(
 /// Exposed so the experiment harness can report how sharp the bound is.
 pub fn smart_initialization_order(gd_plus: &SignedGraph) -> Vec<(VertexId, Weight)> {
     let mut order = Vec::new();
-    let mut max_incident = Vec::new();
-    smart_initialization_order_view_into(GraphView::full(gd_plus), &mut order, &mut max_incident);
+    smart_initialization_order_in(
+        GraphView::full(gd_plus),
+        &mut order,
+        &mut Vec::new(),
+        &mut CoreScratch::default(),
+        1,
+    );
     order
 }
 
-/// [`smart_initialization_order`] over a [`GraphView`], writing into reused
-/// buffers: `order` receives the `(vertex, µ_u)` pairs (descending `µ_u`, alive
-/// non-isolated vertices only), `max_incident` is per-vertex scratch.  The core
-/// decomposition is still allocated per call; the solvers use
-/// [`smart_initialization_order_in`] with workspace-owned [`CoreScratch`].
-pub fn smart_initialization_order_view_into(
-    view: GraphView<'_>,
-    order: &mut Vec<(VertexId, Weight)>,
-    max_incident: &mut Vec<Weight>,
-) {
-    let mut cores = CoreScratch::default();
-    smart_initialization_order_in(view, order, max_incident, &mut cores);
-}
-
-/// [`smart_initialization_order_view_into`] with caller-owned core-decomposition
-/// scratch: nothing allocates in steady state.  The view is usually the
+/// [`smart_initialization_order`] over a [`GraphView`], writing into caller-owned
+/// buffers so nothing allocates in steady state: `order` receives the
+/// `(vertex, µ_u)` pairs (descending `µ_u`, alive non-isolated vertices only),
+/// `max_incident` and `cores` are scratch.  The view is usually the
 /// positive-filtered overlay of `G_D`; on an unfiltered view the bound's `w_u`
 /// input would see negative weights, which Theorem 6 does not cover, so callers
 /// must pass a positive (or positively-weighted) view.
+///
+/// With `threads > 1` the two vertex scans fan out over `threads` workers on
+/// disjoint ranges.  **The order is bit-identical for every thread count.** The
+/// per-vertex maximum incident weight is a `max` over the vertex's surviving row
+/// (edge visibility is symmetric, so the row holds exactly the edges the
+/// sequential edge sweep credits to the vertex, and `max` is reorder-safe); the
+/// `(u, µ_u)` pairs are produced per range and concatenated in ascending range
+/// order, reproducing the sequential push order, so the final deterministic sort
+/// sees an identical input slice.  The integer core decomposition stays sequential
+/// (it is inherently ordered and cheap relative to the weight scans).
 pub fn smart_initialization_order_in(
     view: GraphView<'_>,
     order: &mut Vec<(VertexId, Weight)>,
     max_incident: &mut Vec<Weight>,
     cores: &mut CoreScratch,
+    threads: usize,
 ) {
+    if threads > 1 {
+        return smart_initialization_order_par(view, order, max_incident, cores, threads);
+    }
     let n = view.num_vertices();
     // Maximum incident surviving edge weight per vertex.
     max_incident.clear();
@@ -378,27 +345,14 @@ pub fn smart_initialization_order_in(
     order.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
 }
 
-/// [`smart_initialization_order_in`] with the two vertex scans fanned out over
-/// `threads` workers on disjoint ranges.
-///
-/// **Bit-identical to the sequential order.** The per-vertex maximum incident weight
-/// is a `max` over the vertex's surviving row (edge visibility is symmetric, so the
-/// row holds exactly the edges the sequential edge sweep credits to the vertex, and
-/// `max` is reorder-safe); the `(u, µ_u)` pairs are produced per range and
-/// concatenated in ascending range order, reproducing the sequential push order, so
-/// the final deterministic sort sees an identical input slice.  The integer core
-/// decomposition stays sequential (it is inherently ordered and cheap relative to
-/// the weight scans).
-pub fn smart_initialization_order_par_in(
+/// The `threads > 1` body of [`smart_initialization_order_in`].
+fn smart_initialization_order_par(
     view: GraphView<'_>,
     order: &mut Vec<(VertexId, Weight)>,
     max_incident: &mut Vec<Weight>,
     cores: &mut CoreScratch,
     threads: usize,
 ) {
-    if threads <= 1 {
-        return smart_initialization_order_in(view, order, max_incident, cores);
-    }
     let n = view.num_vertices();
     core_numbers_view_into(view, cores);
     max_incident.clear();
@@ -543,14 +497,15 @@ mod tests {
         let cold = NewSea::default().solve(&gd);
         // Seeding with the known-good support reproduces the optimum while the
         // early-exit bound skips at least as many initialisations as the cold run.
-        let warm = NewSea::default().solve_seeded(&gd, &[0, 1, 2, 3]);
+        let cx = SolveContext::unbounded();
+        let warm = NewSea::default().solve_bounded(&gd, &[0, 1, 2, 3], &cx).0;
         assert!((warm.affinity_difference - cold.affinity_difference).abs() < 1e-9);
         assert_eq!(warm.support(), cold.support());
         assert_eq!(warm.stats.seeded_runs, 1);
         assert!(warm.stats.initializations_run <= cold.stats.initializations_run);
         assert!(warm.stats.initializations_skipped >= cold.stats.initializations_skipped);
         // A useless seed (isolated / out-of-range vertices) degrades to a cold solve.
-        let junk = NewSea::default().solve_seeded(&gd, &[99, 100]);
+        let junk = NewSea::default().solve_bounded(&gd, &[99, 100], &cx).0;
         assert_eq!(junk.stats.seeded_runs, 0);
         assert!((junk.affinity_difference - cold.affinity_difference).abs() < 1e-9);
     }
@@ -596,7 +551,9 @@ mod tests {
     fn reference_solve_matches_canonical_exactly() {
         let gd = two_cliques();
         for seed in [&[][..], &[0, 1, 2, 3][..], &[5, 6][..]] {
-            let dense = NewSea::default().solve_seeded(&gd, seed);
+            let dense = NewSea::default()
+                .solve_bounded(&gd, seed, &SolveContext::unbounded())
+                .0;
             let reference = NewSea::default().solve_seeded_reference(&gd, seed);
             assert_eq!(dense.support(), reference.support());
             assert_eq!(
@@ -611,7 +568,9 @@ mod tests {
     fn view_solve_equals_materialized_positive_part() {
         let gd = two_cliques();
         let via_view = NewSea::default().solve(&gd);
-        let via_materialized = NewSea::default().solve_on_positive_part(&gd.positive_part());
+        let via_materialized = NewSea::default()
+            .solve_bounded(&gd.positive_part(), &[], &SolveContext::unbounded())
+            .0;
         assert_eq!(via_view.support(), via_materialized.support());
         assert_eq!(
             via_view.affinity_difference.to_bits(),

@@ -1,30 +1,22 @@
-//! Parallel initialisation sweeps for the DCSGA solvers.
+//! The parallel exhaustive initialisation sweep of the `SEACD+Refine` comparator.
 //!
-//! The SEACD/NewSEA initialisations are independent local searches, so they parallelise
+//! The SEACD initialisations are independent local searches, so they parallelise
 //! naturally: each worker repeatedly claims the next candidate vertex and runs
-//! SEACD + refinement from it.  Two entry points are provided:
-//!
-//! * [`parallel_sweep`] — the exhaustive one-initialisation-per-vertex sweep of the
-//!   `SEACD+Refine` comparator, fanned out over worker threads,
-//! * [`parallel_newsea`] — NewSEA's smart-initialisation sweep with a *shared* best
-//!   objective: workers claim candidates in descending `µ_u` order and stop as soon as
-//!   the next candidate's bound cannot beat the best solution any worker has found.
-//!
-//! Both produce the same best objective as their sequential counterparts (the set of
-//! initialisations that can win is identical); only the *number* of initialisations that
-//! NewSEA actually runs may differ slightly, because workers that are already in flight
-//! when the winning solution is found still finish their candidate.
+//! SEACD + refinement from it.  [`parallel_sweep`] produces the same best solution as
+//! [`SeaCd::sweep`] (ties between equal objectives break towards the lowest seed
+//! vertex, whatever the scheduling).  NewSEA itself parallelises inside one solve
+//! instead: see [`super::NewSea::solve_bounded`] under
+//! [`crate::SolveContext::with_threads`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dcs_densest::Embedding;
-use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
+use dcs_graph::{SignedGraph, VertexId, Weight};
 use parking_lot::Mutex;
 
-use super::newsea::{smart_initialization_order, SmartInitStats};
 use super::refine::{refine, refine_with_workspace};
 use super::seacd::{SeaCd, SeaCdSweep};
-use super::{DcsgaConfig, DcsgaSolution};
+use super::DcsgaConfig;
 use crate::workspace::SolverWorkspace;
 
 /// Shared best-so-far state of a parallel sweep: `(objective, seed vertex of the
@@ -42,10 +34,6 @@ impl SharedBest {
         SharedBest {
             best: Mutex::new((0.0, UNSEEDED, Embedding::default())),
         }
-    }
-
-    fn objective(&self) -> Weight {
-        self.best.lock().0
     }
 
     /// Whether `(objective, seed)` replaces the incumbent: strictly better objective,
@@ -116,14 +104,13 @@ pub fn parallel_sweep(
                 let solver = SeaCd::new(config);
                 // One dense workspace per worker, reused across its initialisations.
                 let mut ws = SolverWorkspace::new();
-                let view = GraphView::full(gd_plus);
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&u) = candidates.get(index) else {
                         break;
                     };
                     let run =
-                        solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
+                        solver.run_on_view_in(gd_plus, Embedding::singleton(u), &mut ws, |_| false);
                     errors.fetch_add(run.expansion_errors, Ordering::Relaxed);
                     let refined = refine_with_workspace(gd_plus, run.embedding, &config, &mut ws);
                     let objective = refined.affinity(gd_plus);
@@ -156,80 +143,9 @@ pub fn parallel_sweep(
     }
 }
 
-/// Runs NewSEA's smart-initialisation sweep across `threads` worker threads.
-///
-/// Candidates are claimed in descending `µ_u` order; a worker stops as soon as the bound
-/// of its next candidate is no better than the best objective found so far by *any*
-/// worker, which preserves NewSEA's early exit (Theorem 6 guarantees no skipped candidate
-/// could have produced a better solution).
-pub fn parallel_newsea(gd: &SignedGraph, config: DcsgaConfig, threads: usize) -> DcsgaSolution {
-    let gd_plus = gd.positive_part();
-    let threads = effective_threads(threads);
-    if gd_plus.num_edges() == 0 {
-        return DcsgaSolution {
-            embedding: Embedding::default(),
-            affinity_difference: 0.0,
-            stats: SmartInitStats::default(),
-        };
-    }
-    if threads == 1 {
-        return super::NewSea::new(config).solve_on_positive_part(&gd_plus);
-    }
-
-    let order = smart_initialization_order(&gd_plus);
-    let next = AtomicUsize::new(0);
-    let run_count = AtomicUsize::new(0);
-    let errors = AtomicUsize::new(0);
-    let shared = SharedBest::new();
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let solver = SeaCd::new(config);
-                // One dense workspace per worker, reused across its initialisations.
-                let mut ws = SolverWorkspace::new();
-                let view = GraphView::full(&gd_plus);
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(u, mu)) = order.get(index) else {
-                        break;
-                    };
-                    if mu <= shared.objective() {
-                        // µ values are non-increasing, so every later candidate is also
-                        // dominated; put the index back is unnecessary — just stop.
-                        break;
-                    }
-                    run_count.fetch_add(1, Ordering::Relaxed);
-                    let run =
-                        solver.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
-                    errors.fetch_add(run.expansion_errors, Ordering::Relaxed);
-                    let refined = refine_with_workspace(&gd_plus, run.embedding, &config, &mut ws);
-                    shared.offer(refined.affinity(&gd_plus), u, &refined);
-                }
-            });
-        }
-    })
-    .expect("NewSEA worker panicked");
-
-    let initializations_run = run_count.load(Ordering::Relaxed);
-    let (best_objective, best) = shared.into_best();
-    DcsgaSolution {
-        embedding: best,
-        affinity_difference: best_objective,
-        stats: SmartInitStats {
-            initializations_run,
-            initializations_skipped: order.len().saturating_sub(initializations_run),
-            expansion_errors: errors.load(Ordering::Relaxed),
-            seeded_runs: 0,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcsga::NewSea;
-    use crate::difference_graph;
     use dcs_graph::GraphBuilder;
 
     /// A heavy 4-clique, a medium 5-clique and background noise.
@@ -275,42 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_newsea_matches_sequential_objective() {
-        let gd = planted_graph();
-        let config = DcsgaConfig::default();
-        let sequential = NewSea::new(config).solve(&gd);
-        let parallel = parallel_newsea(&gd, config, 4);
-        assert!(
-            (sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9,
-            "sequential {} vs parallel {}",
-            sequential.affinity_difference,
-            parallel.affinity_difference
-        );
-        assert_eq!(sequential.support(), parallel.support());
-        // The early exit still prunes most candidates.
-        assert!(
-            parallel.stats.initializations_skipped > 0,
-            "ran {} of {}",
-            parallel.stats.initializations_run,
-            parallel.stats.initializations_run + parallel.stats.initializations_skipped
-        );
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let config = DcsgaConfig::default();
-        // No positive edges: empty solution, no crash.
-        let negative = GraphBuilder::from_edges(3, vec![(0, 1, -1.0)]);
-        let solution = parallel_newsea(&negative, config, 4);
-        assert!(solution.embedding.is_empty());
         // Empty graph through the sweep path.
         let sweep = parallel_sweep(&SignedGraph::empty(0), config, 4, true);
         assert_eq!(sweep.initializations, 0);
-        // Single-threaded request falls back to the sequential implementations.
-        let pair_g1 = GraphBuilder::from_edges(4, vec![(0, 1, 1.0)]);
-        let pair_g2 = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (1, 2, 2.0), (0, 2, 2.0)]);
-        let gd = difference_graph(&pair_g2, &pair_g1).unwrap();
-        let single = parallel_newsea(&gd, config, 1);
-        assert_eq!(single.support(), vec![0, 1, 2]);
     }
 }

@@ -25,9 +25,7 @@ use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
 use super::arena::{affinity_in, renormalize_in, weighted_sum_in, EmbeddingArena, KernelScratch};
 use super::coord_descent::descend_in;
-use super::refine::refine_in;
-use super::{DcsgaConfig, DcsgaSolution, SmartInitStats};
-use crate::engine::{SolveContext, SolveStats};
+use super::DcsgaConfig;
 use crate::workspace::SolverWorkspace;
 
 /// Result of one SEACD run (a single initialisation).
@@ -251,55 +249,31 @@ impl SeaCd {
         &self.config
     }
 
-    /// Runs SEACD from an initial embedding on graph `g` (usually `G_{D+}`, but any
-    /// signed graph is accepted — the shrink stage handles negative weights).
-    pub fn run_from(&self, g: &SignedGraph, init: Embedding) -> SeaCdRun {
-        self.run_from_until(g, init, |_| false)
-    }
-
-    /// [`Self::run_from`] with a **stop callback**: after every shrink stage,
-    /// `stop(units)` is invoked with the coordinate-descent iterations just performed
-    /// (plus one for the round itself) and the run returns its current KKT point as
-    /// soon as the callback says stop.  The returned embedding is always a valid
-    /// simplex point — just not necessarily a converged one.
-    pub fn run_from_until<F: FnMut(u64) -> bool>(
-        &self,
-        g: &SignedGraph,
-        init: Embedding,
-        stop: F,
-    ) -> SeaCdRun {
-        self.run_on_view_until(GraphView::full(g), init, stop)
-    }
-
-    /// [`Self::run_from_until`] on a [`GraphView`]: the run is confined to the
+    /// Runs SEACD from an initial embedding on `graph` — a [`SignedGraph`] (usually
+    /// `G_{D+}`, but any signed graph is accepted: the shrink stage handles negative
+    /// weights) or a [`GraphView`] of one.  On a view the run is confined to the
     /// alive vertices and surviving edges (shrink support, expansion candidates and
-    /// objective are all those of the filtered subgraph) without materialising it.
-    /// Positive-filtered views are fully supported — this is how the canonical
-    /// NewSEA path mines `G_{D+}` straight off the signed `G_D`.
+    /// objective are all those of the filtered subgraph) without materialising it;
+    /// positive-filtered views are fully supported.
     ///
-    /// The initial embedding's support must be alive in the view.  This standalone
-    /// entry builds a transient workspace per call; batch sweeps should reuse one
-    /// through [`Self::run_on_view_in`].
-    pub fn run_on_view_until<F: FnMut(u64) -> bool>(
+    /// The run borrows the dense embedding arena of the caller-owned
+    /// [`SolverWorkspace`], so repeated runs (the parallel sweep workers, the census
+    /// harness) allocate nothing in steady state.  The initial embedding's support
+    /// must be alive in the view.
+    ///
+    /// After every shrink stage, `stop(units)` is invoked with the
+    /// coordinate-descent iterations just performed (plus one for the round itself)
+    /// and the run returns its current KKT point as soon as the callback says stop.
+    /// The returned embedding is always a valid simplex point — just not necessarily
+    /// a converged one.
+    pub fn run_on_view_in<'a, F: FnMut(u64) -> bool>(
         &self,
-        view: GraphView<'_>,
-        init: Embedding,
-        stop: F,
-    ) -> SeaCdRun {
-        let mut ws = SolverWorkspace::new();
-        self.run_on_view_in(view, init, &mut ws, stop)
-    }
-
-    /// [`Self::run_on_view_until`] against a caller-owned [`SolverWorkspace`]: the
-    /// run borrows the workspace's dense embedding arena, so repeated runs (the
-    /// parallel sweep workers, the census harness) allocate nothing in steady state.
-    pub fn run_on_view_in<F: FnMut(u64) -> bool>(
-        &self,
-        view: GraphView<'_>,
+        graph: impl Into<GraphView<'a>>,
         init: Embedding,
         ws: &mut SolverWorkspace,
         stop: F,
     ) -> SeaCdRun {
+        let view = graph.into();
         debug_assert!(init.iter().all(|(u, _)| view.is_alive(u)));
         let dcsga = &mut ws.dcsga;
         dcsga.arena.begin(view.num_vertices());
@@ -323,71 +297,14 @@ impl SeaCd {
         }
     }
 
-    /// The `SEACD+Refine` comparator under a [`SolveContext`]: one initialisation per
-    /// non-isolated vertex of `G_{D+}` (no smart-initialisation pruning), each refined
-    /// by Algorithm 4, returning the best and stopping early when a bound trips.
-    /// `G_{D+}` is a positive-filtered view of `gd` — never materialised.
-    pub fn solve_bounded(
-        &self,
-        gd: &SignedGraph,
-        cx: &SolveContext,
-    ) -> (DcsgaSolution, SolveStats) {
-        let pview = GraphView::full(gd).positive_part();
-        let mut meter = cx.meter();
-        let mut ws = cx.workspace();
-        let dcsga = &mut ws.dcsga;
-        let mut stats = SmartInitStats::default();
-        let mut best_objective = 0.0;
-        dcsga.kernel.best_support.clear();
-        dcsga.kernel.best_values.clear();
-        for u in pview.vertices() {
-            if pview.degree(u) == 0 {
-                continue;
-            }
-            if meter.stopped() {
-                break;
-            }
-            stats.initializations_run += 1;
-            meter.note_candidates(1);
-            dcsga.arena.begin(pview.num_vertices());
-            dcsga.arena.set_x(u, 1.0);
-            let run = run_arena(
-                pview,
-                &self.config,
-                &mut dcsga.arena,
-                &mut dcsga.kernel,
-                |units| !meter.tick(units),
-            );
-            stats.expansion_errors += run.expansion_errors;
-            refine_in(pview, &self.config, &mut dcsga.arena, &mut dcsga.kernel);
-            dcsga.arena.support_into(&mut dcsga.kernel.support);
-            let objective = affinity_in(pview, &dcsga.arena, &dcsga.kernel.support);
-            if objective > best_objective {
-                best_objective = objective;
-                snapshot_best(&dcsga.arena, &mut dcsga.kernel);
-            }
-        }
-        let embedding = Embedding::from_weights(
-            dcsga
-                .kernel
-                .best_support
-                .iter()
-                .copied()
-                .zip(dcsga.kernel.best_values.iter().copied()),
-        );
-        (
-            DcsgaSolution {
-                embedding,
-                affinity_difference: best_objective,
-                stats,
-            },
-            meter.finish(),
-        )
-    }
-
     /// Runs SEACD from the singleton embedding `e_u`.
     pub fn run_from_vertex(&self, g: &SignedGraph, u: VertexId) -> SeaCdRun {
-        self.run_from(g, Embedding::singleton(u))
+        self.run_on_view_in(
+            g,
+            Embedding::singleton(u),
+            &mut SolverWorkspace::new(),
+            |_| false,
+        )
     }
 
     /// Runs one initialisation per vertex of `g` (skipping isolated vertices) and keeps
@@ -409,7 +326,6 @@ impl SeaCd {
     {
         let n = g.num_vertices();
         let limit = limit.unwrap_or(n).min(n);
-        let view = GraphView::full(g);
         let mut ws = SolverWorkspace::new();
         let mut best = Embedding::default();
         let mut best_objective = 0.0;
@@ -421,7 +337,7 @@ impl SeaCd {
                 continue;
             }
             initializations += 1;
-            let run = self.run_on_view_in(view, Embedding::singleton(u), &mut ws, |_| false);
+            let run = self.run_on_view_in(g, Embedding::singleton(u), &mut ws, |_| false);
             expansion_errors += run.expansion_errors;
             let refined = refine_with(g, run.embedding);
             let objective = refined.affinity(g);
@@ -553,9 +469,10 @@ mod tests {
     fn positive_view_run_matches_materialized_positive_part() {
         let g =
             GraphBuilder::from_edges(4, vec![(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, -5.0)]);
-        let on_view = SeaCd::default().run_on_view_until(
+        let on_view = SeaCd::default().run_on_view_in(
             GraphView::full(&g).positive_part(),
             Embedding::singleton(2),
+            &mut SolverWorkspace::new(),
             |_| false,
         );
         let on_materialized = SeaCd::default().run_from_vertex(&g.positive_part(), 2);

@@ -1,38 +1,35 @@
-//! The unified solver engine: one interface over every contrast solver.
+//! The solver engine: bounds, telemetry and measure dispatch shared by every solver.
 //!
-//! Every mining algorithm in this workspace — [`DcsGreedy`] (DCSAD, Algorithm 2),
-//! [`NewSea`]/[`SeaCd`] (DCSGA, Algorithms 3/5), the EgoScan baseline and the classical
-//! densest-subgraph routines of `dcs-densest` — historically exposed its own ad-hoc
-//! `solve*` entry point, so every layer above (top-k peeling, α-sweeps, the mining
-//! server's job pool, the CLI, the benches) hard-coded solver dispatch and had no way
-//! to bound or interrupt a long mine.
+//! Each mining algorithm in this workspace has one entry point,
+//! `solve_bounded(graph, seed, &SolveContext)`: [`DcsGreedy::solve_bounded`] (DCSAD,
+//! Algorithm 2) and [`NewSea::solve_bounded`] (DCSGA, Algorithm 5).  `graph` is a
+//! `&SignedGraph` or any masked [`GraphView`] of one, `seed` is an optional warm
+//! start, and the context carries every bound and capability of the solve:
 //!
-//! This module fixes that with one trait:
-//!
-//! * [`ContrastSolver`] — `solve_in(&self, gd, cx) -> EngineSolution`: every solver
-//!   mines a signed difference graph under a [`SolveContext`];
-//! * [`SolveContext`] — carries a cooperative [`CancelToken`], an optional wall-clock
-//!   **deadline**, and an optional **work budget** (solver-specific iteration units);
-//! * [`EngineSolution`] — the best solution found *so far* plus [`SolveStats`]
-//!   telemetry (iterations, candidates examined, Theorem-6 early-exit prunes, wall
-//!   time) and a [`Termination`] status: bounded solves never fail, they return the
-//!   incumbent with `Deadline` / `Cancelled` / `BudgetExhausted` instead of
-//!   `Converged`;
+//! * [`SolveContext`] — a cooperative [`CancelToken`], an optional wall-clock
+//!   **deadline**, an optional **work budget** (solver-specific iteration units), an
+//!   optional shared scratch workspace and the intra-solve thread budget;
+//! * [`SolveStats`] — telemetry of the solve (iterations, candidates examined,
+//!   Theorem-6 early-exit prunes, wall time) and a [`Termination`] status: bounded
+//!   solves never fail, they return the incumbent with `Deadline` / `Cancelled` /
+//!   `BudgetExhausted` instead of `Converged`;
 //! * [`MeasureSolver`] — the single place a [`DensityMeasure`] is mapped to a solver,
-//!   used by the top-k / α-sweep / streaming drivers and everything above them.
+//!   used by the top-k / α-sweep / streaming drivers and everything above them; its
+//!   [`EngineSolution`] is the best solution found *so far* plus its stats.
 //!
 //! Solvers check the context **cooperatively** through a [`WorkMeter`]: one check per
-//! coarse work unit (a peel removal, a SEACD shrink round, a local-search sweep, a
-//! max-flow round).  A single unit is never cut short, so interruption latency is one
-//! unit, not zero — which is exactly what makes best-so-far results always valid.
+//! coarse work unit (a peel removal, a SEACD shrink round, a local-search sweep).  A
+//! single unit is never cut short, so interruption latency is one unit, not zero —
+//! which is exactly what makes best-so-far results always valid.
 //!
 //! ```
-//! use dcs_core::engine::{ContrastSolver, SolveContext, Termination};
-//! use dcs_core::dcsad::DcsGreedy;
+//! use dcs_core::engine::{MeasureSolver, SolveContext, Termination};
+//! use dcs_core::DensityMeasure;
 //! use dcs_graph::GraphBuilder;
 //!
 //! let gd = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (1, 2, -1.0)]);
-//! let solution = DcsGreedy::default().solve_in(&gd, &SolveContext::unbounded());
+//! let solver = MeasureSolver::for_measure(DensityMeasure::AverageDegree);
+//! let solution = solver.solve_bounded(&gd, &[], &SolveContext::unbounded());
 //! assert_eq!(solution.stats.termination, Termination::Converged);
 //! assert_eq!(solution.subset, vec![0, 1]);
 //! ```
@@ -44,7 +41,7 @@ use std::time::{Duration, Instant};
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
 use crate::dcsad::{DcsGreedy, DcsadSolution};
-use crate::dcsga::{DcsgaConfig, DcsgaSolution, NewSea, SeaCd};
+use crate::dcsga::{DcsgaConfig, DcsgaSolution, NewSea};
 use crate::solution::{ContrastReport, DensityMeasure};
 use crate::workspace::{SharedWorkspace, WorkspaceGuard};
 
@@ -176,7 +173,7 @@ impl SolveContext {
 
     /// Bounds the solve by a work budget in solver-specific units (peel removals for
     /// DCSAD, coordinate-descent iterations and shrink rounds for DCSGA, local-search
-    /// sweeps for EgoScan, max-flow rounds for Goldberg).
+    /// sweeps for EgoScan).
     pub fn with_budget(mut self, units: u64) -> Self {
         self.budget = Some(units);
         self
@@ -184,7 +181,7 @@ impl SolveContext {
 
     /// Attaches a [`SharedWorkspace`]: every solve under this context reuses the
     /// workspace's scratch buffers (degree arrays, lazy heaps, removal orders, the
-    /// max-flow arena) instead of allocating them.  The workspace never affects
+    /// embedding arena) instead of allocating them.  The workspace never affects
     /// results — only where the scratch memory comes from.
     pub fn with_workspace(mut self, workspace: &SharedWorkspace) -> Self {
         self.workspace = Some(workspace.clone());
@@ -270,12 +267,12 @@ impl SolveContext {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveStats {
     /// Work units metered (solver-specific: peel removals, CD iterations + shrink
-    /// rounds, local-search sweeps, max-flow rounds).  This is the quantity the
-    /// budget bounds; the tick that trips the budget is still recorded, so the
-    /// count can exceed the budget by at most one tick's units.
+    /// rounds, local-search sweeps).  This is the quantity the budget bounds; the
+    /// tick that trips the budget is still recorded, so the count can exceed the
+    /// budget by at most one tick's units.
     pub iterations: u64,
     /// Candidate solutions examined (DCSGreedy candidates, SEACD initialisations,
-    /// EgoScan seeds, Goldberg certified subgraphs).
+    /// EgoScan seeds).
     pub candidates: u64,
     /// Candidates skipped by an early-exit bound (the Theorem-6 `µ_u` prune of
     /// NewSEA).
@@ -396,26 +393,24 @@ impl WorkMeter {
 /// Solver-specific detail preserved alongside the engine-level solution shape.
 #[derive(Debug, Clone)]
 pub enum SolverDetail {
-    /// No extra detail beyond the subset (EgoScan, peel, Goldberg adapters).
-    Subset,
     /// A DCSAD solution (winner candidate, data-dependent ratio, …).
     Dcsad(DcsadSolution),
     /// A DCSGA solution (embedding, smart-initialisation stats).
     Dcsga(DcsgaSolution),
 }
 
-/// What every [`ContrastSolver`] returns: the best solution found so far plus
-/// telemetry.  Truncated solves (deadline, cancellation, exhausted budget) still
+/// What [`MeasureSolver::solve_bounded`] returns: the best solution found so far
+/// plus telemetry.  Truncated solves (deadline, cancellation, exhausted budget) still
 /// return a valid vertex subset — check [`SolveStats::termination`] to know whether
 /// it is the converged answer.
 #[derive(Debug, Clone)]
 pub struct EngineSolution {
     /// The mined vertex set (support set for affinity solutions), sorted ascending.
     pub subset: Vec<VertexId>,
-    /// The objective value under the solver's measure (density difference, affinity
-    /// difference or total-degree difference).
+    /// The objective value under the solver's measure (density difference or
+    /// affinity difference).
     pub objective: Weight,
-    /// Solver-specific detail (typed DCSAD/DCSGA solutions when available).
+    /// The typed DCSAD/DCSGA solution.
     pub detail: SolverDetail,
     /// Telemetry, including the [`Termination`] status.
     pub stats: SolveStats,
@@ -431,7 +426,7 @@ impl EngineSolution {
     pub fn embedding(&self) -> Option<&dcs_densest::Embedding> {
         match &self.detail {
             SolverDetail::Dcsga(solution) => Some(&solution.embedding),
-            _ => None,
+            SolverDetail::Dcsad(_) => None,
         }
     }
 
@@ -453,172 +448,12 @@ impl EngineSolution {
             stack,
             ..
         } = &mut *ws;
-        match &self.detail {
-            SolverDetail::Dcsga(solution) => {
-                let mut report =
-                    ContrastReport::for_subset_scratch(gd, &self.subset, marks, visited, stack);
-                report.affinity_difference = solution.embedding.affinity(gd);
-                report
-            }
-            _ => ContrastReport::for_subset_scratch(gd, &self.subset, marks, visited, stack),
+        let mut report =
+            ContrastReport::for_subset_scratch(gd, &self.subset, marks, visited, stack);
+        if let SolverDetail::Dcsga(solution) = &self.detail {
+            report.affinity_difference = solution.embedding.affinity(gd);
         }
-    }
-}
-
-/// A contrast-subgraph solver that can be bounded, cancelled and observed through a
-/// [`SolveContext`].
-///
-/// Implementations must return **best-so-far** when a bound trips: the returned
-/// subset is always valid for `gd`, and [`SolveStats::termination`] says whether it
-/// is the converged answer.
-pub trait ContrastSolver {
-    /// A short stable name (used in telemetry and bench output).
-    fn name(&self) -> &'static str;
-
-    /// Mines the difference graph `gd` under the context `cx`.
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution;
-
-    /// Mines with a warm-start seed (the support of a previous mine on a
-    /// slightly-changed graph).  Solvers without a seeded path ignore the seed.
-    fn solve_seeded_in(
-        &self,
-        gd: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> EngineSolution {
-        let _ = seed;
-        self.solve_in(gd, cx)
-    }
-}
-
-impl ContrastSolver for DcsGreedy {
-    fn name(&self) -> &'static str {
-        "dcs-greedy"
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        self.solve_seeded_in(gd, &[], cx)
-    }
-
-    fn solve_seeded_in(
-        &self,
-        gd: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> EngineSolution {
-        let (solution, stats) = self.solve_bounded(gd, seed, cx);
-        EngineSolution {
-            subset: solution.subset.clone(),
-            objective: solution.density_difference,
-            detail: SolverDetail::Dcsad(solution),
-            stats,
-        }
-    }
-}
-
-impl ContrastSolver for NewSea {
-    fn name(&self) -> &'static str {
-        "newsea"
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        self.solve_seeded_in(gd, &[], cx)
-    }
-
-    fn solve_seeded_in(
-        &self,
-        gd: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> EngineSolution {
-        let (solution, stats) = self.solve_bounded(gd, seed, cx);
-        dcsga_solution(solution, stats)
-    }
-}
-
-impl ContrastSolver for SeaCd {
-    fn name(&self) -> &'static str {
-        "seacd"
-    }
-
-    /// The `SEACD+Refine` comparator: one initialisation per vertex of `G_{D+}` with
-    /// Algorithm-4 refinement, no smart-initialisation pruning.
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        let (solution, stats) = self.solve_bounded(gd, cx);
-        dcsga_solution(solution, stats)
-    }
-}
-
-fn dcsga_solution(solution: DcsgaSolution, stats: SolveStats) -> EngineSolution {
-    EngineSolution {
-        subset: solution.support(),
-        objective: solution.affinity_difference,
-        detail: SolverDetail::Dcsga(solution),
-        stats,
-    }
-}
-
-/// The greedy peel of `G_D` itself as a [`ContrastSolver`] (the "GD only" comparator
-/// of Tables X/XII, and the classical Charikar routine on non-negative inputs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeelSolver;
-
-impl ContrastSolver for PeelSolver {
-    fn name(&self) -> &'static str {
-        "greedy-peel"
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        let mut meter = cx.meter();
-        let mut ws = cx.workspace();
-        let threads = cx.threads();
-        let ws = &mut *ws;
-        let (peel, _) = dcs_densest::greedy_peeling_view_auto(
-            GraphView::full(gd),
-            &mut ws.peel,
-            &mut ws.par_peel,
-            threads,
-            |units| !meter.tick(units),
-        );
-        meter.note_candidates(1);
-        EngineSolution {
-            objective: peel.average_degree,
-            subset: peel.subset,
-            detail: SolverDetail::Subset,
-            stats: meter.finish(),
-        }
-    }
-}
-
-/// Goldberg's exact densest subgraph of the positive part `G_{D+}` as a
-/// [`ContrastSolver`], evaluated in `G_D` (an exact upper-bound comparator for
-/// DCSAD-style mining; accepts signed inputs by construction).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GoldbergSolver;
-
-impl ContrastSolver for GoldbergSolver {
-    fn name(&self) -> &'static str {
-        "goldberg-exact"
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        let mut meter = cx.meter();
-        let mut ws = cx.workspace();
-        // `G_{D+}` as a positive-filtered view: no materialised copy, and the flow
-        // arena is reused across the binary-search rounds (and across solves when
-        // the context carries a shared workspace).
-        let (exact, _) = dcs_densest::densest_subgraph_view_until(
-            GraphView::full(gd).positive_part(),
-            &mut ws.flow,
-            |units| !meter.tick(units),
-        );
-        meter.note_candidates(1);
-        EngineSolution {
-            objective: gd.average_degree(&exact.subset),
-            subset: exact.subset,
-            detail: SolverDetail::Subset,
-            stats: meter.finish(),
-        }
+        report
     }
 }
 
@@ -658,33 +493,19 @@ impl MeasureSolver {
         }
     }
 
-    /// The working graph a peeling driver should expose through per-round views.
-    ///
-    /// Both measures now borrow `G_D` outright: average-degree mining always worked
-    /// on the signed graph, and affinity mining applies Theorem 5's restriction to
-    /// `G_{D+}` as a positive-filtered view inside [`crate::dcsga::NewSea`] — the
-    /// positive part is never materialised, so affinity jobs never copy the CSR.
-    /// The `Cow` signature is kept for API stability.
-    pub fn prepare_working_graph<'a>(
+    /// Mines `graph` — a [`SignedGraph`] or a masked [`GraphView`] of one (the
+    /// peeling drivers' per-round entry) — with the measure's solver under `cx`,
+    /// warm-started from `seed` (see [`DcsGreedy::solve_bounded`] and
+    /// [`NewSea::solve_bounded`]).
+    pub fn solve_bounded<'a>(
         &self,
-        gd: &'a SignedGraph,
-    ) -> std::borrow::Cow<'a, SignedGraph> {
-        std::borrow::Cow::Borrowed(gd)
-    }
-
-    /// Solves on a masked view of a working graph produced by
-    /// [`Self::prepare_working_graph`] — the peeling drivers' per-round entry point.
-    /// The view replaces the old per-round `remove_vertices_in_place` CSR rewrite:
-    /// mined vertices are masked out in O(1) each and the CSR arrays never move.
-    pub fn solve_view_seeded_in(
-        &self,
-        view: GraphView<'_>,
+        graph: impl Into<GraphView<'a>>,
         seed: &[VertexId],
         cx: &SolveContext,
     ) -> EngineSolution {
         match self {
             MeasureSolver::AverageDegree(solver) => {
-                let (solution, stats) = solver.solve_view_bounded(view, seed, cx);
+                let (solution, stats) = solver.solve_bounded(graph, seed, cx);
                 EngineSolution {
                     subset: solution.subset.clone(),
                     objective: solution.density_difference,
@@ -693,8 +514,13 @@ impl MeasureSolver {
                 }
             }
             MeasureSolver::Affinity(solver) => {
-                let (solution, stats) = solver.solve_on_view_bounded(view, seed, cx);
-                dcsga_solution(solution, stats)
+                let (solution, stats) = solver.solve_bounded(graph, seed, cx);
+                EngineSolution {
+                    subset: solution.support(),
+                    objective: solution.affinity_difference,
+                    detail: SolverDetail::Dcsga(solution),
+                    stats,
+                }
             }
         }
     }
@@ -711,31 +537,6 @@ impl MeasureSolver {
         // Both measures mine positive contrast: the working graph is the signed
         // `G_D` for either, and an all-non-positive remainder is exhausted.
         !view.has_positive_edge()
-    }
-}
-
-impl ContrastSolver for MeasureSolver {
-    fn name(&self) -> &'static str {
-        match self {
-            MeasureSolver::AverageDegree(solver) => solver.name(),
-            MeasureSolver::Affinity(solver) => solver.name(),
-        }
-    }
-
-    fn solve_in(&self, gd: &SignedGraph, cx: &SolveContext) -> EngineSolution {
-        self.solve_seeded_in(gd, &[], cx)
-    }
-
-    fn solve_seeded_in(
-        &self,
-        gd: &SignedGraph,
-        seed: &[VertexId],
-        cx: &SolveContext,
-    ) -> EngineSolution {
-        match self {
-            MeasureSolver::AverageDegree(solver) => solver.solve_seeded_in(gd, seed, cx),
-            MeasureSolver::Affinity(solver) => solver.solve_seeded_in(gd, seed, cx),
-        }
     }
 }
 
@@ -801,23 +602,33 @@ mod tests {
         let cx = SolveContext::unbounded();
 
         let direct = DcsGreedy::default().solve(&gd);
-        let engine = DcsGreedy::default().solve_in(&gd, &cx);
+        let engine =
+            MeasureSolver::AverageDegree(DcsGreedy::default()).solve_bounded(&gd, &[], &cx);
         assert_eq!(engine.subset, direct.subset);
         assert_eq!(engine.objective, direct.density_difference);
         assert!(engine.termination().is_converged());
 
         let direct = NewSea::default().solve(&gd);
-        let engine = NewSea::default().solve_in(&gd, &cx);
+        let engine = MeasureSolver::Affinity(NewSea::default()).solve_bounded(&gd, &[], &cx);
         assert_eq!(engine.subset, direct.support());
         assert!((engine.objective - direct.affinity_difference).abs() < 1e-12);
         assert!(engine.embedding().is_some());
+    }
 
-        let peel = PeelSolver.solve_in(&gd, &cx);
-        assert_eq!(peel.subset, dcs_densest::greedy_peeling(&gd).subset);
-
-        let exact = GoldbergSolver.solve_in(&gd, &cx);
-        assert_eq!(exact.subset, vec![0, 1, 2]);
-        assert!((exact.objective - 8.0).abs() < 1e-6);
+    #[test]
+    fn empty_and_fully_masked_inputs_yield_empty_results() {
+        let empty = SignedGraph::empty(0);
+        let gd = triangle_and_pair();
+        let none_alive = dcs_graph::VertexMask::empty(gd.num_vertices());
+        for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
+            let solver = MeasureSolver::for_measure(measure);
+            for view in [GraphView::full(&empty), GraphView::masked(&gd, &none_alive)] {
+                let solution = solver.solve_bounded(view, &[0, 1], &SolveContext::unbounded());
+                assert!(solution.subset.is_empty(), "{measure:?}");
+                assert_eq!(solution.objective, 0.0);
+                assert_eq!(solution.termination(), Termination::Converged);
+            }
+        }
     }
 
     #[test]
@@ -826,18 +637,12 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cx = SolveContext::unbounded().with_cancel(&token);
-        for solver in [
-            &MeasureSolver::for_measure(DensityMeasure::AverageDegree) as &dyn ContrastSolver,
-            &MeasureSolver::for_measure(DensityMeasure::GraphAffinity),
-            &PeelSolver,
-            &GoldbergSolver,
-        ] {
-            let solution = solver.solve_in(&gd, &cx);
+        for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
+            let solution = MeasureSolver::for_measure(measure).solve_bounded(&gd, &[], &cx);
             assert_eq!(
                 solution.stats.termination,
                 Termination::Cancelled,
-                "{} did not observe the pre-cancelled token",
-                solver.name()
+                "{measure:?} did not observe the pre-cancelled token"
             );
             assert!(solution
                 .subset
@@ -856,16 +661,12 @@ mod tests {
         assert_eq!(affinity.measure(), DensityMeasure::GraphAffinity);
 
         let gd = triangle_and_pair();
-        // Both measures borrow G_D outright: no working-graph copy — the affinity
-        // solver positive-filters through the view itself.
-        let working = affinity.prepare_working_graph(&gd);
-        assert!(matches!(working, std::borrow::Cow::Borrowed(_)));
-        let view = GraphView::full(&working);
+        // Both measures mine G_D itself: the affinity solver positive-filters
+        // through the view.
+        let view = GraphView::full(&gd);
         assert!(!affinity.view_exhausted(view));
-        let solution = affinity.solve_view_seeded_in(view, &[], &SolveContext::unbounded());
+        let solution = affinity.solve_bounded(view, &[], &SolveContext::unbounded());
         assert_eq!(solution.subset, vec![0, 1, 2]);
-        let working = degree.prepare_working_graph(&gd);
-        assert!(matches!(working, std::borrow::Cow::Borrowed(_)));
         // A graph whose only remaining edges are negative is exhausted for both.
         let spent = GraphBuilder::from_edges(3, vec![(0, 1, -1.0)]);
         assert!(affinity.view_exhausted(GraphView::full(&spent)));
@@ -880,17 +681,13 @@ mod tests {
         assert!(warm_cx.has_workspace());
         assert!(warm_cx.is_unbounded(), "a workspace is not a bound");
         let cold_cx = SolveContext::unbounded();
-        for solver in [
-            &MeasureSolver::for_measure(DensityMeasure::AverageDegree) as &dyn ContrastSolver,
-            &MeasureSolver::for_measure(DensityMeasure::GraphAffinity),
-            &PeelSolver,
-            &GoldbergSolver,
-        ] {
-            let cold = solver.solve_in(&gd, &cold_cx);
+        for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
+            let solver = MeasureSolver::for_measure(measure);
+            let cold = solver.solve_bounded(&gd, &[], &cold_cx);
             // Repeated warm solves over one workspace: identical answers.
             for _ in 0..3 {
-                let warm = solver.solve_in(&gd, &warm_cx);
-                assert_eq!(warm.subset, cold.subset, "{} diverged", solver.name());
+                let warm = solver.solve_bounded(&gd, &[], &warm_cx);
+                assert_eq!(warm.subset, cold.subset, "{measure:?} diverged");
                 assert_eq!(warm.objective, cold.objective);
             }
         }

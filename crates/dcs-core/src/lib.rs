@@ -18,10 +18,11 @@
 //!   Theorem 5) and [`dcsga::NewSea`] (Algorithm 5: SEACD + refinement + the
 //!   smart-initialisation upper bound of Theorem 6).
 //!
-//! Every solver also implements the unified [`engine::ContrastSolver`] trait: a solve
-//! under an [`engine::SolveContext`] can be cancelled, deadlined or budgeted and
-//! returns best-so-far with [`engine::SolveStats`] telemetry.  The drivers layered on
-//! top ([`top_k_in`], [`alpha_sweep_in`], [`streaming`]) all dispatch through
+//! Each solver has one entry point, `solve_bounded(graph, seed, &SolveContext)`,
+//! taking a `&SignedGraph` or a masked [`dcs_graph::GraphView`]: a solve under an
+//! [`engine::SolveContext`] can be cancelled, deadlined or budgeted and returns
+//! best-so-far with [`engine::SolveStats`] telemetry.  The drivers layered on top
+//! ([`top_k_in`], [`alpha_sweep_in`], [`streaming`]) all dispatch through
 //! [`engine::MeasureSolver`].
 //!
 //! ## Quick start
@@ -69,14 +70,12 @@ pub use diff::{
     scaled_difference_graph, CsrBuffers, DiscreteRule, ScaledDifferenceTemplate, WeightScheme,
 };
 pub use engine::{
-    CancelToken, ContrastSolver, EngineSolution, MeasureSolver, SolveContext, SolveStats,
-    Termination,
+    CancelToken, EngineSolution, MeasureSolver, SolveContext, SolveStats, Termination,
 };
 pub use error::DcsError;
 pub use solution::{ContrastReport, DensityMeasure};
 pub use streaming::{
-    mine_difference, mine_difference_in, mine_difference_seeded, BatchOutcome, ContrastAlert,
-    StreamingConfig, StreamingDcs,
+    mine_difference_in, BatchOutcome, ContrastAlert, StreamingConfig, StreamingDcs,
 };
 pub use topk::{top_k_affinity, top_k_average_degree, top_k_in, TopKOutcome};
 pub use workspace::{SharedWorkspace, SolverWorkspace, WorkspaceGuard};

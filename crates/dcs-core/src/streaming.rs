@@ -28,8 +28,8 @@
 //!   the mined density difference exceeds [`StreamingConfig::alert_threshold`] the
 //!   result is reported as a [`ContrastAlert`] with `triggered = true`;
 //! * re-mines are **warm-started**: the support of the previous alert is passed to
-//!   the solver as a seed ([`crate::dcsga::NewSea::solve_seeded`] /
-//!   [`crate::dcsad::DcsGreedy::solve_seeded`]), so on a slightly-changed graph the
+//!   the solver as a seed ([`crate::dcsga::NewSea::solve_bounded`] /
+//!   [`crate::dcsad::DcsGreedy::solve_bounded`]), so on a slightly-changed graph the
 //!   sweep starts from a strong incumbent and the Theorem-6 early-exit bound prunes
 //!   most initialisations.
 //!
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use dcs_graph::{DeltaGraph, GraphBuilder, SignedGraph, VertexId, Weight};
 use rustc_hash::FxHashMap;
 
-use crate::engine::{ContrastSolver, MeasureSolver, SolveContext, SolveStats};
+use crate::engine::{MeasureSolver, SolveContext, SolveStats};
 use crate::error::DcsError;
 use crate::solution::{ContrastReport, DensityMeasure};
 use crate::workspace::SharedWorkspace;
@@ -404,35 +404,16 @@ impl StreamingDcs {
     }
 }
 
-/// Mines an already-materialised difference graph under `config`, producing the
-/// same [`ContrastAlert`] shape as [`StreamingDcs::mine_now`].
+/// Mines an already-materialised difference graph under `config` and `cx`,
+/// producing the same [`ContrastAlert`] shape as [`StreamingDcs::mine_now`].
 ///
 /// Exposed so callers that snapshot the difference graph themselves (the
 /// mining server's worker pool, which must not hold a session lock while
-/// solving) share one implementation with the in-process monitor.
-pub fn mine_difference(
-    gd: &SignedGraph,
-    config: &StreamingConfig,
-    observations: usize,
-) -> ContrastAlert {
-    mine_difference_seeded(gd, config, observations, None)
-}
-
-/// [`mine_difference`] with an optional **warm-start seed**: the support of a
-/// previous mine on a slightly-changed graph.  The seed is handed to the solver
-/// ([`crate::dcsga::NewSea::solve_seeded`] / [`crate::dcsad::DcsGreedy::solve_seeded`]);
-/// a good seed makes
-/// re-mines converge faster, a stale one costs a single extra candidate.
-pub fn mine_difference_seeded(
-    gd: &SignedGraph,
-    config: &StreamingConfig,
-    observations: usize,
-    seed: Option<&[VertexId]>,
-) -> ContrastAlert {
-    mine_difference_in(gd, config, observations, seed, &SolveContext::unbounded())
-}
-
-/// [`mine_difference_seeded`] under a [`SolveContext`]: the solve observes the
+/// solving) share one implementation with the in-process monitor.  `seed` is an
+/// optional **warm start**: the support of a previous mine on a slightly-changed
+/// graph, handed to the solver ([`crate::dcsga::NewSea::solve_bounded`] /
+/// [`crate::dcsad::DcsGreedy::solve_bounded`]); a good seed makes re-mines converge
+/// faster, a stale one costs a single extra candidate.  The solve observes the
 /// context's cancellation token / deadline / budget and the returned alert carries
 /// best-so-far results plus [`SolveStats`] telemetry when a bound trips.  Solver
 /// dispatch goes through [`MeasureSolver`] — the single measure-to-solver mapping.
@@ -444,7 +425,7 @@ pub fn mine_difference_in(
     cx: &SolveContext,
 ) -> ContrastAlert {
     let solver = MeasureSolver::for_measure(config.measure);
-    let solution = solver.solve_seeded_in(gd, seed.unwrap_or(&[]), cx);
+    let solution = solver.solve_bounded(gd, seed.unwrap_or(&[]), cx);
     let report = solution.report_in(gd, cx);
     ContrastAlert {
         triggered: solution.objective >= config.alert_threshold,

@@ -66,17 +66,16 @@ pub fn top_k_in(
 ) -> TopKOutcome {
     let solver = MeasureSolver::with_config(measure, config);
     let cx = cx.ensure_workspace();
-    let working = solver.prepare_working_graph(gd);
-    let mut mask = VertexMask::full(working.num_vertices());
+    let mut mask = VertexMask::full(gd.num_vertices());
     let mut solutions: Vec<EngineSolution> = Vec::new();
     let mut stats = SolveStats::default();
     for _ in 0..k {
-        let view = GraphView::masked(&working, &mask);
+        let view = GraphView::masked(gd, &mask);
         if solver.view_exhausted(view) {
             break;
         }
         let round_cx = cx.after_work(stats.iterations);
-        let solution = solver.solve_view_seeded_in(view, &[], &round_cx);
+        let solution = solver.solve_bounded(view, &[], &round_cx);
         let round_termination = solution.termination();
         let keep = solution.objective > 0.0 && !solution.subset.is_empty();
         stats.absorb(&solution.stats);

@@ -1,28 +1,29 @@
 //! Reusable solver scratch state, carried through [`crate::engine::SolveContext`].
 //!
 //! Every solve used to allocate its working buffers from scratch: degree arrays and
-//! a fresh lazy heap per greedy peel, a whole flow network per Goldberg binary-search
-//! round, smart-initialisation order vectors per NewSEA sweep, and `FxHashMap`-backed
-//! embeddings per SEACD shrink, expansion and refinement stage.  For a one-off batch
+//! a fresh lazy heap per greedy peel, smart-initialisation order vectors per NewSEA
+//! sweep, and `FxHashMap`-backed embeddings per SEACD shrink, expansion and
+//! refinement stage.  For a one-off batch
 //! mine that is noise; for the steady-state paths — the streaming monitor's cadence
 //! re-mines, the top-k driver's per-round solves, the α-sweep's grid points, the
 //! mining server's back-to-back jobs — it is the dominant allocation source.
 //!
 //! A [`SolverWorkspace`] owns all of that scratch state once.  It is carried as a
 //! [`SharedWorkspace`] (an `Arc<Mutex<_>>`) inside the [`crate::engine::SolveContext`],
-//! so the `ContrastSolver::solve_in(&self, gd, cx)` signature is unchanged and every
-//! layer that already threads a context through — drivers, the server's job pool, the
-//! CLI — gets buffer reuse for free.  Solvers lock the workspace for the duration of
+//! so every `solve_bounded(graph, seed, cx)` entry and every layer that already
+//! threads a context through — drivers, the server's job pool, the CLI — gets buffer
+//! reuse for free.  Solvers lock the workspace for the duration of
 //! one solve; a context without a workspace simply builds a transient one (exactly
 //! the pre-workspace behaviour).
 //!
-//! Locking discipline: **only leaf solvers lock** (DCSGreedy, NewSEA/SEACD, the peel
-//! and Goldberg adapters).  Drivers (top-k, α-sweep, streaming) never hold the lock
-//! across a solver call, so the mutex is uncontended and never re-entered.
+//! Locking discipline: **only leaf solvers lock** (DCSGreedy and NewSEA), plus the
+//! drivers' report step after a solve has returned.  Drivers (top-k, α-sweep,
+//! streaming) never hold the lock across a solver call, so the mutex is uncontended
+//! and never re-entered.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dcs_densest::{FlowNetwork, ParallelPeelWorkspace, PeelWorkspace};
+use dcs_densest::{ParallelPeelWorkspace, PeelWorkspace};
 use dcs_graph::{VertexId, VertexSubset, Weight};
 
 use crate::dcsga::DcsgaScratch;
@@ -39,8 +40,6 @@ pub struct SolverWorkspace {
     /// Parallel-peel scratch (shared atomics, per-range scan slots, dirty heap)
     /// used when the context carries a parallelism budget above 1.
     pub par_peel: ParallelPeelWorkspace,
-    /// Max-flow arena of the Goldberg exact solver.
-    pub flow: FlowNetwork,
     /// NewSEA smart-initialisation order `(vertex, µ_u)`, sorted descending.
     pub init_order: Vec<(VertexId, Weight)>,
     /// Per-vertex maximum incident edge weight (NewSEA's `w_u` bound input).
@@ -61,7 +60,6 @@ impl Default for SolverWorkspace {
         SolverWorkspace {
             peel: PeelWorkspace::new(),
             par_peel: ParallelPeelWorkspace::new(),
-            flow: FlowNetwork::new(0),
             init_order: Vec::new(),
             max_incident: Vec::new(),
             marks: VertexSubset::new(0),

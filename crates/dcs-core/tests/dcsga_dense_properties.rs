@@ -9,9 +9,9 @@
 //! * the solutions really are KKT points of the positive view (via the view-based
 //!   KKT oracle) and positive cliques of `G_D`.
 
-use dcs_core::dcsga::kkt::kkt_violation_view;
+use dcs_core::dcsga::kkt::kkt_violation;
 use dcs_core::dcsga::{DcsgaSolution, NewSea, SeaCd};
-use dcs_core::{Embedding, SharedWorkspace, SolveContext};
+use dcs_core::{Embedding, SharedWorkspace, SolveContext, SolverWorkspace};
 use dcs_graph::{GraphBuilder, GraphView, SignedGraph, VertexId};
 use proptest::prelude::*;
 
@@ -80,14 +80,16 @@ proptest! {
     }
 
     /// View-based NewSEA — the canonical path, which positive-filters the signed
-    /// difference graph in place — equals solving the materialised `positive_part()`
-    /// through the legacy wrapper, bit for bit.
+    /// difference graph in place — equals solving the materialised `positive_part()`,
+    /// bit for bit.
     #[test]
     fn view_newsea_equals_materialized_positive_part(gd in arb_graph()) {
         let solver = NewSea::default();
         let via_view = solver.solve(&gd);
         let gd_plus = gd.positive_part();
-        let via_materialized = solver.solve_on_positive_part(&gd_plus);
+        let via_materialized = solver
+            .solve_bounded(&gd_plus, &[], &SolveContext::unbounded())
+            .0;
         assert_bit_identical(&via_view, &via_materialized)?;
         // The solution is a positive clique of G_D (Theorem 5) and a KKT point of
         // the positive view (Eq. 7), up to the configured tolerances.
@@ -96,9 +98,9 @@ proptest! {
         if !support.is_empty() {
             let pview = GraphView::full(&gd).positive_part();
             prop_assert!(
-                kkt_violation_view(pview, &via_view.embedding) < 0.2,
+                kkt_violation(pview, &via_view.embedding) < 0.2,
                 "violation {}",
-                kkt_violation_view(pview, &via_view.embedding)
+                kkt_violation(pview, &via_view.embedding)
             );
         }
     }
@@ -110,8 +112,9 @@ proptest! {
         let solver = SeaCd::default();
         let gd_plus = gd.positive_part();
         let pview = GraphView::full(&gd).positive_part();
+        let mut ws = SolverWorkspace::new();
         for u in 0..gd.num_vertices() as VertexId {
-            let on_view = solver.run_on_view_until(pview, Embedding::singleton(u), |_| false);
+            let on_view = solver.run_on_view_in(pview, Embedding::singleton(u), &mut ws, |_| false);
             let on_graph = solver.run_from_vertex(&gd_plus, u);
             prop_assert_eq!(on_view.embedding.support(), on_graph.embedding.support());
             prop_assert_eq!(on_view.objective.to_bits(), on_graph.objective.to_bits());

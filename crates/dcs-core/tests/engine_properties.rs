@@ -1,14 +1,12 @@
-//! Property-based tests of the unified solver engine: bounded solves always return
-//! valid best-so-far results with the correct termination, and an unbounded engine
-//! solve is identical to the pre-refactor `solve()` entry points.
+//! Property-based tests of the solver engine: bounded solves always return valid
+//! best-so-far results with the correct termination, and an unbounded engine solve
+//! is identical to the `solve()` conveniences.
 
 use std::time::Duration;
 
 use dcs_core::dcsad::DcsGreedy;
 use dcs_core::dcsga::NewSea;
-use dcs_core::engine::{
-    CancelToken, ContrastSolver, EngineSolution, MeasureSolver, SolveContext, Termination,
-};
+use dcs_core::engine::{CancelToken, EngineSolution, MeasureSolver, SolveContext, Termination};
 use dcs_core::DensityMeasure;
 use dcs_graph::{GraphBuilder, SignedGraph};
 use proptest::prelude::*;
@@ -52,12 +50,12 @@ proptest! {
         let cx = SolveContext::unbounded().with_cancel(&token);
         for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
             let solver = MeasureSolver::for_measure(measure);
-            let bounded = solver.solve_in(&gd, &cx);
+            let bounded = solver.solve_bounded(&gd, &[], &cx);
             assert_valid(&bounded, &gd);
             match bounded.termination() {
                 Termination::Cancelled => {}
                 Termination::Converged => {
-                    let unbounded = solver.solve_in(&gd, &SolveContext::unbounded());
+                    let unbounded = solver.solve_bounded(&gd, &[], &SolveContext::unbounded());
                     prop_assert_eq!(bounded.subset, unbounded.subset);
                 }
                 other => prop_assert!(false, "unexpected termination {:?}", other),
@@ -71,7 +69,7 @@ proptest! {
         let cx = SolveContext::unbounded().with_deadline(Duration::ZERO);
         for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
             let solver = MeasureSolver::for_measure(measure);
-            let bounded = solver.solve_in(&gd, &cx);
+            let bounded = solver.solve_bounded(&gd, &[], &cx);
             assert_valid(&bounded, &gd);
             prop_assert!(matches!(
                 bounded.termination(),
@@ -87,7 +85,7 @@ proptest! {
         let cx = SolveContext::unbounded().with_budget(1);
         for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
             let solver = MeasureSolver::for_measure(measure);
-            let bounded = solver.solve_in(&gd, &cx);
+            let bounded = solver.solve_bounded(&gd, &[], &cx);
             assert_valid(&bounded, &gd);
             prop_assert!(matches!(
                 bounded.termination(),
@@ -97,20 +95,20 @@ proptest! {
     }
 
     /// `SolveContext::unbounded()` through the engine is *identical* to the
-    /// pre-refactor `solve()` entry points: same subset, same objective, and the
-    /// termination is always `Converged`.
+    /// `solve()` conveniences: same subset, same objective, and the termination is
+    /// always `Converged`.
     #[test]
     fn unbounded_engine_equals_legacy_solve(gd in arb_graph()) {
         let cx = SolveContext::unbounded();
 
         let legacy = DcsGreedy::default().solve(&gd);
-        let engine = DcsGreedy::default().solve_in(&gd, &cx);
+        let engine = MeasureSolver::AverageDegree(DcsGreedy::default()).solve_bounded(&gd, &[], &cx);
         prop_assert_eq!(engine.termination(), Termination::Converged);
         prop_assert_eq!(&engine.subset, &legacy.subset);
         prop_assert_eq!(engine.objective, legacy.density_difference);
 
         let legacy = NewSea::default().solve(&gd);
-        let engine = NewSea::default().solve_in(&gd, &cx);
+        let engine = MeasureSolver::Affinity(NewSea::default()).solve_bounded(&gd, &[], &cx);
         prop_assert_eq!(engine.termination(), Termination::Converged);
         prop_assert_eq!(engine.subset, legacy.support());
         prop_assert!((engine.objective - legacy.affinity_difference).abs() < 1e-12);
@@ -124,13 +122,13 @@ proptest! {
     #[test]
     fn bounded_objective_never_exceeds_converged(gd in arb_graph()) {
         let affinity = MeasureSolver::for_measure(DensityMeasure::GraphAffinity);
-        let converged = affinity.solve_in(&gd, &SolveContext::unbounded());
-        let bounded = affinity.solve_in(&gd, &SolveContext::unbounded().with_budget(5));
+        let converged = affinity.solve_bounded(&gd, &[], &SolveContext::unbounded());
+        let bounded = affinity.solve_bounded(&gd, &[], &SolveContext::unbounded().with_budget(5));
         prop_assert!(bounded.objective <= converged.objective + 1e-9);
         prop_assert!(converged.stats.termination.is_converged());
 
         let degree = MeasureSolver::for_measure(DensityMeasure::AverageDegree);
-        let bounded = degree.solve_in(&gd, &SolveContext::unbounded().with_budget(5));
+        let bounded = degree.solve_bounded(&gd, &[], &SolveContext::unbounded().with_budget(5));
         assert_valid(&bounded, &gd);
     }
 }

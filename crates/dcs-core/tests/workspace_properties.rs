@@ -10,11 +10,12 @@
 //! * the template-based α-sweep equals a per-α rebuild through the graph builder.
 
 use dcs_core::dcsga::DcsgaConfig;
-use dcs_core::engine::{ContrastSolver, MeasureSolver, SolveContext};
+use dcs_core::engine::{MeasureSolver, SolveContext};
 use dcs_core::{
     alpha_sweep_in, scaled_difference_graph, top_k_in, DensityMeasure, ScaledDifferenceTemplate,
     SharedWorkspace,
 };
+use dcs_densest::{greedy_peeling_view_auto, ParallelPeelWorkspace, PeelWorkspace};
 use dcs_graph::{GraphBuilder, GraphView, SignedGraph, VertexId, VertexMask};
 use proptest::prelude::*;
 
@@ -98,8 +99,8 @@ proptest! {
 
         // DCSGreedy (average degree).
         let degree = MeasureSolver::for_measure(DensityMeasure::AverageDegree);
-        let view_solution = degree.solve_view_seeded_in(view, &[], &cx);
-        let induced_solution = degree.solve_in(&induced, &cx);
+        let view_solution = degree.solve_bounded(view, &[], &cx);
+        let induced_solution = degree.solve_bounded(&induced, &[], &cx);
         prop_assert_eq!(&view_solution.subset, &map_back(&induced_solution.subset));
         prop_assert!((view_solution.objective - induced_solution.objective).abs() < 1e-9);
 
@@ -110,9 +111,9 @@ proptest! {
         let gd_plus = gd.positive_part();
         let plus_view = GraphView::masked(&gd_plus, &mask);
         let affinity = MeasureSolver::for_measure(DensityMeasure::GraphAffinity);
-        let view_solution = affinity.solve_view_seeded_in(plus_view, &[], &cx);
+        let view_solution = affinity.solve_bounded(plus_view, &[], &cx);
         let materialized = plus_view.materialize();
-        let materialized_solution = affinity.solve_in(&materialized, &cx);
+        let materialized_solution = affinity.solve_bounded(&materialized, &[], &cx);
         prop_assert_eq!(&view_solution.subset, &materialized_solution.subset);
         prop_assert_eq!(view_solution.objective, materialized_solution.objective);
         // And the mined support never touches a dead vertex.
@@ -141,8 +142,8 @@ proptest! {
                         DensityMeasure::GraphAffinity
                     };
                     let solver = MeasureSolver::for_measure(measure);
-                    let warm = solver.solve_seeded_in(gd, &last_subset, &warm_cx);
-                    let cold = solver.solve_seeded_in(gd, &last_subset, &cold_cx);
+                    let warm = solver.solve_bounded(gd, &last_subset, &warm_cx);
+                    let cold = solver.solve_bounded(gd, &last_subset, &cold_cx);
                     prop_assert_eq!(&warm.subset, &cold.subset);
                     prop_assert_eq!(warm.objective, cold.objective);
                     last_subset = warm.subset;
@@ -161,10 +162,23 @@ proptest! {
                     }
                 }
                 _ => {
-                    let warm = dcs_core::engine::PeelSolver.solve_in(gd, &warm_cx);
-                    let cold = dcs_core::engine::PeelSolver.solve_in(gd, &cold_cx);
+                    let threads = warm_cx.threads();
+                    let warm = {
+                        let mut ws = shared.lock();
+                        let ws = &mut *ws;
+                        greedy_peeling_view_auto(
+                            GraphView::full(gd), &mut ws.peel, &mut ws.par_peel, threads, |_| false,
+                        ).0
+                    };
+                    let cold = greedy_peeling_view_auto(
+                        GraphView::full(gd),
+                        &mut PeelWorkspace::new(),
+                        &mut ParallelPeelWorkspace::new(),
+                        threads,
+                        |_| false,
+                    ).0;
                     prop_assert_eq!(&warm.subset, &cold.subset);
-                    prop_assert_eq!(warm.objective, cold.objective);
+                    prop_assert_eq!(warm.average_degree, cold.average_degree);
                 }
             }
         }
@@ -211,7 +225,7 @@ proptest! {
         for point in &sweep.points {
             let gd = scaled_difference_graph(&g2, &g1, point.alpha).unwrap();
             let cold = MeasureSolver::for_measure(DensityMeasure::AverageDegree)
-                .solve_seeded_in(&gd, &[], &SolveContext::unbounded());
+                .solve_bounded(&gd, &[], &SolveContext::unbounded());
             // Warm starting never hurts: the sweep's point is at least as good.
             prop_assert!(point.objective >= cold.objective - 1e-9);
         }

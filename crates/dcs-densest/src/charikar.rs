@@ -29,38 +29,21 @@ pub struct PeelingResult {
     pub average_degree: Weight,
 }
 
-/// Optional per-step trace of a peeling run (used by ablation benches and tests).
-#[derive(Debug, Clone, Default)]
-pub struct PeelingProfile {
-    /// Vertices in removal order.
-    pub removal_order: Vec<VertexId>,
-    /// `densities[i]` is the average degree of the subset *before* the i-th removal;
-    /// `densities[0]` is the density of the full vertex set.
-    pub densities: Vec<Weight>,
-}
-
 /// Runs greedy peeling with the lazy-heap priority structure.
 pub fn greedy_peeling(g: &SignedGraph) -> PeelingResult {
     greedy_peeling_view_into(GraphView::full(g), &mut PeelWorkspace::new(), |_| false).0
 }
 
-/// Runs greedy peeling with a **stop callback**: `stop(units)` is invoked once per
-/// vertex removal (with `units = 1`) and peeling aborts as soon as it returns `true`.
+/// Greedy peeling on a [`GraphView`] with a **stop callback**, writing all scratch
+/// state into a reusable [`PeelWorkspace`] — the allocation-lean hot path behind
+/// every other heap-peel entry point.
 ///
-/// The returned result is the best prefix seen *so far* — always a valid subset of the
-/// graph, just not necessarily the full peel's best.  The second component reports
-/// whether the peel was interrupted.  This is the interruption primitive the
-/// `dcs-core` engine layer builds its deadline/cancellation/budget support on.
-pub fn greedy_peeling_until<F: FnMut(u64) -> bool>(
-    g: &SignedGraph,
-    stop: F,
-) -> (PeelingResult, bool) {
-    greedy_peeling_view_into(GraphView::full(g), &mut PeelWorkspace::new(), stop)
-}
-
-/// [`greedy_peeling_until`] on a [`GraphView`], writing all scratch state into a
-/// reusable [`PeelWorkspace`] — the allocation-lean hot path behind every other
-/// peeling entry point.
+/// `stop(units)` is invoked once per vertex removal (with `units = 1`) and peeling
+/// aborts as soon as it returns `true`.  The returned result is the best prefix seen
+/// *so far* — always a valid subset of the graph, just not necessarily the full
+/// peel's best.  The second component reports whether the peel was interrupted.
+/// This is the interruption primitive the `dcs-core` engine layer builds its
+/// deadline/cancellation/budget support on.
 ///
 /// Peeling a view is peeling the **alive-induced** subgraph: dead vertices take no
 /// part (they are not counted in the density denominators and cannot appear in the
@@ -70,20 +53,7 @@ pub fn greedy_peeling_until<F: FnMut(u64) -> bool>(
 pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     view: GraphView<'_>,
     ws: &mut PeelWorkspace,
-    stop: F,
-) -> (PeelingResult, bool) {
-    greedy_peeling_view_impl(view, ws, stop, None)
-}
-
-/// The one peel implementation behind [`greedy_peeling`], [`greedy_peeling_until`],
-/// [`greedy_peeling_view_into`] and [`greedy_peeling_with_profile`] (the ablation
-/// queue variants in [`crate::peel`] keep their own generic driver).  `profile`
-/// optionally records the removal order and per-step densities.
-fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
-    view: GraphView<'_>,
-    ws: &mut PeelWorkspace,
     mut stop: F,
-    mut profile: Option<&mut PeelingProfile>,
 ) -> (PeelingResult, bool) {
     let n = view.num_vertices();
     let alive_at_start = view.alive_count();
@@ -134,9 +104,6 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
     let mut alive_count = alive_at_start;
     let mut best_density = total_degree / alive_count as Weight;
     let mut best_size = alive_count;
-    if let Some(p) = profile.as_deref_mut() {
-        p.densities.push(best_density);
-    }
     let mut interrupted = false;
     // The relax loop below iterates the raw CSR rows: `ws.alive` was initialised
     // from the view's mask, so the alive test subsumes the mask test and the hottest
@@ -186,10 +153,6 @@ fn greedy_peeling_view_impl<F: FnMut(u64) -> bool>(
         ws.removal_order.push(v);
 
         let density = total_degree / alive_count as Weight;
-        if let Some(p) = profile.as_deref_mut() {
-            p.removal_order.push(v);
-            p.densities.push(density);
-        }
         if density > best_density {
             best_density = density;
             best_size = alive_count;
@@ -256,43 +219,23 @@ pub(crate) fn finish_peel(
     )
 }
 
-/// Runs greedy peeling and also returns the full removal trace.
-pub fn greedy_peeling_with_profile(g: &SignedGraph) -> (PeelingResult, PeelingProfile) {
-    let mut profile = PeelingProfile::default();
-    let (res, _) = greedy_peeling_view_impl(
-        GraphView::full(g),
-        &mut PeelWorkspace::new(),
-        |_| false,
-        Some(&mut profile),
-    );
-    (res, profile)
-}
-
 /// Runs greedy peeling with the naive re-scan structure (ablation baseline only).
 pub fn greedy_peeling_rescan(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<RescanQueue, _>(g, false, |_| false).0
+    peel_impl::<RescanQueue>(g)
 }
 
 /// Runs greedy peeling with the segment-tree priority structure suggested by the paper.
 pub fn greedy_peeling_segment_tree(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<crate::peel::SegmentTreeQueue, _>(g, false, |_| false).0
+    peel_impl::<crate::peel::SegmentTreeQueue>(g)
 }
 
-fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
-    g: &SignedGraph,
-    want_profile: bool,
-    mut stop: F,
-) -> (PeelingResult, Option<PeelingProfile>, bool) {
+fn peel_impl<Q: MinDegreeQueue>(g: &SignedGraph) -> PeelingResult {
     let n = g.num_vertices();
     if n == 0 {
-        return (
-            PeelingResult {
-                subset: Vec::new(),
-                average_degree: 0.0,
-            },
-            want_profile.then(PeelingProfile::default),
-            false,
-        );
+        return PeelingResult {
+            subset: Vec::new(),
+            average_degree: 0.0,
+        };
     }
 
     let degrees: Vec<Weight> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
@@ -305,17 +248,8 @@ fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
     let mut best_density = total_degree / n as Weight;
     let mut best_size = n; // the best prefix is identified by how many vertices remain
     let mut removal_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut densities: Vec<Weight> = Vec::new();
-    if want_profile {
-        densities.push(best_density);
-    }
 
-    let mut interrupted = false;
     while alive_count > 1 {
-        if stop(1) {
-            interrupted = true;
-            break;
-        }
         let (v, _deg) = queue.pop_min().expect("queue not empty");
         alive[v as usize] = false;
         // Removing v removes every edge (v, u) with u alive: the degree-sum drops by
@@ -332,9 +266,6 @@ fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
         removal_order.push(v);
 
         let density = total_degree / alive_count as Weight;
-        if want_profile {
-            densities.push(density);
-        }
         if density > best_density {
             best_density = density;
             best_size = alive_count;
@@ -348,15 +279,10 @@ fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
         let last = (0..n as VertexId)
             .find(|&v| alive[v as usize])
             .expect("one vertex remains");
-        let result = PeelingResult {
+        return PeelingResult {
             subset: vec![last],
             average_degree: 0.0,
         };
-        let profile = want_profile.then_some(PeelingProfile {
-            removal_order,
-            densities,
-        });
-        return (result, profile, interrupted);
     }
 
     // Reconstruct the best subset: the vertices not among the first (n - best_size)
@@ -371,15 +297,10 @@ fn peel_impl<Q: MinDegreeQueue, F: FnMut(u64) -> bool>(
         .collect();
 
     debug_assert_eq!(subset.len(), best_size);
-    let result = PeelingResult {
+    PeelingResult {
         average_degree: best_density,
         subset,
-    };
-    let profile = want_profile.then_some(PeelingProfile {
-        removal_order,
-        densities,
-    });
-    (result, profile, interrupted)
+    }
 }
 
 #[cfg(test)]
@@ -423,22 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_consistent() {
-        let g = clique_with_tail();
-        let (res, profile) = greedy_peeling_with_profile(&g);
-        assert_eq!(profile.removal_order.len(), g.num_vertices() - 1);
-        assert_eq!(profile.densities.len(), g.num_vertices());
-        let best_from_profile = profile
-            .densities
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!((best_from_profile - res.average_degree).abs() < 1e-12);
-        // Re-evaluate the returned subset against the graph.
-        assert!((g.average_degree(&res.subset) - res.average_degree).abs() < 1e-9);
-    }
-
-    #[test]
     fn handles_negative_weights() {
         // Two vertices joined by a +10 edge, plus a hub connected to everything with -1:
         // the peel must shed the hub and keep the heavy pair.
@@ -468,13 +373,16 @@ mod tests {
     #[test]
     fn interruptible_peel_returns_best_so_far() {
         let g = clique_with_tail();
+        let peel = |stop: &mut dyn FnMut(u64) -> bool| {
+            greedy_peeling_view_into(GraphView::full(&g), &mut PeelWorkspace::new(), stop)
+        };
         // Never stopped: identical to the plain peel.
-        let (full, interrupted) = greedy_peeling_until(&g, |_| false);
+        let (full, interrupted) = peel(&mut |_| false);
         assert!(!interrupted);
         assert_eq!(full, greedy_peeling(&g));
         // Stopped after a few removals: still a valid subset with a consistent density.
         let mut budget = 3u64;
-        let (partial, interrupted) = greedy_peeling_until(&g, |units| {
+        let (partial, interrupted) = peel(&mut |units| {
             budget = budget.saturating_sub(units);
             budget == 0
         });
@@ -486,7 +394,7 @@ mod tests {
             .all(|&v| (v as usize) < g.num_vertices()));
         assert!((g.average_degree(&partial.subset) - partial.average_degree).abs() < 1e-9);
         // Stopped immediately: the full vertex set (nothing peeled yet).
-        let (none, interrupted) = greedy_peeling_until(&g, |_| true);
+        let (none, interrupted) = peel(&mut |_| true);
         assert!(interrupted);
         assert_eq!(none.subset.len(), g.num_vertices());
     }

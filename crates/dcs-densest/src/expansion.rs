@@ -128,15 +128,17 @@ pub fn expansion_step(g: &SignedGraph, x: &Embedding, expand_by: &[VertexId]) ->
 /// `λ = 2 f(x)`, looking only at vertices adjacent to the support (all others have a zero
 /// gradient on a non-negatively weighted graph, and cannot improve a KKT point on a
 /// signed graph either).
-pub fn expansion_candidates(g: &SignedGraph, x: &Embedding, tol: f64) -> Vec<VertexId> {
-    expansion_candidates_view(GraphView::full(g), x, tol)
-}
-
-/// [`expansion_candidates`] on a [`GraphView`]: dead vertices are never candidates
-/// and filtered edges do not contribute to gradients, so the set `Z` is exactly the
-/// one the materialised view would produce.  The embedding's support must be alive in
-/// the view (the solvers only ever seed alive vertices).
-pub fn expansion_candidates_view(view: GraphView<'_>, x: &Embedding, tol: f64) -> Vec<VertexId> {
+///
+/// `graph` is a [`SignedGraph`] or any [`GraphView`] of one: dead vertices are never
+/// candidates and filtered edges do not contribute to gradients, so the set `Z` is
+/// exactly the one the materialised view would produce.  The embedding's support must
+/// be alive in the view (the solvers only ever seed alive vertices).
+pub fn expansion_candidates<'a>(
+    graph: impl Into<GraphView<'a>>,
+    x: &Embedding,
+    tol: f64,
+) -> Vec<VertexId> {
+    let view = graph.into();
     let lambda = 2.0 * x.affinity_view(view);
     let mut seen: FxHashMap<VertexId, ()> = FxHashMap::default();
     let mut z = Vec::new();
@@ -153,64 +155,6 @@ pub fn expansion_candidates_view(view: GraphView<'_>, x: &Embedding, tol: f64) -
         }
     }
     z.sort_unstable();
-    z
-}
-
-/// [`expansion_candidates_view`] scanned by `threads` workers over disjoint vertex
-/// ranges.
-///
-/// **Bit-identical to the sequential scan.** Each worker walks a contiguous alive
-/// range and keeps the unsupported vertices with at least one supported neighbour
-/// whose gradient beats `λ + tol` — the same set the sequential scan reaches through
-/// the support's adjacency lists, because edge visibility in a [`GraphView`] is
-/// symmetric.  Per-range hits are already ascending, so concatenating the ranges in
-/// order reproduces the sequential sorted output exactly.
-pub fn expansion_candidates_view_par(
-    view: GraphView<'_>,
-    x: &Embedding,
-    tol: f64,
-    threads: usize,
-) -> Vec<VertexId> {
-    if threads <= 1 {
-        return expansion_candidates_view(view, x, tol);
-    }
-    let lambda = 2.0 * x.affinity_view(view);
-    let n = view.num_vertices();
-    let chunk = n.div_ceil(threads).max(1);
-
-    let per_range: Vec<Vec<VertexId>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let v0 = (t * chunk).min(n);
-                    let v1 = ((t + 1) * chunk).min(n);
-                    let mut hits = Vec::new();
-                    for v in v0..v1 {
-                        let v = v as VertexId;
-                        if !view.is_alive(v) || x.get(v) > 0.0 {
-                            continue;
-                        }
-                        if !view.neighbors(v).any(|e| x.get(e.neighbor) > 0.0) {
-                            continue;
-                        }
-                        if 2.0 * x.weighted_sum_at_view(view, v) > lambda + tol {
-                            hits.push(v);
-                        }
-                    }
-                    hits
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("expansion scan worker panicked"))
-            .collect()
-    });
-
-    let mut z = Vec::with_capacity(per_range.iter().map(Vec::len).sum());
-    for hits in per_range {
-        z.extend(hits);
-    }
     z
 }
 

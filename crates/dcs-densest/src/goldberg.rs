@@ -47,32 +47,21 @@ const BINARY_SEARCH_ROUNDS: usize = 64;
 /// Panics if the graph contains a negative edge weight — the reduction is only valid for
 /// non-negative weights (use the DCS algorithms for signed graphs).
 pub fn densest_subgraph_exact(g: &SignedGraph) -> DensestSubgraph {
-    densest_subgraph_exact_until(g, |_| false).0
-}
-
-/// [`densest_subgraph_exact`] with a **stop callback**: `stop(1)` is invoked before
-/// every binary-search round (each round is one max-flow computation) and the search
-/// aborts as soon as it returns `true`, returning the best subgraph certified so far.
-///
-/// The second component reports whether the search was interrupted.  Interruption
-/// granularity is one max-flow round — a single flow computation is never cut short.
-///
-/// # Panics
-///
-/// Panics if the graph contains a negative edge weight, like [`densest_subgraph_exact`].
-pub fn densest_subgraph_exact_until<F: FnMut(u64) -> bool>(
-    g: &SignedGraph,
-    stop: F,
-) -> (DensestSubgraph, bool) {
     assert!(
         g.num_negative_edges() == 0,
         "densest_subgraph_exact requires non-negative edge weights"
     );
-    densest_subgraph_view_until(GraphView::full(g), &mut FlowNetwork::new(0), stop)
+    densest_subgraph_view_until(GraphView::full(g), &mut FlowNetwork::new(0), |_| false).0
 }
 
-/// [`densest_subgraph_exact_until`] on a [`GraphView`], building every min-cut
-/// instance into a reused [`FlowNetwork`] arena.
+/// [`densest_subgraph_exact`] on a [`GraphView`] with a **stop callback**, building
+/// every min-cut instance into a reused [`FlowNetwork`] arena.
+///
+/// `stop(1)` is invoked before every binary-search round (each round is one max-flow
+/// computation) and the search aborts as soon as it returns `true`, returning the
+/// best subgraph certified so far.  The second component reports whether the search
+/// was interrupted.  Interruption granularity is one max-flow round — a single flow
+/// computation is never cut short.
 ///
 /// The view's surviving edges must be non-negative (a positive-filtered view
 /// guarantees this by construction; otherwise the routine panics on the first
@@ -360,8 +349,11 @@ mod tests {
         b.add_edge(4, 5, 0.25);
         let g = b.build();
         // A couple of rounds are enough to certify *some* non-empty subgraph.
+        let search = |stop: &mut dyn FnMut(u64) -> bool| {
+            densest_subgraph_view_until(GraphView::full(&g), &mut FlowNetwork::new(0), stop)
+        };
         let mut rounds = 0u64;
-        let (partial, interrupted) = densest_subgraph_exact_until(&g, |_| {
+        let (partial, interrupted) = search(&mut |_| {
             rounds += 1;
             rounds > 3
         });
@@ -369,7 +361,7 @@ mod tests {
         assert!(!partial.subset.is_empty());
         assert!((g.average_degree(&partial.subset) - partial.average_degree).abs() < 1e-9);
         // Uninterrupted: identical to the plain call.
-        let (full, interrupted) = densest_subgraph_exact_until(&g, |_| false);
+        let (full, interrupted) = search(&mut |_| false);
         assert!(!interrupted);
         assert_eq!(full, densest_subgraph_exact(&g));
     }

@@ -38,18 +38,9 @@ pub mod replicator;
 pub mod sea;
 pub mod simplex;
 
-pub use charikar::{
-    greedy_peeling, greedy_peeling_until, greedy_peeling_view_into, greedy_peeling_with_profile,
-    PeelingProfile, PeelingResult,
-};
-pub use expansion::{
-    expansion_candidates, expansion_candidates_view, expansion_candidates_view_par, expansion_step,
-    ExpansionOutcome,
-};
-pub use goldberg::{
-    densest_subgraph_exact, densest_subgraph_exact_until, densest_subgraph_view_until,
-    DensestSubgraph,
-};
+pub use charikar::{greedy_peeling, greedy_peeling_view_into, PeelingResult};
+pub use expansion::{expansion_candidates, expansion_step, ExpansionOutcome};
+pub use goldberg::{densest_subgraph_exact, densest_subgraph_view_until, DensestSubgraph};
 pub use maxflow::FlowNetwork;
 pub use parallel_peel::{
     greedy_peeling_parallel_view_into, greedy_peeling_view_auto, ParallelPeelWorkspace,

@@ -203,6 +203,14 @@ impl<'a> GraphView<'a> {
     }
 }
 
+/// A whole graph is its full view, so every solver entry taking
+/// `impl Into<GraphView>` also accepts a plain `&SignedGraph`.
+impl<'a> From<&'a SignedGraph> for GraphView<'a> {
+    fn from(graph: &'a SignedGraph) -> Self {
+        GraphView::full(graph)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,13 @@
 //! Mining jobs and the work-stealing worker pool that executes them.
 //!
 //! Mining is CPU-bound, so I/O threads never solve anything themselves: they
-//! submit a [`JobSpec`] and either block on the job's reply channel
-//! ([`WorkerPool::submit`], used by blocking callers and unit tests) or hand
-//! the pool a completion callback ([`WorkerPool::submit_with`], the serving
-//! tier's nonblocking path — the callback renders the response on the worker
-//! thread and posts it back to the owning event loop).  The pool has a fixed
-//! number of workers and a **bounded** admission count — when too many jobs
-//! are pending, submission fails immediately with [`ServerError::Busy`] and
-//! the caller decides how to shed the load.
+//! submit a [`JobSpec`] together with a completion callback
+//! ([`WorkerPool::submit_with`]) — the callback renders the response on the
+//! worker thread and posts it back to the owning event loop, so no I/O thread
+//! ever blocks on a job.  The pool has a fixed number of workers and a
+//! **bounded** admission count — when too many jobs are pending, submission
+//! fails immediately with [`ServerError::Busy`] and the caller decides how to
+//! shed the load.
 //!
 //! Scheduling is **work-stealing with snapshot batching**: mining jobs park in
 //! a per-session pending list, and the worker that claims a session drains its
@@ -23,7 +22,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -302,32 +300,26 @@ enum Snapshot {
 ///
 /// The argument is the executing **worker thread's** [`SharedWorkspace`]: each worker
 /// owns one workspace for its whole lifetime, so back-to-back jobs on a thread reuse
-/// the same solver scratch buffers — peel heaps and the flow arena for average-degree
-/// jobs, the dense DCSGA embedding arena for affinity jobs, which also mine the
-/// snapshot's positive part as a filtered view instead of copying the CSR (mining
-/// tasks thread the workspace into their [`SolveContext`]; observe tasks ignore it).
+/// the same solver scratch buffers — peel heaps for average-degree jobs, the dense
+/// DCSGA embedding arena for affinity jobs, which also mine the snapshot's positive
+/// part as a filtered view instead of copying the CSR (mining tasks thread the
+/// workspace into their [`SolveContext`]; observe tasks ignore it).
 pub type Task = Box<dyn FnOnce(&SharedWorkspace) -> Result<Value, ServerError> + Send + 'static>;
 
-/// A completion callback invoked with the job's outcome on a worker thread.
+/// A completion callback invoked with the job's outcome on a worker thread —
+/// the only way a job replies.
 ///
-/// The nonblocking counterpart of a reply channel: the serving tier's I/O
-/// threads must never block on `recv`, so they hand the pool a callback that
-/// renders the response and posts it back to the owning event loop.
+/// The serving tier's I/O threads must never block on a job, so they hand the
+/// pool a callback that renders the response and posts it back to the owning
+/// event loop.
 pub type Completion = Box<dyn FnOnce(Result<Value, ServerError>) + Send + 'static>;
-
-/// A reply slot of one submitted job: a synchronous channel (blocking
-/// callers) or a completion callback (the event-loop path).
-enum Reply {
-    Channel(SyncSender<Result<Value, ServerError>>),
-    Callback(Completion),
-}
 
 /// A mining job waiting in its session's pending list.
 struct MiningJob {
     session: SharedSession,
     spec: JobSpec,
     cx: SolveContext,
-    reply: Reply,
+    reply: Completion,
     /// When the job was accepted — the claiming worker records the wait into
     /// the pool's queue-wait histogram (and, when tracing is enabled, a
     /// [`trace::Phase::QueueWait`] event).
@@ -337,7 +329,7 @@ struct MiningJob {
 /// An opaque task (cadence observes) — unbatchable, runs as-is.
 struct OpaqueJob {
     task: Task,
-    reply: Reply,
+    reply: Completion,
     enqueued: Instant,
 }
 
@@ -353,9 +345,9 @@ struct ReadyGroup {
     snapshot: Snapshot,
     /// The leader's context: the whole group solves under its bounds.
     cx: SolveContext,
-    /// Reply slots in arrival order; the first is the leader, the rest are
+    /// Reply callbacks in arrival order; the first is the leader, the rest are
     /// answered with the leader's result marked `"coalesced": true`.
-    members: Vec<Reply>,
+    members: Vec<Completion>,
 }
 
 /// A unit of scheduling in the pool's deques.
@@ -442,16 +434,10 @@ impl PoolShared {
     }
 
     /// Replies to one claimed job and closes its inflight accounting.
-    fn finish(&self, reply: Reply, outcome: Result<Value, ServerError>) {
+    fn finish(&self, reply: Completion, outcome: Result<Value, ServerError>) {
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.inflight.dec();
-        match reply {
-            // A dropped reply receiver (client went away) is fine.
-            Reply::Channel(sender) => {
-                let _ = sender.send(outcome);
-            }
-            Reply::Callback(done) => done(outcome),
-        }
+        reply(outcome);
     }
 }
 
@@ -535,11 +521,13 @@ impl WorkerPool {
     }
 
     /// Submits a mining job bounded by `cx`; fails with [`ServerError::Busy`]
-    /// when too many jobs are pending.  On success, the returned receiver
-    /// yields the job's result exactly once.  The context's deadline is
-    /// absolute, so time spent waiting in the queue counts against the job's
-    /// deadline — an overloaded server answers "deadline, best-so-far" rather
-    /// than holding the client for queue time plus solve time.
+    /// when too many jobs are pending.  On success, `done` runs exactly once
+    /// with the job's outcome **on the worker thread** that finishes it; the
+    /// serving tier's completion renders the response and posts it back to
+    /// the connection's I/O thread.  The context's deadline is absolute, so
+    /// time spent waiting in the queue counts against the job's deadline — an
+    /// overloaded server answers "deadline, best-so-far" rather than holding
+    /// the client for queue time plus solve time.
     ///
     /// Jobs against the same session are **batched**: the worker that claims
     /// them drains every pending job for that session in one session-lock
@@ -547,22 +535,6 @@ impl WorkerPool {
     /// `Arc<SignedGraph>` snapshots.  Jobs with the same cache key are solved
     /// once; the followers receive the leader's result with
     /// `"coalesced": true`.
-    pub fn submit(
-        &self,
-        session: SharedSession,
-        spec: JobSpec,
-        cx: SolveContext,
-    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
-        let (reply, receiver) = sync_channel(1);
-        self.submit_reply(session, spec, cx, Reply::Channel(reply))?;
-        Ok(receiver)
-    }
-
-    /// Nonblocking variant of [`Self::submit`]: instead of a reply channel,
-    /// `done` runs with the job's outcome **on the worker thread** that
-    /// finishes it.  The serving tier's event loops use this to stay off
-    /// blocking `recv` calls — the completion renders the response and posts
-    /// it back to the connection's I/O thread.
     pub fn submit_with(
         &self,
         session: SharedSession,
@@ -570,23 +542,13 @@ impl WorkerPool {
         cx: SolveContext,
         done: Completion,
     ) -> Result<(), ServerError> {
-        self.submit_reply(session, spec, cx, Reply::Callback(done))
-    }
-
-    fn submit_reply(
-        &self,
-        session: SharedSession,
-        spec: JobSpec,
-        cx: SolveContext,
-        reply: Reply,
-    ) -> Result<(), ServerError> {
         self.admit()?;
         let key = Arc::as_ptr(&session) as usize;
         let job = MiningJob {
             session,
             spec,
             cx,
-            reply,
+            reply: done,
             enqueued: Instant::now(),
         };
         let shard = self.shared.mining_shard(key);
@@ -606,28 +568,13 @@ impl WorkerPool {
 
     /// Submits an arbitrary task (used for observes on cadence-mining
     /// sessions, which can trigger a solve and therefore must not run on
-    /// I/O threads).  Same bounded-admission semantics as [`Self::submit`];
-    /// opaque tasks are never batched.
-    pub fn submit_task(
-        &self,
-        task: Task,
-    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
-        let (reply, receiver) = sync_channel(1);
-        self.submit_task_reply(task, Reply::Channel(reply))?;
-        Ok(receiver)
-    }
-
-    /// Nonblocking variant of [`Self::submit_task`] with a completion
-    /// callback instead of a reply channel.
+    /// I/O threads), answered through `done` like [`Self::submit_with`].
+    /// Same bounded-admission semantics; opaque tasks are never batched.
     pub fn submit_task_with(&self, task: Task, done: Completion) -> Result<(), ServerError> {
-        self.submit_task_reply(task, Reply::Callback(done))
-    }
-
-    fn submit_task_reply(&self, task: Task, reply: Reply) -> Result<(), ServerError> {
         self.admit()?;
         self.shared.injector.push(Ticket::Opaque(OpaqueJob {
             task,
-            reply,
+            reply: done,
             enqueued: Instant::now(),
         }));
         self.shared.wake();
@@ -965,6 +912,27 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use dcs_core::StreamingConfig;
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    /// Submits a mining job through the completion callback and returns a
+    /// channel that yields its outcome, so a test can wait on each job.
+    fn submit(
+        pool: &WorkerPool,
+        session: SharedSession,
+        spec: JobSpec,
+        cx: SolveContext,
+    ) -> Result<Receiver<Result<Value, ServerError>>, ServerError> {
+        let (reply, receiver) = sync_channel(1);
+        pool.submit_with(
+            session,
+            spec,
+            cx,
+            Box::new(move |outcome| {
+                let _ = reply.send(outcome);
+            }),
+        )?;
+        Ok(receiver)
+    }
 
     fn shared_session(vertices: usize) -> SharedSession {
         let config = StreamingConfig {
@@ -1069,7 +1037,8 @@ mod tests {
         seed_triangle(&session);
         let receivers: Vec<_> = (0..6)
             .map(|_| {
-                pool.submit(
+                submit(
+                    &pool,
                     Arc::clone(&session),
                     JobSpec::Mine { measure: None },
                     SolveContext::unbounded(),
@@ -1105,15 +1074,24 @@ mod tests {
         seed_triangle(&session);
         let cx = || SolveContext::unbounded().with_budget(0);
         let guard = session.lock().unwrap();
-        let first = pool
-            .submit(Arc::clone(&session), JobSpec::Mine { measure: None }, cx())
-            .unwrap();
+        let first = submit(
+            &pool,
+            Arc::clone(&session),
+            JobSpec::Mine { measure: None },
+            cx(),
+        )
+        .unwrap();
         // Give the worker time to claim the first job and block on the lock.
         std::thread::sleep(Duration::from_millis(100));
         let rest: Vec<_> = (0..3)
             .map(|_| {
-                pool.submit(Arc::clone(&session), JobSpec::Mine { measure: None }, cx())
-                    .unwrap()
+                submit(
+                    &pool,
+                    Arc::clone(&session),
+                    JobSpec::Mine { measure: None },
+                    cx(),
+                )
+                .unwrap()
             })
             .collect();
         drop(guard);
@@ -1193,7 +1171,8 @@ mod tests {
         let mut receivers = Vec::new();
         let mut busy = 0usize;
         for _ in 0..3 {
-            match pool.submit(
+            match submit(
+                &pool,
                 Arc::clone(&session),
                 JobSpec::Mine { measure: None },
                 SolveContext::unbounded(),

@@ -354,8 +354,9 @@ struct Conn {
     read_buf: Vec<u8>,
     /// Offset into `read_buf` the newline scan resumes from.
     scan_from: usize,
-    /// Parsed requests waiting to dispatch (one at a time).
-    lines: VecDeque<String>,
+    /// Complete request lines waiting to dispatch (one at a time), still
+    /// undecoded: dispatch rejects a line that is not valid UTF-8.
+    lines: VecDeque<Vec<u8>>,
     /// Rendered responses not yet accepted by the socket.
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -408,8 +409,7 @@ impl Conn {
         let mut index = self.scan_from;
         while index < self.read_buf.len() {
             if self.read_buf[index] == b'\n' {
-                let line = String::from_utf8_lossy(&self.read_buf[start..index]).into_owned();
-                self.lines.push_back(line);
+                self.lines.push_back(self.read_buf[start..index].to_vec());
                 start = index + 1;
             }
             index += 1;
@@ -670,8 +670,7 @@ impl IoLoop {
             if conn.eof && !conn.read_buf.is_empty() {
                 // `BufRead::lines` parity: a final unterminated line still
                 // parses once the stream ends.
-                let line = String::from_utf8_lossy(&conn.read_buf).into_owned();
-                conn.read_buf.clear();
+                let line = std::mem::take(&mut conn.read_buf);
                 conn.scan_from = 0;
                 conn.lines.push_back(line);
             }
@@ -775,7 +774,20 @@ impl IoLoop {
         }
     }
 
-    fn handle_line(&mut self, slot: usize, conn_id: u64, line: String) {
+    fn handle_line(&mut self, slot: usize, conn_id: u64, line: Vec<u8>) {
+        // Invalid UTF-8 is rejected, never rewritten: a lossy decode would let
+        // two different byte strings name the same session.
+        let line = match String::from_utf8(line) {
+            Ok(line) => line,
+            Err(e) => {
+                let response = error_response(
+                    &Value::Null,
+                    &ServerError::BadRequest(format!("invalid UTF-8: {}", e.utf8_error())),
+                );
+                self.queue_response(slot, &response);
+                return;
+            }
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             return;

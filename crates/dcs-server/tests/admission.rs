@@ -1,7 +1,8 @@
 //! Admission control and event-loop behavior over a real socket: load
 //! shedding with retry hints, observe-mailbox bounds, write backpressure
 //! that does not stall other connections, cancel-on-disconnect liveness,
-//! and framing parity for a final unterminated request line.
+//! framing parity for a final unterminated request line, and strict UTF-8
+//! decoding of request lines.
 //!
 //! These tests speak raw NDJSON over `TcpStream` instead of using
 //! [`dcs_server::Client`], because the client collapses `ok: false`
@@ -404,6 +405,37 @@ fn final_unterminated_line_still_parses() {
     // Nothing more arrives and the server closes its side.
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn invalid_utf8_lines_are_rejected_not_rewritten() {
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut wire = Wire::connect(addr);
+
+    // A session name whose bytes are not UTF-8 is refused like malformed JSON.
+    wire.writer
+        .write_all(b"{\"cmd\":\"create_session\",\"session\":\"ab\xff\",\"vertices\":4}\n")
+        .expect("send line");
+    let reply = wire.recv();
+    assert_eq!(reply["ok"], false, "{reply}");
+    let error = reply["error"].as_str().expect("error string");
+    assert!(error.starts_with("bad request:"), "{error}");
+
+    // The connection stays open, and no session exists under the
+    // replacement-character spelling a lossy decode would have produced.
+    let pong = wire.request(&json!({ "cmd": "ping" }));
+    assert_eq!(pong["ok"], true, "{pong}");
+    let observe = wire.request(&json!({
+        "cmd": "observe", "session": "ab\u{FFFD}", "updates": [[0, 1, 1.0]],
+    }));
+    assert_eq!(observe["ok"], false, "{observe}");
 
     handle.shutdown();
     handle.join();

@@ -51,8 +51,7 @@ pub mod prelude {
         ContrastReport, DcsError, DiscreteRule, Embedding, WeightScheme,
     };
     pub use dcs_core::{
-        CancelToken, ContrastSolver, EngineSolution, MeasureSolver, SolveContext, SolveStats,
-        Termination,
+        CancelToken, EngineSolution, MeasureSolver, SolveContext, SolveStats, Termination,
     };
     pub use dcs_core::{StreamingConfig, StreamingDcs};
     pub use dcs_datasets::{GraphPair, Scale};

@@ -1,11 +1,13 @@
-//! Parallel initialisation sweeps: the same answer as sequential NewSEA, in a fraction of
-//! the wall-clock time on multi-core machines.
+//! Parallel mining: the same answer as sequential NewSEA, in a fraction of the
+//! wall-clock time on multi-core machines.
 //!
-//! The SEACD/NewSEA initialisations are independent local searches, so the library offers
-//! `parallel_newsea` (smart initialisation with a shared early-exit bound) and
-//! `parallel_sweep` (the exhaustive SEACD+Refine sweep).  This example runs both against
-//! their sequential counterparts on a mid-sized synthetic co-author pair and prints the
-//! objective values and timings side by side.
+//! NewSEA takes its thread budget from the solve context
+//! (`NewSea::solve_bounded` under `SolveContext::with_threads`), and its parallel
+//! kernels are bit-identical to the sequential ones.  The exhaustive SEACD+Refine
+//! sweep runs its independent initialisations on worker threads through
+//! `parallel_sweep`.  This example runs both against their sequential counterparts on
+//! a mid-sized synthetic co-author pair and prints the objective values and timings
+//! side by side.
 //!
 //! Run with:
 //! ```text
@@ -14,7 +16,7 @@
 
 use std::time::Instant;
 
-use dcs::core::dcsga::{parallel_newsea, parallel_sweep, refine, DcsgaConfig, SeaCd};
+use dcs::core::dcsga::{parallel_sweep, refine, DcsgaConfig, SeaCd};
 use dcs::core::difference_graph;
 use dcs::datasets::{CoauthorConfig, Scale};
 use dcs::prelude::*;
@@ -36,11 +38,16 @@ fn main() {
 
     // --- NewSEA: sequential vs parallel. ---------------------------------------------
     let start = Instant::now();
-    let sequential = NewSea::new(config).solve(&gd);
+    let (sequential, _) =
+        NewSea::new(config).solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(1));
     let sequential_time = start.elapsed();
 
     let start = Instant::now();
-    let parallel = parallel_newsea(&gd, config, threads);
+    let (parallel, _) = NewSea::new(config).solve_bounded(
+        &gd,
+        &[],
+        &SolveContext::unbounded().with_threads(threads),
+    );
     let parallel_time = start.elapsed();
 
     println!("\nNewSEA (smart initialisation)");
@@ -58,7 +65,10 @@ fn main() {
         parallel.stats.initializations_run,
         parallel_time.as_secs_f64()
     );
-    assert!((sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9);
+    assert_eq!(
+        sequential.affinity_difference.to_bits(),
+        parallel.affinity_difference.to_bits()
+    );
 
     // --- Exhaustive SEACD+Refine sweep: sequential vs parallel. ------------------------
     let start = Instant::now();

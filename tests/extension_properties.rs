@@ -2,7 +2,7 @@
 //! algorithms: weight schemes, top-k mining, streaming maintenance, quasi-clique
 //! extraction, parallel sweeps and labelled IO.
 
-use dcs::core::dcsga::{parallel_newsea, DcsgaConfig};
+use dcs::core::dcsga::DcsgaConfig;
 use dcs::core::streaming::{StreamingConfig, StreamingDcs};
 use dcs::core::{
     clamp_weights, difference_graph, difference_graph_with, scaled_difference_graph,
@@ -218,12 +218,13 @@ proptest! {
 
     // ------------------------------------------------------------------- parallelism
 
-    /// The parallel NewSEA sweep returns exactly the sequential objective.
+    /// NewSEA under a 4-thread budget returns exactly the sequential objective.
     #[test]
     fn parallel_newsea_equals_sequential(gd in arb_signed_graph()) {
         let config = DcsgaConfig::default();
         let sequential = NewSea::new(config).solve(&gd);
-        let parallel = parallel_newsea(&gd, config, 4);
+        let cx = SolveContext::unbounded().with_threads(4);
+        let (parallel, _) = NewSea::new(config).solve_bounded(&gd, &[], &cx);
         prop_assert!((sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9);
     }
 
