@@ -181,12 +181,19 @@ impl MiningOptions {
                 value: raw.to_string(),
             })?,
         };
+        // The clamp bounds weights to `[-c, c]`: `c` must be finite and non-negative
+        // (`f64::clamp` panics on a NaN or negative bound).
         let clamp = match args.option("clamp") {
             None => None,
-            Some(raw) => Some(raw.parse().map_err(|_| CliError::InvalidValue {
-                option: "clamp".to_string(),
-                value: raw.to_string(),
-            })?),
+            Some(raw) => Some(
+                raw.parse::<f64>()
+                    .ok()
+                    .filter(|c| c.is_finite() && *c >= 0.0)
+                    .ok_or_else(|| CliError::InvalidValue {
+                        option: "clamp".to_string(),
+                        value: raw.to_string(),
+                    })?,
+            ),
         };
         Ok(MiningOptions {
             scheme,
@@ -367,7 +374,14 @@ mod tests {
     fn invalid_options_are_rejected() {
         assert!(MiningOptions::from_args(&mining_args(&["--scheme", "wild"])).is_err());
         assert!(MiningOptions::from_args(&mining_args(&["--direction", "up"])).is_err());
-        assert!(MiningOptions::from_args(&mining_args(&["--clamp", "big"])).is_err());
+        for clamp in ["big", "-1", "nan", "inf", "1e999"] {
+            assert!(
+                MiningOptions::from_args(&mining_args(&["--clamp", clamp])).is_err(),
+                "{clamp}"
+            );
+        }
+        let zero = MiningOptions::from_args(&mining_args(&["--clamp", "0"])).unwrap();
+        assert_eq!(zero.clamp, Some(0.0));
     }
 
     #[test]

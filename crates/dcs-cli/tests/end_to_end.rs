@@ -181,6 +181,10 @@ fn errors_are_reported_not_panicked() {
     let (p1, p2) = write_labeled_pair(&dir);
     assert!(dcs_cli::run(&strings(&["mine", &p1, &p2, "--measure", "entropy"])).is_err());
     assert!(dcs_cli::run(&strings(&["topk", &p1, &p2, "--k", "minus-one"])).is_err());
+    for clamp in ["-1", "nan"] {
+        let result = dcs_cli::run(&strings(&["mine", &p1, &p2, "--clamp", clamp]));
+        assert!(result.is_err(), "--clamp {clamp}: {result:?}");
+    }
 
     // An empty pair is not an error: every mining command prints an empty result.
     let e1 = dir.join("empty1.edges").to_string_lossy().into_owned();

@@ -180,7 +180,7 @@ impl SolveContext {
     }
 
     /// Attaches a [`SharedWorkspace`]: every solve under this context reuses the
-    /// workspace's scratch buffers (degree arrays, lazy heaps, removal orders, the
+    /// workspace's scratch buffers (degree heaps, removal orders, the
     /// embedding arena) instead of allocating them.  The workspace never affects
     /// results — only where the scratch memory comes from.
     pub fn with_workspace(mut self, workspace: &SharedWorkspace) -> Self {

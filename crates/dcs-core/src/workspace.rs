@@ -1,12 +1,12 @@
 //! Reusable solver scratch state, carried through [`crate::engine::SolveContext`].
 //!
-//! Every solve used to allocate its working buffers from scratch: degree arrays and
-//! a fresh lazy heap per greedy peel, smart-initialisation order vectors per NewSEA
-//! sweep, and `FxHashMap`-backed embeddings per SEACD shrink, expansion and
-//! refinement stage.  For a one-off batch
-//! mine that is noise; for the steady-state paths — the streaming monitor's cadence
-//! re-mines, the top-k driver's per-round solves, the α-sweep's grid points, the
-//! mining server's back-to-back jobs — it is the dominant allocation source.
+//! Every solve used to allocate its working buffers from scratch: a degree heap and
+//! alive and removal-order arrays per greedy peel, smart-initialisation order
+//! vectors per NewSEA sweep, and `FxHashMap`-backed embeddings per SEACD shrink,
+//! expansion and refinement stage.  For a one-off batch mine that is noise; for the
+//! steady-state paths — the streaming monitor's cadence re-mines, the top-k
+//! driver's per-round solves, the α-sweep's grid points, the mining server's
+//! back-to-back jobs — it is the dominant allocation source.
 //!
 //! A [`SolverWorkspace`] owns all of that scratch state once.  It is carried as a
 //! [`SharedWorkspace`] (an `Arc<Mutex<_>>`) inside the [`crate::engine::SolveContext`],
@@ -35,7 +35,7 @@ use crate::dcsga::DcsgaScratch;
 /// tests assert workspace-reusing solves are identical to fresh-workspace solves.
 #[derive(Debug)]
 pub struct SolverWorkspace {
-    /// Greedy-peel scratch (lazy heap, degree/version/alive arrays, removal order).
+    /// Greedy-peel scratch (indexed degree heap, alive flags, removal order).
     pub peel: PeelWorkspace,
     /// Parallel-peel scratch (shared atomics, per-range scan slots, dirty heap)
     /// used when the context carries a parallelism budget above 1.

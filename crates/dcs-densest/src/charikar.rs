@@ -11,7 +11,7 @@
 
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
-use crate::peel::{Entry, MinDegreeQueue, PeelWorkspace, RescanQueue};
+use crate::peel::{MinDegreeQueue, PeelWorkspace, RescanQueue, SegmentTreeQueue};
 
 /// Granularity (in vertices) of the partial sums used to fold the initial
 /// total degree.  Float addition is not associative, so the sequential and
@@ -29,14 +29,20 @@ pub struct PeelingResult {
     pub average_degree: Weight,
 }
 
-/// Runs greedy peeling with the lazy-heap priority structure.
+/// Runs greedy peeling with the indexed degree heap (see [`crate::peel`]).
 pub fn greedy_peeling(g: &SignedGraph) -> PeelingResult {
     greedy_peeling_view_into(GraphView::full(g), &mut PeelWorkspace::new(), |_| false).0
 }
 
 /// Greedy peeling on a [`GraphView`] with a **stop callback**, writing all scratch
 /// state into a reusable [`PeelWorkspace`] — the allocation-lean hot path behind
-/// every other heap-peel entry point.
+/// every other sequential peel entry point.
+///
+/// Each step removes the alive vertex with the smallest `(current degree, vertex id)`
+/// key, so the smaller id wins a degree tie.  The keys live in an indexed min-heap
+/// that moves a neighbour's key in place when an edge to it goes, so it never holds
+/// more than one entry per alive vertex.  [`PeelWorkspace::removal_order`] records
+/// the sequence.
 ///
 /// `stop(units)` is invoked once per vertex removal (with `units = 1`) and peeling
 /// aborts as soon as it returns `true`.  The returned result is the best prefix seen
@@ -88,14 +94,10 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
             }
             d += w;
         }
-        ws.degree[v as usize] = d;
-        ws.heap.push(Entry {
-            degree: d,
-            vertex: v,
-            version: 0,
-        });
+        ws.heap.push_unordered(v, d);
         ws.chunk_sums[v as usize / DEGREE_CHUNK] += d;
     }
+    ws.heap.heapify();
     let mut total_degree: Weight = 0.0;
     for &chunk in ws.chunk_sums.iter() {
         total_degree += chunk;
@@ -105,10 +107,10 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     let mut best_density = total_degree / alive_count as Weight;
     let mut best_size = alive_count;
     let mut interrupted = false;
-    // The relax loop below iterates the raw CSR rows: `ws.alive` was initialised
-    // from the view's mask, so the alive test subsumes the mask test and the hottest
-    // pass of the peel pays no per-edge view indirection.  Only the sign filter (for
-    // positive-filtered views) remains.
+    // The relax loop below iterates the raw CSR rows: the heap holds exactly the
+    // alive vertices of the view, so its membership test subsumes the mask test and
+    // the hottest pass of the peel pays no per-edge view indirection.  Only the sign
+    // filter (for positive-filtered views) remains.
     let positive_only = view.is_positive_only();
     let graph = view.graph();
     while alive_count > 1 {
@@ -116,36 +118,22 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
             interrupted = true;
             break;
         }
-        // Lazy-heap pop: skip entries whose vertex was removed or re-prioritised.
-        let v = loop {
-            let entry = ws
-                .heap
-                .pop()
-                .expect("queue not empty while vertices remain");
-            let vi = entry.vertex as usize;
-            if ws.alive[vi] && entry.version == ws.version[vi] {
-                break entry.vertex;
-            }
-        };
+        let (v, _) = ws
+            .heap
+            .pop_min()
+            .expect("the heap holds every alive vertex");
         ws.alive[v as usize] = false;
         // Removing v removes every surviving edge (v, u): the degree-sum drops by
-        // twice the degree of v within the remaining subgraph.
+        // twice the degree of v within the remaining subgraph, and each surviving
+        // neighbour's key moves in place.
         let mut removed_weight = 0.0;
         let (nbrs, nbr_weights) = graph.neighbor_slices(v);
         for (&u, &w) in nbrs.iter().zip(nbr_weights) {
             if positive_only && w <= 0.0 {
                 continue;
             }
-            let ui = u as usize;
-            if ws.alive[ui] {
+            if ws.heap.subtract(u, w) {
                 removed_weight += w;
-                ws.degree[ui] -= w;
-                ws.version[ui] += 1;
-                ws.heap.push(Entry {
-                    degree: ws.degree[ui],
-                    vertex: u,
-                    version: ws.version[ui],
-                });
             }
         }
         total_degree -= 2.0 * removed_weight;
@@ -226,7 +214,7 @@ pub fn greedy_peeling_rescan(g: &SignedGraph) -> PeelingResult {
 
 /// Runs greedy peeling with the segment-tree priority structure suggested by the paper.
 pub fn greedy_peeling_segment_tree(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<crate::peel::SegmentTreeQueue>(g)
+    peel_impl::<SegmentTreeQueue>(g)
 }
 
 fn peel_impl<Q: MinDegreeQueue>(g: &SignedGraph) -> PeelingResult {

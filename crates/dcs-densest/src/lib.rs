@@ -6,8 +6,11 @@
 //! * [`charikar`] — greedy peeling (Algorithm 1 of the paper, originally Charikar 2000),
 //!   generalised to graphs with **signed** edge weights.  On non-negative graphs it is a
 //!   2-approximation of the maximum average degree.
-//! * [`peel`] — the priority structure used by peeling (a lazy binary heap keyed by the
-//!   current weighted degree), plus a naive re-scan variant used for ablation benches.
+//! * [`peel`] — the priority structure used by peeling (an indexed 4-ary min-heap keyed
+//!   by the current weighted degree, updated in place), plus the naive re-scan and
+//!   segment-tree variants used for ablation benches.
+//! * [`parallel_peel`] — the bucket peel, bit-identical to the sequential one, that
+//!   spreads the minimum-degree scans over worker threads on large graphs.
 //! * [`maxflow`] — Dinic's maximum-flow algorithm.
 //! * [`goldberg`] — Goldberg's exact maximum-density-subgraph algorithm (binary search
 //!   over the density combined with min-cut computations) for non-negative weights.

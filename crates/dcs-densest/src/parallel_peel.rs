@@ -47,7 +47,7 @@ use taskcrew::WorkerCrew;
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
 use crate::charikar::{finish_peel, greedy_peeling_view_into, PeelingResult, DEGREE_CHUNK};
-use crate::peel::{Entry, PeelWorkspace};
+use crate::peel::{key_cmp, PeelWorkspace};
 
 /// Below this many alive vertices the sequential peel wins (thread setup and
 /// barrier traffic dominate): [`greedy_peeling_view_auto`] dispatches on it.
@@ -56,14 +56,32 @@ pub const PARALLEL_PEEL_THRESHOLD: usize = 4096;
 /// Default number of smallest keys each worker range contributes per scan round.
 const DEFAULT_BATCH_PER_RANGE: usize = 128;
 
-/// The ascending `(degree, vertex)` key order, with the exact tie rule of the
-/// sequential heap's [`Entry`] (`partial_cmp` collapsed to `Equal`, then vertex
-/// id) — *not* `total_cmp`, which orders `-0.0` and `0.0` differently.
-#[inline]
-fn key_cmp(a: (Weight, VertexId), b: (Weight, VertexId)) -> Ordering {
-    a.0.partial_cmp(&b.0)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.1.cmp(&b.1))
+/// Batch and dirty-heap entry: a `(degree, vertex)` key and the vertex's version
+/// counter when the key was taken (a later version marks the entry stale).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    degree: Weight,
+    vertex: VertexId,
+    version: u32,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.degree == other.degree && self.vertex == other.vertex
+    }
+}
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; we want min-degree first, so reverse the comparison.
+        key_cmp((other.degree, other.vertex), (self.degree, self.vertex))
+    }
+}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 #[inline]

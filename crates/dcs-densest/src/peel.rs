@@ -1,61 +1,146 @@
 //! Priority structures for greedy peeling.
 //!
 //! Greedy peeling repeatedly removes the vertex of minimum *current* weighted degree and
-//! must update the degrees of its neighbors.  The paper suggests a segment tree; we use a
-//! lazy binary heap (entries are invalidated by bumping a per-vertex version counter)
-//! which has the same `O((n + m) log n)` complexity and a considerably smaller constant
-//! in practice.  A naive `O(n)`-per-extraction re-scan implementation is provided for the
-//! ablation benchmark `bench_peeling`.
+//! must update the degrees of its neighbors.  The paper suggests a segment tree; the
+//! production peel uses `DegreeHeap`, an indexed 4-ary min-heap that updates a key in
+//! place (a per-vertex position index finds it), so it never holds more than one entry
+//! per alive vertex.  Both are `O((n + m) log n)`.  A naive `O(n)`-per-extraction
+//! re-scan and the segment tree are kept for the ablation benchmark `bench_ablations`.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use dcs_graph::{VertexId, Weight};
 
-/// Heap entry: (current degree, vertex, version at insertion time).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry {
-    pub(crate) degree: Weight,
-    pub(crate) vertex: VertexId,
-    pub(crate) version: u32,
+/// Children per [`DegreeHeap`] node: half the depth of a binary heap, and a node's
+/// child keys sit next to each other in memory.
+const ARITY: usize = 4;
+
+/// [`DegreeHeap`] position of a vertex that is not in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// The ascending `(degree, vertex)` key order of both peels: degrees by `partial_cmp`
+/// collapsed to `Equal`, then vertex id — *not* `total_cmp`, which orders `-0.0` and
+/// `0.0` differently.
+#[inline]
+pub(crate) fn key_cmp(a: (Weight, VertexId), b: (Weight, VertexId)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.1.cmp(&b.1))
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.degree == other.degree && self.vertex == other.vertex
-    }
-}
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; we want min-degree first, so reverse the comparison.
-        other
-            .degree
-            .partial_cmp(&self.degree)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Indexed 4-ary min-heap over the `(degree, vertex)` keys of the alive vertices.
+///
+/// `pos` maps every vertex to its slot, so a degree change moves that one entry up or
+/// down in place: the heap holds exactly the alive vertices, never a stale entry.  The
+/// minimum is unique (vertex ids break every tie), so the pop sequence depends only on
+/// the keys, not on how the heap was built.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DegreeHeap {
+    /// Heap-ordered keys: each slot's key precedes those of its `ARITY` children.
+    slots: Vec<(Weight, VertexId)>,
+    /// Slot of each vertex, or `ABSENT` once popped (or never pushed).
+    pos: Vec<u32>,
 }
 
-/// Reusable scratch state of a greedy peel: the lazy heap, per-vertex degree /
-/// version / alive arrays, the removal order and the best-prefix marks.
+impl DegreeHeap {
+    /// Empties the heap for a universe of `n` vertices, keeping all allocated capacity.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.slots.clear();
+        self.pos.clear();
+        self.pos.resize(n, ABSENT);
+    }
+
+    /// Appends vertex `v` with key `degree` without restoring heap order; call
+    /// [`DegreeHeap::heapify`] after the last push.
+    pub(crate) fn push_unordered(&mut self, v: VertexId, degree: Weight) {
+        self.pos[v as usize] = self.slots.len() as u32;
+        self.slots.push((degree, v));
+    }
+
+    /// Restores heap order after [`DegreeHeap::push_unordered`] (bottom-up, `O(n)`).
+    pub(crate) fn heapify(&mut self) {
+        if self.slots.len() > 1 {
+            for i in (0..=(self.slots.len() - 2) / ARITY).rev() {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    /// Performs `degree(v) -= w` if `v` is still in the heap and returns whether it
+    /// was.  A positive `w` lowers the key (sift up), a negative one raises it (sift
+    /// down).
+    #[inline]
+    pub(crate) fn subtract(&mut self, v: VertexId, w: Weight) -> bool {
+        let p = self.pos[v as usize];
+        if p == ABSENT {
+            return false;
+        }
+        let p = p as usize;
+        self.slots[p].0 -= w;
+        if w > 0.0 {
+            self.sift_up(p);
+        } else if w < 0.0 {
+            self.sift_down(p);
+        }
+        true
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.slots[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let above = self.slots[parent];
+            if key_cmp(key, above).is_ge() {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.slots[i];
+        let len = self.slots.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let mut child = first;
+            let mut below = self.slots[first];
+            for c in first + 1..(first + ARITY).min(len) {
+                if key_cmp(self.slots[c], below).is_lt() {
+                    child = c;
+                    below = self.slots[c];
+                }
+            }
+            if key_cmp(below, key).is_ge() {
+                break;
+            }
+            self.place(i, below);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, key: (Weight, VertexId)) {
+        self.slots[i] = key;
+        self.pos[key.1 as usize] = i as u32;
+    }
+}
+
+/// Reusable scratch state of a greedy peel: the degree heap, the alive flags, the
+/// removal order and the best-prefix marks.
 ///
 /// A peel allocates all of this on first use and a **reused** workspace performs no
-/// heap allocation at all in steady state (the `BinaryHeap` and every `Vec` keep
-/// their capacity across internal resets).  One workspace serves any number of
-/// sequential peels of graphs of any size; it is the peel-shaped slice of
-/// `dcs_core`'s `SolverWorkspace`.
+/// heap allocation at all in steady state (every buffer keeps its capacity across
+/// internal resets).  One workspace serves any number of sequential peels of graphs
+/// of any size; it is the peel-shaped slice of `dcs_core`'s `SolverWorkspace`.
 #[derive(Debug, Clone, Default)]
 pub struct PeelWorkspace {
-    pub(crate) heap: BinaryHeap<Entry>,
-    pub(crate) degree: Vec<Weight>,
-    pub(crate) version: Vec<u32>,
+    pub(crate) heap: DegreeHeap,
     pub(crate) alive: Vec<bool>,
     pub(crate) removal_order: Vec<VertexId>,
     pub(crate) in_best: Vec<bool>,
@@ -75,11 +160,7 @@ impl PeelWorkspace {
     /// Clears every buffer and re-sizes the per-vertex arrays for a universe of `n`
     /// vertices, keeping all allocated capacity.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
-        self.degree.clear();
-        self.degree.resize(n, 0.0);
-        self.version.clear();
-        self.version.resize(n, 0);
+        self.heap.reset(n);
         self.alive.clear();
         self.alive.resize(n, false);
         self.removal_order.clear();
@@ -112,65 +193,36 @@ pub trait MinDegreeQueue {
     }
 }
 
-/// Lazy binary-heap implementation of [`MinDegreeQueue`].
-#[derive(Debug, Clone)]
-pub struct LazyHeapQueue {
-    heap: BinaryHeap<Entry>,
-    degree: Vec<Weight>,
-    version: Vec<u32>,
-    alive: Vec<bool>,
-    alive_count: usize,
-}
-
-impl MinDegreeQueue for LazyHeapQueue {
+impl MinDegreeQueue for DegreeHeap {
     fn from_degrees(degrees: &[Weight]) -> Self {
-        let n = degrees.len();
-        let mut heap = BinaryHeap::with_capacity(n);
+        let mut heap = DegreeHeap::default();
+        heap.reset(degrees.len());
         for (v, &d) in degrees.iter().enumerate() {
-            heap.push(Entry {
-                degree: d,
-                vertex: v as VertexId,
-                version: 0,
-            });
+            heap.push_unordered(v as VertexId, d);
         }
-        LazyHeapQueue {
-            heap,
-            degree: degrees.to_vec(),
-            version: vec![0; n],
-            alive: vec![true; n],
-            alive_count: n,
-        }
+        heap.heapify();
+        heap
     }
 
     fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
-        while let Some(entry) = self.heap.pop() {
-            let v = entry.vertex as usize;
-            if !self.alive[v] || entry.version != self.version[v] {
-                continue; // stale entry
-            }
-            self.alive[v] = false;
-            self.alive_count -= 1;
-            return Some((entry.vertex, entry.degree));
+        let last = self.slots.pop()?;
+        let (degree, v) = match self.slots.first_mut() {
+            Some(root) => std::mem::replace(root, last),
+            None => last,
+        };
+        self.pos[v as usize] = ABSENT;
+        if !self.slots.is_empty() {
+            self.sift_down(0);
         }
-        None
+        Some((v, degree))
     }
 
     fn adjust(&mut self, v: VertexId, delta: Weight) {
-        let vi = v as usize;
-        if !self.alive[vi] {
-            return;
-        }
-        self.degree[vi] += delta;
-        self.version[vi] += 1;
-        self.heap.push(Entry {
-            degree: self.degree[vi],
-            vertex: v,
-            version: self.version[vi],
-        });
+        self.subtract(v, -delta);
     }
 
     fn len(&self) -> usize {
-        self.alive_count
+        self.slots.len()
     }
 }
 
@@ -226,9 +278,7 @@ impl MinDegreeQueue for RescanQueue {
 
 /// Segment-tree implementation of [`MinDegreeQueue`] — the structure suggested by the
 /// paper for Algorithm 1.  `pop_min` and `adjust` are both `O(log n)` with a very small
-/// constant; unlike the lazy heap it never accumulates stale entries, which makes it the
-/// better choice when the number of `adjust` calls per removal is large (very dense
-/// graphs).
+/// constant; it is an ablation comparator of the production peel's indexed heap.
 #[derive(Debug, Clone)]
 pub struct SegmentTreeQueue {
     /// Number of leaves (padded to the next power of two).
@@ -326,7 +376,7 @@ mod tests {
     #[test]
     fn heap_and_rescan_agree() {
         let degrees = vec![1.0, 5.0, 3.0, -2.0, 0.5];
-        let a = exercise::<LazyHeapQueue>(&degrees);
+        let a = exercise::<DegreeHeap>(&degrees);
         let b = exercise::<RescanQueue>(&degrees);
         assert_eq!(a, b);
         // After adjustments the degrees are [11, 5, -7, -2, 0.5] → popped ascending.
@@ -337,7 +387,7 @@ mod tests {
     #[test]
     fn segment_tree_agrees_with_other_queues() {
         let degrees = vec![1.0, 5.0, 3.0, -2.0, 0.5, 7.25, 0.0];
-        let a = exercise::<LazyHeapQueue>(&degrees);
+        let a = exercise::<DegreeHeap>(&degrees);
         let c = exercise::<SegmentTreeQueue>(&degrees);
         // Popping order may differ on exact ties, but the multiset of (vertex, degree)
         // pairs and the sortedness by degree must match.
@@ -371,7 +421,7 @@ mod tests {
 
     #[test]
     fn adjust_after_pop_is_ignored() {
-        let mut q = LazyHeapQueue::from_degrees(&[1.0, 2.0]);
+        let mut q = DegreeHeap::from_degrees(&[1.0, 2.0]);
         let (v, _) = q.pop_min().unwrap();
         assert_eq!(v, 0);
         q.adjust(0, -100.0); // vertex 0 is gone; must not resurface
@@ -383,7 +433,7 @@ mod tests {
 
     #[test]
     fn negative_degrees_supported() {
-        let mut q = LazyHeapQueue::from_degrees(&[-5.0, -1.0, -3.0]);
+        let mut q = DegreeHeap::from_degrees(&[-5.0, -1.0, -3.0]);
         assert_eq!(q.pop_min().unwrap().0, 0);
         assert_eq!(q.pop_min().unwrap().0, 2);
         assert_eq!(q.pop_min().unwrap().0, 1);

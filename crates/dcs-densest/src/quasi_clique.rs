@@ -24,7 +24,7 @@
 
 use dcs_graph::{SignedGraph, VertexId, VertexSubset, Weight};
 
-use crate::peel::{LazyHeapQueue, MinDegreeQueue};
+use crate::peel::{DegreeHeap, MinDegreeQueue};
 
 /// Result of a quasi-clique search.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +89,7 @@ pub fn greedy_quasi_clique(g: &SignedGraph, alpha: Weight) -> QuasiCliqueResult 
     let degrees: Vec<Weight> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
     // Total *edge* weight of the current prefix (each edge once): half the degree sum.
     let mut total_edge_weight: Weight = degrees.iter().sum::<Weight>() / 2.0;
-    let mut queue = LazyHeapQueue::from_degrees(&degrees);
-    let mut alive = vec![true; n];
+    let mut queue = DegreeHeap::from_degrees(&degrees);
     let mut alive_count = n;
 
     let mut best_size = n;
@@ -101,14 +100,11 @@ pub fn greedy_quasi_clique(g: &SignedGraph, alpha: Weight) -> QuasiCliqueResult 
         let (v, degree) = queue
             .pop_min()
             .expect("queue holds every vertex that is still alive");
-        alive[v as usize] = false;
         alive_count -= 1;
         removal_order.push(v);
         total_edge_weight -= degree;
         for e in g.neighbors(v) {
-            if alive[e.neighbor as usize] {
-                queue.adjust(e.neighbor, -e.weight);
-            }
+            queue.subtract(e.neighbor, e.weight);
         }
         let surplus = edge_surplus(total_edge_weight, alive_count, alpha);
         if surplus > best_surplus {

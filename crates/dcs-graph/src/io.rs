@@ -50,11 +50,17 @@ impl From<io::Error> for IoError {
     }
 }
 
+/// Parses an edge weight token; `None` unless it is a finite number (`nan`, `inf` and
+/// overflowing literals such as `1e999` are rejected, as the pack reader rejects them).
+pub(crate) fn parse_weight(token: &str) -> Option<Weight> {
+    token.parse::<Weight>().ok().filter(|w| w.is_finite())
+}
+
 /// Parses an edge list from a reader.
 ///
 /// Each non-comment, non-empty line must contain `u v [w]`; a missing weight defaults to
-/// `1.0`.  Vertex ids are arbitrary `u32` values; the resulting graph has
-/// `max id + 1` vertices.
+/// `1.0`, and a given weight must be a finite number.  Vertex ids are arbitrary `u32`
+/// values; the resulting graph has `max id + 1` vertices.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
     let mut builder = GraphBuilder::new(0);
     for (idx, line) in reader.lines().enumerate() {
@@ -67,7 +73,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
         let parse = |tok: Option<&str>| -> Option<f64> { tok.and_then(|t| t.parse::<f64>().ok()) };
         let u = parse(it.next());
         let v = parse(it.next());
-        let w = it.next().map(|t| t.parse::<f64>());
+        let w = it.next().map(parse_weight);
         let (u, v) = match (u, v) {
             (Some(u), Some(v)) if u >= 0.0 && v >= 0.0 => (u as VertexId, v as VertexId),
             _ => {
@@ -79,8 +85,8 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
         };
         let w: Weight = match w {
             None => 1.0,
-            Some(Ok(w)) => w,
-            Some(Err(_)) => {
+            Some(Some(w)) => w,
+            Some(None) => {
                 return Err(IoError::Parse {
                     line_number: idx + 1,
                     line,
@@ -147,6 +153,26 @@ mod tests {
     fn parse_bad_weight() {
         let text = "0 1 abc\n";
         assert!(read_edge_list(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn non_finite_weights_are_parse_errors() {
+        for weight in ["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"] {
+            let text = format!("0 1 2.0\n1 2 {weight}\n");
+            match read_edge_list(text.as_bytes()) {
+                Err(IoError::Parse { line_number, .. }) => assert_eq!(line_number, 2, "{weight}"),
+                other => panic!("{weight}: expected a parse error, got {other:?}"),
+            }
+            let mut labels = crate::VertexLabels::new();
+            let labeled = format!("a b 2.0\nb c {weight}\n");
+            match crate::labels::read_labeled_edge_list(labeled.as_bytes(), &mut labels) {
+                Err(IoError::Parse { line_number, .. }) => assert_eq!(line_number, 2, "{weight}"),
+                other => panic!("{weight}: expected a parse error, got {other:?}"),
+            }
+        }
+        // The largest finite magnitudes still parse.
+        let g = read_edge_list("0 1 1.7e308\n1 2 -1.7e308\n".as_bytes()).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(1.7e308));
     }
 
     #[test]

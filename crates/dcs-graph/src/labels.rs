@@ -21,7 +21,7 @@ use std::io::{self, BufRead, BufWriter, Write};
 
 use rustc_hash::FxHashMap;
 
-use crate::io::IoError;
+use crate::io::{parse_weight, IoError};
 use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
 
 /// A bidirectional mapping between string labels and dense vertex ids.
@@ -170,9 +170,10 @@ pub fn align_vertex_counts(g1: &SignedGraph, g2: &SignedGraph) -> (SignedGraph, 
 
 /// Reads a labelled edge list (`label label [weight]` per line) into a graph.
 ///
-/// Lines starting with `#` or `%` are comments; a missing weight defaults to `1.0`.
-/// Labels may not contain whitespace.  The supplied `labels` table is extended in place,
-/// so reading a second file with the same table yields a graph over a shared numbering.
+/// Lines starting with `#` or `%` are comments; a missing weight defaults to `1.0`, and
+/// a given weight must be a finite number.  Labels may not contain whitespace.  The
+/// supplied `labels` table is extended in place, so reading a second file with the
+/// same table yields a graph over a shared numbering.
 pub fn read_labeled_edge_list<R: BufRead>(
     reader: R,
     labels: &mut VertexLabels,
@@ -196,9 +197,9 @@ pub fn read_labeled_edge_list<R: BufRead>(
         };
         let w: Weight = match it.next() {
             None => 1.0,
-            Some(tok) => match tok.parse() {
-                Ok(w) => w,
-                Err(_) => {
+            Some(tok) => match parse_weight(tok) {
+                Some(w) => w,
+                None => {
                     return Err(IoError::Parse {
                         line_number: idx + 1,
                         line,

@@ -122,7 +122,9 @@ pub fn optional_u64_opt(request: &Value, name: &str) -> Result<Option<u64>, Serv
     }
 }
 
-/// Parses an `[[u, v, w], …]` triple list (edges or weight updates).
+/// Parses an `[[u, v, w], …]` triple list (edges or weight updates).  A weight must be
+/// a finite number: JSON has no NaN or infinity, but an overflowing literal such as
+/// `1e999` parses to infinity and is refused here.
 pub fn parse_triples(
     request: &Value,
     name: &str,
@@ -149,9 +151,12 @@ pub fn parse_triples(
                 })
         };
         let weight = if triple.len() == 3 {
-            triple[2].as_f64().ok_or_else(|| {
-                ServerError::BadRequest(format!("{name}[{index}][2] must be a number"))
-            })?
+            triple[2]
+                .as_f64()
+                .filter(|w| w.is_finite())
+                .ok_or_else(|| {
+                    ServerError::BadRequest(format!("{name}[{index}][2] must be a finite number"))
+                })?
         } else {
             1.0
         };

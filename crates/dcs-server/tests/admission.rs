@@ -1,8 +1,8 @@
 //! Admission control and event-loop behavior over a real socket: load
 //! shedding with retry hints, observe-mailbox bounds, write backpressure
 //! that does not stall other connections, cancel-on-disconnect liveness,
-//! framing parity for a final unterminated request line, and strict UTF-8
-//! decoding of request lines.
+//! framing parity for a final unterminated request line, strict UTF-8
+//! decoding of request lines, and the refusal of non-finite edge weights.
 //!
 //! These tests speak raw NDJSON over `TcpStream` instead of using
 //! [`dcs_server::Client`], because the client collapses `ok: false`
@@ -436,6 +436,58 @@ fn invalid_utf8_lines_are_rejected_not_rewritten() {
         "cmd": "observe", "session": "ab\u{FFFD}", "updates": [[0, 1, 1.0]],
     }));
     assert_eq!(observe["ok"], false, "{observe}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn non_finite_weights_are_rejected_not_applied() {
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut wire = Wire::connect(addr);
+    let created = wire.request(&json!({
+        "cmd": "create_session", "session": "s", "vertices": 4,
+    }));
+    assert_eq!(created["ok"], true, "{created}");
+
+    // JSON has no infinity, but an overflowing literal parses to one.  The
+    // whole request is refused, so the finite update beside it is not applied.
+    for (line, field) in [
+        (
+            r#"{"cmd":"observe","session":"s","updates":[[0,1,1e999],[1,2,2.0]]}"#,
+            "updates[0][2]",
+        ),
+        (
+            r#"{"cmd":"load_baseline","session":"s","edges":[[0,1,1.0],[1,2,-1e999]]}"#,
+            "edges[1][2]",
+        ),
+    ] {
+        wire.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send line");
+        let reply = wire.recv();
+        assert_eq!(reply["ok"], false, "{reply}");
+        assert_eq!(
+            reply["error"],
+            format!("bad request: {field} must be a finite number"),
+            "{reply}"
+        );
+    }
+
+    // The connection stays open and the session is untouched.
+    let observed = wire.request(&json!({
+        "cmd": "observe", "session": "s", "updates": [[1, 2, 2.0]],
+    }));
+    assert_eq!(observed["ok"], true, "{observed}");
+    assert_eq!(observed["applied"], 1, "{observed}");
+    assert_eq!(observed["version"], 1, "{observed}");
+    let mined = wire.request(&json!({ "cmd": "mine", "session": "s" }));
+    assert_eq!(mined["ok"], true, "{mined}");
+    assert_eq!(mined["result"]["subset"], json!([1, 2]), "{mined}");
 
     handle.shutdown();
     handle.join();
