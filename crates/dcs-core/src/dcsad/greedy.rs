@@ -13,7 +13,7 @@
 //! connected component (justified by Property 1).
 
 use dcs_densest::charikar::greedy_peeling;
-use dcs_densest::greedy_peeling_view_auto;
+use dcs_densest::greedy_peeling_view_into;
 use dcs_graph::{components, GraphView, SignedGraph, VertexId, Weight};
 
 use crate::engine::{SolveContext, SolveStats};
@@ -111,11 +111,9 @@ impl DcsGreedy {
         let gd = view.graph();
         let n = gd.num_vertices();
         let mut meter = cx.meter();
-        let threads = cx.threads();
         let mut ws = cx.workspace();
         let crate::workspace::SolverWorkspace {
             peel: peel_ws,
-            par_peel: par_ws,
             marks,
             visited,
             stack,
@@ -151,9 +149,7 @@ impl DcsGreedy {
 
         // Candidate B: greedy peel of G_D (interruptible; best prefix so far).
         let s1 = {
-            let (peel, _) = greedy_peeling_view_auto(view, peel_ws, par_ws, threads, |units| {
-                !meter.tick(units)
-            });
+            let (peel, _) = greedy_peeling_view_into(view, peel_ws, |units| !meter.tick(units));
             meter.note_candidates(1);
             peel.subset
         };
@@ -164,9 +160,7 @@ impl DcsGreedy {
             (Vec::new(), 0.0)
         } else {
             let (peel_plus, _) =
-                greedy_peeling_view_auto(view.positive_part(), peel_ws, par_ws, threads, |units| {
-                    !meter.tick(units)
-                });
+                greedy_peeling_view_into(view.positive_part(), peel_ws, |units| !meter.tick(units));
             meter.note_candidates(1);
             (peel_plus.subset, peel_plus.average_degree)
         };

@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use super::refine::{refine, refine_with_workspace};
 use super::seacd::{SeaCd, SeaCdSweep};
 use super::DcsgaConfig;
+use crate::engine::effective_threads;
 use crate::workspace::SolverWorkspace;
 
 /// Shared best-so-far state of a parallel sweep: `(objective, seed vertex of the
@@ -63,14 +64,6 @@ impl SharedBest {
         let (objective, _, embedding) = self.best.into_inner();
         (objective, embedding)
     }
-}
-
-/// Clamps a requested thread count to something sensible (`1..=available_parallelism`).
-fn effective_threads(requested: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    requested.clamp(1, available.max(1))
 }
 
 /// Runs the exhaustive SEACD+Refine sweep (one initialisation per non-isolated vertex of

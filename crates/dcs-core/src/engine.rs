@@ -35,7 +35,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
@@ -132,17 +132,29 @@ pub struct SolveContext {
 }
 
 /// Reads the process-wide default solver thread count from the
-/// `DCS_SOLVER_THREADS` environment variable once (clamped to at least 1;
-/// unset, empty or unparsable values mean 1 = sequential).
+/// `DCS_SOLVER_THREADS` environment variable once (unset, empty or unparsable
+/// values mean 1 = sequential).
 fn default_solver_threads() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         std::env::var("DCS_SOLVER_THREADS")
             .ok()
             .and_then(|raw| raw.trim().parse::<usize>().ok())
             .unwrap_or(1)
-            .max(1)
     })
+}
+
+/// Clamps a requested thread count to `1..=available_parallelism` (read once):
+/// kernels start one thread per unit of budget, so an unbounded request would
+/// exhaust the process's threads.  A budget of at most 1 skips the read, which
+/// parses cgroup files (and allocates) on Linux.
+pub(crate) fn effective_threads(requested: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if requested <= 1 {
+        return 1;
+    }
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    requested.min(cores)
 }
 
 impl SolveContext {
@@ -189,21 +201,22 @@ impl SolveContext {
     }
 
     /// Sets the intra-solve parallelism budget: the number of worker threads
-    /// the solver kernels (parallel peeling, the KKT/µ_u range scans) may use.
-    /// `1` forces the sequential reference paths; higher values are safe on any
-    /// machine because every parallel kernel is **bit-identical** to its
-    /// sequential counterpart.  `0` restores the default (the
+    /// NewSEA's µ_u range scans may use (the greedy peel is sequential at every
+    /// budget).  `1` forces the sequential reference paths; higher values are
+    /// safe on any machine because every parallel kernel is **bit-identical** to
+    /// its sequential counterpart, and [`Self::threads`] caps the budget at the
+    /// machine's available parallelism.  `0` restores the default (the
     /// `DCS_SOLVER_THREADS` environment variable, else 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
         self
     }
 
-    /// The effective parallelism budget of this context (≥ 1): the explicit
+    /// The effective parallelism budget of this context: the explicit
     /// [`Self::with_threads`] value, else the process-wide `DCS_SOLVER_THREADS`
-    /// default, else 1.
+    /// default, else 1 — clamped to `1..=available_parallelism`.
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(default_solver_threads)
+        effective_threads(self.threads.unwrap_or_else(default_solver_threads))
     }
 
     /// Whether this context carries a shared workspace.
@@ -556,6 +569,17 @@ mod tests {
                 (2, 5, -2.0),
             ],
         )
+    }
+
+    #[test]
+    fn thread_budget_is_capped_at_available_parallelism() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = SolveContext::unbounded().with_threads(usize::MAX).threads();
+        assert!(
+            (1..=cores).contains(&threads),
+            "{threads} threads on {cores} cores"
+        );
+        assert_eq!(SolveContext::unbounded().with_threads(1).threads(), 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dcs_densest::{ParallelPeelWorkspace, PeelWorkspace};
+use dcs_densest::PeelWorkspace;
 use dcs_graph::{VertexId, VertexSubset, Weight};
 
 use crate::dcsga::DcsgaScratch;
@@ -37,9 +37,6 @@ use crate::dcsga::DcsgaScratch;
 pub struct SolverWorkspace {
     /// Greedy-peel scratch (indexed degree heap, alive flags, removal order).
     pub peel: PeelWorkspace,
-    /// Parallel-peel scratch (shared atomics, per-range scan slots, dirty heap)
-    /// used when the context carries a parallelism budget above 1.
-    pub par_peel: ParallelPeelWorkspace,
     /// NewSEA smart-initialisation order `(vertex, µ_u)`, sorted descending.
     pub init_order: Vec<(VertexId, Weight)>,
     /// Per-vertex maximum incident edge weight (NewSEA's `w_u` bound input).
@@ -59,7 +56,6 @@ impl Default for SolverWorkspace {
     fn default() -> Self {
         SolverWorkspace {
             peel: PeelWorkspace::new(),
-            par_peel: ParallelPeelWorkspace::new(),
             init_order: Vec::new(),
             max_incident: Vec::new(),
             marks: VertexSubset::new(0),

@@ -15,7 +15,7 @@ use dcs_core::{
     alpha_sweep_in, scaled_difference_graph, top_k_in, DensityMeasure, ScaledDifferenceTemplate,
     SharedWorkspace,
 };
-use dcs_densest::{greedy_peeling_view_auto, ParallelPeelWorkspace, PeelWorkspace};
+use dcs_densest::{greedy_peeling_view_into, PeelWorkspace};
 use dcs_graph::{GraphBuilder, GraphView, SignedGraph, VertexId, VertexMask};
 use proptest::prelude::*;
 
@@ -162,20 +162,11 @@ proptest! {
                     }
                 }
                 _ => {
-                    let threads = warm_cx.threads();
-                    let warm = {
-                        let mut ws = shared.lock();
-                        let ws = &mut *ws;
-                        greedy_peeling_view_auto(
-                            GraphView::full(gd), &mut ws.peel, &mut ws.par_peel, threads, |_| false,
-                        ).0
-                    };
-                    let cold = greedy_peeling_view_auto(
-                        GraphView::full(gd),
-                        &mut PeelWorkspace::new(),
-                        &mut ParallelPeelWorkspace::new(),
-                        threads,
-                        |_| false,
+                    let warm = greedy_peeling_view_into(
+                        GraphView::full(gd), &mut shared.lock().peel, |_| false,
+                    ).0;
+                    let cold = greedy_peeling_view_into(
+                        GraphView::full(gd), &mut PeelWorkspace::new(), |_| false,
                     ).0;
                     prop_assert_eq!(&warm.subset, &cold.subset);
                     prop_assert_eq!(warm.average_degree, cold.average_degree);

@@ -3,8 +3,8 @@
 //!
 //! The benchmark preset ([`LargeConfig::benchmark`]) targets the scale of the
 //! paper's larger datasets — `n = 10⁵` vertices, `m = 10⁶` background edges —
-//! which is where intra-solve parallelism (parallel peeling, parallel KKT
-//! scans) starts to pay for its coordination overhead.  The topology is the
+//! which is where intra-solve parallelism (NewSEA's parallel µ_u scans) starts
+//! to pay for its coordination overhead.  The topology is the
 //! same heavy-tailed background the other generators use ([`crate::random`]), with
 //! the contrast signal planted as dense near-cliques boosted in `G2` only:
 //! the background's weight churn provides realistic noise in `G_D` while the

@@ -14,11 +14,11 @@ use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 use crate::peel::{MinDegreeQueue, PeelWorkspace, RescanQueue, SegmentTreeQueue};
 
 /// Granularity (in vertices) of the partial sums used to fold the initial
-/// total degree.  Float addition is not associative, so the sequential and
-/// parallel peels both accumulate per-chunk sums over ascending vertex ids and
-/// fold them in ascending chunk order; parallel worker ranges are chunk-aligned,
-/// making the two inits **bit-identical** by construction.
-pub(crate) const DEGREE_CHUNK: usize = 64;
+/// total degree.  Float addition is not associative, so this fold fixes the
+/// order of the additions behind every density: the peel accumulates per-chunk
+/// sums over ascending vertex ids and folds them in ascending chunk order, which
+/// keeps densities **bit-identical** to earlier results and to the test oracle.
+const DEGREE_CHUNK: usize = 64;
 
 /// Result of a greedy peeling run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +36,7 @@ pub fn greedy_peeling(g: &SignedGraph) -> PeelingResult {
 
 /// Greedy peeling on a [`GraphView`] with a **stop callback**, writing all scratch
 /// state into a reusable [`PeelWorkspace`] — the allocation-lean hot path behind
-/// every other sequential peel entry point.
+/// every other peel entry point.
 ///
 /// Each step removes the alive vertex with the smallest `(current degree, vertex id)`
 /// key, so the smaller id wins a degree tie.  The keys live in an indexed min-heap
@@ -82,8 +82,7 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     }
     let init_positive_only = view.is_positive_only();
     // Chunked total-degree accumulation (see `DEGREE_CHUNK`): per-chunk sums in
-    // ascending vertex order, folded in ascending chunk order — the same float
-    // operations, in the same order, as the chunk-aligned parallel init.
+    // ascending vertex order, folded in ascending chunk order.
     ws.chunk_sums.resize(n.div_ceil(DEGREE_CHUNK), 0.0);
     for v in view.vertices() {
         let (nbrs, nbr_weights) = view.graph().neighbor_slices(v);
@@ -148,28 +147,6 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     }
     peel_span.set_units((alive_at_start - alive_count) as u64);
 
-    finish_peel(
-        view,
-        ws,
-        best_density,
-        best_size,
-        alive_at_start,
-        interrupted,
-    )
-}
-
-/// The common tail of the sequential and parallel peels: the negative-density
-/// fallback (last survivor alone, found through `ws.alive`) and the best-prefix
-/// reconstruction from `ws.removal_order` / `ws.in_best`.
-pub(crate) fn finish_peel(
-    view: GraphView<'_>,
-    ws: &mut PeelWorkspace,
-    best_density: Weight,
-    best_size: usize,
-    alive_at_start: usize,
-    interrupted: bool,
-) -> (PeelingResult, bool) {
-    let n = view.num_vertices();
     // A single vertex has density 0 by convention; if every encountered prefix had
     // negative density (possible on signed graphs) the best answer is the last
     // surviving vertex alone.

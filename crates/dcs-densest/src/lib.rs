@@ -9,8 +9,6 @@
 //! * [`peel`] — the priority structure used by peeling (an indexed 4-ary min-heap keyed
 //!   by the current weighted degree, updated in place), plus the naive re-scan and
 //!   segment-tree variants used for ablation benches.
-//! * [`parallel_peel`] — the bucket peel, bit-identical to the sequential one, that
-//!   spreads the minimum-degree scans over worker threads on large graphs.
 //! * [`maxflow`] — Dinic's maximum-flow algorithm.
 //! * [`goldberg`] — Goldberg's exact maximum-density-subgraph algorithm (binary search
 //!   over the density combined with min-cut computations) for non-negative weights.
@@ -34,7 +32,6 @@ pub mod charikar;
 pub mod expansion;
 pub mod goldberg;
 pub mod maxflow;
-pub mod parallel_peel;
 pub mod peel;
 pub mod quasi_clique;
 pub mod replicator;
@@ -45,12 +42,35 @@ pub use charikar::{greedy_peeling, greedy_peeling_view_into, PeelingResult};
 pub use expansion::{expansion_candidates, expansion_step, ExpansionOutcome};
 pub use goldberg::{densest_subgraph_exact, densest_subgraph_view_until, DensestSubgraph};
 pub use maxflow::FlowNetwork;
-pub use parallel_peel::{
-    greedy_peeling_parallel_view_into, greedy_peeling_view_auto, ParallelPeelWorkspace,
-    PARALLEL_PEEL_THRESHOLD,
-};
 pub use peel::PeelWorkspace;
 pub use quasi_clique::{greedy_quasi_clique, local_search_quasi_clique, QuasiCliqueResult};
 pub use replicator::{replicator_dynamics, ReplicatorStop};
 pub use sea::{OriginalSea, SeaConfig, SeaResult};
 pub use simplex::{DenseEmbedding, Embedding};
+
+/// Compatibility shim, kept with [`greedy_peeling_view_auto`] for their one
+/// caller: `peel_positive_part` in `benchmark/src/batch.rs`, a separate Cargo
+/// workspace that still names both.  The benchmark change that moves that
+/// function to [`greedy_peeling_view_into`] deletes the shim.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct ParallelPeelWorkspace;
+
+impl ParallelPeelWorkspace {
+    /// The (field-less) shim value.
+    pub fn new() -> Self {
+        ParallelPeelWorkspace
+    }
+}
+
+/// [`greedy_peeling_view_into`]; `threads` is ignored (see [`ParallelPeelWorkspace`]).
+#[doc(hidden)]
+pub fn greedy_peeling_view_auto<F: FnMut(u64) -> bool>(
+    view: dcs_graph::GraphView<'_>,
+    ws: &mut PeelWorkspace,
+    _par: &mut ParallelPeelWorkspace,
+    _threads: usize,
+    stop: F,
+) -> (PeelingResult, bool) {
+    greedy_peeling_view_into(view, ws, stop)
+}

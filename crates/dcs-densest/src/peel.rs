@@ -18,11 +18,11 @@ const ARITY: usize = 4;
 /// [`DegreeHeap`] position of a vertex that is not in the heap.
 const ABSENT: u32 = u32::MAX;
 
-/// The ascending `(degree, vertex)` key order of both peels: degrees by `partial_cmp`
+/// The ascending `(degree, vertex)` key order of the peel: degrees by `partial_cmp`
 /// collapsed to `Equal`, then vertex id — *not* `total_cmp`, which orders `-0.0` and
 /// `0.0` differently.
 #[inline]
-pub(crate) fn key_cmp(a: (Weight, VertexId), b: (Weight, VertexId)) -> Ordering {
+fn key_cmp(a: (Weight, VertexId), b: (Weight, VertexId)) -> Ordering {
     a.0.partial_cmp(&b.0)
         .unwrap_or(Ordering::Equal)
         .then_with(|| a.1.cmp(&b.1))
@@ -146,8 +146,7 @@ pub struct PeelWorkspace {
     pub(crate) in_best: Vec<bool>,
     /// Per-chunk partial sums of the initial degrees (see
     /// [`crate::charikar::DEGREE_CHUNK`]): the total degree is folded from these
-    /// in ascending chunk order so the sequential and parallel peels perform the
-    /// exact same float additions.
+    /// in ascending chunk order, a fixed order of float additions.
     pub(crate) chunk_sums: Vec<Weight>,
 }
 
@@ -169,9 +168,8 @@ impl PeelWorkspace {
         self.chunk_sums.clear();
     }
 
-    /// The vertices removed by the most recent peel, in removal order.  The
-    /// sequential and parallel peels produce the exact same sequence — this is
-    /// the surface the bit-identity property tests compare.
+    /// The vertices removed by the most recent peel, in removal order — the
+    /// surface the oracle property tests compare.
     pub fn removal_order(&self) -> &[VertexId] {
         &self.removal_order
     }

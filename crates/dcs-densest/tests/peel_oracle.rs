@@ -6,8 +6,7 @@
 //! scans every alive vertex for the smallest `(degree, vertex id)` key, with
 //! degrees compared by `<` (so `-0.0` ties `0.0`) and the smaller id winning
 //! ties.  It shares no code with the library's degree heap, so agreement pins the
-//! heap's order itself, not just its agreement with the parallel peel (which was
-//! written to copy it).
+//! heap's order itself.
 //!
 //! Graphs carry small-integer signed weights: many vertices tie on degree, and
 //! every negative edge raises a neighbour's key when its other end is removed.

@@ -467,9 +467,15 @@ impl DurableSession {
     }
 
     /// Writes a checkpoint of `state`, rotates the WAL and prunes all but the
-    /// previous generation.
+    /// previous generation.  A failure poisons the session: the WAL may have
+    /// lost bytes it already acknowledged, or may no longer be reachable.
     pub fn checkpoint(&mut self, state: &CheckpointState) -> Result<(), ServerError> {
         self.check_poisoned()?;
+        let result = self.write_checkpoint(state);
+        self.poison_on_err(result)
+    }
+
+    fn write_checkpoint(&mut self, state: &CheckpointState) -> Result<(), ServerError> {
         let version = state.version_base + state.monitor_version;
         let observed = GraphBuilder::from_edges(state.vertices, state.observed.iter().copied());
         let meta = json!({

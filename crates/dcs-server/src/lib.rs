@@ -229,7 +229,7 @@
 //! different commands still fans out across the pool.  Batch sizes, coalesced
 //! counts and steal counts are exported under `batching` in the server-wide
 //! `stats` payload.  Intra-solve parallelism (how many threads one solve may
-//! use for peeling and KKT scans) is configured separately via
+//! use for NewSEA's µ_u scans) is configured separately via
 //! [`ServerConfig::solver_threads`].
 //!
 //! ## Example
@@ -301,11 +301,11 @@ pub struct ServerConfig {
     /// is not.
     pub max_job_ms: Option<u64>,
     /// Intra-solve parallelism: the number of threads each mining job may use
-    /// *inside* a single solve (parallel peeling, parallel KKT scans).  `0`
-    /// (the default) inherits the process-wide `DCS_SOLVER_THREADS`
-    /// environment default (itself defaulting to 1).  Distinct from
-    /// [`ServerConfig::worker_threads`], which controls how many jobs run
-    /// concurrently.
+    /// *inside* a single solve (NewSEA's parallel µ_u scans), capped at the
+    /// available cores.  `0` (the default) inherits the process-wide
+    /// `DCS_SOLVER_THREADS` environment default (itself defaulting to 1).
+    /// Distinct from [`ServerConfig::worker_threads`], which controls how many
+    /// jobs run concurrently.
     pub solver_threads: usize,
     /// Number of I/O threads running readiness event loops over the accepted
     /// connections.  `0` (the default) reads the `DCS_IO_THREADS` environment

@@ -237,6 +237,24 @@ fn corrupt_checkpoint_falls_back_a_generation() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// A failed checkpoint fail-stops the session: with the session directory
+/// gone, the next observe must be refused, not acknowledged into a WAL file
+/// that recovery can no longer find.
+#[test]
+fn failed_checkpoint_makes_the_session_read_only() {
+    let data_dir = temp_dir("failed_checkpoint");
+    let mut session =
+        durable::create_durable_session(&data_dir, "gone", 8, config(), WalSync::Group).unwrap();
+    assert_eq!(session.observe(&[(0, 1, 0.5)]).unwrap().applied, 1);
+    std::fs::remove_dir_all(&data_dir).unwrap();
+    assert!(session.checkpoint().is_err());
+    let error = session.observe(&[(1, 2, 0.5)]).unwrap_err();
+    assert!(
+        error.to_string().contains("read-only until recovered"),
+        "{error}"
+    );
+}
+
 /// Offline inspection (`dcs sessions`) reports the recoverable version
 /// without repairing anything.
 #[test]
