@@ -259,37 +259,18 @@ fn render_server_stats(addr: &str, payload: &Value) -> String {
                 ),
             ),
             ("load shed", u64_at(payload, &["io", "shed"]).to_string()),
+            (
+                "observe mailboxes",
+                format!(
+                    "{} pending (hw {}, shed {})",
+                    u64_at(payload, &["mailbox", "pending"]),
+                    u64_at(payload, &["mailbox", "high_water"]),
+                    u64_at(payload, &["mailbox", "shed"])
+                ),
+            ),
         ],
     );
     out.push('\n');
-
-    if let Some(shards) = payload["shards"].as_array() {
-        let rows: Vec<(String, String)> = shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                (
-                    format!("shard {index}"),
-                    format!(
-                        "{} sessions, cache {:.1}% ({}/{}), mailbox {} pending (hw {}, shed {})",
-                        u64_at(shard, &["sessions"]),
-                        shard["cache"]["hit_rate"].as_f64().unwrap_or(0.0) * 100.0,
-                        u64_at(shard, &["cache", "hits"]),
-                        u64_at(shard, &["cache", "misses"]),
-                        u64_at(shard, &["mailbox", "pending"]),
-                        u64_at(shard, &["mailbox", "high_water"]),
-                        u64_at(shard, &["mailbox", "shed"])
-                    ),
-                )
-            })
-            .collect();
-        let refs: Vec<(&str, String)> = rows
-            .iter()
-            .map(|(label, text)| (label.as_str(), text.clone()))
-            .collect();
-        out.push_str(&render_block("Registry shards", &refs));
-        out.push('\n');
-    }
 
     let mut latency_rows: Vec<(&str, String)> = Vec::new();
     for kind in ["mine", "topk", "sweep"] {
@@ -396,7 +377,14 @@ mod tests {
         assert!(out.contains("cache hit rate"));
         assert!(out.contains("Job wall time"));
         assert!(out.contains("io events"));
-        assert!(out.contains("Registry shards"));
+        let mailboxes = out
+            .lines()
+            .find(|l| l.starts_with("observe mailboxes"))
+            .unwrap();
+        assert!(
+            mailboxes.ends_with("0 pending (hw 0, shed 0)"),
+            "line: {mailboxes:?}"
+        );
         assert!(out.contains("load shed"));
 
         let session_out = run(&strings(&["--connect", &addr, "--session", "s"])).unwrap();

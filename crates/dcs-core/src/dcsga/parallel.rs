@@ -9,16 +9,23 @@
 //! [`crate::SolveContext::with_threads`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dcs_densest::Embedding;
 use dcs_graph::{SignedGraph, VertexId, Weight};
-use parking_lot::Mutex;
 
 use super::refine::{refine, refine_with_workspace};
 use super::seacd::{SeaCd, SeaCdSweep};
 use super::DcsgaConfig;
 use crate::engine::effective_threads;
 use crate::workspace::SolverWorkspace;
+
+/// Locks a sweep mutex.  A worker that panics takes the whole sweep down
+/// with it (the scope re-raises the panic), so a poisoned value is never
+/// read as a result.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared best-so-far state of a parallel sweep: `(objective, seed vertex of the
 /// winning initialisation, embedding)`.
@@ -50,18 +57,21 @@ impl SharedBest {
     /// check says the offer currently wins, and installed only if it still wins on
     /// the re-check (another worker may have improved the incumbent in between).
     fn offer(&self, objective: Weight, seed: VertexId, embedding: &Embedding) {
-        if !Self::wins(objective, seed, &self.best.lock()) {
+        if !Self::wins(objective, seed, &lock(&self.best)) {
             return;
         }
         let owned = embedding.clone();
-        let mut guard = self.best.lock();
+        let mut guard = lock(&self.best);
         if Self::wins(objective, seed, &guard) {
             *guard = (objective, seed, owned);
         }
     }
 
     fn into_best(self) -> (Weight, Embedding) {
-        let (objective, _, embedding) = self.best.into_inner();
+        let (objective, _, embedding) = self
+            .best
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         (objective, embedding)
     }
 }
@@ -91,9 +101,9 @@ pub fn parallel_sweep(
     let per_candidate: Vec<Mutex<Option<Embedding>>> =
         (0..candidates.len()).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let solver = SeaCd::new(config);
                 // One dense workspace per worker, reused across its initialisations.
                 let mut ws = SolverWorkspace::new();
@@ -109,19 +119,18 @@ pub fn parallel_sweep(
                     let objective = refined.affinity(gd_plus);
                     shared.offer(objective, u, &refined);
                     if collect_all {
-                        *per_candidate[index].lock() = Some(refined);
+                        *lock(&per_candidate[index]) = Some(refined);
                     }
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     let initializations = candidates.len();
     let all_solutions = if collect_all {
         per_candidate
             .into_iter()
-            .filter_map(|slot| slot.into_inner())
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect()
     } else {
         Vec::new()

@@ -56,11 +56,20 @@ pub(crate) fn parse_weight(token: &str) -> Option<Weight> {
     token.parse::<Weight>().ok().filter(|w| w.is_finite())
 }
 
+/// Parses a vertex id token; `None` unless it is ASCII decimal digits whose value fits a
+/// `u32` (fractions, signs, exponents and overflow are rejected, never rounded or clamped).
+fn parse_vertex(token: &str) -> Option<VertexId> {
+    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    token.parse().ok()
+}
+
 /// Parses an edge list from a reader.
 ///
 /// Each non-comment, non-empty line must contain `u v [w]`; a missing weight defaults to
-/// `1.0`, and a given weight must be a finite number.  Vertex ids are arbitrary `u32`
-/// values; the resulting graph has `max id + 1` vertices.
+/// `1.0`, and a given weight must be a finite number.  Vertex ids are unsigned decimal
+/// integers that fit a `u32`; the resulting graph has `max id + 1` vertices.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
     let mut builder = GraphBuilder::new(0);
     for (idx, line) in reader.lines().enumerate() {
@@ -70,12 +79,11 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
             continue;
         }
         let mut it = trimmed.split_whitespace();
-        let parse = |tok: Option<&str>| -> Option<f64> { tok.and_then(|t| t.parse::<f64>().ok()) };
-        let u = parse(it.next());
-        let v = parse(it.next());
+        let u = it.next().and_then(parse_vertex);
+        let v = it.next().and_then(parse_vertex);
         let w = it.next().map(parse_weight);
         let (u, v) = match (u, v) {
-            (Some(u), Some(v)) if u >= 0.0 && v >= 0.0 => (u as VertexId, v as VertexId),
+            (Some(u), Some(v)) => (u, v),
             _ => {
                 return Err(IoError::Parse {
                     line_number: idx + 1,
@@ -173,6 +181,24 @@ mod tests {
         // The largest finite magnitudes still parse.
         let g = read_edge_list("0 1 1.7e308\n1 2 -1.7e308\n".as_bytes()).unwrap();
         assert_eq!(g.edge_weight(0, 1), Some(1.7e308));
+    }
+
+    #[test]
+    fn non_integer_vertex_ids_are_parse_errors() {
+        for id in ["1.7", "-1", "+1", "1e3", "1e300", "4294967296"] {
+            for text in [
+                format!("0 1 2.0\n{id} 2 1.0\n"),
+                format!("0 1 2.0\n2 {id}\n"),
+            ] {
+                match read_edge_list(text.as_bytes()) {
+                    Err(IoError::Parse { line_number, .. }) => assert_eq!(line_number, 2, "{id}"),
+                    other => panic!("{id}: expected a parse error, got {other:?}"),
+                }
+            }
+        }
+        // The largest id still parses (checked on the token: a graph that large would
+        // not fit in memory).
+        assert_eq!(parse_vertex("4294967295"), Some(u32::MAX));
     }
 
     #[test]

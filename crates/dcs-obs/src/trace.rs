@@ -17,7 +17,7 @@
 //!   exited — their rings are kept alive by the collector registry), sorted
 //!   by start time.
 //!
-//! Timestamps are microseconds since the first use of the tracer in this
+//! Timestamps are microseconds since tracing was first enabled in this
 //! process, so events from different threads share one clock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,7 +90,13 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns tracing on or off globally.  Spans opened while disabled record
 /// nothing even if tracing is enabled before they close.
+///
+/// Enabling pins the timeline's epoch (once per process), so the first span
+/// starts after it.
 pub fn set_enabled(enabled: bool) {
+    if enabled {
+        epoch();
+    }
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 

@@ -12,10 +12,7 @@
 //!   difference graph), and a monotone **graph version** bumped only by
 //!   updates that actually change the graph; mining jobs receive
 //!   `Arc<SignedGraph>` snapshot handles — no per-job graph clones, and an
-//!   unchanged session hands every worker the same pointer-equal snapshot.
-//!   The registry is **sharded** by session-name hash so concurrent
-//!   create/get/drop traffic on different sessions does not serialize on one
-//!   lock;
+//!   unchanged session hands every worker the same pointer-equal snapshot;
 //! * a fixed-size [`WorkerPool`] with a bounded job queue, so many clients
 //!   can mine concurrently without oversubscribing cores (excess load is
 //!   shed with a structured `overloaded` error instead of piling up);
@@ -147,9 +144,9 @@
 //! shed excess load immediately with
 //! `{"ok": false, "error": "overloaded", "retry_after_ms": n}` — the hint
 //! scales with queue depth so well-behaved clients back off harder as
-//! pressure rises.  Shed counts, per-shard queue depths, mailbox high-water
-//! marks and accept/read/write event counters are all exported in the
-//! server-wide `stats` payload (the `io` and `shards` blocks below).
+//! pressure rises.  Shed counts, queue depth, mailbox high-water marks and
+//! accept/read/write event counters are all exported in the server-wide
+//! `stats` payload (the `queue`, `io` and `mailbox` blocks below).
 //!
 //! ## The server-wide `stats` payload
 //!
@@ -163,10 +160,9 @@
 //!   wait_us}` — the bounded job queue right now, lifetime execute/reject
 //!   counts, and the queue-wait latency summary;
 //! * `batching: {solves, size_mean, size_p50, size_p95, size_p99, size_max,
-//!   coalesced, steals}` — snapshot-batch telemetry: how many solve groups
-//!   ran, the distribution of jobs answered per group (1 = no coalescing),
-//!   how many jobs were answered as followers of another job's solve, and how
-//!   many work items idle workers stole from busy workers' deques;
+//!   coalesced}` — snapshot-batch telemetry: how many solve groups ran, the
+//!   distribution of jobs answered per group (1 = no coalescing), and how
+//!   many jobs were answered as followers of another job's solve;
 //! * `jobs: {completed, cached, inflight_named, wall_us_by_kind,
 //!   wall_us_by_measure}` — client-observed wall time (queue wait + solve)
 //!   of solved jobs, as one latency summary per kind (`mine` / `topk` /
@@ -178,16 +174,15 @@
 //!   every session's result cache;
 //! * `observes: {batches, updates, per_sec}` — observe throughput since the
 //!   server started;
-//! * `queue.shard_depths: [n…]` — pending mining jobs per pool shard;
+//! * `mailbox: {pending, high_water, shed}` — observe-mailbox pressure
+//!   summed over every session: observe batches queued now, the highest
+//!   depth any one session's mailbox has reached, and observe batches
+//!   answered `overloaded` because their session's mailbox was full;
 //! * `io: {threads, backend, accepts, read_events, write_events,
 //!   connections_opened, connections_open, shed}` — the serving tier:
 //!   event-loop backend (`"epoll"` / `"poll"`), accepted connections,
 //!   readiness events handled, and how many requests were answered
-//!   `overloaded`;
-//! * `shards: [{sessions, cache: {hits, misses, hit_rate},
-//!   mailbox: {pending, high_water, shed}}…]` — one entry per registry
-//!   shard: its session count, its result-cache hit rate (the `cache` block
-//!   above is the aggregate), and its observe-mailbox pressure.
+//!   `overloaded`.
 //!
 //! Every **latency summary** is
 //! `{"count": n, "mean_us": f, "p50_us": n, "p95_us": n, "p99_us": n,
@@ -216,21 +211,21 @@
 //!
 //! ## Snapshot batching and coalescing
 //!
-//! The worker pool is **work-stealing** and **snapshot-batched**: the worker
-//! that claims a session's pending mining jobs drains *all* of them in one
-//! session-lock pass, so every job in the batch sees the same graph version
-//! and shares `Arc` handles to one snapshot of the difference graph.  Within
-//! a batch, jobs with the same cache key (same command, parameters and
-//! measure) are **coalesced** — solved once, with every duplicate answered
-//! from the one solve.  Coalesced followers carry `"coalesced": true` next to
-//! `"cached": false` in their response; the leader and un-duplicated jobs
-//! carry neither.  Distinct-key groups beyond the first are pushed onto the
-//! claiming worker's deque where idle workers steal them, so a batch of
-//! different commands still fans out across the pool.  Batch sizes, coalesced
-//! counts and steal counts are exported under `batching` in the server-wide
-//! `stats` payload.  Intra-solve parallelism (how many threads one solve may
-//! use for NewSEA's µ_u scans) is configured separately via
-//! [`ServerConfig::solver_threads`].
+//! The worker pool's workers share **one FIFO queue** and serve it
+//! **snapshot-batched**: the worker that claims a session's pending mining
+//! jobs drains *all* of them in one session-lock pass, so every job in the
+//! batch sees the same graph version and shares `Arc` handles to one
+//! snapshot of the difference graph.  Within a batch, jobs with the same
+//! cache key (same command, parameters and measure) are **coalesced** —
+//! solved once, with every duplicate answered from the one solve.  Coalesced
+//! followers carry `"coalesced": true` next to `"cached": false` in their
+//! response; the leader and un-duplicated jobs carry neither.  Distinct-key
+//! groups beyond the first go to the front of the queue where idle workers
+//! take them, so a batch of different commands still fans out across the
+//! pool.  Batch sizes and coalesced counts are exported under `batching` in
+//! the server-wide `stats` payload.  Intra-solve parallelism (how many
+//! threads one solve may use for NewSEA's µ_u scans) is configured
+//! separately via [`ServerConfig::solver_threads`].
 //!
 //! ## Example
 //!
@@ -279,7 +274,7 @@ pub use protocol::{
     Request, Response, PROTO_VERSION,
 };
 pub use server::{Server, ServerHandle};
-pub use session::{ObserveMailbox, Session, SessionRegistry, SessionStats, ShardStats};
+pub use session::{ObserveMailbox, Session, SessionRegistry, SessionStats};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]

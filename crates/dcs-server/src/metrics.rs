@@ -113,25 +113,31 @@ impl ServerMetrics {
     }
 
     /// Renders the server-wide `stats` payload: queue state from `pool`,
-    /// named in-flight jobs from `jobs`, cache counters aggregated over every
-    /// session of `registry`, plus this struct's own counters and latency
-    /// summaries.
+    /// named in-flight jobs from `jobs`, cache and observe-mailbox counters
+    /// aggregated over every session of `registry`, plus this struct's own
+    /// counters and latency summaries.
     pub fn render(&self, pool: &WorkerPool, jobs: &JobTable, registry: &SessionRegistry) -> Value {
         let uptime_ms = self.uptime_ms();
 
-        // Aggregate per-session cache counters under brief per-session locks.
+        // Aggregate per-session counters under brief per-session locks.
         let mut sessions = 0u64;
         let (mut entries, mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64, 0u64);
+        let (mut mailbox_pending, mut mailbox_high_water, mut mailbox_shed) =
+            (0usize, 0usize, 0u64);
         for (_, session) in registry.sessions() {
             let guard = session
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let stats = guard.stats();
+            let mailbox = guard.mailbox();
             sessions += 1;
             entries += stats.cache_entries as u64;
             hits += stats.cache_hits;
             misses += stats.cache_misses;
             evictions += stats.cache_evictions;
+            mailbox_pending += mailbox.pending();
+            mailbox_high_water = mailbox_high_water.max(mailbox.high_water());
+            mailbox_shed += mailbox.shed();
         }
         let lookups = hits + misses;
         let hit_rate = if lookups > 0 {
@@ -206,7 +212,6 @@ impl ServerMetrics {
                 "size_p99": batch_sizes.p99(),
                 "size_max": batch_sizes.max,
                 "coalesced": pool.coalesced(),
-                "steals": pool.steals(),
             },
             "jobs": {
                 "completed": self.jobs_completed.get(),
@@ -227,6 +232,11 @@ impl ServerMetrics {
                 "batches": observe_batches,
                 "updates": self.observe_updates.get(),
                 "per_sec": observes_per_sec,
+            },
+            "mailbox": {
+                "pending": mailbox_pending,
+                "high_water": mailbox_high_water,
+                "shed": mailbox_shed,
             },
         })
     }
@@ -295,7 +305,6 @@ mod tests {
         assert_eq!(stats["cache"]["hit_rate"], 0.0);
         assert_eq!(stats["batching"]["solves"], 0);
         assert_eq!(stats["batching"]["coalesced"], 0);
-        assert_eq!(stats["batching"]["steals"], 0);
     }
 
     #[test]

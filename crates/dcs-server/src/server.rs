@@ -251,7 +251,7 @@ impl Server {
                     .io_stats
                     .accepts
                     .fetch_add(1, Ordering::Relaxed);
-                if stream.set_nonblocking(true).is_err() {
+                if prepare_accepted(&stream).is_err() {
                     continue;
                 }
                 // Round-robin connections over the event loops.
@@ -322,6 +322,14 @@ impl Drop for ServerHandle {
 
 fn lock_session(session: &SharedSession) -> MutexGuard<'_, Session> {
     session.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Readies an accepted socket for its event loop: nonblocking, and with
+/// Nagle's algorithm off, so a response written right after another is sent
+/// at once instead of waiting for the peer to acknowledge the first.
+fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 fn render_line(value: &Value) -> String {
@@ -928,7 +936,7 @@ impl IoLoop {
     fn overloaded(&self) -> ServerError {
         self.shared.io_stats.shed.fetch_add(1, Ordering::Relaxed);
         let capacity = self.shared.pool.capacity().max(1) as u64;
-        let depth = (self.shared.pool.queue_depth().max(0) as u64).min(capacity);
+        let depth = (self.shared.pool.queue_depth() as u64).min(capacity);
         ServerError::Overloaded {
             retry_after_ms: 25 + 175 * depth / capacity,
         }
@@ -1288,7 +1296,6 @@ fn stats(name: Option<&str>, shared: &Shared) -> Result<Value, ServerError> {
         let mut payload = shared
             .metrics
             .render(&shared.pool, &shared.jobs, &shared.registry);
-        payload["queue"]["shard_depths"] = json!(shared.pool.shard_depths());
         let io = &shared.io_stats;
         let opened = io.opened.load(Ordering::Relaxed);
         let closed = io.closed.load(Ordering::Relaxed);
@@ -1302,28 +1309,6 @@ fn stats(name: Option<&str>, shared: &Shared) -> Result<Value, ServerError> {
             "connections_open": opened.saturating_sub(closed),
             "shed": io.shed.load(Ordering::Relaxed),
         });
-        payload["shards"] = Value::Array(
-            shared
-                .registry
-                .shard_stats()
-                .iter()
-                .map(|shard| {
-                    json!({
-                        "sessions": shard.sessions,
-                        "cache": {
-                            "hits": shard.cache_hits,
-                            "misses": shard.cache_misses,
-                            "hit_rate": shard.cache_hit_rate(),
-                        },
-                        "mailbox": {
-                            "pending": shard.mailbox_pending,
-                            "high_water": shard.mailbox_high_water,
-                            "shed": shard.mailbox_shed,
-                        },
-                    })
-                })
-                .collect(),
-        );
         return Ok(payload);
     };
     let session = shared.registry.get(name)?;
@@ -1345,4 +1330,24 @@ fn stats(name: Option<&str>, shared: &Shared) -> Result<Value, ServerError> {
         },
         "durable": stats.durable,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_are_nonblocking_and_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        prepare_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // Nonblocking: a read with nothing sent returns at once.
+        let mut buf = [0u8; 1];
+        let error = (&accepted).read(&mut buf).unwrap_err();
+        assert_eq!(error.kind(), ErrorKind::WouldBlock);
+        drop(client);
+    }
 }

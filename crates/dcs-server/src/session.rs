@@ -1,14 +1,12 @@
 //! Named mining sessions and the registry that owns them.
 //!
-//! The registry is **sharded**: session names hash (FNV-1a) onto independent
-//! `RwLock`-protected maps so lookups from many I/O threads never serialize
-//! on one global lock.  Aggregating calls (`names`, `sessions`, `len`) walk
-//! the shards; the public API is identical to the single-map registry it
-//! replaced.
+//! The registry is one `RwLock`-protected map from session name to session:
+//! lookups (every request on a session) take the read lock, which readers
+//! share, and only create and drop take the write lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dcs_core::{BatchOutcome, StreamingConfig, StreamingDcs};
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId, Weight};
@@ -377,98 +375,33 @@ impl Session {
 /// A shared handle to one session.
 pub type SharedSession = Arc<Mutex<Session>>;
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn read_shard<T>(shard: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    shard.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_shard<T>(shard: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    shard.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Aggregated counters of one registry shard, reported by the server-wide
-/// `stats` command (`shards` array).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardStats {
-    /// Sessions living on this shard.
-    pub sessions: usize,
-    /// Result-cache hits summed over the shard's sessions.
-    pub cache_hits: u64,
-    /// Result-cache misses summed over the shard's sessions.
-    pub cache_misses: u64,
-    /// Observe batches currently queued across the shard's sessions.
-    pub mailbox_pending: usize,
-    /// Highest per-session mailbox depth seen on this shard.
-    pub mailbox_high_water: usize,
-    /// Observe batches shed (mailbox full) across the shard's sessions.
-    pub mailbox_shed: u64,
-}
-
-impl ShardStats {
-    /// Fraction of cache lookups on this shard that hit (0 when idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-}
-
-/// Thread-safe registry of named sessions, sharded by name hash.
-#[derive(Debug)]
+/// Thread-safe registry of named sessions.
+#[derive(Debug, Default)]
 pub struct SessionRegistry {
-    shards: Vec<RwLock<BTreeMap<String, SharedSession>>>,
-}
-
-impl Default for SessionRegistry {
-    fn default() -> Self {
-        SessionRegistry::new()
-    }
+    sessions: RwLock<BTreeMap<String, SharedSession>>,
 }
 
 impl SessionRegistry {
-    /// An empty registry with one shard per available core.
+    /// An empty registry.
     pub fn new() -> Self {
-        let shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        SessionRegistry::with_shards(shards)
+        SessionRegistry::default()
     }
 
-    /// An empty registry with an explicit shard count (clamped to ≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
-        SessionRegistry {
-            shards: (0..shards.max(1))
-                .map(|_| RwLock::new(BTreeMap::new()))
-                .collect(),
-        }
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, SharedSession>> {
+        self.sessions.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of shards the registry spreads sessions over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a session name lives on (FNV-1a over the name bytes).
-    fn shard_for(&self, name: &str) -> &RwLock<BTreeMap<String, SharedSession>> {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in name.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(hash % self.shards.len() as u64) as usize]
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, SharedSession>> {
+        self.sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Inserts an already-built session (the durable create/recovery paths
     /// construct sessions before registering them); fails if the name is
     /// taken.
     pub(crate) fn insert(&self, name: &str, session: Session) -> Result<(), ServerError> {
-        let mut sessions = write_shard(self.shard_for(name));
+        let mut sessions = self.write();
         if sessions.contains_key(name) {
             return Err(ServerError::SessionExists(name.to_string()));
         }
@@ -513,7 +446,7 @@ impl SessionRegistry {
 
     /// Looks up a session by name.
     pub fn get(&self, name: &str) -> Result<SharedSession, ServerError> {
-        read_shard(self.shard_for(name))
+        self.read()
             .get(name)
             .cloned()
             .ok_or_else(|| ServerError::UnknownSession(name.to_string()))
@@ -521,7 +454,7 @@ impl SessionRegistry {
 
     /// Removes a session by name.
     pub fn drop_session(&self, name: &str) -> Result<(), ServerError> {
-        write_shard(self.shard_for(name))
+        self.write()
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| ServerError::UnknownSession(name.to_string()))
@@ -529,74 +462,27 @@ impl SessionRegistry {
 
     /// The session names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| read_shard(shard).keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.sort();
-        names
+        self.read().keys().cloned().collect()
     }
 
     /// Handles to every live session, sorted by name.  Used by the server-wide
     /// `stats` surface to aggregate per-session counters; callers lock each
-    /// session briefly, never while holding a shard lock.
+    /// session briefly, never while holding the registry lock.
     pub fn sessions(&self) -> Vec<(String, SharedSession)> {
-        let mut sessions: Vec<(String, SharedSession)> = self
-            .shards
+        self.read()
             .iter()
-            .flat_map(|shard| {
-                read_shard(shard)
-                    .iter()
-                    .map(|(name, session)| (name.clone(), Arc::clone(session)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        sessions.sort_by(|a, b| a.0.cmp(&b.0));
-        sessions
+            .map(|(name, session)| (name.clone(), Arc::clone(session)))
+            .collect()
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| read_shard(shard).len())
-            .sum()
+        self.read().len()
     }
 
     /// Whether the registry has no sessions.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-shard counter aggregates for the server-wide `stats` surface:
-    /// session counts, result-cache hit/miss totals, and observe-mailbox
-    /// pressure.  Shard handles are cloned out before the per-session locks
-    /// are taken, so stats collection never blocks shard writers.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let handles: Vec<SharedSession> =
-                    read_shard(shard).values().map(Arc::clone).collect();
-                let mut stats = ShardStats {
-                    sessions: handles.len(),
-                    ..ShardStats::default()
-                };
-                for handle in handles {
-                    let session = lock(&handle);
-                    let mailbox = Arc::clone(session.mailbox());
-                    let counters = session.stats();
-                    drop(session);
-                    stats.cache_hits += counters.cache_hits;
-                    stats.cache_misses += counters.cache_misses;
-                    stats.mailbox_pending += mailbox.pending();
-                    stats.mailbox_high_water = stats.mailbox_high_water.max(mailbox.high_water());
-                    stats.mailbox_shed += mailbox.shed();
-                }
-                stats
-            })
-            .collect()
     }
 }
 
@@ -636,6 +522,7 @@ mod tests {
             Err(ServerError::UnknownSession(_))
         ));
         assert_eq!(registry.len(), 1);
+        assert_eq!(registry.sessions().len(), 1);
     }
 
     #[test]
@@ -718,28 +605,6 @@ mod tests {
             &third,
             &session.monitor_mut().difference_snapshot()
         ));
-    }
-
-    #[test]
-    fn sharded_registry_spreads_and_aggregates() {
-        let registry = SessionRegistry::with_shards(4);
-        assert_eq!(registry.shard_count(), 4);
-        for i in 0..12 {
-            registry.create(&format!("s{i}"), 4, config()).unwrap();
-        }
-        assert_eq!(registry.len(), 12);
-        let names = registry.names();
-        assert_eq!(names.len(), 12);
-        assert!(names.windows(2).all(|w| w[0] < w[1]), "names stay sorted");
-        // Aggregated shard stats see every session exactly once.
-        let shards = registry.shard_stats();
-        assert_eq!(shards.len(), 4);
-        assert_eq!(shards.iter().map(|s| s.sessions).sum::<usize>(), 12);
-        // The hash actually spreads: 12 sessions cannot all share one shard.
-        assert!(shards.iter().filter(|s| s.sessions > 0).count() > 1);
-        registry.drop_session("s3").unwrap();
-        assert_eq!(registry.len(), 11);
-        assert_eq!(registry.sessions().len(), 11);
     }
 
     #[test]

@@ -208,16 +208,11 @@ fn observe_mailbox_bounds_cadence_sessions() {
     first.send(&json!({
         "cmd": "observe", "session": "cadence", "updates": [[1, 2, 1.0]],
     }));
-    // Wait until it occupies the mailbox (visible in the shard stats).
+    // Wait until it occupies the mailbox (visible in the server stats).
     let mut admitted = false;
     for _ in 0..200 {
         let stats = ctl.request(&json!({ "cmd": "stats" }));
-        let pending: u64 = stats["shards"]
-            .as_array()
-            .expect("shards array")
-            .iter()
-            .map(|s| s["mailbox"]["pending"].as_u64().unwrap_or(0))
-            .sum();
+        let pending = stats["mailbox"]["pending"].as_u64().unwrap_or(0);
         if pending >= 1 {
             admitted = true;
             break;
@@ -237,13 +232,8 @@ fn observe_mailbox_bounds_cadence_sessions() {
     assert_eq!(reply["id"], "again");
 
     let stats = ctl.request(&json!({ "cmd": "stats" }));
-    let mailbox_shed: u64 = stats["shards"]
-        .as_array()
-        .expect("shards array")
-        .iter()
-        .map(|s| s["mailbox"]["shed"].as_u64().unwrap_or(0))
-        .sum();
-    assert!(mailbox_shed >= 1, "shard mailbox shed not counted: {stats}");
+    let mailbox_shed = stats["mailbox"]["shed"].as_u64().unwrap_or(0);
+    assert!(mailbox_shed >= 1, "mailbox shed not counted: {stats}");
 
     // Unwedge: the admitted observe completes, the shed one succeeds on retry.
     ctl.request(&json!({ "cmd": "cancel", "job": "wedge" }));
