@@ -43,6 +43,7 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -137,14 +138,20 @@ struct BenchConfig {
 fn build_baseline(config: &BenchConfig, rng: &mut Rng) -> SignedGraph {
     let n = config.vertices;
     let mut builder = GraphBuilder::new(n);
+    // The builder folds repeated pairs only when it builds, so the distinct pairs
+    // that size the graph are counted here.
+    let mut pairs = HashSet::new();
     for v in 0..n {
-        builder.add_edge(v as VertexId, ((v + 1) % n) as VertexId, rng.weight());
+        let u = (v + 1) % n;
+        builder.add_edge(v as VertexId, u as VertexId, rng.weight());
+        pairs.insert((v.min(u), v.max(u)));
     }
-    while builder.num_edges() < config.baseline_edges {
+    while pairs.len() < config.baseline_edges {
         let u = rng.below(n);
         let v = rng.below(n);
         if u != v {
             builder.add_edge(u as VertexId, v as VertexId, rng.weight());
+            pairs.insert((u.min(v), u.max(v)));
         }
     }
     builder.build()

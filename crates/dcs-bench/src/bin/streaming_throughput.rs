@@ -37,6 +37,7 @@
 //! cargo run --release -p dcs-bench --bin streaming_throughput -- [--smoke | --soak]
 //! ```
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use dcs_core::dcsad::DcsGreedy;
@@ -76,15 +77,21 @@ impl Rng {
 fn build_baseline(config: &BenchConfig, rng: &mut Rng) -> SignedGraph {
     let n = config.vertices;
     let mut builder = GraphBuilder::new(n);
+    // The builder folds repeated pairs only when it builds, so the distinct pairs
+    // that size the graph are counted here.
+    let mut pairs = HashSet::new();
     // A ring keeps the graph connected; random chords bring it up to size.
     for v in 0..n {
-        builder.add_edge(v as VertexId, ((v + 1) % n) as VertexId, rng.weight());
+        let u = (v + 1) % n;
+        builder.add_edge(v as VertexId, u as VertexId, rng.weight());
+        pairs.insert((v.min(u), v.max(u)));
     }
-    while builder.num_edges() < config.baseline_edges {
+    while pairs.len() < config.baseline_edges {
         let u = rng.below(n);
         let v = rng.below(n);
         if u != v {
             builder.add_edge(u as VertexId, v as VertexId, rng.weight());
+            pairs.insert((u.min(v), u.max(v)));
         }
     }
     builder.build()

@@ -48,7 +48,7 @@ impl PairInput {
             return if numeric {
                 let g1 = graph_io::read_edge_list_file(path1)?;
                 let g2 = graph_io::read_edge_list_file(path2)?;
-                let (g1, g2) = align_vertex_counts(&g1, &g2);
+                let (g1, g2) = aligned(g1, g2);
                 Ok(PairInput {
                     g1,
                     g2,
@@ -69,7 +69,7 @@ impl PairInput {
             (Some(a), Some(b)) if a == b => Self::labels_from_names(&a),
             _ => None,
         };
-        let (g1, g2) = align_vertex_counts(&g1, &g2);
+        let (g1, g2) = aligned(g1, g2);
         Ok(PairInput { g1, g2, labels })
     }
 
@@ -104,6 +104,16 @@ impl PairInput {
             Some(labels) => labels.labels_of(vertices),
             None => vertices.iter().map(|v| v.to_string()).collect(),
         }
+    }
+}
+
+/// Pads the smaller graph of a pair to the other's vertex count
+/// ([`align_vertex_counts`]); a pair whose counts agree is moved through as it is.
+fn aligned(g1: SignedGraph, g2: SignedGraph) -> (SignedGraph, SignedGraph) {
+    if g1.num_vertices() == g2.num_vertices() {
+        (g1, g2)
+    } else {
+        align_vertex_counts(&g1, &g2)
     }
 }
 

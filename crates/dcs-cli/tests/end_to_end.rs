@@ -185,6 +185,10 @@ fn errors_are_reported_not_panicked() {
         let result = dcs_cli::run(&strings(&["mine", &p1, &p2, "--clamp", clamp]));
         assert!(result.is_err(), "--clamp {clamp}: {result:?}");
     }
+    let result = dcs_cli::run(&strings(&[
+        "mine", &p1, &p2, "--scheme", "scaled", "--alpha", "inf",
+    ]));
+    assert!(result.is_err(), "--alpha inf: {result:?}");
 
     // An empty pair is not an error: every mining command prints an empty result.
     let e1 = dir.join("empty1.edges").to_string_lossy().into_owned();

@@ -21,7 +21,7 @@
 
 use dcs_graph::{SignedGraph, VertexId, Weight};
 
-use crate::diff::{CsrBuffers, ScaledDifferenceTemplate};
+use crate::diff::{check_alpha, CsrBuffers, ScaledDifferenceTemplate};
 use crate::engine::{MeasureSolver, SolveContext, SolveStats, Termination};
 use crate::error::DcsError;
 use crate::solution::{ContrastReport, DensityMeasure};
@@ -64,8 +64,8 @@ pub struct AlphaSweep {
 ///
 /// The α-scaled difference graph is **reweighted in place** per grid point: the
 /// merged edge structure is built once ([`ScaledDifferenceTemplate`]) and each α
-/// writes `w2 − α·w1` into the same recycled CSR buffers instead of rebuilding the
-/// graph through a [`dcs_graph::GraphBuilder`].  All grid points additionally share
+/// writes `w2 − α·w1` into the same recycled CSR buffers instead of merging both
+/// graphs again into fresh arrays.  All grid points additionally share
 /// one [`crate::workspace::SolverWorkspace`] (the caller's, when `cx` carries one).
 pub fn alpha_sweep_in(
     g2: &SignedGraph,
@@ -83,12 +83,7 @@ pub fn alpha_sweep_in(
     let mut seed: Vec<VertexId> = Vec::new();
     let mut buffers = CsrBuffers::default();
     for &alpha in alphas {
-        if alpha < 0.0 || !alpha.is_finite() {
-            return Err(DcsError::InvalidConfig(format!(
-                "alpha must be a non-negative finite number, got {alpha}"
-            )));
-        }
-        let gd = template.materialize_with(alpha, buffers);
+        let gd = template.materialize_with(check_alpha(alpha)?, buffers);
         let point_cx = cx.after_work(stats.iterations);
         let solution = solver.solve_bounded(&gd, &seed, &point_cx);
         let truncated = !solution.termination().is_converged();

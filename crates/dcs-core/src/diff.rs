@@ -9,7 +9,7 @@
 //!   integers so that a handful of extremely heavy edges cannot dominate the DCS, plus
 //!   the weight-clamping variant used for the Actor dataset.
 
-use dcs_graph::{GraphBuilder, SignedGraph, VertexId, Weight};
+use dcs_graph::{SignedGraph, VertexId, Weight};
 
 use crate::error::DcsError;
 
@@ -94,12 +94,9 @@ pub fn scaled_difference_graph(
     difference_graph_with(g2, g1, WeightScheme::Scaled { alpha })
 }
 
-/// Builds a difference graph under an explicit [`WeightScheme`].
-pub fn difference_graph_with(
-    g2: &SignedGraph,
-    g1: &SignedGraph,
-    scheme: WeightScheme,
-) -> Result<SignedGraph, DcsError> {
+/// Checks that `(g2, g1)` is a valid DCS input pair: one vertex count and no negative
+/// weight.
+fn check_pair(g2: &SignedGraph, g1: &SignedGraph) -> Result<(), DcsError> {
     if g1.num_vertices() != g2.num_vertices() {
         return Err(DcsError::VertexCountMismatch {
             g1_vertices: g1.num_vertices(),
@@ -112,28 +109,101 @@ pub fn difference_graph_with(
     if g2.min_edge_weight().unwrap_or(0.0) < 0.0 {
         return Err(DcsError::NegativeInputWeight { which: "G2" });
     }
+    Ok(())
+}
 
+/// Merges row `v` of `g2` with row `v` of `g1`, both sorted by neighbor, and hands
+/// every neighbor of either row to `visit` in ascending order together with its
+/// weights `A2(v, ·)` and `A1(v, ·)` (`0.0` where that graph lacks the edge).
+#[inline]
+fn merge_rows(
+    g2: &SignedGraph,
+    g1: &SignedGraph,
+    v: VertexId,
+    mut visit: impl FnMut(VertexId, Weight, Weight),
+) {
+    let (n2, ws2) = g2.neighbor_slices(v);
+    let (n1, ws1) = g1.neighbor_slices(v);
+    debug_assert!(n2.windows(2).all(|w| w[0] < w[1]), "rows are sorted");
+    debug_assert!(n1.windows(2).all(|w| w[0] < w[1]), "rows are sorted");
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < n2.len() && j < n1.len() {
+        let (a, b) = (n2[i], n1[j]);
+        if a == b {
+            visit(a, ws2[i], ws1[j]);
+            i += 1;
+            j += 1;
+        } else if a < b {
+            visit(a, ws2[i], 0.0);
+            i += 1;
+        } else {
+            visit(b, 0.0, ws1[j]);
+            j += 1;
+        }
+    }
+    for (&a, &w2) in n2[i..].iter().zip(&ws2[i..]) {
+        visit(a, w2, 0.0);
+    }
+    for (&b, &w1) in n1[j..].iter().zip(&ws1[j..]) {
+        visit(b, 0.0, w1);
+    }
+}
+
+/// Builds a difference graph under an explicit [`WeightScheme`].
+///
+/// Each vertex's rows of `g2` and `g1` are merged straight into the CSR arrays of
+/// `G_D`, which get `w2 − α·w1` per neighbor (α = 1 unless [`WeightScheme::Scaled`]);
+/// exact zeros are dropped.  Under [`WeightScheme::Discrete`] the rule maps the
+/// non-zero raw differences, and the zeros it returns are dropped as well.  A scaled
+/// α must be a non-negative finite number ([`DcsError::InvalidConfig`] otherwise).
+pub fn difference_graph_with(
+    g2: &SignedGraph,
+    g1: &SignedGraph,
+    scheme: WeightScheme,
+) -> Result<SignedGraph, DcsError> {
+    check_pair(g2, g1)?;
+    let (alpha, rule) = match scheme {
+        WeightScheme::Weighted => (1.0, None),
+        WeightScheme::Scaled { alpha } => (check_alpha(alpha)?, None),
+        WeightScheme::Discrete(rule) => (1.0, Some(rule)),
+    };
     let n = g1.num_vertices();
-    let mut builder = GraphBuilder::new(n);
-    // Raw differences, accumulated per edge: start from A2 then subtract A1.
-    // Using the Sum policy means adding (u,v,+a2) and (u,v,-a1) merges correctly.
-    for (u, v, w) in g2.edges() {
-        builder.add_edge(u, v, w);
+    // Every entry of either graph yields at most one entry of G_D.
+    let capacity = 2 * (g1.num_edges() + g2.num_edges());
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut neighbors = Vec::with_capacity(capacity);
+    let mut weights = Vec::with_capacity(capacity);
+    for v in 0..n as VertexId {
+        merge_rows(g2, g1, v, |u, w2, w1| {
+            let d = w2 - alpha * w1;
+            let w = match rule {
+                Some(rule) if d != 0.0 => rule.apply(d),
+                _ => d,
+            };
+            if w != 0.0 {
+                neighbors.push(u);
+                weights.push(w);
+            }
+        });
+        offsets.push(neighbors.len());
     }
-    let alpha = match scheme {
-        WeightScheme::Scaled { alpha } => alpha,
-        _ => 1.0,
-    };
-    for (u, v, w) in g1.edges() {
-        builder.add_edge(u, v, -alpha * w);
-    }
-    let raw = builder.build();
+    neighbors.shrink_to_fit();
+    weights.shrink_to_fit();
+    // The merged rows are sorted and symmetric and zeros are skipped above.
+    Ok(SignedGraph::from_raw_csr_unchecked(
+        offsets, neighbors, weights,
+    ))
+}
 
-    let gd = match scheme {
-        WeightScheme::Weighted | WeightScheme::Scaled { .. } => raw,
-        WeightScheme::Discrete(rule) => raw.map_weights(|d| rule.apply(d)),
-    };
-    Ok(gd)
+/// Returns `alpha` if it is a valid scaling factor: non-negative and finite.
+pub(crate) fn check_alpha(alpha: Weight) -> Result<Weight, DcsError> {
+    if alpha < 0.0 || !alpha.is_finite() {
+        return Err(DcsError::InvalidConfig(format!(
+            "alpha must be a non-negative finite number, got {alpha}"
+        )));
+    }
+    Ok(alpha)
 }
 
 /// Recycled CSR buffers handed back and forth between
@@ -145,9 +215,9 @@ pub type CsrBuffers = (Vec<usize>, Vec<VertexId>, Vec<Weight>);
 /// α-scaled difference graph `D = A2 − α·A1` can be materialised for any α without
 /// re-walking either input.
 ///
-/// The α-sweep used to construct each grid point's difference graph through a fresh
-/// [`GraphBuilder`] (two full edge walks, bucket/sort/merge, five allocations); with
-/// the template, every α is one linear pass over the merged rows writing
+/// [`scaled_difference_graph`] merges the two graphs' rows for one α; a sweep over
+/// many α values would repeat that merge at every grid point.  The template keeps the
+/// merged rows with both weights per slot, so every α is one linear pass writing
 /// `w2 − α·w1` into recycled CSR buffers.  Entries whose scaled weight is exactly
 /// zero are dropped, matching [`scaled_difference_graph`] bit for bit.
 #[derive(Debug, Clone)]
@@ -166,18 +236,7 @@ impl ScaledDifferenceTemplate {
     /// Merges the adjacency structures of `g2` and `g1` (validating them exactly like
     /// [`difference_graph`]: same vertex count, non-negative weights).
     pub fn new(g2: &SignedGraph, g1: &SignedGraph) -> Result<Self, DcsError> {
-        if g1.num_vertices() != g2.num_vertices() {
-            return Err(DcsError::VertexCountMismatch {
-                g1_vertices: g1.num_vertices(),
-                g2_vertices: g2.num_vertices(),
-            });
-        }
-        if g1.min_edge_weight().unwrap_or(0.0) < 0.0 {
-            return Err(DcsError::NegativeInputWeight { which: "G1" });
-        }
-        if g2.min_edge_weight().unwrap_or(0.0) < 0.0 {
-            return Err(DcsError::NegativeInputWeight { which: "G2" });
-        }
+        check_pair(g2, g1)?;
         let n = g1.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
@@ -185,53 +244,11 @@ impl ScaledDifferenceTemplate {
         let mut w2 = Vec::new();
         let mut w1 = Vec::new();
         for v in 0..n as VertexId {
-            let (n2, ws2) = g2.neighbor_slices(v);
-            let (n1, ws1) = g1.neighbor_slices(v);
-            debug_assert!(
-                n2.windows(2).all(|w| w[0] < w[1]),
-                "builder rows are sorted"
-            );
-            debug_assert!(
-                n1.windows(2).all(|w| w[0] < w[1]),
-                "builder rows are sorted"
-            );
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < n2.len() || j < n1.len() {
-                match (n2.get(i), n1.get(j)) {
-                    (Some(&a), Some(&b)) if a == b => {
-                        neighbors.push(a);
-                        w2.push(ws2[i]);
-                        w1.push(ws1[j]);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&a), Some(&b)) if a < b => {
-                        neighbors.push(a);
-                        w2.push(ws2[i]);
-                        w1.push(0.0);
-                        i += 1;
-                    }
-                    (Some(_), Some(&b)) => {
-                        neighbors.push(b);
-                        w2.push(0.0);
-                        w1.push(ws1[j]);
-                        j += 1;
-                    }
-                    (Some(&a), None) => {
-                        neighbors.push(a);
-                        w2.push(ws2[i]);
-                        w1.push(0.0);
-                        i += 1;
-                    }
-                    (None, Some(&b)) => {
-                        neighbors.push(b);
-                        w2.push(0.0);
-                        w1.push(ws1[j]);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
-            }
+            merge_rows(g2, g1, v, |u, a2, a1| {
+                neighbors.push(u);
+                w2.push(a2);
+                w1.push(a1);
+            });
             offsets.push(neighbors.len());
         }
         Ok(ScaledDifferenceTemplate {
@@ -312,6 +329,41 @@ pub fn damp_heavy_weights(gd: &SignedGraph, pivot: Weight) -> SignedGraph {
 mod tests {
     use super::*;
     use dcs_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The construction the row merge replaced, kept as its oracle: both graphs'
+    /// edges summed through a [`GraphBuilder`] (`w2 + (−α·w1)`, exact zeros dropped),
+    /// then the Discrete rule applied through `map_weights`.
+    fn builder_difference_graph(
+        g2: &SignedGraph,
+        g1: &SignedGraph,
+        scheme: WeightScheme,
+    ) -> SignedGraph {
+        let mut builder = GraphBuilder::new(g1.num_vertices());
+        builder.add_edges(g2.edges());
+        let alpha = match scheme {
+            WeightScheme::Scaled { alpha } => alpha,
+            _ => 1.0,
+        };
+        for (u, v, w) in g1.edges() {
+            builder.add_edge(u, v, -alpha * w);
+        }
+        let raw = builder.build();
+        match scheme {
+            WeightScheme::Discrete(rule) => raw.map_weights(|d| rule.apply(d)),
+            _ => raw,
+        }
+    }
+
+    /// The CSR arrays of `g` with the weights as bit patterns.
+    fn csr_bits(g: &SignedGraph) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
+        let (offsets, neighbors, weights) = g.clone().into_raw_csr();
+        (
+            offsets,
+            neighbors,
+            weights.into_iter().map(f64::to_bits).collect(),
+        )
+    }
 
     /// The example of Fig. 1: G1 and G2 over 5 vertices (0-indexed).
     /// G1: (v1,v4)=2, (v2,v3)... we use the figure's edge weights:
@@ -395,15 +447,21 @@ mod tests {
         // cancellation cases α = w2/w1.
         for alpha in [0.0, 0.25, 2.0 / 3.0, 1.0, 2.5, 3.0] {
             let via_template = template.materialize_with(alpha, buffers);
-            let via_builder = scaled_difference_graph(&g2, &g1, alpha).unwrap();
-            assert_eq!(via_template, via_builder, "alpha = {alpha}");
+            let via_merge = scaled_difference_graph(&g2, &g1, alpha).unwrap();
+            assert_eq!(via_template, via_merge, "alpha = {alpha}");
+            let via_builder = builder_difference_graph(&g2, &g1, WeightScheme::Scaled { alpha });
+            assert_eq!(
+                csr_bits(&via_template),
+                csr_bits(&via_builder),
+                "alpha = {alpha}"
+            );
             buffers = via_template.into_raw_csr();
         }
         // Exact zero-drop: at α = 5/2 the (2,3) edge (A2=5, A1=2) vanishes.
         let gd = template.materialize(2.5);
         assert_eq!(gd.edge_weight(2, 3), None);
         assert_eq!(gd, scaled_difference_graph(&g2, &g1, 2.5).unwrap());
-        // Validation mirrors the builder path.
+        // Validation is the one `difference_graph_with` runs.
         let mismatched = GraphBuilder::from_edges(3, vec![(0, 1, 1.0)]);
         assert!(ScaledDifferenceTemplate::new(&g2, &mismatched).is_err());
         let negative = GraphBuilder::from_edges(5, vec![(0, 1, -1.0)]);
@@ -466,6 +524,80 @@ mod tests {
             difference_graph(&neg, &ok),
             Err(DcsError::NegativeInputWeight { which: "G2" })
         ));
+    }
+
+    #[test]
+    fn scaled_alpha_must_be_non_negative_and_finite() {
+        let (g1, g2) = fig1_pair();
+        for alpha in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            assert!(
+                matches!(
+                    scaled_difference_graph(&g2, &g1, alpha),
+                    Err(DcsError::InvalidConfig(_))
+                ),
+                "alpha = {alpha}"
+            );
+        }
+        assert!(scaled_difference_graph(&g2, &g1, 0.0).is_ok());
+    }
+
+    /// A non-negative graph pair over one vertex set, with duplicate insertions and
+    /// weights drawn from a small set so that differences often cancel exactly.
+    fn arb_pair() -> impl Strategy<Value = (SignedGraph, SignedGraph)> {
+        (2usize..14).prop_flat_map(|n| {
+            let weight = prop::sample::select(vec![0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0]);
+            let edge = (0..n as u32, 0..n as u32, weight);
+            (
+                Just(n),
+                proptest::collection::vec(edge.clone(), 0..40),
+                proptest::collection::vec(edge, 0..40),
+            )
+                .prop_map(|(n, e1, e2)| {
+                    (
+                        GraphBuilder::from_edges(n, e1),
+                        GraphBuilder::from_edges(n, e2),
+                    )
+                })
+        })
+    }
+
+    proptest! {
+        /// The row merge builds the same `G_D` as the builder path, bit for bit, under
+        /// every scheme: Weighted, Scaled at α ∈ {0, 0.5, 1} and at a cancelling
+        /// α = w2/w1, and Discrete with the paper's rule and with a rule that maps a
+        /// raw zero to +2 (so raw zeros must be dropped before the rule).
+        #[test]
+        fn merge_matches_builder_path((g1, g2) in arb_pair()) {
+            let cancelling = g2
+                .edges()
+                .find_map(|(u, v, w2)| g1.edge_weight(u, v).map(|w1| w2 / w1));
+            let mut schemes = vec![
+                WeightScheme::Weighted,
+                WeightScheme::Scaled { alpha: 0.0 },
+                WeightScheme::Scaled { alpha: 0.5 },
+                WeightScheme::Scaled { alpha: 1.0 },
+                WeightScheme::Discrete(DiscreteRule::default()),
+                WeightScheme::Discrete(DiscreteRule {
+                    strong: -0.5,
+                    weak: -1.0,
+                    negative_strong: 2.0,
+                }),
+            ];
+            if let Some(alpha) = cancelling {
+                schemes.push(WeightScheme::Scaled { alpha });
+            }
+            for scheme in schemes {
+                for (a, b) in [(&g2, &g1), (&g1, &g2)] {
+                    let merged = difference_graph_with(a, b, scheme).unwrap();
+                    let built = builder_difference_graph(a, b, scheme);
+                    prop_assert!(csr_bits(&merged) == csr_bits(&built), "{:?}", scheme);
+                    prop_assert_eq!(
+                        (merged.num_positive_edges(), merged.num_negative_edges()),
+                        (built.num_positive_edges(), built.num_negative_edges())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

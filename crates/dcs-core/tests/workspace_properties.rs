@@ -7,7 +7,7 @@
 //!   randomized job sequences (the workspace is pure scratch);
 //! * the mask-based top-k driver still returns vertex-disjoint, in-range solutions
 //!   with non-increasing objectives;
-//! * the template-based α-sweep equals a per-α rebuild through the graph builder.
+//! * the template-based α-sweep equals a cold per-α `scaled_difference_graph`.
 
 use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::engine::{MeasureSolver, SolveContext};
@@ -198,8 +198,8 @@ proptest! {
         }
     }
 
-    /// The α-sweep's in-place template reweighting is exactly the per-α builder
-    /// rebuild, and the sweep over it matches a cold per-α sweep.
+    /// The α-sweep's in-place template reweighting is exactly the cold per-α
+    /// `scaled_difference_graph`, and the sweep over it matches a cold per-α sweep.
     #[test]
     fn template_sweep_matches_cold_rebuild((g1, g2) in arb_pair(), raw_alphas in proptest::collection::vec(0.0f64..3.0, 1..5)) {
         let template = ScaledDifferenceTemplate::new(&g2, &g1).unwrap();

@@ -363,9 +363,9 @@ fn emit(
 ///    streams the sections to disk.
 ///
 /// Peak memory is one CSR copy (~20 bytes per directed entry) instead of
-/// the builder path's edge list + hash maps + built CSR.  The output is a
-/// pure function of the edge stream, so regenerating from the same seed
-/// yields a byte-identical pack.
+/// the builder path's insertion list plus the CSR it is bucketed into.  The
+/// output is a pure function of the edge stream, so regenerating from the
+/// same seed yields a byte-identical pack.
 pub struct StreamingPackWriter {
     vertices: usize,
     degrees: Vec<u32>,

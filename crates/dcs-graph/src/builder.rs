@@ -1,6 +1,4 @@
-//! Incremental construction of [`SignedGraph`]s from edge lists.
-
-use rustc_hash::FxHashMap;
+//! Construction of [`SignedGraph`]s from edge lists.
 
 use crate::{EdgeTriple, SignedGraph, VertexId, Weight};
 
@@ -19,18 +17,37 @@ pub enum DuplicatePolicy {
     Min,
 }
 
-/// Builder that accumulates an undirected edge list and packs it into CSR form.
+impl DuplicatePolicy {
+    /// Folds a later insertion's weight `w` into the weight `acc` of the earlier ones.
+    #[inline]
+    fn fold(self, acc: Weight, w: Weight) -> Weight {
+        match self {
+            DuplicatePolicy::Sum => acc + w,
+            DuplicatePolicy::Overwrite => w,
+            DuplicatePolicy::Max => acc.max(w),
+            DuplicatePolicy::Min => acc.min(w),
+        }
+    }
+}
+
+/// Builder that records an undirected edge list and packs it into CSR form.
 ///
-/// * Self-loops are ignored.
-/// * Edges whose final (merged) weight is exactly `0.0` are dropped — the paper defines
+/// Insertions are kept, in order, in a `Vec` until [`Self::build`], so memory is
+/// proportional to the number of insertions (duplicates included).  At build time:
+///
+/// * Repeated insertions of one undirected edge fold under the [`DuplicatePolicy`],
+///   left to right in insertion order.
+/// * Edges whose folded weight is exactly `0.0` are dropped — the paper defines
 ///   the edge set of the difference graph as `{(u,v) | D(u,v) ≠ 0}`.
-/// * Adding an edge with an endpoint `>= n` grows the vertex set automatically.
+///
+/// Self-loops are ignored, and adding an edge with an endpoint `>= n` grows the vertex
+/// set automatically.
 ///
 /// ```
 /// use dcs_graph::{GraphBuilder, DuplicatePolicy};
 /// let mut b = GraphBuilder::with_policy(3, DuplicatePolicy::Sum);
 /// b.add_edge(0, 1, 1.0);
-/// b.add_edge(1, 0, 2.0);   // merged with the previous insertion
+/// b.add_edge(1, 0, 2.0);   // folded into the previous insertion at build time
 /// b.add_edge(1, 2, -3.0);
 /// b.add_edge(2, 2, 9.0);   // self loop: ignored
 /// let g = b.build();
@@ -41,8 +58,8 @@ pub enum DuplicatePolicy {
 pub struct GraphBuilder {
     n: usize,
     policy: DuplicatePolicy,
-    /// Map keyed by (min(u,v), max(u,v)).
-    edges: FxHashMap<(VertexId, VertexId), Weight>,
+    /// Every insertion that is not a self-loop, in insertion order.
+    edges: Vec<EdgeTriple>,
 }
 
 impl GraphBuilder {
@@ -57,7 +74,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             policy,
-            edges: FxHashMap::default(),
+            edges: Vec::new(),
         }
     }
 
@@ -66,18 +83,13 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of distinct undirected edges currently accumulated (including edges whose
-    /// merged weight is zero, which will be dropped at [`Self::build`] time).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Ensures the vertex set covers `0..n`.
     pub fn grow_to(&mut self, n: usize) {
         self.n = self.n.max(n);
     }
 
-    /// Adds (or merges) the undirected edge `(u, v)` with weight `w`.
+    /// Adds the undirected edge `(u, v)` with weight `w`; [`Self::build`] folds it with
+    /// every other insertion of the same edge.
     ///
     /// Self-loops (`u == v`) are silently ignored.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
@@ -85,17 +97,7 @@ impl GraphBuilder {
             return;
         }
         self.grow_to(u.max(v) as usize + 1);
-        let key = if u < v { (u, v) } else { (v, u) };
-        use DuplicatePolicy::*;
-        self.edges
-            .entry(key)
-            .and_modify(|cur| match self.policy {
-                Sum => *cur += w,
-                Overwrite => *cur = w,
-                Max => *cur = cur.max(w),
-                Min => *cur = cur.min(w),
-            })
-            .or_insert(w);
+        self.edges.push((u, v, w));
     }
 
     /// Adds every edge of an iterator of `(u, v, w)` triples.
@@ -105,60 +107,85 @@ impl GraphBuilder {
         }
     }
 
-    /// Current merged weight of edge `(u, v)`, if it has been added.
-    pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.get(&key).copied()
-    }
-
     /// Finalises the builder into a CSR [`SignedGraph`].
     ///
-    /// Adjacency lists are sorted by neighbor id, which enables binary-search edge
-    /// lookups on high-degree vertices.
+    /// Every insertion is bucketed into both endpoint rows in insertion order; each
+    /// row is then stable-sorted by neighbor id (enabling binary-search edge lookups),
+    /// its duplicates are folded left to right and exact zeros are dropped while the
+    /// rows are compacted in place.
     pub fn build(self) -> SignedGraph {
-        let n = self.n;
-        let mut degrees = vec![0usize; n];
-        let mut kept: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(self.edges.len());
-        for (&(u, v), &w) in &self.edges {
-            if w != 0.0 {
-                kept.push((u, v, w));
-                degrees[u as usize] += 1;
-                degrees[v as usize] += 1;
-            }
-        }
+        let GraphBuilder { n, policy, edges } = self;
+        // `offsets[v]` first counts row v's insertions, then holds the row's start,
+        // and while bucketing serves as its write cursor, ending at the row's end.
         let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degrees[v];
+        for &(u, v, _) in &edges {
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        let total = offsets[n];
+        let mut total = 0;
+        for slot in &mut offsets {
+            let count = *slot;
+            *slot = total;
+            total += count;
+        }
         let mut neighbors = vec![0 as VertexId; total];
         let mut weights = vec![0.0 as Weight; total];
-        let mut cursor = offsets.clone();
-        for (u, v, w) in kept {
-            let cu = cursor[u as usize];
-            neighbors[cu] = v;
-            weights[cu] = w;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            neighbors[cv] = u;
-            weights[cv] = w;
-            cursor[v as usize] += 1;
-        }
-        // Sort each adjacency list by neighbor id (insertion order from a hash map is
-        // arbitrary).
-        for v in 0..n {
-            let range = offsets[v]..offsets[v + 1];
-            let mut pairs: Vec<(VertexId, Weight)> = neighbors[range.clone()]
-                .iter()
-                .copied()
-                .zip(weights[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|p| p.0);
-            for (i, (nb, w)) in pairs.into_iter().enumerate() {
-                neighbors[offsets[v] + i] = nb;
-                weights[offsets[v] + i] = w;
+        for &(u, v, w) in &edges {
+            for (row, neighbor) in [(u, v), (v, u)] {
+                let cursor = &mut offsets[row as usize];
+                neighbors[*cursor] = neighbor;
+                weights[*cursor] = w;
+                *cursor += 1;
             }
         }
+        drop(edges);
+
+        // Row v spans `row_start..offsets[v]`; its compacted copy starts at `out`,
+        // which never passes `row_start`, so the rows can be rewritten in place.
+        let mut scratch: Vec<(VertexId, Weight)> = Vec::new();
+        let mut row_start = 0;
+        let mut out = 0;
+        for offset in &mut offsets[..n] {
+            let row_end = *offset;
+            *offset = out;
+            let row = row_start..row_end;
+            // Input sorted by `(u, v)` fills every row in neighbor order already.
+            if !neighbors[row.clone()].windows(2).all(|p| p[0] <= p[1]) {
+                scratch.clear();
+                scratch.extend(
+                    neighbors[row.clone()]
+                        .iter()
+                        .copied()
+                        .zip(weights[row.clone()].iter().copied()),
+                );
+                scratch.sort_by_key(|&(neighbor, _)| neighbor);
+                for (slot, &(neighbor, w)) in row.clone().zip(&scratch) {
+                    neighbors[slot] = neighbor;
+                    weights[slot] = w;
+                }
+            }
+            let mut i = row.start;
+            while i < row.end {
+                let neighbor = neighbors[i];
+                let mut w = weights[i];
+                i += 1;
+                while i < row.end && neighbors[i] == neighbor {
+                    w = policy.fold(w, weights[i]);
+                    i += 1;
+                }
+                if w != 0.0 {
+                    neighbors[out] = neighbor;
+                    weights[out] = w;
+                    out += 1;
+                }
+            }
+            row_start = row_end;
+        }
+        offsets[n] = out;
+        neighbors.truncate(out);
+        neighbors.shrink_to_fit();
+        weights.truncate(out);
+        weights.shrink_to_fit();
         SignedGraph::from_csr(offsets, neighbors, weights)
     }
 
@@ -215,9 +242,11 @@ mod tests {
     fn self_loops_ignored() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(1, 1, 7.0);
-        assert_eq!(b.num_edges(), 0);
+        b.add_edge(4, 4, 7.0); // a self-loop does not grow the vertex set either
         let g = b.build();
+        assert_eq!(g.num_vertices(), 2);
         assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.neighbor_slices(1), (&[][..], &[][..]));
     }
 
     #[test]

@@ -371,6 +371,16 @@ impl SignedGraph {
         )
     }
 
+    /// Grows the vertex set to `n` (a no-op when it is not smaller) by appending
+    /// isolated vertices: the last CSR offset is repeated, no edge array changes.
+    pub(crate) fn pad_vertices(&mut self, n: usize) {
+        if n > self.num_vertices() {
+            let offsets = self.offsets.make_mut();
+            let end = offsets[offsets.len() - 1];
+            offsets.resize(n + 1, end);
+        }
+    }
+
     /// Creates an empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         SignedGraph {

@@ -4,6 +4,11 @@
 //! `#` or `%` are comments.  This matches the common SNAP / KONECT export formats used by
 //! the datasets referenced in the paper (DBLP, wikiconflict, …), so users who do have the
 //! original data can load it directly.
+//!
+//! A reader takes its whole input into one `String` and walks its lines as `&str`
+//! slices, so no line is copied; the numeric reader here and the labelled reader in
+//! [`crate::labels`] share one line walker, and with it the comment, weight and error
+//! rules.  The parsed edges go through a [`GraphBuilder`], which folds duplicates.
 
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
@@ -65,51 +70,72 @@ fn parse_vertex(token: &str) -> Option<VertexId> {
     token.parse().ok()
 }
 
-/// Parses an edge list from a reader.
+/// Walks the edge lines of an edge-list text.
 ///
-/// Each non-comment, non-empty line must contain `u v [w]`; a missing weight defaults to
-/// `1.0`, and a given weight must be a finite number.  Vertex ids are unsigned decimal
-/// integers that fit a `u32`; the resulting graph has `max id + 1` vertices.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
-    let mut builder = GraphBuilder::new(0);
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
+/// Blank lines and lines starting with `#` or `%` (after trimming) are skipped.  Every
+/// other line must hold two endpoint tokens and an optional weight (default `1.0`, and
+/// a given weight must be a finite number); further tokens are ignored.  `edge`
+/// receives each line's endpoints and weight and returns `false` to reject the
+/// endpoints.  A line that breaks these rules ends the walk with an
+/// [`IoError::Parse`] carrying its 1-based number and its text.
+pub(crate) fn for_each_edge<'t>(
+    text: &'t str,
+    mut edge: impl FnMut(&'t str, &'t str, Weight) -> bool,
+) -> Result<(), IoError> {
+    for (idx, line) in text.lines().enumerate() {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
         }
-        let mut it = trimmed.split_whitespace();
-        let u = it.next().and_then(parse_vertex);
-        let v = it.next().and_then(parse_vertex);
-        let w = it.next().map(parse_weight);
-        let (u, v) = match (u, v) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(IoError::Parse {
-                    line_number: idx + 1,
-                    line,
-                })
-            }
+        let mut tokens = trimmed.split_whitespace();
+        let accepted = match (
+            tokens.next(),
+            tokens.next(),
+            tokens.next().map(parse_weight),
+        ) {
+            (Some(u), Some(v), None) => edge(u, v, 1.0),
+            (Some(u), Some(v), Some(Some(w))) => edge(u, v, w),
+            _ => false,
         };
-        let w: Weight = match w {
-            None => 1.0,
-            Some(Some(w)) => w,
-            Some(None) => {
-                return Err(IoError::Parse {
-                    line_number: idx + 1,
-                    line,
-                })
-            }
-        };
-        builder.add_edge(u, v, w);
+        if !accepted {
+            return Err(IoError::Parse {
+                line_number: idx + 1,
+                line: line.to_owned(),
+            });
+        }
     }
+    Ok(())
+}
+
+/// Parses a numeric edge-list text (see [`read_edge_list`]).
+fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
+    let mut builder = GraphBuilder::new(0);
+    for_each_edge(text, |u, v, w| match (parse_vertex(u), parse_vertex(v)) {
+        (Some(u), Some(v)) => {
+            builder.add_edge(u, v, w);
+            true
+        }
+        _ => false,
+    })?;
     Ok(builder.build())
 }
 
-/// Reads an edge list from a file path.
+/// Parses an edge list from a reader.
+///
+/// Each non-comment, non-empty line must contain `u v [w]`; a missing weight defaults to
+/// `1.0`, and a given weight must be a finite number.  Vertex ids are unsigned decimal
+/// integers that fit a `u32`; the resulting graph has `max id + 1` vertices.  The whole
+/// input is read before parsing starts, so input that is not UTF-8 is an
+/// [`IoError::Io`] wherever it occurs.
+pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<SignedGraph, IoError> {
+    let mut text = String::new();
+    reader.read_to_string(&mut text)?;
+    parse_edge_list(&text)
+}
+
+/// Reads an edge list from a file path (see [`read_edge_list`]).
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<SignedGraph, IoError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(io::BufReader::new(file))
+    parse_edge_list(&std::fs::read_to_string(path)?)
 }
 
 /// Writes the graph as an edge list (`u v w` per line, each undirected edge once).

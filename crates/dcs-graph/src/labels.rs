@@ -21,7 +21,7 @@ use std::io::{self, BufRead, BufWriter, Write};
 
 use rustc_hash::FxHashMap;
 
-use crate::io::{parse_weight, IoError};
+use crate::io::{for_each_edge, IoError};
 use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
 
 /// A bidirectional mapping between string labels and dense vertex ids.
@@ -153,19 +153,29 @@ impl LabeledGraphBuilder {
 /// DCS inputs must share a vertex set; when two graphs are loaded through a shared,
 /// growing label table the first graph may have been built before the table saw every
 /// label, so it can be smaller.  Padding with isolated vertices changes neither densities
-/// nor any algorithm's output.
+/// nor any algorithm's output.  The padded copy repeats the graph's last CSR offset; a
+/// caller that owns both graphs and finds their counts equal can skip the copies.
 pub fn align_vertex_counts(g1: &SignedGraph, g2: &SignedGraph) -> (SignedGraph, SignedGraph) {
     let n = g1.num_vertices().max(g2.num_vertices());
     let pad = |g: &SignedGraph| {
-        if g.num_vertices() == n {
-            g.clone()
-        } else {
-            let mut b = GraphBuilder::new(n);
-            b.add_edges(g.edges());
-            b.build()
-        }
+        let mut g = g.clone();
+        g.pad_vertices(n);
+        g
     };
     (pad(g1), pad(g2))
+}
+
+/// Parses a labelled edge-list text (see [`read_labeled_edge_list`]).
+fn parse_labeled_edge_list(text: &str, labels: &mut VertexLabels) -> Result<SignedGraph, IoError> {
+    let mut builder = GraphBuilder::new(0);
+    for_each_edge(text, |u, v, w| {
+        let u = labels.intern(u);
+        let v = labels.intern(v);
+        builder.add_edge(u, v, w);
+        true
+    })?;
+    builder.grow_to(labels.len());
+    Ok(builder.build())
 }
 
 /// Reads a labelled edge list (`label label [weight]` per line) into a graph.
@@ -173,47 +183,15 @@ pub fn align_vertex_counts(g1: &SignedGraph, g2: &SignedGraph) -> (SignedGraph, 
 /// Lines starting with `#` or `%` are comments; a missing weight defaults to `1.0`, and
 /// a given weight must be a finite number.  Labels may not contain whitespace.  The
 /// supplied `labels` table is extended in place, so reading a second file with the
-/// same table yields a graph over a shared numbering.
+/// same table yields a graph over a shared numbering.  The graph has one vertex per
+/// label in the table.
 pub fn read_labeled_edge_list<R: BufRead>(
-    reader: R,
+    mut reader: R,
     labels: &mut VertexLabels,
 ) -> Result<SignedGraph, IoError> {
-    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let (u, v) = match (it.next(), it.next()) {
-            (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(IoError::Parse {
-                    line_number: idx + 1,
-                    line,
-                })
-            }
-        };
-        let w: Weight = match it.next() {
-            None => 1.0,
-            Some(tok) => match parse_weight(tok) {
-                Some(w) => w,
-                None => {
-                    return Err(IoError::Parse {
-                        line_number: idx + 1,
-                        line,
-                    })
-                }
-            },
-        };
-        let u = labels.intern(u);
-        let v = labels.intern(v);
-        edges.push((u, v, w));
-    }
-    let mut builder = GraphBuilder::new(labels.len());
-    builder.add_edges(edges);
-    Ok(builder.build())
+    let mut text = String::new();
+    reader.read_to_string(&mut text)?;
+    parse_labeled_edge_list(&text, labels)
 }
 
 /// Reads a labelled edge list from a file path, extending `labels` in place.
@@ -221,8 +199,7 @@ pub fn read_labeled_edge_list_file<P: AsRef<std::path::Path>>(
     path: P,
     labels: &mut VertexLabels,
 ) -> Result<SignedGraph, IoError> {
-    let file = std::fs::File::open(path)?;
-    read_labeled_edge_list(io::BufReader::new(file), labels)
+    parse_labeled_edge_list(&std::fs::read_to_string(path)?, labels)
 }
 
 /// Loads a `(G1, G2)` pair of labelled edge lists over a single shared vertex numbering.
@@ -236,7 +213,11 @@ pub fn read_labeled_graph_pair<R1: BufRead, R2: BufRead>(
     let mut labels = VertexLabels::new();
     let g1 = read_labeled_edge_list(reader1, &mut labels)?;
     let g2 = read_labeled_edge_list(reader2, &mut labels)?;
-    let (g1, g2) = align_vertex_counts(&g1, &g2);
+    let (g1, g2) = if g1.num_vertices() == g2.num_vertices() {
+        (g1, g2)
+    } else {
+        align_vertex_counts(&g1, &g2)
+    };
     Ok((g1, g2, labels))
 }
 
@@ -354,6 +335,8 @@ mod tests {
         let (g1, g2) = align_vertex_counts(&g1, &g2);
         assert_eq!(g1.num_vertices(), 3);
         assert_eq!(g2.num_vertices(), 3);
+        // The padded graph is the one its edges build over the larger vertex set.
+        assert_eq!(g1, GraphBuilder::from_edges(3, g1.edges()));
         assert_eq!(g1.edge_weight(0, 1), Some(1.0));
         assert_eq!(g2.edge_weight(0, 1), Some(5.0));
     }

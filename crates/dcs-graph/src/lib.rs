@@ -11,8 +11,9 @@
 //!
 //! The crate provides the primitives the paper's algorithms need:
 //!
-//! * [`GraphBuilder`] — accumulate an edge list (with duplicate merging) and pack it into
-//!   CSR form,
+//! * [`GraphBuilder`] — record an edge list and pack it into CSR form; memory is
+//!   proportional to the insertions, and duplicates fold in insertion order at
+//!   [`GraphBuilder::build`],
 //! * [`DeltaGraph`] — an incrementally maintained graph with O(1) weight updates,
 //!   dirty-vertex tracking and cheap versioned `Arc<SignedGraph>` CSR snapshots
 //!   ([`delta`]), the substrate of the streaming difference-graph engine,

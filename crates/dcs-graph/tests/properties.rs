@@ -1,7 +1,148 @@
 //! Property-based tests for the graph substrate.
 
-use dcs_graph::{connected_components, core_decomposition, DeltaGraph, GraphBuilder, SignedGraph};
+use std::io::BufRead;
+
+use dcs_graph::io::IoError;
+use dcs_graph::{
+    connected_components, core_decomposition, DeltaGraph, DuplicatePolicy, GraphBuilder,
+    SignedGraph, VertexId, Weight,
+};
 use proptest::prelude::*;
+use rustc_hash::FxHashMap;
+
+/// The hash-map build that `GraphBuilder` replaced, kept as its oracle: insertions are
+/// folded per `(min, max)` key in insertion order, the non-zero results are bucketed
+/// into both endpoint rows and each row is sorted by neighbor.
+fn reference_build(
+    n: usize,
+    policy: DuplicatePolicy,
+    insertions: &[(VertexId, VertexId, Weight)],
+) -> SignedGraph {
+    let mut n = n;
+    let mut edges: FxHashMap<(VertexId, VertexId), Weight> = FxHashMap::default();
+    for &(u, v, w) in insertions {
+        if u == v {
+            continue;
+        }
+        n = n.max(u.max(v) as usize + 1);
+        let key = if u < v { (u, v) } else { (v, u) };
+        edges
+            .entry(key)
+            .and_modify(|cur| match policy {
+                DuplicatePolicy::Sum => *cur += w,
+                DuplicatePolicy::Overwrite => *cur = w,
+                DuplicatePolicy::Max => *cur = cur.max(w),
+                DuplicatePolicy::Min => *cur = cur.min(w),
+            })
+            .or_insert(w);
+    }
+    let mut rows: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
+    for (&(u, v), &w) in &edges {
+        if w != 0.0 {
+            rows[u as usize].push((v, w));
+            rows[v as usize].push((u, w));
+        }
+    }
+    let mut offsets = vec![0usize];
+    let mut neighbors = Vec::new();
+    let mut weights = Vec::new();
+    for mut row in rows {
+        row.sort_unstable_by_key(|&(neighbor, _)| neighbor);
+        for (neighbor, w) in row {
+            neighbors.push(neighbor);
+            weights.push(w);
+        }
+        offsets.push(neighbors.len());
+    }
+    SignedGraph::from_raw_csr(offsets, neighbors, weights).unwrap()
+}
+
+/// The line-at-a-time numeric reader that `io::read_edge_list` replaced, kept as its
+/// oracle (`BufRead::lines`, one `String` per line), building through
+/// [`reference_build`].
+fn reference_read(text: &str) -> Result<SignedGraph, IoError> {
+    let vertex = |token: &str| -> Option<VertexId> {
+        if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        token.parse().ok()
+    };
+    let weight = |token: &str| token.parse::<Weight>().ok().filter(|w| w.is_finite());
+    let mut insertions = Vec::new();
+    for (idx, line) in text.as_bytes().lines().enumerate() {
+        let line = line.map_err(IoError::Io)?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            continue;
+        }
+        let mut it = trimmed.split_whitespace();
+        let u = it.next().and_then(vertex);
+        let v = it.next().and_then(vertex);
+        let w = it.next().map(weight);
+        match (u, v, w) {
+            (Some(u), Some(v), None) => insertions.push((u, v, 1.0)),
+            (Some(u), Some(v), Some(Some(w))) => insertions.push((u, v, w)),
+            _ => {
+                return Err(IoError::Parse {
+                    line_number: idx + 1,
+                    line,
+                })
+            }
+        }
+    }
+    Ok(reference_build(0, DuplicatePolicy::Sum, &insertions))
+}
+
+/// The CSR arrays of `g` with the weights as bit patterns.
+fn csr_bits(g: &SignedGraph) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
+    let (offsets, neighbors, weights) = g.clone().into_raw_csr();
+    (
+        offsets,
+        neighbors,
+        weights.into_iter().map(f64::to_bits).collect(),
+    )
+}
+
+/// Weights that make duplicate folds interesting: exact cancellations, signed zeros,
+/// and sums whose rounding depends on their order (`0.1 + 0.2 + 0.3`).
+fn arb_weight() -> impl Strategy<Value = Weight> {
+    prop_oneof![
+        3 => prop::sample::select(vec![1.0, -1.0, 0.5, -0.5, 2.0, 0.0, -0.0, 0.1, 0.2, 0.3, -0.3]),
+        1 => -5.0f64..5.0f64,
+    ]
+}
+
+/// One generated line of an edge-list text: `(kind, u, v, weight, crlf)`.
+type LineSpec = (u32, u32, u32, Weight, bool);
+
+/// Renders generated lines into an edge-list text: edges with and without weights,
+/// space- and tab-separated, padded, `#`/`%` comments, blank lines, CRLF endings and,
+/// rarely, a malformed line.
+fn render_edge_list(lines: &[LineSpec], trailing_newline: bool) -> String {
+    let mut text = String::new();
+    for (i, &(kind, u, v, w, crlf)) in lines.iter().enumerate() {
+        let line = match kind {
+            0..=5 => format!("{u} {v} {w}"),
+            6 | 7 => format!("{u}\t{v}\t{w}"),
+            8 | 9 => format!("{u} {v}"),
+            10 => format!("  {u}  {v} \t{w}  "),
+            11 => format!("# {u} {v} {w}"),
+            12 => format!("%{u} {v}"),
+            13 => String::new(),
+            14 => " \t ".to_owned(),
+            15 => format!("{u} {v} {w} trailing tokens"),
+            16 => format!("{u}"),
+            17 => format!("{u} {v} nan"),
+            18 => format!("-{u} {v} {w}"),
+            _ => format!("{u} x{v} {w}"),
+        };
+        text.push_str(&line);
+        if i + 1 < lines.len() || trailing_newline {
+            text.push_str(if crlf { "\r\n" } else { "\n" });
+        }
+    }
+    text
+}
 
 /// Strategy: a random edge list over `n <= 24` vertices with signed weights.
 fn arb_graph() -> impl Strategy<Value = SignedGraph> {
@@ -191,6 +332,64 @@ proptest! {
 }
 
 proptest! {
+    /// The insertion-order CSR build equals the hash-map build bit for bit (offsets,
+    /// neighbors, weight bits) under every duplicate policy, on insertion sequences
+    /// with duplicates, self-loops, cancelling sums, signed zeros and endpoints past
+    /// the initial vertex count.
+    #[test]
+    fn build_matches_hash_map_reference(
+        n in 0usize..10,
+        insertions in proptest::collection::vec((0u32..14, 0u32..14, arb_weight()), 0..70),
+        policy in prop::sample::select(vec![
+            DuplicatePolicy::Sum,
+            DuplicatePolicy::Overwrite,
+            DuplicatePolicy::Max,
+            DuplicatePolicy::Min,
+        ]),
+    ) {
+        let mut builder = GraphBuilder::with_policy(n, policy);
+        builder.add_edges(insertions.iter().copied());
+        let built = builder.build();
+        let reference = reference_build(n, policy, &insertions);
+        prop_assert_eq!(csr_bits(&built), csr_bits(&reference));
+        prop_assert_eq!(
+            (built.num_edges(), built.num_positive_edges(), built.num_negative_edges()),
+            (reference.num_edges(), reference.num_positive_edges(), reference.num_negative_edges())
+        );
+    }
+
+    /// The whole-text reader equals the line-at-a-time reader: the same graph bit for
+    /// bit, or the same `IoError::Parse` line number and line text.
+    #[test]
+    fn reader_matches_line_reader_reference(
+        lines in proptest::collection::vec(
+            (0u32..20, 0u32..12, 0u32..12, arb_weight(), any::<bool>()),
+            0..40,
+        ),
+        malformed in prop::sample::select(vec![false, false, false, true]),
+        trailing_newline in any::<bool>(),
+    ) {
+        // Kinds 16.. are malformed; most texts keep to the well-formed kinds.
+        let lines: Vec<LineSpec> = lines
+            .into_iter()
+            .map(|(kind, u, v, w, crlf)| (if malformed { kind } else { kind % 16 }, u, v, w, crlf))
+            .collect();
+        let text = render_edge_list(&lines, trailing_newline);
+        match (dcs_graph::io::read_edge_list(text.as_bytes()), reference_read(&text)) {
+            (Ok(read), Ok(reference)) => prop_assert_eq!(csr_bits(&read), csr_bits(&reference)),
+            (
+                Err(IoError::Parse { line_number, line }),
+                Err(IoError::Parse { line_number: expected_number, line: expected_line }),
+            ) => {
+                prop_assert_eq!(line_number, expected_number);
+                prop_assert_eq!(line, expected_line);
+            }
+            (read, reference) => {
+                prop_assert!(false, "reader {:?} vs reference {:?}", read, reference);
+            }
+        }
+    }
+
     /// A masked view is exactly the in-place vertex removal it replaces: same edge
     /// set, same degrees, same metrics — without touching the CSR arrays.
     #[test]
