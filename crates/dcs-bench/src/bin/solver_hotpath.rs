@@ -404,11 +404,12 @@ fn run_large_section(smoke: bool, baseline: Option<&Value>) -> (Value, bool) {
 ///   stays in the kernel mapping.  Skipped when the platform falls back to
 ///   read-into-memory (`is_mapped() == false`).
 ///
-/// The packs are produced by the **streaming** writer (`generate_packs`), so
-/// the section doubly serves as an end-to-end run of the dataset-to-pack
-/// pipeline.  `--pack-dir DIR` keeps the generated artifacts for reuse across
-/// runs (CI caches them keyed on the generator sources); without it the files
-/// live in a per-process temp directory and are removed afterwards.
+/// The packs are produced by `generate_packs` (the large-pair generator
+/// written through `PackWriter`), so the section doubly serves as an
+/// end-to-end run of the dataset-to-pack pipeline.  `--pack-dir DIR` keeps
+/// the generated artifacts for reuse across runs (CI caches them keyed on the
+/// generator, builder and format sources); without it the files live in a
+/// per-process temp directory and are removed afterwards.
 fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     use dcs_datasets::large::{generate_packs, LargeConfig};
     use dcs_graph::io::{read_edge_list_file, write_edge_list_file};
@@ -451,10 +452,10 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
             .unwrap_or(false);
     if !cached {
         eprintln!(
-            "load: streaming {} vertices / {} target background edges into packs ...",
+            "load: generating {} vertices / {} target background edges into packs ...",
             config.vertices, config.edges
         );
-        generate_packs(&config, &g1_pack, &g2_pack).expect("stream packs to disk");
+        generate_packs(&config, &g1_pack, &g2_pack).expect("write packs to disk");
         let g1 = GraphPack::open(&g1_pack)
             .expect("open freshly written pack")
             .to_graph()

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use dcs_core::dcsad::DcsGreedy;
 use dcs_core::{DensityMeasure, MeasureSolver, SolveContext, StreamingConfig, StreamingDcs};
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId};
-use dcs_server::{Client, Server, ServerConfig};
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 use serde_json::{json, Value};
 
 struct BenchConfig {
@@ -120,6 +120,15 @@ fn open_fds() -> Option<usize> {
         .map(|entries| entries.count())
 }
 
+/// A `create_session` for a memory-backed session of `vertices` vertices.
+fn create_request(session: &str, vertices: u64) -> CreateSessionRequest {
+    CreateSessionRequest {
+        session: session.to_string(),
+        vertices: Some(vertices),
+        ..Default::default()
+    }
+}
+
 /// One scaling level: `connections` clients stream observes into private
 /// sessions for `duration` while a miner connection alternates
 /// observe + mine on its own session.  Returns the level's report.
@@ -132,7 +141,7 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
                 let mut client = Client::connect(addr).expect("connect observer");
                 let session = format!("scale-{connections}-{index}");
                 client
-                    .create_session(&session, 64, json!({}))
+                    .create(create_request(&session, 64))
                     .expect("create session");
                 let mut batches = 0u64;
                 let mut tick = 0u64;
@@ -141,7 +150,7 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
                     let updates: Vec<(u32, u32, f64)> = (0..8)
                         .map(|i| (base + i, base + i + 1, 1.0 + (tick % 7) as f64))
                         .collect();
-                    client.observe(&session, &updates).expect("observe");
+                    client.session(&session).observe(&updates).expect("observe");
                     batches += 1;
                     tick += 1;
                 }
@@ -155,7 +164,7 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
     let mut miner = Client::connect(addr).expect("connect miner");
     let session = format!("scale-miner-{connections}");
     miner
-        .create_session(&session, 64, json!({}))
+        .create(create_request(&session, 64))
         .expect("create miner session");
     let mut mine_ms: Vec<f64> = Vec::new();
     let started = Instant::now();
@@ -163,10 +172,11 @@ fn scaling_level(addr: std::net::SocketAddr, connections: usize, duration: Durat
     while started.elapsed() < duration {
         let base = (tick % 56) as u32;
         miner
-            .observe(&session, &[(base, base + 1, 2.0 + (tick % 5) as f64)])
+            .session(&session)
+            .observe(&[(base, base + 1, 2.0 + (tick % 5) as f64)])
             .expect("miner observe");
         let start = Instant::now();
-        miner.mine(&session).expect("mine");
+        miner.session(&session).mine().expect("mine");
         mine_ms.push(start.elapsed().as_secs_f64() * 1e3);
         tick += 1;
     }
@@ -237,10 +247,13 @@ fn durability(smoke: bool) -> Value {
     .start();
     let mut client = Client::connect(handle.local_addr()).expect("connect durability client");
     client
-        .create_session("bench-ephemeral", 64, json!({}))
+        .create(create_request("bench-ephemeral", 64))
         .expect("create ephemeral session");
     client
-        .create_session("bench-durable", 64, json!({ "durable": true }))
+        .create(CreateSessionRequest {
+            durable: true,
+            ..create_request("bench-durable", 64)
+        })
         .expect("create durable session");
 
     let batches = if smoke { 300 } else { 3_000 };
@@ -251,7 +264,7 @@ fn durability(smoke: bool) -> Value {
             let updates: Vec<(u32, u32, f64)> = (0..8)
                 .map(|i| (base + i, base + i + 1, 1.0 + (tick % 7) as f64))
                 .collect();
-            client.observe(session, &updates).expect("observe");
+            client.session(session).observe(&updates).expect("observe");
         }
         batches as f64 * 8.0 / start.elapsed().as_secs_f64()
     };
@@ -293,11 +306,10 @@ fn run_soak() {
             .collect();
         for (index, client) in clients.iter_mut().enumerate() {
             let session = format!("soak-{wave}-{index}");
+            client.create(create_request(&session, 32)).expect("create");
             client
-                .create_session(&session, 32, json!({}))
-                .expect("create");
-            client
-                .observe(&session, &[(0, 1, 2.0), (1, 2, 1.5)])
+                .session(&session)
+                .observe(&[(0, 1, 2.0), (1, 2, 1.5)])
                 .expect("observe");
             client
                 .request(json!({ "cmd": "drop_session", "session": session }))

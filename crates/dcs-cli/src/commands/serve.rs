@@ -89,7 +89,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_server::Client;
+    use dcs_server::{Client, CreateSessionRequest};
 
     fn strings(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -142,10 +142,14 @@ mod tests {
         let mut client = Client::connect(addr).expect("server is up");
         client.ping().unwrap();
         client
-            .create_session("s", 4, serde_json::json!({}))
+            .create(CreateSessionRequest {
+                session: "s".into(),
+                vertices: Some(4),
+                ..Default::default()
+            })
             .unwrap();
-        client.observe("s", &[(0, 1, 2.0)]).unwrap();
-        let mined = client.mine("s").unwrap();
+        client.session("s").observe(&[(0, 1, 2.0)]).unwrap();
+        let mined = client.session("s").mine().unwrap();
         assert_eq!(mined["result"]["subset"], serde_json::json!([0, 1]));
         client.shutdown().unwrap();
 
@@ -173,16 +177,24 @@ mod tests {
         assert_eq!(config.data_dir.as_deref(), Some(data_dir.as_path()));
         let mut client = Client::connect(handle.local_addr()).expect("server is up");
         client
-            .create_session("d", 4, serde_json::json!({ "durable": true }))
+            .create(CreateSessionRequest {
+                session: "d".into(),
+                vertices: Some(4),
+                durable: true,
+                ..Default::default()
+            })
             .unwrap();
-        let observed = client.observe("d", &[(0, 1, 2.0), (1, 2, 1.0)]).unwrap();
+        let observed = client
+            .session("d")
+            .observe(&[(0, 1, 2.0), (1, 2, 1.0)])
+            .unwrap();
         let version = observed["version"].as_u64().unwrap();
         client.shutdown().unwrap();
         handle.join();
 
         let (handle, _) = start_server(&serve_args()).expect("rebind with data dir");
         let mut client = Client::connect(handle.local_addr()).expect("server is back");
-        let stats = client.stats("d").unwrap();
+        let stats = client.session("d").stats().unwrap();
         assert_eq!(stats["version"].as_u64(), Some(version));
         assert_eq!(stats["durable"], true);
         client.shutdown().unwrap();

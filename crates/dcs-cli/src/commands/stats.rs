@@ -294,7 +294,7 @@ fn render_server_stats(addr: &str, payload: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_server::{Server, ServerConfig};
+    use dcs_server::{CreateSessionRequest, Server, ServerConfig};
 
     fn write_pair(dir_name: &str) -> (String, String) {
         let dir = std::env::temp_dir().join(dir_name);
@@ -359,12 +359,19 @@ mod tests {
         let addr = handle.local_addr().to_string();
 
         let mut client = Client::connect(&addr).unwrap();
-        client.create_session("s", 8, json!({})).unwrap();
         client
-            .observe("s", &[(0, 1, 3.0), (1, 2, 2.0), (0, 2, 2.0)])
+            .create(CreateSessionRequest {
+                session: "s".into(),
+                vertices: Some(8),
+                ..Default::default()
+            })
             .unwrap();
-        client.mine("s").unwrap();
-        client.mine("s").unwrap(); // cache hit
+        let mut session = client.session("s");
+        session
+            .observe(&[(0, 1, 3.0), (1, 2, 2.0), (0, 2, 2.0)])
+            .unwrap();
+        session.mine().unwrap();
+        session.mine().unwrap(); // cache hit
 
         let out = run(&strings(&["--connect", &addr])).unwrap();
         assert!(out.contains(&format!("Server {addr}")));

@@ -308,23 +308,6 @@ pub fn clamp_weights(gd: &SignedGraph, max_abs: Weight) -> SignedGraph {
     gd.map_weights(|w| w.clamp(-max_abs, max_abs))
 }
 
-/// Logarithmically damps edge weights beyond `pivot`: weights with `|w| ≤ pivot` are kept
-/// as they are, heavier ones become `sign(w)·(pivot + ln(1 + |w| − pivot))`.
-///
-/// This is the softer alternative to [`clamp_weights`] for the Section III-D adjustment:
-/// a single extremely heavy edge no longer dominates the DCS, but the ordering among
-/// heavy edges is preserved (clamping makes them all indistinguishable).
-pub fn damp_heavy_weights(gd: &SignedGraph, pivot: Weight) -> SignedGraph {
-    assert!(pivot > 0.0, "the damping pivot must be positive");
-    gd.map_weights(|w| {
-        if w.abs() <= pivot {
-            w
-        } else {
-            w.signum() * (pivot + (1.0 + (w.abs() - pivot)).ln())
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,31 +462,6 @@ mod tests {
         let clamped = clamp_weights(&gd, 10.0);
         assert_eq!(clamped.edge_weight(0, 1), Some(10.0));
         assert_eq!(clamped.edge_weight(1, 2), Some(3.0));
-    }
-
-    #[test]
-    fn damping_preserves_light_edges_and_orders_heavy_ones() {
-        let g1 = SignedGraph::empty(4);
-        let g2 = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (1, 2, 50.0), (2, 3, 200.0)]);
-        let gd = difference_graph(&g2, &g1).unwrap();
-        let damped = damp_heavy_weights(&gd, 10.0);
-        // Light edges unchanged.
-        assert_eq!(damped.edge_weight(0, 1), Some(3.0));
-        // Heavy edges shrink but keep their relative order and stay above the pivot.
-        let w50 = damped.edge_weight(1, 2).unwrap();
-        let w200 = damped.edge_weight(2, 3).unwrap();
-        assert!(w50 > 10.0 && w50 < 50.0);
-        assert!(w200 > w50 && w200 < 200.0);
-        // Negative heavy edges are damped symmetrically.
-        let negated = damp_heavy_weights(&gd.negated(), 10.0);
-        assert_eq!(negated.edge_weight(1, 2), Some(-w50));
-    }
-
-    #[test]
-    #[should_panic(expected = "pivot must be positive")]
-    fn damping_rejects_non_positive_pivot() {
-        let gd = GraphBuilder::from_edges(2, vec![(0, 1, 5.0)]);
-        damp_heavy_weights(&gd, 0.0);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod workspace;
 
 pub use alpha_sweep::{alpha_sweep, alpha_sweep_in, default_alpha_grid, AlphaPoint, AlphaSweep};
 pub use diff::{
-    clamp_weights, damp_heavy_weights, difference_graph, difference_graph_with,
-    scaled_difference_graph, CsrBuffers, DiscreteRule, ScaledDifferenceTemplate, WeightScheme,
+    clamp_weights, difference_graph, difference_graph_with, scaled_difference_graph, CsrBuffers,
+    DiscreteRule, ScaledDifferenceTemplate, WeightScheme,
 };
 pub use engine::{
     CancelToken, EngineSolution, MeasureSolver, SolveContext, SolveStats, Termination,

@@ -18,11 +18,11 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dcs_graph::{GraphBuilder, VertexId};
+use dcs_graph::GraphBuilder;
 
-use crate::pack::{PackSummary, StreamingPackWriter};
-use crate::planted::{allocate_groups, plant_dense_group, plant_dense_group_stream};
-use crate::random::{chung_lu_edges, chung_lu_stream, collaboration_weight, power_law_weights};
+use crate::pack::{PackSummary, PackWriter};
+use crate::planted::{allocate_groups, plant_dense_group};
+use crate::random::{chung_lu_edges, collaboration_weight, power_law_weights};
 use crate::{GraphPair, GroupKind, PlantedGroup};
 
 /// Configuration of a large power-law + planted-contrast pair.
@@ -132,66 +132,6 @@ pub fn generate(config: &LargeConfig) -> GraphPair {
     }
 }
 
-/// Streams the pair's edges instead of building graphs: `sink1` / `sink2`
-/// receive every `(u, v, w)` edge of `G1` / `G2`, and the planted groups are
-/// returned.  The edge sequence is **identical** to what [`generate`] feeds
-/// its builders, so graphs assembled from the streams equal `generate`'s
-/// pair exactly — without this function ever materialising an edge list.
-///
-/// How the draw order is preserved: `generate` consumes its seeded rng as
-/// `[topology draws][per-edge weight draws][planting draws]`, but emits
-/// weights interleaved with the topology replay.  We clone the rng before
-/// the topology run, advance the *real* rng past the topology draws with a
-/// discarded [`chung_lu_stream`] run, then replay the topology from the
-/// clone while drawing each edge's weights from the advanced rng.  The
-/// Chung–Lu sampling therefore runs twice per call — a deliberate
-/// CPU-for-memory trade (the dedup set is the only O(m) state).
-pub fn stream_pair(
-    config: &LargeConfig,
-    mut sink1: impl FnMut(VertexId, VertexId, f64),
-    mut sink2: impl FnMut(VertexId, VertexId, f64),
-) -> Vec<PlantedGroup> {
-    let group_total: usize = config.group_sizes.iter().sum();
-    assert!(
-        config.vertices > group_total,
-        "vertices must exceed the planted-group total"
-    );
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let background_n = config.vertices - group_total;
-    let weights = power_law_weights(background_n, config.gamma);
-    let mut topo_rng = rng.clone();
-    // Advance the real rng past the topology draws, discarding the edges …
-    chung_lu_stream(&weights, config.edges, &mut rng, |_, _| {});
-    // … then replay the topology from the clone, drawing each edge's weight
-    // and jitter from the advanced rng — the same values, in the same order,
-    // as generate()'s post-topology loop.
-    chung_lu_stream(&weights, config.edges, &mut topo_rng, |u, v| {
-        let w = collaboration_weight(&mut rng, config.weight_mean);
-        let jitter = 0.8 + 0.4 * rng.gen::<f64>();
-        sink1(u, v, w);
-        sink2(u, v, w * jitter);
-    });
-
-    let groups = allocate_groups(background_n as VertexId, &config.group_sizes);
-    let mut planted = Vec::with_capacity(groups.len());
-    for (index, vertices) in groups.into_iter().enumerate() {
-        plant_dense_group_stream(
-            &vertices,
-            config.group_weight,
-            config.group_edge_probability,
-            &mut rng,
-            &mut sink2,
-        );
-        planted.push(PlantedGroup {
-            name: format!("emerging-{index}"),
-            vertices,
-            kind: GroupKind::Emerging,
-        });
-    }
-    planted
-}
-
 /// The result of [`generate_packs`]: one write summary per graph plus the
 /// planted ground truth.
 #[derive(Debug, Clone)]
@@ -204,38 +144,24 @@ pub struct PackPair {
     pub planted: Vec<PlantedGroup>,
 }
 
-/// Generates the pair straight into two pack files without ever holding an
-/// edge list or a second CSR copy in memory: [`stream_pair`] drives two
-/// [`StreamingPackWriter`]s through their counting and filling passes.
+/// Generates the pair and writes its two graphs as pack files through
+/// [`PackWriter::write_graph`].
 ///
 /// The packs decode ([`dcs_graph::GraphPack::to_graph`]) to exactly the
 /// graphs [`generate`] returns, and — because the seed pins every draw —
 /// regenerating with the same config produces **byte-identical** files,
 /// which is what lets CI cache the benchmark pack as an artifact keyed only
-/// on the generator version.
+/// on the generator and builder sources.
 pub fn generate_packs(
     config: &LargeConfig,
     g1_path: impl AsRef<Path>,
     g2_path: impl AsRef<Path>,
 ) -> io::Result<PackPair> {
-    let mut w1 = StreamingPackWriter::new(config.vertices);
-    let mut w2 = StreamingPackWriter::new(config.vertices);
-    stream_pair(
-        config,
-        |u, v, _| w1.count_edge(u, v),
-        |u, v, _| w2.count_edge(u, v),
-    );
-    w1.begin_fill();
-    w2.begin_fill();
-    let planted = stream_pair(
-        config,
-        |u, v, w| w1.add_edge(u, v, w),
-        |u, v, w| w2.add_edge(u, v, w),
-    );
+    let pair = generate(config);
     Ok(PackPair {
-        g1: w1.finish(g1_path)?,
-        g2: w2.finish(g2_path)?,
-        planted,
+        g1: PackWriter::write_graph(&pair.g1, g1_path)?,
+        g2: PackWriter::write_graph(&pair.g2, g2_path)?,
+        planted: pair.planted,
     })
 }
 
@@ -285,22 +211,6 @@ mod tests {
             density > config.group_weight,
             "planted group density {density} too weak"
         );
-    }
-
-    #[test]
-    fn streamed_pair_equals_generate() {
-        let config = LargeConfig::tiny();
-        let expected = generate(&config);
-        let mut b1 = GraphBuilder::new(config.vertices);
-        let mut b2 = GraphBuilder::new(config.vertices);
-        let planted = stream_pair(
-            &config,
-            |u, v, w| b1.add_edge(u, v, w),
-            |u, v, w| b2.add_edge(u, v, w),
-        );
-        assert_eq!(b1.build(), expected.g1);
-        assert_eq!(b2.build(), expected.g2);
-        assert_eq!(planted, expected.planted);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use collab::CollabConfig;
 pub use conflict::ConflictConfig;
 pub use keywords::{KeywordConfig, TopicSpec};
 pub use large::LargeConfig;
-pub use pack::{PackSummary, PackWriter, StreamingPackWriter};
+pub use pack::{PackSummary, PackWriter};
 pub use recovery::{best_match, jaccard, RecoveryReport};
 pub use social_interest::SocialInterestConfig;
 pub use stats::DiffStats;

@@ -5,9 +5,8 @@
 //! memory-map the file and point the graph's columns straight at it:
 //! opening a million-edge pack costs O(header) eager work instead of
 //! parsing a million text lines.  This module is the writing side:
-//! [`PackWriter`] serialises an in-memory graph, and
-//! [`StreamingPackWriter`] builds a pack from an edge *stream* in two
-//! passes so a 10⁷-edge pack never holds two copies of the graph in RAM.
+//! [`PackWriter`] serialises an in-memory graph row by row, so a pack holds
+//! exactly the CSR rows [`dcs_graph::GraphBuilder::build`] canonicalised.
 //!
 //! # Format specification (version 1)
 //!
@@ -114,6 +113,11 @@ pub struct PackSummary {
     pub bytes: usize,
 }
 
+/// A section serializer: streams the section's payload bytes into the
+/// supplied sink, in order.  Called twice per section by
+/// [`PackWriter::write`] — once to checksum, once to write.
+type SectionEmitter<'a> = &'a mut dyn FnMut(&mut dyn FnMut(&[u8]));
+
 /// Serialises in-memory [`SignedGraph`]s into graph packs.
 ///
 /// The graph is streamed row by row straight into a buffered file writer —
@@ -149,377 +153,180 @@ impl PackWriter {
         Self::write(graph, None, Some(session), path)
     }
 
+    /// Emitter-driven serialisation: each section closure streams its
+    /// payload bytes into the supplied sink and is called twice — once to
+    /// checksum, once to write — so no section is ever materialised
+    /// separately.
     fn write(
         graph: &SignedGraph,
         names: Option<&[String]>,
         session: Option<&[u8]>,
         path: impl AsRef<Path>,
     ) -> io::Result<PackSummary> {
-        let n = graph.num_vertices();
+        let vertices = graph.num_vertices();
         if let Some(names) = names {
-            if names.len() != n {
+            if names.len() != vertices {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!("{} names for {n} vertices", names.len()),
+                    format!("{} names for {vertices} vertices", names.len()),
                 ));
             }
         }
-        emit(
-            path.as_ref(),
-            n,
-            graph.num_positive_edges(),
-            graph.num_negative_edges(),
-            names,
-            session,
-            &mut |sink| {
-                let mut cumulative = 0u64;
+        let positive_edges = graph.num_positive_edges();
+        let negative_edges = graph.num_negative_edges();
+        let mut emit_offsets = |sink: &mut dyn FnMut(&[u8])| {
+            let mut cumulative = 0u64;
+            sink(&cumulative.to_le_bytes());
+            for v in 0..vertices {
+                cumulative += graph.degree(v as VertexId) as u64;
                 sink(&cumulative.to_le_bytes());
-                for v in 0..n {
-                    cumulative += graph.degree(v as VertexId) as u64;
-                    sink(&cumulative.to_le_bytes());
-                }
-            },
-            &mut |sink| {
-                for v in 0..n {
-                    let (nbrs, _) = graph.neighbor_slices(v as VertexId);
-                    for &t in nbrs {
-                        sink(&t.to_le_bytes());
-                    }
-                }
-            },
-            &mut |sink| {
-                for v in 0..n {
-                    let (_, ws) = graph.neighbor_slices(v as VertexId);
-                    for &w in ws {
-                        sink(&w.to_le_bytes());
-                    }
-                }
-            },
-        )
-    }
-}
-
-/// A section serializer: streams the section's payload bytes into the
-/// supplied sink, in order.  Called twice per section by [`emit`] — once to
-/// checksum, once to write.
-type SectionEmitter<'a> = &'a mut dyn FnMut(&mut dyn FnMut(&[u8]));
-
-/// Emitter-driven pack serialisation: each section closure streams its
-/// payload bytes into the supplied sink and is called twice — once to
-/// checksum, once to write — so no section is ever materialised separately.
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    path: &Path,
-    vertices: usize,
-    positive_edges: usize,
-    negative_edges: usize,
-    names: Option<&[String]>,
-    session: Option<&[u8]>,
-    emit_offsets: SectionEmitter,
-    emit_targets: SectionEmitter,
-    emit_weights: SectionEmitter,
-) -> io::Result<PackSummary> {
-    let edges = positive_edges + negative_edges;
-    let entries = edges * 2;
-    let offsets_len = (vertices + 1) * 8;
-    let targets_len = entries * 4;
-    let weights_len = entries * 8;
-    let names_len = names.map(|names| names.iter().map(|s| 4 + s.len()).sum::<usize>());
-
-    let mut emit_names = |sink: &mut dyn FnMut(&[u8])| {
-        if let Some(names) = names {
-            for name in names {
-                sink(&(name.len() as u32).to_le_bytes());
-                sink(name.as_bytes());
             }
-        }
-    };
-    let mut emit_session = |sink: &mut dyn FnMut(&[u8])| {
-        if let Some(bytes) = session {
-            sink(bytes);
-        }
-    };
-
-    // Pass 1: checksums.
-    let checksum_of = |emitter: SectionEmitter| {
-        let mut fnv = Fnv::new();
-        emitter(&mut |bytes| fnv.update(bytes));
-        fnv.0
-    };
-    let offsets_checksum = checksum_of(emit_offsets);
-    let targets_checksum = checksum_of(emit_targets);
-    let weights_checksum = checksum_of(emit_weights);
-    let names_checksum = names_len.map(|_| checksum_of(&mut emit_names));
-
-    // Layout: header, table, then 8-aligned payloads.
-    let mut section_dims: Vec<(u64, usize, u64)> = vec![
-        (KIND_OFFSETS, offsets_len, offsets_checksum),
-        (KIND_TARGETS, targets_len, targets_checksum),
-        (KIND_WEIGHTS, weights_len, weights_checksum),
-    ];
-    if let (Some(len), Some(checksum)) = (names_len, names_checksum) {
-        section_dims.push((KIND_NAMES, len, checksum));
-    }
-    if let Some(bytes) = session {
-        section_dims.push((KIND_SESSION, bytes.len(), pack_checksum(bytes)));
-    }
-    let section_count = section_dims.len();
-    let table_end = HEADER_LEN + section_count * SECTION_ENTRY_LEN + 8;
-    let mut cursor = table_end;
-    let mut sections: Vec<(u64, usize, usize, u64)> = Vec::with_capacity(section_count);
-    for &(kind, len, checksum) in &section_dims {
-        cursor = cursor.div_ceil(8) * 8;
-        sections.push((kind, cursor, len, checksum));
-        cursor += len;
-    }
-    let file_len = cursor;
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&MAGIC);
-    for field in [
-        FORMAT_VERSION,
-        vertices as u64,
-        edges as u64,
-        positive_edges as u64,
-        negative_edges as u64,
-        if names.is_some() { FLAG_HAS_NAMES } else { 0 }
-            | if session.is_some() {
-                FLAG_HAS_SESSION
-            } else {
-                0
-            },
-        section_count as u64,
-    ] {
-        header.extend_from_slice(&field.to_le_bytes());
-    }
-    let header_checksum = pack_checksum(&header);
-    header.extend_from_slice(&header_checksum.to_le_bytes());
-
-    let mut table = Vec::with_capacity(section_count * SECTION_ENTRY_LEN);
-    for &(kind, offset, len, checksum) in &sections {
-        table.extend_from_slice(&kind.to_le_bytes());
-        table.extend_from_slice(&(offset as u64).to_le_bytes());
-        table.extend_from_slice(&(len as u64).to_le_bytes());
-        table.extend_from_slice(&checksum.to_le_bytes());
-    }
-    let table_checksum = pack_checksum(&table);
-
-    // Pass 2: write.
-    let mut writer = BufWriter::new(File::create(path)?);
-    writer.write_all(&header)?;
-    writer.write_all(&table)?;
-    writer.write_all(&table_checksum.to_le_bytes())?;
-    let mut written = table_end;
-    // Emitters in section order — the optional sections only join the list
-    // when present, so the zip below stays positionally exact.
-    let mut emitters: Vec<SectionEmitter> = vec![emit_offsets, emit_targets, emit_weights];
-    if names.is_some() {
-        emitters.push(&mut emit_names);
-    }
-    if session.is_some() {
-        emitters.push(&mut emit_session);
-    }
-    for ((_, offset, len, _), emitter) in sections.iter().zip(emitters) {
-        while written < *offset {
-            writer.write_all(&[0])?;
-            written += 1;
-        }
-        let mut io_error: Option<io::Error> = None;
-        emitter(&mut |bytes| {
-            if io_error.is_none() {
-                if let Err(e) = writer.write_all(bytes) {
-                    io_error = Some(e);
-                }
-            }
-        });
-        if let Some(e) = io_error {
-            return Err(e);
-        }
-        written += len;
-    }
-    writer.flush()?;
-    debug_assert_eq!(written, file_len);
-
-    Ok(PackSummary {
-        vertices,
-        edges,
-        positive_edges,
-        negative_edges,
-        bytes: file_len,
-    })
-}
-
-/// Two-pass streaming pack construction: build a pack directly from an edge
-/// stream without ever holding both an edge list and the CSR arrays.
-///
-/// Protocol — the caller streams the **same deterministic edge sequence
-/// twice** (generators re-run from their pinned seed):
-///
-/// 1. pass 1: [`Self::count_edge`] per edge (degree counting, O(n) state);
-/// 2. [`Self::begin_fill`] — allocates the single CSR copy;
-/// 3. pass 2: [`Self::add_edge`] per edge (row filling);
-/// 4. [`Self::finish`] — sorts each row, merges duplicate edges by summing
-///    (the [`dcs_graph::GraphBuilder`] policy), drops zero sums, and
-///    streams the sections to disk.
-///
-/// Peak memory is one CSR copy (~20 bytes per directed entry) instead of
-/// the builder path's insertion list plus the CSR it is bucketed into.  The
-/// output is a pure function of the edge stream, so regenerating from the
-/// same seed yields a byte-identical pack.
-pub struct StreamingPackWriter {
-    vertices: usize,
-    degrees: Vec<u32>,
-    offsets: Vec<usize>,
-    cursor: Vec<usize>,
-    targets: Vec<VertexId>,
-    weights: Vec<f64>,
-    filling: bool,
-}
-
-impl StreamingPackWriter {
-    /// Starts a pack over `vertices` vertices, in counting mode.
-    pub fn new(vertices: usize) -> StreamingPackWriter {
-        StreamingPackWriter {
-            vertices,
-            degrees: vec![0; vertices],
-            offsets: Vec::new(),
-            cursor: Vec::new(),
-            targets: Vec::new(),
-            weights: Vec::new(),
-            filling: false,
-        }
-    }
-
-    fn check_endpoints(&self, u: VertexId, v: VertexId) {
-        assert!(u != v, "self-loop ({u}, {v})");
-        assert!(
-            (u as usize) < self.vertices && (v as usize) < self.vertices,
-            "edge ({u}, {v}) outside 0..{}",
-            self.vertices
-        );
-    }
-
-    /// Pass 1: records one undirected edge for degree counting.
-    pub fn count_edge(&mut self, u: VertexId, v: VertexId) {
-        assert!(!self.filling, "count_edge after begin_fill");
-        self.check_endpoints(u, v);
-        self.degrees[u as usize] += 1;
-        self.degrees[v as usize] += 1;
-    }
-
-    /// Switches to filling mode, allocating the CSR arrays sized by pass 1.
-    pub fn begin_fill(&mut self) {
-        assert!(!self.filling, "begin_fill called twice");
-        let mut offsets = Vec::with_capacity(self.vertices + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &self.degrees {
-            acc += d as usize;
-            offsets.push(acc);
-        }
-        self.cursor = offsets[..self.vertices].to_vec();
-        self.targets = vec![0; acc];
-        self.weights = vec![0.0; acc];
-        self.offsets = offsets;
-        self.degrees = Vec::new();
-        self.filling = true;
-    }
-
-    /// Pass 2: stores one undirected edge (both directions) with its weight.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
-        assert!(self.filling, "add_edge before begin_fill");
-        self.check_endpoints(u, v);
-        for (from, to) in [(u, v), (v, u)] {
-            let slot = self.cursor[from as usize];
-            assert!(
-                slot < self.offsets[from as usize + 1],
-                "pass 2 streamed more edges at vertex {from} than pass 1 counted"
-            );
-            self.targets[slot] = to;
-            self.weights[slot] = w;
-            self.cursor[from as usize] += 1;
-        }
-    }
-
-    /// Sorts and canonicalises the rows, then writes the pack to `path`.
-    pub fn finish(mut self, path: impl AsRef<Path>) -> io::Result<PackSummary> {
-        assert!(self.filling, "finish before begin_fill");
-        for v in 0..self.vertices {
-            assert_eq!(
-                self.cursor[v],
-                self.offsets[v + 1],
-                "pass 2 streamed fewer edges at vertex {v} than pass 1 counted"
-            );
-        }
-        // Sort each row and merge duplicates (sum, drop exact-zero sums),
-        // compacting front-to-back: the write cursor never overtakes the
-        // read row, so this runs in place.
-        let mut scratch: Vec<(VertexId, f64)> = Vec::new();
-        let mut write = 0usize;
-        let mut row_start = self.offsets[0];
-        let mut positive_entries = 0usize;
-        let mut negative_entries = 0usize;
-        for v in 0..self.vertices {
-            let row_end = self.offsets[v + 1];
-            scratch.clear();
-            scratch.extend(
-                self.targets[row_start..row_end]
-                    .iter()
-                    .copied()
-                    .zip(self.weights[row_start..row_end].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|&(t, _)| t);
-            self.offsets[v] = write;
-            let mut i = 0;
-            while i < scratch.len() {
-                let target = scratch[i].0;
-                let mut sum = scratch[i].1;
-                i += 1;
-                while i < scratch.len() && scratch[i].0 == target {
-                    sum += scratch[i].1;
-                    i += 1;
-                }
-                if sum != 0.0 {
-                    self.targets[write] = target;
-                    self.weights[write] = sum;
-                    if sum > 0.0 {
-                        positive_entries += 1;
-                    } else {
-                        negative_entries += 1;
-                    }
-                    write += 1;
-                }
-            }
-            row_start = row_end;
-        }
-        self.offsets[self.vertices] = write;
-        self.targets.truncate(write);
-        self.weights.truncate(write);
-
-        let (offsets, targets, weights) = (self.offsets, self.targets, self.weights);
-        emit(
-            path.as_ref(),
-            self.vertices,
-            positive_entries / 2,
-            negative_entries / 2,
-            None,
-            None,
-            &mut |sink| {
-                for &o in &offsets {
-                    sink(&(o as u64).to_le_bytes());
-                }
-            },
-            &mut |sink| {
-                for &t in &targets {
+        };
+        let mut emit_targets = |sink: &mut dyn FnMut(&[u8])| {
+            for v in 0..vertices {
+                let (nbrs, _) = graph.neighbor_slices(v as VertexId);
+                for &t in nbrs {
                     sink(&t.to_le_bytes());
                 }
-            },
-            &mut |sink| {
-                for &w in &weights {
+            }
+        };
+        let mut emit_weights = |sink: &mut dyn FnMut(&[u8])| {
+            for v in 0..vertices {
+                let (_, ws) = graph.neighbor_slices(v as VertexId);
+                for &w in ws {
                     sink(&w.to_le_bytes());
                 }
-            },
-        )
+            }
+        };
+        let edges = positive_edges + negative_edges;
+        let entries = edges * 2;
+        let offsets_len = (vertices + 1) * 8;
+        let targets_len = entries * 4;
+        let weights_len = entries * 8;
+        let names_len = names.map(|names| names.iter().map(|s| 4 + s.len()).sum::<usize>());
+
+        let mut emit_names = |sink: &mut dyn FnMut(&[u8])| {
+            if let Some(names) = names {
+                for name in names {
+                    sink(&(name.len() as u32).to_le_bytes());
+                    sink(name.as_bytes());
+                }
+            }
+        };
+        let mut emit_session = |sink: &mut dyn FnMut(&[u8])| {
+            if let Some(bytes) = session {
+                sink(bytes);
+            }
+        };
+
+        // Pass 1: checksums.
+        let checksum_of = |emitter: SectionEmitter| {
+            let mut fnv = Fnv::new();
+            emitter(&mut |bytes| fnv.update(bytes));
+            fnv.0
+        };
+        let offsets_checksum = checksum_of(&mut emit_offsets);
+        let targets_checksum = checksum_of(&mut emit_targets);
+        let weights_checksum = checksum_of(&mut emit_weights);
+        let names_checksum = names_len.map(|_| checksum_of(&mut emit_names));
+
+        // Layout: header, table, then 8-aligned payloads.
+        let mut section_dims: Vec<(u64, usize, u64)> = vec![
+            (KIND_OFFSETS, offsets_len, offsets_checksum),
+            (KIND_TARGETS, targets_len, targets_checksum),
+            (KIND_WEIGHTS, weights_len, weights_checksum),
+        ];
+        if let (Some(len), Some(checksum)) = (names_len, names_checksum) {
+            section_dims.push((KIND_NAMES, len, checksum));
+        }
+        if let Some(bytes) = session {
+            section_dims.push((KIND_SESSION, bytes.len(), pack_checksum(bytes)));
+        }
+        let section_count = section_dims.len();
+        let table_end = HEADER_LEN + section_count * SECTION_ENTRY_LEN + 8;
+        let mut cursor = table_end;
+        let mut sections: Vec<(u64, usize, usize, u64)> = Vec::with_capacity(section_count);
+        for &(kind, len, checksum) in &section_dims {
+            cursor = cursor.div_ceil(8) * 8;
+            sections.push((kind, cursor, len, checksum));
+            cursor += len;
+        }
+        let file_len = cursor;
+
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(&MAGIC);
+        for field in [
+            FORMAT_VERSION,
+            vertices as u64,
+            edges as u64,
+            positive_edges as u64,
+            negative_edges as u64,
+            if names.is_some() { FLAG_HAS_NAMES } else { 0 }
+                | if session.is_some() {
+                    FLAG_HAS_SESSION
+                } else {
+                    0
+                },
+            section_count as u64,
+        ] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        let header_checksum = pack_checksum(&header);
+        header.extend_from_slice(&header_checksum.to_le_bytes());
+
+        let mut table = Vec::with_capacity(section_count * SECTION_ENTRY_LEN);
+        for &(kind, offset, len, checksum) in &sections {
+            table.extend_from_slice(&kind.to_le_bytes());
+            table.extend_from_slice(&(offset as u64).to_le_bytes());
+            table.extend_from_slice(&(len as u64).to_le_bytes());
+            table.extend_from_slice(&checksum.to_le_bytes());
+        }
+        let table_checksum = pack_checksum(&table);
+
+        // Pass 2: write.
+        let mut writer = BufWriter::new(File::create(path)?);
+        writer.write_all(&header)?;
+        writer.write_all(&table)?;
+        writer.write_all(&table_checksum.to_le_bytes())?;
+        let mut written = table_end;
+        // Emitters in section order — the optional sections only join the list
+        // when present, so the zip below stays positionally exact.
+        let mut emitters: Vec<SectionEmitter> =
+            vec![&mut emit_offsets, &mut emit_targets, &mut emit_weights];
+        if names.is_some() {
+            emitters.push(&mut emit_names);
+        }
+        if session.is_some() {
+            emitters.push(&mut emit_session);
+        }
+        for ((_, offset, len, _), emitter) in sections.iter().zip(emitters) {
+            while written < *offset {
+                writer.write_all(&[0])?;
+                written += 1;
+            }
+            let mut io_error: Option<io::Error> = None;
+            emitter(&mut |bytes| {
+                if io_error.is_none() {
+                    if let Err(e) = writer.write_all(bytes) {
+                        io_error = Some(e);
+                    }
+                }
+            });
+            if let Some(e) = io_error {
+                return Err(e);
+            }
+            written += len;
+        }
+        writer.flush()?;
+        debug_assert_eq!(written, file_len);
+
+        Ok(PackSummary {
+            vertices,
+            edges,
+            positive_edges,
+            negative_edges,
+            bytes: file_len,
+        })
     }
 }
 
@@ -592,43 +399,6 @@ mod tests {
         let err = PackWriter::write_graph_with_names(&g, &["one".to_string()], temp_path("bad"))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn streaming_writer_matches_builder_graph() {
-        let edges: Vec<(VertexId, VertexId, f64)> = vec![
-            (0, 1, 1.5),
-            (0, 3, -2.0),
-            (2, 3, 3.0),
-            (2, 4, -1.0),
-            (3, 4, 2.25),
-            // A duplicate that must merge by summing, builder-style.
-            (0, 1, 0.5),
-            // A pair that must cancel to zero and be dropped.
-            (1, 4, 2.0),
-            (1, 4, -2.0),
-        ];
-        let mut w = StreamingPackWriter::new(6);
-        for &(u, v, _) in &edges {
-            w.count_edge(u, v);
-        }
-        w.begin_fill();
-        for &(u, v, wt) in &edges {
-            w.add_edge(u, v, wt);
-        }
-        let path = temp_path("streaming");
-        let summary = w.finish(&path).unwrap();
-
-        let mut b = GraphBuilder::new(6);
-        b.add_edges(edges);
-        let expected = b.build();
-
-        let pack = GraphPack::open(&path).unwrap();
-        pack.verify().unwrap();
-        assert_eq!(pack.to_graph().unwrap(), expected);
-        assert_eq!(summary.edges, expected.num_edges());
-        assert_eq!(summary.positive_edges, expected.num_positive_edges());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -16,27 +16,11 @@ pub fn plant_dense_group<R: Rng>(
     edge_probability: f64,
     rng: &mut R,
 ) {
-    plant_dense_group_stream(vertices, weight_mean, edge_probability, rng, |u, v, w| {
-        builder.add_edge(u, v, w)
-    });
-}
-
-/// Streaming form of [`plant_dense_group`]: calls `sink` with each planted
-/// `(u, v, weight)` instead of writing into a builder.  Draws from `rng` and
-/// the emission order are identical to the builder form, so a seeded replay
-/// through either entry point plants the same group.
-pub fn plant_dense_group_stream<R: Rng>(
-    vertices: &[VertexId],
-    weight_mean: f64,
-    edge_probability: f64,
-    rng: &mut R,
-    mut sink: impl FnMut(VertexId, VertexId, f64),
-) {
     for (idx, &u) in vertices.iter().enumerate() {
         for &v in &vertices[idx + 1..] {
             if rng.gen::<f64>() <= edge_probability {
                 let jitter = 0.75 + 0.5 * rng.gen::<f64>();
-                sink(u, v, weight_mean * jitter);
+                builder.add_edge(u, v, weight_mean * jitter);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! and edges are sampled by picking endpoints proportionally to `θ`.
 
 use rand::Rng;
-use rand_distr::{Distribution, Geometric, Poisson, Zipf};
+use rand_distr::{Distribution, Geometric, Zipf};
 use rustc_hash::FxHashSet;
 
 use dcs_graph::VertexId;
@@ -31,26 +31,6 @@ pub fn chung_lu_edges<R: Rng>(
     m_target: usize,
     rng: &mut R,
 ) -> Vec<(VertexId, VertexId)> {
-    let mut out = Vec::with_capacity(m_target);
-    chung_lu_stream(weights, m_target, rng, |u, v| out.push((u, v)));
-    out
-}
-
-/// Streaming form of [`chung_lu_edges`]: calls `sink` once per accepted edge
-/// instead of collecting a vector, and returns the number of edges emitted.
-///
-/// Draws from `rng` and the emission order are identical to
-/// [`chung_lu_edges`], so replaying the same seeded rng through either entry
-/// point produces the same edge sequence — which is what lets the streaming
-/// pack generator in [`crate::large`] reproduce `generate()`'s graphs without
-/// materialising an edge list.  The internal dedup set is sampling state
-/// (Chung–Lu without replacement), not an intermediate edge copy.
-pub fn chung_lu_stream<R: Rng>(
-    weights: &[f64],
-    m_target: usize,
-    rng: &mut R,
-    mut sink: impl FnMut(VertexId, VertexId),
-) -> usize {
     let n = weights.len();
     assert!(n >= 2, "need at least two vertices");
     // Cumulative distribution for endpoint sampling.
@@ -67,10 +47,10 @@ pub fn chung_lu_stream<R: Rng>(
     };
 
     let mut edges: FxHashSet<(VertexId, VertexId)> = FxHashSet::default();
-    let mut emitted = 0usize;
+    let mut out = Vec::with_capacity(m_target);
     let max_attempts = m_target.saturating_mul(8).max(64);
     let mut attempts = 0;
-    while emitted < m_target && attempts < max_attempts {
+    while out.len() < m_target && attempts < max_attempts {
         attempts += 1;
         let mut u = sample_vertex(rng);
         let mut v = sample_vertex(rng);
@@ -84,11 +64,10 @@ pub fn chung_lu_stream<R: Rng>(
             continue;
         }
         if edges.insert((u, v)) {
-            emitted += 1;
-            sink(u, v);
+            out.push((u, v));
         }
     }
-    emitted
+    out
 }
 
 /// Samples a collaboration-count style weight: `1 + Geometric(p)` (mean `1/p`), the
@@ -98,15 +77,6 @@ pub fn collaboration_weight<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     let p = (1.0 / mean).clamp(1e-6, 1.0);
     let g = Geometric::new(p).expect("valid geometric parameter");
     1.0 + g.sample(rng) as f64
-}
-
-/// Samples a Poisson-distributed count with the given mean, clamped to at least zero.
-pub fn poisson_count<R: Rng>(rng: &mut R, mean: f64) -> f64 {
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let p = Poisson::new(mean).expect("valid poisson parameter");
-    p.sample(rng)
 }
 
 /// Samples a Zipf-distributed rank in `1..=n` with the given exponent (used to pick
@@ -185,10 +155,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
             assert!(collaboration_weight(&mut rng, 2.5) >= 1.0);
-            assert!(poisson_count(&mut rng, 1.5) >= 0.0);
             let r = zipf_rank(&mut rng, 50, 1.2);
             assert!((1..=50).contains(&r));
         }
-        assert_eq!(poisson_count(&mut rng, 0.0), 0.0);
     }
 }

@@ -180,17 +180,6 @@ impl Embedding {
         self.values.retain(|_, v| *v >= threshold);
         self.normalize();
     }
-
-    /// Average degree `W(S_x)/|S_x|` of the support set in `graph` — the paper reports
-    /// this alongside the affinity for DCSGA solutions.
-    pub fn support_average_degree(&self, graph: &SignedGraph) -> Weight {
-        graph.average_degree(&self.support())
-    }
-
-    /// Edge density `W(S_x)/|S_x|²` of the support set in `graph`.
-    pub fn support_edge_density(&self, graph: &SignedGraph) -> Weight {
-        graph.edge_density(&self.support())
-    }
 }
 
 /// A **dense, indexed** simplex embedding used as reusable solver scratch.
@@ -347,14 +336,6 @@ mod tests {
         y.prune(1e-9);
         assert_eq!(y.support(), vec![0]);
         assert!((y.mass() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn support_metrics() {
-        let g = triangle();
-        let x = Embedding::uniform(&[0, 1, 2]);
-        assert!((x.support_average_degree(&g) - 2.0).abs() < 1e-12);
-        assert!((x.support_edge_density(&g) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

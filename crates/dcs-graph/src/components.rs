@@ -30,14 +30,6 @@ impl ComponentLabels {
         }
         out
     }
-
-    /// Returns the vertices of the largest component.
-    pub fn largest(&self) -> Vec<VertexId> {
-        self.groups()
-            .into_iter()
-            .max_by_key(|g| g.len())
-            .unwrap_or_default()
-    }
 }
 
 /// Connected components of the whole graph (isolated vertices form singleton components).
@@ -148,7 +140,6 @@ mod tests {
         let mut sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 3, 3]);
-        assert_eq!(cc.largest().len(), 3);
     }
 
     #[test]

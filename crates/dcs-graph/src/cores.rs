@@ -21,11 +21,6 @@ pub struct CoreDecomposition {
 }
 
 impl CoreDecomposition {
-    /// Core number of a single vertex.
-    pub fn core_of(&self, v: VertexId) -> u32 {
-        self.core[v as usize]
-    }
-
     /// The vertices of the `k`-core (every vertex with core number >= `k`).
     pub fn k_core(&self, k: u32) -> Vec<VertexId> {
         self.core

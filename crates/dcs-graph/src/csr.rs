@@ -417,12 +417,6 @@ impl SignedGraph {
         self.num_negative_edges
     }
 
-    /// Returns `true` if the graph has no edges.
-    #[inline]
-    pub fn is_edgeless(&self) -> bool {
-        self.num_edges == 0
-    }
-
     /// Degree (number of incident edges) of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -658,19 +652,6 @@ impl SignedGraph {
         true
     }
 
-    /// Returns `true` if the induced subgraph `G(S)` is a clique (ignoring weights).
-    pub fn is_clique(&self, subset: &[VertexId]) -> bool {
-        if subset.len() <= 1 {
-            return true;
-        }
-        let marks = VertexSubset::from_slice(self.num_vertices(), subset);
-        let k = subset.len();
-        subset.iter().all(|&u| {
-            let (nbrs, _) = self.neighbor_slices(u);
-            nbrs.iter().filter(|&&v| marks.contains(v)).count() == k - 1
-        })
-    }
-
     /// Extracts the induced subgraph on `subset` as a standalone [`SignedGraph`].
     ///
     /// Returns the new graph together with the mapping `new id -> original id`
@@ -699,19 +680,6 @@ impl SignedGraph {
     /// strictly positive weight (all vertices are kept).
     pub fn positive_part(&self) -> SignedGraph {
         self.filter_edges(|w| w > 0.0)
-    }
-
-    /// Builds the graph containing only edges with strictly negative weight, with the
-    /// weights negated (so the result has positive weights).  Useful for mining the
-    /// "opposite direction" contrast.
-    pub fn negated_negative_part(&self) -> SignedGraph {
-        let mut builder = crate::GraphBuilder::new(self.num_vertices());
-        for (u, v, w) in self.edges() {
-            if w < 0.0 {
-                builder.add_edge(u, v, -w);
-            }
-        }
-        builder.build()
     }
 
     /// Returns a copy of the graph with every edge weight negated (turns the Emerging
@@ -979,9 +947,7 @@ mod tests {
         // S = {2, 3}: single positive edge → positive clique
         assert!(g.is_positive_clique(&[2, 3]));
         assert!(!g.is_positive_clique(&s)); // contains a negative edge
-        assert!(g.is_clique(&s));
-        assert!(!g.is_clique(&[0, 1, 2]));
-        // empty / singleton conventions
+                                            // empty / singleton conventions
         assert_eq!(g.average_degree(&[]), 0.0);
         assert_eq!(g.average_degree(&[1]), 0.0);
         assert!(g.is_positive_clique(&[1]));
@@ -1000,10 +966,6 @@ mod tests {
         assert_eq!(gn.num_positive_edges(), 2);
         assert_eq!(gn.num_negative_edges(), 3);
         assert_eq!(gn.edge_weight(2, 3), Some(-3.0));
-
-        let gneg = g.negated_negative_part();
-        assert_eq!(gneg.num_edges(), 2);
-        assert_eq!(gneg.edge_weight(0, 3), Some(2.0));
     }
 
     #[test]
@@ -1029,7 +991,6 @@ mod tests {
         let g = SignedGraph::empty(3);
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
-        assert!(g.is_edgeless());
         assert_eq!(g.max_edge_weight(), None);
         assert_eq!(g.average_edge_weight(), 0.0);
         assert_eq!(g.max_weight_edge(), None);

@@ -64,28 +64,6 @@ impl DeltaGraph {
         }
     }
 
-    /// Creates a delta graph holding the same edges as `g`.
-    pub fn from_graph(g: &SignedGraph) -> Self {
-        let n = g.num_vertices();
-        let mut rows: Vec<FxHashMap<VertexId, Weight>> = vec![FxHashMap::default(); n];
-        for v in 0..n as VertexId {
-            let (nbrs, ws) = g.neighbor_slices(v);
-            let row = &mut rows[v as usize];
-            row.reserve(nbrs.len());
-            for (&nb, &w) in nbrs.iter().zip(ws) {
-                row.insert(nb, w);
-            }
-        }
-        DeltaGraph {
-            rows,
-            num_edges: g.num_edges(),
-            version: 0,
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
-            cached: None,
-        }
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -314,17 +292,6 @@ mod tests {
         // No-op mutations keep the cache valid.
         d.set_weight(3, 4, 2.0);
         assert!(Arc::ptr_eq(&next, &d.snapshot()));
-    }
-
-    #[test]
-    fn from_graph_round_trips() {
-        let g = GraphBuilder::from_edges(6, vec![(0, 1, 1.0), (1, 2, -4.0), (4, 5, 0.5)]);
-        let mut d = DeltaGraph::from_graph(&g);
-        assert_eq!(d.num_edges(), g.num_edges());
-        assert_eq!(*d.snapshot(), g);
-        let mut edges: Vec<_> = d.edges().collect();
-        edges.sort_by_key(|&(u, v, _)| (u, v));
-        assert_eq!(edges, vec![(0, 1, 1.0), (1, 2, -4.0), (4, 5, 0.5)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   ([`components`]),
 //! * k-core decomposition / core numbers ([`cores`]), used by the NewSEA smart
 //!   initialisation,
-//! * breadth/depth-first traversal ([`traversal`]),
+//! * k-hop neighbourhoods by breadth-first search ([`traversal`]),
 //! * a dense [`VertexSubset`] set with O(1) membership tests used pervasively in the
 //!   peeling and local-search algorithms,
 //! * plain-text edge-list IO ([`io`]).

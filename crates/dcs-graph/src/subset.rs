@@ -129,20 +129,12 @@ impl VertexSubset {
     ///
     /// This clones the member list; it is the right call only when the subset must
     /// stay iterable while the snapshot is consumed (e.g. a removal pass over a
-    /// frozen ordering).  Solution normalisation should use [`Self::sorted_items`]
-    /// or [`Self::into_sorted_vec`], which sort in place without cloning.
+    /// frozen ordering).  Solution normalisation should use
+    /// [`Self::into_sorted_vec`], which sorts in place without cloning.
     pub fn to_sorted_vec(&self) -> Vec<VertexId> {
         let mut v = self.items.clone();
         v.sort_unstable();
         v
-    }
-
-    /// Sorts the member list in place and returns it as a slice — the allocation-free
-    /// sorted accessor (iteration order is documented as arbitrary, so re-ordering the
-    /// internal list is observable only through this method's own guarantee).
-    pub fn sorted_items(&mut self) -> &[VertexId] {
-        self.items.sort_unstable();
-        &self.items
     }
 
     /// Consumes the subset and returns its members sorted ascending, without cloning —
@@ -192,10 +184,7 @@ mod tests {
 
     #[test]
     fn sorted_accessors_agree_and_avoid_cloning() {
-        let mut s = VertexSubset::from_slice(8, &[7, 2, 5, 0]);
-        assert_eq!(s.sorted_items(), &[0, 2, 5, 7]);
-        // The in-place sort is idempotent and membership is untouched.
-        assert_eq!(s.sorted_items(), &[0, 2, 5, 7]);
+        let s = VertexSubset::from_slice(8, &[7, 2, 5, 0]);
         assert!(s.contains(5) && !s.contains(1));
         assert_eq!(s.to_sorted_vec(), vec![0, 2, 5, 7]);
         assert_eq!(s.into_sorted_vec(), vec![0, 2, 5, 7]);

@@ -1,97 +1,8 @@
-//! Breadth-first and depth-first traversal utilities.
+//! Breadth-first neighbourhood traversal.
 
 use std::collections::VecDeque;
 
-use crate::{SignedGraph, VertexId, VertexSubset};
-
-/// Breadth-first search order starting from `start`, optionally restricted to the
-/// subgraph induced by `within` (pass `None` to traverse the whole graph).
-pub fn bfs_order(g: &SignedGraph, start: VertexId, within: Option<&VertexSubset>) -> Vec<VertexId> {
-    if let Some(w) = within {
-        if !w.contains(start) {
-            return Vec::new();
-        }
-    }
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start as usize] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for e in g.neighbors(u) {
-            let v = e.neighbor;
-            if visited[v as usize] {
-                continue;
-            }
-            if let Some(w) = within {
-                if !w.contains(v) {
-                    continue;
-                }
-            }
-            visited[v as usize] = true;
-            queue.push_back(v);
-        }
-    }
-    order
-}
-
-/// Iterative depth-first search order starting from `start`, optionally restricted to
-/// the subgraph induced by `within`.
-pub fn dfs_order(g: &SignedGraph, start: VertexId, within: Option<&VertexSubset>) -> Vec<VertexId> {
-    if let Some(w) = within {
-        if !w.contains(start) {
-            return Vec::new();
-        }
-    }
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u as usize] {
-            continue;
-        }
-        visited[u as usize] = true;
-        order.push(u);
-        // Push in reverse so that lower-numbered neighbors are visited first.
-        let (nbrs, _) = g.neighbor_slices(u);
-        for &v in nbrs.iter().rev() {
-            if visited[v as usize] {
-                continue;
-            }
-            if let Some(w) = within {
-                if !w.contains(v) {
-                    continue;
-                }
-            }
-            stack.push(v);
-        }
-    }
-    order
-}
-
-/// Unweighted shortest-path distances (hop counts) from `start`; unreachable vertices get
-/// `u32::MAX`.
-pub fn bfs_distances(g: &SignedGraph, start: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[start as usize] = 0;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for e in g.neighbors(u) {
-            let v = e.neighbor as usize;
-            if dist[v] == u32::MAX {
-                dist[v] = du + 1;
-                queue.push_back(e.neighbor);
-            }
-        }
-    }
-    dist
-}
+use crate::{SignedGraph, VertexId};
 
 /// All vertices within `hops` hops of `start` (including `start` itself).
 ///
@@ -135,40 +46,6 @@ mod tests {
             b.add_edge(v, v + 1, 1.0);
         }
         b.build()
-    }
-
-    #[test]
-    fn bfs_on_path() {
-        let g = path_graph(5);
-        assert_eq!(bfs_order(&g, 0, None), vec![0, 1, 2, 3, 4]);
-        assert_eq!(bfs_order(&g, 2, None), vec![2, 1, 3, 0, 4]);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_on_path() {
-        let g = path_graph(4);
-        assert_eq!(dfs_order(&g, 0, None), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn restricted_traversal() {
-        let g = path_graph(5);
-        let within = VertexSubset::from_slice(5, &[0, 1, 3, 4]);
-        // vertex 2 is missing, so 3 and 4 are unreachable from 0
-        assert_eq!(bfs_order(&g, 0, Some(&within)), vec![0, 1]);
-        assert_eq!(dfs_order(&g, 0, Some(&within)), vec![0, 1]);
-        // starting outside the subset yields nothing
-        assert!(bfs_order(&g, 2, Some(&within)).is_empty());
-        assert!(dfs_order(&g, 2, Some(&within)).is_empty());
-    }
-
-    #[test]
-    fn unreachable_distances() {
-        let g = GraphBuilder::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], u32::MAX);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! A blocking NDJSON client for the mining server.
 //!
-//! The modern surface is typed: build a [`crate::Request`] (or let
-//! [`Client::session`] build one for you) and [`Client::send`] it.  The
-//! historical string-and-`Value` helpers remain as thin wrappers so existing
-//! callers keep compiling, but new code should prefer
-//! [`Client::session`] / [`SessionHandle`].
+//! The surface is typed: [`Client::create`] opens a session from a
+//! [`CreateSessionRequest`], [`Client::session`] scopes the per-session
+//! commands to one name through a [`SessionHandle`], and [`Client::send`]
+//! takes any typed [`crate::Request`].  [`Client::request`] sends a raw
+//! `Value`, for wire shapes the typed layer cannot express.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use dcs_graph::{VertexId, Weight};
-use serde_json::{json, Value};
+use serde_json::Value;
 
 use crate::error::ServerError;
 use crate::protocol::{CreateSessionRequest, JobBounds, Request};
@@ -84,123 +84,9 @@ impl Client {
         self.send(&Request::Ping)
     }
 
-    /// Creates a session; `options` may carry `remine_every`,
-    /// `alert_threshold`, `measure` and `durable` (any other fields are
-    /// ignored by the server).
-    ///
-    /// Deprecated: prefer [`Client::create`] with a typed
-    /// [`CreateSessionRequest`].
-    pub fn create_session(
-        &mut self,
-        name: &str,
-        vertices: usize,
-        options: Value,
-    ) -> Result<Value, ServerError> {
-        let mut request = options;
-        if !matches!(request, Value::Object(_)) {
-            request = json!({});
-        }
-        request["cmd"] = json!("create_session");
-        request["session"] = json!(name);
-        request["vertices"] = json!(vertices);
-        self.request(request)
-    }
-
-    /// Creates a session whose baseline is a graph-pack file on the
-    /// **server's** filesystem (the path travels over the wire, not the
-    /// bytes).  `options` may carry the same fields as [`Self::create_session`].
-    ///
-    /// Deprecated: prefer [`Client::create`] with a typed
-    /// [`CreateSessionRequest`].
-    pub fn create_session_from_pack(
-        &mut self,
-        name: &str,
-        pack_path: &str,
-        options: Value,
-    ) -> Result<Value, ServerError> {
-        let mut request = options;
-        if !matches!(request, Value::Object(_)) {
-            request = json!({});
-        }
-        request["cmd"] = json!("create_session");
-        request["session"] = json!(name);
-        request["pack"] = json!(pack_path);
-        self.request(request)
-    }
-
     /// Creates a session from a typed [`CreateSessionRequest`].
     pub fn create(&mut self, create: CreateSessionRequest) -> Result<Value, ServerError> {
         self.send(&Request::CreateSession(create))
-    }
-
-    /// Replaces the session's baseline graph.
-    ///
-    /// Deprecated: prefer [`SessionHandle::load_baseline`] via
-    /// [`Client::session`].
-    pub fn load_baseline(
-        &mut self,
-        name: &str,
-        edges: &[(VertexId, VertexId, Weight)],
-    ) -> Result<Value, ServerError> {
-        self.session(name).load_baseline(edges)
-    }
-
-    /// Streams a batch of weight updates into the observed graph.
-    ///
-    /// Deprecated: prefer [`SessionHandle::observe`] via [`Client::session`].
-    pub fn observe(
-        &mut self,
-        name: &str,
-        updates: &[(VertexId, VertexId, Weight)],
-    ) -> Result<Value, ServerError> {
-        self.session(name).observe(updates)
-    }
-
-    /// Mines the current DCS under the session's configured measure.
-    ///
-    /// Deprecated: prefer [`SessionHandle::mine`] via [`Client::session`].
-    pub fn mine(&mut self, name: &str) -> Result<Value, ServerError> {
-        self.session(name).mine()
-    }
-
-    /// Mines the current DCS under an explicit measure (`"affinity"` or
-    /// `"degree"`).
-    ///
-    /// Deprecated: prefer [`SessionHandle::mine_with`] via
-    /// [`Client::session`].
-    pub fn mine_with_measure(&mut self, name: &str, measure: &str) -> Result<Value, ServerError> {
-        self.request(json!({ "cmd": "mine", "session": name, "measure": measure }))
-    }
-
-    /// Mines up to `k` vertex-disjoint contrast subgraphs.
-    ///
-    /// Deprecated: prefer [`SessionHandle::topk`] via [`Client::session`].
-    pub fn topk(&mut self, name: &str, k: usize) -> Result<Value, ServerError> {
-        self.session(name).topk(k)
-    }
-
-    /// Runs an α-sweep; `alphas = None` uses the server's default grid.
-    ///
-    /// Deprecated: prefer [`SessionHandle::sweep`] via [`Client::session`].
-    pub fn sweep(&mut self, name: &str, alphas: Option<&[f64]>) -> Result<Value, ServerError> {
-        self.session(name).sweep(alphas)
-    }
-
-    /// Mines the current DCS with a wall-clock deadline in milliseconds: the
-    /// response is best-so-far with `"termination": "deadline"` when the
-    /// deadline expires before the solver converges.
-    ///
-    /// Deprecated: prefer [`SessionHandle::mine_bounded`] via
-    /// [`Client::session`].
-    pub fn mine_with_deadline(
-        &mut self,
-        name: &str,
-        deadline_ms: u64,
-    ) -> Result<Value, ServerError> {
-        self.session(name).mine_bounded(JobBounds {
-            deadline_ms: Some(deadline_ms),
-            ..JobBounds::default()
-        })
     }
 
     /// Cancels an in-flight job submitted with a `"job"` id (from any
@@ -212,24 +98,9 @@ impl Client {
         })
     }
 
-    /// Session counters.
-    ///
-    /// Deprecated: prefer [`SessionHandle::stats`] via [`Client::session`].
-    pub fn stats(&mut self, name: &str) -> Result<Value, ServerError> {
-        self.session(name).stats()
-    }
-
     /// Names of live sessions.
     pub fn list_sessions(&mut self) -> Result<Value, ServerError> {
         self.send(&Request::ListSessions)
-    }
-
-    /// Drops a session.
-    ///
-    /// Deprecated: prefer [`SessionHandle::drop_session`] via
-    /// [`Client::session`].
-    pub fn drop_session(&mut self, name: &str) -> Result<Value, ServerError> {
-        self.session(name).drop_session()
     }
 
     /// Server-wide counters.

@@ -214,25 +214,26 @@ impl CreationRecord {
     }
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// `fsync`, rename, best-effort directory sync.
-fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Replaces `path` atomically: `write` fills a temp file in the same
+/// directory, which is `fsync`ed and renamed over `path`, and then the
+/// directory is synced so the rename itself survives a crash.
+fn write_atomically(path: &Path, write: impl FnOnce(&Path) -> io::Result<()>) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_data()?;
-    drop(file);
+    write(&tmp)?;
+    File::open(&tmp)?.sync_data()?;
     fs::rename(&tmp, path)?;
-    sync_parent_dir(path);
-    Ok(())
+    sync_parent_dir(path)
 }
 
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+/// `fsync`s the directory holding `path`, making a new or renamed entry
+/// there durable.  The error is returned, never swallowed: an entry whose
+/// directory failed to sync may vanish in a crash.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = path
+        .parent()
+        .filter(|parent| !parent.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(parent)?.sync_all()
 }
 
 fn triples_to_json(triples: &[(VertexId, VertexId, Weight)]) -> Value {
@@ -433,18 +434,11 @@ impl DurableSession {
         baseline: &SignedGraph,
     ) -> Result<(), ServerError> {
         self.check_poisoned()?;
-        let result = (|| {
-            let path = baseline_path(&self.dir, version);
-            let tmp = path.with_extension("tmp");
-            dcs_datasets::PackWriter::write_graph(baseline, &tmp)?;
-            let file = File::open(&tmp)?;
-            file.sync_data()?;
-            drop(file);
-            fs::rename(&tmp, &path)?;
-            sync_parent_dir(&path);
-            Ok(())
-        })();
-        let result = result.and_then(|()| {
+        let result = write_atomically(&baseline_path(&self.dir, version), |tmp| {
+            dcs_datasets::PackWriter::write_graph(baseline, tmp).map(drop)
+        })
+        .map_err(ServerError::Io)
+        .and_then(|()| {
             self.baseline_id = version;
             self.wal
                 .append(&json!({ "kind": "baseline", "v": version }))
@@ -497,21 +491,26 @@ impl DurableSession {
         let meta_bytes = serde_json::to_string(&meta)
             .map_err(|e| durability_error(format!("unserializable checkpoint metadata: {e}")))?;
 
-        // 1. The checkpoint pack, atomically (tmp + fsync + rename).
-        let path = ckpt_path(&self.dir, version);
-        let tmp = path.with_extension("tmp");
-        dcs_datasets::PackWriter::write_graph_with_session(&observed, meta_bytes.as_bytes(), &tmp)?;
-        let file = File::open(&tmp)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, &path)?;
-        sync_parent_dir(&path);
+        // 1. The checkpoint pack, atomically (tmp + fsync + rename + dir sync).
+        write_atomically(&ckpt_path(&self.dir, version), |tmp| {
+            dcs_datasets::PackWriter::write_graph_with_session(
+                &observed,
+                meta_bytes.as_bytes(),
+                tmp,
+            )
+            .map(drop)
+        })?;
 
-        // 2. Rotate the WAL: sync the old segment, open the successor.  A
-        //    crash between 1 and 2 is safe — recovery replays the old segment
-        //    and skips every record at or below the checkpoint version.
+        // 2. Rotate the WAL: sync the old segment, open the successor and
+        //    sync its directory entry.  A crash between 1 and 2 is safe —
+        //    recovery replays the old segment and skips every record at or
+        //    below the checkpoint version.
         self.wal.flush_sync()?;
-        self.wal = WalWriter::open_append(wal_path(&self.dir, version), self.sync)?;
+        let segment = wal_path(&self.dir, version);
+        self.wal = WalWriter::open_append(segment.clone(), self.sync)?;
+        if self.sync != WalSync::None {
+            sync_parent_dir(&segment)?;
+        }
         let previous = self.generation;
         self.generation = version;
 
@@ -531,27 +530,46 @@ impl DurableSession {
     }
 }
 
-/// Creates the directory for a fresh durable session and its first WAL
-/// segment, recording the creation parameters in `session.json`.
-pub(crate) fn create_session_dir(
+/// Makes a freshly built `session` durable: creates its directory under
+/// `data_dir` and its first WAL segment, records the creation parameters
+/// (with `pack`, the path of the pack backing its baseline) in
+/// `session.json`, and attaches the log to the session.
+pub(crate) fn make_durable(
+    session: &mut Session,
     data_dir: &Path,
-    record: &CreationRecord,
+    name: &str,
+    pack: Option<String>,
     sync: WalSync,
-) -> Result<DurableSession, ServerError> {
-    let dir = data_dir.join(encode_session_dir(&record.name));
+) -> Result<(), ServerError> {
+    let config = *session.monitor().config();
+    let record = CreationRecord {
+        name: name.to_string(),
+        vertices: session.monitor().num_vertices(),
+        remine_every: config.remine_every,
+        alert_threshold: config.alert_threshold,
+        measure: config.measure,
+        pack,
+    };
+    let dir = data_dir.join(encode_session_dir(name));
     fs::create_dir_all(&dir)?;
+    sync_parent_dir(&dir)?;
+    // The segment is created before `session.json`, so the directory sync
+    // that makes the record durable covers the segment's entry too.
+    let wal = WalWriter::open_append(wal_path(&dir, 0), sync)?;
     let text = serde_json::to_string_pretty(&record.to_json())
         .map_err(|e| durability_error(format!("unserializable session record: {e}")))?;
-    write_atomically(&dir.join("session.json"), format!("{text}\n").as_bytes())?;
-    let wal = WalWriter::open_append(wal_path(&dir, 0), sync)?;
-    Ok(DurableSession {
+    write_atomically(&dir.join("session.json"), |tmp| {
+        fs::write(tmp, format!("{text}\n"))
+    })?;
+    session.attach_durable(DurableSession {
         dir,
         wal,
         generation: 0,
         sync,
         baseline_id: 0,
         poisoned: false,
-    })
+    });
+    Ok(())
 }
 
 pub(crate) fn read_creation(dir: &Path) -> Result<CreationRecord, ServerError> {
@@ -842,17 +860,8 @@ pub fn create_durable_session(
     config: StreamingConfig,
     sync: WalSync,
 ) -> Result<Session, ServerError> {
-    let record = CreationRecord {
-        name: name.to_string(),
-        vertices,
-        remine_every: config.remine_every,
-        alert_threshold: config.alert_threshold,
-        measure: config.measure,
-        pack: None,
-    };
-    let durable = create_session_dir(data_dir, &record, sync)?;
     let mut session = Session::new(vertices, config)?;
-    session.attach_durable(durable);
+    make_durable(&mut session, data_dir, name, None, sync)?;
     Ok(session)
 }
 
@@ -998,6 +1007,14 @@ mod tests {
         assert_eq!(back.alert_threshold, 1.5);
         assert_eq!(back.measure, DensityMeasure::AverageDegree);
         assert_eq!(back.pack.as_deref(), Some("/tmp/base.dcspack"));
+    }
+
+    #[test]
+    fn syncing_a_missing_directory_fails() {
+        let missing = temp_dir("missing").join("gone");
+        assert!(sync_parent_dir(&missing.join("session.json")).is_err());
+        assert!(sync_parent_dir(&missing).is_ok());
+        fs::remove_dir_all(missing.parent().unwrap()).ok();
     }
 
     #[test]

@@ -230,21 +230,29 @@
 //! ## Example
 //!
 //! ```
-//! use dcs_server::{Client, Server, ServerConfig};
+//! use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 //! use serde_json::json;
 //!
 //! let handle = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().start();
 //! let mut client = Client::connect(handle.local_addr()).unwrap();
 //!
-//! client.create_session("demo", 5, json!({"alert_threshold": 1.0})).unwrap();
-//! client.load_baseline("demo", &[(0, 1, 1.0)]).unwrap();
-//! client.observe("demo", &[(0, 1, 4.0), (0, 2, 3.0), (1, 2, 3.0)]).unwrap();
+//! client
+//!     .create(CreateSessionRequest {
+//!         session: "demo".into(),
+//!         vertices: Some(5),
+//!         alert_threshold: 1.0,
+//!         ..Default::default()
+//!     })
+//!     .unwrap();
+//! let mut demo = client.session("demo");
+//! demo.load_baseline(&[(0, 1, 1.0)]).unwrap();
+//! demo.observe(&[(0, 1, 4.0), (0, 2, 3.0), (1, 2, 3.0)]).unwrap();
 //!
-//! let mined = client.mine("demo").unwrap();
-//! assert_eq!(mined["result"]["subset"], serde_json::json!([0, 1, 2]));
+//! let mined = demo.mine().unwrap();
+//! assert_eq!(mined["result"]["subset"], json!([0, 1, 2]));
 //! assert_eq!(mined["cached"], false);
 //! // Same graph version, same job: served from the session cache.
-//! assert_eq!(client.mine("demo").unwrap()["cached"], true);
+//! assert_eq!(demo.mine().unwrap()["cached"], true);
 //!
 //! client.shutdown().unwrap();
 //! handle.join();

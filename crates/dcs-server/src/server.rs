@@ -1131,39 +1131,54 @@ fn create_session(create: CreateSessionRequest, shared: &Shared) -> Result<Value
     if create.durable {
         return create_durable(create, config, shared);
     }
-    // With a "pack" field the baseline comes from a graph-pack file on the
-    // server's filesystem and the vertex count comes from the pack header —
-    // "vertices" becomes optional and, when present, is cross-checked.
-    if let Some(path) = &create.pack {
-        let declared = create.vertices.map(|v| v as usize);
-        let vertices = shared.registry.create_from_pack(
-            &create.session,
-            path,
-            config,
-            shared.config.max_vertices,
-            declared,
-        )?;
-        return Ok(Response::SessionCreated {
-            session: create.session,
-            vertices,
-            backing: "pack",
-            durable: None,
+    let session = new_session(&create, config, shared.config.max_vertices)?;
+    register(create.session, session, None, shared)
+}
+
+/// Builds the session a `create_session` asks for.  With a `"pack"` field
+/// the baseline comes from a graph-pack file on the server's filesystem and
+/// the vertex count from the pack header — `"vertices"` becomes optional
+/// and, when present, is cross-checked.  Without one the baseline is empty
+/// and `"vertices"` must lie in `1..=max_vertices`.
+fn new_session(
+    create: &CreateSessionRequest,
+    config: StreamingConfig,
+    max_vertices: usize,
+) -> Result<Session, ServerError> {
+    let Some(path) = &create.pack else {
+        let vertices = create.vertices.unwrap_or(0) as usize;
+        if vertices == 0 || vertices > max_vertices {
+            return Err(ServerError::BadRequest(format!(
+                "vertices must be in 1..={max_vertices}"
+            )));
         }
-        .into_body());
+        return Session::new(vertices, config);
+    };
+    let session = Session::from_pack(path, config, max_vertices)?;
+    let vertices = session.monitor().num_vertices();
+    match create.vertices {
+        Some(declared) if declared as usize != vertices => Err(ServerError::BadRequest(format!(
+            "request declares {declared} vertices but the pack has {vertices}"
+        ))),
+        _ => Ok(session),
     }
-    let vertices = create.vertices.unwrap_or(0) as usize;
-    if vertices == 0 || vertices > shared.config.max_vertices {
-        return Err(ServerError::BadRequest(format!(
-            "vertices must be in 1..={}",
-            shared.config.max_vertices
-        )));
-    }
-    shared.registry.create(&create.session, vertices, config)?;
+}
+
+/// Registers a built session under `name` and answers `session_created`;
+/// `durable` is `Some(recovered)` for durable creates.
+fn register(
+    name: String,
+    session: Session,
+    durable: Option<bool>,
+    shared: &Shared,
+) -> Result<Value, ServerError> {
+    let stats = session.stats();
+    shared.registry.insert(&name, session)?;
     Ok(Response::SessionCreated {
-        session: create.session,
-        vertices,
-        backing: "memory",
-        durable: None,
+        session: name,
+        vertices: stats.vertices,
+        backing: stats.backing,
+        durable,
     }
     .into_body())
 }
@@ -1189,59 +1204,17 @@ fn create_durable(
     let dir = data_dir.join(durable::encode_session_dir(&create.session));
     if durable::is_session_dir(&dir) {
         let (_, session) = durable::open_session_dir(&dir, shared.config.wal_sync)?;
-        let stats = session.stats();
-        let (vertices, backing) = (stats.vertices, stats.backing);
-        shared.registry.insert(&create.session, session)?;
-        return Ok(Response::SessionCreated {
-            session: create.session,
-            vertices,
-            backing,
-            durable: Some(true),
-        }
-        .into_body());
+        return register(create.session, session, Some(true), shared);
     }
-    let (mut session, vertices, backing) = if let Some(path) = &create.pack {
-        let session = Session::from_pack(path, config, shared.config.max_vertices)?;
-        let vertices = session.stats().vertices;
-        if let Some(declared) = create.vertices {
-            if declared as usize != vertices {
-                return Err(ServerError::BadRequest(format!(
-                    "request declares {declared} vertices but the pack has {vertices}"
-                )));
-            }
-        }
-        (session, vertices, "pack")
-    } else {
-        let vertices = create.vertices.unwrap_or(0) as usize;
-        if vertices == 0 || vertices > shared.config.max_vertices {
-            return Err(ServerError::BadRequest(format!(
-                "vertices must be in 1..={}",
-                shared.config.max_vertices
-            )));
-        }
-        (Session::new(vertices, config)?, vertices, "memory")
-    };
-    let record = durable::CreationRecord {
-        name: create.session.clone(),
-        vertices,
-        remine_every: config.remine_every,
-        alert_threshold: config.alert_threshold,
-        measure: config.measure,
-        pack: create.pack.clone(),
-    };
-    session.attach_durable(durable::create_session_dir(
+    let mut session = new_session(&create, config, shared.config.max_vertices)?;
+    durable::make_durable(
+        &mut session,
         data_dir,
-        &record,
+        &create.session,
+        create.pack.clone(),
         shared.config.wal_sync,
-    )?);
-    shared.registry.insert(&create.session, session)?;
-    Ok(Response::SessionCreated {
-        session: create.session,
-        vertices,
-        backing,
-        durable: Some(false),
-    }
-    .into_body())
+    )?;
+    register(create.session, session, Some(false), shared)
 }
 
 /// Drops a session; a durable session's on-disk state is deleted with it

@@ -199,7 +199,8 @@ impl Session {
         }
     }
 
-    /// Attaches the durable half to a freshly created session.
+    /// Attaches the durable half to a freshly created session (see
+    /// [`crate::durable::make_durable`]).
     pub(crate) fn attach_durable(&mut self, durable: DurableSession) {
         self.durable = Some(durable);
     }
@@ -208,11 +209,6 @@ impl Session {
     /// session so its directory can be removed after the registry forgets it).
     pub(crate) fn take_durable(&mut self) -> Option<DurableSession> {
         self.durable.take()
-    }
-
-    /// Whether the session writes a WAL and checkpoints.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
     }
 
     /// Fault injection for the crash-recovery tests: after `limit` total WAL
@@ -397,9 +393,7 @@ impl SessionRegistry {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Inserts an already-built session (the durable create/recovery paths
-    /// construct sessions before registering them); fails if the name is
-    /// taken.
+    /// Registers a built session under `name`; fails if the name is taken.
     pub(crate) fn insert(&self, name: &str, session: Session) -> Result<(), ServerError> {
         let mut sessions = self.write();
         if sessions.contains_key(name) {
@@ -407,41 +401,6 @@ impl SessionRegistry {
         }
         sessions.insert(name.to_string(), Arc::new(Mutex::new(session)));
         Ok(())
-    }
-
-    /// Creates a session; fails if the name is taken.
-    pub fn create(
-        &self,
-        name: &str,
-        vertices: usize,
-        config: StreamingConfig,
-    ) -> Result<(), ServerError> {
-        let session = Session::new(vertices, config)?;
-        self.insert(name, session)
-    }
-
-    /// Creates a pack-backed session; fails if the name is taken, or if
-    /// `expected_vertices` is given and disagrees with the pack header.
-    /// Returns the vertex count read from the pack.
-    pub fn create_from_pack(
-        &self,
-        name: &str,
-        path: &str,
-        config: StreamingConfig,
-        max_vertices: usize,
-        expected_vertices: Option<usize>,
-    ) -> Result<usize, ServerError> {
-        let session = Session::from_pack(path, config, max_vertices)?;
-        let vertices = session.monitor().num_vertices();
-        if let Some(expected) = expected_vertices {
-            if expected != vertices {
-                return Err(ServerError::BadRequest(format!(
-                    "request declares {expected} vertices but the pack has {vertices}"
-                )));
-            }
-        }
-        self.insert(name, session)?;
-        Ok(vertices)
     }
 
     /// Looks up a session by name.
@@ -503,10 +462,11 @@ mod tests {
     fn registry_create_get_drop() {
         let registry = SessionRegistry::new();
         assert!(registry.is_empty());
-        registry.create("a", 10, config()).unwrap();
-        registry.create("b", 5, config()).unwrap();
+        let session = |vertices| Session::new(vertices, config()).unwrap();
+        registry.insert("a", session(10)).unwrap();
+        registry.insert("b", session(5)).unwrap();
         assert!(matches!(
-            registry.create("a", 3, config()),
+            registry.insert("a", session(3)),
             Err(ServerError::SessionExists(_))
         ));
         assert_eq!(registry.names(), vec!["a".to_string(), "b".to_string()]);

@@ -3,7 +3,8 @@
 
 use std::time::{Duration, Instant};
 
-use dcs_server::{Client, Server, ServerConfig, ServerHandle};
+use dcs_core::DensityMeasure;
+use dcs_server::{Client, CreateSessionRequest, JobBounds, Server, ServerConfig, ServerHandle};
 use serde_json::json;
 
 fn spawn(worker_threads: usize) -> (ServerHandle, String) {
@@ -28,11 +29,19 @@ fn rng_next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A `create_session` for a degree-measure session of `vertices` vertices.
+fn degree_session(name: &str, vertices: u64) -> CreateSessionRequest {
+    CreateSessionRequest {
+        session: name.into(),
+        vertices: Some(vertices),
+        measure: Some(DensityMeasure::AverageDegree),
+        ..Default::default()
+    }
+}
+
 /// Creates a degree-measure session with `edges` random observed edges.
 fn seed_session(client: &mut Client, name: &str, vertices: u64, edges: usize) {
-    client
-        .create_session(name, vertices as usize, json!({ "measure": "degree" }))
-        .unwrap();
+    client.create(degree_session(name, vertices)).unwrap();
     let mut state = 0x5eed_u64;
     let mut updates = Vec::with_capacity(edges);
     while updates.len() < edges {
@@ -43,7 +52,7 @@ fn seed_session(client: &mut Client, name: &str, vertices: u64, edges: usize) {
             updates.push((u, v, w));
         }
     }
-    client.observe(name, &updates).unwrap();
+    client.session(name).observe(&updates).unwrap();
 }
 
 #[test]
@@ -54,19 +63,25 @@ fn deadline_returns_best_so_far_instead_of_blocking() {
 
     // An already-expired deadline: the solver stops at its first checkpoint and
     // still answers with a valid best-so-far result.
-    let mined = client.mine_with_deadline("dl", 0).unwrap();
+    let mined = client
+        .session("dl")
+        .mine_bounded(JobBounds {
+            deadline_ms: Some(0),
+            ..JobBounds::default()
+        })
+        .unwrap();
     assert_eq!(mined["termination"], "deadline");
     assert_eq!(mined["result"]["stats"]["termination"], "deadline");
     assert!(mined["result"]["subset"].as_array().is_some());
     assert_eq!(mined["cached"], false);
 
     // Truncated results are never cached: the same query converges afresh.
-    let converged = client.mine("dl").unwrap();
+    let converged = client.session("dl").mine().unwrap();
     assert_eq!(converged["cached"], false);
     assert_eq!(converged["termination"], "converged");
     assert!(converged["result"]["stats"]["iterations"].as_u64().unwrap() > 0);
     // ... and the converged result IS cached for the next identical query.
-    assert_eq!(client.mine("dl").unwrap()["cached"], true);
+    assert_eq!(client.session("dl").mine().unwrap()["cached"], true);
 
     // topk and sweep honour deadlines too.
     let topk = client
@@ -122,7 +137,7 @@ fn server_job_cap_applies_without_a_client_deadline() {
     let addr = handle.local_addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
     seed_session(&mut client, "cap", 400, 2_000);
-    let mined = client.mine("cap").unwrap();
+    let mined = client.session("cap").mine().unwrap();
     assert_eq!(mined["termination"], "deadline");
     client.shutdown().unwrap();
     handle.join();
@@ -177,11 +192,10 @@ fn disconnect_cancels_the_inflight_job() {
     let (handle, addr) = spawn(1);
     let mut client = Client::connect(&addr).unwrap();
     seed_session(&mut client, "dc", 3_000, 30_000);
+    client.create(degree_session("small", 10)).unwrap();
     client
-        .create_session("small", 10, json!({ "measure": "degree" }))
-        .unwrap();
-    client
-        .observe("small", &[(0, 1, 5.0), (1, 2, 4.0)])
+        .session("small")
+        .observe(&[(0, 1, 5.0), (1, 2, 4.0)])
         .unwrap();
 
     // Submit an hours-long sweep from a throwaway connection and drop it
@@ -203,7 +217,7 @@ fn disconnect_cancels_the_inflight_job() {
     // With cancel-on-disconnect the single worker frees up almost immediately;
     // without it this mine would sit behind hours of abandoned sweeping.
     let started = Instant::now();
-    let mined = client.mine("small").unwrap();
+    let mined = client.session("small").mine().unwrap();
     assert_eq!(mined["result"]["subset"], json!([0, 1, 2]));
     assert!(
         started.elapsed() < Duration::from_secs(20),

@@ -12,15 +12,26 @@ use std::path::{Path, PathBuf};
 
 use dcs_core::{DensityMeasure, StreamingConfig, StreamingDcs};
 use dcs_datasets::PackWriter;
-use dcs_graph::{SignedGraph, VertexId, Weight};
-use dcs_server::{durable, Client, Server, ServerConfig, Session, WalSync};
-use serde_json::json;
+use dcs_graph::{GraphBuilder, SignedGraph, VertexId, Weight};
+use dcs_server::{
+    durable, Client, CreateSessionRequest, Server, ServerConfig, ServerError, Session, WalSync,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dcs_recovery_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A `create_session` for a durable memory-backed session.
+fn durable_create(session: &str, vertices: u64) -> CreateSessionRequest {
+    CreateSessionRequest {
+        session: session.into(),
+        vertices: Some(vertices),
+        durable: true,
+        ..Default::default()
+    }
 }
 
 fn config() -> StreamingConfig {
@@ -295,12 +306,15 @@ fn server_restart_recovers_durable_sessions() {
         .start();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let created = client
-        .create_session("tenant", 32, json!({ "durable": true, "remine_every": 3 }))
+        .create(CreateSessionRequest {
+            remine_every: 3,
+            ..durable_create("tenant", 32)
+        })
         .unwrap();
     assert_eq!(created["durable"], true);
     assert_eq!(created["recovered"], false);
     let ring: Vec<(u32, u32, f64)> = (0..32u32).map(|v| (v, (v + 1) % 32, 1.0)).collect();
-    client.load_baseline("tenant", &ring).unwrap();
+    client.session("tenant").load_baseline(&ring).unwrap();
     let mut acked_version = 0;
     for batch in batches(32, 12, 0xdc5_0040) {
         let response = client.session("tenant").observe(&batch).unwrap();
@@ -322,10 +336,8 @@ fn server_restart_recovers_durable_sessions() {
     let bumped = client.session("tenant").observe(&[(1, 2, 0.5)]).unwrap();
     assert_eq!(bumped["version"], acked_version + 1);
     // A durable create against a live name is a conflict, same as ephemeral.
-    let conflict = client
-        .create_session("tenant", 32, json!({ "durable": true }))
-        .unwrap_err();
-    assert!(matches!(conflict, dcs_server::ServerError::Remote(ref msg)
+    let conflict = client.create(durable_create("tenant", 32)).unwrap_err();
+    assert!(matches!(conflict, ServerError::Remote(ref msg)
         if msg == "session \"tenant\" already exists"));
 
     // Recover-on-demand: a directory created while this server was already
@@ -336,9 +348,7 @@ fn server_restart_recovers_durable_sessions() {
     offline.observe(&[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
     let offline_version = offline.version();
     drop(offline);
-    let adopted = client
-        .create_session("adopted", 8, json!({ "durable": true }))
-        .unwrap();
+    let adopted = client.create(durable_create("adopted", 8)).unwrap();
     assert_eq!(adopted["recovered"], true);
     let stats = client.session("adopted").stats().unwrap();
     assert_eq!(stats["version"], offline_version);
@@ -361,14 +371,79 @@ fn durable_create_requires_a_data_dir() {
         .expect("bind")
         .start();
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    let error = client
-        .create_session("nope", 8, json!({ "durable": true }))
-        .unwrap_err();
-    assert!(matches!(error, dcs_server::ServerError::Remote(ref msg)
+    let error = client.create(durable_create("nope", 8)).unwrap_err();
+    assert!(matches!(error, ServerError::Remote(ref msg)
         if msg == "bad request: durable sessions require a server data directory (serve --data-dir)"));
-    let created = client.create_session("mem", 8, json!({})).unwrap();
+    let created = client
+        .create(CreateSessionRequest {
+            session: "mem".into(),
+            vertices: Some(8),
+            ..Default::default()
+        })
+        .unwrap();
     assert_eq!(created["backing"], "memory");
     assert!(created["durable"].is_null());
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// A durable session created from a pack: the create answers with the
+/// pack's vertex count, a declared count that disagrees with the pack header
+/// fails with the ephemeral path's message and leaves no directory behind,
+/// and a restart recovers the session with its pack backing.
+#[test]
+fn durable_pack_sessions_over_the_wire() {
+    let data_dir = temp_dir("durable_pack");
+    let input_dir = temp_dir("durable_pack_input");
+    let ring = (0..32u32).map(|v| (v, (v + 1) % 32, 1.0));
+    let pack = input_dir.join("ring.dcspack");
+    PackWriter::write_graph(&GraphBuilder::from_edges(32, ring), &pack).unwrap();
+    let server_config = || ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let request = CreateSessionRequest {
+        session: "packed".into(),
+        pack: Some(pack.to_str().unwrap().into()),
+        durable: true,
+        ..Default::default()
+    };
+
+    let handle = Server::bind("127.0.0.1:0", server_config())
+        .expect("bind")
+        .start();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let mismatch = client
+        .create(CreateSessionRequest {
+            vertices: Some(7),
+            ..request.clone()
+        })
+        .unwrap_err();
+    assert!(matches!(mismatch, ServerError::Remote(ref msg)
+        if msg == "bad request: request declares 7 vertices but the pack has 32"));
+    assert!(!data_dir
+        .join(durable::encode_session_dir("packed"))
+        .exists());
+
+    let created = client.create(request).unwrap();
+    assert_eq!(created["backing"], "pack");
+    assert_eq!(created["durable"], true);
+    assert_eq!(created["recovered"], false);
+    assert_eq!(created["vertices"], 32);
+    let observed = client.session("packed").observe(&[(3, 4, 6.0)]).unwrap();
+    drop(client);
+    handle.join();
+
+    let handle = Server::bind("127.0.0.1:0", server_config())
+        .expect("rebind")
+        .start();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let stats = client.session("packed").stats().unwrap();
+    assert_eq!(stats["backing"], "pack");
+    assert_eq!(stats["baseline_edges"], 32);
+    assert_eq!(stats["version"], observed["version"]);
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let _ = std::fs::remove_dir_all(&input_dir);
 }

@@ -2,13 +2,32 @@
 //! port, concurrent clients streaming observation batches, and a full
 //! observe → mine → alert round trip with cache semantics.
 
-use dcs_server::{Client, Server, ServerConfig, ServerError};
+use dcs_core::DensityMeasure;
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig, ServerError};
 use serde_json::json;
 
 fn start_server() -> dcs_server::ServerHandle {
     Server::bind("127.0.0.1:0", ServerConfig::default())
         .expect("bind ephemeral port")
         .start()
+}
+
+/// A `create_session` for a memory-backed session of `vertices` vertices.
+fn memory(session: &str, vertices: u64) -> CreateSessionRequest {
+    CreateSessionRequest {
+        session: session.into(),
+        vertices: Some(vertices),
+        ..Default::default()
+    }
+}
+
+/// A `create_session` whose baseline is the pack at `path`.
+fn packed(session: &str, path: &str) -> CreateSessionRequest {
+    CreateSessionRequest {
+        session: session.into(),
+        pack: Some(path.into()),
+        ..Default::default()
+    }
 }
 
 /// The acceptance scenario: create a session, load a baseline, stream ≥ 100
@@ -21,16 +40,16 @@ fn concurrent_observe_mine_alert_round_trip() {
 
     let mut control = Client::connect(addr).expect("connect control client");
     control
-        .create_session(
-            "traffic",
-            64,
-            json!({ "alert_threshold": 5.0, "measure": "affinity" }),
-        )
+        .create(CreateSessionRequest {
+            alert_threshold: 5.0,
+            measure: Some(DensityMeasure::GraphAffinity),
+            ..memory("traffic", 64)
+        })
         .unwrap();
 
     // Baseline: a ring of expected strength 1 over all 64 vertices.
     let ring: Vec<(u32, u32, f64)> = (0..64u32).map(|v| (v, (v + 1) % 64, 1.0)).collect();
-    let loaded = control.load_baseline("traffic", &ring).unwrap();
+    let loaded = control.session("traffic").load_baseline(&ring).unwrap();
     assert_eq!(loaded["baseline_edges"], 64);
 
     // Two concurrent clients each stream 60 observation batches (120 total):
@@ -46,7 +65,7 @@ fn concurrent_observe_mine_alert_round_trip() {
             } else {
                 vec![(3, 4, 0.35), (4, 5, 0.35), (3, 5, 0.35)]
             };
-            let response = client.observe("traffic", &updates).unwrap();
+            let response = client.session("traffic").observe(&updates).unwrap();
             assert_eq!(response["ok"], true);
             applied += response["applied"].as_u64().unwrap();
             assert_eq!(response["ignored"], 0);
@@ -61,7 +80,7 @@ fn concurrent_observe_mine_alert_round_trip() {
     assert_eq!(totals[0], 120);
     assert_eq!(totals[1], 180);
 
-    let stats = control.stats("traffic").unwrap();
+    let stats = control.session("traffic").stats().unwrap();
     assert_eq!(stats["observations"], 300);
     // 300 observations on top of version 1 (the baseline load advanced the
     // session version from 0).
@@ -70,7 +89,7 @@ fn concurrent_observe_mine_alert_round_trip() {
     // Mine: the hot triangle must be the DCS, and with weights ~0.35·60 = 21
     // per edge against a baseline of ~1, the affinity contrast (~14) clears
     // the alert threshold of 5.
-    let mined = control.mine("traffic").unwrap();
+    let mined = control.session("traffic").mine().unwrap();
     assert_eq!(mined["cached"], false);
     assert_eq!(mined["result"]["subset"], json!([3, 4, 5]));
     assert_eq!(mined["result"]["triggered"], true);
@@ -80,19 +99,22 @@ fn concurrent_observe_mine_alert_round_trip() {
     // Unchanged session: the repeat mine is served from the cache — also for
     // a different client connection (the cache is per session, not per
     // connection).
-    let again = control.mine("traffic").unwrap();
+    let again = control.session("traffic").mine().unwrap();
     assert_eq!(again["cached"], true);
     assert_eq!(again["result"]["subset"], json!([3, 4, 5]));
     let mut other = Client::connect(addr).unwrap();
-    assert_eq!(other.mine("traffic").unwrap()["cached"], true);
+    assert_eq!(other.session("traffic").mine().unwrap()["cached"], true);
 
     // One more observation invalidates the cache.
-    control.observe("traffic", &[(10, 11, 0.2)]).unwrap();
-    let after = control.mine("traffic").unwrap();
+    control
+        .session("traffic")
+        .observe(&[(10, 11, 0.2)])
+        .unwrap();
+    let after = control.session("traffic").mine().unwrap();
     assert_eq!(after["cached"], false);
     assert_eq!(after["result"]["subset"], json!([3, 4, 5]));
 
-    let cache_stats = control.stats("traffic").unwrap();
+    let cache_stats = control.session("traffic").stats().unwrap();
     assert!(cache_stats["cache"]["hits"].as_u64().unwrap() >= 2);
 
     control.shutdown().unwrap();
@@ -105,25 +127,25 @@ fn topk_sweep_and_stats_over_the_wire() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     client
-        .create_session("s", 12, json!({ "measure": "affinity" }))
+        .create(CreateSessionRequest {
+            measure: Some(DensityMeasure::GraphAffinity),
+            ..memory("s", 12)
+        })
         .unwrap();
-    client.load_baseline("s", &[(0, 1, 1.0)]).unwrap();
+    let mut s = client.session("s");
+    s.load_baseline(&[(0, 1, 1.0)]).unwrap();
     // Two disjoint hot groups of different strength.
-    client
-        .observe(
-            "s",
-            &[
-                (0, 1, 9.0),
-                (0, 2, 8.0),
-                (1, 2, 8.0),
-                (5, 6, 4.0),
-                (6, 7, 4.0),
-                (5, 7, 4.0),
-            ],
-        )
-        .unwrap();
+    s.observe(&[
+        (0, 1, 9.0),
+        (0, 2, 8.0),
+        (1, 2, 8.0),
+        (5, 6, 4.0),
+        (6, 7, 4.0),
+        (5, 7, 4.0),
+    ])
+    .unwrap();
 
-    let topk = client.topk("s", 3).unwrap();
+    let topk = s.topk(3).unwrap();
     let results = topk["results"].as_array().unwrap();
     assert_eq!(results.len(), 2);
     assert_eq!(results[0]["rank"], 1);
@@ -131,11 +153,11 @@ fn topk_sweep_and_stats_over_the_wire() {
     assert_eq!(results[1]["subset"], json!([5, 6, 7]));
     assert!(results[0]["objective"].as_f64().unwrap() >= results[1]["objective"].as_f64().unwrap());
     // Identical top-k: cached.
-    assert_eq!(client.topk("s", 3).unwrap()["cached"], true);
+    assert_eq!(s.topk(3).unwrap()["cached"], true);
     // Different k: its own cache entry.
-    assert_eq!(client.topk("s", 1).unwrap()["cached"], false);
+    assert_eq!(s.topk(1).unwrap()["cached"], false);
 
-    let sweep = client.sweep("s", Some(&[0.0, 1.0, 2.0])).unwrap();
+    let sweep = s.sweep(Some(&[0.0, 1.0, 2.0])).unwrap();
     let points = sweep["points"].as_array().unwrap();
     assert_eq!(points.len(), 3);
     assert_eq!(points[0]["alpha"], 0);
@@ -171,27 +193,30 @@ fn pack_backed_sessions_over_the_wire() {
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
+    let affinity = Some(DensityMeasure::GraphAffinity);
     let created = client
-        .create_session_from_pack(
-            "packed",
-            pack_path.to_str().unwrap(),
-            json!({ "measure": "affinity" }),
-        )
+        .create(CreateSessionRequest {
+            measure: affinity,
+            ..packed("packed", pack_path.to_str().unwrap())
+        })
         .unwrap();
     assert_eq!(created["vertices"], 32);
     assert_eq!(created["backing"], "pack");
 
     client
-        .create_session("memory", 32, json!({ "measure": "affinity" }))
+        .create(CreateSessionRequest {
+            measure: affinity,
+            ..memory("memory", 32)
+        })
         .unwrap();
-    client.load_baseline("memory", &ring).unwrap();
+    client.session("memory").load_baseline(&ring).unwrap();
 
     let hot = [(3u32, 4u32, 6.0f64), (4, 5, 6.0), (3, 5, 6.0)];
-    client.observe("packed", &hot).unwrap();
-    client.observe("memory", &hot).unwrap();
+    client.session("packed").observe(&hot).unwrap();
+    client.session("memory").observe(&hot).unwrap();
 
-    let from_pack = client.mine("packed").unwrap();
-    let from_memory = client.mine("memory").unwrap();
+    let from_pack = client.session("packed").mine().unwrap();
+    let from_memory = client.session("memory").mine().unwrap();
     assert_eq!(from_pack["result"]["subset"], json!([3, 4, 5]));
     assert_eq!(
         from_pack["result"]["subset"],
@@ -202,12 +227,18 @@ fn pack_backed_sessions_over_the_wire() {
         from_memory["result"]["affinity_difference"]
     );
 
-    let stats = client.stats("packed").unwrap();
+    let stats = client.session("packed").stats().unwrap();
     assert_eq!(stats["backing"], "pack");
     assert_eq!(stats["baseline_edges"], 32);
     assert!(stats["pack_open_ms"].as_f64().unwrap() >= 0.0);
-    assert_eq!(client.stats("memory").unwrap()["backing"], "memory");
-    assert_eq!(client.stats("memory").unwrap()["pack_open_ms"], json!(null));
+    assert_eq!(
+        client.session("memory").stats().unwrap()["backing"],
+        "memory"
+    );
+    assert_eq!(
+        client.session("memory").stats().unwrap()["pack_open_ms"],
+        json!(null)
+    );
 
     // Declared vertex counts are cross-checked against the pack header.
     assert!(matches!(
@@ -221,7 +252,7 @@ fn pack_backed_sessions_over_the_wire() {
     ));
     // A missing pack file is a clean error, not a wedged session.
     assert!(matches!(
-        client.create_session_from_pack("ghost", "/nonexistent.pack", json!({})),
+        client.create(packed("ghost", "/nonexistent.pack")),
         Err(ServerError::Remote(_))
     ));
     assert_eq!(
@@ -239,17 +270,18 @@ fn observe_with_cadence_raises_alerts_over_the_wire() {
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client
-        .create_session(
-            "cadence",
-            16,
-            json!({ "remine_every": 3, "alert_threshold": 2.0 }),
-        )
+        .create(CreateSessionRequest {
+            remine_every: 3,
+            alert_threshold: 2.0,
+            ..memory("cadence", 16)
+        })
         .unwrap();
 
     // Three strong updates complete one re-mining period: the response
     // carries a triggered alert inline, without an explicit mine command.
     let response = client
-        .observe("cadence", &[(0, 1, 9.0), (0, 2, 9.0), (1, 2, 9.0)])
+        .session("cadence")
+        .observe(&[(0, 1, 9.0), (0, 2, 9.0), (1, 2, 9.0)])
         .unwrap();
     let alerts = response["alerts"].as_array().unwrap();
     assert_eq!(alerts.len(), 1);
@@ -267,7 +299,10 @@ fn session_management_and_errors_over_the_wire() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     // Unknown session and bad requests surface as remote errors.
-    assert!(matches!(client.mine("nope"), Err(ServerError::Remote(_))));
+    assert!(matches!(
+        client.session("nope").mine(),
+        Err(ServerError::Remote(_))
+    ));
     assert!(matches!(
         client.request(json!({ "cmd": "frobnicate" })),
         Err(ServerError::Remote(_))
@@ -277,17 +312,17 @@ fn session_management_and_errors_over_the_wire() {
         Err(ServerError::Remote(_))
     ));
 
-    client.create_session("a", 4, json!({})).unwrap();
-    client.create_session("b", 4, json!({})).unwrap();
+    client.create(memory("a", 4)).unwrap();
+    client.create(memory("b", 4)).unwrap();
     assert!(matches!(
-        client.create_session("a", 4, json!({})),
+        client.create(memory("a", 4)),
         Err(ServerError::Remote(_))
     ));
     assert_eq!(
         client.list_sessions().unwrap()["sessions"],
         json!(["a", "b"])
     );
-    client.drop_session("a").unwrap();
+    client.session("a").drop_session().unwrap();
     assert_eq!(client.list_sessions().unwrap()["sessions"], json!(["b"]));
 
     // Request ids are echoed.

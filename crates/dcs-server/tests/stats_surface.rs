@@ -3,7 +3,8 @@
 //! queue depth, cache hit rate, termination counts, per-kind / per-measure
 //! latency percentiles — advances with the workload that feeds it.
 
-use dcs_server::{Client, Server, ServerConfig};
+use dcs_core::DensityMeasure;
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 use serde_json::json;
 
 #[test]
@@ -24,11 +25,16 @@ fn stats_surface_tracks_jobs_cache_and_terminations() {
     assert!(base_requests >= 1, "the stats request itself is counted");
 
     client
-        .create_session("obs", 32, json!({ "measure": "affinity" }))
+        .create(CreateSessionRequest {
+            session: "obs".into(),
+            vertices: Some(32),
+            measure: Some(DensityMeasure::GraphAffinity),
+            ..Default::default()
+        })
         .unwrap();
-    client.load_baseline("obs", &[(0, 1, 1.0)]).unwrap();
-    client
-        .observe("obs", &[(0, 1, 5.0), (0, 2, 4.0), (1, 2, 4.0)])
+    let mut obs = client.session("obs");
+    obs.load_baseline(&[(0, 1, 1.0)]).unwrap();
+    obs.observe(&[(0, 1, 5.0), (0, 2, 4.0), (1, 2, 4.0)])
         .unwrap();
 
     // Four mining jobs with known outcomes: a converged affinity solve, a
@@ -36,10 +42,10 @@ fn stats_surface_tracks_jobs_cache_and_terminations() {
     // deterministically (one-unit budget, already-expired deadline).  The
     // bounded jobs use the degree measure so they cannot hit the converged
     // affinity cache entry.
-    let solved = client.mine("obs").unwrap();
+    let solved = obs.mine().unwrap();
     assert_eq!(solved["cached"], false);
     assert_eq!(solved["termination"], "converged");
-    let hit = client.mine("obs").unwrap();
+    let hit = obs.mine().unwrap();
     assert_eq!(hit["cached"], true);
     let budgeted = client
         .request(json!({
@@ -133,12 +139,19 @@ fn per_session_stats_still_carry_cache_counters() {
         .start();
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
-    client.create_session("s", 8, json!({})).unwrap();
-    client.observe("s", &[(0, 1, 3.0), (1, 2, 2.0)]).unwrap();
-    client.mine("s").unwrap();
-    client.mine("s").unwrap();
+    client
+        .create(CreateSessionRequest {
+            session: "s".into(),
+            vertices: Some(8),
+            ..Default::default()
+        })
+        .unwrap();
+    let mut s = client.session("s");
+    s.observe(&[(0, 1, 3.0), (1, 2, 2.0)]).unwrap();
+    s.mine().unwrap();
+    s.mine().unwrap();
 
-    let stats = client.stats("s").unwrap();
+    let stats = s.stats().unwrap();
     assert_eq!(stats["observations"], 2);
     assert_eq!(stats["cache"]["entries"], 1);
     assert_eq!(stats["cache"]["hits"], 1);

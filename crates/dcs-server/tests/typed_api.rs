@@ -1,8 +1,12 @@
 //! Tests of the typed protocol layer over a live server: the
-//! `Client::session` handle API, the `"proto"` version field, and the
-//! backward-compatible legacy wrappers.
+//! `Client::create` / `Client::session` API, the `"proto"` version field,
+//! and the measure-override and deadline requests through the session
+//! handle.
 
-use dcs_server::{Client, Server, ServerConfig, ServerError, PROTO_VERSION};
+use dcs_core::DensityMeasure;
+use dcs_server::{
+    Client, CreateSessionRequest, JobBounds, Server, ServerConfig, ServerError, PROTO_VERSION,
+};
 use serde_json::json;
 
 fn start_server() -> dcs_server::ServerHandle {
@@ -16,7 +20,13 @@ fn start_server() -> dcs_server::ServerHandle {
 fn session_handle_round_trip() {
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    client.create_session("typed", 16, json!({})).unwrap();
+    client
+        .create(CreateSessionRequest {
+            session: "typed".into(),
+            vertices: Some(16),
+            ..Default::default()
+        })
+        .unwrap();
 
     let mut session = client.session("typed");
     assert_eq!(session.name(), "typed");
@@ -92,29 +102,40 @@ fn proto_version_is_stamped_and_checked() {
     handle.join();
 }
 
-/// The historical string-based helpers still speak the same wire protocol
-/// (they now delegate to the typed layer internally).
+/// A measure override and a wall-clock deadline go through the session
+/// handle's `mine_with` and `mine_bounded`.
 #[test]
 fn legacy_wrappers_still_work() {
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client
-        .create_session("legacy", 8, json!({ "measure": "affinity" }))
+        .create(CreateSessionRequest {
+            session: "legacy".into(),
+            vertices: Some(8),
+            measure: Some(DensityMeasure::GraphAffinity),
+            ..Default::default()
+        })
         .unwrap();
-    client
-        .load_baseline("legacy", &[(0, 1, 1.0), (1, 2, 1.0)])
-        .unwrap();
-    let observed = client.observe("legacy", &[(0, 1, 3.0)]).unwrap();
+    let mut legacy = client.session("legacy");
+    legacy.load_baseline(&[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+    let observed = legacy.observe(&[(0, 1, 3.0)]).unwrap();
     assert_eq!(observed["applied"], 1);
-    let mined = client.mine("legacy").unwrap();
+    let mined = legacy.mine().unwrap();
     assert_eq!(mined["ok"], true);
-    let with_measure = client.mine_with_measure("legacy", "degree").unwrap();
+    let with_measure = legacy
+        .mine_with(DensityMeasure::AverageDegree, JobBounds::default())
+        .unwrap();
     assert_eq!(with_measure["ok"], true);
     assert_eq!(with_measure["cached"], false);
-    let deadline = client.mine_with_deadline("legacy", 10_000).unwrap();
+    let deadline = legacy
+        .mine_bounded(JobBounds {
+            deadline_ms: Some(10_000),
+            ..JobBounds::default()
+        })
+        .unwrap();
     assert_eq!(deadline["ok"], true);
-    assert_eq!(client.stats("legacy").unwrap()["vertices"], 8);
-    client.drop_session("legacy").unwrap();
+    assert_eq!(legacy.stats().unwrap()["vertices"], 8);
+    legacy.drop_session().unwrap();
     client.shutdown().unwrap();
     handle.join();
 }

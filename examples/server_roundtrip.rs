@@ -12,9 +12,9 @@
 //! cargo run --release --example server_roundtrip
 //! ```
 
+use dcs::core::DensityMeasure;
 use dcs::datasets::{Scale, TrafficConfig};
-use dcs_server::{Client, Server, ServerConfig};
-use serde_json::json;
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 
 fn main() {
     // A road network with planted hotspots: G1 is the historical expectation,
@@ -38,14 +38,19 @@ fn main() {
     // Control connection: session + baseline.
     let mut control = Client::connect(addr).expect("connect");
     control
-        .create_session(
-            "roads",
-            n,
-            json!({ "alert_threshold": 25.0, "measure": "degree" }),
-        )
+        .create(CreateSessionRequest {
+            session: "roads".into(),
+            vertices: Some(n as u64),
+            alert_threshold: 25.0,
+            measure: Some(DensityMeasure::AverageDegree),
+            ..Default::default()
+        })
         .expect("create session");
     let baseline: Vec<(u32, u32, f64)> = pair.g1.edges().collect();
-    let loaded = control.load_baseline("roads", &baseline).expect("baseline");
+    let loaded = control
+        .session("roads")
+        .load_baseline(&baseline)
+        .expect("baseline");
     println!("baseline loaded: {} segments", loaded["baseline_edges"]);
 
     // Two concurrent sensor feeds stream the current observations in batches.
@@ -59,21 +64,21 @@ fn main() {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect feed");
                 for batch in half.chunks(64) {
-                    let response = client.observe("roads", batch).expect("observe");
+                    let response = client.session("roads").observe(batch).expect("observe");
                     assert_eq!(response["ok"], true);
                     let _ = feed;
                 }
             });
         }
     });
-    let stats = control.stats("roads").expect("stats");
+    let stats = control.session("roads").stats().expect("stats");
     println!(
         "streamed {} observations (graph version {})",
         stats["observations"], stats["version"]
     );
 
     // Mine: the hotspot cluster must trigger the alert.
-    let mined = control.mine("roads").expect("mine");
+    let mined = control.session("roads").mine().expect("mine");
     let result = &mined["result"];
     println!(
         "mined DCS: {} intersections, contrast {:.1}, triggered={} (cached={})",
@@ -85,12 +90,12 @@ fn main() {
     assert_eq!(mined["cached"], false);
 
     // Same graph version + same job: answered from the session cache.
-    let again = control.mine("roads").expect("repeat mine");
+    let again = control.session("roads").mine().expect("repeat mine");
     println!("repeat mine served from cache: cached={}", again["cached"]);
     assert_eq!(again["cached"], true);
 
     // Top-3 disjoint contrast groups over the wire.
-    let topk = control.topk("roads", 3).expect("topk");
+    let topk = control.session("roads").topk(3).expect("topk");
     for group in topk["results"].as_array().unwrap() {
         println!(
             "  rank {}: {} intersections, objective {:.1}",
