@@ -34,8 +34,8 @@
 //! Two opt-in sections extend the core allocation suite: `--large` (wall-clock
 //! parallel-speedup + bit-identity at million-edge scale) and `--load`
 //! (cold-load wall clock and allocations of the text edge-list parser against
-//! the zero-copy graph-pack reader, gating a ≥10× pack speedup and the
-//! O(header) open-allocation contract of the mmap path).
+//! the zero-copy graph-pack reader, gating a ≥10× pack speedup in median run
+//! times and the O(header) open-allocation contract of the mmap path).
 //!
 //! ```text
 //! cargo run --release -p dcs-bench --bin solver_hotpath -- [--smoke] [--large] \
@@ -155,6 +155,40 @@ fn build_baseline(config: &BenchConfig, rng: &mut Rng) -> SignedGraph {
         }
     }
     builder.build()
+}
+
+/// Runs `f` `repetitions` times, timing each run on its own: the last run's value,
+/// the tally summed over all runs, and every run's wall clock in nanoseconds.
+fn measure_each<T>(repetitions: usize, mut f: impl FnMut() -> T) -> (T, Measured, Vec<u64>) {
+    let mut total = Measured {
+        allocs: 0,
+        bytes: 0,
+        nanos: 0,
+    };
+    let mut runs = Vec::with_capacity(repetitions);
+    let mut last = None;
+    for _ in 0..repetitions {
+        let (value, run) = measure(&mut f);
+        total.allocs += run.allocs;
+        total.bytes += run.bytes;
+        total.nanos += run.nanos;
+        runs.push(run.nanos);
+        last = Some(value);
+    }
+    (last.expect("at least one repetition"), total, runs)
+}
+
+/// The median and the interquartile range of run times, with quartiles
+/// interpolated linearly between the sorted runs.
+fn median_and_iqr(runs: &[u64]) -> (f64, f64) {
+    let mut sorted: Vec<f64> = runs.iter().map(|&ns| ns as f64).collect();
+    sorted.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (sorted.len() - 1) as f64;
+        let (low, high) = (at.floor() as usize, at.ceil() as usize);
+        sorted[low] + (sorted[high] - sorted[low]) * (at - low as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
 }
 
 fn per(m: &Measured, count: usize) -> (f64, f64, f64) {
@@ -393,12 +427,15 @@ fn run_large_section(smoke: bool, baseline: Option<&Value>) -> (Value, bool) {
 }
 
 /// The `--load` section: cold-load comparison of the text edge-list parser
-/// against the zero-copy graph-pack path at large-graph scale.  Three numbers
-/// per path (allocations, bytes, wall clock), two gates:
+/// against the zero-copy graph-pack path at large-graph scale.  Each path runs
+/// nine separately timed repetitions and reports allocations and bytes per run,
+/// the mean wall clock, and the median and interquartile range of the runs.
+/// Two gates:
 ///
 /// * **speedup** — `GraphPack::open` + `to_graph` must be ≥ 10× faster than
-///   parsing the equivalent text edge list (a same-machine ratio, so it is
-///   enforced everywhere, smoke and full alike).
+///   parsing the equivalent text edge list, as a ratio of the two median run
+///   times (a same-machine ratio, so it is enforced everywhere, smoke and full
+///   alike; one slow run moves a median less than a mean).
 /// * **open allocations** — on the mmap path, opening a pack must allocate
 ///   O(header) bytes (≤ 64 KiB) regardless of pack size: the CSR payload
 ///   stays in the kernel mapping.  Skipped when the platform falls back to
@@ -426,7 +463,7 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     } else {
         LargeConfig::benchmark()
     };
-    let repetitions = 3usize;
+    let repetitions = 9usize;
 
     let (dir, ephemeral) = match pack_dir {
         Some(dir) => (PathBuf::from(dir), false),
@@ -464,33 +501,21 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     }
 
     // Text parse: the pre-pack cold-load path.
-    let (text_graph, parse) = measure(|| {
-        let mut last = None;
-        for _ in 0..repetitions {
-            last = Some(read_edge_list_file(&text).expect("parse text edge list"));
-        }
-        last.expect("at least one repetition")
+    let (text_graph, parse, parse_runs) = measure_each(repetitions, || {
+        read_edge_list_file(&text).expect("parse text edge list")
     });
 
     // Pack open alone: the O(header) eager work (magic, checksums, bounds).
-    let (probe_pack, open) = measure(|| {
-        let mut last = None;
-        for _ in 0..repetitions {
-            last = Some(GraphPack::open(&g1_pack).expect("open pack"));
-        }
-        last.expect("at least one repetition")
+    let (probe_pack, open, open_runs) = measure_each(repetitions, || {
+        GraphPack::open(&g1_pack).expect("open pack")
     });
     let mapped = probe_pack.is_mapped();
 
     // Pack open + decode to a solver-ready graph: the end-to-end comparison
     // against the text parse.
-    let (pack_graph, load) = measure(|| {
-        let mut last = None;
-        for _ in 0..repetitions {
-            let pack = GraphPack::open(&g1_pack).expect("open pack");
-            last = Some(pack.to_graph().expect("decode pack"));
-        }
-        last.expect("at least one repetition")
+    let (pack_graph, load, load_runs) = measure_each(repetitions, || {
+        let pack = GraphPack::open(&g1_pack).expect("open pack");
+        pack.to_graph().expect("decode pack")
     });
     // Read-into-memory fallback, reported for trend-watching, never gated (it
     // is the degraded path for platforms without a usable mmap).
@@ -513,7 +538,10 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     let (parse_allocs, parse_bytes, parse_ns) = per(&parse, repetitions);
     let (open_allocs, open_bytes, open_ns) = per(&open, repetitions);
     let (load_allocs, load_bytes, load_ns) = per(&load, repetitions);
-    let speedup = parse_ns / load_ns.max(1.0);
+    let (parse_median, parse_iqr) = median_and_iqr(&parse_runs);
+    let (open_median, open_iqr) = median_and_iqr(&open_runs);
+    let (load_median, load_iqr) = median_and_iqr(&load_runs);
+    let speedup = parse_median / load_median.max(1.0);
     let pack_bytes = std::fs::metadata(&g1_pack).map(|m| m.len()).unwrap_or(0);
     let text_bytes = std::fs::metadata(&text).map(|m| m.len()).unwrap_or(0);
 
@@ -521,7 +549,7 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     if speedup < 10.0 {
         eprintln!(
             "FAIL: pack load is only {speedup:.1}x faster than text parse \
-             ({load_ns:.0} ns vs {parse_ns:.0} ns; >= 10x required)"
+             (medians {load_median:.0} ns vs {parse_median:.0} ns; >= 10x required)"
         );
         failed = true;
     }
@@ -556,16 +584,22 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
             "allocs_per_load": parse_allocs,
             "bytes_per_load": parse_bytes,
             "ns_per_load": parse_ns,
+            "ns_median": parse_median,
+            "ns_iqr": parse_iqr,
         },
         "pack_open": {
             "allocs_per_open": open_allocs,
             "bytes_per_open": open_bytes,
             "ns_per_open": open_ns,
+            "ns_median": open_median,
+            "ns_iqr": open_iqr,
         },
         "pack_load": {
             "allocs_per_load": load_allocs,
             "bytes_per_load": load_bytes,
             "ns_per_load": load_ns,
+            "ns_median": load_median,
+            "ns_iqr": load_iqr,
         },
         "buffered_load": { "ns_per_load": buffered.nanos },
         "speedup_vs_text_parse": speedup,

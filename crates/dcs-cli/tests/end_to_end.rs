@@ -206,3 +206,34 @@ fn errors_are_reported_not_panicked() {
         assert!(result.is_ok(), "{args:?}: {result:?}");
     }
 }
+
+/// A scaled α that would overflow `α·w1` on the heaviest `G1` edge is refused
+/// like a non-finite α: the process exits non-zero with the error, instead of
+/// mining a `G_D` with an infinite edge weight.
+#[test]
+fn scaled_alpha_overflowing_a_g1_weight_exits_non_zero() {
+    let dir = temp_dir("dcs_cli_e2e_alpha_overflow");
+    let g1 = dir.join("g1.edges");
+    let g2 = dir.join("g2.edges");
+    std::fs::write(&g1, "0 1 1.7e308\n1 2 1\n").unwrap();
+    std::fs::write(&g2, "0 1 1\n1 2 4\n").unwrap();
+    let mine = |alpha: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_dcs"))
+            .args(["mine", "--numeric", "--scheme", "scaled", "--alpha", alpha])
+            .arg(&g1)
+            .arg(&g2)
+            .output()
+            .unwrap()
+    };
+    let refused = mine("10");
+    assert!(!refused.status.success(), "{refused:?}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("alpha 10 times the largest G1 weight") && stderr.contains("overflows"),
+        "{stderr}"
+    );
+    assert!(refused.stdout.is_empty());
+    // An α that keeps every scaled weight finite still mines.
+    let mined = mine("1");
+    assert!(mined.status.success(), "{mined:?}");
+}

@@ -59,8 +59,9 @@ pub struct AlphaSweep {
 /// `measure` selects the solver through [`MeasureSolver`]:
 /// [`DensityMeasure::AverageDegree`] runs DCSGreedy, anything else runs NewSEA.  Both
 /// graphs must be valid DCS inputs (same vertex set, non-negative weights); α values
-/// must be non-negative.  Each grid point's solve is warm-started from the previous
-/// point's support.
+/// must be non-negative and finite, and α times the largest `g1` weight must be
+/// finite ([`DcsError::InvalidConfig`] otherwise).  Each grid point's solve is
+/// warm-started from the previous point's support.
 ///
 /// The α-scaled difference graph is **reweighted in place** per grid point: the
 /// merged edge structure is built once ([`ScaledDifferenceTemplate`]) and each α
@@ -82,8 +83,9 @@ pub fn alpha_sweep_in(
     let mut stats = SolveStats::default();
     let mut seed: Vec<VertexId> = Vec::new();
     let mut buffers = CsrBuffers::default();
+    let heaviest = g1.max_edge_weight().unwrap_or(0.0);
     for &alpha in alphas {
-        let gd = template.materialize_with(check_alpha(alpha)?, buffers);
+        let gd = template.materialize_with(check_alpha(alpha, heaviest)?, buffers);
         let point_cx = cx.after_work(stats.iterations);
         let solution = solver.solve_bounded(&gd, &seed, &point_cx);
         let truncated = !solution.termination().is_converged();
@@ -266,5 +268,22 @@ mod tests {
         ));
         let mismatched = GraphBuilder::from_edges(3, vec![(0, 1, 1.0)]);
         assert!(alpha_sweep(&g2, &mismatched, &[1.0], DensityMeasure::AverageDegree).is_err());
+    }
+
+    #[test]
+    fn alpha_that_overflows_a_scaled_g1_weight_is_rejected() {
+        let n = 4;
+        let g1 = GraphBuilder::from_edges(n, vec![(0, 1, 1.7e308), (2, 3, 1.0)]);
+        let g2 = GraphBuilder::from_edges(n, vec![(1, 2, 1.0)]);
+        for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
+            let result =
+                alpha_sweep_in(&g2, &g1, &[0.5, 10.0], measure, &SolveContext::unbounded());
+            assert!(
+                matches!(&result, Err(DcsError::InvalidConfig(msg)) if msg.contains("overflows")),
+                "{result:?}"
+            );
+            // α = 1 keeps 1.7e308 finite.
+            assert!(alpha_sweep_in(&g2, &g1, &[1.0], measure, &SolveContext::unbounded()).is_ok());
+        }
     }
 }

@@ -155,7 +155,9 @@ fn merge_rows(
 /// `G_D`, which get `w2 − α·w1` per neighbor (α = 1 unless [`WeightScheme::Scaled`]);
 /// exact zeros are dropped.  Under [`WeightScheme::Discrete`] the rule maps the
 /// non-zero raw differences, and the zeros it returns are dropped as well.  A scaled
-/// α must be a non-negative finite number ([`DcsError::InvalidConfig`] otherwise).
+/// α must be a non-negative finite number for which α times the largest `g1` weight
+/// is finite ([`DcsError::InvalidConfig`] otherwise), so every `G_D` weight is
+/// finite.
 pub fn difference_graph_with(
     g2: &SignedGraph,
     g1: &SignedGraph,
@@ -164,7 +166,10 @@ pub fn difference_graph_with(
     check_pair(g2, g1)?;
     let (alpha, rule) = match scheme {
         WeightScheme::Weighted => (1.0, None),
-        WeightScheme::Scaled { alpha } => (check_alpha(alpha)?, None),
+        WeightScheme::Scaled { alpha } => (
+            check_alpha(alpha, g1.max_edge_weight().unwrap_or(0.0))?,
+            None,
+        ),
         WeightScheme::Discrete(rule) => (1.0, Some(rule)),
     };
     let n = g1.num_vertices();
@@ -196,11 +201,19 @@ pub fn difference_graph_with(
     ))
 }
 
-/// Returns `alpha` if it is a valid scaling factor: non-negative and finite.
-pub(crate) fn check_alpha(alpha: Weight) -> Result<Weight, DcsError> {
+/// Returns `alpha` if it is a valid scaling factor for a `G1` whose largest weight is
+/// `heaviest`: non-negative, finite, and small enough that `alpha · heaviest` is
+/// finite.  The pair is already checked non-negative and finite, so every
+/// `w2 − alpha · w1` is then finite too.
+pub(crate) fn check_alpha(alpha: Weight, heaviest: Weight) -> Result<Weight, DcsError> {
     if alpha < 0.0 || !alpha.is_finite() {
         return Err(DcsError::InvalidConfig(format!(
             "alpha must be a non-negative finite number, got {alpha}"
+        )));
+    }
+    if !(alpha * heaviest).is_finite() {
+        return Err(DcsError::InvalidConfig(format!(
+            "alpha {alpha} times the largest G1 weight {heaviest} overflows"
         )));
     }
     Ok(alpha)
@@ -497,6 +510,19 @@ mod tests {
             );
         }
         assert!(scaled_difference_graph(&g2, &g1, 0.0).is_ok());
+    }
+
+    #[test]
+    fn scaled_alpha_must_keep_every_scaled_weight_finite() {
+        let g1 = GraphBuilder::from_edges(3, vec![(0, 1, 1.7e308)]);
+        let g2 = GraphBuilder::from_edges(3, vec![(1, 2, 1.0)]);
+        let result = difference_graph_with(&g2, &g1, WeightScheme::Scaled { alpha: 10.0 });
+        assert!(
+            matches!(&result, Err(DcsError::InvalidConfig(msg)) if msg.contains("overflows")),
+            "{result:?}"
+        );
+        let gd = difference_graph_with(&g2, &g1, WeightScheme::Scaled { alpha: 1.0 }).unwrap();
+        assert_eq!(gd.edge_weight(0, 1), Some(-1.7e308));
     }
 
     /// A non-negative graph pair over one vertex set, with duplicate insertions and

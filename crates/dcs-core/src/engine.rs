@@ -17,10 +17,15 @@
 //!   used by the top-k / α-sweep / streaming drivers and everything above them; its
 //!   [`EngineSolution`] is the best solution found *so far* plus its stats.
 //!
-//! Solvers check the context **cooperatively** through a [`WorkMeter`]: one check per
-//! coarse work unit (a peel removal, a SEACD shrink round, a local-search sweep).  A
-//! single unit is never cut short, so interruption latency is one unit, not zero —
-//! which is exactly what makes best-so-far results always valid.
+//! Solvers check the context **cooperatively** through a [`WorkMeter`]: one tick per
+//! work unit (a peel removal, a SEACD shrink round, a local-search sweep).  A single
+//! unit is never cut short, so interruption latency is at least one unit, not zero —
+//! which is exactly what makes best-so-far results always valid.  Cancellation and
+//! the budget are checked on every tick; the deadline clock is read once per
+//! **stride** of ticks, a stride that grows while reads land close together (see
+//! [`WorkMeter::tick`]), so a deadline may be noticed up to one stride late — about
+//! 100 µs of peel work.  Each meter meters one kind of unit, which keeps the stride
+//! short for solvers whose units are coarse.
 //!
 //! ```
 //! use dcs_core::engine::{MeasureSolver, SolveContext, Termination};
@@ -265,11 +270,17 @@ impl SolveContext {
 
     /// Starts metering one solve against this context.
     pub fn meter(&self) -> WorkMeter {
+        let started = Instant::now();
         WorkMeter {
             cancel: self.cancel.clone(),
             deadline: self.deadline,
             budget_left: self.budget,
-            started: Instant::now(),
+            clock: ClockStride {
+                stride: 1,
+                countdown: 1,
+                last_read: started,
+            },
+            started,
             stats: SolveStats::default(),
             verdict: None,
         }
@@ -333,14 +344,63 @@ pub struct WorkMeter {
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
     budget_left: Option<u64>,
+    clock: ClockStride,
     started: Instant,
     stats: SolveStats,
     verdict: Option<Termination>,
 }
 
+/// Consecutive deadline reads closer together than this double the stride.
+const CLOSE_READS: Duration = Duration::from_micros(50);
+
+/// The longest stride, in ticks, between two deadline reads.
+const MAX_STRIDE: u32 = 1024;
+
+/// When a [`WorkMeter`] next reads the deadline clock.
+#[derive(Debug)]
+struct ClockStride {
+    /// Ticks from one read to the next.
+    stride: u32,
+    /// Ticks left until the next read.
+    countdown: u32,
+    /// When the clock was last read (the meter's start before the first read).
+    last_read: Instant,
+}
+
+impl ClockStride {
+    /// Counts one tick and reports whether it is time to read the clock.
+    #[inline]
+    fn due(&mut self) -> bool {
+        self.countdown -= 1;
+        self.countdown == 0
+    }
+
+    /// Records a read at `now` and sets the next stride: doubled (up to
+    /// [`MAX_STRIDE`]) when this read came under [`CLOSE_READS`] after the previous
+    /// one, back to 1 otherwise.
+    fn read_at(&mut self, now: Instant) {
+        self.stride = if now.duration_since(self.last_read) < CLOSE_READS {
+            (self.stride * 2).min(MAX_STRIDE)
+        } else {
+            1
+        };
+        self.countdown = self.stride;
+        self.last_read = now;
+    }
+}
+
 impl WorkMeter {
-    /// Records `units` of work and checks every bound.  Returns `true` to keep going,
+    /// Records `units` of work and checks the bounds.  Returns `true` to keep going,
     /// `false` to stop (best-so-far).
+    ///
+    /// Cancellation and the budget are checked on every tick.  The deadline clock is
+    /// read on a stride of ticks instead: the stride starts at 1 and doubles, up to
+    /// 1,024 ticks, while consecutive reads land under 50 µs apart, and returns to 1
+    /// as soon as a read lands later.  Reads therefore stay roughly 50–100 µs of work
+    /// apart whatever a unit costs: a peel removal no longer pays a clock read, while
+    /// coarse units (a NewSEA local search, an EgoScan sweep) keep about one read per
+    /// tick.  A deadline may thus be noticed up to one stride late.  A zero-unit tick
+    /// (see [`Self::stopped`]) always reads the clock.
     ///
     /// Once a verdict is set, further ticks stop without recording — solvers that
     /// pre-check before a work unit never inflate the count past the bound.  The
@@ -367,9 +427,13 @@ impl WorkMeter {
             *budget -= units;
         }
         if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.verdict = Some(Termination::Deadline);
-                return false;
+            if units == 0 || self.clock.due() {
+                let now = Instant::now();
+                if now >= deadline {
+                    self.verdict = Some(Termination::Deadline);
+                    return false;
+                }
+                self.clock.read_at(now);
             }
         }
         true
@@ -617,6 +681,99 @@ mod tests {
         let cx = SolveContext::unbounded().with_deadline(Duration::ZERO);
         let mut meter = cx.meter();
         assert!(!meter.tick(1));
+        assert_eq!(meter.finish().termination, Termination::Deadline);
+    }
+
+    #[test]
+    fn strided_deadline_reads_stop_soon_after_the_deadline() {
+        // A test thread descheduled across the deadline overshoots any
+        // wall-clock bound, so the loop gets a few attempts to show the stride's.
+        let mut lateness = Vec::new();
+        for _ in 0..5 {
+            let deadline = Instant::now() + Duration::from_millis(5);
+            let mut meter = SolveContext::unbounded().with_deadline_at(deadline).meter();
+            while meter.tick(1) {}
+            let late = Instant::now().saturating_duration_since(deadline);
+            let stats = meter.finish();
+            assert_eq!(stats.termination, Termination::Deadline);
+            assert!(
+                stats.iterations > 1,
+                "the loop ran under the deadline first"
+            );
+            if late < Duration::from_millis(1) {
+                return;
+            }
+            lateness.push(late);
+        }
+        panic!("every attempt noticed the deadline 1 ms late or more: {lateness:?}");
+    }
+
+    #[test]
+    fn coarse_ticks_read_the_clock_on_every_tick() {
+        let deadline = Instant::now() + Duration::from_millis(4);
+        let mut meter = SolveContext::unbounded().with_deadline_at(deadline).meter();
+        let mut ticks_past_the_deadline = 0;
+        loop {
+            // One coarse unit: 100 µs of work, twice the close-reads window.
+            let unit = Instant::now();
+            while unit.elapsed() < Duration::from_micros(100) {}
+            let expired = Instant::now() >= deadline;
+            if !meter.tick(1) {
+                break;
+            }
+            ticks_past_the_deadline += u32::from(expired);
+        }
+        assert_eq!(ticks_past_the_deadline, 0);
+        assert_eq!(meter.finish().termination, Termination::Deadline);
+    }
+
+    #[test]
+    fn budget_trips_exactly_under_a_cancel_token_and_a_far_deadline() {
+        let token = CancelToken::new();
+        let cx = SolveContext::unbounded()
+            .with_budget(10_000)
+            .with_cancel(&token)
+            .with_deadline(Duration::from_secs(300));
+        let mut meter = cx.meter();
+        while meter.tick(1) {}
+        let stats = meter.finish();
+        assert_eq!(stats.termination, Termination::BudgetExhausted);
+        assert_eq!(stats.iterations, 10_000);
+    }
+
+    #[test]
+    fn cancellation_stops_the_next_tick_whatever_the_stride() {
+        let token = CancelToken::new();
+        let cx = SolveContext::unbounded()
+            .with_cancel(&token)
+            .with_deadline(Duration::from_secs(300));
+        let mut meter = cx.meter();
+        for _ in 0..5_000 {
+            assert!(meter.tick(1));
+        }
+        token.cancel();
+        assert!(!meter.tick(1));
+        let stats = meter.finish();
+        assert_eq!(stats.termination, Termination::Cancelled);
+        assert_eq!(stats.iterations, 5_001);
+    }
+
+    #[test]
+    fn a_zero_unit_tick_always_reads_the_clock() {
+        let deadline = Instant::now() + Duration::from_millis(2);
+        let cx = SolveContext::unbounded().with_deadline_at(deadline);
+        let mut meter = cx.meter();
+        // Fast ticks stretch the stride between clock reads ...
+        for _ in 0..4_096 {
+            if !meter.tick(1) {
+                break;
+            }
+        }
+        while Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // ... but a zero-unit check reads the clock at once.
+        assert!(meter.stopped());
         assert_eq!(meter.finish().termination, Termination::Deadline);
     }
 

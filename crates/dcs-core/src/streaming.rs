@@ -16,7 +16,8 @@
 //!   re-walks `G1`.  Updates that do not change the observed graph (a zero delta, or
 //!   a negative delta on an edge already clamped at zero) are **no-ops**: they bump
 //!   neither the version nor the observation counter and are reported as `ignored`
-//!   in [`BatchOutcome`];
+//!   in [`BatchOutcome`].  An update whose new weight overflows to infinity is a
+//!   no-op too;
 //! * [`StreamingDcs::difference_snapshot`] returns the current `G_D` as a cheap
 //!   `Arc<SignedGraph>` **delta snapshot**: only adjacency rows dirtied since the
 //!   last snapshot are rebuilt, and when the [`StreamingDcs::version`] is unchanged
@@ -120,7 +121,8 @@ pub struct StreamingDcs {
 pub struct BatchOutcome {
     /// Number of updates that were applied (in-range, non-self-loop).
     pub applied: usize,
-    /// Number of updates that were ignored (self-loops, out-of-range endpoints).
+    /// Number of updates that were ignored (self-loops, out-of-range endpoints, and
+    /// no-ops, among them updates whose new weight would overflow).
     pub ignored: usize,
     /// Every alert raised by re-mining periods completed during the batch.
     pub alerts: Vec<ContrastAlert>,
@@ -278,8 +280,10 @@ impl StreamingDcs {
     /// connection", not a negative connection.  Updates that leave the observed
     /// graph unchanged — a zero `delta`, or a negative `delta` on an edge already
     /// clamped at (or absent from) zero — are no-ops: they bump neither the version
-    /// nor the observation counter.  Returns a [`ContrastAlert`] when this
-    /// observation completed a re-mining period.
+    /// nor the observation counter.  So is an update whose new weight would not be
+    /// finite (finite deltas whose sum overflows), which keeps every `G_D` weight
+    /// finite.  Returns a [`ContrastAlert`] when this observation completed a
+    /// re-mining period.
     pub fn observe(&mut self, u: VertexId, v: VertexId, delta: Weight) -> Option<ContrastAlert> {
         if u == v || (u as usize) >= self.num_vertices() || (v as usize) >= self.num_vertices() {
             return None; // self-loops and out-of-range endpoints are ignored
@@ -287,8 +291,10 @@ impl StreamingDcs {
         let k = key(u, v);
         let old = self.observed.get(&k).copied().unwrap_or(0.0);
         let new = (old + delta).max(0.0);
-        if new == old {
-            return None; // no-op: the observed graph did not change
+        if new == old || !new.is_finite() {
+            // No-op: the observed graph did not change, or the sum overflowed (a
+            // G_D weight must stay finite).
+            return None;
         }
         if new == 0.0 {
             self.observed.remove(&k);
@@ -520,6 +526,24 @@ mod tests {
         assert_eq!(outcome.applied, 1);
         assert_eq!(outcome.ignored, 3);
         assert_eq!(monitor.version(), 4);
+    }
+
+    #[test]
+    fn overflowing_observations_are_ignored() {
+        let mut monitor = StreamingDcs::new(baseline(6), affinity_config(0, 0.0)).unwrap();
+        monitor.observe(0, 1, 1e308);
+        monitor.observe(2, 3, 1.0);
+        assert_eq!(monitor.version(), 2);
+        let before = monitor.difference_snapshot();
+        // 1e308 + 1e308 overflows: the update changes nothing.
+        let outcome = monitor.apply_batch(vec![(0, 1, 1e308), (2, 3, 1.0)]);
+        assert_eq!(outcome.applied, 1);
+        assert_eq!(outcome.ignored, 1);
+        assert_eq!(monitor.version(), 3);
+        assert_eq!(monitor.observed_graph().edge_weight(0, 1), Some(1e308));
+        let after = monitor.difference_snapshot();
+        assert_eq!(after.edge_weight(0, 1), before.edge_weight(0, 1));
+        assert!(after.edges().all(|(_, _, w)| w.is_finite()));
     }
 
     #[test]

@@ -132,3 +132,43 @@ proptest! {
         assert_valid(&bounded, &gd);
     }
 }
+
+/// A budgeted DCSGreedy solve returns the same subset, density bits, work count
+/// and termination whether or not a far deadline rides along: the deadline's
+/// strided clock reads never move where a budget stops the peels.
+#[test]
+fn budgeted_dcsgreedy_is_unmoved_by_a_far_deadline() {
+    let mut state = 0xB0D6_E7ED_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for n in [2usize, 17, 240, 1_500] {
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..6 * n {
+            let (u, v) = ((next() % n as u64) as u32, (next() % n as u64) as u32);
+            let w = (next() % 9) as f64 - 3.5;
+            if u != v {
+                b.add_edge(u, v, w);
+            }
+        }
+        let gd = b.build();
+        let solver = DcsGreedy::default();
+        for k in [0, 1, n as u64 / 2, n as u64 + 5] {
+            let budget = SolveContext::unbounded().with_budget(k);
+            let with_deadline = budget.clone().with_deadline(Duration::from_secs(300));
+            let (plain, plain_stats) = solver.solve_bounded(&gd, &[], &budget);
+            let (timed, timed_stats) = solver.solve_bounded(&gd, &[], &with_deadline);
+            assert_eq!(timed.subset, plain.subset, "n = {n}, k = {k}");
+            assert_eq!(
+                timed.density_difference.to_bits(),
+                plain.density_difference.to_bits(),
+                "n = {n}, k = {k}"
+            );
+            assert_eq!(timed_stats.iterations, plain_stats.iterations);
+            assert_eq!(timed_stats.termination, plain_stats.termination);
+        }
+    }
+}

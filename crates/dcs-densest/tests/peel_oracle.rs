@@ -10,13 +10,17 @@
 //!
 //! Graphs carry small-integer signed weights: many vertices tie on degree, and
 //! every negative edge raises a neighbour's key when its other end is removed.
-//! Removal order, subset, density bits and the interruption flag must all be
-//! equal, on full, masked and positive views, through one reused workspace, for
-//! complete and interrupted peels.
+//! A second strategy draws fractional and wide-range weights (`±k/10` and
+//! `±2^e` for `e` in `-60..60`), whose sums round, absorb small terms and cross
+//! zero from either side.  Removal order, subset, density bits and the
+//! interruption flag must all be equal, on full, masked and positive views,
+//! through one reused workspace, for complete and interrupted peels, under
+//! either strategy.
 
 use dcs_densest::{greedy_peeling_view_into, PeelWorkspace};
 use dcs_graph::{GraphBuilder, GraphView, SignedGraph, VertexId, VertexMask, Weight};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// What one peel produces: the removal order and the best prefix it found.
 #[derive(Debug, PartialEq)]
@@ -129,21 +133,42 @@ fn library_peel(view: GraphView<'_>, ws: &mut PeelWorkspace, limit: Option<usize
     }
 }
 
-/// Strategy: a graph over `1..160` vertices whose edge weights are small
-/// integers in `-3..=3` (duplicate pairs add up, so some edges cancel to zero).
-fn arb_graph() -> impl Strategy<Value = SignedGraph> {
-    (1usize..160).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32, -3i32..=3);
+/// Strategy: a graph over `1..160` vertices whose edge weights `weight` draws
+/// (duplicate pairs add up, so some edges cancel to zero).
+fn arb_graph<W: Strategy<Value = Weight>>(weight: fn() -> W) -> impl Strategy<Value = SignedGraph> {
+    (1usize..160).prop_flat_map(move |n| {
+        let edge = (0..n as u32, 0..n as u32, weight());
         (Just(n), proptest::collection::vec(edge, 0..600)).prop_map(|(n, edges)| {
             let mut b = GraphBuilder::new(n);
             for (u, v, w) in edges {
                 if u != v {
-                    b.add_edge(u, v, Weight::from(w));
+                    b.add_edge(u, v, w);
                 }
             }
             b.build()
         })
     })
+}
+
+/// Small integers in `-3..=3`: many degree ties.
+fn small_integer_weights() -> impl Strategy<Value = Weight> {
+    (-3i32..=3).prop_map(Weight::from)
+}
+
+/// Tenths `±k/10` for `k <= 30`, or signed powers of two `±2^e` for `e` in
+/// `-60..60`: inexact sums, absorption and 120 binades of magnitude.
+fn wide_range_weights() -> impl Strategy<Value = Weight> {
+    prop_oneof![
+        (-30i32..=30).prop_map(|k| Weight::from(k) / 10.0),
+        (-60i32..60, any::<bool>()).prop_map(|(e, negative)| {
+            let w = Weight::powi(2.0, e);
+            if negative {
+                -w
+            } else {
+                w
+            }
+        }),
+    ]
 }
 
 /// A mask with the listed vertices (those in range) removed.
@@ -157,47 +182,81 @@ fn mask_without(g: &SignedGraph, holes: &[u32]) -> VertexMask {
     mask
 }
 
+/// Complete peels of the full, masked, positive and masked-positive views,
+/// all through one reused workspace, equal the oracle.
+fn check_complete_peels(g: &SignedGraph, holes: &[u32]) -> Result<(), TestCaseError> {
+    let mask = mask_without(g, holes);
+    let mut ws = PeelWorkspace::new();
+    for view in [
+        GraphView::full(g),
+        GraphView::masked(g, &mask),
+        GraphView::full(g).positive_part(),
+        GraphView::masked(g, &mask).positive_part(),
+    ] {
+        prop_assert_eq!(
+            library_peel(view, &mut ws, None),
+            reference_peel(view, None)
+        );
+    }
+    Ok(())
+}
+
+/// Peels interrupted after `limit` removals equal the oracle interrupted at
+/// the same point, including the best-so-far prefix and its density.
+fn check_interrupted_peels(
+    g: &SignedGraph,
+    holes: &[u32],
+    limit: usize,
+) -> Result<(), TestCaseError> {
+    let mask = mask_without(g, holes);
+    let mut ws = PeelWorkspace::new();
+    for view in [
+        GraphView::full(g),
+        GraphView::masked(g, &mask).positive_part(),
+    ] {
+        prop_assert_eq!(
+            library_peel(view, &mut ws, Some(limit)),
+            reference_peel(view, Some(limit))
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Complete peels of the full, masked, positive and masked-positive views,
-    /// all through one reused workspace, equal the oracle.
     #[test]
     fn sequential_peel_matches_the_oracle_on_every_view(
-        g in arb_graph(),
+        g in arb_graph(small_integer_weights),
         holes in proptest::collection::vec(0u32..160, 0..40),
     ) {
-        let mask = mask_without(&g, &holes);
-        let mut ws = PeelWorkspace::new();
-        for view in [
-            GraphView::full(&g),
-            GraphView::masked(&g, &mask),
-            GraphView::full(&g).positive_part(),
-            GraphView::masked(&g, &mask).positive_part(),
-        ] {
-            prop_assert_eq!(library_peel(view, &mut ws, None), reference_peel(view, None));
-        }
+        check_complete_peels(&g, &holes)?;
     }
 
-    /// Peels interrupted after `limit` removals equal the oracle interrupted at
-    /// the same point, including the best-so-far prefix and its density.
     #[test]
     fn interrupted_peels_match_the_oracle(
-        g in arb_graph(),
+        g in arb_graph(small_integer_weights),
         holes in proptest::collection::vec(0u32..160, 0..40),
         limit in 0usize..160,
     ) {
-        let mask = mask_without(&g, &holes);
-        let mut ws = PeelWorkspace::new();
-        for view in [
-            GraphView::full(&g),
-            GraphView::masked(&g, &mask).positive_part(),
-        ] {
-            prop_assert_eq!(
-                library_peel(view, &mut ws, Some(limit)),
-                reference_peel(view, Some(limit))
-            );
-        }
+        check_interrupted_peels(&g, &holes, limit)?;
+    }
+
+    #[test]
+    fn sequential_peel_matches_the_oracle_on_wide_range_weights(
+        g in arb_graph(wide_range_weights),
+        holes in proptest::collection::vec(0u32..160, 0..40),
+    ) {
+        check_complete_peels(&g, &holes)?;
+    }
+
+    #[test]
+    fn interrupted_peels_match_the_oracle_on_wide_range_weights(
+        g in arb_graph(wide_range_weights),
+        holes in proptest::collection::vec(0u32..160, 0..40),
+        limit in 0usize..160,
+    ) {
+        check_interrupted_peels(&g, &holes, limit)?;
     }
 }
 

@@ -165,13 +165,23 @@ impl<'a> GraphView<'a> {
     }
 
     /// The surviving edge with the maximum weight, or `None` if the view is edgeless.
+    ///
+    /// Edges are visited in [`Self::edges`] order and a later edge replaces the best
+    /// only when strictly heavier, so the first of equally heavy edges wins.  The scan
+    /// walks each alive vertex's raw CSR row from its first neighbour above the
+    /// vertex (rows are sorted by neighbour).
     pub fn max_weight_edge(self) -> Option<(VertexId, VertexId, Weight)> {
         let mut best: Option<(VertexId, VertexId, Weight)> = None;
-        for (u, v, w) in self.edges() {
-            match best {
-                None => best = Some((u, v, w)),
-                Some((_, _, bw)) if w > bw => best = Some((u, v, w)),
-                _ => {}
+        for u in self.vertices() {
+            let (nbrs, weights) = self.graph.neighbor_slices(u);
+            let above = nbrs.partition_point(|&v| v <= u);
+            for (&v, &w) in nbrs[above..].iter().zip(&weights[above..]) {
+                if (self.positive_only && w <= 0.0) || !self.is_alive(v) {
+                    continue;
+                }
+                if best.is_none_or(|(_, _, bw)| w > bw) {
+                    best = Some((u, v, w));
+                }
             }
         }
         best

@@ -425,6 +425,44 @@ proptest! {
         prop_assert_eq!(mask.iter().count(), mask.len());
     }
 
+    /// The view's maximum-weight edge is the first strictly heaviest edge in
+    /// `edges()` order, on full, masked and positive-filtered views; weights are
+    /// drawn from a few values, so ties are common.
+    #[test]
+    fn max_weight_edge_is_the_first_heaviest_edge(
+        n in 2usize..24,
+        edges in proptest::collection::vec(
+            (0u32..24, 0u32..24, prop::sample::select(vec![2.0, 1.0, 0.5, -1.0, -2.0])),
+            0..80,
+        ),
+        removal in proptest::collection::vec(0u32..24, 0..12),
+    ) {
+        use dcs_graph::{GraphView, VertexMask};
+        let mut b = GraphBuilder::new(n);
+        for (u, v, w) in edges {
+            if (u as usize) < n && (v as usize) < n && u != v {
+                b.add_edge(u, v, w);
+            }
+        }
+        let g = b.build();
+        let mut mask = VertexMask::full(n);
+        mask.remove_all(&removal.into_iter().filter(|&v| (v as usize) < n).collect::<Vec<_>>());
+        for view in [
+            GraphView::full(&g),
+            GraphView::masked(&g, &mask),
+            GraphView::full(&g).positive_part(),
+            GraphView::masked(&g, &mask).positive_part(),
+        ] {
+            let mut first_heaviest: Option<(u32, u32, Weight)> = None;
+            for (u, v, w) in view.edges() {
+                if first_heaviest.is_none_or(|(_, _, best)| w > best) {
+                    first_heaviest = Some((u, v, w));
+                }
+            }
+            prop_assert_eq!(view.max_weight_edge(), first_heaviest);
+        }
+    }
+
     /// View-based core decomposition equals the decomposition of the materialised
     /// view for the alive vertices.
     #[test]

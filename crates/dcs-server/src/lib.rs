@@ -53,7 +53,7 @@
 //! | `ping`           | —                                                          | `pong: true`                   |
 //! | `create_session` | `session`, `vertices` *or* `pack` (a graph-pack path on the server's filesystem; `vertices` becomes optional and is cross-checked against the pack header when given), opt. `remine_every` (default 0), `alert_threshold` (default 0), `measure` (`"affinity"` \| `"degree"`, default affinity), `durable: true` (requires a server `--data-dir`; recovers the named session's directory when one exists) | `session`, `vertices`, `backing: "memory"\|"pack"`; durable creates add `durable: true`, `recovered: bool` |
 //! | `load_baseline`  | `session`, `edges: [[u, v, w], …]` — replaces the baseline and resets observations (the version advances, never resets) | `baseline_edges`, `version` |
-//! | `observe`        | `session`, `updates: [[u, v, delta], …]` — batched weight updates to the observed graph | `applied`, `ignored`, `version`, `alerts: [alert…]` |
+//! | `observe`        | `session`, `updates: [[u, v, delta], …]` — batched weight updates to the observed graph; an update that changes nothing, or whose new weight would overflow to infinity, is a no-op counted in `ignored` that bumps no version | `applied`, `ignored`, `version`, `alerts: [alert…]` |
 //! | `mine`           | `session`, opt. `measure`, *bounds* — mine the current DCS (runs on the worker pool) | `cached`, `version`, `termination`, `result: alert` |
 //! | `topk`           | `session`, `k`, opt. `measure`, *bounds* — up to `k` vertex-disjoint contrast subgraphs | `cached`, `version`, `termination`, `stats`, `results: [group…]` |
 //! | `sweep`          | `session`, opt. `alphas: [f…]` (default grid), `measure`, *bounds* — α-sweep of `A2 − α·A1` | `cached`, `version`, `termination`, `stats`, `points: [point…]` |

@@ -12,10 +12,11 @@ use std::path::{Path, PathBuf};
 
 use dcs_core::{DensityMeasure, StreamingConfig, StreamingDcs};
 use dcs_datasets::PackWriter;
-use dcs_graph::{GraphBuilder, SignedGraph, VertexId, Weight};
+use dcs_graph::{GraphBuilder, GraphPack, SignedGraph, VertexId, Weight};
 use dcs_server::{
     durable, Client, CreateSessionRequest, Server, ServerConfig, ServerError, Session, WalSync,
 };
+use serde_json::json;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dcs_recovery_{tag}_{}", std::process::id()));
@@ -358,6 +359,93 @@ fn server_restart_recovers_durable_sessions() {
     assert!(!data_dir
         .join(durable::encode_session_dir("adopted"))
         .exists());
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// An observe whose new weight would overflow to infinity is a no-op on an
+/// ephemeral and on a durable session alike: reported `ignored`, no version
+/// bump, and `mine` unchanged by it.  The durable session's newest checkpoint
+/// is a valid pack, so a restart recovers from it, not from an older
+/// generation.
+#[test]
+fn overflowing_observes_are_ignored_over_the_wire() {
+    let data_dir = temp_dir("overflow");
+    let server_config = || ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        checkpoint_every: 1,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", server_config())
+        .expect("bind")
+        .start();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let degree = |create: CreateSessionRequest| CreateSessionRequest {
+        measure: Some(DensityMeasure::AverageDegree),
+        ..create
+    };
+    client
+        .create(degree(CreateSessionRequest {
+            session: "mem".into(),
+            vertices: Some(8),
+            ..Default::default()
+        }))
+        .unwrap();
+    client.create(degree(durable_create("disk", 8))).unwrap();
+    let mut acked = 0;
+    for name in ["mem", "disk"] {
+        let mut session = client.session(name);
+        let applied = session.observe(&[(2, 3, 1.0), (0, 1, 1e300)]).unwrap();
+        assert_eq!(applied["applied"], 2, "{name}: {applied}");
+        let before = session.mine().unwrap();
+        // 1e300 + f64::MAX rounds to +inf: the update must change nothing.
+        let overflow = session.observe(&[(0, 1, f64::MAX)]).unwrap();
+        assert_eq!(overflow["applied"], 0, "{name}: {overflow}");
+        assert_eq!(overflow["ignored"], 1, "{name}: {overflow}");
+        assert_eq!(overflow["version"], applied["version"], "{name}");
+        let after = session.mine().unwrap();
+        assert_eq!(after["result"]["subset"], json!([0, 1]), "{name}: {after}");
+        assert_eq!(after["result"]["subset"], before["result"]["subset"]);
+        assert_eq!(
+            after["result"]["density_difference"], before["result"]["density_difference"],
+            "{name}"
+        );
+        acked = overflow["version"].as_u64().unwrap();
+    }
+    // The shutdown's final durability tick checkpoints the durable session.
+    client.shutdown().unwrap();
+    handle.join();
+
+    let dir = data_dir.join(durable::encode_session_dir("disk"));
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("ckpt-"))
+        })
+        .max_by_key(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.trim_start_matches("ckpt-")
+                .trim_end_matches(".dcspack")
+                .parse::<u64>()
+                .unwrap()
+        })
+        .expect("a checkpoint was written");
+    let checkpoint = GraphPack::open(&newest).and_then(|pack| pack.to_graph());
+    assert!(checkpoint.is_ok(), "{}: {checkpoint:?}", newest.display());
+
+    let handle = Server::bind("127.0.0.1:0", server_config())
+        .expect("rebind")
+        .start();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let stats = client.session("disk").stats().unwrap();
+    assert_eq!(stats["version"], acked);
+    let mined = client.session("disk").mine().unwrap();
+    assert_eq!(mined["result"]["subset"], json!([0, 1]), "{mined}");
     client.shutdown().unwrap();
     handle.join();
     let _ = std::fs::remove_dir_all(&data_dir);
