@@ -237,3 +237,28 @@ fn scaled_alpha_overflowing_a_g1_weight_exits_non_zero() {
     let mined = mine("1");
     assert!(mined.status.success(), "{mined:?}");
 }
+
+/// A numeric edge list naming a vertex id at or above the vertex limit is refused with
+/// a typed error before any vertex array is sized by it: `mine` and `stats` exit 2
+/// with the line and the limit on stderr, not with an allocation abort.
+#[test]
+fn a_vertex_id_past_the_limit_exits_2_without_an_abort() {
+    let dir = temp_dir("dcs_cli_e2e_vertex_limit");
+    let huge = dir.join("huge.edges");
+    std::fs::write(&huge, "0 4000000000 1\n").unwrap();
+    for command in ["mine", "stats"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcs"))
+            .args([command, "--numeric"])
+            .arg(&huge)
+            .arg(&huge)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let limit = dcs_graph::io::MAX_VERTICES.to_string();
+        assert!(
+            stderr.contains("vertex id 4000000000 on line 1") && stderr.contains(&limit),
+            "{command}: {stderr}"
+        );
+    }
+}

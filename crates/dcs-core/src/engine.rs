@@ -686,26 +686,75 @@ mod tests {
 
     #[test]
     fn strided_deadline_reads_stop_soon_after_the_deadline() {
-        // A test thread descheduled across the deadline overshoots any
-        // wall-clock bound, so the loop gets a few attempts to show the stride's.
-        let mut lateness = Vec::new();
-        for _ in 0..5 {
+        // The test reads its own clock after every tick.  A gap between two ticks
+        // longer than one tick can cost means the thread was off the CPU, and such an
+        // attempt measured the scheduler rather than the stride, so it does not count
+        // towards the 1 ms bound.  The ticks from the first one the test sees past the
+        // deadline to the one the meter stops on do not depend on the scheduler: every
+        // attempt keeps them within the longest stride.
+        const OFF_CPU: Duration = Duration::from_micros(100);
+        let mut counted = Vec::new();
+        let mut attempts = 0;
+        while counted.len() < 5 && attempts < 200 {
+            attempts += 1;
             let deadline = Instant::now() + Duration::from_millis(5);
             let mut meter = SolveContext::unbounded().with_deadline_at(deadline).meter();
-            while meter.tick(1) {}
-            let late = Instant::now().saturating_duration_since(deadline);
+            let mut last = Instant::now();
+            let mut on_cpu = true;
+            let mut ticks_past_the_deadline = 0u32;
+            let late = loop {
+                let running = meter.tick(1);
+                let now = Instant::now();
+                on_cpu &= now.duration_since(last) <= OFF_CPU;
+                last = now;
+                ticks_past_the_deadline += u32::from(now >= deadline);
+                if !running {
+                    break now.saturating_duration_since(deadline);
+                }
+            };
             let stats = meter.finish();
             assert_eq!(stats.termination, Termination::Deadline);
             assert!(
                 stats.iterations > 1,
                 "the loop ran under the deadline first"
             );
-            if late < Duration::from_millis(1) {
-                return;
+            assert!(
+                ticks_past_the_deadline <= MAX_STRIDE + 1,
+                "{ticks_past_the_deadline} ticks ran past the deadline"
+            );
+            if on_cpu {
+                counted.push(late);
             }
-            lateness.push(late);
         }
-        panic!("every attempt noticed the deadline 1 ms late or more: {lateness:?}");
+        assert!(
+            !counted.is_empty(),
+            "none of {attempts} attempts ran without a gap over {OFF_CPU:?} between ticks"
+        );
+        assert!(
+            counted.iter().all(|late| *late < Duration::from_millis(1)),
+            "an attempt on the CPU noticed the deadline 1 ms late or more: {counted:?}"
+        );
+    }
+
+    #[test]
+    fn the_stride_doubles_up_to_the_longest_stride_and_resets_on_a_late_read() {
+        let start = Instant::now();
+        let mut clock = ClockStride {
+            stride: 1,
+            countdown: 1,
+            last_read: start,
+        };
+        let mut strides = Vec::new();
+        for _ in 0..14 {
+            clock.read_at(clock.last_read + Duration::from_micros(1));
+            strides.push(clock.stride);
+        }
+        let mut expected: Vec<u32> = (1..=10).map(|k| 1 << k).collect();
+        expected.extend([MAX_STRIDE; 4]);
+        assert_eq!(strides, expected);
+        assert_eq!(clock.countdown, MAX_STRIDE);
+        clock.read_at(clock.last_read + CLOSE_READS);
+        assert_eq!((clock.stride, clock.countdown), (1, 1));
     }
 
     #[test]

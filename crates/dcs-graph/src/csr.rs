@@ -135,6 +135,12 @@ impl std::error::Error for CorruptGraph {}
 /// sections without touching the heap.  Adjacency *symmetry* (each edge
 /// present in both endpoint rows) is not checked here; packs cross-check it
 /// via their section checksums and writers construct it by construction.
+///
+/// After the header checks, a fast pass decides validity with branch-free
+/// folds ([`rows_are_valid`], [`negative_weights`]) that stop at no error.
+/// Only when it finds one — corrupt input — does the per-row loop
+/// [`first_corruption`] run, to name the first offending row, so the
+/// reported [`CorruptGraph`] is the one a row-by-row check would give.
 pub(crate) fn validate_csr(
     offsets: &[usize],
     neighbors: &[VertexId],
@@ -161,6 +167,60 @@ pub(crate) fn validate_csr(
             entries: neighbors.len(),
         });
     }
+    match (
+        rows_are_valid(offsets, neighbors),
+        negative_weights(weights),
+    ) {
+        (true, Some(negative)) => Ok((weights.len() - negative, negative)),
+        _ => first_corruption(offsets, neighbors, weights),
+    }
+}
+
+/// The fast pass over the rows of a CSR whose offsets start at 0 and end at
+/// the adjacency length: whether the offsets are monotone and every row is
+/// strictly ascending, its last neighbor below `n` (so all of them are) and
+/// free of its own vertex.  The checks are folded without branching.
+fn rows_are_valid(offsets: &[usize], neighbors: &[VertexId]) -> bool {
+    if offsets.windows(2).fold(false, |bad, w| bad | (w[1] < w[0])) {
+        return false;
+    }
+    let n = (offsets.len() - 1) as u64;
+    let mut bad = false;
+    for (v, bounds) in offsets.windows(2).enumerate() {
+        // The least id the next neighbor of the row may take.
+        let mut floor = 0u64;
+        for &t in &neighbors[bounds[0]..bounds[1]] {
+            let t = u64::from(t);
+            bad |= (t < floor) | (t == v as u64);
+            floor = t + 1;
+        }
+        bad |= floor > n;
+    }
+    !bad
+}
+
+/// The fast pass over the weights: the number of negative weights (sign bits
+/// set), or `None` when a weight is non-finite (exponent all ones) or zero
+/// (magnitude zero, either sign).  The checks are folded without branching.
+fn negative_weights(weights: &[Weight]) -> Option<usize> {
+    const EXPONENT: u64 = 0x7ff << 52;
+    let (bad, negative) = weights.iter().fold((false, 0usize), |(bad, negative), w| {
+        let bits = w.to_bits();
+        let invalid = (bits & EXPONENT == EXPONENT) | (bits << 1 == 0);
+        (bad | invalid, negative + (bits >> 63) as usize)
+    });
+    (!bad).then_some(negative)
+}
+
+/// The per-row check that names the first violation of a CSR whose fast pass
+/// in [`validate_csr`] failed: it walks the rows in order, checking within a
+/// row offsets before neighbors before weights.  (On valid input it returns
+/// the entry counts, as it did when it was the whole check.)
+fn first_corruption(
+    offsets: &[usize],
+    neighbors: &[VertexId],
+    weights: &[Weight],
+) -> Result<(usize, usize), CorruptGraph> {
     let n = offsets.len() - 1;
     let mut positive = 0usize;
     let mut negative = 0usize;

@@ -5,15 +5,29 @@
 //! the datasets referenced in the paper (DBLP, wikiconflict, …), so users who do have the
 //! original data can load it directly.
 //!
-//! A reader takes its whole input into one `String` and walks its lines as `&str`
-//! slices, so no line is copied; the numeric reader here and the labelled reader in
-//! [`crate::labels`] share one line walker, and with it the comment, weight and error
-//! rules.  The parsed edges go through a [`GraphBuilder`], which folds duplicates.
+//! A reader takes its whole input into one `String` and walks it once, byte by byte; the
+//! numeric reader here and the labelled reader in [`crate::labels`] share that walker,
+//! and with it the comment, weight and error rules.  A line ends at `\n`.  A token ends
+//! at any character for which [`char::is_whitespace`] holds: an ASCII byte is compared
+//! directly with U+0009–U+000D and U+0020 (a wider set than
+//! [`u8::is_ascii_whitespace`], which leaves out vertical tab), and only a byte at or
+//! above `0x80` decodes its character, so U+0085, U+00A0, U+2028, U+3000 and the other
+//! Unicode separators split tokens too.  Tokens are `&str` slices of the input, so no
+//! line or token is copied.  The parsed edges go through a [`GraphBuilder`], which folds
+//! duplicates.
+//!
+//! A numeric edge list may name vertex ids below [`MAX_VERTICES`]; a larger id is refused
+//! with [`IoError::VertexLimit`] before any vertex array is sized by it.
 
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
 use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
+
+/// The number of vertices a numeric edge list may address: its vertex ids must lie
+/// below this.  A graph of this many vertices needs 400 MB of CSR offsets alone; the
+/// server applies the same bound to the `vertices` of a session.
+pub const MAX_VERTICES: usize = 50_000_000;
 
 /// Errors produced by edge-list parsing.
 #[derive(Debug)]
@@ -27,6 +41,15 @@ pub enum IoError {
         /// The offending line.
         line: String,
     },
+    /// A well-formed vertex id at or above the vertex limit ([`MAX_VERTICES`]).
+    VertexLimit {
+        /// 1-based line number of the offending line.
+        line_number: usize,
+        /// The refused vertex id.
+        id: VertexId,
+        /// The limit the id must stay below.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -36,6 +59,14 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line_number, line } => {
                 write!(f, "cannot parse edge on line {line_number}: {line:?}")
             }
+            IoError::VertexLimit {
+                line_number,
+                id,
+                limit,
+            } => write!(
+                f,
+                "vertex id {id} on line {line_number} is not below the limit of {limit} vertices"
+            ),
         }
     }
 }
@@ -44,7 +75,7 @@ impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IoError::Io(e) => Some(e),
-            IoError::Parse { .. } => None,
+            IoError::Parse { .. } | IoError::VertexLimit { .. } => None,
         }
     }
 }
@@ -55,54 +86,180 @@ impl From<io::Error> for IoError {
     }
 }
 
+/// Why an edge callback of [`for_each_edge`] refused a line.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Rejected {
+    /// An endpoint token is not a vertex: an [`IoError::Parse`].
+    Malformed,
+    /// An endpoint id is at or above [`MAX_VERTICES`]: an [`IoError::VertexLimit`].
+    OverLimit(VertexId),
+}
+
 /// Parses an edge weight token; `None` unless it is a finite number (`nan`, `inf` and
 /// overflowing literals such as `1e999` are rejected, as the pack reader rejects them).
+///
+/// A token of 1–15 ASCII digits, the common case of count-weighted edge lists, is
+/// converted as an integer: its value is below 10^15 < 2^53, so the `u64` holds it
+/// exactly and the conversion to `f64` is exact too, which is the value the correctly
+/// rounded `str::parse::<f64>` returns for it.  Every other token (signs, fractions,
+/// exponents, 16 or more digits) goes through `str::parse`.
 pub(crate) fn parse_weight(token: &str) -> Option<Weight> {
-    token.parse::<Weight>().ok().filter(|w| w.is_finite())
+    match exact_integer(token) {
+        Some(value) => Some(value as Weight),
+        None => token.parse::<Weight>().ok().filter(|w| w.is_finite()),
+    }
+}
+
+/// The value of a token of 1–15 ASCII digits; `None` for any other token.
+#[inline]
+fn exact_integer(token: &str) -> Option<u64> {
+    if !(1..=15).contains(&token.len()) {
+        return None;
+    }
+    token.bytes().try_fold(0u64, |value, b| {
+        let digit = b.wrapping_sub(b'0');
+        (digit <= 9).then(|| value * 10 + u64::from(digit))
+    })
 }
 
 /// Parses a vertex id token; `None` unless it is ASCII decimal digits whose value fits a
-/// `u32` (fractions, signs, exponents and overflow are rejected, never rounded or clamped).
+/// `u32` (fractions, signs, exponents and overflow are rejected, never rounded or
+/// clamped; leading zeros are allowed).
 fn parse_vertex(token: &str) -> Option<VertexId> {
-    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+    if token.is_empty() {
         return None;
     }
-    token.parse().ok()
+    token.bytes().try_fold(0 as VertexId, |id, b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        id.checked_mul(10)?.checked_add(VertexId::from(digit))
+    })
+}
+
+/// Passes a vertex id below [`MAX_VERTICES`] through; refuses a larger one.
+fn below_limit(id: VertexId) -> Result<VertexId, Rejected> {
+    if (id as usize) < MAX_VERTICES {
+        Ok(id)
+    } else {
+        Err(Rejected::OverLimit(id))
+    }
+}
+
+/// Whether an ASCII byte separates tokens: U+0009–U+000D or U+0020, exactly the ASCII
+/// characters for which [`char::is_whitespace`] holds.
+#[inline]
+fn is_ascii_separator(b: u8) -> bool {
+    b == b' ' || b.wrapping_sub(b'\t') <= b'\r' - b'\t'
+}
+
+/// Decodes the non-ASCII character that starts at byte `at` of `text`; returns whether it
+/// is whitespace and its length in bytes.
+#[cold]
+fn wide_char(text: &str, at: usize) -> (bool, usize) {
+    let c = text[at..]
+        .chars()
+        .next()
+        .expect("a character starts at `at`");
+    (c.is_whitespace(), c.len_utf8())
+}
+
+/// The tokens of one line of an edge-list text, from byte `at` on; a walk that never
+/// passes the `\n` ending the line.
+struct LineTokens<'t> {
+    text: &'t str,
+    at: usize,
+}
+
+impl<'t> LineTokens<'t> {
+    /// The character at `at`: whether it separates tokens, and its length in bytes;
+    /// `None` at the `\n` ending the line or at the end of the text.
+    #[inline]
+    fn char_at(&self) -> Option<(bool, usize)> {
+        match *self.text.as_bytes().get(self.at)? {
+            b'\n' => None,
+            b if b < 0x80 => Some((is_ascii_separator(b), 1)),
+            _ => Some(wide_char(self.text, self.at)),
+        }
+    }
+
+    /// The next token of the line, or `None` (from then on) once only separators are left
+    /// before the line's end.
+    #[inline]
+    fn next(&mut self) -> Option<&'t str> {
+        while let (true, len) = self.char_at()? {
+            self.at += len;
+        }
+        let start = self.at;
+        while let Some((false, len)) = self.char_at() {
+            self.at += len;
+        }
+        Some(&self.text[start..self.at])
+    }
+
+    /// The byte position of the `\n` that ends the line, or the text's length when the
+    /// line is the last and unterminated.
+    fn line_end(&self) -> usize {
+        let rest = &self.text.as_bytes()[self.at..];
+        self.at + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len())
+    }
 }
 
 /// Walks the edge lines of an edge-list text.
 ///
-/// Blank lines and lines starting with `#` or `%` (after trimming) are skipped.  Every
+/// Blank lines and lines whose first token starts with `#` or `%` are skipped.  Every
 /// other line must hold two endpoint tokens and an optional weight (default `1.0`, and
-/// a given weight must be a finite number); further tokens are ignored.  `edge`
-/// receives each line's endpoints and weight and returns `false` to reject the
-/// endpoints.  A line that breaks these rules ends the walk with an
-/// [`IoError::Parse`] carrying its 1-based number and its text.
+/// a given weight must be a finite number, see [`parse_weight`]); further tokens are
+/// ignored.  `edge` receives each line's endpoint tokens and weight and may refuse
+/// them.  A line that breaks these rules, or whose endpoints `edge` refuses, ends the
+/// walk with an [`IoError::Parse`] carrying its 1-based number and its text (without
+/// the line ending: a `\r` before the `\n` is dropped, as [`str::lines`] drops it), or
+/// with an [`IoError::VertexLimit`].
 pub(crate) fn for_each_edge<'t>(
     text: &'t str,
-    mut edge: impl FnMut(&'t str, &'t str, Weight) -> bool,
+    mut edge: impl FnMut(&'t str, &'t str, Weight) -> Result<(), Rejected>,
 ) -> Result<(), IoError> {
-    for (idx, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut tokens = trimmed.split_whitespace();
-        let accepted = match (
-            tokens.next(),
-            tokens.next(),
-            tokens.next().map(parse_weight),
-        ) {
-            (Some(u), Some(v), None) => edge(u, v, 1.0),
-            (Some(u), Some(v), Some(Some(w))) => edge(u, v, w),
-            _ => false,
+    let mut line_start = 0;
+    let mut line_number = 0;
+    while line_start < text.len() {
+        line_number += 1;
+        let mut tokens = LineTokens {
+            text,
+            at: line_start,
         };
-        if !accepted {
-            return Err(IoError::Parse {
-                line_number: idx + 1,
-                line: line.to_owned(),
+        let outcome = match tokens.next() {
+            None => Ok(()),
+            Some(first) if first.starts_with(['#', '%']) => Ok(()),
+            Some(u) => match (tokens.next(), tokens.next().map(parse_weight)) {
+                (Some(v), None) => edge(u, v, 1.0),
+                (Some(v), Some(Some(w))) => edge(u, v, w),
+                _ => Err(Rejected::Malformed),
+            },
+        };
+        let line_end = tokens.line_end();
+        if let Err(rejected) = outcome {
+            return Err(match rejected {
+                Rejected::Malformed => {
+                    let line = &text[line_start..line_end];
+                    let line = if line_end < text.len() {
+                        line.strip_suffix('\r').unwrap_or(line)
+                    } else {
+                        line
+                    };
+                    IoError::Parse {
+                        line_number,
+                        line: line.to_owned(),
+                    }
+                }
+                Rejected::OverLimit(id) => IoError::VertexLimit {
+                    line_number,
+                    id,
+                    limit: MAX_VERTICES,
+                },
             });
         }
+        line_start = line_end + 1;
     }
     Ok(())
 }
@@ -112,10 +269,10 @@ fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
     let mut builder = GraphBuilder::new(0);
     for_each_edge(text, |u, v, w| match (parse_vertex(u), parse_vertex(v)) {
         (Some(u), Some(v)) => {
-            builder.add_edge(u, v, w);
-            true
+            builder.add_edge(below_limit(u)?, below_limit(v)?, w);
+            Ok(())
         }
-        _ => false,
+        _ => Err(Rejected::Malformed),
     })?;
     Ok(builder.build())
 }
@@ -124,9 +281,9 @@ fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
 ///
 /// Each non-comment, non-empty line must contain `u v [w]`; a missing weight defaults to
 /// `1.0`, and a given weight must be a finite number.  Vertex ids are unsigned decimal
-/// integers that fit a `u32`; the resulting graph has `max id + 1` vertices.  The whole
-/// input is read before parsing starts, so input that is not UTF-8 is an
-/// [`IoError::Io`] wherever it occurs.
+/// integers that fit a `u32`, and must lie below [`MAX_VERTICES`]; the resulting graph
+/// has `max id + 1` vertices.  The whole input is read before parsing starts, so input
+/// that is not UTF-8 is an [`IoError::Io`] wherever it occurs.
 pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<SignedGraph, IoError> {
     let mut text = String::new();
     reader.read_to_string(&mut text)?;
@@ -225,6 +382,51 @@ mod tests {
         // The largest id still parses (checked on the token: a graph that large would
         // not fit in memory).
         assert_eq!(parse_vertex("4294967295"), Some(u32::MAX));
+    }
+
+    #[test]
+    fn vertex_ids_must_lie_below_the_limit() {
+        // The bound itself, at the check: a graph of `MAX_VERTICES` vertices is not built.
+        let last = (MAX_VERTICES - 1) as VertexId;
+        assert_eq!(below_limit(last), Ok(last));
+        assert_eq!(below_limit(last + 1), Err(Rejected::OverLimit(last + 1)));
+        // Through the reader, a typed error that names the line, the id and the limit.
+        for text in ["0 1\n0 4000000000 1\n", "0 1\n50000000 0\n"] {
+            match read_edge_list(text.as_bytes()) {
+                Err(IoError::VertexLimit {
+                    line_number: 2,
+                    limit: MAX_VERTICES,
+                    ..
+                }) => {}
+                other => panic!("{text:?}: expected a vertex-limit error, got {other:?}"),
+            }
+        }
+        let err = read_edge_list("0 4000000000 1".as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "vertex id 4000000000 on line 1 is not below the limit of 50000000 vertices"
+        );
+        // A malformed line stays a parse error whatever the size of its other id.
+        assert!(matches!(
+            read_edge_list("4000000000 x\n".as_bytes()),
+            Err(IoError::Parse { line_number: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn integer_weights_take_the_exact_branch() {
+        for token in ["0", "7", "000000000000042", "999999999999999"] {
+            assert_eq!(exact_integer(token), token.parse().ok(), "{token}");
+            assert_eq!(
+                parse_weight(token).map(f64::to_bits),
+                token.parse::<f64>().ok().map(f64::to_bits)
+            );
+        }
+        // Signs, fractions, exponents and 16 digits go through `str::parse`.
+        for token in ["-1", "+1", "1.5", "1e3", "9007199254740993", ""] {
+            assert_eq!(exact_integer(token), None, "{token}");
+        }
+        assert_eq!(parse_weight("9007199254740993"), Some(9007199254740992.0));
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn parse_labeled_edge_list(text: &str, labels: &mut VertexLabels) -> Result<Sign
         let u = labels.intern(u);
         let v = labels.intern(v);
         builder.add_edge(u, v, w);
-        true
+        Ok(())
     })?;
     builder.grow_to(labels.len());
     Ok(builder.build())

@@ -2,10 +2,11 @@
 
 use std::io::BufRead;
 
-use dcs_graph::io::IoError;
+use dcs_graph::io::{IoError, MAX_VERTICES};
+use dcs_graph::labels::read_labeled_edge_list;
 use dcs_graph::{
-    connected_components, core_decomposition, DeltaGraph, DuplicatePolicy, GraphBuilder,
-    SignedGraph, VertexId, Weight,
+    connected_components, core_decomposition, CorruptGraph, DeltaGraph, DuplicatePolicy,
+    GraphBuilder, SignedGraph, VertexId, VertexLabels, Weight,
 };
 use proptest::prelude::*;
 use rustc_hash::FxHashMap;
@@ -101,6 +102,419 @@ fn csr_bits(g: &SignedGraph) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
         neighbors,
         weights.into_iter().map(f64::to_bits).collect(),
     )
+}
+
+/// The `str::lines` / `trim` / `split_whitespace` walker that the byte walker of
+/// `io::for_each_edge` replaced, kept as its oracle.  `edge` returns whether it accepts
+/// a line's endpoints, or the id that breaks the vertex limit.
+fn reference_for_each_edge<'t>(
+    text: &'t str,
+    mut edge: impl FnMut(&'t str, &'t str, Weight) -> Result<bool, VertexId>,
+) -> Result<(), IoError> {
+    let weight = |token: &str| token.parse::<Weight>().ok().filter(|w| w.is_finite());
+    for (idx, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            continue;
+        }
+        let mut tokens = trimmed.split_whitespace();
+        let accepted = match (tokens.next(), tokens.next(), tokens.next().map(weight)) {
+            (Some(u), Some(v), None) => edge(u, v, 1.0),
+            (Some(u), Some(v), Some(Some(w))) => edge(u, v, w),
+            _ => Ok(false),
+        };
+        match accepted {
+            Ok(true) => {}
+            Ok(false) => {
+                return Err(IoError::Parse {
+                    line_number: idx + 1,
+                    line: line.to_owned(),
+                })
+            }
+            Err(id) => {
+                return Err(IoError::VertexLimit {
+                    line_number: idx + 1,
+                    id,
+                    limit: MAX_VERTICES,
+                })
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The numeric reader over [`reference_for_each_edge`], feeding `GraphBuilder`: ids are
+/// ASCII digits that fit a `u32` (checked with `str::parse`), then below the limit.
+fn reference_numeric_read(text: &str) -> Result<SignedGraph, IoError> {
+    let vertex = |token: &str| -> Option<VertexId> {
+        if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        token.parse().ok()
+    };
+    let mut builder = GraphBuilder::new(0);
+    reference_for_each_edge(text, |u, v, w| {
+        let (Some(u), Some(v)) = (vertex(u), vertex(v)) else {
+            return Ok(false);
+        };
+        for id in [u, v] {
+            if id as usize >= MAX_VERTICES {
+                return Err(id);
+            }
+        }
+        builder.add_edge(u, v, w);
+        Ok(true)
+    })?;
+    Ok(builder.build())
+}
+
+/// The labelled reader over [`reference_for_each_edge`], feeding `GraphBuilder`.
+fn reference_labeled_read(text: &str, labels: &mut VertexLabels) -> Result<SignedGraph, IoError> {
+    let mut builder = GraphBuilder::new(0);
+    reference_for_each_edge(text, |u, v, w| {
+        let u = labels.intern(u);
+        let v = labels.intern(v);
+        builder.add_edge(u, v, w);
+        Ok(true)
+    })?;
+    builder.grow_to(labels.len());
+    Ok(builder.build())
+}
+
+/// Whether a reader and its oracle agree: the same graph bit for bit, or the same
+/// error with the same line number and line text (or id and limit).
+fn same_read(
+    read: Result<SignedGraph, IoError>,
+    reference: Result<SignedGraph, IoError>,
+) -> Result<(), TestCaseError> {
+    match (read, reference) {
+        (Ok(read), Ok(reference)) => prop_assert_eq!(csr_bits(&read), csr_bits(&reference)),
+        (
+            Err(IoError::Parse { line_number, line }),
+            Err(IoError::Parse {
+                line_number: expected_number,
+                line: expected_line,
+            }),
+        ) => {
+            prop_assert_eq!(line_number, expected_number);
+            prop_assert_eq!(line, expected_line);
+        }
+        (
+            Err(IoError::VertexLimit {
+                line_number,
+                id,
+                limit,
+            }),
+            Err(IoError::VertexLimit {
+                line_number: expected_number,
+                id: expected_id,
+                limit: expected_limit,
+            }),
+        ) => prop_assert_eq!(
+            (line_number, id, limit),
+            (expected_number, expected_id, expected_limit)
+        ),
+        (read, reference) => {
+            prop_assert!(false, "reader {:?} vs reference {:?}", read, reference);
+        }
+    }
+    Ok(())
+}
+
+/// Every separator character of the token rules: the six ASCII whitespace bytes
+/// (vertical tab and form feed included), `\r` and Unicode whitespace beyond ASCII.
+const SEPARATORS: [&str; 11] = [
+    " ", "\t", "\u{0B}", "\u{0C}", "\r", " ", "\u{85}", "\u{A0}", "\u{2028}", "\u{3000}", "\t ",
+];
+
+/// Tokens for the structured edge-list texts: ids (leading zeros too), integer and
+/// other weights, non-finite weights, comment starters, labels with non-ASCII
+/// characters that are not whitespace, and ids past the vertex limit or past `u32`.
+const TOKENS: [&str; 32] = [
+    "0",
+    "1",
+    "2",
+    "3",
+    "5",
+    "8",
+    "13",
+    "007",
+    "0",
+    "1",
+    "2",
+    "4",
+    "2.5",
+    "-1",
+    "+3",
+    "1e1",
+    "-0",
+    "-0.5",
+    "010",
+    "nan",
+    "inf",
+    "#",
+    "%",
+    "#1",
+    "%x",
+    "x",
+    "é",
+    "中",
+    "1\u{200B}",
+    "a-b",
+    "4000000000",
+    "99999999999",
+];
+
+/// A structured edge-list text: lines of tokens joined by runs of separators, with
+/// leading and trailing separators, `\n`, `\r\n` and `\r\r\n` endings and a last line
+/// that may be unterminated or end in a bare `\r`.
+fn arb_token_text() -> impl Strategy<Value = String> {
+    let separators = proptest::collection::vec(prop::sample::select(SEPARATORS.to_vec()), 1..3);
+    let token = (prop::sample::select(TOKENS.to_vec()), separators.clone());
+    let line = (
+        proptest::collection::vec(prop::sample::select(SEPARATORS.to_vec()), 0..2),
+        proptest::collection::vec(token, 0..5),
+        prop::sample::select(vec!["\n", "\n", "\n", "\r\n", "\r\r\n"]),
+    );
+    (
+        proptest::collection::vec(line, 0..12),
+        prop::sample::select(vec!["", "", "\r", " "]),
+    )
+        .prop_map(|(lines, tail)| {
+            let mut text = String::new();
+            for (lead, tokens, ending) in lines {
+                text.extend(lead);
+                for (token, separators) in tokens {
+                    text.push_str(token);
+                    text.extend(separators);
+                }
+                text.push_str(ending);
+            }
+            if !tail.is_empty() {
+                text.push('7');
+                text.push_str(tail);
+            }
+            text
+        })
+}
+
+/// Characters that never join into a digit run: separators, line endings, the
+/// characters of number syntax, letters, comment starters and non-ASCII characters.
+const TEXT_CHARS: [&str; 26] = [
+    " ", "\t", "\n", "\n", "\u{0B}", "\u{0C}", "\r", "\r\n", "\u{85}", "\u{A0}", "\u{2028}",
+    "\u{3000}", ".", "-", "+", "e", "a", "Z", "#", "%", "é", "中", "\u{200B}", " ", " ", "\n",
+];
+
+/// A character soup over [`TEXT_CHARS`] and digit runs.  A digit run is at most three
+/// digits (leading zeros too), or an id past the vertex limit or past `u32`, and is
+/// always followed by a character of [`TEXT_CHARS`], so no run can address a vertex
+/// array larger than 1,000 entries.
+fn arb_char_text() -> impl Strategy<Value = String> {
+    let digits = prop_oneof![
+        3 => "[0-9]{0,3}".prop_map(|d| d),
+        1 => prop::sample::select(vec!["4000000000".to_owned(), "99999999999".to_owned()]),
+    ];
+    proptest::collection::vec((digits, prop::sample::select(TEXT_CHARS.to_vec())), 0..60).prop_map(
+        |atoms| {
+            atoms
+                .into_iter()
+                .flat_map(|(digits, c)| [digits, c.to_owned()])
+                .collect()
+        },
+    )
+}
+
+/// The per-row CSR check that `validate_csr` ran before its branch-free fast pass,
+/// kept as its oracle: the first violation in row order, or the entry counts.
+fn reference_validate(
+    offsets: &[usize],
+    neighbors: &[VertexId],
+    weights: &[Weight],
+) -> Result<(usize, usize), CorruptGraph> {
+    let (&last, _) = offsets.split_last().ok_or(CorruptGraph::EmptyOffsets)?;
+    if offsets[0] != 0 {
+        return Err(CorruptGraph::NonzeroFirstOffset { first: offsets[0] });
+    }
+    if neighbors.len() != weights.len() {
+        return Err(CorruptGraph::LengthMismatch {
+            neighbors: neighbors.len(),
+            weights: weights.len(),
+        });
+    }
+    if last != neighbors.len() {
+        return Err(CorruptGraph::OffsetEndMismatch {
+            last,
+            entries: neighbors.len(),
+        });
+    }
+    if !neighbors.len().is_multiple_of(2) {
+        return Err(CorruptGraph::OddEntryCount {
+            entries: neighbors.len(),
+        });
+    }
+    let n = offsets.len() - 1;
+    let mut positive = 0usize;
+    let mut negative = 0usize;
+    for v in 0..n {
+        let start = offsets[v];
+        let end = offsets[v + 1];
+        if end < start || end > neighbors.len() {
+            return Err(CorruptGraph::NonMonotoneOffsets { vertex: v });
+        }
+        let mut prev: Option<VertexId> = None;
+        for &t in &neighbors[start..end] {
+            if (t as usize) >= n {
+                return Err(CorruptGraph::TargetOutOfRange {
+                    vertex: v,
+                    target: t,
+                });
+            }
+            if (t as usize) == v {
+                return Err(CorruptGraph::SelfLoop { vertex: v });
+            }
+            if let Some(p) = prev {
+                if t <= p {
+                    return Err(CorruptGraph::UnsortedRow { vertex: v });
+                }
+            }
+            prev = Some(t);
+        }
+        for &w in &weights[start..end] {
+            if !w.is_finite() {
+                return Err(CorruptGraph::NonFiniteWeight { vertex: v });
+            }
+            if w == 0.0 {
+                return Err(CorruptGraph::ZeroWeight { vertex: v });
+            }
+            if w > 0.0 {
+                positive += 1;
+            } else {
+                negative += 1;
+            }
+        }
+    }
+    Ok((positive, negative))
+}
+
+/// A CSR triple as `from_raw_csr` takes it.
+type RawCsr = (Vec<usize>, Vec<VertexId>, Vec<Weight>);
+
+/// `from_raw_csr` on a triple, as `(edges, positive edges, negative edges)` or the
+/// rejection; the triple determines the directed entry counts exactly.
+fn checked_counts(csr: &RawCsr) -> Result<(usize, usize, usize), CorruptGraph> {
+    let (offsets, neighbors, weights) = csr.clone();
+    SignedGraph::from_raw_csr(offsets, neighbors, weights).map(|g| {
+        (
+            g.num_edges(),
+            g.num_positive_edges(),
+            g.num_negative_edges(),
+        )
+    })
+}
+
+/// [`reference_validate`] in the shape of [`checked_counts`].
+fn reference_counts(csr: &RawCsr) -> Result<(usize, usize, usize), CorruptGraph> {
+    reference_validate(&csr.0, &csr.1, &csr.2).map(|(pos, neg)| ((pos + neg) / 2, pos / 2, neg / 2))
+}
+
+/// Strategy: a valid CSR triple over `1..12` vertices whose rows are random strictly
+/// ascending neighbor sets (not necessarily symmetric, so a row often starts below
+/// where the previous one ended) with weights of both signs from subnormal to
+/// `f64::MAX`; the last entry is dropped when the entry count is odd.
+fn arb_valid_csr() -> impl Strategy<Value = RawCsr> {
+    (1usize..12).prop_flat_map(|n| {
+        let weight = prop_oneof![
+            3 => -5.0f64..5.0f64,
+            1 => prop::sample::select(vec![
+                f64::MAX, -f64::MAX, f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 5e-324, -5e-324,
+            ]),
+        ];
+        let entry = (any::<bool>(), weight);
+        (
+            Just(n),
+            proptest::collection::vec(proptest::collection::vec(entry, n..n + 1), n..n + 1),
+        )
+            .prop_map(|(n, rows)| {
+                let mut offsets = vec![0];
+                let mut neighbors = Vec::new();
+                let mut weights = Vec::new();
+                for (v, row) in rows.into_iter().enumerate() {
+                    for (t, (present, w)) in row.into_iter().enumerate() {
+                        if present && t != v && w != 0.0 {
+                            neighbors.push(t as VertexId);
+                            weights.push(w);
+                        }
+                    }
+                    offsets.push(neighbors.len());
+                }
+                if !neighbors.len().is_multiple_of(2) {
+                    neighbors.pop();
+                    weights.pop();
+                    let end = neighbors.len();
+                    for offset in offsets.iter_mut().rev() {
+                        if *offset <= end {
+                            break;
+                        }
+                        *offset = end;
+                    }
+                }
+                debug_assert_eq!(offsets.len(), n + 1);
+                (offsets, neighbors, weights)
+            })
+    })
+}
+
+/// Applies corruption `kind` at position `at` (taken modulo the array it lands in) to
+/// a valid CSR triple.
+fn corrupt(csr: &mut RawCsr, kind: u32, at: usize) {
+    let (offsets, neighbors, weights) = csr;
+    let n = offsets.len() - 1;
+    let entries = neighbors.len();
+    match kind {
+        0 => offsets.clear(),
+        1 => offsets[0] = 1 + at % 3,
+        2 => {
+            // A bad interior offset: below its predecessor or past the end.
+            if n >= 2 {
+                let i = 1 + at % (n - 1);
+                offsets[i] = if at.is_multiple_of(2) {
+                    entries + 1 + at % 3
+                } else {
+                    0
+                };
+            }
+        }
+        3 => *offsets.last_mut().unwrap() += 2,
+        4 => {
+            weights.push(1.0);
+        }
+        5 => {
+            neighbors.push(0);
+            weights.push(1.0);
+            *offsets.last_mut().unwrap() += 1;
+        }
+        _ if entries == 0 => {}
+        6 => neighbors[at % entries] = (n + at % 3) as VertexId,
+        7 => {
+            // A self-loop: the entry takes its own row's vertex.
+            let i = at % entries;
+            let v = offsets.partition_point(|&o| o <= i) - 1;
+            neighbors[i] = v as VertexId;
+        }
+        8 => {
+            // A duplicate neighbor: an entry repeats its predecessor.
+            let i = at % entries;
+            if i > 0 {
+                neighbors[i] = neighbors[i - 1];
+            }
+        }
+        9 => weights[at % entries] = 0.0,
+        10 => weights[at % entries] = -0.0,
+        11 => weights[at % entries] = f64::from_bits(f64::NAN.to_bits() | 1 << 63),
+        12 => weights[at % entries] = f64::NAN,
+        13 => weights[at % entries] = f64::INFINITY,
+        _ => weights[at % entries] = f64::NEG_INFINITY,
+    }
 }
 
 /// Weights that make duplicate folds interesting: exact cancellations, signed zeros,
@@ -482,5 +896,197 @@ proptest! {
             prop_assert_eq!(of_view.core[v as usize], of_materialized.core[v as usize]);
         }
         prop_assert_eq!(of_view.degeneracy, of_materialized.degeneracy);
+    }
+}
+
+proptest! {
+    /// The byte walker equals the `str::lines` / `trim` / `split_whitespace` walker on
+    /// structured texts with every separator character: the numeric and the labelled
+    /// reader give the same graph bits and label table, or the same error.
+    #[test]
+    fn byte_walker_matches_the_line_walker_on_token_texts(text in arb_token_text()) {
+        same_read(dcs_graph::io::read_edge_list(text.as_bytes()), reference_numeric_read(&text))?;
+        let mut labels = VertexLabels::new();
+        let mut expected_labels = VertexLabels::new();
+        same_read(
+            read_labeled_edge_list(text.as_bytes(), &mut labels),
+            reference_labeled_read(&text, &mut expected_labels),
+        )?;
+        prop_assert!(labels.iter().eq(expected_labels.iter()));
+    }
+
+    /// The same on character soups, where tokens, comments and line endings fall
+    /// anywhere.
+    #[test]
+    fn byte_walker_matches_the_line_walker_on_character_soups(text in arb_char_text()) {
+        same_read(dcs_graph::io::read_edge_list(text.as_bytes()), reference_numeric_read(&text))?;
+        let mut labels = VertexLabels::new();
+        let mut expected_labels = VertexLabels::new();
+        same_read(
+            read_labeled_edge_list(text.as_bytes(), &mut labels),
+            reference_labeled_read(&text, &mut expected_labels),
+        )?;
+        prop_assert!(labels.iter().eq(expected_labels.iter()));
+    }
+
+    /// Integer weight tokens of 1–20 digits, leading zeros included, read as the bits
+    /// `str::parse::<f64>` gives: exact below 16 digits, rounded above.
+    #[test]
+    fn integer_weights_read_as_str_parse_reads_them(
+        digits in "[0-9]{1,20}",
+        zeros in 0usize..4,
+    ) {
+        let token = format!("{}{digits}", "0".repeat(zeros));
+        let expected = token.parse::<f64>().unwrap();
+        let g = dcs_graph::io::read_edge_list(format!("0 1 {token}\n").as_bytes()).unwrap();
+        let read = g.edge_weight(0, 1).unwrap_or(0.0);
+        prop_assert!(read.to_bits() == expected.to_bits(), "token {}: {} vs {}", token, read, expected);
+    }
+
+    /// The fast CSR check accepts exactly what the per-row loop accepts, with the same
+    /// counts, including descending steps across row boundaries.
+    #[test]
+    fn csr_check_matches_the_row_loop_on_valid_input(csr in arb_valid_csr()) {
+        prop_assert_eq!(checked_counts(&csr), reference_counts(&csr));
+        prop_assert!(checked_counts(&csr).is_ok());
+    }
+
+    /// A single corruption gets the same `CorruptGraph` value from the fast check as
+    /// from the per-row loop.
+    #[test]
+    fn csr_check_names_the_first_corruption_as_the_row_loop(
+        csr in arb_valid_csr(),
+        kind in 0u32..15,
+        at in 0usize..1000,
+    ) {
+        let mut csr = csr;
+        corrupt(&mut csr, kind, at);
+        prop_assert_eq!(checked_counts(&csr), reference_counts(&csr));
+    }
+}
+
+/// Each `CorruptGraph` variant, and the legal descending step across a row boundary,
+/// on hand-made triples: the fast check and the per-row loop agree on every one.
+#[test]
+fn csr_check_names_every_variant_as_the_row_loop() {
+    // 0 - 1, 0 - 2, 1 - 2: rows [1, 2], [0, 2], [0, 1].
+    let valid: RawCsr = (
+        vec![0, 2, 4, 6],
+        vec![1, 2, 0, 2, 0, 1],
+        vec![1.0, -2.0, 1.0, 3.0, -2.0, 3.0],
+    );
+    assert_eq!(checked_counts(&valid), Ok((3, 2, 1)));
+    let cases: Vec<(RawCsr, CorruptGraph)> = vec![
+        ((vec![], vec![], vec![]), CorruptGraph::EmptyOffsets),
+        (
+            (vec![1, 2], vec![0, 0], vec![1.0, 1.0]),
+            CorruptGraph::NonzeroFirstOffset { first: 1 },
+        ),
+        (
+            (vec![0, 2, 1, 6], valid.1.clone(), valid.2.clone()),
+            CorruptGraph::NonMonotoneOffsets { vertex: 1 },
+        ),
+        (
+            (vec![0, 9, 2, 6], valid.1.clone(), valid.2.clone()),
+            CorruptGraph::NonMonotoneOffsets { vertex: 0 },
+        ),
+        (
+            (vec![0, 2, 4, 8], valid.1.clone(), valid.2.clone()),
+            CorruptGraph::OffsetEndMismatch {
+                last: 8,
+                entries: 6,
+            },
+        ),
+        (
+            (valid.0.clone(), valid.1.clone(), vec![1.0; 5]),
+            CorruptGraph::LengthMismatch {
+                neighbors: 6,
+                weights: 5,
+            },
+        ),
+        (
+            (vec![0, 1, 2, 3], vec![1, 0, 0], vec![1.0; 3]),
+            CorruptGraph::OddEntryCount { entries: 3 },
+        ),
+        (
+            (valid.0.clone(), vec![1, 2, 0, 2, 0, 3], valid.2.clone()),
+            CorruptGraph::TargetOutOfRange {
+                vertex: 2,
+                target: 3,
+            },
+        ),
+        (
+            (valid.0.clone(), vec![1, 2, 0, 1, 0, 1], valid.2.clone()),
+            CorruptGraph::SelfLoop { vertex: 1 },
+        ),
+        (
+            (valid.0.clone(), vec![1, 2, 2, 0, 0, 1], valid.2.clone()),
+            CorruptGraph::UnsortedRow { vertex: 1 },
+        ),
+        (
+            (valid.0.clone(), vec![1, 1, 0, 2, 0, 1], valid.2.clone()),
+            CorruptGraph::UnsortedRow { vertex: 0 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![1.0, 1.0, 1.0, f64::NAN, 1.0, 1.0],
+            ),
+            CorruptGraph::NonFiniteWeight { vertex: 1 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![1.0, 1.0, 1.0, 1.0, -f64::NAN, 1.0],
+            ),
+            CorruptGraph::NonFiniteWeight { vertex: 2 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![f64::INFINITY, 1.0, 1.0, 1.0, 1.0, 1.0],
+            ),
+            CorruptGraph::NonFiniteWeight { vertex: 0 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![1.0, 1.0, 1.0, 1.0, 1.0, f64::NEG_INFINITY],
+            ),
+            CorruptGraph::NonFiniteWeight { vertex: 2 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
+            ),
+            CorruptGraph::ZeroWeight { vertex: 1 },
+        ),
+        (
+            (
+                valid.0.clone(),
+                valid.1.clone(),
+                vec![1.0, -0.0, 1.0, 1.0, 1.0, 1.0],
+            ),
+            CorruptGraph::ZeroWeight { vertex: 0 },
+        ),
+        // The first offending row is named, whatever a later row holds.
+        (
+            (
+                valid.0.clone(),
+                vec![1, 2, 0, 0, 0, 3],
+                vec![1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+            ),
+            CorruptGraph::ZeroWeight { vertex: 0 },
+        ),
+    ];
+    for (csr, expected) in cases {
+        assert_eq!(reference_counts(&csr), Err(expected.clone()), "{csr:?}");
+        assert_eq!(checked_counts(&csr), Err(expected), "{csr:?}");
     }
 }

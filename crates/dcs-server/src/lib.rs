@@ -294,7 +294,8 @@ pub struct ServerConfig {
     /// mining requests with a `busy` error.
     pub queue_capacity: usize,
     /// Maximum vertices accepted by `create_session` (guards the server
-    /// against a single request allocating unbounded memory).
+    /// against a single request allocating unbounded memory).  Defaults to
+    /// [`dcs_graph::io::MAX_VERTICES`], the bound numeric edge lists obey.
     pub max_vertices: usize,
     /// Server-imposed cap on any single mining job's wall time, in
     /// milliseconds (`None` disables it).  Applied as a deadline tighter than
@@ -369,7 +370,7 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(2),
             queue_capacity: 64,
-            max_vertices: 50_000_000,
+            max_vertices: dcs_graph::io::MAX_VERTICES,
             max_job_ms: Some(300_000),
             solver_threads: 0,
             io_threads: 0,
