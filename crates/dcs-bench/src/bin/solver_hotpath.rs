@@ -28,8 +28,11 @@
 //! (both measures) and top-k round paths allocate at most half of what the
 //! from-scratch solve does, and — when `--baseline <path>` points at a checked-in
 //! previous report — unless every gated allocation metric is within 10% of that
-//! baseline.  Timings (`ns_per_solve`) are reported for trend-watching but never
-//! gated: CI machines are too noisy.
+//! baseline.  Timings are reported for trend-watching but never gated: CI machines
+//! are too noisy.  Each path runs several timed repetitions, and its row carries
+//! the mean wall clock per solve (`ns_per_solve`) together with the median and
+//! interquartile range of the repetitions' per-solve times (`ns_median`,
+//! `ns_iqr`).
 //!
 //! Two opt-in sections extend the core allocation suite: `--large` (wall-clock
 //! parallel-speedup + bit-identity at million-edge scale) and `--load`
@@ -200,13 +203,20 @@ fn per(m: &Measured, count: usize) -> (f64, f64, f64) {
     )
 }
 
-fn path_json(label: &str, m: &Measured, count: usize) -> Value {
-    let (allocs, bytes, nanos) = per(m, count);
+/// One path's row: allocations, bytes and mean wall clock per solve over every
+/// run, and the median and interquartile range of the per-solve wall clock, from
+/// `runs` timed runs of `solves` solves each.
+fn path_json(label: &str, m: &Measured, runs: &[u64], solves: usize) -> Value {
+    let (allocs, bytes, nanos) = per(m, runs.len() * solves);
+    let (median, iqr) = median_and_iqr(runs);
+    let solves = solves.max(1) as f64;
     json!({
         "path": label,
         "allocs_per_solve": allocs,
         "bytes_per_solve": bytes,
         "ns_per_solve": nanos,
+        "ns_median": median / solves,
+        "ns_iqr": iqr / solves,
     })
 }
 
@@ -682,18 +692,14 @@ fn main() {
     let gd = monitor.difference_snapshot();
 
     // ---- 1. From-scratch mine: no workspace, every buffer allocated per solve. ---
-    let (scratch_alert, scratch) = measure(|| {
-        let mut last = None;
-        for _ in 0..config.repetitions {
-            last = Some(mine_difference_in(
-                &gd,
-                &streaming_config,
-                monitor.observations(),
-                None,
-                &SolveContext::unbounded(),
-            ));
-        }
-        last.expect("at least one repetition")
+    let (scratch_alert, scratch, scratch_runs) = measure_each(config.repetitions, || {
+        mine_difference_in(
+            &gd,
+            &streaming_config,
+            monitor.observations(),
+            None,
+            &SolveContext::unbounded(),
+        )
     });
 
     // ---- 2. Steady-state re-mine: the monitor's persistent workspace, warm. ------
@@ -707,6 +713,7 @@ fn main() {
         bytes: 0,
         nanos: 0,
     };
+    let mut remine_runs = Vec::with_capacity(churn.len());
     for &(u, v) in &churn {
         // Sparse churn between re-mines, applied outside the measured section —
         // the gate is about the solve, not the observe (streaming_throughput
@@ -716,6 +723,7 @@ fn main() {
         remine.allocs += m.allocs;
         remine.bytes += m.bytes;
         remine.nanos += m.nanos;
+        remine_runs.push(m.nanos);
         remine_subset = alert.report.subset;
     }
     // Sanity: workspace reuse must not change the answer on the unchanged graph
@@ -728,21 +736,22 @@ fn main() {
 
     // ---- 3. Top-k: masked views + shared workspace vs from-scratch rounds. -------
     let solver = MeasureSolver::for_measure(DensityMeasure::AverageDegree);
-    let (reference_rounds, topk_scratch) = measure(|| {
-        // The pre-workspace driver shape: clone the working graph, solve with no
-        // workspace, compact the CSR in place after every round.
-        let mut remaining = (*gd).clone();
-        let mut rounds = 0usize;
-        while rounds < config.topk && remaining.num_positive_edges() > 0 {
-            let solution = solver.solve_bounded(&remaining, &[], &SolveContext::unbounded());
-            if solution.objective <= 0.0 || solution.subset.is_empty() {
-                break;
+    let (reference_rounds, topk_scratch, topk_scratch_runs) =
+        measure_each(config.repetitions, || {
+            // The pre-workspace driver shape: clone the working graph, solve with no
+            // workspace, compact the CSR in place after every round.
+            let mut remaining = (*gd).clone();
+            let mut rounds = 0usize;
+            while rounds < config.topk && remaining.num_positive_edges() > 0 {
+                let solution = solver.solve_bounded(&remaining, &[], &SolveContext::unbounded());
+                if solution.objective <= 0.0 || solution.subset.is_empty() {
+                    break;
+                }
+                remaining.remove_vertices_in_place(&solution.subset);
+                rounds += 1;
             }
-            remaining.remove_vertices_in_place(&solution.subset);
-            rounds += 1;
-        }
-        rounds
-    });
+            rounds
+        });
     let shared = SharedWorkspace::new();
     let warm_cx = SolveContext::unbounded().with_workspace(&shared);
     let _ = top_k_in(
@@ -752,7 +761,7 @@ fn main() {
         DcsgaConfig::default(),
         &warm_cx,
     ); // warm the shared workspace
-    let (steady_outcome, topk_steady) = measure(|| {
+    let (steady_outcome, topk_steady, topk_steady_runs) = measure_each(config.repetitions, || {
         top_k_in(
             &gd,
             config.topk,
@@ -766,7 +775,7 @@ fn main() {
     // ---- 4. α-sweep: in-place reweighting + shared workspace vs cold rebuild. ----
     let g2 = monitor.observed_graph();
     let alphas: Vec<f64> = (0..=6).map(|i| i as f64 * 0.25).collect();
-    let (cold_points, sweep_cold) = measure(|| {
+    let (cold_points, sweep_cold, sweep_cold_runs) = measure_each(config.repetitions, || {
         let mut points = 0usize;
         for &alpha in &alphas {
             let gd_alpha = scaled_difference_graph(&g2, &baseline, alpha).unwrap();
@@ -787,7 +796,7 @@ fn main() {
         &sweep_cx,
     )
     .unwrap(); // warm
-    let (sweep_outcome, sweep_steady) = measure(|| {
+    let (sweep_outcome, sweep_steady, sweep_steady_runs) = measure_each(config.repetitions, || {
         dcs_core::alpha_sweep_in(
             &g2,
             &baseline,
@@ -829,19 +838,16 @@ fn main() {
     let ga_gd = ga_monitor.difference_snapshot();
 
     // From-scratch affinity mine: no workspace, transient dense arena per solve.
-    let (ga_scratch_alert, ga_scratch) = measure(|| {
-        let mut last = None;
-        for _ in 0..ga_bench.repetitions {
-            last = Some(mine_difference_in(
+    let (ga_scratch_alert, ga_scratch, ga_scratch_runs) =
+        measure_each(ga_bench.repetitions, || {
+            mine_difference_in(
                 &ga_gd,
                 &ga_streaming_config,
                 ga_monitor.observations(),
                 None,
                 &SolveContext::unbounded(),
-            ));
-        }
-        last.expect("at least one repetition")
-    });
+            )
+        });
 
     // Steady-state affinity re-mine: the monitor's dense embedding arena warm.
     let _ = ga_monitor.mine_now();
@@ -854,12 +860,14 @@ fn main() {
         bytes: 0,
         nanos: 0,
     };
+    let mut ga_remine_runs = Vec::with_capacity(ga_churn.len());
     for &(u, v) in &ga_churn {
         ga_monitor.observe(u, v, 0.25);
         let (alert, m) = measure(|| ga_monitor.mine_now());
         ga_remine.allocs += m.allocs;
         ga_remine.bytes += m.bytes;
         ga_remine.nanos += m.nanos;
+        ga_remine_runs.push(m.nanos);
         ga_remine_subset = alert.report.subset;
     }
     assert!(
@@ -870,17 +878,18 @@ fn main() {
     // Affinity α-sweep: template + warm dense workspace vs per-α rebuild, cold.
     let ga_g2 = ga_monitor.observed_graph();
     let ga_solver = MeasureSolver::for_measure(DensityMeasure::GraphAffinity);
-    let (ga_cold_points, ga_sweep_cold) = measure(|| {
-        let mut points = 0usize;
-        for &alpha in &alphas {
-            let gd_alpha = scaled_difference_graph(&ga_g2, &ga_baseline, alpha).unwrap();
-            let solution = ga_solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
-            if !solution.subset.is_empty() {
-                points += 1;
+    let (ga_cold_points, ga_sweep_cold, ga_sweep_cold_runs) =
+        measure_each(ga_bench.repetitions, || {
+            let mut points = 0usize;
+            for &alpha in &alphas {
+                let gd_alpha = scaled_difference_graph(&ga_g2, &ga_baseline, alpha).unwrap();
+                let solution = ga_solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
+                if !solution.subset.is_empty() {
+                    points += 1;
+                }
             }
-        }
-        points
-    });
+            points
+        });
     let ga_sweep_shared = SharedWorkspace::new();
     let ga_sweep_cx = SolveContext::unbounded().with_workspace(&ga_sweep_shared);
     let _ = dcs_core::alpha_sweep_in(
@@ -891,16 +900,17 @@ fn main() {
         &ga_sweep_cx,
     )
     .unwrap(); // warm
-    let (ga_sweep_outcome, ga_sweep_steady) = measure(|| {
-        dcs_core::alpha_sweep_in(
-            &ga_g2,
-            &ga_baseline,
-            &alphas,
-            DensityMeasure::GraphAffinity,
-            &ga_sweep_cx,
-        )
-        .unwrap()
-    });
+    let (ga_sweep_outcome, ga_sweep_steady, ga_sweep_steady_runs) =
+        measure_each(ga_bench.repetitions, || {
+            dcs_core::alpha_sweep_in(
+                &ga_g2,
+                &ga_baseline,
+                &alphas,
+                DensityMeasure::GraphAffinity,
+                &ga_sweep_cx,
+            )
+            .unwrap()
+        });
 
     // ---- 6. Large-graph parallelism (opt-in: --large). ---------------------------
     let large_section = large.then(|| run_large_section(smoke, baseline_json.as_ref()));
@@ -909,21 +919,64 @@ fn main() {
     let load_section = load.then(|| run_load_section(smoke, pack_dir.as_deref()));
 
     // ---- Report. -----------------------------------------------------------------
-    let (scratch_allocs, _, _) = per(&scratch, config.repetitions);
-    let (remine_allocs, _, _) = per(&remine, config.repetitions);
-    let (topk_scratch_allocs, _, _) = per(&topk_scratch, reference_rounds);
-    let (topk_steady_allocs, _, _) = per(&topk_steady, steady_rounds);
-    let (sweep_cold_allocs, _, _) = per(&sweep_cold, cold_points);
-    let (sweep_steady_allocs, _, _) = per(&sweep_steady, sweep_outcome.points.len());
-    let (ga_scratch_allocs, _, _) = per(&ga_scratch, ga_bench.repetitions);
-    let (ga_remine_allocs, _, _) = per(&ga_remine, ga_bench.repetitions);
-    let (ga_sweep_cold_allocs, _, _) = per(&ga_sweep_cold, ga_cold_points);
-    let (ga_sweep_steady_allocs, _, _) = per(&ga_sweep_steady, ga_sweep_outcome.points.len());
+    let mine_row = path_json("from_scratch", &scratch, &scratch_runs, 1);
+    let mut remine_row = path_json("steady_state_workspace", &remine, &remine_runs, 1);
+    let topk_scratch_row = path_json(
+        "clone_and_compact",
+        &topk_scratch,
+        &topk_scratch_runs,
+        reference_rounds,
+    );
+    let topk_steady_row = path_json(
+        "masked_views_workspace",
+        &topk_steady,
+        &topk_steady_runs,
+        steady_rounds,
+    );
+    let sweep_cold_row = path_json(
+        "rebuild_per_alpha",
+        &sweep_cold,
+        &sweep_cold_runs,
+        cold_points,
+    );
+    let sweep_steady_row = path_json(
+        "template_reweight_workspace",
+        &sweep_steady,
+        &sweep_steady_runs,
+        sweep_outcome.points.len(),
+    );
+    let ga_mine_row = path_json("from_scratch", &ga_scratch, &ga_scratch_runs, 1);
+    let mut ga_remine_row = path_json("steady_state_dense_arena", &ga_remine, &ga_remine_runs, 1);
+    let ga_sweep_cold_row = path_json(
+        "rebuild_per_alpha",
+        &ga_sweep_cold,
+        &ga_sweep_cold_runs,
+        ga_cold_points,
+    );
+    let ga_sweep_steady_row = path_json(
+        "template_reweight_dense_arena",
+        &ga_sweep_steady,
+        &ga_sweep_steady_runs,
+        ga_sweep_outcome.points.len(),
+    );
+    let allocs = |row: &Value| row["allocs_per_solve"].as_f64().unwrap_or(0.0);
+    let scratch_allocs = allocs(&mine_row);
+    let remine_allocs = allocs(&remine_row);
+    let topk_scratch_allocs = allocs(&topk_scratch_row);
+    let topk_steady_allocs = allocs(&topk_steady_row);
+    let sweep_cold_allocs = allocs(&sweep_cold_row);
+    let sweep_steady_allocs = allocs(&sweep_steady_row);
+    let ga_scratch_allocs = allocs(&ga_mine_row);
+    let ga_remine_allocs = allocs(&ga_remine_row);
+    let ga_sweep_cold_allocs = allocs(&ga_sweep_cold_row);
+    let ga_sweep_steady_allocs = allocs(&ga_sweep_steady_row);
     let remine_ratio = scratch_allocs / remine_allocs.max(1.0);
     let topk_ratio = topk_scratch_allocs / topk_steady_allocs.max(1.0);
     let sweep_ratio = sweep_cold_allocs / sweep_steady_allocs.max(1.0);
     let ga_remine_ratio = ga_scratch_allocs / ga_remine_allocs.max(1.0);
     let ga_sweep_ratio = ga_sweep_cold_allocs / ga_sweep_steady_allocs.max(1.0);
+    remine_row["allocs_reduction_vs_scratch"] = json!(remine_ratio);
+    ga_remine_row["allocs_reduction_vs_scratch"] = json!(ga_remine_ratio);
 
     let report = json!({
         "bench": "solver_hotpath",
@@ -934,26 +987,20 @@ fn main() {
             "difference_edges": gd.num_edges(),
         },
         "repetitions": config.repetitions,
-        "mine": path_json("from_scratch", &scratch, config.repetitions),
-        "remine": {
-            "path": "steady_state_workspace",
-            "allocs_per_solve": remine_allocs,
-            "bytes_per_solve": per(&remine, config.repetitions).1,
-            "ns_per_solve": per(&remine, config.repetitions).2,
-            "allocs_reduction_vs_scratch": remine_ratio,
-        },
+        "mine": mine_row,
+        "remine": remine_row,
         "topk": {
             "k": config.topk,
             "scratch_rounds": reference_rounds,
             "steady_rounds": steady_rounds,
-            "scratch": path_json("clone_and_compact", &topk_scratch, reference_rounds),
-            "steady": path_json("masked_views_workspace", &topk_steady, steady_rounds),
+            "scratch": topk_scratch_row,
+            "steady": topk_steady_row,
             "allocs_reduction_per_round": topk_ratio,
         },
         "sweep": {
             "grid_points": alphas.len(),
-            "cold": path_json("rebuild_per_alpha", &sweep_cold, cold_points),
-            "steady": path_json("template_reweight_workspace", &sweep_steady, sweep_outcome.points.len()),
+            "cold": sweep_cold_row,
+            "steady": sweep_steady_row,
             "allocs_reduction_per_point": sweep_ratio,
         },
         "dcsga": {
@@ -963,22 +1010,12 @@ fn main() {
                 "difference_edges": ga_gd.num_edges(),
             },
             "repetitions": ga_bench.repetitions,
-            "mine": path_json("from_scratch", &ga_scratch, ga_bench.repetitions),
-            "remine": {
-                "path": "steady_state_dense_arena",
-                "allocs_per_solve": ga_remine_allocs,
-                "bytes_per_solve": per(&ga_remine, ga_bench.repetitions).1,
-                "ns_per_solve": per(&ga_remine, ga_bench.repetitions).2,
-                "allocs_reduction_vs_scratch": ga_remine_ratio,
-            },
+            "mine": ga_mine_row,
+            "remine": ga_remine_row,
             "sweep": {
                 "grid_points": alphas.len(),
-                "cold": path_json("rebuild_per_alpha", &ga_sweep_cold, ga_cold_points),
-                "steady": path_json(
-                    "template_reweight_dense_arena",
-                    &ga_sweep_steady,
-                    ga_sweep_outcome.points.len(),
-                ),
+                "cold": ga_sweep_cold_row,
+                "steady": ga_sweep_steady_row,
                 "allocs_reduction_per_point": ga_sweep_ratio,
             },
         },

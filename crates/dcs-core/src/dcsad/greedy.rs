@@ -80,9 +80,12 @@ impl DcsGreedy {
     /// A view mines the alive-induced difference graph without materialising it;
     /// this is how the top-k driver masks out previously mined subgraphs instead of
     /// rewriting the CSR.  The view must not be positive-filtered (candidates are
-    /// evaluated in the signed graph); `G_{D+}` is reached internally through
-    /// [`GraphView::positive_part`], so it is never materialised either.  Scratch
-    /// state (peel heaps, degree arrays) comes from the context's
+    /// evaluated in the signed graph).  The `G_{D+}` peel runs on a compact copy:
+    /// [`GraphView::positive_part_into`] copies the view's alive, positive entries
+    /// into the workspace's buffers once, and the peel walks those rows under the
+    /// caller's mask with no sign test, visiting the same entries in the same order
+    /// as the sign-filtered view would.  Scratch state (peel heaps, degree arrays,
+    /// the compact `G_{D+}`) comes from the context's
     /// [`crate::workspace::SolverWorkspace`] and is reused across calls.
     ///
     /// `seed` is a **warm start**: the seed subset (typically the support of the
@@ -114,6 +117,7 @@ impl DcsGreedy {
         let mut ws = cx.workspace();
         let crate::workspace::SolverWorkspace {
             peel: peel_ws,
+            positive,
             marks,
             visited,
             stack,
@@ -154,13 +158,18 @@ impl DcsGreedy {
             peel.subset
         };
 
-        // Candidate C: greedy peel of G_{D+} (a positive-filtered view — never
-        // materialised); skipped entirely once a bound tripped.
+        // Candidate C: greedy peel of G_{D+}, compacted into the workspace's
+        // buffers and peeled under the caller's mask; skipped entirely once a
+        // bound tripped.  The compaction ticks no work units.
         let (s2, rho_gd_plus) = if meter.stopped() {
             (Vec::new(), 0.0)
         } else {
+            let gd_plus = view.positive_part_into(std::mem::take(positive));
             let (peel_plus, _) =
-                greedy_peeling_view_into(view.positive_part(), peel_ws, |units| !meter.tick(units));
+                greedy_peeling_view_into(view.mask_over(&gd_plus), peel_ws, |units| {
+                    !meter.tick(units)
+                });
+            *positive = gd_plus.into_raw_csr();
             meter.note_candidates(1);
             (peel_plus.subset, peel_plus.average_degree)
         };

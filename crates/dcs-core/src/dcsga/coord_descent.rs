@@ -12,8 +12,9 @@
 //! dense arena keeps `x` and the linear form `(Dx)_k` in workspace-owned arrays
 //! (zero allocations in steady state, where the old implementation built two
 //! `FxHashMap`s per call), and every edge read goes through a [`GraphView`], so the
-//! same kernel serves the signed `G_D`, a materialised `G_{D+}`, and the
-//! positive-filtered / masked overlays of the NewSEA and top-k drivers.
+//! same kernel serves the signed `G_D`, a materialised `G_{D+}`, the compact
+//! `G_{D+}` of the NewSEA and top-k drivers under their masks, and
+//! positive-filtered overlays.
 
 use dcs_densest::Embedding;
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};

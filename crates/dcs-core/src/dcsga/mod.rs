@@ -14,9 +14,11 @@
 //!   early-exit bound `µ_u = τ_u·w_u/(τ_u+1)` (Theorem 6).
 //!
 //! All three solvers operate on `G_{D+}` internally (Theorem 5 shows an optimal solution
-//! is always a positive clique of `G_D`, i.e. a clique of `G_{D+}`) — as a
-//! **positive-filtered [`dcs_graph::GraphView`]** of the signed difference graph,
-//! never as a materialised copy.
+//! is always a positive clique of `G_D`, i.e. a clique of `G_{D+}`).  The kernels read
+//! it through a [`dcs_graph::GraphView`]: NewSEA's sweep runs on a compact copy of the
+//! view's positive entries, kept in the workspace and compacted once per solve
+//! ([`dcs_graph::GraphView::positive_part_into`]); a positive-filtered view of the
+//! signed difference graph gives the same results.
 //!
 //! ## Dense workspace-backed embeddings
 //!

@@ -14,14 +14,19 @@
 //! so far.  In the paper this prunes 1–3 orders of magnitude of initialisations with no
 //! observed loss of quality.
 //!
-//! The canonical path is **view-based and dense**: [`NewSea::solve_bounded`]
-//! takes `G_D` or any [`GraphView`] of it and mines its positive-filtered
-//! overlay directly — `G_{D+}` is never materialised, and the whole sweep (core
-//! numbers, µ ordering, every SEACD run and refinement) lives in the workspace's
-//! dense embedding arena, so steady-state solves allocate nothing but the returned
-//! solution.  [`NewSea::solve_seeded_reference`] retains the `FxHashMap`-backed
-//! arena as the property-test oracle: it runs the *same* kernels over hash storage,
-//! so dense solves are bit-identical to reference solves by construction.
+//! The canonical path is **compact and dense**: [`NewSea::solve_bounded`] takes
+//! `G_D` or any [`GraphView`] of it, copies the view's alive, positive entries into
+//! the workspace's CSR buffers once ([`GraphView::positive_part_into`]), and runs
+//! the whole sweep (the Theorem-6 bound, core numbers, the seeded run, every SEACD
+//! run and refinement) on that compact `G_{D+}` under the caller's mask, so no
+//! pass tests an entry's sign.  The compact rows hold the same entries in the same
+//! order as the sign-filtered view, so every float operation sees the same
+//! operands.  The sweep's state lives in the workspace's dense embedding arena, so
+//! steady-state solves allocate nothing but the returned solution.
+//! [`NewSea::solve_seeded_reference`] retains the `FxHashMap`-backed arena, on the
+//! sign-filtered view of `G_D`, as the property-test oracle: it runs the *same*
+//! kernels over hash storage and uncompacted rows, so dense solves are
+//! bit-identical to reference solves.
 
 use dcs_densest::Embedding;
 use dcs_graph::{core_numbers_view_into, CoreScratch, GraphView, SignedGraph, VertexId, Weight};
@@ -65,20 +70,22 @@ impl NewSea {
 
     /// Mines the DCS with respect to graph affinity from the difference graph `gd`.
     ///
-    /// Internally the solver works on the positive-filtered view of `gd` (justified
-    /// by Theorem 5) and returns a positive-clique solution.  If `G_D` has no
+    /// Internally the solver works on the positive part of `gd` (justified by
+    /// Theorem 5) and returns a positive-clique solution.  If `G_D` has no
     /// positive edge the optimum is 0 and an empty embedding is returned.
     pub fn solve(&self, gd: &SignedGraph) -> DcsgaSolution {
         self.solve_bounded(gd, &[], &SolveContext::unbounded()).0
     }
 
-    /// The NewSEA entry point: the µ_u-ordered sweep over the **positive-filtered
-    /// overlay** of `graph`, under a [`SolveContext`].
+    /// The NewSEA entry point: the µ_u-ordered sweep over the **positive part**
+    /// of `graph`, under a [`SolveContext`].
     ///
     /// `graph` is the signed difference graph or a view of it (masked by the top-k
-    /// driver, full everywhere else); the solver adds the positive filter itself, so
-    /// `G_{D+}` is never materialised and affinity jobs never copy the CSR.  An
-    /// already-positive graph passes through the filter unchanged.
+    /// driver, full everywhere else).  The solver compacts the view's alive,
+    /// positive entries into the workspace's CSR buffers
+    /// ([`GraphView::positive_part_into`]) and sweeps that `G_{D+}` under the
+    /// caller's mask; the compaction ticks no work units.  An already-positive
+    /// graph compacts to a copy of itself.
     ///
     /// `seed` is a **warm start**: before the sweep, one SEACD run is started from the
     /// uniform embedding on `seed` (typically the support of the previous mine on a
@@ -92,27 +99,30 @@ impl NewSea {
     /// shrink round (work units are coordinate-descent iterations), so a deadline,
     /// cancellation or exhausted budget returns the best incumbent found so far.
     /// Theorem-6 early-exit prunes are reported through both [`SmartInitStats`] and
-    /// [`SolveStats::prunes`].  All scratch state — the µ ordering, core numbers,
-    /// and the dense embedding arena shared with SEACD, the KKT shrink and the
-    /// refinement — lives in the context's workspace.
+    /// [`SolveStats::prunes`].  All scratch state — the compact `G_{D+}`, the µ
+    /// ordering, core numbers, and the dense embedding arena shared with SEACD, the
+    /// KKT shrink and the refinement — lives in the context's workspace.
     pub fn solve_bounded<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
         seed: &[VertexId],
         cx: &SolveContext,
     ) -> (DcsgaSolution, SolveStats) {
+        let view = graph.into();
         let mut meter = cx.meter();
         let threads = cx.threads();
         let mut ws = cx.workspace();
         let crate::workspace::SolverWorkspace {
+            positive,
             init_order,
             max_incident,
             dcsga,
             ..
         } = &mut *ws;
+        let gd_plus = view.positive_part_into(std::mem::take(positive));
         let solution = sweep_in(
             &self.config,
-            graph.into(),
+            view.mask_over(&gd_plus),
             seed,
             &mut meter,
             init_order,
@@ -122,13 +132,16 @@ impl NewSea {
             &mut dcsga.kernel,
             threads,
         );
+        *positive = gd_plus.into_raw_csr();
         (solution, meter.finish())
     }
 
     /// The `FxHashMap`-backed **reference solve**: identical sweep, hash-arena
-    /// storage, fresh buffers per call.  Kept as the oracle the property tests
-    /// compare the dense workspace path against (results are bit-identical by
-    /// construction — both run the same kernels); not a serving path.
+    /// storage, fresh buffers per call, on the sign-filtered view of `gd` rather
+    /// than a compact copy.  Kept as the oracle the property tests compare the
+    /// dense workspace path against (both run the same kernels over the same
+    /// entries in the same order, so results are bit-identical); not a serving
+    /// path.
     pub fn solve_seeded_reference(&self, gd: &SignedGraph, seed: &[VertexId]) -> DcsgaSolution {
         let cx = SolveContext::unbounded();
         let mut meter = cx.meter();
@@ -139,7 +152,7 @@ impl NewSea {
         let mut kernel = KernelScratch::default();
         sweep_in(
             &self.config,
-            GraphView::full(gd),
+            GraphView::full(gd).positive_part(),
             seed,
             &mut meter,
             &mut order,
@@ -158,12 +171,12 @@ impl NewSea {
 const PAR_INIT_MIN_VERTICES: usize = 2048;
 
 /// The generic µ_u-ordered sweep shared by the dense (canonical) and hash
-/// (reference) arenas.  `view` is the signed-graph view; the positive filter is
-/// applied here.
+/// (reference) arenas.  `pview` is a view of `G_{D+}`: the compact positive graph
+/// under the caller's mask, or the sign-filtered view of `G_D`.
 #[allow(clippy::too_many_arguments)]
 fn sweep_in<A: EmbeddingArena>(
     config: &DcsgaConfig,
-    view: GraphView<'_>,
+    pview: GraphView<'_>,
     seed: &[VertexId],
     meter: &mut WorkMeter,
     order: &mut Vec<(VertexId, Weight)>,
@@ -173,7 +186,6 @@ fn sweep_in<A: EmbeddingArena>(
     kernel: &mut KernelScratch,
     threads: usize,
 ) -> DcsgaSolution {
-    let pview = view.positive_part();
     let n = pview.num_vertices();
     let mut stats = SmartInitStats::default();
     if pview.alive_count() == 0 || !pview.has_edge() {
@@ -286,21 +298,24 @@ pub fn smart_initialization_order(gd_plus: &SignedGraph) -> Vec<(VertexId, Weigh
 
 /// [`smart_initialization_order`] over a [`GraphView`], writing into caller-owned
 /// buffers so nothing allocates in steady state: `order` receives the
-/// `(vertex, µ_u)` pairs (descending `µ_u`, alive non-isolated vertices only),
-/// `max_incident` and `cores` are scratch.  The view is usually the
-/// positive-filtered overlay of `G_D`; on an unfiltered view the bound's `w_u`
-/// input would see negative weights, which Theorem 6 does not cover, so callers
-/// must pass a positive (or positively-weighted) view.
+/// `(vertex, µ_u)` pairs (alive non-isolated vertices only), `max_incident` and
+/// `cores` are scratch.  The order is total: descending `µ_u`, ties by ascending
+/// vertex id, so it does not depend on the sort's algorithm.  NewSEA passes its
+/// compact `G_{D+}` under the caller's mask ([`GraphView::mask_over`]); the
+/// sign-filtered overlay of `G_D` yields the same order.  On a view with
+/// non-positive edges the bound's `w_u` input would see negative weights, which
+/// Theorem 6 does not cover, so callers must pass a positive (or
+/// positively-weighted) view.
 ///
 /// With `threads > 1` the two vertex scans fan out over `threads` workers on
 /// disjoint ranges.  **The order is bit-identical for every thread count.** The
 /// per-vertex maximum incident weight is a `max` over the vertex's surviving row
 /// (edge visibility is symmetric, so the row holds exactly the edges the
-/// sequential edge sweep credits to the vertex, and `max` is reorder-safe); the
-/// `(u, µ_u)` pairs are produced per range and concatenated in ascending range
-/// order, reproducing the sequential push order, so the final deterministic sort
-/// sees an identical input slice.  The integer core decomposition stays sequential
-/// (it is inherently ordered and cheap relative to the weight scans).
+/// sequential edge sweep credits to the vertex, and `max` is reorder-safe); each
+/// `µ_u` is computed from the same operands as in the sequential scan, and the
+/// total order sorts the pairs the same way whatever order they arrive in.  The
+/// integer core decomposition stays sequential (it is inherently ordered and cheap
+/// relative to the weight scans).
 pub fn smart_initialization_order_in(
     view: GraphView<'_>,
     order: &mut Vec<(VertexId, Weight)>,
@@ -340,9 +355,16 @@ pub fn smart_initialization_order_in(
         let mu = tau * w_u / (tau + 1.0);
         order.push((u, mu));
     }
-    // Unstable sort: deterministic for a fixed input and allocation-free, unlike the
-    // stable sort (which buffers half the slice per call).
-    order.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    // Unstable sort: allocation-free, unlike the stable sort (which buffers half
+    // the slice per call); the comparator is total, so no tie is left to it.
+    order.sort_unstable_by(by_bound_then_id);
+}
+
+/// The smart-initialisation order: descending `µ_u`, then ascending vertex id.
+fn by_bound_then_id(a: &(VertexId, Weight), b: &(VertexId, Weight)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.0.cmp(&b.0))
 }
 
 /// The `threads > 1` body of [`smart_initialization_order_in`].
@@ -416,7 +438,7 @@ fn smart_initialization_order_par(
     for pairs in per_range {
         order.extend(pairs);
     }
-    order.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    order.sort_unstable_by(by_bound_then_id);
 }
 
 #[cfg(test)]
@@ -488,6 +510,45 @@ mod tests {
         // And the ordering is non-increasing.
         for pair in order.windows(2) {
             assert!(pair[0].1 >= pair[1].1 - 1e-12);
+        }
+    }
+
+    #[test]
+    fn tied_bounds_order_by_vertex_id_at_every_thread_count() {
+        // 300 disjoint edges, the i-th weighted 2, 4 or 6 by i % 3, so every
+        // vertex has τ_u = 1 and µ_u = w/2 ∈ {1, 2, 3}: each value is shared by
+        // 200 vertices, interleaved in id order.  One negative edge must not
+        // count.  A large slice, so ties are not left in input order by chance.
+        let edges = 300u32;
+        let mut b = GraphBuilder::new(2 * edges as usize);
+        for i in 0..edges {
+            b.add_edge(2 * i, 2 * i + 1, [2.0, 4.0, 6.0][i as usize % 3]);
+        }
+        b.add_edge(0, 2, -1.0);
+        let gd = b.build();
+        let mut expected = Vec::new();
+        for (class, mu) in [(2, 3.0), (1, 2.0), (0, 1.0)] {
+            for i in (0..edges).filter(|i| i % 3 == class) {
+                expected.push((2 * i, mu));
+                expected.push((2 * i + 1, mu));
+            }
+        }
+        let compact = GraphView::full(&gd).positive_part_into(Default::default());
+        for view in [
+            GraphView::full(&gd).positive_part(),
+            GraphView::full(&compact),
+        ] {
+            for threads in [1, 4] {
+                let mut order = Vec::new();
+                smart_initialization_order_in(
+                    view,
+                    &mut order,
+                    &mut Vec::new(),
+                    &mut CoreScratch::default(),
+                    threads,
+                );
+                assert_eq!(order, expected, "threads = {threads}");
+            }
         }
     }
 

@@ -16,8 +16,8 @@
 //! The whole run lives in an [`EmbeddingArena`](super::arena::EmbeddingArena): the
 //! iterate, the shrink's linear form, the expansion direction `γ` and the candidate
 //! dedup marks are all arena state, and every edge read goes through a
-//! [`GraphView`] — including **positive-filtered** views, so mining `G_{D+}` no
-//! longer requires materialising it.  The sparse [`Embedding`] appears only at the
+//! [`GraphView`] — positive-filtered views included, and NewSEA's compact
+//! `G_{D+}` under the caller's mask.  The sparse [`Embedding`] appears only at the
 //! public entry points.
 
 use dcs_densest::Embedding;

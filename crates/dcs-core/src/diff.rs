@@ -222,7 +222,7 @@ pub(crate) fn check_alpha(alpha: Weight, heaviest: Weight) -> Result<Weight, Dcs
 /// Recycled CSR buffers handed back and forth between
 /// [`ScaledDifferenceTemplate::materialize_with`] and
 /// [`SignedGraph::into_raw_csr`], so a sweep re-uses one set of arrays for every α.
-pub type CsrBuffers = (Vec<usize>, Vec<VertexId>, Vec<Weight>);
+pub use dcs_graph::CsrBuffers;
 
 /// The merged edge structure of a graph pair, built **once**, from which the
 /// α-scaled difference graph `D = A2 − α·A1` can be materialised for any α without

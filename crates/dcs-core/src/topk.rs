@@ -16,13 +16,15 @@
 //!
 //! Per-round shrinking is **mask-based**: mined vertices are cleared from a
 //! [`VertexMask`] and the next round solves on a [`GraphView`] overlay — the CSR
-//! arrays of the caller's `G_D` are borrowed for **both measures** (the affinity
-//! solver applies Theorem 5's `G_{D+}` restriction as a positive filter on the view,
-//! so the positive part is never materialised) and never rewritten, where the
-//! previous driver ran an `O(n + m)` [`SignedGraph::remove_vertices_in_place`]
-//! compaction per round.  All rounds share one
-//! [`crate::workspace::SolverWorkspace`] — including the dense DCSGA embedding
-//! arena — so steady-state rounds allocate almost nothing.
+//! arrays of the caller's `G_D` are borrowed for **both measures** and never
+//! rewritten, where the previous driver ran an `O(n + m)`
+//! [`SignedGraph::remove_vertices_in_place`] compaction per round.  Each round's
+//! solver copies the alive, positive entries of the masked view into the
+//! workspace's compact `G_{D+}` buffers once (DCSGreedy for its `G_{D+}` peel,
+//! NewSEA for Theorem 5's `G_{D+}` restriction) and keeps the round's mask over
+//! that copy.  All rounds share one [`crate::workspace::SolverWorkspace`] —
+//! including those buffers and the dense DCSGA embedding arena — so
+//! steady-state rounds allocate almost nothing.
 
 use dcs_graph::{GraphView, SignedGraph, VertexMask};
 
@@ -128,8 +130,8 @@ pub fn top_k_average_degree(gd: &SignedGraph, k: usize) -> Vec<DcsadSolution> {
 /// removed.
 ///
 /// Thin [`SolveContext::unbounded`] wrapper over [`top_k_in`]; rounds shrink `G_D`
-/// through masked views and the solver positive-filters them in place — the
-/// positive part is never materialised.
+/// through masked views, and each round's solve compacts the masked view's
+/// positive part into the shared workspace's buffers.
 pub fn top_k_affinity(gd: &SignedGraph, k: usize, config: DcsgaConfig) -> Vec<DcsgaSolution> {
     top_k_in(
         gd,

@@ -24,7 +24,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dcs_densest::PeelWorkspace;
-use dcs_graph::{VertexId, VertexSubset, Weight};
+use dcs_graph::{CsrBuffers, VertexId, VertexSubset, Weight};
 
 use crate::dcsga::DcsgaScratch;
 
@@ -37,6 +37,9 @@ use crate::dcsga::DcsgaScratch;
 pub struct SolverWorkspace {
     /// Greedy-peel scratch (indexed degree heap, alive flags, removal order).
     pub peel: PeelWorkspace,
+    /// CSR buffers of the compact `G_{D+}` that DCSGreedy's positive peel and
+    /// NewSEA's sweep run on ([`dcs_graph::GraphView::positive_part_into`]).
+    pub positive: CsrBuffers,
     /// NewSEA smart-initialisation order `(vertex, µ_u)`, sorted descending.
     pub init_order: Vec<(VertexId, Weight)>,
     /// Per-vertex maximum incident edge weight (NewSEA's `w_u` bound input).
@@ -56,6 +59,7 @@ impl Default for SolverWorkspace {
     fn default() -> Self {
         SolverWorkspace {
             peel: PeelWorkspace::new(),
+            positive: CsrBuffers::default(),
             init_order: Vec::new(),
             max_incident: Vec::new(),
             marks: VertexSubset::new(0),

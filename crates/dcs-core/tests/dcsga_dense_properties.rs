@@ -1,11 +1,13 @@
 //! Property-based tests of the dense workspace-backed DCSGA path:
 //!
-//! * dense SEACD/NewSEA solves are **bit-identical** to the retained
-//!   `FxHashMap`-backed reference ([`NewSea::solve_seeded_reference`]) across
-//!   randomized graphs, seeded and unseeded, with the dense workspace reused across
-//!   a whole job sequence (the risky part: arena resets between solves);
-//! * view-based NewSEA (mining the positive-filtered overlay of the signed `G_D`)
-//!   equals solving the **materialised** `positive_part()`, bit for bit;
+//! * dense SEACD/NewSEA solves, which run on a compact copy of `G_{D+}`, are
+//!   **bit-identical** to the retained `FxHashMap`-backed reference
+//!   ([`NewSea::solve_seeded_reference`]), which runs on the sign-filtered view,
+//!   across randomized graphs, seeded and unseeded, with the dense workspace
+//!   reused across a whole job sequence (the risky part: arena and compact-buffer
+//!   resets between solves);
+//! * NewSEA on the signed `G_D` equals solving the **materialised**
+//!   `positive_part()`, bit for bit;
 //! * the solutions really are KKT points of the positive view (via the view-based
 //!   KKT oracle) and positive cliques of `G_D`.
 
@@ -79,9 +81,9 @@ proptest! {
         }
     }
 
-    /// View-based NewSEA — the canonical path, which positive-filters the signed
-    /// difference graph in place — equals solving the materialised `positive_part()`,
-    /// bit for bit.
+    /// NewSEA on the signed difference graph — the canonical path, which compacts
+    /// its positive part — equals solving the materialised `positive_part()`, bit
+    /// for bit.
     #[test]
     fn view_newsea_equals_materialized_positive_part(gd in arb_graph()) {
         let solver = NewSea::default();

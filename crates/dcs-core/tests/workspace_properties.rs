@@ -7,8 +7,11 @@
 //!   randomized job sequences (the workspace is pure scratch);
 //! * the mask-based top-k driver still returns vertex-disjoint, in-range solutions
 //!   with non-increasing objectives;
-//! * the template-based α-sweep equals a cold per-α `scaled_difference_graph`.
+//! * the template-based α-sweep equals a cold per-α `scaled_difference_graph`;
+//! * DCSGreedy's `G_{D+}` candidate, peeled on the compact positive part, has the
+//!   bits of a peel of the sign-filtered view.
 
+use dcs_core::dcsad::DcsGreedy;
 use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::engine::{MeasureSolver, SolveContext};
 use dcs_core::{
@@ -219,6 +222,34 @@ proptest! {
                 .solve_bounded(&gd, &[], &SolveContext::unbounded());
             // Warm starting never hurts: the sweep's point is at least as good.
             prop_assert!(point.objective >= cold.objective - 1e-9);
+        }
+    }
+
+    /// DCSGreedy peels `G_{D+}` on a compact copy of the view's positive entries
+    /// under the caller's mask.  Its `ρ_{D+}(S₂)` has the bits of a peel of the
+    /// sign-filtered view, which involves no compaction, on masked graphs with one
+    /// workspace reused across all of them, at 1 and 4 solver threads.
+    #[test]
+    fn gd_plus_candidate_equals_the_sign_filtered_peel(
+        cases in proptest::collection::vec(arb_graph_and_mask(), 1..5),
+    ) {
+        let shared = SharedWorkspace::new();
+        for threads in [1, 4] {
+            let cx = SolveContext::unbounded().with_workspace(&shared).with_threads(threads);
+            for (gd, dead) in &cases {
+                let mut mask = VertexMask::full(gd.num_vertices());
+                mask.remove_all(dead);
+                let view = GraphView::masked(gd, &mask);
+                let solution = DcsGreedy::new().solve_bounded(view, &[], &cx).0;
+                let expected = if view.has_positive_edge() {
+                    greedy_peeling_view_into(
+                        view.positive_part(), &mut PeelWorkspace::new(), |_| false,
+                    ).0.average_degree
+                } else {
+                    0.0
+                };
+                prop_assert_eq!(solution.rho_gd_plus.to_bits(), expected.to_bits());
+            }
         }
     }
 }

@@ -280,6 +280,11 @@ pub struct EdgeRef {
     pub weight: Weight,
 }
 
+/// Recycled CSR arrays `(offsets, neighbors, weights)`, handed back and forth
+/// between a builder that writes into them and [`SignedGraph::into_raw_csr`], so a
+/// loop of rebuilds re-uses one set of allocations.
+pub type CsrBuffers = (Vec<usize>, Vec<VertexId>, Vec<Weight>);
+
 /// An immutable, undirected, signed-weight graph in CSR (compressed sparse row) form.
 ///
 /// Every undirected edge `(u, v)` with weight `w` is stored twice, once in the adjacency
@@ -423,7 +428,7 @@ impl SignedGraph {
     /// Decomposes the graph into its CSR arrays `(offsets, neighbors, weights)`, the
     /// inverse of [`Self::from_raw_csr`].  Used to recycle buffers across rebuilds.
     /// Pack-backed columns are copied into owned `Vec`s here.
-    pub fn into_raw_csr(self) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+    pub fn into_raw_csr(self) -> CsrBuffers {
         (
             self.offsets.into_vec(),
             self.neighbors.into_vec(),

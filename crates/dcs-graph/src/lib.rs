@@ -74,7 +74,7 @@ pub use cores::{
     core_decomposition, core_decomposition_view, core_numbers_view_into, degeneracy,
     CoreDecomposition, CoreScratch,
 };
-pub use csr::{CorruptGraph, EdgeRef, NeighborIter, SignedGraph};
+pub use csr::{CorruptGraph, CsrBuffers, EdgeRef, NeighborIter, SignedGraph};
 pub use delta::DeltaGraph;
 pub use labels::{LabeledGraphBuilder, VertexLabels};
 pub use mask::VertexMask;

@@ -14,8 +14,13 @@
 //! The view is `Copy` (two pointers and a flag), so solver layers pass it by value.
 //! [`GraphView::materialize`] builds the equivalent standalone graph; property tests
 //! assert that peeling/solving on a view equals solving the materialised graph.
+//!
+//! A pass that walks `G_{D+}` many times pays the sign filter on every entry of
+//! every walk.  [`GraphView::positive_part_into`] copies the surviving positive
+//! entries once into recycled CSR buffers, and [`GraphView::mask_over`] puts the
+//! caller's mask over that compact graph, so the later walks test no sign.
 
-use crate::{EdgeRef, SignedGraph, VertexId, VertexMask, Weight};
+use crate::{CsrBuffers, EdgeRef, SignedGraph, VertexId, VertexMask, Weight};
 
 /// A borrowed view of a [`SignedGraph`] restricted to alive vertices (and optionally
 /// to positive edges).  See the module docs for the semantics.
@@ -54,6 +59,25 @@ impl<'a> GraphView<'a> {
         GraphView {
             positive_only: true,
             ..self
+        }
+    }
+
+    /// This view's vertex mask over `graph`, a graph on the same vertex universe,
+    /// with no sign filter.
+    ///
+    /// This is the view a solver runs on after [`Self::positive_part_into`]: the
+    /// compact rows need no sign test, but the mask still decides which vertices
+    /// are alive (a peel's densities count every alive vertex, isolated ones
+    /// included).
+    pub fn mask_over<'b>(self, graph: &'b SignedGraph) -> GraphView<'b>
+    where
+        'a: 'b,
+    {
+        debug_assert_eq!(graph.num_vertices(), self.num_vertices());
+        GraphView {
+            graph,
+            mask: self.mask,
+            positive_only: false,
         }
     }
 
@@ -198,6 +222,26 @@ impl<'a> GraphView<'a> {
         self.positive_part().has_edge()
     }
 
+    /// Copies the alive, positive entries of this view into `buffers` and returns
+    /// them as a standalone graph: `G_{D+}` of whatever the view exposes, equal to
+    /// `self.positive_part().materialize()`.  Vertex ids are unchanged, each row
+    /// keeps its surviving entries in their original order, and a dead vertex's
+    /// row is empty.
+    ///
+    /// The buffers are recycled: hand the result back through
+    /// [`SignedGraph::into_raw_csr`] and a steady-state caller allocates nothing.
+    /// They are sized from the graph's positive entries, not from all of its
+    /// entries.  The per-entry copy has no data-dependent branch: every entry of an
+    /// alive row is written at the next free slot, and the slot advances only when
+    /// the entry survives.  The invariants of the result hold by construction: rows stay
+    /// sorted, no weight is zero, and the keep rule is symmetric in `(u, v)`.
+    pub fn positive_part_into(self, buffers: CsrBuffers) -> SignedGraph {
+        match self.mask {
+            Some(mask) => compact_positive(self.graph, |v| mask.contains(v), buffers),
+            None => compact_positive(self.graph, |_| true, buffers),
+        }
+    }
+
     /// Builds the standalone [`SignedGraph`] this view is equivalent to: same vertex
     /// count (ids stable, dead vertices become isolated), only surviving edges.
     ///
@@ -211,6 +255,42 @@ impl<'a> GraphView<'a> {
         }
         builder.build()
     }
+}
+
+/// The body of [`GraphView::positive_part_into`], one copy per kind of mask.
+fn compact_positive(
+    graph: &SignedGraph,
+    alive: impl Fn(VertexId) -> bool,
+    buffers: CsrBuffers,
+) -> SignedGraph {
+    let (mut offsets, mut neighbors, mut weights) = buffers;
+    let n = graph.num_vertices();
+    // Kept entries are positive ones, of which the graph holds at most
+    // `2·m⁺ + 1` (`m⁺` halves the positive entry count, which is odd only in a
+    // raw CSR whose symmetry was never checked), and a row's last write may land
+    // one slot past the kept entries.  Stale contents are overwritten
+    // before they are read, and the truncation below drops the rest.
+    let slots = 2 * graph.num_positive_edges() + 2;
+    neighbors.resize(slots, 0);
+    weights.resize(slots, 0.0);
+    offsets.clear();
+    offsets.reserve(n + 1);
+    offsets.push(0);
+    let mut kept = 0usize;
+    for u in 0..n as VertexId {
+        if alive(u) {
+            let (nbrs, ws) = graph.neighbor_slices(u);
+            for (&v, &w) in nbrs.iter().zip(ws) {
+                neighbors[kept] = v;
+                weights[kept] = w;
+                kept += ((w > 0.0) & alive(v)) as usize;
+            }
+        }
+        offsets.push(kept);
+    }
+    neighbors.truncate(kept);
+    weights.truncate(kept);
+    SignedGraph::from_raw_csr_unchecked(offsets, neighbors, weights)
 }
 
 /// A whole graph is its full view, so every solver entry taking
@@ -291,6 +371,42 @@ mod tests {
         assert_eq!(view.materialize(), reference);
         assert!(view.has_edge());
         assert!(view.has_positive_edge());
+        // The compact copy keeps 0–1 and 3–4 in row order; 2's row is empty.
+        let compact = view.positive_part_into(Default::default());
+        assert_eq!(compact, reference);
+        assert_eq!(
+            compact.clone().into_raw_csr(),
+            (
+                vec![0, 1, 2, 2, 3, 4],
+                vec![1, 0, 4, 3],
+                vec![1.0, 1.0, 2.0, 2.0]
+            )
+        );
+        let over = view.mask_over(&compact);
+        assert!(!over.is_positive_only());
+        assert!(!over.is_alive(2));
+        assert_eq!(over.materialize(), reference);
+    }
+
+    /// A raw CSR whose symmetry nobody checked can hold an odd number of positive
+    /// entries, all of them kept, followed by a dropped one: the copy still has a
+    /// slot for that last write.  Debug builds refuse the odd result in
+    /// `SignedGraph::from_csr`'s assertion, so this runs in release builds only.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn positive_part_into_stays_in_bounds_on_an_asymmetric_csr() {
+        let g = SignedGraph::from_raw_csr(
+            vec![0, 1, 4, 4, 4],
+            vec![1, 0, 2, 3],
+            vec![1.0, 1.0, 1.0, -1.0],
+        )
+        .unwrap();
+        assert_eq!(g.num_positive_edges(), 1);
+        let compact = GraphView::full(&g).positive_part_into(Default::default());
+        assert_eq!(
+            compact.into_raw_csr(),
+            (vec![0, 1, 3, 3, 3], vec![1, 0, 2], vec![1.0, 1.0, 1.0])
+        );
     }
 
     #[test]

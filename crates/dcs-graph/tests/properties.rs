@@ -897,6 +897,78 @@ proptest! {
         }
         prop_assert_eq!(of_view.degeneracy, of_materialized.degeneracy);
     }
+
+    /// The compact positive part of a full or masked view equals the materialised
+    /// sign-filtered view: the same offsets, neighbour ids, weight bits and edge
+    /// counts.  One set of buffers serves a sequence of graphs that grow and
+    /// shrink, so an entry left over from an earlier graph would show.
+    #[test]
+    fn positive_part_into_matches_the_materialized_positive_view(
+        cases in proptest::collection::vec(
+            (arb_graph(), proptest::collection::vec(any::<bool>(), 24), any::<bool>()),
+            1..6,
+        ),
+    ) {
+        use dcs_graph::{CsrBuffers, GraphView, VertexMask};
+        let mut buffers = CsrBuffers::default();
+        for (g, dead, masked) in cases {
+            let n = g.num_vertices();
+            let mut mask = VertexMask::full(n);
+            mask.remove_all(&(0..n as VertexId).filter(|&v| dead[v as usize]).collect::<Vec<_>>());
+            let view = if masked { GraphView::masked(&g, &mask) } else { GraphView::full(&g) };
+            let compact = view.positive_part_into(buffers);
+            let reference = view.positive_part().materialize();
+            prop_assert_eq!(csr_bits(&compact), csr_bits(&reference));
+            prop_assert_eq!(compact.num_edges(), reference.num_edges());
+            prop_assert_eq!(compact.num_positive_edges(), reference.num_positive_edges());
+            prop_assert_eq!(compact.num_negative_edges(), 0);
+            // The caller's mask over the compact graph exposes the same edges as
+            // the sign-filtered view.
+            let over = view.mask_over(&compact);
+            prop_assert!(!over.is_positive_only());
+            prop_assert_eq!(over.alive_count(), view.alive_count());
+            prop_assert!(over.edges().eq(view.positive_part().edges()));
+            buffers = compact.into_raw_csr();
+        }
+    }
+}
+
+/// The compaction's edge cases, through one set of recycled buffers: no vertex, no
+/// positive edge, every vertex dead, and a large graph followed by smaller ones.
+#[test]
+fn positive_part_into_edge_cases() {
+    use dcs_graph::{CsrBuffers, GraphView, VertexMask};
+    let dense = GraphBuilder::from_edges(
+        6,
+        (0..6u32).flat_map(|u| (u + 1..6).map(move |v| (u, v, 1.0 + (u * 6 + v) as Weight))),
+    );
+    let negative = GraphBuilder::from_edges(4, vec![(0, 1, -1.0), (1, 2, -2.0), (2, 3, -0.5)]);
+    let mixed = GraphBuilder::from_edges(4, vec![(0, 1, 2.0), (1, 2, -2.0), (2, 3, 3.0)]);
+    let empty = SignedGraph::empty(0);
+    let all_dead = VertexMask::empty(6);
+    let mut buffers = CsrBuffers::default();
+    let views = [
+        GraphView::full(&dense),
+        GraphView::full(&empty),
+        GraphView::full(&negative),
+        GraphView::masked(&dense, &all_dead),
+        GraphView::full(&mixed),
+        GraphView::full(&dense).positive_part(),
+    ];
+    for view in views {
+        let compact = view.positive_part_into(buffers);
+        assert_eq!(compact, view.positive_part().materialize());
+        assert_eq!(compact.num_vertices(), view.num_vertices());
+        buffers = compact.into_raw_csr();
+    }
+    // After the last graph, the buffers hold exactly its entries.
+    assert_eq!(
+        (buffers.0.len(), buffers.1.len(), buffers.2.len()),
+        (7, 30, 30)
+    );
+    let compact = GraphView::full(&negative).positive_part_into(buffers);
+    assert_eq!(compact.num_edges(), 0);
+    assert_eq!(compact.into_raw_csr(), (vec![0; 5], Vec::new(), Vec::new()));
 }
 
 proptest! {
