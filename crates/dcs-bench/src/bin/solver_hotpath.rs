@@ -10,6 +10,9 @@
 //!   baseline the ≥2× reduction gate is measured against.
 //! * **re-mine** — the steady-state streaming path: `StreamingDcs::mine_now` with
 //!   the monitor's persistent `SolverWorkspace` warm.
+//! * **snapshot** — the steady-state delta snapshot
+//!   (`StreamingDcs::difference_snapshot`) after a 64-update observe batch,
+//!   which merges the changed edges into the previous snapshot (not gated).
 //! * **top-k** — per-round allocations of the masked-view `top_k_in` driver with a
 //!   warm shared workspace, against a from-scratch reference loop that clones the
 //!   working graph and compacts it with `remove_vertices_in_place` per round (the
@@ -163,6 +166,17 @@ fn build_baseline(config: &BenchConfig, rng: &mut Rng) -> SignedGraph {
 /// Runs `f` `repetitions` times, timing each run on its own: the last run's value,
 /// the tally summed over all runs, and every run's wall clock in nanoseconds.
 fn measure_each<T>(repetitions: usize, mut f: impl FnMut() -> T) -> (T, Measured, Vec<u64>) {
+    measure_each_after(repetitions, &mut (), |_| {}, |_| f())
+}
+
+/// [`measure_each`] over a `state` that `prepare` advances off the clock before
+/// every timed run of `f`: the observe batch a re-mine or a snapshot follows.
+fn measure_each_after<S, T>(
+    repetitions: usize,
+    state: &mut S,
+    mut prepare: impl FnMut(&mut S),
+    mut f: impl FnMut(&mut S) -> T,
+) -> (T, Measured, Vec<u64>) {
     let mut total = Measured {
         allocs: 0,
         bytes: 0,
@@ -171,7 +185,8 @@ fn measure_each<T>(repetitions: usize, mut f: impl FnMut() -> T) -> (T, Measured
     let mut runs = Vec::with_capacity(repetitions);
     let mut last = None;
     for _ in 0..repetitions {
-        let (value, run) = measure(&mut f);
+        prepare(state);
+        let (value, run) = measure(|| f(state));
         total.allocs += run.allocs;
         total.bytes += run.bytes;
         total.nanos += run.nanos;
@@ -707,25 +722,20 @@ fn main() {
     let churn: Vec<(VertexId, VertexId)> = (0..config.repetitions)
         .map(|_| baseline_edges[rng.below(baseline_edges.len())])
         .collect();
-    let mut remine_subset = Vec::new();
-    let mut remine = Measured {
-        allocs: 0,
-        bytes: 0,
-        nanos: 0,
-    };
-    let mut remine_runs = Vec::with_capacity(churn.len());
-    for &(u, v) in &churn {
-        // Sparse churn between re-mines, applied outside the measured section —
-        // the gate is about the solve, not the observe (streaming_throughput
-        // covers the observe path).
-        monitor.observe(u, v, 0.25);
-        let (alert, m) = measure(|| monitor.mine_now());
-        remine.allocs += m.allocs;
-        remine.bytes += m.bytes;
-        remine.nanos += m.nanos;
-        remine_runs.push(m.nanos);
-        remine_subset = alert.report.subset;
-    }
+    let mut churn_edges = churn.iter();
+    // Sparse churn between re-mines, applied outside the measured section — the
+    // gate is about the solve, not the observe (streaming_throughput covers the
+    // observe path).
+    let (remine_alert, remine, remine_runs) = measure_each_after(
+        churn.len(),
+        &mut monitor,
+        |monitor| {
+            let &(u, v) = churn_edges.next().expect("one churn edge per re-mine");
+            monitor.observe(u, v, 0.25);
+        },
+        StreamingDcs::mine_now,
+    );
+    let remine_subset = remine_alert.report.subset;
     // Sanity: workspace reuse must not change the answer on the unchanged graph
     // shape (the churn batches re-observe existing edges upward, so the mined core
     // stays a valid subset).
@@ -807,6 +817,22 @@ fn main() {
         .unwrap()
     });
 
+    // ---- 4b. Steady-state delta snapshot after a 64-update observe batch. ---------
+    // A separate update stream, so the sections after this one see the same
+    // random draws with or without it.
+    let mut snapshot_rng = Rng(0x5eed ^ 64);
+    let (_, snapshot, snapshot_runs) = measure_each_after(
+        config.repetitions,
+        &mut monitor,
+        |monitor| {
+            for _ in 0..64 {
+                let (u, v) = baseline_edges[snapshot_rng.below(baseline_edges.len())];
+                monitor.observe(u, v, 0.25);
+            }
+        },
+        StreamingDcs::difference_snapshot,
+    );
+
     // ---- 5. DCSGA (graph affinity): from-scratch vs steady state + α-sweep. -----
     // A smaller workload: NewSEA runs many local searches per solve, and the metrics
     // are self-relative ratios, so the affinity section does not need the full
@@ -854,22 +880,17 @@ fn main() {
     let ga_churn: Vec<(VertexId, VertexId)> = (0..ga_bench.repetitions)
         .map(|_| ga_baseline_edges[rng.below(ga_baseline_edges.len())])
         .collect();
-    let mut ga_remine_subset = Vec::new();
-    let mut ga_remine = Measured {
-        allocs: 0,
-        bytes: 0,
-        nanos: 0,
-    };
-    let mut ga_remine_runs = Vec::with_capacity(ga_churn.len());
-    for &(u, v) in &ga_churn {
-        ga_monitor.observe(u, v, 0.25);
-        let (alert, m) = measure(|| ga_monitor.mine_now());
-        ga_remine.allocs += m.allocs;
-        ga_remine.bytes += m.bytes;
-        ga_remine.nanos += m.nanos;
-        ga_remine_runs.push(m.nanos);
-        ga_remine_subset = alert.report.subset;
-    }
+    let mut ga_churn_edges = ga_churn.iter();
+    let (ga_remine_alert, ga_remine, ga_remine_runs) = measure_each_after(
+        ga_churn.len(),
+        &mut ga_monitor,
+        |monitor| {
+            let &(u, v) = ga_churn_edges.next().expect("one churn edge per re-mine");
+            monitor.observe(u, v, 0.25);
+        },
+        StreamingDcs::mine_now,
+    );
+    let ga_remine_subset = ga_remine_alert.report.subset;
     assert!(
         !ga_remine_subset.is_empty() && !ga_scratch_alert.report.subset.is_empty(),
         "both affinity paths must mine something"
@@ -921,6 +942,7 @@ fn main() {
     // ---- Report. -----------------------------------------------------------------
     let mine_row = path_json("from_scratch", &scratch, &scratch_runs, 1);
     let mut remine_row = path_json("steady_state_workspace", &remine, &remine_runs, 1);
+    let snapshot_row = path_json("delta_merge_64_updates", &snapshot, &snapshot_runs, 1);
     let topk_scratch_row = path_json(
         "clone_and_compact",
         &topk_scratch,
@@ -989,6 +1011,7 @@ fn main() {
         "repetitions": config.repetitions,
         "mine": mine_row,
         "remine": remine_row,
+        "snapshot": snapshot_row,
         "topk": {
             "k": config.topk,
             "scratch_rounds": reference_rounds,

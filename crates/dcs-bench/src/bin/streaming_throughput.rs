@@ -8,8 +8,8 @@
 //! * **scratch** — the pre-delta-engine path: rebuild `G_D` from the observed map
 //!   plus every baseline edge through `GraphBuilder`
 //!   ([`StreamingDcs::rebuild_difference_snapshot`]),
-//! * **delta** — the incremental path: rebuild only the adjacency rows dirtied by
-//!   the batch ([`StreamingDcs::difference_snapshot`]),
+//! * **delta** — the incremental path: merge the edges the batch changed into the
+//!   previous snapshot ([`StreamingDcs::difference_snapshot`]),
 //! * **cached** — the same call on an unchanged version: returns the previous
 //!   `Arc` pointer-equal, which is what repeated mining jobs at one version pay.
 //!
@@ -104,7 +104,8 @@ fn mean_ms(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-fn median_ms(samples: &mut [f64]) -> f64 {
+/// The upper median of `samples` (sorted in place), `0.0` when empty.
+fn median(samples: &mut [f64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -225,12 +226,19 @@ fn server_scaling(smoke: bool) -> Value {
     json!({ "levels": reports })
 }
 
+/// Timed rounds per side of the durable-vs-ephemeral comparison.
+const ROUNDS: usize = 12;
+
 /// Durable-vs-ephemeral observe throughput: one server with a data
 /// directory hosts one ephemeral and one durable session (default
 /// group-commit WAL sync), and the same observe stream is timed against
 /// each.  The durable session pays a buffered WAL append per batch — the
 /// fsync happens on the group-commit timer off the request path — so its
 /// throughput must stay within 2× of ephemeral (gated in `--smoke` mode).
+///
+/// One pass is short (~15 ms in `--smoke` mode), so a single pass per side
+/// reads whatever the host did in that moment.  The sides are timed in
+/// [`ROUNDS`] alternating rounds, ABBA order, and compared by their medians.
 fn durability(smoke: bool) -> Value {
     let data_dir =
         std::env::temp_dir().join(format!("dcs_bench_durability_{}", std::process::id()));
@@ -271,14 +279,26 @@ fn durability(smoke: bool) -> Value {
     // Warm both paths once so neither pays first-request costs in the timing.
     time_session("bench-ephemeral");
     time_session("bench-durable");
-    let ephemeral_rate = time_session("bench-ephemeral");
-    let durable_rate = time_session("bench-durable");
+    let mut ephemeral_rates = Vec::with_capacity(ROUNDS);
+    let mut durable_rates = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        if round % 2 == 0 {
+            ephemeral_rates.push(time_session("bench-ephemeral"));
+            durable_rates.push(time_session("bench-durable"));
+        } else {
+            durable_rates.push(time_session("bench-durable"));
+            ephemeral_rates.push(time_session("bench-ephemeral"));
+        }
+    }
+    let ephemeral_rate = median(&mut ephemeral_rates);
+    let durable_rate = median(&mut durable_rates);
 
     handle.shutdown();
     handle.join();
     let _ = std::fs::remove_dir_all(&data_dir);
     json!({
         "observe_batches": batches,
+        "rounds": ROUNDS,
         "batch_size": 8,
         "wal_sync": "group",
         "ephemeral_observes_per_sec": ephemeral_rate,
@@ -446,8 +466,8 @@ fn main() {
     // --- Engine-wrapper overhead: measure dispatch through `MeasureSolver` must be
     // free when unbounded.  Interleave direct `solve()` calls with
     // `MeasureSolver::solve_bounded(unbounded)` calls on the final difference
-    // snapshot and compare medians; the engine path additionally reports
-    // `SolveStats`.
+    // snapshot, in alternating order, and compare medians; the engine path
+    // additionally reports `SolveStats`.
     let gd = monitor.difference_snapshot();
     let solver = DcsGreedy::default();
     let engine_solver = MeasureSolver::AverageDegree(solver.clone());
@@ -456,14 +476,26 @@ fn main() {
     let mut direct_ms = Vec::with_capacity(rounds);
     let mut engine_ms = Vec::with_capacity(rounds);
     let mut engine_stats = None;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let direct = solver.solve(&gd);
-        direct_ms.push(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        let engine = engine_solver.solve_bounded(&*gd, &[], &cx);
-        engine_ms.push(start.elapsed().as_secs_f64() * 1e3);
+    for round in 0..rounds {
+        // Alternate which side runs first, as the durability rounds do.
+        let mut time_direct = || {
+            let start = Instant::now();
+            let direct = solver.solve(&gd);
+            direct_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            direct
+        };
+        let mut time_engine = || {
+            let start = Instant::now();
+            let engine = engine_solver.solve_bounded(&*gd, &[], &cx);
+            engine_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            engine
+        };
+        let (direct, engine) = if round % 2 == 0 {
+            (time_direct(), time_engine())
+        } else {
+            let engine = time_engine();
+            (time_direct(), engine)
+        };
 
         assert_eq!(
             engine.subset, direct.subset,
@@ -471,8 +503,8 @@ fn main() {
         );
         engine_stats = Some(engine.stats);
     }
-    let direct_median = median_ms(&mut direct_ms);
-    let engine_median = median_ms(&mut engine_ms);
+    let direct_median = median(&mut direct_ms);
+    let engine_median = median(&mut engine_ms);
     let overhead = if direct_median > 0.0 {
         engine_median / direct_median - 1.0
     } else {
@@ -507,8 +539,8 @@ fn main() {
         !trace_events.is_empty(),
         "enabled tracer recorded no solver phase spans"
     );
-    let trace_off_median = median_ms(&mut trace_off_ms);
-    let trace_on_median = median_ms(&mut trace_on_ms);
+    let trace_off_median = median(&mut trace_off_ms);
+    let trace_on_median = median(&mut trace_on_ms);
     let trace_overhead = if trace_off_median > 0.0 {
         trace_on_median / trace_off_median - 1.0
     } else {

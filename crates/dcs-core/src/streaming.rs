@@ -11,16 +11,18 @@
 //! configurable cadence:
 //!
 //! * [`StreamingDcs::observe`] applies one weight update in `O(1)` amortized: the
-//!   baseline is folded into a [`DeltaGraph`] of difference weights at construction
-//!   (`D(u,v) = obs(u,v) − A1(u,v)`), so an update touches two hash maps and never
+//!   [`DeltaGraph`] of difference weights starts from the negated baseline (or from
+//!   `G2 − G1` for an initial observation), so an update reads one baseline weight,
+//!   records `D(u,v) = obs(u,v) − A1(u,v)` in the delta's change map and never
 //!   re-walks `G1`.  Updates that do not change the observed graph (a zero delta, or
 //!   a negative delta on an edge already clamped at zero) are **no-ops**: they bump
 //!   neither the version nor the observation counter and are reported as `ignored`
 //!   in [`BatchOutcome`].  An update whose new weight overflows to infinity is a
 //!   no-op too;
 //! * [`StreamingDcs::difference_snapshot`] returns the current `G_D` as a cheap
-//!   `Arc<SignedGraph>` **delta snapshot**: only adjacency rows dirtied since the
-//!   last snapshot are rebuilt, and when the [`StreamingDcs::version`] is unchanged
+//!   `Arc<SignedGraph>` **delta snapshot**: the edges changed since the last snapshot
+//!   are merged into its CSR (unchanged rows are copied in runs, changed rows merged
+//!   with their sorted changes), and when the [`StreamingDcs::version`] is unchanged
 //!   the previous snapshot is returned pointer-equal, with no work at all.  Consumers
 //!   (the mining server's workers) hold the `Arc` and solve without copying the
 //!   graph or blocking further observations;
@@ -43,6 +45,7 @@ use std::sync::Arc;
 use dcs_graph::{DeltaGraph, GraphBuilder, SignedGraph, VertexId, Weight};
 use rustc_hash::FxHashMap;
 
+use crate::diff::{difference_graph_with, WeightScheme};
 use crate::engine::{MeasureSolver, SolveContext, SolveStats};
 use crate::error::DcsError;
 use crate::solution::{ContrastReport, DensityMeasure};
@@ -94,8 +97,8 @@ pub struct StreamingDcs {
     baseline: Arc<SignedGraph>,
     /// Current observed weights, keyed by the normalised `(min, max)` endpoint pair.
     observed: FxHashMap<(VertexId, VertexId), Weight>,
-    /// The difference graph `G_D = G2 − G1`, maintained incrementally with the
-    /// baseline folded in at construction.  Snapshots rebuild only dirty rows.
+    /// The difference graph `G_D = G2 − G1`, maintained incrementally: the last
+    /// snapshot plus the edges changed since, which the next snapshot merges in.
     delta: DeltaGraph,
     config: StreamingConfig,
     observations: usize,
@@ -137,25 +140,15 @@ impl StreamingDcs {
         if baseline.min_edge_weight().unwrap_or(0.0) < 0.0 {
             return Err(DcsError::NegativeInputWeight { which: "G1" });
         }
-        // Fold the baseline into the difference weights once, at construction:
-        // with no observations yet, D(u,v) = 0 − A1(u,v).  Snapshots never
-        // re-walk G1 after this.
-        let n = baseline.num_vertices();
-        let mut delta = DeltaGraph::new(n);
-        for (u, v, w) in baseline.edges() {
-            delta.set_weight(u, v, -w);
-        }
-        Ok(StreamingDcs {
-            baseline: Arc::new(baseline),
-            observed: FxHashMap::default(),
+        // With no observations yet, D(u,v) = 0 − A1(u,v) = −A1(u,v): the negated
+        // baseline is the first snapshot.  Snapshots never re-walk G1 after this.
+        let delta = DeltaGraph::from_graph(baseline.negated());
+        Ok(Self::from_parts(
+            baseline,
+            FxHashMap::default(),
             delta,
             config,
-            observations: 0,
-            updates_since_mine: 0,
-            version: 0,
-            last_support: None,
-            workspace: SharedWorkspace::new(),
-        })
+        ))
     }
 
     /// Starts the observed graph from an initial snapshot `G2` instead of from empty.
@@ -176,13 +169,40 @@ impl StreamingDcs {
         if initial.min_edge_weight().unwrap_or(0.0) < 0.0 {
             return Err(DcsError::NegativeInputWeight { which: "G2" });
         }
-        let mut monitor = Self::new(baseline, config)?;
-        for (u, v, w) in initial.edges() {
-            monitor.observed.insert(key(u, v), w);
-            let base = monitor.baseline_weight(u, v);
-            monitor.delta.set_weight(u, v, w - base);
+        if baseline.min_edge_weight().unwrap_or(0.0) < 0.0 {
+            return Err(DcsError::NegativeInputWeight { which: "G1" });
         }
-        Ok(monitor)
+        // D(u,v) = obs(u,v) − A1(u,v) over the union of both edge sets, merged row
+        // by row: the first snapshot.
+        let gd = difference_graph_with(initial, &baseline, WeightScheme::Weighted)?;
+        let observed = initial.edges().map(|(u, v, w)| ((u, v), w)).collect();
+        Ok(Self::from_parts(
+            baseline,
+            observed,
+            DeltaGraph::from_graph(gd),
+            config,
+        ))
+    }
+
+    /// A fresh monitor over `baseline` whose observed graph is `observed` and
+    /// whose difference graph is `delta`.
+    fn from_parts(
+        baseline: SignedGraph,
+        observed: FxHashMap<(VertexId, VertexId), Weight>,
+        delta: DeltaGraph,
+        config: StreamingConfig,
+    ) -> Self {
+        StreamingDcs {
+            baseline: Arc::new(baseline),
+            observed,
+            delta,
+            config,
+            observations: 0,
+            updates_since_mine: 0,
+            version: 0,
+            last_support: None,
+            workspace: SharedWorkspace::new(),
+        }
     }
 
     /// Number of vertices of the monitored pair.
@@ -359,11 +379,12 @@ impl StreamingDcs {
 
     /// The current difference graph `G_D = G2 − G1` as a shared CSR snapshot.
     ///
-    /// The snapshot is maintained incrementally: only adjacency rows touched since
-    /// the previous snapshot are rebuilt, and when the [`Self::version`] is
-    /// unchanged the cached snapshot is returned **pointer-equal** (no allocation,
-    /// no copying).  Callers keep the `Arc` for as long as they need the graph —
-    /// this is how the mining server hands graphs to its workers without cloning.
+    /// The snapshot is maintained incrementally: the edges changed since the
+    /// previous snapshot are merged into its CSR, and when the [`Self::version`]
+    /// is unchanged the cached snapshot is returned **pointer-equal** (no
+    /// allocation, no copying).  Callers keep the `Arc` for as long as they need
+    /// the graph — this is how the mining server hands graphs to its workers
+    /// without cloning.
     pub fn difference_snapshot(&mut self) -> Arc<SignedGraph> {
         self.delta.snapshot()
     }
@@ -796,6 +817,121 @@ mod tests {
             recovered.observed_edges_sorted(),
             control.observed_edges_sorted()
         );
+    }
+
+    /// The per-edge fold `new` replaced: `D = −A1`, one `set_weight` per baseline
+    /// edge into an empty delta graph.
+    fn folded_baseline(baseline: &SignedGraph) -> DeltaGraph {
+        let mut delta = DeltaGraph::new(baseline.num_vertices());
+        for (u, v, w) in baseline.edges() {
+            delta.set_weight(u, v, -w);
+        }
+        delta
+    }
+
+    /// The per-edge fold `with_initial_observation` replaced: the baseline fold,
+    /// then `D = A2 − A1` set for every edge of the initial observation.
+    fn folded_initial(baseline: &SignedGraph, initial: &SignedGraph) -> DeltaGraph {
+        let mut delta = folded_baseline(baseline);
+        for (u, v, w) in initial.edges() {
+            delta.set_weight(u, v, w - baseline.edge_weight(u, v).unwrap_or(0.0));
+        }
+        delta
+    }
+
+    /// Offsets, neighbours, weight bits and edge counts of a graph.
+    type CsrBits = (Vec<usize>, Vec<VertexId>, Vec<u64>, [usize; 3]);
+
+    fn csr_bits(g: &SignedGraph) -> CsrBits {
+        let (offsets, neighbors, weights) = g.clone().into_raw_csr();
+        let weights = weights.into_iter().map(f64::to_bits).collect();
+        let counts = [
+            g.num_edges(),
+            g.num_positive_edges(),
+            g.num_negative_edges(),
+        ];
+        (offsets, neighbors, weights, counts)
+    }
+
+    /// `graph` written to a pack and opened again: its CSR columns alias the
+    /// pack where the platform maps it.
+    fn pack_backed(graph: &SignedGraph, name: &str) -> SignedGraph {
+        let dir = std::env::temp_dir().join(format!("dcs-streaming-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.dcspack");
+        dcs_datasets::PackWriter::write_graph(graph, &path).unwrap();
+        let opened = dcs_graph::GraphPack::open(&path)
+            .unwrap()
+            .to_graph()
+            .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
+        assert!(opened.is_pack_backed());
+        opened
+    }
+
+    /// A pair with shared, `G1`-only and `G2`-only edges, shared edges of equal
+    /// weight (which cancel) and weights whose difference rounds.
+    fn oracle_pair() -> (SignedGraph, SignedGraph) {
+        let mut g1 = Vec::new();
+        let mut g2 = Vec::new();
+        for u in 0..40u32 {
+            for v in u + 1..40 {
+                let h = (u * 31 + v * 17) % 11;
+                let w = 0.1 * f64::from(h) + 0.3;
+                match h % 4 {
+                    0 => g1.push((u, v, w)),
+                    1 => g2.push((u, v, w * 1.7)),
+                    2 => {
+                        g1.push((u, v, w));
+                        g2.push((u, v, w));
+                    }
+                    _ if h > 6 => {
+                        g1.push((u, v, w));
+                        g2.push((u, v, w + 0.7));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (
+            GraphBuilder::from_edges(40, g1),
+            GraphBuilder::from_edges(40, g2),
+        )
+    }
+
+    #[test]
+    fn constructions_match_the_per_edge_folds() {
+        let (g1, g2) = oracle_pair();
+        let config = affinity_config(0, 0.0);
+        for (baseline, initial) in [
+            (g1.clone(), g2.clone()),
+            (pack_backed(&g1, "g1"), pack_backed(&g2, "g2")),
+        ] {
+            let mut fresh = StreamingDcs::new(baseline.clone(), config).unwrap();
+            assert_eq!(
+                csr_bits(&fresh.difference_snapshot()),
+                csr_bits(&folded_baseline(&baseline).snapshot())
+            );
+            let mut started =
+                StreamingDcs::with_initial_observation(baseline.clone(), &initial, config).unwrap();
+            assert_eq!(
+                csr_bits(&started.difference_snapshot()),
+                csr_bits(&folded_initial(&baseline, &initial).snapshot())
+            );
+            assert_eq!(started.observed_edge_count(), initial.num_edges());
+            // Later observations merge into the same bits as the fold.
+            let mut folded = folded_initial(&baseline, &initial);
+            for (u, v) in [(0u32, 1u32), (2, 9), (5, 39), (0, 1)] {
+                started.observe(u, v, 0.25);
+                let observed = started.observed_graph().edge_weight(u, v).unwrap();
+                folded.set_weight(u, v, observed - baseline.edge_weight(u, v).unwrap_or(0.0));
+                assert_eq!(
+                    csr_bits(&started.difference_snapshot()),
+                    csr_bits(&folded.snapshot())
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,15 @@ impl<T: Pod> CsrColumn<T> {
         }
     }
 
+    /// Extracts the owned `Vec` for reuse, or an empty one when the column is
+    /// mapped: a writer that recycles buffers gains nothing from a copy.
+    pub(crate) fn into_reusable(self) -> Vec<T> {
+        match self {
+            CsrColumn::Owned(v) => v,
+            CsrColumn::Mapped(_) => Vec::new(),
+        }
+    }
+
     /// Whether the column aliases pack memory (as opposed to owning a heap
     /// allocation).
     pub(crate) fn is_mapped(&self) -> bool {

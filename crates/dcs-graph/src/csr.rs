@@ -341,8 +341,10 @@ impl SignedGraph {
 
     /// Assembles a graph from pre-validated CSR columns and directed
     /// positive/negative entry counts — the zero-copy entry point of the
-    /// pack reader ([`crate::pack`]).  Callers must have run
-    /// [`validate_csr`] over the column contents first.
+    /// pack reader ([`crate::pack`]) and the snapshot merge of
+    /// [`crate::DeltaGraph`].  Callers must have run [`validate_csr`] over
+    /// the column contents first, or built them valid, with the counts kept
+    /// alongside.
     pub(crate) fn from_columns(
         offsets: CsrColumn<usize>,
         neighbors: CsrColumn<VertexId>,
@@ -434,6 +436,23 @@ impl SignedGraph {
             self.neighbors.into_vec(),
             self.weights.into_vec(),
         )
+    }
+
+    /// Decomposes the graph into the CSR arrays it owns, for a writer that
+    /// recycles them: unlike [`Self::into_raw_csr`], a pack-backed column
+    /// yields an empty `Vec` instead of a copy.
+    pub(crate) fn into_reusable_csr(self) -> CsrBuffers {
+        (
+            self.offsets.into_reusable(),
+            self.neighbors.into_reusable(),
+            self.weights.into_reusable(),
+        )
+    }
+
+    /// The whole CSR arrays `(offsets, neighbors, weights)`, for copying runs
+    /// of rows at once.
+    pub(crate) fn csr(&self) -> (&[usize], &[VertexId], &[Weight]) {
+        (&self.offsets, &self.neighbors, &self.weights)
     }
 
     /// Grows the vertex set to `n` (a no-op when it is not smaller) by appending

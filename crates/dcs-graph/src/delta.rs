@@ -6,27 +6,49 @@
 //! from scratch for every snapshot is `O(m)` hashing and sorting regardless of
 //! how few edges actually changed.
 //!
-//! [`DeltaGraph`] bridges the two worlds:
+//! [`DeltaGraph`] bridges the two worlds the way a log-structured merge tree
+//! does (O'Neil et al., "The Log-Structured Merge-Tree", Acta Informatica
+//! 1996): it keeps the last snapshot as its sorted base, plus one hash map of
+//! the edges changed since it.
 //!
-//! * mutation is **O(1) amortized** per update — per-vertex adjacency hash
-//!   maps ([`DeltaGraph::set_weight`], [`DeltaGraph::add_weight`]),
-//! * every mutation that changes the edge set bumps a monotone
-//!   [`DeltaGraph::version`] and marks both endpoints **dirty**,
-//! * [`DeltaGraph::snapshot`] packs the current state into an
-//!   `Arc<SignedGraph>`.  When the version is unchanged since the last
-//!   snapshot the cached `Arc` is returned as-is (pointer-equal, zero work);
-//!   otherwise only the dirty adjacency rows are re-collected and re-sorted —
-//!   clean rows are copied verbatim from the previous snapshot's CSR arrays.
+//! * mutation is **O(1) amortized** per update — one insert into the change
+//!   map ([`DeltaGraph::set_weight`], [`DeltaGraph::add_weight`]); the edge
+//!   counts are kept current from each update's old and new weight,
+//! * every mutation that changes a weight bumps a monotone
+//!   [`DeltaGraph::version`],
+//! * [`DeltaGraph::snapshot`] merges the change map into the last snapshot.
+//!   When nothing changed since, the same `Arc` comes back (pointer-equal,
+//!   zero work).  Otherwise the changed entries are ordered by (row,
+//!   neighbour), each run of unchanged rows is copied with one slice copy per
+//!   column, and each changed row is merged with its sorted changes.  For `k`
+//!   changed edges this costs `O(n + m)` in memcpy and `O(k)` per byte of
+//!   the (row, neighbour) key in radix-sort passes; the new CSR is written
+//!   into the buffers of the snapshot before last whenever nobody else holds
+//!   that snapshot any more.
 //!
 //! Consumers hold the returned `Arc<SignedGraph>` for as long as they need it
 //! (e.g. a mining worker solving outside a session lock) without blocking
-//! further mutation.
+//! further mutation: a snapshot somebody holds is never written to.
 
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
-use crate::{SignedGraph, VertexId, Weight};
+use crate::{CsrBuffers, SignedGraph, VertexId, Weight};
+
+/// A change map or entry buffer whose capacity exceeds this many entries is
+/// dropped after a merge instead of cleared, so a bulk load leaves no bulk
+/// scratch resident.  Steady batches of a few hundred updates keep theirs.
+const RETAINED_CAPACITY: usize = 4096;
+
+/// One changed adjacency entry: `row` now holds `neighbor` at `weight`
+/// (`0.0`: the entry is gone).
+#[derive(Debug, Clone, Copy, Default)]
+struct Change {
+    row: VertexId,
+    neighbor: VertexId,
+    weight: Weight,
+}
 
 /// A mutable, undirected, signed-weight graph optimised for incremental
 /// updates and repeated CSR snapshots.
@@ -34,46 +56,79 @@ use crate::{SignedGraph, VertexId, Weight};
 /// The vertex set is fixed at construction; self-loops are rejected and
 /// weights of exactly `0.0` mean "no edge" (matching [`crate::GraphBuilder`]'s
 /// convention that the difference graph only contains edges with `D(u,v) ≠ 0`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct DeltaGraph {
-    /// Per-vertex adjacency: `rows[u][v]` is the weight of edge `(u, v)`.
-    /// Symmetric (every edge is stored in both endpoint rows); zero weights
-    /// are never stored.
-    rows: Vec<FxHashMap<VertexId, Weight>>,
-    /// Number of undirected edges (each counted once).
-    num_edges: usize,
+    /// The last snapshot, every row sorted by neighbour.
+    base: Arc<SignedGraph>,
+    /// Edges changed since `base`, keyed `(min, max)`: the current weight,
+    /// `0.0` where the edge was removed.
+    changes: FxHashMap<(VertexId, VertexId), Weight>,
+    /// Undirected edges of positive and of negative weight, kept current by
+    /// [`Self::set_weight`].
+    positive: usize,
+    negative: usize,
     /// Monotone counter, bumped on every mutation that changed a weight.
     version: u64,
-    /// Vertices whose adjacency row changed since the last snapshot.
-    dirty: Vec<bool>,
-    dirty_list: Vec<VertexId>,
-    /// The last snapshot and the version it was taken at.
-    cached: Option<(u64, Arc<SignedGraph>)>,
+    /// The snapshot before `base`: the next merge writes into its buffers when
+    /// this is the last handle to it.
+    spare: Option<Arc<SignedGraph>>,
+    /// Scratch of a merge: the changed entries, in (row, neighbour) order.
+    entries: Vec<Change>,
+}
+
+impl Clone for DeltaGraph {
+    /// Clones the graph state; the recycled buffers and the scratch stay with
+    /// the original.
+    fn clone(&self) -> Self {
+        DeltaGraph {
+            base: Arc::clone(&self.base),
+            changes: self.changes.clone(),
+            positive: self.positive,
+            negative: self.negative,
+            version: self.version,
+            spare: None,
+            entries: Vec::new(),
+        }
+    }
 }
 
 impl DeltaGraph {
     /// Creates an edgeless delta graph over `n` vertices.
     pub fn new(n: usize) -> Self {
+        Self::from_graph(SignedGraph::empty(n))
+    }
+
+    /// Creates a delta graph holding `graph`, whose rows must be sorted by
+    /// neighbour (as [`crate::GraphBuilder`], [`SignedGraph::from_raw_csr`]
+    /// and packs guarantee).  Its first [`Self::snapshot`] is `graph` itself.
+    pub fn from_graph(graph: SignedGraph) -> Self {
+        debug_assert!(
+            graph
+                .vertices()
+                .all(|v| graph.neighbor_slices(v).0.windows(2).all(|w| w[0] < w[1])),
+            "rows are sorted"
+        );
         DeltaGraph {
-            rows: vec![FxHashMap::default(); n],
-            num_edges: 0,
+            positive: graph.num_positive_edges(),
+            negative: graph.num_negative_edges(),
+            base: Arc::new(graph),
+            changes: FxHashMap::default(),
             version: 0,
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
-            cached: None,
+            spare: None,
+            entries: Vec::new(),
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.rows.len()
+        self.base.num_vertices()
     }
 
     /// Number of undirected edges (each counted once).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.positive + self.negative
     }
 
     /// Monotone version counter: bumped once per mutation that actually
@@ -84,18 +139,17 @@ impl DeltaGraph {
         self.version
     }
 
-    /// Degree (number of incident edges) of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.rows[v as usize].len()
-    }
-
-    /// Current weight of edge `(u, v)`, or `None` if absent.
+    /// Current weight of edge `(u, v)`, or `None` if absent: the change map
+    /// first, then a binary search of the last snapshot's row.
     pub fn weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        if u == v {
+        if u == v || u as usize >= self.num_vertices() {
             return None;
         }
-        self.rows.get(u as usize)?.get(&v).copied()
+        if let Some(&w) = self.changes.get(&key(u, v)) {
+            return (w != 0.0).then_some(w);
+        }
+        let (nbrs, ws) = self.base.neighbor_slices(u);
+        nbrs.binary_search(&v).ok().map(|i| ws[i])
     }
 
     /// Sets the weight of edge `(u, v)` to exactly `w` (`0.0` removes the
@@ -115,26 +169,17 @@ impl DeltaGraph {
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) out of range for {n} vertices"
         );
-        let old = self.rows[u as usize].get(&v).copied();
-        if w == 0.0 {
-            if old.is_none() {
-                return false;
-            }
-            self.rows[u as usize].remove(&v);
-            self.rows[v as usize].remove(&u);
-            self.num_edges -= 1;
-        } else {
-            if old == Some(w) {
-                return false;
-            }
-            self.rows[u as usize].insert(v, w);
-            self.rows[v as usize].insert(u, w);
-            if old.is_none() {
-                self.num_edges += 1;
-            }
+        let old = self.weight(u, v);
+        if (w == 0.0 && old.is_none()) || old == Some(w) {
+            return false;
         }
-        self.mark_dirty(u);
-        self.mark_dirty(v);
+        if let Some(old) = old {
+            self.positive -= usize::from(old > 0.0);
+            self.negative -= usize::from(old < 0.0);
+        }
+        self.positive += usize::from(w > 0.0);
+        self.negative += usize::from(w < 0.0);
+        self.changes.insert(key(u, v), w);
         self.version += 1;
         true
     }
@@ -148,89 +193,182 @@ impl DeltaGraph {
         new
     }
 
-    /// Iterates every undirected edge `(u, v, w)` exactly once, with `u < v`.
-    ///
-    /// Iteration order within a row is arbitrary (hash order); use
-    /// [`Self::snapshot`] when a deterministic, sorted view is needed.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-        self.rows.iter().enumerate().flat_map(|(u, row)| {
-            let u = u as VertexId;
-            row.iter()
-                .filter(move |(&v, _)| u < v)
-                .map(move |(&v, &w)| (u, v, w))
-        })
-    }
-
     /// Packs the current state into an immutable CSR [`SignedGraph`].
     ///
-    /// * If nothing changed since the last snapshot, the cached `Arc` is
+    /// * If nothing changed since the last snapshot, the same `Arc` is
     ///   returned — **pointer-equal** to the previous one, no allocation.
-    /// * Otherwise a new CSR graph is assembled: adjacency rows of vertices
-    ///   untouched since the last snapshot are copied verbatim from its
-    ///   arrays, and only dirty rows are re-collected from the hash maps and
-    ///   re-sorted.  For a batch touching `k` of `n` vertices this costs
-    ///   `O(n + m)` in memcpy but only `O(Σ_{dirty v} deg(v) · log deg(v))`
-    ///   in hashing/sorting — the dominant cost of a from-scratch rebuild.
+    /// * Otherwise the changes are merged into the last snapshot: runs of
+    ///   unchanged rows are copied verbatim, and only rows with a change are
+    ///   merged entry by entry.  The result is written into the buffers of the
+    ///   snapshot before last when no caller still holds it.
     pub fn snapshot(&mut self) -> Arc<SignedGraph> {
-        if let Some((version, snap)) = &self.cached {
-            if *version == self.version {
-                return Arc::clone(snap);
-            }
+        if self.changes.is_empty() {
+            return Arc::clone(&self.base);
         }
         let mut rebuild_span = dcs_obs::trace::span(dcs_obs::trace::Phase::SnapshotRebuild);
-        rebuild_span.set_units(self.dirty_list.len() as u64);
-        let n = self.num_vertices();
-        let prev = self.cached.take().map(|(_, snap)| snap);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for row in &self.rows {
-            total += row.len();
-            offsets.push(total);
+        rebuild_span.set_units(self.changes.len() as u64);
+        self.take_changes();
+        let buffers = self
+            .spare
+            .take()
+            .and_then(|spare| Arc::try_unwrap(spare).ok())
+            .map(SignedGraph::into_reusable_csr)
+            .unwrap_or_default();
+        let (offsets, neighbors, weights) =
+            merge(&self.base, &self.entries, 2 * self.num_edges(), buffers);
+        debug_assert_eq!(
+            (2 * self.positive, 2 * self.negative),
+            (
+                weights.iter().filter(|&&w| w > 0.0).count(),
+                weights.iter().filter(|&&w| w < 0.0).count()
+            ),
+            "maintained edge counts match the merged rows"
+        );
+        let graph = SignedGraph::from_columns(
+            offsets.into(),
+            neighbors.into(),
+            weights.into(),
+            2 * self.positive,
+            2 * self.negative,
+        );
+        self.spare = Some(std::mem::replace(&mut self.base, Arc::new(graph)));
+        if self.entries.capacity() > 2 * RETAINED_CAPACITY {
+            self.entries = Vec::new();
+        } else {
+            self.entries.clear();
         }
-        let mut neighbors: Vec<VertexId> = Vec::with_capacity(total);
-        let mut weights: Vec<Weight> = Vec::with_capacity(total);
-        let mut scratch: Vec<(VertexId, Weight)> = Vec::new();
-        for v in 0..n {
-            match prev.as_deref().filter(|_| !self.dirty[v]) {
-                Some(prev) => {
-                    // Clean row: bytewise identical to the previous snapshot.
-                    let (nbrs, ws) = prev.neighbor_slices(v as VertexId);
-                    neighbors.extend_from_slice(nbrs);
-                    weights.extend_from_slice(ws);
-                }
-                None => {
-                    scratch.clear();
-                    scratch.extend(self.rows[v].iter().map(|(&nb, &w)| (nb, w)));
-                    scratch.sort_unstable_by_key(|pair| pair.0);
-                    for &(nb, w) in &scratch {
-                        neighbors.push(nb);
-                        weights.push(w);
-                    }
-                }
-            }
-        }
-        for v in self.dirty_list.drain(..) {
-            self.dirty[v as usize] = false;
-        }
-        let snap = Arc::new(SignedGraph::from_csr(offsets, neighbors, weights));
-        self.cached = Some((self.version, Arc::clone(&snap)));
-        snap
+        Arc::clone(&self.base)
     }
 
-    /// Number of vertices currently marked dirty (changed since the last
-    /// snapshot).  Exposed for diagnostics and benchmarks.
-    pub fn dirty_vertices(&self) -> usize {
-        self.dirty_list.len()
+    /// Moves both adjacency entries of every changed edge into `entries`, in
+    /// (row, neighbour) order, and empties the change map — dropping it when a
+    /// bulk load grew it, before the sort allocates.
+    fn take_changes(&mut self) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        entries.reserve(2 * self.changes.len());
+        for (&(u, v), &weight) in &self.changes {
+            entries.push(Change {
+                row: u,
+                neighbor: v,
+                weight,
+            });
+            entries.push(Change {
+                row: v,
+                neighbor: u,
+                weight,
+            });
+        }
+        if self.changes.capacity() > RETAINED_CAPACITY {
+            self.changes = FxHashMap::default();
+        } else {
+            self.changes.clear();
+        }
+        self.entries = radix_sort(entries, self.base.num_vertices());
     }
+}
 
-    fn mark_dirty(&mut self, v: VertexId) {
-        let flag = &mut self.dirty[v as usize];
-        if !*flag {
-            *flag = true;
-            self.dirty_list.push(v);
+/// The canonical `(min, max)` key of the undirected edge `(u, v)`.
+fn key(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
+    (u.min(v), u.max(v))
+}
+
+/// Sorts `entries` over `n` vertices by (row, neighbour): a least significant
+/// digit radix sort, one stable counting pass per byte of the key
+/// `row · 2^b + neighbour`, where `b` bits hold any vertex id.  (Keys are
+/// unique, so the order is total.)  Byte digits keep each pass's 256 write
+/// streams in cache, where digits of whole vertex ids scatter across memory.
+fn radix_sort(entries: Vec<Change>, n: usize) -> Vec<Change> {
+    let bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+    let key = |c: &Change| (u64::from(c.row) << bits) | u64::from(c.neighbor);
+    let mut from = entries;
+    let mut to = vec![Change::default(); from.len()];
+    for shift in (0..2 * bits).step_by(8) {
+        let digit = |c: &Change| ((key(c) >> shift) & 0xff) as usize;
+        // `next[d]`: the slot the next entry with digit `d` goes to.
+        let mut next = [0usize; 257];
+        for c in &from {
+            next[digit(c) + 1] += 1;
+        }
+        for d in 1..257 {
+            next[d] += next[d - 1];
+        }
+        for c in &from {
+            let slot = &mut next[digit(c)];
+            to[*slot] = *c;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
+}
+
+/// Writes `base` with `changes` (in (row, neighbour) order) applied into the
+/// recycled `buffers`, reserved for `entries` adjacency entries.
+fn merge(
+    base: &SignedGraph,
+    changes: &[Change],
+    entries: usize,
+    buffers: CsrBuffers,
+) -> CsrBuffers {
+    let n = base.num_vertices();
+    let (mut offsets, mut neighbors, mut weights) = buffers;
+    offsets.clear();
+    neighbors.clear();
+    weights.clear();
+    offsets.reserve(n + 1);
+    neighbors.reserve(entries);
+    weights.reserve(entries);
+    offsets.push(0);
+    let mut out = (offsets, neighbors, weights);
+    // The first row of `base` not yet written.
+    let mut next = 0usize;
+    for row_changes in changes.chunk_by(|a, b| a.row == b.row) {
+        let row = row_changes[0].row as usize;
+        copy_rows(&mut out, base, next, row);
+        merge_row(&mut out, base, row, row_changes);
+        next = row + 1;
+    }
+    copy_rows(&mut out, base, next, n);
+    out
+}
+
+/// Appends the unchanged rows `from..to` of `base`: one slice copy per column,
+/// and their offsets shifted to where the run now starts.
+fn copy_rows(out: &mut CsrBuffers, base: &SignedGraph, from: usize, to: usize) {
+    let (offsets, neighbors, weights) = base.csr();
+    let (start, end) = (offsets[from], offsets[to]);
+    // The output may be shorter than `base` so far: wrapping arithmetic makes
+    // the shift a plain add either way.
+    let shift = out.1.len().wrapping_sub(start);
+    out.0.extend(
+        offsets[from + 1..=to]
+            .iter()
+            .map(|&o| o.wrapping_add(shift)),
+    );
+    out.1.extend_from_slice(&neighbors[start..end]);
+    out.2.extend_from_slice(&weights[start..end]);
+}
+
+/// Appends row `row` of `base` merged with its sorted `changes`: a change
+/// replaces or removes the base entry of its neighbour, or inserts one.
+fn merge_row(out: &mut CsrBuffers, base: &SignedGraph, row: usize, changes: &[Change]) {
+    let (nbrs, ws) = base.neighbor_slices(row as VertexId);
+    // The first entry of the base row not yet written.
+    let mut next = 0usize;
+    for change in changes {
+        let below = next + nbrs[next..].partition_point(|&t| t < change.neighbor);
+        out.1.extend_from_slice(&nbrs[next..below]);
+        out.2.extend_from_slice(&ws[next..below]);
+        next = below + usize::from(nbrs.get(below) == Some(&change.neighbor));
+        if change.weight != 0.0 {
+            out.1.push(change.neighbor);
+            out.2.push(change.weight);
         }
     }
+    out.1.extend_from_slice(&nbrs[next..]);
+    out.2.extend_from_slice(&ws[next..]);
+    out.0.push(out.1.len());
 }
 
 #[cfg(test)]
@@ -258,6 +396,13 @@ mod tests {
         assert_eq!(d.add_weight(0, 1, -3.0), 0.0);
         assert_eq!(d.weight(0, 1), None);
         assert_eq!(d.num_edges(), 1);
+        // Reads of merged edges go through the snapshot's rows.
+        let _ = d.snapshot();
+        assert_eq!(d.weight(2, 1), Some(-1.5));
+        assert_eq!(d.weight(0, 1), None);
+        assert_eq!(d.weight(9, 1), None);
+        assert!(!d.set_weight(1, 2, -1.5));
+        assert!(!d.set_weight(0, 1, 0.0));
     }
 
     #[test]
@@ -272,8 +417,8 @@ mod tests {
         // Unchanged version: the exact same Arc comes back.
         let again = d.snapshot();
         assert!(Arc::ptr_eq(&snap, &again));
-        // A mutation invalidates the cache; the incremental rebuild only
-        // touches the dirty rows but the result is a complete graph.
+        // A mutation invalidates the cache; the merge only touches the
+        // changed rows but the result is a complete graph.
         d.set_weight(2, 4, -1.0);
         d.set_weight(3, 4, 2.0);
         let expected = GraphBuilder::from_edges(
@@ -295,15 +440,73 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_resets_after_snapshot() {
+    fn unheld_snapshot_buffers_are_recycled() {
+        let weights_at = |g: &SignedGraph| g.csr().2.as_ptr();
+        let mut d = DeltaGraph::new(6);
+        d.set_weight(0, 1, 1.0);
+        d.set_weight(2, 3, 2.0);
+        let first = d.snapshot();
+        let first_weights = weights_at(&first);
+        drop(first);
+        d.set_weight(4, 5, 3.0);
+        let second = d.snapshot();
+        d.set_weight(4, 5, 0.0);
+        // The first snapshot is the spare now and nobody holds it.
+        let third = d.snapshot();
+        assert_eq!(weights_at(&third), first_weights);
+        // A held snapshot is left alone.
+        d.set_weight(1, 2, 1.0);
+        let fourth = d.snapshot();
+        assert_ne!(weights_at(&fourth), weights_at(&second));
+    }
+
+    #[test]
+    fn clones_leave_the_spare_buffers_behind() {
         let mut d = DeltaGraph::new(4);
         d.set_weight(0, 1, 1.0);
-        assert_eq!(d.dirty_vertices(), 2);
         let _ = d.snapshot();
-        assert_eq!(d.dirty_vertices(), 0);
-        d.set_weight(0, 1, 2.0);
-        d.set_weight(0, 2, 1.0);
-        assert_eq!(d.dirty_vertices(), 3);
+        d.set_weight(1, 2, 1.0);
+        let _ = d.snapshot();
+        let mut twin = d.clone();
+        assert!(d.spare.is_some());
+        assert!(twin.spare.is_none());
+        d.set_weight(2, 3, 1.0);
+        twin.set_weight(2, 3, 1.0);
+        assert_eq!(*d.snapshot(), *twin.snapshot());
+    }
+
+    #[test]
+    fn radix_sort_orders_by_row_then_neighbor() {
+        // Vertex counts whose keys take one byte, a partial byte, and up to all
+        // eight bytes (ids of 32 bits).
+        for n in [2usize, 16, 255, 256, 257, 70_000, u32::MAX as usize - 4] {
+            let mut state = n as u64;
+            let mut entries: Vec<Change> = (0..500)
+                .map(|i| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let row = ((state >> 33) % n as u64) as VertexId;
+                    Change {
+                        row,
+                        neighbor: (i % n) as VertexId,
+                        weight: i as Weight,
+                    }
+                })
+                .collect();
+            entries.sort_unstable_by_key(|c| (c.row, c.neighbor));
+            entries.dedup_by_key(|c| (c.row, c.neighbor));
+            let expected: Vec<_> = entries
+                .iter()
+                .map(|c| (c.row, c.neighbor, c.weight))
+                .collect();
+            entries.reverse();
+            let sorted: Vec<_> = radix_sort(entries, n)
+                .iter()
+                .map(|c| (c.row, c.neighbor, c.weight))
+                .collect();
+            assert_eq!(sorted, expected, "n = {n}");
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! * [`GraphBuilder`] — record an edge list and pack it into CSR form; memory is
 //!   proportional to the insertions, and duplicates fold in insertion order at
 //!   [`GraphBuilder::build`],
-//! * [`DeltaGraph`] — an incrementally maintained graph with O(1) weight updates,
-//!   dirty-vertex tracking and cheap versioned `Arc<SignedGraph>` CSR snapshots
-//!   ([`delta`]), the substrate of the streaming difference-graph engine,
+//! * [`DeltaGraph`] — an incrementally maintained graph with O(1) weight updates
+//!   into one change map and cheap versioned `Arc<SignedGraph>` CSR snapshots
+//!   that merge the changes into the last snapshot ([`delta`]), the substrate of
+//!   the streaming difference-graph engine,
 //! * induced-subgraph metrics over vertex subsets ([`SignedGraph::total_degree`],
 //!   [`SignedGraph::average_degree`], [`SignedGraph::edge_density`], …),
 //! * [`SignedGraph::positive_part`] — the graph `G_{D+}` containing only positive edges,

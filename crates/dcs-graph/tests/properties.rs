@@ -1,5 +1,6 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use dcs_graph::io::{IoError, MAX_VERTICES};
@@ -695,54 +696,131 @@ proptest! {
         }
     }
 
-    /// A DeltaGraph driven by an arbitrary mutation sequence (absolute sets,
-    /// relative adds, removals via zero, repeated touches of the same edge)
-    /// always snapshots to exactly the graph a from-scratch build produces —
-    /// including across interleaved snapshots, where clean rows are copied
-    /// from the previous snapshot instead of rebuilt.
+    /// A DeltaGraph started from a random graph and driven by an arbitrary
+    /// mutation sequence (absolute sets, relative adds, removals via zero,
+    /// cancelling sums, repeated touches of the same edge, and bulk phases that
+    /// change every row) always snapshots to exactly the graph a from-scratch
+    /// build produces, bit for bit — including across interleaved snapshots,
+    /// where unchanged rows are copied from the previous snapshot and changed
+    /// rows merged with their changes.
     #[test]
     fn delta_snapshots_equal_scratch_builds(
-        n in 2usize..20,
-        ops in proptest::collection::vec((0u32..20, 0u32..20, -4.0f64..4.0, any::<bool>(), any::<bool>()), 0..120),
+        start in arb_graph(),
+        ops in proptest::collection::vec(
+            (0u32..24, 0u32..24, arb_weight(), any::<bool>(), any::<bool>(), 0u32..12),
+            0..120,
+        ),
     ) {
-        let mut delta = DeltaGraph::new(n);
-        let mut reference: std::collections::BTreeMap<(u32, u32), f64> = std::collections::BTreeMap::new();
-        for (i, (u, v, w, absolute, snapshot_now)) in ops.into_iter().enumerate() {
-            let (u, v) = (u % n as u32, v % n as u32);
-            if u == v {
-                continue;
-            }
-            let key = if u < v { (u, v) } else { (v, u) };
-            let value = if absolute {
-                delta.set_weight(u, v, w);
-                w
+        let n = start.num_vertices() as u32;
+        let mut delta = DeltaGraph::from_graph(start.clone());
+        let mut reference: BTreeMap<(u32, u32), f64> =
+            start.edges().map(|(u, v, w)| ((u, v), w)).collect();
+        prop_assert!(std::sync::Arc::ptr_eq(&delta.snapshot(), &delta.snapshot()));
+        prop_assert_eq!(&*delta.snapshot(), &start);
+        for (i, (u, v, w, absolute, snapshot_now, bulk)) in ops.into_iter().enumerate() {
+            // One operation in twelve is a bulk phase: an edge at every vertex
+            // changes, so every row of the next snapshot is merged.
+            let touched: Vec<(u32, u32, f64)> = if bulk == 0 {
+                (0..n)
+                    .map(|a| (a, (a + 1 + u % (n - 1)) % n, w + f64::from(a % 3)))
+                    .collect()
             } else {
-                delta.add_weight(u, v, w)
+                vec![(u % n, v % n, w)]
             };
-            if value == 0.0 {
-                reference.remove(&key);
-            } else {
-                reference.insert(key, value);
+            for (a, b, w) in touched {
+                if a == b {
+                    continue;
+                }
+                let value = if absolute {
+                    delta.set_weight(a, b, w);
+                    w
+                } else {
+                    delta.add_weight(a, b, w)
+                };
+                let key = (a.min(b), a.max(b));
+                if value == 0.0 {
+                    reference.remove(&key);
+                } else {
+                    reference.insert(key, value);
+                }
+                prop_assert_eq!(delta.weight(a, b), reference.get(&key).copied());
             }
+            prop_assert_eq!(delta.num_edges(), reference.len());
             // Snapshot mid-sequence on roughly a third of the operations so the
-            // incremental (partially-dirty) rebuild path is exercised.
+            // merge of a partly changed graph is exercised.
             if snapshot_now || i % 3 == 0 {
                 let snap = delta.snapshot();
-                let scratch = GraphBuilder::from_edges(
-                    n,
-                    reference.iter().map(|(&(a, b), &wt)| (a, b, wt)),
-                );
+                let scratch = scratch_build(n as usize, &reference);
+                prop_assert_eq!(csr_bits(&snap), csr_bits(&scratch));
                 prop_assert_eq!(&*snap, &scratch);
             }
         }
         let snap = delta.snapshot();
-        let scratch = GraphBuilder::from_edges(n, reference.iter().map(|(&(a, b), &wt)| (a, b, wt)));
+        let scratch = scratch_build(n as usize, &reference);
+        prop_assert_eq!(csr_bits(&snap), csr_bits(&scratch));
         prop_assert_eq!(&*snap, &scratch);
         prop_assert_eq!(snap.num_edges(), delta.num_edges());
         // An unchanged version returns the cached snapshot, pointer-equal.
         let again = delta.snapshot();
         prop_assert!(std::sync::Arc::ptr_eq(&snap, &again));
     }
+
+    /// A snapshot a caller still holds is never rewritten.  Every k-th snapshot
+    /// is kept alive while the graph keeps changing and snapshotting; at the end
+    /// each held one still equals the scratch build of its moment, and no two
+    /// live snapshots share buffers, so only unheld snapshots were recycled.
+    #[test]
+    fn held_snapshots_are_never_rewritten(
+        start in arb_graph(),
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((0u32..24, 0u32..24, arb_weight()), 1..8),
+            1..30,
+        ),
+        k in 1usize..4,
+    ) {
+        let n = start.num_vertices() as u32;
+        let mut delta = DeltaGraph::from_graph(start.clone());
+        let mut reference: BTreeMap<(u32, u32), f64> =
+            start.edges().map(|(u, v, w)| ((u, v), w)).collect();
+        let mut held: Vec<(std::sync::Arc<SignedGraph>, SignedGraph)> = Vec::new();
+        for (i, round) in rounds.into_iter().enumerate() {
+            for (u, v, w) in round {
+                let (u, v) = (u % n, v % n);
+                if u == v {
+                    continue;
+                }
+                delta.set_weight(u, v, w);
+                if w == 0.0 {
+                    reference.remove(&(u.min(v), u.max(v)));
+                } else {
+                    reference.insert((u.min(v), u.max(v)), w);
+                }
+            }
+            let snap = delta.snapshot();
+            for (other, _) in &held {
+                if !std::sync::Arc::ptr_eq(other, &snap) && snap.num_edges() > 0 {
+                    prop_assert!(weights_at(other) != weights_at(&snap));
+                }
+            }
+            if i % k == 0 {
+                held.push((snap, scratch_build(n as usize, &reference)));
+            }
+        }
+        for (snap, expected) in &held {
+            prop_assert_eq!(csr_bits(snap), csr_bits(expected));
+        }
+    }
+}
+
+/// The graph a from-scratch build gives for the `(min, max)`-keyed edges of
+/// `reference`.
+fn scratch_build(n: usize, reference: &BTreeMap<(u32, u32), f64>) -> SignedGraph {
+    GraphBuilder::from_edges(n, reference.iter().map(|(&(a, b), &w)| (a, b, w)))
+}
+
+/// Where the weight column of `g` starts (row 0 starts at offset 0).
+fn weights_at(g: &SignedGraph) -> *const Weight {
+    g.neighbor_slices(0).1.as_ptr()
 }
 
 proptest! {

@@ -43,7 +43,8 @@ pub enum Phase {
     MuSweep,
     /// Algorithm-4 refinement of a DCSGA iterate.
     Refine,
-    /// Rebuilding a versioned CSR snapshot from the delta engine (units: dirty rows).
+    /// Merging the delta engine's changes into a versioned CSR snapshot
+    /// (units: changed edges).
     SnapshotRebuild,
     /// A mining job waiting in the server's bounded queue.
     QueueWait,

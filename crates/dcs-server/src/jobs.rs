@@ -112,8 +112,8 @@ impl JobSpec {
     /// Captures the job's inputs under the session lock.  Snapshots are
     /// `Arc` handles to the session's incrementally maintained difference
     /// graph: an unchanged session hands out the same graph pointer to every
-    /// worker, and even a changed one only rebuilds the adjacency rows its
-    /// updates dirtied.
+    /// worker, and a changed one only merges the edges its updates changed
+    /// into the previous snapshot.
     fn snapshot(&self, session: &mut crate::session::Session) -> Snapshot {
         let monitor = session.monitor_mut();
         match self {
