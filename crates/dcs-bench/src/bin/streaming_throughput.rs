@@ -514,23 +514,33 @@ fn main() {
 
     // --- Tracing overhead: the solver phase spans (dcs-obs) sit on every hot
     // path, so the instrumented-but-disabled state is the production default.
-    // Interleave solves with the tracer off and on and compare medians: the
-    // enabled tracer must stay within 5% of the disabled path.
+    // Interleave solves with the tracer off and on, in alternating order, and
+    // compare medians: the enabled tracer must stay within 5% of the disabled
+    // path.
     dcs_obs::trace::set_enabled(false);
     dcs_obs::trace::clear();
     let mut trace_off_ms = Vec::with_capacity(rounds);
     let mut trace_on_ms = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        dcs_obs::trace::set_enabled(false);
-        let start = Instant::now();
-        let plain = solver.solve(&gd);
-        trace_off_ms.push(start.elapsed().as_secs_f64() * 1e3);
-
-        dcs_obs::trace::set_enabled(true);
-        let start = Instant::now();
-        let traced = solver.solve(&gd);
-        trace_on_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        dcs_obs::trace::set_enabled(false);
+    for round in 0..rounds {
+        let mut time_traced = |enabled: bool| {
+            dcs_obs::trace::set_enabled(enabled);
+            let start = Instant::now();
+            let solution = solver.solve(&gd);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            dcs_obs::trace::set_enabled(false);
+            if enabled {
+                trace_on_ms.push(ms);
+            } else {
+                trace_off_ms.push(ms);
+            }
+            solution
+        };
+        let (plain, traced) = if round % 2 == 0 {
+            (time_traced(false), time_traced(true))
+        } else {
+            let traced = time_traced(true);
+            (time_traced(false), traced)
+        };
 
         assert_eq!(traced.subset, plain.subset, "tracing changed the result");
     }

@@ -283,9 +283,11 @@ mod tests {
             .iter()
             .map(|e| e["phase"].as_str().unwrap())
             .collect();
-        // Both solver families ran: greedy peeling and the NewSEA µ_u sweep.
-        assert!(phases.contains(&"peel"), "phases: {phases:?}");
-        assert!(phases.contains(&"mu_sweep"), "phases: {phases:?}");
+        // Both solver families ran: greedy peeling and the NewSEA µ_u sweep,
+        // after the G_D build and the Theorem-6 bound.
+        for phase in ["diff_build", "peel", "mu_bound", "mu_sweep"] {
+            assert!(phases.contains(&phase), "{phase} missing: {phases:?}");
+        }
         // The guard switched tracing back off after the run.
         assert!(!dcs_obs::trace::enabled());
     }

@@ -84,9 +84,10 @@ impl DcsGreedy {
     /// [`GraphView::positive_part_into`] copies the view's alive, positive entries
     /// into the workspace's buffers once, and the peel walks those rows under the
     /// caller's mask with no sign test, visiting the same entries in the same order
-    /// as the sign-filtered view would.  Scratch state (peel heaps, degree arrays,
-    /// the compact `G_{D+}`) comes from the context's
-    /// [`crate::workspace::SolverWorkspace`] and is reused across calls.
+    /// as the sign-filtered view would.  The max-weight-edge candidate is one scan
+    /// of that copy's weight column ([`SignedGraph::max_weight_edge`]).  Scratch
+    /// state (peel heaps, degree arrays, the compact `G_{D+}`) comes from the
+    /// context's [`crate::workspace::SolverWorkspace`] and is reused across calls.
     ///
     /// `seed` is a **warm start**: the seed subset (typically the support of the
     /// previous mine on a slightly-changed graph) competes as an extra candidate, so
@@ -124,11 +125,18 @@ impl DcsGreedy {
             ..
         } = &mut *ws;
 
+        // The compact G_{D+}: the view's alive, positive entries, copied once into
+        // the workspace's buffers.  It yields the max-edge candidate here and is
+        // peeled under the caller's mask below.  The compaction ticks no work
+        // units.
+        let gd_plus = view.positive_part_into(std::mem::take(positive));
+
         // Case 1: no positive edges — any single alive vertex is optimal (density 0),
-        // and with no alive vertex at all the answer is the empty set.
-        let max_edge = view.max_weight_edge();
-        let has_positive = matches!(max_edge, Some((_, _, w)) if w > 0.0);
-        if !has_positive {
+        // and with no alive vertex at all the answer is the empty set.  Otherwise
+        // the heaviest edge of G_D is the heaviest of G_{D+}, and the first of
+        // equally heavy edges in `edges()` order is the same in both.
+        let Some((eu, ev, _)) = gd_plus.max_weight_edge() else {
+            *positive = gd_plus.into_raw_csr();
             return (
                 DcsadSolution {
                     subset: view.first_alive().into_iter().collect(),
@@ -140,15 +148,10 @@ impl DcsGreedy {
                 },
                 meter.finish(),
             );
-        }
-        let (eu, ev, _) = max_edge.expect("checked above");
+        };
 
         // Candidate A: the endpoints of the maximum weight edge.
-        let edge_candidate: Vec<VertexId> = {
-            let mut s = vec![eu, ev];
-            s.sort_unstable();
-            s
-        };
+        let edge_candidate: Vec<VertexId> = vec![eu.min(ev), eu.max(ev)];
         meter.note_candidates(1);
 
         // Candidate B: greedy peel of G_D (interruptible; best prefix so far).
@@ -158,21 +161,19 @@ impl DcsGreedy {
             peel.subset
         };
 
-        // Candidate C: greedy peel of G_{D+}, compacted into the workspace's
-        // buffers and peeled under the caller's mask; skipped entirely once a
-        // bound tripped.  The compaction ticks no work units.
+        // Candidate C: greedy peel of the compact G_{D+} under the caller's mask;
+        // skipped entirely once a bound tripped.
         let (s2, rho_gd_plus) = if meter.stopped() {
             (Vec::new(), 0.0)
         } else {
-            let gd_plus = view.positive_part_into(std::mem::take(positive));
             let (peel_plus, _) =
                 greedy_peeling_view_into(view.mask_over(&gd_plus), peel_ws, |units| {
                     !meter.tick(units)
                 });
-            *positive = gd_plus.into_raw_csr();
             meter.note_candidates(1);
             (peel_plus.subset, peel_plus.average_degree)
         };
+        *positive = gd_plus.into_raw_csr();
 
         // Candidate D (warm start): the seed support from a previous mine.  Seeds
         // from a slightly different (or less-masked) graph may reference dead

@@ -44,9 +44,7 @@ mod seacd;
 
 pub use arena::DcsgaScratch;
 pub use coord_descent::{descend_to_local_kkt, CoordDescentOutcome};
-pub use newsea::{
-    smart_initialization_order, smart_initialization_order_in, NewSea, SmartInitStats,
-};
+pub use newsea::{smart_initialization_order_in, NewSea, SmartInitStats};
 pub use parallel::parallel_sweep;
 pub use refine::{refine, refine_with_workspace};
 pub use seacd::{SeaCd, SeaCdRun, SeaCdSweep};

@@ -28,6 +28,8 @@
 //! kernels over hash storage and uncompacted rows, so dense solves are
 //! bit-identical to reference solves.
 
+use std::cmp::Reverse;
+
 use dcs_densest::Embedding;
 use dcs_graph::{core_numbers_view_into, CoreScratch, GraphView, SignedGraph, VertexId, Weight};
 
@@ -280,42 +282,30 @@ fn sweep_in<A: EmbeddingArena>(
     }
 }
 
-/// Computes the smart-initialisation order: every non-isolated vertex of `G_{D+}` paired
-/// with its upper bound `µ_u = τ_u·w_u/(τ_u+1)`, sorted by descending `µ_u`.
+/// Computes the smart-initialisation order over a [`GraphView`] of `G_{D+}`, writing
+/// into caller-owned buffers so nothing allocates in steady state: `order`
+/// receives every alive non-isolated vertex paired with its upper bound
+/// `µ_u = τ_u·w_u/(τ_u+1)`, `max_incident` and `cores` are scratch.  The order is
+/// total: descending `µ_u`, ties by ascending vertex id, so it does not depend on
+/// the sort's algorithm.  NewSEA passes its compact `G_{D+}` under the caller's
+/// mask ([`GraphView::mask_over`]); the sign-filtered overlay of `G_D` yields the
+/// same order.  On a view with non-positive edges the bound's `w_u` input would
+/// see negative weights, which Theorem 6 does not cover, so callers must pass a
+/// positive (or positively-weighted) view.
 ///
-/// Exposed so the experiment harness can report how sharp the bound is.
-pub fn smart_initialization_order(gd_plus: &SignedGraph) -> Vec<(VertexId, Weight)> {
-    let mut order = Vec::new();
-    smart_initialization_order_in(
-        GraphView::full(gd_plus),
-        &mut order,
-        &mut Vec::new(),
-        &mut CoreScratch::default(),
-        1,
-    );
-    order
-}
-
-/// [`smart_initialization_order`] over a [`GraphView`], writing into caller-owned
-/// buffers so nothing allocates in steady state: `order` receives the
-/// `(vertex, µ_u)` pairs (alive non-isolated vertices only), `max_incident` and
-/// `cores` are scratch.  The order is total: descending `µ_u`, ties by ascending
-/// vertex id, so it does not depend on the sort's algorithm.  NewSEA passes its
-/// compact `G_{D+}` under the caller's mask ([`GraphView::mask_over`]); the
-/// sign-filtered overlay of `G_D` yields the same order.  On a view with
-/// non-positive edges the bound's `w_u` input would see negative weights, which
-/// Theorem 6 does not cover, so callers must pass a positive (or
-/// positively-weighted) view.
+/// A view that [has exact rows](GraphView::rows_are_exact) — a full view, or the
+/// caller's mask over the compact `G_{D+}` — is read on its raw CSR rows, with no
+/// per-entry test; any other view through its filtered neighbour iterator.  The
+/// rows hold the same entries in the same order either way.
 ///
 /// With `threads > 1` the two vertex scans fan out over `threads` workers on
 /// disjoint ranges.  **The order is bit-identical for every thread count.** The
 /// per-vertex maximum incident weight is a `max` over the vertex's surviving row
-/// (edge visibility is symmetric, so the row holds exactly the edges the
-/// sequential edge sweep credits to the vertex, and `max` is reorder-safe); each
-/// `µ_u` is computed from the same operands as in the sequential scan, and the
-/// total order sorts the pairs the same way whatever order they arrive in.  The
-/// integer core decomposition stays sequential (it is inherently ordered and cheap
-/// relative to the weight scans).
+/// (edge visibility is symmetric, so the row holds exactly the edges incident to
+/// the vertex, and `max` is reorder-safe); each `µ_u` is computed from the same
+/// operands whatever the range split, and the total order sorts the pairs the
+/// same way whatever order they arrive in.  The integer core decomposition stays
+/// sequential (it is inherently ordered and cheap relative to the weight scans).
 pub fn smart_initialization_order_in(
     view: GraphView<'_>,
     order: &mut Vec<(VertexId, Weight)>,
@@ -323,122 +313,128 @@ pub fn smart_initialization_order_in(
     cores: &mut CoreScratch,
     threads: usize,
 ) {
-    if threads > 1 {
-        return smart_initialization_order_par(view, order, max_incident, cores, threads);
+    let mut bound_span = dcs_obs::trace::span(dcs_obs::trace::Phase::MuBound);
+    if view.rows_are_exact() {
+        let graph = view.graph();
+        let rows = |u| {
+            let (nbrs, ws) = graph.neighbor_slices(u);
+            nbrs.iter().copied().zip(ws.iter().copied())
+        };
+        bound_order(view, rows, order, max_incident, cores, threads);
+    } else {
+        let rows = |u| view.neighbors(u).map(|e| (e.neighbor, e.weight));
+        bound_order(view, rows, order, max_incident, cores, threads);
     }
-    let n = view.num_vertices();
-    // Maximum incident surviving edge weight per vertex.
-    max_incident.clear();
-    max_incident.resize(n, 0.0);
-    for (u, v, w) in view.edges() {
-        debug_assert!(w > 0.0, "G_D+ must only contain positive edges");
-        if w > max_incident[u as usize] {
-            max_incident[u as usize] = w;
-        }
-        if w > max_incident[v as usize] {
-            max_incident[v as usize] = w;
-        }
-    }
-    // w_u = max over the ego net T_u of the maximum incident weight — an upper bound on
-    // the heaviest edge with at least one endpoint in T_u.
-    core_numbers_view_into(view, cores);
-    order.clear();
-    for u in view.vertices() {
-        if view.degree(u) == 0 {
-            continue;
-        }
-        let mut w_u = max_incident[u as usize];
-        for e in view.neighbors(u) {
-            w_u = w_u.max(max_incident[e.neighbor as usize]);
-        }
-        let tau = cores.core[u as usize] as Weight;
-        let mu = tau * w_u / (tau + 1.0);
-        order.push((u, mu));
-    }
-    // Unstable sort: allocation-free, unlike the stable sort (which buffers half
-    // the slice per call); the comparator is total, so no tie is left to it.
-    order.sort_unstable_by(by_bound_then_id);
+    bound_span.set_units(order.len() as u64);
 }
 
-/// The smart-initialisation order: descending `µ_u`, then ascending vertex id.
-fn by_bound_then_id(a: &(VertexId, Weight), b: &(VertexId, Weight)) -> std::cmp::Ordering {
-    b.1.partial_cmp(&a.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.0.cmp(&b.0))
-}
-
-/// The `threads > 1` body of [`smart_initialization_order_in`].
-fn smart_initialization_order_par(
+/// The body of [`smart_initialization_order_in`] over the surviving row
+/// `rows(u)` of each alive vertex `u`.
+fn bound_order<I, R>(
     view: GraphView<'_>,
+    rows: R,
     order: &mut Vec<(VertexId, Weight)>,
     max_incident: &mut Vec<Weight>,
     cores: &mut CoreScratch,
     threads: usize,
-) {
+) where
+    I: Iterator<Item = (VertexId, Weight)>,
+    R: Fn(VertexId) -> I + Sync,
+{
     let n = view.num_vertices();
     core_numbers_view_into(view, cores);
     max_incident.clear();
     max_incident.resize(n, 0.0);
-    let chunk = n.div_ceil(threads).max(1);
+    order.clear();
+    if threads <= 1 {
+        fill_max_incident(view, &rows, 0, max_incident);
+        push_bounds(view, &rows, max_incident, &cores.core, 0..n, order);
+    } else {
+        let chunk = n.div_ceil(threads).max(1);
+        // Phase 1: per-vertex maximum incident weight, written to disjoint ranges.
+        std::thread::scope(|scope| {
+            for (t, slots) in max_incident.chunks_mut(chunk).enumerate() {
+                let rows = &rows;
+                scope.spawn(move || fill_max_incident(view, rows, t * chunk, slots));
+            }
+        });
+        // Phase 2: per-range `(u, µ_u)` lists, concatenated in ascending range order.
+        let (max_incident, core): (&[Weight], &[u32]) = (max_incident, &cores.core);
+        let per_range: Vec<Vec<(VertexId, Weight)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let rows = &rows;
+                    scope.spawn(move || {
+                        let range = (t * chunk).min(n)..((t + 1) * chunk).min(n);
+                        let mut pairs = Vec::new();
+                        push_bounds(view, rows, max_incident, core, range, &mut pairs);
+                        pairs
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("µ_u scan worker panicked"))
+                .collect()
+        });
+        for pairs in per_range {
+            order.extend(pairs);
+        }
+    }
+    // Every µ_u is a non-negative number (`+inf` where `τ_u·w_u` overflows), on
+    // which the bits order like the values: descending bits, then ascending id,
+    // is the order descending µ_u, then ascending id.  Unstable sort:
+    // allocation-free, and the key is total, so no tie is left to it.
+    order.sort_unstable_by_key(|&(u, mu)| (Reverse(mu.to_bits()), u));
+}
 
-    // Phase 1: per-vertex maximum incident weight, written to disjoint ranges.
-    std::thread::scope(|scope| {
-        for (t, slots) in max_incident.chunks_mut(chunk).enumerate() {
-            let base = t * chunk;
-            scope.spawn(move || {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    let u = (base + i) as VertexId;
-                    if !view.is_alive(u) {
-                        continue;
-                    }
-                    for e in view.neighbors(u) {
-                        debug_assert!(e.weight > 0.0, "G_D+ must only contain positive edges");
-                        if e.weight > *slot {
-                            *slot = e.weight;
-                        }
-                    }
+/// Writes the maximum weight of each alive vertex's row into `slots`, which
+/// start at vertex `base` (`0.0` for dead vertices and empty rows).
+fn fill_max_incident<I: Iterator<Item = (VertexId, Weight)>>(
+    view: GraphView<'_>,
+    rows: impl Fn(VertexId) -> I,
+    base: usize,
+    slots: &mut [Weight],
+) {
+    for (i, slot) in slots.iter_mut().enumerate() {
+        let u = (base + i) as VertexId;
+        if view.is_alive(u) {
+            *slot = rows(u).fold(0.0, |max, (_, w)| {
+                debug_assert!(w > 0.0, "G_D+ must only contain positive edges");
+                if w > max {
+                    w
+                } else {
+                    max
                 }
             });
         }
-    });
-
-    // Phase 2: per-range `(u, µ_u)` lists, concatenated in ascending range order.
-    let max_incident_ref: &[Weight] = max_incident;
-    let core_ref: &[u32] = &cores.core;
-    let per_range: Vec<Vec<(VertexId, Weight)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let v0 = (t * chunk).min(n);
-                    let v1 = ((t + 1) * chunk).min(n);
-                    let mut pairs = Vec::new();
-                    for u in v0..v1 {
-                        let u = u as VertexId;
-                        if !view.is_alive(u) || view.degree(u) == 0 {
-                            continue;
-                        }
-                        let mut w_u = max_incident_ref[u as usize];
-                        for e in view.neighbors(u) {
-                            w_u = w_u.max(max_incident_ref[e.neighbor as usize]);
-                        }
-                        let tau = core_ref[u as usize] as Weight;
-                        pairs.push((u, tau * w_u / (tau + 1.0)));
-                    }
-                    pairs
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("µ_u scan worker panicked"))
-            .collect()
-    });
-
-    order.clear();
-    for pairs in per_range {
-        order.extend(pairs);
     }
-    order.sort_unstable_by(by_bound_then_id);
+}
+
+/// Appends `(u, µ_u)` for every alive non-isolated vertex `u` in `range`, where
+/// `w_u` is the maximum incident weight over the ego net of `u` — an upper bound
+/// on the heaviest edge with at least one endpoint in it.
+fn push_bounds<I: Iterator<Item = (VertexId, Weight)>>(
+    view: GraphView<'_>,
+    rows: impl Fn(VertexId) -> I,
+    max_incident: &[Weight],
+    core: &[u32],
+    range: std::ops::Range<usize>,
+    out: &mut Vec<(VertexId, Weight)>,
+) {
+    for u in range {
+        let u = u as VertexId;
+        if !view.is_alive(u) || view.degree(u) == 0 {
+            continue;
+        }
+        let w_u = rows(u).fold(max_incident[u as usize], |w_u, (v, _)| {
+            w_u.max(max_incident[v as usize])
+        });
+        let tau = core[u as usize] as Weight;
+        let mu = tau * w_u / (tau + 1.0);
+        debug_assert!(mu >= 0.0 && mu.is_sign_positive(), "µ_{u} = {mu}");
+        out.push((u, mu));
+    }
 }
 
 #[cfg(test)]
@@ -501,7 +497,15 @@ mod tests {
         // For every vertex u of the heavy clique, µ_u must be at least the affinity of
         // the best clique containing u (which is 2.25 for u in 0..4).
         let gd = two_cliques();
-        let order = smart_initialization_order(&gd.positive_part());
+        let compact = GraphView::full(&gd).positive_part_into(Default::default());
+        let mut order = Vec::new();
+        smart_initialization_order_in(
+            GraphView::full(&compact),
+            &mut order,
+            &mut Vec::new(),
+            &mut CoreScratch::default(),
+            1,
+        );
         for &(u, mu) in &order {
             if u < 4 {
                 assert!(mu >= 2.25 - 1e-9, "µ_{u} = {mu}");
@@ -549,6 +553,38 @@ mod tests {
                 );
                 assert_eq!(order, expected, "threads = {threads}");
             }
+        }
+    }
+
+    #[test]
+    fn overflowing_and_subnormal_bounds_keep_their_order() {
+        // A triangle at 1.5e308 (τ = 2, so τ·w overflows: µ = +inf), a 4-clique
+        // at 1 (τ = 3, µ = 0.75) and a lone edge at the least subnormal weight
+        // (τ = 1, µ = 5e-324 / 2, which rounds to 0).
+        let mut b = GraphBuilder::new(9);
+        for (u, v) in [(0, 1), (0, 2), (1, 2)] {
+            b.add_edge(u, v, 1.5e308);
+        }
+        for u in 3..7u32 {
+            for v in (u + 1)..7u32 {
+                b.add_edge(u, v, 1.0);
+            }
+        }
+        b.add_edge(7, 8, 5e-324);
+        let compact = GraphView::full(&b.build()).positive_part_into(Default::default());
+        let mut expected: Vec<(VertexId, Weight)> = (0..3).map(|u| (u, f64::INFINITY)).collect();
+        expected.extend((3..7).map(|u| (u, 0.75)));
+        expected.extend([(7, 0.0), (8, 0.0)]);
+        for threads in [1, 4] {
+            let mut order = Vec::new();
+            smart_initialization_order_in(
+                GraphView::full(&compact),
+                &mut order,
+                &mut Vec::new(),
+                &mut CoreScratch::default(),
+                threads,
+            );
+            assert_eq!(order, expected, "threads = {threads}");
         }
     }
 

@@ -9,9 +9,11 @@
 //!   with non-increasing objectives;
 //! * the template-based α-sweep equals a cold per-α `scaled_difference_graph`;
 //! * DCSGreedy's `G_{D+}` candidate, peeled on the compact positive part, has the
-//!   bits of a peel of the sign-filtered view.
+//!   bits of a peel of the sign-filtered view;
+//! * DCSGreedy's max-weight-edge candidate, scanned on the compact positive part,
+//!   is the first of the view's tied heaviest edges.
 
-use dcs_core::dcsad::DcsGreedy;
+use dcs_core::dcsad::{CandidateKind, DcsGreedy};
 use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::engine::{MeasureSolver, SolveContext};
 use dcs_core::{
@@ -249,6 +251,55 @@ proptest! {
                     0.0
                 };
                 prop_assert_eq!(solution.rho_gd_plus.to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    /// On graphs whose densest subgraphs are single heavy edges — disjoint
+    /// edges of one weight, every other positive edge light and away from them,
+    /// only negative edges touching them — DCSGreedy returns its max-edge
+    /// candidate, and that candidate is the first alive heavy edge in `edges()`
+    /// order: ties go to the first, under random masks too.
+    #[test]
+    fn max_edge_candidate_is_the_first_tied_heaviest_edge(
+        n in 6usize..30,
+        pairs in proptest::collection::vec((0u32..30, 0u32..30), 1..8),
+        noise in proptest::collection::vec((0u32..30, 0u32..30, prop::sample::select(vec![1.0, 0.5, -1.0, -2.0])), 0..60),
+        dead in proptest::collection::vec(any::<bool>(), 30),
+    ) {
+        let mut heavy = vec![false; n];
+        let mut b = GraphBuilder::new(n);
+        let mut heavy_edges = Vec::new();
+        for (u, v) in pairs {
+            let (u, v) = (u as usize % n, v as usize % n);
+            if u != v && !heavy[u] && !heavy[v] {
+                heavy[u] = true;
+                heavy[v] = true;
+                heavy_edges.push((u.min(v) as VertexId, u.max(v) as VertexId));
+                b.add_edge(u as VertexId, v as VertexId, 100.0);
+            }
+        }
+        for (u, v, w) in noise {
+            let (u, v) = (u as usize % n, v as usize % n);
+            let on_heavy = heavy_edges.contains(&(u.min(v) as VertexId, u.max(v) as VertexId));
+            if u != v && !on_heavy && (w < 0.0 || !(heavy[u] || heavy[v])) {
+                b.add_edge(u as VertexId, v as VertexId, w);
+            }
+        }
+        let gd = b.build();
+        let mut mask = VertexMask::full(n);
+        mask.remove_all(&(0..n as VertexId).filter(|&v| dead[v as usize]).collect::<Vec<_>>());
+        let shared = SharedWorkspace::new();
+        let cx = SolveContext::unbounded().with_workspace(&shared);
+        for view in [GraphView::full(&gd), GraphView::masked(&gd, &mask)] {
+            let first_heavy = view
+                .edges()
+                .find(|&(u, v, _)| heavy_edges.contains(&(u, v)))
+                .map(|(u, v, _)| vec![u, v]);
+            let solution = DcsGreedy::new().solve_bounded(view, &[], &cx).0;
+            if let Some(edge) = first_heavy {
+                prop_assert_eq!(solution.winner, CandidateKind::MaxWeightEdge);
+                prop_assert_eq!(solution.subset, edge);
             }
         }
     }

@@ -61,6 +61,16 @@ impl<T: Pod> CsrColumn<T> {
         }
     }
 
+    /// Entries the column holds room for: an owned `Vec`'s capacity, a mapped
+    /// slice's length.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            CsrColumn::Owned(v) => v.capacity(),
+            CsrColumn::Mapped(s) => s.len(),
+        }
+    }
+
     /// Whether the column aliases pack memory (as opposed to owning a heap
     /// allocation).
     pub(crate) fn is_mapped(&self) -> bool {

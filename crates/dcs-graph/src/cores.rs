@@ -144,18 +144,37 @@ pub struct CoreScratch {
     pub core: Vec<u32>,
     /// The peel order of the last run (alive vertices, non-decreasing core number).
     pub peel_order: Vec<VertexId>,
-    degree: Vec<usize>,
-    bin: Vec<usize>,
-    cursor: Vec<usize>,
+    degree: Vec<u32>,
+    bin: Vec<u32>,
+    cursor: Vec<u32>,
     vert: Vec<VertexId>,
-    pos: Vec<usize>,
+    pos: Vec<u32>,
     alive: Vec<VertexId>,
 }
 
 /// [`core_decomposition_view`] into reusable buffers: computes the core numbers and
 /// peel order of the view's alive-induced (and sign-filtered) skeleton without
 /// allocating in steady state.  Results are identical to the allocating routine.
+///
+/// A view that [has exact rows](GraphView::rows_are_exact) (a full view, or the
+/// caller's mask over a compact `G_{D+}`) is walked on its raw CSR rows; any other
+/// view through its filtered neighbour iterator.
 pub fn core_numbers_view_into(view: GraphView<'_>, s: &mut CoreScratch) {
+    if view.rows_are_exact() {
+        let graph = view.graph();
+        bucket_cores(view, s, |v| graph.neighbor_slices(v).0.iter().copied())
+    } else {
+        bucket_cores(view, s, |v| view.neighbors(v).map(|e| e.neighbor))
+    }
+}
+
+/// The Batagelj–Zaveršnik bucket peel of [`core_numbers_view_into`], over the
+/// surviving neighbours `row(v)` of each alive vertex `v`.
+fn bucket_cores<I: Iterator<Item = VertexId>>(
+    view: GraphView<'_>,
+    s: &mut CoreScratch,
+    row: impl Fn(VertexId) -> I,
+) {
     let n = view.num_vertices();
     s.core.clear();
     s.core.resize(n, 0);
@@ -165,25 +184,25 @@ pub fn core_numbers_view_into(view: GraphView<'_>, s: &mut CoreScratch) {
     if s.alive.is_empty() {
         return;
     }
+    // Vertex ids are `u32`, so degrees, bucket starts and positions fit one too.
     s.degree.clear();
     s.degree.resize(n, 0);
-    let mut max_degree = 0usize;
+    let mut max_degree = 0u32;
     for &v in &s.alive {
-        let d = view.degree(v);
+        let d = view.degree(v) as u32;
         s.degree[v as usize] = d;
         max_degree = max_degree.max(d);
     }
 
     // Bucket sort the alive vertices by degree (same algorithm as the full-graph
-    // routine; dead vertices never enter the buckets and are filtered out of every
-    // adjacency walk by the view itself).
+    // routine; dead vertices never enter the buckets and no row yields them).
     let m = s.alive.len();
     s.bin.clear();
-    s.bin.resize(max_degree + 2, 0);
+    s.bin.resize(max_degree as usize + 2, 0);
     for &v in &s.alive {
-        s.bin[s.degree[v as usize]] += 1;
+        s.bin[s.degree[v as usize] as usize] += 1;
     }
-    let mut start = 0usize;
+    let mut start = 0u32;
     for b in s.bin.iter_mut() {
         let count = *b;
         *b = start;
@@ -196,25 +215,27 @@ pub fn core_numbers_view_into(view: GraphView<'_>, s: &mut CoreScratch) {
     s.cursor.clear();
     s.cursor.extend_from_slice(&s.bin);
     for &v in &s.alive {
-        let d = s.degree[v as usize];
+        let d = s.degree[v as usize] as usize;
         s.pos[v as usize] = s.cursor[d];
-        s.vert[s.cursor[d]] = v;
+        s.vert[s.cursor[d] as usize] = v;
         s.cursor[d] += 1;
     }
 
     for i in 0..m {
         let v = s.vert[i];
         s.peel_order.push(v);
-        s.core[v as usize] = s.degree[v as usize] as u32;
-        for e in view.neighbors(v) {
-            let u = e.neighbor as usize;
-            if s.degree[u] > s.degree[v as usize] {
-                let du = s.degree[u];
+        // No row holds its own vertex, so `v`'s degree stays put below.
+        let dv = s.degree[v as usize];
+        s.core[v as usize] = dv;
+        for u in row(v) {
+            let u = u as usize;
+            if s.degree[u] > dv {
+                let du = s.degree[u] as usize;
                 let pu = s.pos[u];
                 let pw = s.bin[du];
-                let w = s.vert[pw];
+                let w = s.vert[pw as usize];
                 if u as VertexId != w {
-                    s.vert.swap(pu, pw);
+                    s.vert.swap(pu as usize, pw as usize);
                     s.pos[u] = pw;
                     s.pos[w as usize] = pu;
                 }

@@ -455,6 +455,12 @@ impl SignedGraph {
         (&self.offsets, &self.neighbors, &self.weights)
     }
 
+    /// The capacities of the neighbour and weight columns.
+    #[cfg(test)]
+    pub(crate) fn column_capacities(&self) -> (usize, usize) {
+        (self.neighbors.capacity(), self.weights.capacity())
+    }
+
     /// Grows the vertex set to `n` (a no-op when it is not smaller) by appending
     /// isolated vertices: the last CSR offset is repeated, no edge array changes.
     pub(crate) fn pad_vertices(&mut self, n: usize) {
@@ -598,16 +604,25 @@ impl SignedGraph {
     }
 
     /// The edge with the maximum weight, `(u, v, w)`, or `None` for an edgeless graph.
+    ///
+    /// Of equally heavy edges the first in [`Self::edges`] order wins.  The scan
+    /// walks the weight column once, keeping the first strictly heaviest entry with
+    /// no data-dependent branch, then finds that entry's row.  In a symmetric CSR
+    /// with sorted rows the first heaviest entry in row-major order is the upper
+    /// (`u < v`) entry of the first heaviest edge: its mirror sits in a later row.
+    /// An asymmetric raw CSR (see [`Self::from_raw_csr`]) yields its first heaviest
+    /// entry as `(row, neighbor, weight)`, which may have `u > v`.
     pub fn max_weight_edge(&self) -> Option<(VertexId, VertexId, Weight)> {
-        let mut best: Option<(VertexId, VertexId, Weight)> = None;
-        for (u, v, w) in self.edges() {
-            match best {
-                None => best = Some((u, v, w)),
-                Some((_, _, bw)) if w > bw => best = Some((u, v, w)),
-                _ => {}
-            }
+        let (offsets, neighbors, weights) = self.csr();
+        let (mut best, mut best_w) = (0usize, *weights.first()?);
+        for (i, &w) in weights.iter().enumerate() {
+            let heavier = w > best_w;
+            best = if heavier { i } else { best };
+            best_w = if heavier { w } else { best_w };
         }
-        best
+        // The entry's row is the last one starting at or before it.
+        let row = offsets.partition_point(|&start| start <= best) - 1;
+        Some((row as VertexId, neighbors[best], best_w))
     }
 
     /// Average edge weight over all edges, 0.0 for an edgeless graph.

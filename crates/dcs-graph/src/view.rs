@@ -11,14 +11,16 @@
 //! * a **positive-only** flag — non-positive edges disappear, exactly the edge set of
 //!   [`SignedGraph::positive_part`] but without materialising `G_{D+}`.
 //!
-//! The view is `Copy` (two pointers and a flag), so solver layers pass it by value.
+//! The view is `Copy` (two pointers and two flags), so solver layers pass it by value.
 //! [`GraphView::materialize`] builds the equivalent standalone graph; property tests
 //! assert that peeling/solving on a view equals solving the materialised graph.
 //!
 //! A pass that walks `G_{D+}` many times pays the sign filter on every entry of
 //! every walk.  [`GraphView::positive_part_into`] copies the surviving positive
 //! entries once into recycled CSR buffers, and [`GraphView::mask_over`] puts the
-//! caller's mask over that compact graph, so the later walks test no sign.
+//! caller's mask over that compact graph, so the later walks test no sign.  Such
+//! a view, like a full one, [has exact rows](GraphView::rows_are_exact): a pass
+//! may read its raw CSR rows with no per-entry test at all.
 
 use crate::{CsrBuffers, EdgeRef, SignedGraph, VertexId, VertexMask, Weight};
 
@@ -29,6 +31,7 @@ pub struct GraphView<'a> {
     graph: &'a SignedGraph,
     mask: Option<&'a VertexMask>,
     positive_only: bool,
+    exact_rows: bool,
 }
 
 impl<'a> GraphView<'a> {
@@ -38,6 +41,7 @@ impl<'a> GraphView<'a> {
             graph,
             mask: None,
             positive_only: false,
+            exact_rows: true,
         }
     }
 
@@ -50,6 +54,7 @@ impl<'a> GraphView<'a> {
             graph,
             mask: Some(mask),
             positive_only: false,
+            exact_rows: false,
         }
     }
 
@@ -58,6 +63,7 @@ impl<'a> GraphView<'a> {
     pub fn positive_part(self) -> Self {
         GraphView {
             positive_only: true,
+            exact_rows: false,
             ..self
         }
     }
@@ -69,15 +75,34 @@ impl<'a> GraphView<'a> {
     /// compact rows need no sign test, but the mask still decides which vertices
     /// are alive (a peel's densities count every alive vertex, isolated ones
     /// included).
+    ///
+    /// `graph` must be what [`Self::positive_part_into`] returned for this view:
+    /// an alive vertex's row holds only positive entries to alive vertices and a
+    /// dead vertex's row is empty (debug builds check this).  So the result
+    /// [has exact rows](Self::rows_are_exact).
     pub fn mask_over<'b>(self, graph: &'b SignedGraph) -> GraphView<'b>
     where
         'a: 'b,
     {
         debug_assert_eq!(graph.num_vertices(), self.num_vertices());
+        debug_assert!(
+            graph.vertices().all(|u| {
+                let (nbrs, ws) = graph.neighbor_slices(u);
+                if self.is_alive(u) {
+                    nbrs.iter()
+                        .zip(ws)
+                        .all(|(&v, &w)| w > 0.0 && self.is_alive(v))
+                } else {
+                    nbrs.is_empty()
+                }
+            }),
+            "mask_over takes the compact positive part of this view"
+        );
         GraphView {
             graph,
             mask: self.mask,
             positive_only: false,
+            exact_rows: true,
         }
     }
 
@@ -91,6 +116,19 @@ impl<'a> GraphView<'a> {
     #[inline]
     pub fn is_positive_only(self) -> bool {
         self.positive_only
+    }
+
+    /// Whether the view's rows need no per-entry test: every entry of an alive
+    /// vertex's CSR row survives the filters and a dead vertex's row is empty, so
+    /// `graph().neighbor_slices(v)` holds exactly what [`Self::neighbors`] yields,
+    /// in the same order.
+    ///
+    /// That holds for a [full](Self::full) view and for [`Self::mask_over`] of the
+    /// compact positive part; a masked or sign-filtered view of an uncompacted
+    /// graph tests its entries.
+    #[inline]
+    pub fn rows_are_exact(self) -> bool {
+        self.exact_rows
     }
 
     /// Size of the vertex universe (ids are stable: dead vertices keep their id).
@@ -158,9 +196,15 @@ impl<'a> GraphView<'a> {
         self.neighbors(v).map(|e| e.weight).sum()
     }
 
-    /// Unweighted degree of `v` within the view.
+    /// Unweighted degree of `v` within the view: the row's length when the view
+    /// [has exact rows](Self::rows_are_exact), a count of its surviving entries
+    /// otherwise.
     pub fn degree(self, v: VertexId) -> usize {
-        self.neighbors(v).count()
+        if self.exact_rows {
+            self.graph.degree(v)
+        } else {
+            self.neighbors(v).count()
+        }
     }
 
     /// The weight of the surviving edge `(u, v)`, or `None` when the edge is absent
@@ -186,29 +230,6 @@ impl<'a> GraphView<'a> {
                 .filter(move |e| u < e.neighbor)
                 .map(move |e| (u, e.neighbor, e.weight))
         })
-    }
-
-    /// The surviving edge with the maximum weight, or `None` if the view is edgeless.
-    ///
-    /// Edges are visited in [`Self::edges`] order and a later edge replaces the best
-    /// only when strictly heavier, so the first of equally heavy edges wins.  The scan
-    /// walks each alive vertex's raw CSR row from its first neighbour above the
-    /// vertex (rows are sorted by neighbour).
-    pub fn max_weight_edge(self) -> Option<(VertexId, VertexId, Weight)> {
-        let mut best: Option<(VertexId, VertexId, Weight)> = None;
-        for u in self.vertices() {
-            let (nbrs, weights) = self.graph.neighbor_slices(u);
-            let above = nbrs.partition_point(|&v| v <= u);
-            for (&v, &w) in nbrs[above..].iter().zip(&weights[above..]) {
-                if (self.positive_only && w <= 0.0) || !self.is_alive(v) {
-                    continue;
-                }
-                if best.is_none_or(|(_, _, bw)| w > bw) {
-                    best = Some((u, v, w));
-                }
-            }
-        }
-        best
     }
 
     /// Whether any edge survives the filters.
@@ -327,9 +348,12 @@ mod tests {
         assert_eq!(view.alive_count(), 5);
         assert_eq!(view.first_alive(), Some(0));
         assert_eq!(view.edges().count(), 5);
+        assert!(view.rows_are_exact());
         assert_eq!(view.degree(3), 3);
         assert!((view.weighted_degree(3) - 3.0).abs() < 1e-12);
-        assert_eq!(view.max_weight_edge(), Some((2, 3, 3.0)));
+        // DCSGreedy's max-edge candidate: the heaviest edge of the compact G_D+.
+        let compact = view.positive_part_into(Default::default());
+        assert_eq!(compact.max_weight_edge(), Some((2, 3, 3.0)));
         assert_eq!(view.materialize(), g);
     }
 
@@ -344,9 +368,12 @@ mod tests {
         assert_eq!(view.materialize(), reference);
         assert_eq!(view.alive_count(), 4);
         assert!(!view.is_alive(3));
+        assert!(!view.rows_are_exact());
         assert_eq!(view.degree(0), 1);
         assert_eq!(view.edges().count(), 2);
-        assert_eq!(view.max_weight_edge(), Some((0, 1, 1.0)));
+        let compact = view.positive_part_into(Default::default());
+        assert_eq!(compact.max_weight_edge(), Some((0, 1, 1.0)));
+        assert!(view.mask_over(&compact).rows_are_exact());
     }
 
     #[test]
@@ -354,6 +381,7 @@ mod tests {
         let g = fig1_gd();
         let view = GraphView::full(&g).positive_part();
         assert!(view.is_positive_only());
+        assert!(!view.rows_are_exact());
         assert_eq!(view.materialize(), g.positive_part());
         assert_eq!(view.degree(0), 1); // the -2.0 edge to 3 is filtered
         assert!((view.weighted_degree(3) - 5.0).abs() < 1e-12);

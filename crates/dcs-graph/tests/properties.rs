@@ -917,9 +917,12 @@ proptest! {
         prop_assert_eq!(mask.iter().count(), mask.len());
     }
 
-    /// The view's maximum-weight edge is the first strictly heaviest edge in
-    /// `edges()` order, on full, masked and positive-filtered views; weights are
-    /// drawn from a few values, so ties are common.
+    /// The maximum-weight edge DCSGreedy takes (the flat weight-column scan of
+    /// `SignedGraph::max_weight_edge`, on the compact positive part of its view)
+    /// is the first strictly heaviest positive edge in `edges()` order, as the
+    /// row scan it replaced found it, on full and masked views; on a whole graph
+    /// or a materialised view it is the first heaviest edge of any sign.  Weights
+    /// are drawn from a few values, so ties are common.
     #[test]
     fn max_weight_edge_is_the_first_heaviest_edge(
         n in 2usize..24,
@@ -929,7 +932,7 @@ proptest! {
         ),
         removal in proptest::collection::vec(0u32..24, 0..12),
     ) {
-        use dcs_graph::{GraphView, VertexMask};
+        use dcs_graph::{CsrBuffers, GraphView, VertexMask};
         let mut b = GraphBuilder::new(n);
         for (u, v, w) in edges {
             if (u as usize) < n && (v as usize) < n && u != v {
@@ -939,19 +942,24 @@ proptest! {
         let g = b.build();
         let mut mask = VertexMask::full(n);
         mask.remove_all(&removal.into_iter().filter(|&v| (v as usize) < n).collect::<Vec<_>>());
-        for view in [
-            GraphView::full(&g),
-            GraphView::masked(&g, &mask),
-            GraphView::full(&g).positive_part(),
-            GraphView::masked(&g, &mask).positive_part(),
-        ] {
-            let mut first_heaviest: Option<(u32, u32, Weight)> = None;
+        let first_heaviest = |view: GraphView<'_>| {
+            let mut best: Option<(u32, u32, Weight)> = None;
             for (u, v, w) in view.edges() {
-                if first_heaviest.is_none_or(|(_, _, best)| w > best) {
-                    first_heaviest = Some((u, v, w));
+                if best.is_none_or(|(_, _, bw)| w > bw) {
+                    best = Some((u, v, w));
                 }
             }
-            prop_assert_eq!(view.max_weight_edge(), first_heaviest);
+            best
+        };
+        prop_assert_eq!(g.max_weight_edge(), first_heaviest(GraphView::full(&g)));
+        let mut buffers = CsrBuffers::default();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &mask)] {
+            prop_assert_eq!(view.materialize().max_weight_edge(), row_scan_max_edge(view));
+            let positive = view.positive_part();
+            prop_assert_eq!(row_scan_max_edge(positive), first_heaviest(positive));
+            let compact = view.positive_part_into(buffers);
+            prop_assert_eq!(compact.max_weight_edge(), row_scan_max_edge(positive));
+            buffers = compact.into_raw_csr();
         }
     }
 
@@ -974,6 +982,39 @@ proptest! {
             prop_assert_eq!(of_view.core[v as usize], of_materialized.core[v as usize]);
         }
         prop_assert_eq!(of_view.degeneracy, of_materialized.degeneracy);
+    }
+
+    /// `core_numbers_view_into` equals the iterator body it replaced, core
+    /// numbers and peel order, on every kind of view: full, masked and
+    /// sign-filtered views of the signed graph, and the compact positive part
+    /// under the mask (full and masked).  The raw-row walk serves the full view
+    /// and the mask over the compact copy; one scratch serves every case.
+    #[test]
+    fn core_numbers_match_the_iterator_body(
+        g in arb_graph(),
+        dead in proptest::collection::vec(any::<bool>(), 24),
+    ) {
+        use dcs_graph::{core_numbers_view_into, CoreScratch, CsrBuffers, GraphView, VertexMask};
+        let n = g.num_vertices();
+        let mut mask = VertexMask::full(n);
+        mask.remove_all(&(0..n as VertexId).filter(|&v| dead[v as usize]).collect::<Vec<_>>());
+        let mut scratch = CoreScratch::default();
+        let mut buffers = CsrBuffers::default();
+        for view in [GraphView::full(&g), GraphView::masked(&g, &mask)] {
+            let compact = view.positive_part_into(std::mem::take(&mut buffers));
+            for case in [
+                view,
+                view.positive_part(),
+                view.mask_over(&compact),
+                GraphView::full(&compact),
+            ] {
+                core_numbers_view_into(case, &mut scratch);
+                let (core, peel_order) = iterator_core_numbers(case);
+                prop_assert_eq!(&scratch.core, &core);
+                prop_assert_eq!(&scratch.peel_order, &peel_order);
+            }
+            buffers = compact.into_raw_csr();
+        }
     }
 
     /// The compact positive part of a full or masked view equals the materialised
@@ -1239,4 +1280,89 @@ fn csr_check_names_every_variant_as_the_row_loop() {
         assert_eq!(reference_counts(&csr), Err(expected.clone()), "{csr:?}");
         assert_eq!(checked_counts(&csr), Err(expected), "{csr:?}");
     }
+}
+
+/// The maximum-weight-edge scan DCSGreedy ran on its view before it took the
+/// candidate from the compact `G_{D+}`, kept as the oracle of
+/// `SignedGraph::max_weight_edge`: each alive vertex's row from its first
+/// neighbour above the vertex, filtered per entry; a strictly heavier entry
+/// replaces the best, so the first heaviest edge in `edges()` order wins.
+fn row_scan_max_edge(view: dcs_graph::GraphView<'_>) -> Option<(VertexId, VertexId, Weight)> {
+    let mut best: Option<(VertexId, VertexId, Weight)> = None;
+    for u in view.vertices() {
+        let (nbrs, weights) = view.graph().neighbor_slices(u);
+        let above = nbrs.partition_point(|&v| v <= u);
+        for (&v, &w) in nbrs[above..].iter().zip(&weights[above..]) {
+            if (view.is_positive_only() && w <= 0.0) || !view.is_alive(v) {
+                continue;
+            }
+            if best.is_none_or(|(_, _, bw)| w > bw) {
+                best = Some((u, v, w));
+            }
+        }
+    }
+    best
+}
+
+/// The body of `core_numbers_view_into` before it read raw rows, kept as its
+/// oracle: the Batagelj–Zaveršnik bucket peel over the view's filtered
+/// neighbour iterator, with `usize` scratch.  Returns the core numbers and the
+/// peel order.
+fn iterator_core_numbers(view: dcs_graph::GraphView<'_>) -> (Vec<u32>, Vec<VertexId>) {
+    let n = view.num_vertices();
+    let mut core = vec![0u32; n];
+    let mut peel_order = Vec::new();
+    let alive: Vec<VertexId> = view.vertices().collect();
+    if alive.is_empty() {
+        return (core, peel_order);
+    }
+    let mut degree = vec![0usize; n];
+    let mut max_degree = 0usize;
+    for &v in &alive {
+        let d = view.neighbors(v).count();
+        degree[v as usize] = d;
+        max_degree = max_degree.max(d);
+    }
+    let m = alive.len();
+    let mut bin = vec![0usize; max_degree + 2];
+    for &v in &alive {
+        bin[degree[v as usize]] += 1;
+    }
+    let mut start = 0usize;
+    for b in bin.iter_mut() {
+        let count = *b;
+        *b = start;
+        start += count;
+    }
+    let mut vert = vec![0 as VertexId; m];
+    let mut pos = vec![0usize; n];
+    let mut cursor = bin.clone();
+    for &v in &alive {
+        let d = degree[v as usize];
+        pos[v as usize] = cursor[d];
+        vert[cursor[d]] = v;
+        cursor[d] += 1;
+    }
+    for i in 0..m {
+        let v = vert[i];
+        peel_order.push(v);
+        core[v as usize] = degree[v as usize] as u32;
+        for e in view.neighbors(v) {
+            let u = e.neighbor as usize;
+            if degree[u] > degree[v as usize] {
+                let du = degree[u];
+                let pu = pos[u];
+                let pw = bin[du];
+                let w = vert[pw];
+                if u as VertexId != w {
+                    vert.swap(pu, pw);
+                    pos[u] = pw;
+                    pos[w as usize] = pu;
+                }
+                bin[du] += 1;
+                degree[u] -= 1;
+            }
+        }
+    }
+    (core, peel_order)
 }

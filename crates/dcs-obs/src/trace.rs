@@ -48,6 +48,12 @@ pub enum Phase {
     SnapshotRebuild,
     /// A mining job waiting in the server's bounded queue.
     QueueWait,
+    /// Building the difference graph `G_D` from a graph pair (units: `G_D`
+    /// adjacency entries written).
+    DiffBuild,
+    /// NewSEA's Theorem-6 bound: core numbers, `µ_u` and their order (units:
+    /// vertices ordered).
+    MuBound,
 }
 
 impl Phase {
@@ -62,6 +68,8 @@ impl Phase {
             Phase::Refine => "refine",
             Phase::SnapshotRebuild => "snapshot_rebuild",
             Phase::QueueWait => "queue_wait",
+            Phase::DiffBuild => "diff_build",
+            Phase::MuBound => "mu_bound",
         }
     }
 }
