@@ -3,7 +3,7 @@
 //! Cadena et al. (ICDM 2016) mine the subgraph of a signed "excess" graph whose **total**
 //! edge weight is maximal, scanning ego nets and rounding a semidefinite relaxation in
 //! each.  We reproduce the objective and the ego-net scanning structure but replace the
-//! SDP by a greedy local search (see `DESIGN.md` for the substitution rationale):
+//! SDP by a greedy local search:
 //!
 //! 1. **Ego-net seeds** — for the highest-positive-degree seed vertices, grow a candidate
 //!    inside the seed's ego net by adding vertices with positive marginal gain.
@@ -20,23 +20,11 @@
 use dcs_core::engine::{SolveContext, SolveStats};
 use dcs_graph::{SignedGraph, VertexId, VertexSubset, Weight};
 
-/// Configuration of the EgoScan substitute.
-#[derive(Debug, Clone, Copy)]
-pub struct EgoScanConfig {
-    /// Number of ego-net seeds to expand (the highest positive-weighted-degree vertices).
-    pub max_seeds: usize,
-    /// Maximum number of add/remove sweeps in the local-search phase.
-    pub max_sweeps: usize,
-}
+/// Number of ego-net seeds to expand (the highest positive-weighted-degree vertices).
+const MAX_SEEDS: usize = 64;
 
-impl Default for EgoScanConfig {
-    fn default() -> Self {
-        EgoScanConfig {
-            max_seeds: 64,
-            max_sweeps: 50,
-        }
-    }
-}
+/// Maximum number of add/remove sweeps in the local-search phase.
+const MAX_SWEEPS: usize = 50;
 
 /// Result of the EgoScan substitute.
 #[derive(Debug, Clone)]
@@ -47,18 +35,15 @@ pub struct EgoScanResult {
     pub total_degree: Weight,
 }
 
-/// The EgoScan-substitute solver.
+/// The EgoScan-substitute solver.  Stateless: it expands the ego nets of the 64
+/// highest positive-degree vertices, with at most 50 local-search sweeps per
+/// candidate.
 #[derive(Debug, Clone, Default)]
 pub struct EgoScan {
-    config: EgoScanConfig,
+    _private: (),
 }
 
 impl EgoScan {
-    /// Creates a solver with an explicit configuration.
-    pub fn new(config: EgoScanConfig) -> Self {
-        EgoScan { config }
-    }
-
     /// Mines a subgraph with (locally) maximal total weight from the signed graph `gd`.
     pub fn solve(&self, gd: &SignedGraph) -> EgoScanResult {
         self.solve_bounded(gd, &SolveContext::unbounded()).0
@@ -108,7 +93,7 @@ impl EgoScan {
             .filter(|(_, w)| *w > 0.0)
             .collect();
         by_pos_degree.sort_by(|a, b| b.1.total_cmp(&a.1));
-        for &(seed, _) in by_pos_degree.iter().take(self.config.max_seeds) {
+        for &(seed, _) in by_pos_degree.iter().take(MAX_SEEDS) {
             if meter.stopped() {
                 break;
             }
@@ -134,7 +119,7 @@ impl EgoScan {
         let n = gd.num_vertices();
         let mut members = VertexSubset::from_slice(n, initial);
 
-        for _ in 0..self.config.max_sweeps {
+        for _ in 0..MAX_SWEEPS {
             if !meter.tick(1) {
                 break;
             }

@@ -13,7 +13,8 @@
 //!   we substitute an ego-net seeded greedy local search with the same objective, which
 //!   reproduces the qualitative behaviour the paper reports (EgoScan returns much larger
 //!   subgraphs with higher total weight but far lower density than the DCS algorithms).
-//!   The substitution is documented in `DESIGN.md`.
+//!   The [`egoscan`] module docs describe the substitution; it is a stateless solver
+//!   with fixed seed and sweep limits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,5 +22,5 @@
 pub mod egoscan;
 pub mod exact;
 
-pub use egoscan::{EgoScan, EgoScanConfig, EgoScanResult};
+pub use egoscan::{EgoScan, EgoScanResult};
 pub use exact::{brute_force_dcsad, brute_force_max_clique};

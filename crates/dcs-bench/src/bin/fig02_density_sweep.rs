@@ -10,7 +10,7 @@
 //! ```
 
 use dcs_bench::{time, ExpOptions, Table};
-use dcs_core::dcsga::{refine, DcsgaConfig, SeaCd};
+use dcs_core::dcsga::SeaCd;
 use dcs_datasets::{CollabConfig, Scale};
 use dcs_densest::{OriginalSea, SeaConfig};
 
@@ -36,7 +36,6 @@ fn main() {
         ],
     );
     let mut json_rows = Vec::new();
-    let config = DcsgaConfig::default();
 
     for &density in &densities {
         let collab = CollabConfig {
@@ -51,8 +50,7 @@ fn main() {
         let gd_plus = gd.positive_part();
         let m_plus = gd_plus.num_edges();
 
-        let (seacd, seacd_t) =
-            time(|| SeaCd::new(config).sweep(&gd_plus, limit, false, |g, x| refine(g, x, &config)));
+        let (seacd, seacd_t) = time(|| SeaCd::default().sweep(&gd_plus, limit, false));
         let (sea, sea_t) = time(|| {
             OriginalSea::new(SeaConfig::default()).run_all_vertices(&gd_plus, limit, false)
         });

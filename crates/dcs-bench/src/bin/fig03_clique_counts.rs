@@ -7,7 +7,7 @@
 //! ```
 
 use dcs_bench::{ExpOptions, Table};
-use dcs_core::dcsga::{clique_census, refine, DcsgaConfig, SeaCd};
+use dcs_core::dcsga::{clique_census, SeaCd};
 use dcs_core::difference_graph;
 use dcs_datasets::{Scale, SocialInterestConfig};
 use dcs_graph::SignedGraph;
@@ -15,9 +15,8 @@ use std::collections::BTreeMap;
 
 /// Returns the histogram: clique size → number of cliques of that size.
 fn clique_histogram(gd: &SignedGraph, limit: Option<usize>) -> BTreeMap<usize, usize> {
-    let config = DcsgaConfig::default();
     let gd_plus = gd.positive_part();
-    let sweep = SeaCd::new(config).sweep(&gd_plus, limit, true, |g, x| refine(g, x, &config));
+    let sweep = SeaCd::default().sweep(&gd_plus, limit, true);
     let census = clique_census(&gd_plus, &sweep.all_solutions);
     let mut histogram = BTreeMap::new();
     for clique in census {

@@ -53,7 +53,6 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::{
     mine_difference_in, scaled_difference_graph, top_k_in, DensityMeasure, MeasureSolver,
     SharedWorkspace, SolveContext, StreamingConfig, StreamingDcs,
@@ -310,15 +309,7 @@ fn run_large_section(smoke: bool, baseline: Option<&Value>) -> (Value, bool) {
     assert!(!alert1.report.subset.is_empty(), "large mine found nothing");
 
     let k = pair.planted.len() + 2;
-    let topk = |cx: &SolveContext| {
-        top_k_in(
-            &gd,
-            k,
-            DensityMeasure::AverageDegree,
-            DcsgaConfig::default(),
-            cx,
-        )
-    };
+    let topk = |cx: &SolveContext| top_k_in(&gd, k, DensityMeasure::AverageDegree, cx);
     let _ = topk(&cx1); // warm
     let _ = topk(&cx4);
     let (outcome1, topk1) = measure(|| topk(&cx1));
@@ -764,21 +755,9 @@ fn main() {
         });
     let shared = SharedWorkspace::new();
     let warm_cx = SolveContext::unbounded().with_workspace(&shared);
-    let _ = top_k_in(
-        &gd,
-        config.topk,
-        DensityMeasure::AverageDegree,
-        DcsgaConfig::default(),
-        &warm_cx,
-    ); // warm the shared workspace
+    let _ = top_k_in(&gd, config.topk, DensityMeasure::AverageDegree, &warm_cx); // warm the shared workspace
     let (steady_outcome, topk_steady, topk_steady_runs) = measure_each(config.repetitions, || {
-        top_k_in(
-            &gd,
-            config.topk,
-            DensityMeasure::AverageDegree,
-            DcsgaConfig::default(),
-            &warm_cx,
-        )
+        top_k_in(&gd, config.topk, DensityMeasure::AverageDegree, &warm_cx)
     });
     let steady_rounds = steady_outcome.solutions.len();
 

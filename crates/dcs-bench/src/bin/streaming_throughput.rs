@@ -472,7 +472,10 @@ fn main() {
     let solver = DcsGreedy::default();
     let engine_solver = MeasureSolver::AverageDegree(solver.clone());
     let cx = SolveContext::unbounded();
-    let rounds = 15;
+    // Rounds per side, shared with the tracer gate below.  One solve takes about
+    // 2 ms, and the median of a few rounds moves by more than the 5% bound
+    // between two sides that run the same solver.
+    let rounds = 61;
     let mut direct_ms = Vec::with_capacity(rounds);
     let mut engine_ms = Vec::with_capacity(rounds);
     let mut engine_stats = None;

@@ -7,16 +7,15 @@
 //! ```
 
 use dcs_bench::{f3, ExpOptions, Table};
-use dcs_core::dcsga::{clique_census, refine, DcsgaConfig, SeaCd};
+use dcs_core::dcsga::{clique_census, SeaCd};
 use dcs_core::difference_graph;
 use dcs_datasets::{KeywordConfig, Scale};
 use dcs_graph::SignedGraph;
 
 /// Runs the all-initialisations SEACD+Refine sweep and returns the top-k cliques.
 fn top_cliques(graph: &SignedGraph, k: usize, limit: Option<usize>) -> Vec<(Vec<u32>, f64)> {
-    let config = DcsgaConfig::default();
     let positive = graph.positive_part();
-    let sweep = SeaCd::new(config).sweep(&positive, limit, true, |g, x| refine(g, x, &config));
+    let sweep = SeaCd::default().sweep(&positive, limit, true);
     clique_census(&positive, &sweep.all_solutions)
         .into_iter()
         .take(k)

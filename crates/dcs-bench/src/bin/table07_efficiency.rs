@@ -11,7 +11,7 @@
 //! ```
 
 use dcs_bench::{seconds, time, ExpOptions, Table};
-use dcs_core::dcsga::{refine, DcsgaConfig, NewSea, SeaCd};
+use dcs_core::dcsga::{refine, NewSea, SeaCd};
 use dcs_core::{difference_graph_with, DiscreteRule, WeightScheme};
 use dcs_datasets::{
     CoauthorConfig, CollabConfig, ConflictConfig, KeywordConfig, Scale, SocialInterestConfig,
@@ -32,16 +32,14 @@ struct Row {
 }
 
 fn run_dataset(name: &str, gd_type: &str, gd: &SignedGraph, limit: Option<usize>) -> Row {
-    let config = DcsgaConfig::default();
     let gd_plus = gd.positive_part();
 
-    let (newsea, newsea_t) = time(|| NewSea::new(config).solve(&gd_plus));
-    let (seacd, seacd_t) =
-        time(|| SeaCd::new(config).sweep(&gd_plus, limit, false, |g, x| refine(g, x, &config)));
+    let (newsea, newsea_t) = time(|| NewSea::default().solve(&gd_plus));
+    let (seacd, seacd_t) = time(|| SeaCd::default().sweep(&gd_plus, limit, false));
     let (sea, sea_t) = time(|| {
         let sea = OriginalSea::new(SeaConfig::default());
         let result = sea.run_all_vertices(&gd_plus, limit, false);
-        let refined = refine(&gd_plus, result.best.clone(), &config);
+        let refined = refine(&gd_plus, result.best.clone());
         (result, refined)
     });
     let (sea_result, sea_refined) = sea;

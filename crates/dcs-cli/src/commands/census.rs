@@ -5,7 +5,7 @@
 //! the construction behind Table V ("top emerging/disappearing topics") and Fig. 3
 //! ("clique counts") of the paper, available on user-supplied edge lists.
 
-use dcs_core::dcsga::{clique_census, parallel_sweep, DcsgaConfig};
+use dcs_core::dcsga::{clique_census, parallel_sweep};
 use serde_json::json;
 
 use crate::args::{parse_args, ArgSpec, ParsedArgs};
@@ -37,8 +37,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     for direction in options.direction.expand() {
         let gd = options.difference_graph(&pair, direction)?;
         let gd_plus = gd.positive_part();
-        let config = DcsgaConfig::default();
-        let sweep = parallel_sweep(&gd_plus, config, threads, true);
+        let sweep = parallel_sweep(&gd_plus, threads, true);
         let census = clique_census(&gd_plus, &sweep.all_solutions);
 
         out.push_str(&format!(

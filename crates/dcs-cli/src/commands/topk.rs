@@ -4,7 +4,6 @@
 //! the library implements the peeling strategy in `dcs-core::topk` and this subcommand
 //! exposes it on edge-list inputs.
 
-use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::{top_k_in, DensityMeasure, SolveStats};
 use dcs_server::stats_to_json;
 use serde_json::json;
@@ -64,13 +63,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         // Solver dispatch lives in the engine: `top_k_in` drives the measure's
         // solver under the shared deadline/budget context; `after_work` makes the
         // budget job-wide across directions.
-        let outcome = top_k_in(
-            &gd,
-            k,
-            measure,
-            DcsgaConfig::default(),
-            &cx.after_work(job_stats.iterations),
-        );
+        let outcome = top_k_in(&gd, k, measure, &cx.after_work(job_stats.iterations));
 
         out.push_str(&format!(
             "{} — top {} of {} requested ({measure})\n",

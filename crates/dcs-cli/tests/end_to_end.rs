@@ -173,6 +173,52 @@ fn topk_reports_disjoint_groups_in_rank_order() {
 }
 
 #[test]
+fn census_reports_the_top_clique_of_each_direction_at_any_thread_count() {
+    let dir = temp_dir("dcs_cli_e2e_census");
+    let (p1, p2) = write_labeled_pair(&dir);
+
+    let census = |threads: &str| {
+        dcs_cli::run(&strings(&[
+            "census",
+            &p1,
+            &p2,
+            "--direction",
+            "both",
+            "--threads",
+            threads,
+            "--json",
+        ]))
+        .unwrap()
+    };
+    let out = census("1");
+    let json_start = out.find("{\n").unwrap();
+    let value: serde_json::Value = serde_json::from_str(&out[json_start..]).unwrap();
+    let sections = value["census"].as_array().unwrap();
+    assert_eq!(sections.len(), 2);
+    let top_members = |section: &serde_json::Value| -> Vec<String> {
+        section["top"][0]["members"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|m| m.as_str().unwrap().to_string())
+            .collect()
+    };
+    assert!(sections[0]["direction"]
+        .as_str()
+        .unwrap()
+        .starts_with("Emerging"));
+    assert_eq!(top_members(&sections[0]), ["ada", "bob", "cat", "dan"]);
+    assert!(sections[1]["direction"]
+        .as_str()
+        .unwrap()
+        .starts_with("Disappearing"));
+    assert_eq!(top_members(&sections[1]), ["old1", "old2"]);
+
+    // The parallel sweep prints the sequential sweep's bytes.
+    assert_eq!(census("2"), out);
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     // Unknown command, missing files, malformed options: all must surface as Err values.
     assert!(dcs_cli::run(&strings(&["foo"])).is_err());

@@ -16,49 +16,27 @@
 //! `G_{D+}` of the NewSEA and top-k drivers under their masks, and
 //! positive-filtered overlays.
 
-use dcs_densest::Embedding;
-use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
+use dcs_graph::{GraphView, VertexId};
 
-use super::arena::{DenseArena, EmbeddingArena, KernelScratch};
-
-/// Outcome of a 2-coordinate-descent run.
-#[derive(Debug, Clone)]
-pub struct CoordDescentOutcome {
-    /// The final embedding (a local KKT point on the working support, up to `epsilon`).
-    pub embedding: Embedding,
-    /// Final objective `f_D(x)`.
-    pub objective: Weight,
-    /// Number of coordinate updates performed.
-    pub iterations: usize,
-    /// Final KKT gap on the working support.
-    pub kkt_gap: f64,
-    /// Whether the gap criterion was met (as opposed to exhausting `max_iterations`).
-    pub converged: bool,
-}
-
-/// Outcome of the in-arena shrink: the iterate itself stays in the arena.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct DescendOutcome {
-    /// Final objective `f_D(x)` (computed before renormalisation).
-    pub objective: f64,
-    /// Number of coordinate updates performed.
-    pub iterations: usize,
-    /// Final KKT gap on the working support.
-    pub kkt_gap: f64,
-    /// Whether the gap criterion was met.
-    pub converged: bool,
-}
+use super::arena::EmbeddingArena;
 
 /// The arena-resident 2-coordinate descent: shrinks the arena's embedding to a local
-/// KKT point on `support` over the view's surviving edges.  `support` must be sorted
-/// and deduplicated and contain the embedding's support.
+/// KKT point on `support` (the set `S` of the paper's *local* KKT conditions, Eq. 10)
+/// over the view's surviving edges, and returns the number of coordinate updates it
+/// performed.
+///
+/// `support` must be sorted and deduplicated and contain the embedding's support;
+/// vertices outside it keep value 0, vertices inside it may gain or lose mass
+/// (including dropping to 0).  The descent stops when
+/// `max_{k∈S, x_k<1} ∇_k f − min_{k∈S, x_k>0} ∇_k f ≤ epsilon`, or after
+/// `max_iterations` updates.  The iterate stays in the arena, not renormalised.
 pub(super) fn descend_in<A: EmbeddingArena>(
     view: GraphView<'_>,
     arena: &mut A,
     support: &[VertexId],
     epsilon: f64,
     max_iterations: usize,
-) -> DescendOutcome {
+) -> usize {
     // Initialise the linear form (Dx)_k for every k in the working support.
     arena.dx_begin(support);
     for &u in support {
@@ -72,8 +50,6 @@ pub(super) fn descend_in<A: EmbeddingArena>(
     }
 
     let mut iterations = 0usize;
-    let mut converged = false;
-    let mut kkt_gap = 0.0;
 
     loop {
         // Pick i = argmax over k ∈ S with x_k < 1, j = argmin over k ∈ S with x_k > 0.
@@ -102,7 +78,6 @@ pub(super) fn descend_in<A: EmbeddingArena>(
             None => {
                 // All mass sits on a single vertex and S contains nothing else: the local
                 // KKT conditions on S hold trivially.
-                converged = true;
                 break;
             }
         };
@@ -110,13 +85,10 @@ pub(super) fn descend_in<A: EmbeddingArena>(
             Some(v) => v,
             None => {
                 // Empty embedding: nothing to move, trivially a fixed point.
-                converged = true;
                 break;
             }
         };
-        kkt_gap = (grad_i - grad_j).max(0.0);
         if grad_i <= grad_j + epsilon || i == j {
-            converged = true;
             break;
         }
         if iterations >= max_iterations {
@@ -164,7 +136,6 @@ pub(super) fn descend_in<A: EmbeddingArena>(
         let delta_j = new_xj - xj;
         if delta_i == 0.0 && delta_j == 0.0 {
             // No progress possible for this pair (can happen at ties); we are done.
-            converged = true;
             break;
         }
         arena.set_x(i, new_xi);
@@ -182,76 +153,39 @@ pub(super) fn descend_in<A: EmbeddingArena>(
         }
     }
 
-    // f(x) = Σ_k x_k (Dx)_k, reduced in ascending support order.
-    let mut objective = 0.0;
-    for &k in support {
-        objective += arena.x(k) * arena.dx(k);
-    }
-    DescendOutcome {
-        objective,
-        iterations,
-        kkt_gap,
-        converged,
-    }
-}
-
-/// Runs 2-coordinate descent restricted to the working support `support` (the set `S` of
-/// the paper's *local* KKT conditions, Eq. 10).  Vertices outside `support` keep value 0;
-/// vertices inside `support` may gain or lose mass (including dropping to 0).
-///
-/// * `x0` — starting embedding; its support must be contained in `support`.
-/// * `epsilon` — stop when
-///   `max_{k∈S, x_k<1} ∇_k f − min_{k∈S, x_k>0} ∇_k f ≤ epsilon`.
-/// * `max_iterations` — hard iteration cap.
-///
-/// This is the standalone entry point (a transient [`DenseArena`] per call); the
-/// solvers run the same kernel on their workspace-owned arena instead.
-pub fn descend_to_local_kkt(
-    g: &SignedGraph,
-    x0: &Embedding,
-    support: &[VertexId],
-    epsilon: f64,
-    max_iterations: usize,
-) -> CoordDescentOutcome {
-    let mut support: Vec<VertexId> = support.to_vec();
-    support.sort_unstable();
-    support.dedup();
-    debug_assert!(
-        x0.support()
-            .iter()
-            .all(|v| support.binary_search(v).is_ok()),
-        "the initial support must be contained in the working support"
-    );
-
-    let mut arena = DenseArena::default();
-    arena.begin(g.num_vertices());
-    for (v, value) in x0.iter() {
-        arena.set_x(v, value);
-    }
-    let out = descend_in(
-        GraphView::full(g),
-        &mut arena,
-        &support,
-        epsilon,
-        max_iterations,
-    );
-    let mut scratch = KernelScratch::default();
-    arena.support_into(&mut scratch.support);
-    let embedding = Embedding::from_weights(scratch.support.iter().map(|&v| (v, arena.x(v))));
-    CoordDescentOutcome {
-        objective: out.objective,
-        embedding,
-        iterations: out.iterations,
-        kkt_gap: out.kkt_gap,
-        converged: out.converged,
-    }
+    iterations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcsga::arena::DenseArena;
     use crate::dcsga::kkt::local_kkt_gap;
-    use dcs_graph::GraphBuilder;
+    use dcs_densest::Embedding;
+    use dcs_graph::{GraphBuilder, SignedGraph};
+
+    /// Descends from `x0` on `support` over `graph` in a fresh [`DenseArena`]:
+    /// the final embedding (the arena's values as they stand) and the
+    /// iteration count.
+    fn descend<'a>(
+        graph: impl Into<GraphView<'a>>,
+        x0: &Embedding,
+        support: &[VertexId],
+        epsilon: f64,
+        max_iterations: usize,
+    ) -> (Embedding, usize) {
+        let view = graph.into();
+        let mut arena = DenseArena::default();
+        arena.begin(view.num_vertices());
+        for (v, value) in x0.iter() {
+            arena.set_x(v, value);
+        }
+        let iterations = descend_in(view, &mut arena, support, epsilon, max_iterations);
+        let mut kept = Vec::new();
+        arena.support_into(&mut kept);
+        let embedding = Embedding::from_weights(kept.iter().map(|&v| (v, arena.x(v))));
+        (embedding, iterations)
+    }
 
     fn k4() -> SignedGraph {
         let mut b = GraphBuilder::new(4);
@@ -267,14 +201,11 @@ mod tests {
     fn reaches_motzkin_straus_on_clique() {
         let g = k4();
         let support: Vec<u32> = vec![0, 1, 2, 3];
-        let out = descend_to_local_kkt(&g, &Embedding::singleton(0), &support, 1e-9, 100_000);
-        assert!(out.converged);
-        assert!(
-            (out.objective - 0.75).abs() < 1e-6,
-            "objective {}",
-            out.objective
-        );
-        assert!(local_kkt_gap(&g, &out.embedding, &support) <= 1e-6);
+        let (x, iterations) = descend(&g, &Embedding::singleton(0), &support, 1e-9, 100_000);
+        assert!(iterations < 100_000);
+        let objective = x.affinity(&g);
+        assert!((objective - 0.75).abs() < 1e-6, "objective {objective}");
+        assert!(local_kkt_gap(&g, &x, &support) <= 1e-6);
     }
 
     #[test]
@@ -293,10 +224,9 @@ mod tests {
         let support: Vec<u32> = vec![0, 1, 2, 3, 4];
         let x0 = Embedding::uniform(&support);
         let f0 = x0.affinity(&g);
-        let out = descend_to_local_kkt(&g, &x0, &support, 1e-8, 100_000);
-        assert!(out.objective >= f0 - 1e-12);
-        assert!((out.embedding.affinity(&g) - out.objective).abs() < 1e-9);
-        assert!(out.converged);
+        let (x, iterations) = descend(&g, &x0, &support, 1e-8, 100_000);
+        assert!(x.affinity(&g) >= f0 - 1e-12);
+        assert!(iterations < 100_000);
     }
 
     #[test]
@@ -304,50 +234,49 @@ mod tests {
         // Heavy positive edge (0,1), vertex 2 attached only negatively: the optimum on
         // the full support puts zero mass on 2.
         let g = GraphBuilder::from_edges(3, vec![(0, 1, 4.0), (1, 2, -3.0), (0, 2, -3.0)]);
-        let out = descend_to_local_kkt(
+        let (x, iterations) = descend(
             &g,
             &Embedding::uniform(&[0, 1, 2]),
             &[0, 1, 2],
             1e-10,
             100_000,
         );
-        assert!(out.converged);
-        assert_eq!(out.embedding.support(), vec![0, 1]);
-        assert!((out.objective - 2.0).abs() < 1e-6); // 2·(1/2)·(1/2)·4
+        assert!(iterations < 100_000);
+        assert_eq!(x.support(), vec![0, 1]);
+        assert!((x.affinity(&g) - 2.0).abs() < 1e-6); // 2·(1/2)·(1/2)·4
     }
 
     #[test]
     fn restricted_support_is_respected() {
         let g = k4();
         // Only {0, 1} are allowed: the optimum is the uniform edge with affinity 0.5.
-        let out = descend_to_local_kkt(&g, &Embedding::singleton(0), &[0, 1], 1e-10, 10_000);
-        assert_eq!(out.embedding.support(), vec![0, 1]);
-        assert!((out.objective - 0.5).abs() < 1e-9);
+        let (x, _) = descend(&g, &Embedding::singleton(0), &[0, 1], 1e-10, 10_000);
+        assert_eq!(x.support(), vec![0, 1]);
+        assert!((x.affinity(&g) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn singleton_support_is_immediate_kkt() {
         let g = k4();
-        let out = descend_to_local_kkt(&g, &Embedding::singleton(2), &[2], 1e-10, 10);
-        assert!(out.converged);
-        assert_eq!(out.iterations, 0);
-        assert_eq!(out.objective, 0.0);
-        assert_eq!(out.embedding.support(), vec![2]);
+        let (x, iterations) = descend(&g, &Embedding::singleton(2), &[2], 1e-10, 10);
+        assert_eq!(iterations, 0);
+        assert_eq!(x.affinity(&g), 0.0);
+        assert_eq!(x.support(), vec![2]);
     }
 
     #[test]
     fn zero_mass_vertex_in_support_can_gain_mass() {
         let g = k4();
         // Start with mass only on 0 but allow {0, 1}: vertex 1 must receive mass.
-        let out = descend_to_local_kkt(&g, &Embedding::singleton(0), &[0, 1], 1e-10, 10_000);
-        assert!(out.embedding.get(1) > 0.4);
+        let (x, _) = descend(&g, &Embedding::singleton(0), &[0, 1], 1e-10, 10_000);
+        assert!(x.get(1) > 0.4);
     }
 
     #[test]
     fn iteration_cap_is_respected() {
         let g = k4();
-        let out = descend_to_local_kkt(&g, &Embedding::singleton(0), &[0, 1, 2, 3], 0.0, 3);
-        assert!(out.iterations <= 3);
+        let (_, iterations) = descend(&g, &Embedding::singleton(0), &[0, 1, 2, 3], 0.0, 3);
+        assert!(iterations <= 3);
     }
 
     #[test]
@@ -355,28 +284,23 @@ mod tests {
         // On the positive-filtered view the negative edges to vertex 2 vanish, so the
         // shrink treats {0,1,2} like a path-less pair plus an isolated vertex.
         let g = GraphBuilder::from_edges(3, vec![(0, 1, 4.0), (1, 2, -3.0), (0, 2, -3.0)]);
-        let mut arena = DenseArena::default();
-        arena.begin(3);
-        let share = 1.0 / 3.0;
-        for v in 0..3u32 {
-            arena.set_x(v, share);
-        }
-        let out = descend_in(
+        let x0 = Embedding::uniform(&[0, 1, 2]);
+        let (on_view, iterations) = descend(
             GraphView::full(&g).positive_part(),
-            &mut arena,
+            &x0,
             &[0, 1, 2],
             1e-10,
             100_000,
         );
-        assert!(out.converged);
-        // Identical to descending on the materialised positive part.
-        let reference = descend_to_local_kkt(
-            &g.positive_part(),
-            &Embedding::uniform(&[0, 1, 2]),
-            &[0, 1, 2],
-            1e-10,
-            100_000,
-        );
-        assert_eq!(out.objective, reference.objective);
+        assert!(iterations < 100_000);
+        // Identical, bit for bit, to descending on the materialised positive part.
+        let (reference, _) = descend(&g.positive_part(), &x0, &[0, 1, 2], 1e-10, 100_000);
+        let bits = |x: &Embedding| -> Vec<(VertexId, u64)> {
+            x.support()
+                .into_iter()
+                .map(|v| (v, x.get(v).to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&on_view), bits(&reference));
     }
 }

@@ -4,8 +4,8 @@
 //! graph.  It is an NP-hard, generally non-concave quadratic program (Theorem 3), so the
 //! paper develops local-search machinery around Karush-Kuhn-Tucker (KKT) points:
 //!
-//! * [`coord_descent`] — the 2-coordinate-descent shrink that replaces the replicator
-//!   dynamics of the original SEA (which cannot handle negative weights),
+//! * the 2-coordinate-descent shrink that replaces the replicator dynamics of the
+//!   original SEA (which cannot handle negative weights),
 //! * [`kkt`] — verification of the (local) KKT conditions, Eq. 7/10,
 //! * [`SeaCd`] — Algorithm 3: alternate the 2-CD shrink with the SEA expansion,
 //! * [`refine`] — Algorithm 4: improve any KKT point to a *positive-clique* solution
@@ -35,7 +35,7 @@
 //! (property-tested in `dcsga_dense_properties.rs`).
 
 pub mod arena;
-pub mod coord_descent;
+mod coord_descent;
 pub mod kkt;
 mod newsea;
 mod parallel;
@@ -43,39 +43,26 @@ mod refine;
 mod seacd;
 
 pub use arena::DcsgaScratch;
-pub use coord_descent::{descend_to_local_kkt, CoordDescentOutcome};
 pub use newsea::{smart_initialization_order_in, NewSea, SmartInitStats};
 pub use parallel::parallel_sweep;
-pub use refine::{refine, refine_with_workspace};
+pub use refine::refine;
 pub use seacd::{SeaCd, SeaCdRun, SeaCdSweep};
 
 use dcs_densest::Embedding;
 use dcs_graph::{SignedGraph, VertexId, Weight};
 
-/// Configuration shared by the DCSGA solvers.
-#[derive(Debug, Clone, Copy)]
-pub struct DcsgaConfig {
-    /// The shrink stage stops when the local KKT gap on the current support `S` drops
-    /// below `kkt_eps_factor / |S|` (the paper uses `10⁻² · 1/|S|`).
-    pub kkt_eps_factor: f64,
-    /// Hard cap on 2-coordinate-descent iterations per shrink stage.
-    pub max_cd_iterations: usize,
-    /// Tolerance when selecting expansion candidates (`∇_i > λ + tol`).
-    pub candidate_tolerance: f64,
-    /// Maximum number of shrink+expansion rounds per initialisation.
-    pub max_rounds: usize,
-}
+/// The shrink stage stops when the local KKT gap on the current support `S` drops
+/// below `KKT_EPS_FACTOR / |S|` (the paper's `10⁻² · 1/|S|`).
+const KKT_EPS_FACTOR: f64 = 1e-2;
 
-impl Default for DcsgaConfig {
-    fn default() -> Self {
-        DcsgaConfig {
-            kkt_eps_factor: 1e-2,
-            max_cd_iterations: 200_000,
-            candidate_tolerance: 1e-9,
-            max_rounds: 1_000,
-        }
-    }
-}
+/// Hard cap on 2-coordinate-descent iterations per shrink stage.
+const MAX_CD_ITERATIONS: usize = 200_000;
+
+/// Tolerance when selecting expansion candidates (`∇_i > λ + tol`).
+const CANDIDATE_TOLERANCE: f64 = 1e-9;
+
+/// Maximum number of shrink+expansion rounds per initialisation.
+const MAX_ROUNDS: usize = 1_000;
 
 /// Solution of the DCSGA problem.
 #[derive(Debug, Clone)]
@@ -204,13 +191,5 @@ mod tests {
         assert_eq!(census[0].support, vec![3, 4]);
         assert_eq!(census[1].support, vec![0, 1, 2]);
         assert!(census[0].affinity > census[1].affinity);
-    }
-
-    #[test]
-    fn default_config_is_sane() {
-        let cfg = DcsgaConfig::default();
-        assert!(cfg.kkt_eps_factor > 0.0);
-        assert!(cfg.max_cd_iterations > 0);
-        assert!(cfg.max_rounds > 0);
     }
 }

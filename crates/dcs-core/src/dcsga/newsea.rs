@@ -36,7 +36,7 @@ use dcs_graph::{core_numbers_view_into, CoreScratch, GraphView, SignedGraph, Ver
 use super::arena::{affinity_in, EmbeddingArena, HashArena, KernelScratch};
 use super::refine::refine_in;
 use super::seacd::{run_arena, snapshot_best};
-use super::{DcsgaConfig, DcsgaSolution};
+use super::DcsgaSolution;
 use crate::engine::{SolveContext, SolveStats, WorkMeter};
 
 /// Statistics of a smart-initialisation sweep.
@@ -53,23 +53,13 @@ pub struct SmartInitStats {
     pub seeded_runs: usize,
 }
 
-/// The NewSEA solver (Algorithm 5).
+/// The NewSEA solver (Algorithm 5).  Stateless: its stopping rules are the paper's.
 #[derive(Debug, Clone, Default)]
 pub struct NewSea {
-    config: DcsgaConfig,
+    _private: (),
 }
 
 impl NewSea {
-    /// Creates a solver with an explicit configuration.
-    pub fn new(config: DcsgaConfig) -> Self {
-        NewSea { config }
-    }
-
-    /// Access to the configuration.
-    pub fn config(&self) -> &DcsgaConfig {
-        &self.config
-    }
-
     /// Mines the DCS with respect to graph affinity from the difference graph `gd`.
     ///
     /// Internally the solver works on the positive part of `gd` (justified by
@@ -123,7 +113,6 @@ impl NewSea {
         } = &mut *ws;
         let gd_plus = view.positive_part_into(std::mem::take(positive));
         let solution = sweep_in(
-            &self.config,
             view.mask_over(&gd_plus),
             seed,
             &mut meter,
@@ -153,7 +142,6 @@ impl NewSea {
         let mut arena = HashArena::default();
         let mut kernel = KernelScratch::default();
         sweep_in(
-            &self.config,
             GraphView::full(gd).positive_part(),
             seed,
             &mut meter,
@@ -177,7 +165,6 @@ const PAR_INIT_MIN_VERTICES: usize = 2048;
 /// under the caller's mask, or the sign-filtered view of `G_D`.
 #[allow(clippy::too_many_arguments)]
 fn sweep_in<A: EmbeddingArena>(
-    config: &DcsgaConfig,
     pview: GraphView<'_>,
     seed: &[VertexId],
     meter: &mut WorkMeter,
@@ -227,9 +214,9 @@ fn sweep_in<A: EmbeddingArena>(
             let u = kernel.seed[i];
             arena.set_x(u, share);
         }
-        let run = run_arena(pview, config, arena, kernel, |units| !meter.tick(units));
+        let run = run_arena(pview, arena, kernel, |units| !meter.tick(units));
         stats.expansion_errors += run.expansion_errors;
-        refine_in(pview, config, arena, kernel);
+        refine_in(pview, arena, kernel);
         arena.support_into(&mut kernel.support);
         let objective = affinity_in(pview, arena, &kernel.support);
         if objective > best_objective {
@@ -255,9 +242,9 @@ fn sweep_in<A: EmbeddingArena>(
         meter.note_candidates(1);
         arena.begin(n);
         arena.set_x(u, 1.0);
-        let run = run_arena(pview, config, arena, kernel, |units| !meter.tick(units));
+        let run = run_arena(pview, arena, kernel, |units| !meter.tick(units));
         stats.expansion_errors += run.expansion_errors;
-        refine_in(pview, config, arena, kernel);
+        refine_in(pview, arena, kernel);
         arena.support_into(&mut kernel.support);
         let objective = affinity_in(pview, arena, &kernel.support);
         if objective > best_objective {
@@ -440,7 +427,7 @@ fn push_bounds<I: Iterator<Item = (VertexId, Weight)>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcsga::{refine, SeaCd};
+    use crate::dcsga::SeaCd;
     use dcs_graph::GraphBuilder;
 
     /// A heavy 4-clique (weight 3), a lighter 5-clique (weight 1) and some noise edges.
@@ -482,9 +469,7 @@ mod tests {
         let gd = two_cliques();
         let gd_plus = gd.positive_part();
         let newsea = NewSea::default().solve(&gd);
-        let full = SeaCd::default().sweep(&gd_plus, None, false, |g, x| {
-            refine(g, x, &DcsgaConfig::default())
-        });
+        let full = SeaCd::default().sweep(&gd_plus, None, false);
         assert!((newsea.affinity_difference - full.best_objective).abs() < 1e-6);
         // The smart initialisation runs strictly fewer initialisations than the full
         // sweep on this instance.

@@ -14,9 +14,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use dcs_densest::Embedding;
 use dcs_graph::{SignedGraph, VertexId, Weight};
 
-use super::refine::{refine, refine_with_workspace};
+use super::refine::refine_with_workspace;
 use super::seacd::{SeaCd, SeaCdSweep};
-use super::DcsgaConfig;
 use crate::engine::effective_threads;
 use crate::workspace::SolverWorkspace;
 
@@ -82,16 +81,11 @@ impl SharedBest {
 /// Returns the same [`SeaCdSweep`] shape as [`SeaCd::sweep`]; `all_solutions` is only
 /// populated when `collect_all` is set, in vertex order (so the clique census is
 /// deterministic regardless of scheduling).
-pub fn parallel_sweep(
-    gd_plus: &SignedGraph,
-    config: DcsgaConfig,
-    threads: usize,
-    collect_all: bool,
-) -> SeaCdSweep {
+pub fn parallel_sweep(gd_plus: &SignedGraph, threads: usize, collect_all: bool) -> SeaCdSweep {
     let n = gd_plus.num_vertices();
     let threads = effective_threads(threads);
     if n == 0 || threads == 1 {
-        return SeaCd::new(config).sweep(gd_plus, None, collect_all, |g, x| refine(g, x, &config));
+        return SeaCd::default().sweep(gd_plus, None, collect_all);
     }
 
     let candidates: Vec<u32> = (0..n as u32).filter(|&u| gd_plus.degree(u) > 0).collect();
@@ -104,7 +98,7 @@ pub fn parallel_sweep(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                let solver = SeaCd::new(config);
+                let solver = SeaCd::default();
                 // One dense workspace per worker, reused across its initialisations.
                 let mut ws = SolverWorkspace::new();
                 loop {
@@ -115,7 +109,7 @@ pub fn parallel_sweep(
                     let run =
                         solver.run_on_view_in(gd_plus, Embedding::singleton(u), &mut ws, |_| false);
                     errors.fetch_add(run.expansion_errors, Ordering::Relaxed);
-                    let refined = refine_with_workspace(gd_plus, run.embedding, &config, &mut ws);
+                    let refined = refine_with_workspace(gd_plus, run.embedding, &mut ws);
                     let objective = refined.affinity(gd_plus);
                     shared.offer(objective, u, &refined);
                     if collect_all {
@@ -174,10 +168,8 @@ mod tests {
     fn parallel_sweep_matches_sequential_best() {
         let gd = planted_graph();
         let gd_plus = gd.positive_part();
-        let config = DcsgaConfig::default();
-        let sequential =
-            SeaCd::new(config).sweep(&gd_plus, None, false, |g, x| refine(g, x, &config));
-        let parallel = parallel_sweep(&gd_plus, config, 4, false);
+        let sequential = SeaCd::default().sweep(&gd_plus, None, false);
+        let parallel = parallel_sweep(&gd_plus, 4, false);
         assert!((sequential.best_objective - parallel.best_objective).abs() < 1e-9);
         assert_eq!(sequential.initializations, parallel.initializations);
         assert_eq!(parallel.expansion_errors, 0);
@@ -188,15 +180,45 @@ mod tests {
     fn parallel_sweep_collects_one_solution_per_candidate() {
         let gd = planted_graph();
         let gd_plus = gd.positive_part();
-        let parallel = parallel_sweep(&gd_plus, DcsgaConfig::default(), 3, true);
+        let parallel = parallel_sweep(&gd_plus, 3, true);
         assert_eq!(parallel.all_solutions.len(), parallel.initializations);
+    }
+
+    /// An embedding as `(vertex, value bits)` pairs in ascending vertex order.
+    fn bits(x: &Embedding) -> Vec<(VertexId, u64)> {
+        x.support()
+            .into_iter()
+            .map(|v| (v, x.get(v).to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn parallel_sweep_collects_bit_identical_solutions() {
+        let gd_plus = planted_graph().positive_part();
+        let sequential = SeaCd::default().sweep(&gd_plus, None, true);
+        assert_eq!(sequential.all_solutions.len(), sequential.initializations);
+        for threads in [2, 4] {
+            let parallel = parallel_sweep(&gd_plus, threads, true);
+            assert_eq!(
+                bits(&parallel.best),
+                bits(&sequential.best),
+                "threads = {threads}"
+            );
+            assert_eq!(
+                parallel.best_objective.to_bits(),
+                sequential.best_objective.to_bits()
+            );
+            assert_eq!(parallel.initializations, sequential.initializations);
+            assert_eq!(parallel.expansion_errors, sequential.expansion_errors);
+            let all = |sweep: &SeaCdSweep| sweep.all_solutions.iter().map(bits).collect::<Vec<_>>();
+            assert_eq!(all(&parallel), all(&sequential), "threads = {threads}");
+        }
     }
 
     #[test]
     fn degenerate_inputs() {
-        let config = DcsgaConfig::default();
         // Empty graph through the sweep path.
-        let sweep = parallel_sweep(&SignedGraph::empty(0), config, 4, true);
+        let sweep = parallel_sweep(&SignedGraph::empty(0), 4, true);
         assert_eq!(sweep.initializations, 0);
     }
 }

@@ -22,13 +22,12 @@ use dcs_graph::{GraphView, SignedGraph, VertexId};
 
 use super::arena::{renormalize_in, DenseArena, EmbeddingArena, KernelScratch};
 use super::coord_descent::descend_in;
-use super::DcsgaConfig;
+use super::{KKT_EPS_FACTOR, MAX_CD_ITERATIONS};
 
 /// The arena-resident Algorithm 4: refines the arena's embedding into a
 /// positive-clique solution of the view with objective ≥ the input's.
 pub(super) fn refine_in<A: EmbeddingArena>(
     view: GraphView<'_>,
-    config: &DcsgaConfig,
     arena: &mut A,
     scratch: &mut KernelScratch,
 ) {
@@ -61,8 +60,8 @@ pub(super) fn refine_in<A: EmbeddingArena>(
         if scratch.support.is_empty() {
             return;
         }
-        let eps = config.kkt_eps_factor / scratch.support.len() as f64;
-        descend_in(view, arena, &scratch.support, eps, config.max_cd_iterations);
+        let eps = KKT_EPS_FACTOR / scratch.support.len() as f64;
+        descend_in(view, arena, &scratch.support, eps, MAX_CD_ITERATIONS);
         renormalize_in(arena, &mut scratch.support);
     }
 }
@@ -127,36 +126,28 @@ fn find_non_clique_pair(view: GraphView<'_>, support: &[VertexId]) -> Option<(Ve
 /// `g` is typically `G_{D+}` (then "positive clique" simply means clique), but the
 /// routine also accepts the signed `G_D` and treats non-positive edges like missing ones,
 /// exactly as in the constructive proof of Theorem 5.  This standalone entry builds a
-/// transient arena per call; batch loops should go through [`refine_with_workspace`].
-pub fn refine(g: &SignedGraph, x: Embedding, config: &DcsgaConfig) -> Embedding {
+/// transient arena per call; the SEACD sweeps refine through their workspace's arena.
+pub fn refine(g: &SignedGraph, x: Embedding) -> Embedding {
     let mut arena = DenseArena::default();
     let mut scratch = KernelScratch::default();
-    refine_loaded(GraphView::full(g), x, config, &mut arena, &mut scratch)
+    refine_loaded(GraphView::full(g), x, &mut arena, &mut scratch)
 }
 
 /// [`refine`] against a caller-owned [`crate::workspace::SolverWorkspace`]: repeated
-/// refinements (the parallel sweep workers, the census harness) reuse the dense
-/// arena instead of allocating one per call.
-pub fn refine_with_workspace(
+/// refinements (the sequential and parallel sweeps) reuse the dense arena instead of
+/// allocating one per call.
+pub(crate) fn refine_with_workspace(
     g: &SignedGraph,
     x: Embedding,
-    config: &DcsgaConfig,
     ws: &mut crate::workspace::SolverWorkspace,
 ) -> Embedding {
     let dcsga = &mut ws.dcsga;
-    refine_loaded(
-        GraphView::full(g),
-        x,
-        config,
-        &mut dcsga.arena,
-        &mut dcsga.kernel,
-    )
+    refine_loaded(GraphView::full(g), x, &mut dcsga.arena, &mut dcsga.kernel)
 }
 
 fn refine_loaded<A: EmbeddingArena>(
     view: GraphView<'_>,
     x: Embedding,
-    config: &DcsgaConfig,
     arena: &mut A,
     scratch: &mut KernelScratch,
 ) -> Embedding {
@@ -164,7 +155,7 @@ fn refine_loaded<A: EmbeddingArena>(
     for (v, value) in x.iter() {
         arena.set_x(v, value);
     }
-    refine_in(view, config, arena, scratch);
+    refine_in(view, arena, scratch);
     super::seacd::export_embedding(arena, scratch)
 }
 
@@ -173,15 +164,11 @@ mod tests {
     use super::*;
     use dcs_graph::GraphBuilder;
 
-    fn config() -> DcsgaConfig {
-        DcsgaConfig::default()
-    }
-
     #[test]
     fn already_a_clique_is_untouched() {
         let g = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let x = Embedding::uniform(&[0, 1, 2]);
-        let y = refine(&g, x.clone(), &config());
+        let y = refine(&g, x.clone());
         assert_eq!(y.support(), vec![0, 1, 2]);
         assert!((y.affinity(&g) - x.affinity(&g)).abs() < 1e-12);
     }
@@ -193,7 +180,7 @@ mod tests {
         let g = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
         let x = Embedding::uniform(&[0, 1, 2]);
         let before = x.affinity(&g);
-        let y = refine(&g, x, &config());
+        let y = refine(&g, x);
         assert!(g.is_positive_clique(&y.support()));
         assert!(y.affinity(&g) >= before - 1e-9);
         assert_eq!(y.support().len(), 2);
@@ -206,7 +193,7 @@ mod tests {
         let g = GraphBuilder::from_edges(3, vec![(0, 1, 2.0), (1, 2, 2.0), (0, 2, -1.0)]);
         let x = Embedding::uniform(&[0, 1, 2]);
         let before = x.affinity(&g);
-        let y = refine(&g, x, &config());
+        let y = refine(&g, x);
         assert!(g.is_positive_clique(&y.support()));
         assert!(y.affinity(&g) > before);
         assert_eq!(y.support().len(), 2);
@@ -220,7 +207,7 @@ mod tests {
         let g =
             GraphBuilder::from_edges(5, vec![(0, 1, 1.0), (0, 2, 5.0), (0, 3, 2.0), (0, 4, 1.0)]);
         let x = Embedding::uniform(&[0, 1, 2, 3, 4]);
-        let y = refine(&g, x, &config());
+        let y = refine(&g, x);
         let support = y.support();
         assert!(g.is_positive_clique(&support));
         assert_eq!(support.len(), 2);
@@ -233,9 +220,9 @@ mod tests {
     #[test]
     fn singleton_and_empty_are_fixed_points() {
         let g = GraphBuilder::from_edges(2, vec![(0, 1, 1.0)]);
-        let single = refine(&g, Embedding::singleton(0), &config());
+        let single = refine(&g, Embedding::singleton(0));
         assert_eq!(single.support(), vec![0]);
-        let empty = refine(&g, Embedding::default(), &config());
+        let empty = refine(&g, Embedding::default());
         assert!(empty.is_empty());
     }
 
@@ -245,7 +232,7 @@ mod tests {
         let g = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (2, 3, 2.0)]);
         let x = Embedding::uniform(&[0, 1, 2, 3]);
         let before = x.affinity(&g);
-        let y = refine(&g, x, &config());
+        let y = refine(&g, x);
         assert!(g.is_positive_clique(&y.support()));
         assert_eq!(y.support(), vec![0, 1]);
         assert!(y.affinity(&g) >= before - 1e-9);
@@ -263,11 +250,10 @@ mod tests {
         let via_view = refine_loaded(
             GraphView::full(&g).positive_part(),
             x.clone(),
-            &config(),
             &mut arena,
             &mut scratch,
         );
-        let via_materialized = refine(&g.positive_part(), x, &config());
+        let via_materialized = refine(&g.positive_part(), x);
         assert_eq!(via_view.support(), via_materialized.support());
     }
 }

@@ -8,10 +8,10 @@
 //! 2. **Expansion** — compute `Z = {i | ∇_i f_D(x) > λ = 2 f_D(x)}` and, if non-empty,
 //!    apply the SEA expansion step to pull those vertices into the support.
 //!
-//! Because the shrink stage really reaches a local KKT point (up to the configured
-//! tolerance), the expansion step is guaranteed not to decrease the objective — unlike
-//! the original SEA with its loose objective-improvement stopping rule.  Expansion errors
-//! are still counted defensively and reported.
+//! Because the shrink stage really reaches a local KKT point (up to the paper's
+//! tolerance `10⁻²·1/|S|`), the expansion step is guaranteed not to decrease the
+//! objective — unlike the original SEA with its loose objective-improvement stopping
+//! rule.  Expansion errors are still counted defensively and reported.
 //!
 //! The whole run lives in an [`EmbeddingArena`](super::arena::EmbeddingArena): the
 //! iterate, the shrink's linear form, the expansion direction `γ` and the candidate
@@ -25,7 +25,8 @@ use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
 use super::arena::{affinity_in, renormalize_in, weighted_sum_in, EmbeddingArena, KernelScratch};
 use super::coord_descent::descend_in;
-use super::DcsgaConfig;
+use super::refine::refine_with_workspace;
+use super::{CANDIDATE_TOLERANCE, KKT_EPS_FACTOR, MAX_CD_ITERATIONS, MAX_ROUNDS};
 use crate::workspace::SolverWorkspace;
 
 /// Result of one SEACD run (a single initialisation).
@@ -79,7 +80,6 @@ fn expansion_candidates_arena<A: EmbeddingArena>(
     view: GraphView<'_>,
     arena: &mut A,
     scratch: &mut KernelScratch,
-    tol: f64,
 ) {
     let lambda = 2.0 * affinity_in(view, arena, &scratch.support);
     arena.marks_begin();
@@ -91,7 +91,7 @@ fn expansion_candidates_arena<A: EmbeddingArena>(
             if arena.x(v) > 0.0 || !arena.mark(v) {
                 continue;
             }
-            if 2.0 * weighted_sum_in(view, arena, v) > lambda + tol {
+            if 2.0 * weighted_sum_in(view, arena, v) > lambda + CANDIDATE_TOLERANCE {
                 scratch.z.push(v);
             }
         }
@@ -170,7 +170,6 @@ fn expansion_step_arena<A: EmbeddingArena>(
 /// until a KKT point (or `stop`) is reached.  The final iterate stays in the arena.
 pub(super) fn run_arena<A: EmbeddingArena, F: FnMut(u64) -> bool>(
     view: GraphView<'_>,
-    config: &DcsgaConfig,
     arena: &mut A,
     scratch: &mut KernelScratch,
     mut stop: F,
@@ -191,21 +190,21 @@ pub(super) fn run_arena<A: EmbeddingArena, F: FnMut(u64) -> bool>(
                 expansion_errors,
             };
         }
-        let eps = config.kkt_eps_factor / scratch.support.len() as f64;
+        let eps = KKT_EPS_FACTOR / scratch.support.len() as f64;
         let mut shrink_span = dcs_obs::trace::span(dcs_obs::trace::Phase::CdShrink);
-        let shrink = descend_in(view, arena, &scratch.support, eps, config.max_cd_iterations);
-        shrink_span.set_units(shrink.iterations as u64);
+        let shrink_iterations = descend_in(view, arena, &scratch.support, eps, MAX_CD_ITERATIONS);
+        shrink_span.set_units(shrink_iterations as u64);
         drop(shrink_span);
-        cd_iterations += shrink.iterations;
+        cd_iterations += shrink_iterations;
         // The support may have shrunk (coordinates dropping to 0); renormalise the
         // survivors exactly like the sparse path's `Embedding::from_weights` did.
         renormalize_in(arena, &mut scratch.support);
-        let interrupted = stop(shrink.iterations as u64 + 1);
+        let interrupted = stop(shrink_iterations as u64 + 1);
 
         // Expansion candidates Z = {i | ∇_i > λ}; dead / filtered vertices never
         // qualify because every gradient is read through the view.
-        expansion_candidates_arena(view, arena, scratch, config.candidate_tolerance);
-        if interrupted || scratch.z.is_empty() || rounds >= config.max_rounds {
+        expansion_candidates_arena(view, arena, scratch);
+        if interrupted || scratch.z.is_empty() || rounds >= MAX_ROUNDS {
             let objective = affinity_in(view, arena, &scratch.support);
             return RunOutcome {
                 objective,
@@ -232,23 +231,13 @@ pub(super) fn run_arena<A: EmbeddingArena, F: FnMut(u64) -> bool>(
     }
 }
 
-/// The SEACD solver (Algorithm 3).
+/// The SEACD solver (Algorithm 3).  Stateless: its stopping rules are the paper's.
 #[derive(Debug, Clone, Default)]
 pub struct SeaCd {
-    config: DcsgaConfig,
+    _private: (),
 }
 
 impl SeaCd {
-    /// Creates a solver with an explicit configuration.
-    pub fn new(config: DcsgaConfig) -> Self {
-        SeaCd { config }
-    }
-
-    /// Access to the configuration.
-    pub fn config(&self) -> &DcsgaConfig {
-        &self.config
-    }
-
     /// Runs SEACD from an initial embedding on `graph` — a [`SignedGraph`] (usually
     /// `G_{D+}`, but any signed graph is accepted: the shrink stage handles negative
     /// weights) or a [`GraphView`] of one.  On a view the run is confined to the
@@ -257,8 +246,8 @@ impl SeaCd {
     /// positive-filtered views are fully supported.
     ///
     /// The run borrows the dense embedding arena of the caller-owned
-    /// [`SolverWorkspace`], so repeated runs (the parallel sweep workers, the census
-    /// harness) allocate nothing in steady state.  The initial embedding's support
+    /// [`SolverWorkspace`], so repeated runs (the sequential and parallel sweeps)
+    /// allocate nothing in steady state.  The initial embedding's support
     /// must be alive in the view.
     ///
     /// After every shrink stage, `stop(units)` is invoked with the
@@ -280,13 +269,7 @@ impl SeaCd {
         for (v, value) in init.iter() {
             dcsga.arena.set_x(v, value);
         }
-        let out = run_arena(
-            view,
-            &self.config,
-            &mut dcsga.arena,
-            &mut dcsga.kernel,
-            stop,
-        );
+        let out = run_arena(view, &mut dcsga.arena, &mut dcsga.kernel, stop);
         let embedding = export_embedding(&dcsga.arena, &mut dcsga.kernel);
         SeaCdRun {
             embedding,
@@ -308,22 +291,15 @@ impl SeaCd {
     }
 
     /// Runs one initialisation per vertex of `g` (skipping isolated vertices) and keeps
-    /// the best solution — the exhaustive sweep used by the `SEACD+Refine` comparator.
+    /// the best solution — the exhaustive sweep of the `SEACD+Refine` comparator.
     ///
-    /// `refine_with` is applied to every per-initialisation solution before it is scored
-    /// (pass the Algorithm-4 refinement, or the identity for raw SEACD).  `limit`
-    /// optionally caps the number of initialisations; `collect_all` retains all refined
-    /// solutions for clique-census analyses.
-    pub fn sweep<F>(
-        &self,
-        g: &SignedGraph,
-        limit: Option<usize>,
-        collect_all: bool,
-        mut refine_with: F,
-    ) -> SeaCdSweep
-    where
-        F: FnMut(&SignedGraph, Embedding) -> Embedding,
-    {
+    /// Every per-initialisation solution is refined by Algorithm 4
+    /// ([`refine`](super::refine())) before it is scored, through the sweep's own
+    /// workspace arena.  `limit`
+    /// optionally restricts the sweep to the vertex ids below it; isolated vertices
+    /// are skipped there too, so fewer than `limit` initialisations can run.
+    /// `collect_all` retains all refined solutions for clique-census analyses.
+    pub fn sweep(&self, g: &SignedGraph, limit: Option<usize>, collect_all: bool) -> SeaCdSweep {
         let n = g.num_vertices();
         let limit = limit.unwrap_or(n).min(n);
         let mut ws = SolverWorkspace::new();
@@ -339,7 +315,7 @@ impl SeaCd {
             initializations += 1;
             let run = self.run_on_view_in(g, Embedding::singleton(u), &mut ws, |_| false);
             expansion_errors += run.expansion_errors;
-            let refined = refine_with(g, run.embedding);
+            let refined = refine_with_workspace(g, run.embedding, &mut ws);
             let objective = refined.affinity(g);
             if objective > best_objective {
                 best_objective = objective;
@@ -430,7 +406,7 @@ mod tests {
     #[test]
     fn sweep_finds_global_best() {
         let g = k5_with_path();
-        let sweep = SeaCd::default().sweep(&g, None, true, |_, x| x);
+        let sweep = SeaCd::default().sweep(&g, None, true);
         assert!((sweep.best_objective - 0.8).abs() < 1e-3);
         assert_eq!(sweep.expansion_errors, 0);
         assert_eq!(sweep.all_solutions.len(), sweep.initializations);
@@ -459,7 +435,7 @@ mod tests {
     #[test]
     fn sweep_limit_and_isolated_skip() {
         let g = GraphBuilder::from_edges(5, vec![(0, 1, 1.0), (2, 3, 2.0)]);
-        let sweep = SeaCd::default().sweep(&g, Some(3), false, |_, x| x);
+        let sweep = SeaCd::default().sweep(&g, Some(3), false);
         // vertex 4 is isolated and outside the limit anyway; vertices 0..3 minus none.
         assert_eq!(sweep.initializations, 3);
         assert!(sweep.best_objective > 0.0);

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
 use crate::dcsad::{DcsGreedy, DcsadSolution};
-use crate::dcsga::{DcsgaConfig, DcsgaSolution, NewSea};
+use crate::dcsga::{DcsgaSolution, NewSea};
 use crate::solution::{ContrastReport, DensityMeasure};
 use crate::workspace::{SharedWorkspace, WorkspaceGuard};
 
@@ -546,16 +546,10 @@ pub enum MeasureSolver {
 }
 
 impl MeasureSolver {
-    /// The solver for a measure with default configuration.
+    /// The solver for a measure.
     pub fn for_measure(measure: DensityMeasure) -> Self {
-        Self::with_config(measure, DcsgaConfig::default())
-    }
-
-    /// The solver for a measure, with an explicit DCSGA configuration (ignored by the
-    /// average-degree solver, which has none).
-    pub fn with_config(measure: DensityMeasure, config: DcsgaConfig) -> Self {
         match measure {
-            DensityMeasure::GraphAffinity => MeasureSolver::Affinity(NewSea::new(config)),
+            DensityMeasure::GraphAffinity => MeasureSolver::Affinity(NewSea::default()),
             DensityMeasure::AverageDegree | DensityMeasure::TotalDegree => {
                 MeasureSolver::AverageDegree(DcsGreedy::default())
             }

@@ -29,7 +29,7 @@
 use dcs_graph::{GraphView, SignedGraph, VertexMask};
 
 use crate::dcsad::DcsadSolution;
-use crate::dcsga::{DcsgaConfig, DcsgaSolution};
+use crate::dcsga::DcsgaSolution;
 use crate::engine::{
     EngineSolution, MeasureSolver, SolveContext, SolveStats, SolverDetail, Termination,
 };
@@ -63,10 +63,9 @@ pub fn top_k_in(
     gd: &SignedGraph,
     k: usize,
     measure: DensityMeasure,
-    config: DcsgaConfig,
     cx: &SolveContext,
 ) -> TopKOutcome {
-    let solver = MeasureSolver::with_config(measure, config);
+    let solver = MeasureSolver::for_measure(measure);
     let cx = cx.ensure_workspace();
     let mut mask = VertexMask::full(gd.num_vertices());
     let mut solutions: Vec<EngineSolution> = Vec::new();
@@ -113,7 +112,6 @@ pub fn top_k_average_degree(gd: &SignedGraph, k: usize) -> Vec<DcsadSolution> {
         gd,
         k,
         DensityMeasure::AverageDegree,
-        DcsgaConfig::default(),
         &SolveContext::unbounded(),
     )
     .solutions
@@ -132,12 +130,11 @@ pub fn top_k_average_degree(gd: &SignedGraph, k: usize) -> Vec<DcsadSolution> {
 /// Thin [`SolveContext::unbounded`] wrapper over [`top_k_in`]; rounds shrink `G_D`
 /// through masked views, and each round's solve compacts the masked view's
 /// positive part into the shared workspace's buffers.
-pub fn top_k_affinity(gd: &SignedGraph, k: usize, config: DcsgaConfig) -> Vec<DcsgaSolution> {
+pub fn top_k_affinity(gd: &SignedGraph, k: usize) -> Vec<DcsgaSolution> {
     top_k_in(
         gd,
         k,
         DensityMeasure::GraphAffinity,
-        config,
         &SolveContext::unbounded(),
     )
     .solutions
@@ -196,7 +193,7 @@ mod tests {
     #[test]
     fn top_k_affinity_returns_disjoint_cliques() {
         let gd = three_cliques();
-        let results = top_k_affinity(&gd, 3, DcsgaConfig::default());
+        let results = top_k_affinity(&gd, 3);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].support(), vec![0, 1, 2]);
         assert_eq!(results[1].support(), vec![3, 4, 5, 6]);
@@ -215,19 +212,19 @@ mod tests {
         let gd = GraphBuilder::from_edges(4, vec![(0, 1, 3.0), (2, 3, -1.0)]);
         let ad = top_k_average_degree(&gd, 5);
         assert_eq!(ad.len(), 1);
-        let ga = top_k_affinity(&gd, 5, DcsgaConfig::default());
+        let ga = top_k_affinity(&gd, 5);
         assert_eq!(ga.len(), 1);
         // A graph with no positive edge yields nothing.
         let negative = GraphBuilder::from_edges(3, vec![(0, 1, -1.0)]);
         assert!(top_k_average_degree(&negative, 2).is_empty());
-        assert!(top_k_affinity(&negative, 2, DcsgaConfig::default()).is_empty());
+        assert!(top_k_affinity(&negative, 2).is_empty());
     }
 
     #[test]
     fn k_zero_returns_nothing() {
         let gd = three_cliques();
         assert!(top_k_average_degree(&gd, 0).is_empty());
-        assert!(top_k_affinity(&gd, 0, DcsgaConfig::default()).is_empty());
+        assert!(top_k_affinity(&gd, 0).is_empty());
     }
 
     #[test]
@@ -237,7 +234,6 @@ mod tests {
             &gd,
             3,
             DensityMeasure::GraphAffinity,
-            DcsgaConfig::default(),
             &SolveContext::unbounded(),
         );
         assert_eq!(outcome.termination, Termination::Converged);
@@ -253,7 +249,6 @@ mod tests {
             &gd,
             3,
             DensityMeasure::AverageDegree,
-            DcsgaConfig::default(),
             &SolveContext::unbounded().with_cancel(&token),
         );
         assert_eq!(cancelled.termination, Termination::Cancelled);

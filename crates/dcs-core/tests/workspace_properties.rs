@@ -14,7 +14,6 @@
 //!   is the first of the view's tied heaviest edges.
 
 use dcs_core::dcsad::{CandidateKind, DcsGreedy};
-use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::engine::{MeasureSolver, SolveContext};
 use dcs_core::{
     alpha_sweep_in, scaled_difference_graph, top_k_in, DensityMeasure, ScaledDifferenceTemplate,
@@ -155,10 +154,10 @@ proptest! {
                 }
                 2 => {
                     let warm = top_k_in(
-                        gd, 3, DensityMeasure::AverageDegree, DcsgaConfig::default(), &warm_cx,
+                        gd, 3, DensityMeasure::AverageDegree, &warm_cx,
                     );
                     let cold = top_k_in(
-                        gd, 3, DensityMeasure::AverageDegree, DcsgaConfig::default(), &cold_cx,
+                        gd, 3, DensityMeasure::AverageDegree, &cold_cx,
                     );
                     prop_assert_eq!(warm.solutions.len(), cold.solutions.len());
                     for (w, c) in warm.solutions.iter().zip(&cold.solutions) {
@@ -186,7 +185,7 @@ proptest! {
     fn masked_top_k_is_disjoint_and_ordered(gd in arb_graph(), k in 1usize..5) {
         for measure in [DensityMeasure::AverageDegree, DensityMeasure::GraphAffinity] {
             let outcome = top_k_in(
-                &gd, k, measure, DcsgaConfig::default(), &SolveContext::unbounded(),
+                &gd, k, measure, &SolveContext::unbounded(),
             );
             prop_assert!(outcome.solutions.len() <= k);
             let mut seen = VertexMask::empty(gd.num_vertices());

@@ -11,7 +11,7 @@
 
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
-use crate::peel::{MinDegreeQueue, PeelWorkspace, RescanQueue, SegmentTreeQueue};
+use crate::peel::PeelWorkspace;
 
 /// Granularity (in vertices) of the partial sums used to fold the initial
 /// total degree.  Float addition is not associative, so this fold fixes the
@@ -184,90 +184,6 @@ pub fn greedy_peeling_view_into<F: FnMut(u64) -> bool>(
     )
 }
 
-/// Runs greedy peeling with the naive re-scan structure (ablation baseline only).
-pub fn greedy_peeling_rescan(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<RescanQueue>(g)
-}
-
-/// Runs greedy peeling with the segment-tree priority structure suggested by the paper.
-pub fn greedy_peeling_segment_tree(g: &SignedGraph) -> PeelingResult {
-    peel_impl::<SegmentTreeQueue>(g)
-}
-
-fn peel_impl<Q: MinDegreeQueue>(g: &SignedGraph) -> PeelingResult {
-    let n = g.num_vertices();
-    if n == 0 {
-        return PeelingResult {
-            subset: Vec::new(),
-            average_degree: 0.0,
-        };
-    }
-
-    let degrees: Vec<Weight> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
-    // W(S) in the degree-sum convention = Σ_v deg(v) for the current S.
-    let mut total_degree: Weight = degrees.iter().sum();
-    let mut queue = Q::from_degrees(&degrees);
-    let mut alive = vec![true; n];
-    let mut alive_count = n;
-
-    let mut best_density = total_degree / n as Weight;
-    let mut best_size = n; // the best prefix is identified by how many vertices remain
-    let mut removal_order: Vec<VertexId> = Vec::with_capacity(n);
-
-    while alive_count > 1 {
-        let (v, _deg) = queue.pop_min().expect("queue not empty");
-        alive[v as usize] = false;
-        // Removing v removes every edge (v, u) with u alive: the degree-sum drops by
-        // twice the degree of v within the remaining subgraph.
-        let mut removed_weight = 0.0;
-        for e in g.neighbors(v) {
-            if alive[e.neighbor as usize] {
-                removed_weight += e.weight;
-                queue.adjust(e.neighbor, -e.weight);
-            }
-        }
-        total_degree -= 2.0 * removed_weight;
-        alive_count -= 1;
-        removal_order.push(v);
-
-        let density = total_degree / alive_count as Weight;
-        if density > best_density {
-            best_density = density;
-            best_size = alive_count;
-        }
-    }
-
-    // A single vertex has density 0 by convention; if every encountered prefix had
-    // negative density (possible on signed graphs) the best answer is the last surviving
-    // vertex alone.
-    if best_density < 0.0 {
-        let last = (0..n as VertexId)
-            .find(|&v| alive[v as usize])
-            .expect("one vertex remains");
-        return PeelingResult {
-            subset: vec![last],
-            average_degree: 0.0,
-        };
-    }
-
-    // Reconstruct the best subset: the vertices not among the first (n - best_size)
-    // removals.
-    let removed_prefix = n - best_size;
-    let mut in_best = vec![true; n];
-    for &v in removal_order.iter().take(removed_prefix) {
-        in_best[v as usize] = false;
-    }
-    let subset: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| in_best[v as usize])
-        .collect();
-
-    debug_assert_eq!(subset.len(), best_size);
-    PeelingResult {
-        average_degree: best_density,
-        subset,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,18 +210,6 @@ mod tests {
         let res = greedy_peeling(&g);
         assert_eq!(res.subset, vec![0, 1, 2, 3]);
         assert!((res.average_degree - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn heap_and_rescan_agree() {
-        let g = clique_with_tail();
-        let a = greedy_peeling(&g);
-        let b = greedy_peeling_rescan(&g);
-        let c = greedy_peeling_segment_tree(&g);
-        assert_eq!(a.subset, b.subset);
-        assert!((a.average_degree - b.average_degree).abs() < 1e-12);
-        assert_eq!(a.subset, c.subset);
-        assert!((a.average_degree - c.average_degree).abs() < 1e-12);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //!   generalised to graphs with **signed** edge weights.  On non-negative graphs it is a
 //!   2-approximation of the maximum average degree.
 //! * [`peel`] — the priority structure used by peeling (an indexed 4-ary min-heap keyed
-//!   by the current weighted degree, updated in place), plus the naive re-scan and
-//!   segment-tree variants used for ablation benches.
+//!   by the current weighted degree, updated in place) and the peel's reusable
+//!   workspace.
 //! * [`maxflow`] — Dinic's maximum-flow algorithm.
 //! * [`goldberg`] — Goldberg's exact maximum-density-subgraph algorithm (binary search
 //!   over the density combined with min-cut computations) for non-negative weights.
 //! * [`quasi_clique`] — optimal α-quasi-clique extraction (edge-surplus objective,
 //!   Tsourakakis et al. 2013), the problem Section III-D of the paper relates the
-//!   α-scaled difference graph to; used as an ablation comparator.
+//!   α-scaled difference graph to; `dcs compare` runs it as a comparator.
 //! * [`simplex`] — subgraph embeddings on the standard simplex `Δn` and the graph
 //!   affinity objective `f(x) = xᵀAx`.
 //! * [`replicator`] — replicator dynamics, the shrink-stage iteration of the original

@@ -2,10 +2,10 @@
 //!
 //! Greedy peeling repeatedly removes the vertex of minimum *current* weighted degree and
 //! must update the degrees of its neighbors.  The paper suggests a segment tree; the
-//! production peel uses `DegreeHeap`, an indexed 4-ary min-heap that updates a key in
-//! place (a per-vertex position index finds it), so it never holds more than one entry
-//! per alive vertex.  Both are `O((n + m) log n)`.  A naive `O(n)`-per-extraction
-//! re-scan and the segment tree are kept for the ablation benchmark `bench_ablations`.
+//! peel uses `DegreeHeap`, an indexed 4-ary min-heap that updates a key in place (a
+//! per-vertex position index finds it), so it never holds more than one entry per
+//! alive vertex.  Both are `O((n + m) log n)`; the segment tree survives as the
+//! oracle of the `peeling_structures_agree` property test.
 //!
 //! Each heap slot is one `u128` key that packs the `(degree, vertex id)` pair so that
 //! plain unsigned order is the peel's order: every comparison is one integer compare,
@@ -75,6 +75,17 @@ pub(crate) struct DegreeHeap {
 }
 
 impl DegreeHeap {
+    /// A heap holding every vertex `v` of `0..degrees.len()` at key `degrees[v]`.
+    pub(crate) fn from_degrees(degrees: &[Weight]) -> Self {
+        let mut heap = DegreeHeap::default();
+        heap.reset(degrees.len());
+        for (v, &d) in degrees.iter().enumerate() {
+            heap.push_unordered(v as VertexId, d);
+        }
+        heap.heapify();
+        heap
+    }
+
     /// Empties the heap for a universe of `n` vertices, keeping all allocated capacity.
     pub(crate) fn reset(&mut self, n: usize) {
         self.slots.clear();
@@ -117,6 +128,23 @@ impl DegreeHeap {
             self.slots[p] = key;
         }
         true
+    }
+
+    /// Removes and returns the vertex with the smallest `(degree, vertex id)` key.
+    /// The returned degree has the exact bits the updates left (the quasi-clique
+    /// peel subtracts it from its running edge weight).
+    pub(crate) fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
+        let last = self.slots.pop()?;
+        let top = if self.slots.is_empty() {
+            last
+        } else {
+            let top = self.slots[0];
+            self.sift_down(0, last);
+            top
+        };
+        let v = key_vertex(top);
+        self.pos[v as usize] = ABSENT;
+        Some((v, key_degree(top)))
     }
 
     /// Moves `key`, whose slot is `i`, towards the root until its parent's key is
@@ -222,249 +250,33 @@ impl PeelWorkspace {
     }
 }
 
-/// Common interface of the peeling priority structures.
-pub trait MinDegreeQueue {
-    /// Creates the structure from the initial weighted degrees.
-    fn from_degrees(degrees: &[Weight]) -> Self;
-    /// Removes and returns the alive vertex with the minimum current degree.
-    fn pop_min(&mut self) -> Option<(VertexId, Weight)>;
-    /// Adds `delta` to the current degree of `v` (no effect if `v` was already popped).
-    fn adjust(&mut self, v: VertexId, delta: Weight);
-    /// Number of vertices still alive.
-    fn len(&self) -> usize;
-    /// Returns `true` if no vertex is alive.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl MinDegreeQueue for DegreeHeap {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        let mut heap = DegreeHeap::default();
-        heap.reset(degrees.len());
-        for (v, &d) in degrees.iter().enumerate() {
-            heap.push_unordered(v as VertexId, d);
-        }
-        heap.heapify();
-        heap
-    }
-
-    /// The returned degree has the exact bits the updates left (the quasi-clique
-    /// peel subtracts it from its running edge weight).
-    fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
-        let last = self.slots.pop()?;
-        let top = if self.slots.is_empty() {
-            last
-        } else {
-            let top = self.slots[0];
-            self.sift_down(0, last);
-            top
-        };
-        let v = key_vertex(top);
-        self.pos[v as usize] = ABSENT;
-        Some((v, key_degree(top)))
-    }
-
-    fn adjust(&mut self, v: VertexId, delta: Weight) {
-        self.subtract(v, -delta);
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// Naive re-scan implementation of [`MinDegreeQueue`]: `pop_min` is `O(n)`.
-///
-/// Kept only as the baseline of the `bench_peeling` ablation; do not use for large
-/// graphs.
-#[derive(Debug, Clone)]
-pub struct RescanQueue {
-    degree: Vec<Weight>,
-    alive: Vec<bool>,
-    alive_count: usize,
-}
-
-impl MinDegreeQueue for RescanQueue {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        RescanQueue {
-            degree: degrees.to_vec(),
-            alive: vec![true; degrees.len()],
-            alive_count: degrees.len(),
-        }
-    }
-
-    fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
-        let mut best: Option<(VertexId, Weight)> = None;
-        for (v, &d) in self.degree.iter().enumerate() {
-            if !self.alive[v] {
-                continue;
-            }
-            match best {
-                None => best = Some((v as VertexId, d)),
-                Some((_, bd)) if d < bd => best = Some((v as VertexId, d)),
-                _ => {}
-            }
-        }
-        if let Some((v, _)) = best {
-            self.alive[v as usize] = false;
-            self.alive_count -= 1;
-        }
-        best
-    }
-
-    fn adjust(&mut self, v: VertexId, delta: Weight) {
-        if self.alive[v as usize] {
-            self.degree[v as usize] += delta;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.alive_count
-    }
-}
-
-/// Segment-tree implementation of [`MinDegreeQueue`] — the structure suggested by the
-/// paper for Algorithm 1.  `pop_min` and `adjust` are both `O(log n)` with a very small
-/// constant; it is an ablation comparator of the production peel's indexed heap.
-#[derive(Debug, Clone)]
-pub struct SegmentTreeQueue {
-    /// Number of leaves (padded to the next power of two).
-    size: usize,
-    /// `tree[i]` holds the (degree, vertex) minimum of the subtree rooted at `i`;
-    /// removed vertices hold `f64::INFINITY`.
-    tree: Vec<(Weight, VertexId)>,
-    degree: Vec<Weight>,
-    alive: Vec<bool>,
-    alive_count: usize,
-}
-
-impl SegmentTreeQueue {
-    fn update_leaf(&mut self, v: usize, value: Weight) {
-        let mut i = self.size + v;
-        self.tree[i] = (value, v as VertexId);
-        while i > 1 {
-            i /= 2;
-            let left = self.tree[2 * i];
-            let right = self.tree[2 * i + 1];
-            self.tree[i] = if left.0 <= right.0 { left } else { right };
-        }
-    }
-}
-
-impl MinDegreeQueue for SegmentTreeQueue {
-    fn from_degrees(degrees: &[Weight]) -> Self {
-        let n = degrees.len();
-        let size = n.next_power_of_two().max(1);
-        let mut queue = SegmentTreeQueue {
-            size,
-            tree: vec![(Weight::INFINITY, 0); 2 * size],
-            degree: degrees.to_vec(),
-            alive: vec![true; n],
-            alive_count: n,
-        };
-        for (v, &d) in degrees.iter().enumerate() {
-            queue.tree[size + v] = (d, v as VertexId);
-        }
-        for i in (1..size).rev() {
-            let left = queue.tree[2 * i];
-            let right = queue.tree[2 * i + 1];
-            queue.tree[i] = if left.0 <= right.0 { left } else { right };
-        }
-        queue
-    }
-
-    fn pop_min(&mut self) -> Option<(VertexId, Weight)> {
-        if self.alive_count == 0 {
-            return None;
-        }
-        let (degree, vertex) = self.tree[1];
-        debug_assert!(
-            degree.is_finite(),
-            "alive vertices must have finite degrees"
-        );
-        self.alive[vertex as usize] = false;
-        self.alive_count -= 1;
-        self.update_leaf(vertex as usize, Weight::INFINITY);
-        Some((vertex, degree))
-    }
-
-    fn adjust(&mut self, v: VertexId, delta: Weight) {
-        let vi = v as usize;
-        if !self.alive[vi] {
-            return;
-        }
-        self.degree[vi] += delta;
-        self.update_leaf(vi, self.degree[vi]);
-    }
-
-    fn len(&self) -> usize {
-        self.alive_count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise<Q: MinDegreeQueue>(degrees: &[Weight]) -> Vec<(VertexId, Weight)> {
-        let mut q = Q::from_degrees(degrees);
-        assert_eq!(q.len(), degrees.len());
-        // Adjust vertex 0 upward and vertex 2 downward before popping.
-        q.adjust(0, 10.0);
-        q.adjust(2, -10.0);
-        let mut order = Vec::new();
-        while let Some(item) = q.pop_min() {
-            order.push(item);
-        }
-        assert!(q.is_empty());
-        order
-    }
-
     #[test]
     fn heap_and_rescan_agree() {
-        let degrees = vec![1.0, 5.0, 3.0, -2.0, 0.5];
-        let a = exercise::<DegreeHeap>(&degrees);
-        let b = exercise::<RescanQueue>(&degrees);
-        assert_eq!(a, b);
-        // After adjustments the degrees are [11, 5, -7, -2, 0.5] → popped ascending.
-        let popped: Vec<VertexId> = a.iter().map(|(v, _)| *v).collect();
-        assert_eq!(popped, vec![2, 3, 4, 1, 0]);
-    }
-
-    #[test]
-    fn segment_tree_agrees_with_other_queues() {
-        let degrees = vec![1.0, 5.0, 3.0, -2.0, 0.5, 7.25, 0.0];
-        let a = exercise::<DegreeHeap>(&degrees);
-        let c = exercise::<SegmentTreeQueue>(&degrees);
-        // Popping order may differ on exact ties, but the multiset of (vertex, degree)
-        // pairs and the sortedness by degree must match.
-        let mut a_sorted = a.clone();
-        let mut c_sorted = c.clone();
-        a_sorted.sort_by_key(|x| x.0);
-        c_sorted.sort_by_key(|x| x.0);
-        assert_eq!(a_sorted, c_sorted);
-        for pair in c.windows(2) {
-            assert!(pair[0].1 <= pair[1].1 + 1e-12);
+        let mut degrees = vec![1.0, 5.0, 3.0, -2.0, 0.5];
+        let mut heap = DegreeHeap::from_degrees(&degrees);
+        // Raise vertex 0 and lower vertex 2 before popping.
+        for (v, w) in [(0, -10.0), (2, 10.0)] {
+            assert!(heap.subtract(v, w));
+            degrees[v as usize] -= w;
         }
-    }
-
-    #[test]
-    fn segment_tree_pop_after_empty() {
-        let mut q = SegmentTreeQueue::from_degrees(&[2.0]);
-        assert_eq!(q.pop_min(), Some((0, 2.0)));
-        assert_eq!(q.pop_min(), None);
-        q.adjust(0, 5.0); // ignored: vertex already removed
-        assert_eq!(q.pop_min(), None);
-    }
-
-    #[test]
-    fn segment_tree_adjust_changes_order() {
-        let mut q = SegmentTreeQueue::from_degrees(&[1.0, 2.0, 3.0]);
-        q.adjust(2, -5.0); // degree of 2 becomes -2 → must pop first
-        assert_eq!(q.pop_min().unwrap().0, 2);
-        assert_eq!(q.pop_min().unwrap().0, 0);
-        assert_eq!(q.pop_min().unwrap().0, 1);
+        let popped: Vec<(VertexId, Weight)> = std::iter::from_fn(|| heap.pop_min()).collect();
+        // A linear rescan for the minimum of the remaining degrees pops the same
+        // pairs: after the updates the degrees are [11, 5, -7, -2, 0.5].
+        let mut rescan = Vec::new();
+        let mut alive: Vec<VertexId> = (0..degrees.len() as VertexId).collect();
+        while let Some(i) = (0..alive.len())
+            .min_by(|&a, &b| degrees[alive[a] as usize].total_cmp(&degrees[alive[b] as usize]))
+        {
+            let v = alive.remove(i);
+            rescan.push((v, degrees[v as usize]));
+        }
+        assert_eq!(popped, rescan);
+        let order: Vec<VertexId> = popped.iter().map(|&(v, _)| v).collect();
+        assert_eq!(order, vec![2, 3, 4, 1, 0]);
     }
 
     #[test]
@@ -472,7 +284,8 @@ mod tests {
         let mut q = DegreeHeap::from_degrees(&[1.0, 2.0]);
         let (v, _) = q.pop_min().unwrap();
         assert_eq!(v, 0);
-        q.adjust(0, -100.0); // vertex 0 is gone; must not resurface
+        // Vertex 0 is gone: the update reports it and it must not resurface.
+        assert!(!q.subtract(0, 100.0));
         let (v2, d2) = q.pop_min().unwrap();
         assert_eq!(v2, 1);
         assert_eq!(d2, 2.0);

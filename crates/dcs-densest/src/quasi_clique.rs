@@ -20,11 +20,11 @@
 //!   (the `LocalSearchOQC` algorithm), which never returns a worse subset than its seed.
 //!
 //! Both accept signed graphs; on a difference graph they optimise the *contrast* edge
-//! surplus, which is how the ablation benches use them.
+//! surplus, which is how `dcs compare` uses the greedy one.
 
 use dcs_graph::{SignedGraph, VertexId, VertexSubset, Weight};
 
-use crate::peel::{DegreeHeap, MinDegreeQueue};
+use crate::peel::DegreeHeap;
 
 /// Result of a quasi-clique search.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,41 +2,13 @@
 
 use crate::{EdgeTriple, SignedGraph, VertexId, Weight};
 
-/// What to do when the same undirected edge `(u, v)` is added more than once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Sum the weights of duplicate insertions (the natural policy for co-occurrence /
-    /// collaboration counts; this is the default).
-    #[default]
-    Sum,
-    /// Keep the weight of the last insertion.
-    Overwrite,
-    /// Keep the maximum weight seen.
-    Max,
-    /// Keep the minimum weight seen.
-    Min,
-}
-
-impl DuplicatePolicy {
-    /// Folds a later insertion's weight `w` into the weight `acc` of the earlier ones.
-    #[inline]
-    fn fold(self, acc: Weight, w: Weight) -> Weight {
-        match self {
-            DuplicatePolicy::Sum => acc + w,
-            DuplicatePolicy::Overwrite => w,
-            DuplicatePolicy::Max => acc.max(w),
-            DuplicatePolicy::Min => acc.min(w),
-        }
-    }
-}
-
 /// Builder that records an undirected edge list and packs it into CSR form.
 ///
 /// Insertions are kept, in order, in a `Vec` until [`Self::build`], so memory is
 /// proportional to the number of insertions (duplicates included).  At build time:
 ///
-/// * Repeated insertions of one undirected edge fold under the [`DuplicatePolicy`],
-///   left to right in insertion order.
+/// * Repeated insertions of one undirected edge are summed, left to right in
+///   insertion order (the natural fold for co-occurrence and collaboration counts).
 /// * Edges whose folded weight is exactly `0.0` are dropped — the paper defines
 ///   the edge set of the difference graph as `{(u,v) | D(u,v) ≠ 0}`.
 ///
@@ -44,8 +16,8 @@ impl DuplicatePolicy {
 /// set automatically.
 ///
 /// ```
-/// use dcs_graph::{GraphBuilder, DuplicatePolicy};
-/// let mut b = GraphBuilder::with_policy(3, DuplicatePolicy::Sum);
+/// use dcs_graph::GraphBuilder;
+/// let mut b = GraphBuilder::new(3);
 /// b.add_edge(0, 1, 1.0);
 /// b.add_edge(1, 0, 2.0);   // folded into the previous insertion at build time
 /// b.add_edge(1, 2, -3.0);
@@ -57,23 +29,15 @@ impl DuplicatePolicy {
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    policy: DuplicatePolicy,
     /// Every insertion that is not a self-loop, in insertion order.
     edges: Vec<EdgeTriple>,
 }
 
 impl GraphBuilder {
-    /// Creates a builder for a graph with `n` vertices and the default
-    /// [`DuplicatePolicy::Sum`] policy.
+    /// Creates a builder for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
-        Self::with_policy(n, DuplicatePolicy::Sum)
-    }
-
-    /// Creates a builder with an explicit duplicate-merging policy.
-    pub fn with_policy(n: usize, policy: DuplicatePolicy) -> Self {
         GraphBuilder {
             n,
-            policy,
             edges: Vec::new(),
         }
     }
@@ -88,7 +52,7 @@ impl GraphBuilder {
         self.n = self.n.max(n);
     }
 
-    /// Adds the undirected edge `(u, v)` with weight `w`; [`Self::build`] folds it with
+    /// Adds the undirected edge `(u, v)` with weight `w`; [`Self::build`] sums it with
     /// every other insertion of the same edge.
     ///
     /// Self-loops (`u == v`) are silently ignored.
@@ -111,10 +75,10 @@ impl GraphBuilder {
     ///
     /// Every insertion is bucketed into both endpoint rows in insertion order; each
     /// row is then stable-sorted by neighbor id (enabling binary-search edge lookups),
-    /// its duplicates are folded left to right and exact zeros are dropped while the
+    /// its duplicates are summed left to right and exact zeros are dropped while the
     /// rows are compacted in place.
     pub fn build(self) -> SignedGraph {
-        let GraphBuilder { n, policy, edges } = self;
+        let GraphBuilder { n, edges } = self;
         // `offsets[v]` first counts row v's insertions, then holds the row's start,
         // and while bucketing serves as its write cursor, ending at the row's end.
         let mut offsets = vec![0usize; n + 1];
@@ -170,7 +134,7 @@ impl GraphBuilder {
                 let mut w = weights[i];
                 i += 1;
                 while i < row.end && neighbors[i] == neighbor {
-                    w = policy.fold(w, weights[i]);
+                    w += weights[i];
                     i += 1;
                 }
                 if w != 0.0 {
@@ -203,18 +167,11 @@ mod tests {
 
     #[test]
     fn duplicate_policies() {
-        for (policy, expect) in [
-            (DuplicatePolicy::Sum, 3.0),
-            (DuplicatePolicy::Overwrite, 2.0),
-            (DuplicatePolicy::Max, 2.0),
-            (DuplicatePolicy::Min, 1.0),
-        ] {
-            let mut b = GraphBuilder::with_policy(2, policy);
-            b.add_edge(0, 1, 1.0);
-            b.add_edge(1, 0, 2.0);
-            let g = b.build();
-            assert_eq!(g.edge_weight(0, 1), Some(expect), "policy {policy:?}");
-        }
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 0, 2.0);
+        let g = b.build();
+        assert_eq!(g.edge_weight(0, 1), Some(3.0));
     }
 
     #[test]

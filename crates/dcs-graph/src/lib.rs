@@ -67,7 +67,7 @@ pub mod subset;
 pub mod traversal;
 pub mod view;
 
-pub use builder::{DuplicatePolicy, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use components::{
     connected_components, connected_components_of, is_connected_scratch, ComponentLabels,
 };
@@ -97,7 +97,7 @@ pub type EdgeTriple = (VertexId, VertexId, Weight);
 
 /// Commonly used items, for glob import in downstream crates and examples.
 pub mod prelude {
-    pub use crate::builder::{DuplicatePolicy, GraphBuilder};
+    pub use crate::builder::GraphBuilder;
     pub use crate::components::{connected_components, connected_components_of};
     pub use crate::cores::core_decomposition;
     pub use crate::csr::SignedGraph;

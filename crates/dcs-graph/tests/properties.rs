@@ -6,20 +6,16 @@ use std::io::BufRead;
 use dcs_graph::io::{IoError, MAX_VERTICES};
 use dcs_graph::labels::read_labeled_edge_list;
 use dcs_graph::{
-    connected_components, core_decomposition, CorruptGraph, DeltaGraph, DuplicatePolicy,
-    GraphBuilder, SignedGraph, VertexId, VertexLabels, Weight,
+    connected_components, core_decomposition, CorruptGraph, DeltaGraph, GraphBuilder, SignedGraph,
+    VertexId, VertexLabels, Weight,
 };
 use proptest::prelude::*;
 use rustc_hash::FxHashMap;
 
 /// The hash-map build that `GraphBuilder` replaced, kept as its oracle: insertions are
-/// folded per `(min, max)` key in insertion order, the non-zero results are bucketed
+/// summed per `(min, max)` key in insertion order, the non-zero results are bucketed
 /// into both endpoint rows and each row is sorted by neighbor.
-fn reference_build(
-    n: usize,
-    policy: DuplicatePolicy,
-    insertions: &[(VertexId, VertexId, Weight)],
-) -> SignedGraph {
+fn reference_build(n: usize, insertions: &[(VertexId, VertexId, Weight)]) -> SignedGraph {
     let mut n = n;
     let mut edges: FxHashMap<(VertexId, VertexId), Weight> = FxHashMap::default();
     for &(u, v, w) in insertions {
@@ -28,15 +24,7 @@ fn reference_build(
         }
         n = n.max(u.max(v) as usize + 1);
         let key = if u < v { (u, v) } else { (v, u) };
-        edges
-            .entry(key)
-            .and_modify(|cur| match policy {
-                DuplicatePolicy::Sum => *cur += w,
-                DuplicatePolicy::Overwrite => *cur = w,
-                DuplicatePolicy::Max => *cur = cur.max(w),
-                DuplicatePolicy::Min => *cur = cur.min(w),
-            })
-            .or_insert(w);
+        edges.entry(key).and_modify(|cur| *cur += w).or_insert(w);
     }
     let mut rows: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
     for (&(u, v), &w) in &edges {
@@ -92,7 +80,7 @@ fn reference_read(text: &str) -> Result<SignedGraph, IoError> {
             }
         }
     }
-    Ok(reference_build(0, DuplicatePolicy::Sum, &insertions))
+    Ok(reference_build(0, &insertions))
 }
 
 /// The CSR arrays of `g` with the weights as bit patterns.
@@ -825,24 +813,17 @@ fn weights_at(g: &SignedGraph) -> *const Weight {
 
 proptest! {
     /// The insertion-order CSR build equals the hash-map build bit for bit (offsets,
-    /// neighbors, weight bits) under every duplicate policy, on insertion sequences
-    /// with duplicates, self-loops, cancelling sums, signed zeros and endpoints past
-    /// the initial vertex count.
+    /// neighbors, weight bits), on insertion sequences with duplicates, self-loops,
+    /// cancelling sums, signed zeros and endpoints past the initial vertex count.
     #[test]
     fn build_matches_hash_map_reference(
         n in 0usize..10,
         insertions in proptest::collection::vec((0u32..14, 0u32..14, arb_weight()), 0..70),
-        policy in prop::sample::select(vec![
-            DuplicatePolicy::Sum,
-            DuplicatePolicy::Overwrite,
-            DuplicatePolicy::Max,
-            DuplicatePolicy::Min,
-        ]),
     ) {
-        let mut builder = GraphBuilder::with_policy(n, policy);
+        let mut builder = GraphBuilder::new(n);
         builder.add_edges(insertions.iter().copied());
         let built = builder.build();
-        let reference = reference_build(n, policy, &insertions);
+        let reference = reference_build(n, &insertions);
         prop_assert_eq!(csr_bits(&built), csr_bits(&reference));
         prop_assert_eq!(
             (built.num_edges(), built.num_positive_edges(), built.num_negative_edges()),

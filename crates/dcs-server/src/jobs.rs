@@ -28,7 +28,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use dcs_core::dcsga::DcsgaConfig;
 use dcs_core::{
     alpha_sweep_in, default_alpha_grid, mine_difference_in, top_k_in, CancelToken, DensityMeasure,
     SharedWorkspace, SolveContext, Termination,
@@ -174,7 +173,7 @@ impl JobSpec {
             Snapshot::TopK { gd, k, measure } => {
                 // Measure dispatch lives in the engine (`MeasureSolver` inside
                 // `top_k_in`) — the server no longer hard-codes solver choice.
-                let outcome = top_k_in(&gd, k, measure, DcsgaConfig::default(), cx);
+                let outcome = top_k_in(&gd, k, measure, cx);
                 let results: Vec<Value> = outcome
                     .solutions
                     .iter()

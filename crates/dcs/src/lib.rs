@@ -43,7 +43,7 @@ pub use dcs_server as server;
 
 /// The most commonly used items of the whole workspace.
 pub mod prelude {
-    pub use dcs_baselines::{EgoScan, EgoScanConfig};
+    pub use dcs_baselines::EgoScan;
     pub use dcs_core::dcsad::DcsGreedy;
     pub use dcs_core::dcsga::{NewSea, SeaCd};
     pub use dcs_core::{

@@ -12,7 +12,6 @@
 //! cargo run --release -p dcs --example dark_network
 //! ```
 
-use dcs::core::dcsga::DcsgaConfig;
 use dcs::core::{difference_graph, top_k_affinity, ContrastReport};
 use dcs::datasets::{GroupKind, Scale, TransactionConfig};
 use dcs::prelude::*;
@@ -43,7 +42,7 @@ fn main() {
     );
 
     // --- Top-k mining: report every disjoint suspicious ring. ------------------------
-    let rings = top_k_affinity(&gd, 4, DcsgaConfig::default());
+    let rings = top_k_affinity(&gd, 4);
     println!("\ntop-{} disjoint rings:", rings.len());
     for (rank, ring) in rings.iter().enumerate() {
         let report = ContrastReport::for_subset(&gd, &ring.support());

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use dcs::core::dcsga::{parallel_sweep, refine, DcsgaConfig, SeaCd};
+use dcs::core::dcsga::{parallel_sweep, SeaCd};
 use dcs::core::difference_graph;
 use dcs::datasets::{CoauthorConfig, Scale};
 use dcs::prelude::*;
@@ -25,7 +25,6 @@ fn main() {
     let pair = CoauthorConfig::for_scale(Scale::Default).generate();
     let gd = difference_graph(&pair.g2, &pair.g1).expect("same vertex set");
     let gd_plus = gd.positive_part();
-    let config = DcsgaConfig::default();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -39,15 +38,12 @@ fn main() {
     // --- NewSEA: sequential vs parallel. ---------------------------------------------
     let start = Instant::now();
     let (sequential, _) =
-        NewSea::new(config).solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(1));
+        NewSea::default().solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(1));
     let sequential_time = start.elapsed();
 
     let start = Instant::now();
-    let (parallel, _) = NewSea::new(config).solve_bounded(
-        &gd,
-        &[],
-        &SolveContext::unbounded().with_threads(threads),
-    );
+    let (parallel, _) =
+        NewSea::default().solve_bounded(&gd, &[], &SolveContext::unbounded().with_threads(threads));
     let parallel_time = start.elapsed();
 
     println!("\nNewSEA (smart initialisation)");
@@ -72,12 +68,11 @@ fn main() {
 
     // --- Exhaustive SEACD+Refine sweep: sequential vs parallel. ------------------------
     let start = Instant::now();
-    let sweep_sequential =
-        SeaCd::new(config).sweep(&gd_plus, None, false, |g, x| refine(g, x, &config));
+    let sweep_sequential = SeaCd::default().sweep(&gd_plus, None, false);
     let sweep_sequential_time = start.elapsed();
 
     let start = Instant::now();
-    let sweep_parallel = parallel_sweep(&gd_plus, config, threads, false);
+    let sweep_parallel = parallel_sweep(&gd_plus, threads, false);
     let sweep_parallel_time = start.elapsed();
 
     println!("\nSEACD+Refine (exhaustive sweep)");

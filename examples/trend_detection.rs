@@ -11,15 +11,14 @@
 //! cargo run --release -p dcs --example trend_detection
 //! ```
 
-use dcs::core::dcsga::{clique_census, refine, DcsgaConfig, SeaCd};
+use dcs::core::dcsga::{clique_census, SeaCd};
 use dcs::datasets::{KeywordConfig, Scale};
 use dcs::prelude::*;
 
 fn top_topics(graph: &SignedGraph, label: &str, k: usize) {
     // All-initialisation SEACD sweep + refinement, then a clique census, exactly like the
     // paper's Table V/VI construction.
-    let config = DcsgaConfig::default();
-    let sweep = SeaCd::new(config).sweep(graph, None, true, |g, x| refine(g, x, &config));
+    let sweep = SeaCd::default().sweep(graph, None, true);
     let census = clique_census(graph, &sweep.all_solutions);
     println!("\ntop {k} topics ({label}):");
     for (rank, clique) in census.iter().take(k).enumerate() {

@@ -2,7 +2,6 @@
 //! algorithms: weight schemes, top-k mining, streaming maintenance, quasi-clique
 //! extraction, parallel sweeps and labelled IO.
 
-use dcs::core::dcsga::DcsgaConfig;
 use dcs::core::streaming::{StreamingConfig, StreamingDcs};
 use dcs::core::{
     clamp_weights, difference_graph, difference_graph_with, scaled_difference_graph,
@@ -127,7 +126,7 @@ proptest! {
             }
         }
 
-        let by_affinity = top_k_affinity(&gd, k, DcsgaConfig::default());
+        let by_affinity = top_k_affinity(&gd, k);
         prop_assert!(by_affinity.len() <= k);
         for (i, sol) in by_affinity.iter().enumerate() {
             prop_assert!(sol.affinity_difference > 0.0);
@@ -221,10 +220,9 @@ proptest! {
     /// NewSEA under a 4-thread budget returns exactly the sequential objective.
     #[test]
     fn parallel_newsea_equals_sequential(gd in arb_signed_graph()) {
-        let config = DcsgaConfig::default();
-        let sequential = NewSea::new(config).solve(&gd);
+        let sequential = NewSea::default().solve(&gd);
         let cx = SolveContext::unbounded().with_threads(4);
-        let (parallel, _) = NewSea::new(config).solve_bounded(&gd, &[], &cx);
+        let (parallel, _) = NewSea::default().solve_bounded(&gd, &[], &cx);
         prop_assert!((sequential.affinity_difference - parallel.affinity_difference).abs() < 1e-9);
     }
 
@@ -273,5 +271,5 @@ fn streaming_rejects_mismatched_snapshot() {
 fn top_k_with_zero_k_is_empty() {
     let gd = GraphBuilder::from_edges(4, vec![(0, 1, 2.0), (2, 3, 1.0)]);
     assert!(top_k_average_degree(&gd, 0).is_empty());
-    assert!(top_k_affinity(&gd, 0, DcsgaConfig::default()).is_empty());
+    assert!(top_k_affinity(&gd, 0).is_empty());
 }

@@ -2,7 +2,7 @@
 //! reproduce the published numbers (the data is synthetic and tiny) but assert the
 //! qualitative relationships the evaluation section reports.
 
-use dcs::core::dcsga::{refine, DcsgaConfig, NewSea, SeaCd};
+use dcs::core::dcsga::{refine, NewSea, SeaCd};
 use dcs::core::difference_graph;
 use dcs::datasets::{CoauthorConfig, ConflictConfig, Scale, SocialInterestConfig};
 use dcs::densest::{OriginalSea, ReplicatorStop, SeaConfig};
@@ -15,10 +15,9 @@ fn smart_initialisation_prunes_most_seeds() {
     let pair = CoauthorConfig::for_scale(Scale::Tiny).generate();
     let gd = difference_graph(&pair.g2, &pair.g1).unwrap();
     let gd_plus = gd.positive_part();
-    let config = DcsgaConfig::default();
 
-    let newsea = NewSea::new(config).solve(&gd);
-    let sweep = SeaCd::new(config).sweep(&gd_plus, None, false, |g, x| refine(g, x, &config));
+    let newsea = NewSea::default().solve(&gd);
+    let sweep = SeaCd::default().sweep(&gd_plus, None, false);
 
     assert!((newsea.affinity_difference - sweep.best_objective).abs() < 1e-6);
     assert!(
@@ -39,8 +38,7 @@ fn seacd_is_error_free_and_at_least_as_good_as_original_sea() {
     let gd = difference_graph(&pair.g2, &pair.g1).unwrap();
     let gd_plus = gd.positive_part();
 
-    let config = DcsgaConfig::default();
-    let seacd = SeaCd::new(config).sweep(&gd_plus, Some(150), false, |g, x| refine(g, x, &config));
+    let seacd = SeaCd::default().sweep(&gd_plus, Some(150), false);
     assert_eq!(seacd.expansion_errors, 0);
 
     let sea = OriginalSea::new(SeaConfig {
@@ -48,7 +46,7 @@ fn seacd_is_error_free_and_at_least_as_good_as_original_sea() {
         ..SeaConfig::default()
     });
     let sea_result = sea.run_all_vertices(&gd_plus, Some(150), false);
-    let sea_refined = refine(&gd_plus, sea_result.best.clone(), &config);
+    let sea_refined = refine(&gd_plus, sea_result.best.clone());
 
     assert!(
         seacd.best_objective >= sea_refined.affinity(&gd_plus) - 1e-6,
@@ -130,11 +128,9 @@ fn clique_census_follows_positive_edge_ordering() {
     let i_minus_s = difference_graph(&movie.g2, &movie.g1).unwrap();
     let s_minus_i = difference_graph(&movie.g1, &movie.g2).unwrap();
 
-    let config = DcsgaConfig::default();
     let census = |gd: &SignedGraph| {
         let gd_plus = gd.positive_part();
-        let sweep =
-            SeaCd::new(config).sweep(&gd_plus, Some(200), true, |g, x| refine(g, x, &config));
+        let sweep = SeaCd::default().sweep(&gd_plus, Some(200), true);
         dcs::core::dcsga::clique_census(&gd_plus, &sweep.all_solutions).len()
     };
     let census_is = census(&i_minus_s);

@@ -2,7 +2,7 @@
 //! every algorithm, and check both the planted ground truth recovery and the structural
 //! invariants the paper proves.
 
-use dcs::core::dcsga::{refine, DcsgaConfig, NewSea, SeaCd};
+use dcs::core::dcsga::{NewSea, SeaCd};
 use dcs::core::{difference_graph, difference_graph_with, DiscreteRule, WeightScheme};
 use dcs::datasets::{
     best_match, CoauthorConfig, ConflictConfig, GroupKind, KeywordConfig, Scale,
@@ -134,9 +134,8 @@ fn all_dcsga_solvers_agree_on_the_best_group() {
     let gd = difference_graph(&pair.g2, &pair.g1).unwrap();
     let gd_plus = gd.positive_part();
 
-    let config = DcsgaConfig::default();
-    let newsea = NewSea::new(config).solve(&gd);
-    let sweep = SeaCd::new(config).sweep(&gd_plus, None, false, |g, x| refine(g, x, &config));
+    let newsea = NewSea::default().solve(&gd);
+    let sweep = SeaCd::default().sweep(&gd_plus, None, false);
 
     assert!(
         (newsea.affinity_difference - sweep.best_objective).abs()
