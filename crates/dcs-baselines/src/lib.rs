@@ -1,11 +1,8 @@
 //! # dcs-baselines
 //!
-//! Baselines and exact reference solvers used to evaluate the density-contrast-subgraph
-//! algorithms:
+//! The external comparator the density-contrast-subgraph algorithms are evaluated
+//! against:
 //!
-//! * [`exact`] — brute-force solvers for tiny instances (optimal DCSAD subset, maximum
-//!   clique).  They are exponential and guarded by size assertions; their only purpose is
-//!   to provide ground truth in tests and calibration experiments.
 //! * [`egoscan`] — a substitute for the EgoScan algorithm of Cadena et al. (ICDM 2016),
 //!   the closest related work the paper compares against in Tables VIII/IX.  EgoScan
 //!   maximises the **total** weight `W_D(S)` of a subgraph of the signed difference
@@ -15,12 +12,13 @@
 //!   subgraphs with higher total weight but far lower density than the DCS algorithms).
 //!   The [`egoscan`] module docs describe the substitution; it is a stateless solver
 //!   with fixed seed and sweep limits.
+//!
+//! The brute-force oracles the property tests check the solvers against (the optimal
+//! DCSAD subset, the Motzkin–Straus optimum) live in those tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod egoscan;
-pub mod exact;
 
 pub use egoscan::{EgoScan, EgoScanResult};
-pub use exact::{brute_force_dcsad, brute_force_max_clique};

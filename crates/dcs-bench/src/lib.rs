@@ -1,8 +1,24 @@
 //! Shared utilities of the experiment harness: command-line options, ASCII table
 //! rendering, timing helpers and JSON output.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper; see
-//! `DESIGN.md` (§5) for the experiment index and `EXPERIMENTS.md` for recorded results.
+//! Each binary in `src/bin/` runs as `cargo run -p dcs-bench --release --bin <name>`;
+//! its module docs give its options.  Ten regenerate a table or figure of the paper,
+//! and two are the CI gates:
+//!
+//! | Binary | Produces |
+//! |---|---|
+//! | `table02_stats` | Table II: statistics of the difference graphs of every dataset and setting |
+//! | `table03_04_coauthor` | Tables III and IV: emerging and disappearing co-author groups, per setting, direction and measure |
+//! | `table05_06_topics` | Tables V and VI: the top-5 emerging and disappearing topics, and each single period's top 5 |
+//! | `table07_efficiency` | Table VII: running time of NewSEA, SEACD+Refine and SEA+Refine, and SEA's expansion errors |
+//! | `table08_09_egoscan` | Tables VIII and IX: the DCS algorithms against the EgoScan baseline |
+//! | `table10_11_wiki` | Tables X and XI: consistent and conflicting editor groups on the Wikipedia-style data |
+//! | `table12_13_douban` | Tables XII and XIII: the Douban-style social and interest data, both directions and both measures |
+//! | `table14_large` | Table XIV: DCSGA on the large DBLP-C and Actor graphs |
+//! | `fig02_density_sweep` | Fig. 2: SEACD+Refine's speed-up over SEA+Refine and SEA's expansion-error rate against the density `m+/n` of `G_{D+}` |
+//! | `fig03_clique_counts` | Fig. 3: the positive-clique census of the Douban-style difference graphs |
+//! | `solver_hotpath` | `BENCH_hotpath.json`; with `--smoke`, fails unless steady-state re-mines and top-k rounds allocate at most half of a from-scratch solve and every gated allocation count is within 10% of `--baseline`; `--large` adds 4-thread bit-identity, `--load` the ≥10× pack-over-text load gate |
+//! | `streaming_throughput` | Delta-snapshot, engine-wrapper, tracer and durable-observe timings; with `--smoke`, fails unless the delta snapshot beats a scratch rebuild, the engine wrapper and the enabled tracer cost within 5%, and durable observes keep half of ephemeral throughput; `--soak` checks that connection churn leaks no file descriptors |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

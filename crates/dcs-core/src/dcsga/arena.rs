@@ -1,83 +1,53 @@
-//! Embedding storage arenas of the DCSGA kernels.
+//! The embedding storage of the DCSGA kernels.
 //!
 //! Every DCSGA routine — the 2-coordinate-descent shrink, the SEA expansion, the
-//! Algorithm-4 refinement and the NewSEA sweep that drives them — is written **once**,
-//! generic over an [`EmbeddingArena`]: the storage of the working embedding `x`, the
-//! linear form `(Dx)_k` on the working support, the expansion direction `γ`, and the
-//! candidate-dedup marks.  Two implementations exist:
+//! Algorithm-4 refinement and the NewSEA sweep that drives them — keeps its state in
+//! one [`DenseArena`]: the working embedding `x`, the linear form `(Dx)_k` on the
+//! working support, the expansion direction `γ`, and the candidate-dedup marks.  It is
+//! a [`DenseEmbedding`] plus dense `f64` arrays indexed by vertex id, membership
+//! tracked in [`VertexMask`] bitsets, all owned by the
+//! [`crate::workspace::SolverWorkspace`], so steady-state solves (server jobs,
+//! streaming re-mines, top-k rounds, α-sweep grid points) allocate nothing.
 //!
-//! * [`DenseArena`] — the canonical backend: a [`DenseEmbedding`] plus dense `f64`
-//!   arrays indexed by vertex id, membership tracked in [`VertexMask`] bitsets, all
-//!   owned by the [`crate::workspace::SolverWorkspace`].  Steady-state solves (server
-//!   jobs, streaming re-mines, top-k rounds, α-sweep grid points) allocate nothing.
-//! * [`HashArena`] — the `FxHashMap`-backed **reference**: fresh hash maps per stage,
-//!   exactly the allocation profile the dense arena replaces.  It exists for the
-//!   property tests, which assert dense solves are *bit-identical* to reference
-//!   solves — guaranteed structurally, because both arenas run the same monomorphised
-//!   kernel and every floating-point reduction iterates an explicitly sorted vertex
-//!   list rather than a storage-order-dependent map walk.
+//! Results do not depend on what the arena held before: every floating-point
+//! reduction iterates an explicitly sorted vertex list, never a storage-order walk,
+//! and each store is reset at the start of its scope.  The unit tests below check
+//! every read against a map model of that contract, and `dcsga_dense_properties.rs`
+//! checks that solves on a reused workspace are bit-identical to fresh-workspace
+//! solves.
 //!
 //! [`KernelScratch`] carries the plain `Vec` buffers the kernels share (working
-//! support, candidate set, incumbent snapshot); it rides along whichever arena is in
-//! use.
+//! support, candidate set, incumbent snapshot).
 
 use dcs_densest::DenseEmbedding;
 use dcs_graph::{CoreScratch, GraphView, VertexId, VertexMask};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// The DCSGA scratch bundle owned by a [`crate::workspace::SolverWorkspace`]: the
-/// canonical dense arena, the kernels' `Vec` buffers, and the core-decomposition
+/// dense embedding arena, the kernels' `Vec` buffers, and the core-decomposition
 /// scratch of the smart-initialisation bound.  One bundle serves every affinity
 /// solve a workspace sees — SEACD restarts, NewSEA sweeps, top-k rounds, α-sweep
 /// grid points, and back-to-back server jobs.
 #[derive(Debug, Default)]
 pub struct DcsgaScratch {
     /// The dense embedding arena (iterate, linear form, expansion direction, marks).
-    pub arena: DenseArena,
+    pub(crate) arena: DenseArena,
     /// The kernels' shared list buffers (support, candidates, incumbent snapshot).
-    pub kernel: KernelScratch,
+    pub(crate) kernel: KernelScratch,
     /// Core-number scratch of NewSEA's `µ_u` bound.
-    pub cores: CoreScratch,
+    pub(crate) cores: CoreScratch,
 }
 
-/// Storage backend of the DCSGA kernels.  See the module docs.
+/// The dense, workspace-owned arena.  All buffers grow on first use and are reused
+/// afterwards.
 ///
 /// The arena owns four named stores, each with its own lifecycle:
 /// `x` (the embedding, reset by [`Self::begin`]), `dx` (the linear form, scoped to
 /// one shrink via [`Self::dx_begin`]), `gamma` (the expansion direction, scoped to
 /// one expansion via [`Self::gamma_begin`]) and the candidate-dedup marks (scoped to
-/// one candidate scan via [`Self::marks_begin`]).
-pub trait EmbeddingArena {
-    /// Starts a fresh solve over an `n`-vertex universe: `x` becomes empty.
-    fn begin(&mut self, n: usize);
-    /// The value `x_v` (0 outside the support).
-    fn x(&self, v: VertexId) -> f64;
-    /// Sets `x_v`; non-positive values clear the entry.
-    fn set_x(&mut self, v: VertexId, value: f64);
-    /// Writes the support `{v | x_v > 0}` into `out`, sorted ascending.
-    fn support_into(&self, out: &mut Vec<VertexId>);
-    /// Scopes `dx` to the working support: every member's entry becomes 0.
-    fn dx_begin(&mut self, support: &[VertexId]);
-    /// The linear form `(Dx)_v`; only meaningful for working-support members.
-    fn dx(&self, v: VertexId) -> f64;
-    /// Adds `delta` to `(Dx)_v` **iff** `v` is in the working support.
-    fn dx_add(&mut self, v: VertexId, delta: f64);
-    /// Clears the expansion direction.
-    fn gamma_begin(&mut self);
-    /// Sets `γ_v`.
-    fn set_gamma(&mut self, v: VertexId, value: f64);
-    /// `γ_v`, or `None` when `v` got no value this expansion.
-    fn gamma(&self, v: VertexId) -> Option<f64>;
-    /// Clears the candidate-dedup marks.
-    fn marks_begin(&mut self);
-    /// Marks `v`; returns `true` when it was not yet marked.
-    fn mark(&mut self, v: VertexId) -> bool;
-}
-
-/// The dense, workspace-owned arena (canonical backend).  All buffers grow on first
-/// use and are reused afterwards; see [`EmbeddingArena`].
+/// one candidate scan via [`Self::marks_begin`]).  After [`Self::begin`], `dx`,
+/// `gamma` and the marks are read only once their own scope has begun.
 #[derive(Debug, Default)]
-pub struct DenseArena {
+pub(crate) struct DenseArena {
     /// The working embedding.
     x: DenseEmbedding,
     /// `(Dx)_v` per working-support member.
@@ -99,7 +69,9 @@ pub struct DenseArena {
 }
 
 impl DenseArena {
-    fn ensure_universe(&mut self, n: usize) {
+    /// Starts a fresh solve over an `n`-vertex universe: `x` becomes empty.
+    pub(crate) fn begin(&mut self, n: usize) {
+        self.x.begin(n);
         if self.dx.len() < n {
             self.dx.resize(n, 0.0);
             self.gamma.resize(n, 0.0);
@@ -113,29 +85,26 @@ impl DenseArena {
             self.marked.clear();
         }
     }
-}
 
-impl EmbeddingArena for DenseArena {
-    fn begin(&mut self, n: usize) {
-        self.x.begin(n);
-        self.ensure_universe(n);
-    }
-
+    /// The value `x_v` (0 outside the support).
     #[inline]
-    fn x(&self, v: VertexId) -> f64 {
+    pub(crate) fn x(&self, v: VertexId) -> f64 {
         self.x.get(v)
     }
 
+    /// Sets `x_v`; non-positive values clear the entry.
     #[inline]
-    fn set_x(&mut self, v: VertexId, value: f64) {
+    pub(crate) fn set_x(&mut self, v: VertexId, value: f64) {
         self.x.set(v, value);
     }
 
-    fn support_into(&self, out: &mut Vec<VertexId>) {
+    /// Writes the support `{v | x_v > 0}` into `out`, sorted ascending.
+    pub(crate) fn support_into(&self, out: &mut Vec<VertexId>) {
         self.x.support_into(out);
     }
 
-    fn dx_begin(&mut self, support: &[VertexId]) {
+    /// Scopes `dx` to the working support: every member's entry becomes 0.
+    pub(crate) fn dx_begin(&mut self, support: &[VertexId]) {
         for &v in &self.dx_members {
             self.in_dx.remove(v);
         }
@@ -147,10 +116,11 @@ impl EmbeddingArena for DenseArena {
         }
     }
 
+    /// The linear form `(Dx)_v`; only meaningful for working-support members.
     #[inline]
-    fn dx(&self, v: VertexId) -> f64 {
-        // Mirror the HashArena contract (which panics on a non-member): reading a
-        // stale slot outside the working support is always a kernel bug.
+    pub(crate) fn dx(&self, v: VertexId) -> f64 {
+        // `dx` is scoped to the working support: reading a stale slot outside it is
+        // always a kernel bug.
         debug_assert!(
             self.in_dx.contains(v),
             "dx read outside the working support"
@@ -158,29 +128,33 @@ impl EmbeddingArena for DenseArena {
         self.dx[v as usize]
     }
 
+    /// Adds `delta` to `(Dx)_v` **iff** `v` is in the working support.
     #[inline]
-    fn dx_add(&mut self, v: VertexId, delta: f64) {
+    pub(crate) fn dx_add(&mut self, v: VertexId, delta: f64) {
         if self.in_dx.contains(v) {
             self.dx[v as usize] += delta;
         }
     }
 
-    fn gamma_begin(&mut self) {
+    /// Clears the expansion direction.
+    pub(crate) fn gamma_begin(&mut self) {
         for &v in &self.gamma_members {
             self.in_gamma.remove(v);
         }
         self.gamma_members.clear();
     }
 
-    fn set_gamma(&mut self, v: VertexId, value: f64) {
+    /// Sets `γ_v`.
+    pub(crate) fn set_gamma(&mut self, v: VertexId, value: f64) {
         if self.in_gamma.insert(v) {
             self.gamma_members.push(v);
         }
         self.gamma[v as usize] = value;
     }
 
+    /// `γ_v`, or `None` when `v` got no value this expansion.
     #[inline]
-    fn gamma(&self, v: VertexId) -> Option<f64> {
+    pub(crate) fn gamma(&self, v: VertexId) -> Option<f64> {
         if self.in_gamma.contains(v) {
             Some(self.gamma[v as usize])
         } else {
@@ -188,14 +162,16 @@ impl EmbeddingArena for DenseArena {
         }
     }
 
-    fn marks_begin(&mut self) {
+    /// Clears the candidate-dedup marks.
+    pub(crate) fn marks_begin(&mut self) {
         for &v in &self.marked {
             self.marks.remove(v);
         }
         self.marked.clear();
     }
 
-    fn mark(&mut self, v: VertexId) -> bool {
+    /// Marks `v`; returns `true` when it was not yet marked.
+    pub(crate) fn mark(&mut self, v: VertexId) -> bool {
         if self.marks.insert(v) {
             self.marked.push(v);
             true
@@ -205,102 +181,24 @@ impl EmbeddingArena for DenseArena {
     }
 }
 
-/// The `FxHashMap`-backed reference arena: every scope starts from a freshly
-/// allocated map, reproducing the pre-dense allocation profile.  See the module docs
-/// for why results are bit-identical to [`DenseArena`]'s.
+/// Plain `Vec` buffers shared by the kernels.
 #[derive(Debug, Default)]
-pub struct HashArena {
-    x: FxHashMap<VertexId, f64>,
-    dx: FxHashMap<VertexId, f64>,
-    gamma: FxHashMap<VertexId, f64>,
-    marks: FxHashSet<VertexId>,
-}
-
-impl EmbeddingArena for HashArena {
-    fn begin(&mut self, _n: usize) {
-        self.x = FxHashMap::default();
-    }
-
-    #[inline]
-    fn x(&self, v: VertexId) -> f64 {
-        self.x.get(&v).copied().unwrap_or(0.0)
-    }
-
-    fn set_x(&mut self, v: VertexId, value: f64) {
-        if value > 0.0 {
-            self.x.insert(v, value);
-        } else {
-            self.x.remove(&v);
-        }
-    }
-
-    fn support_into(&self, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(self.x.keys().copied());
-        out.sort_unstable();
-    }
-
-    fn dx_begin(&mut self, support: &[VertexId]) {
-        self.dx = FxHashMap::default();
-        for &v in support {
-            self.dx.insert(v, 0.0);
-        }
-    }
-
-    #[inline]
-    fn dx(&self, v: VertexId) -> f64 {
-        self.dx[&v]
-    }
-
-    fn dx_add(&mut self, v: VertexId, delta: f64) {
-        if let Some(entry) = self.dx.get_mut(&v) {
-            *entry += delta;
-        }
-    }
-
-    fn gamma_begin(&mut self) {
-        self.gamma = FxHashMap::default();
-    }
-
-    fn set_gamma(&mut self, v: VertexId, value: f64) {
-        self.gamma.insert(v, value);
-    }
-
-    fn gamma(&self, v: VertexId) -> Option<f64> {
-        self.gamma.get(&v).copied()
-    }
-
-    fn marks_begin(&mut self) {
-        self.marks = FxHashSet::default();
-    }
-
-    fn mark(&mut self, v: VertexId) -> bool {
-        self.marks.insert(v)
-    }
-}
-
-/// Plain `Vec` buffers shared by the kernels, independent of the arena backend.
-#[derive(Debug, Default)]
-pub struct KernelScratch {
+pub(crate) struct KernelScratch {
     /// Working support of the current shrink / refinement round.
-    pub support: Vec<VertexId>,
+    pub(crate) support: Vec<VertexId>,
     /// Expansion candidate set `Z`.
-    pub z: Vec<VertexId>,
+    pub(crate) z: Vec<VertexId>,
     /// Incumbent-best support snapshot of a sweep.
-    pub best_support: Vec<VertexId>,
+    pub(crate) best_support: Vec<VertexId>,
     /// Incumbent-best values snapshot, parallel to `best_support`.
-    pub best_values: Vec<f64>,
+    pub(crate) best_values: Vec<f64>,
     /// Deduplicated warm-start seed.
-    pub seed: Vec<VertexId>,
+    pub(crate) seed: Vec<VertexId>,
 }
 
 /// `f(x) = xᵀAx` over the view's surviving edges, reduced in ascending support
 /// order (the canonical summation order of every kernel).
-pub(super) fn affinity_in<A: EmbeddingArena>(
-    view: GraphView<'_>,
-    arena: &A,
-    support: &[VertexId],
-) -> f64 {
+pub(super) fn affinity_in(view: GraphView<'_>, arena: &DenseArena, support: &[VertexId]) -> f64 {
     let mut total = 0.0;
     for &u in support {
         total += arena.x(u) * weighted_sum_in(view, arena, u);
@@ -309,11 +207,7 @@ pub(super) fn affinity_in<A: EmbeddingArena>(
 }
 
 /// `(Ax)_u` over the view's surviving edges.
-pub(super) fn weighted_sum_in<A: EmbeddingArena>(
-    view: GraphView<'_>,
-    arena: &A,
-    u: VertexId,
-) -> f64 {
+pub(super) fn weighted_sum_in(view: GraphView<'_>, arena: &DenseArena, u: VertexId) -> f64 {
     let mut s = 0.0;
     for e in view.neighbors(u) {
         let xv = arena.x(e.neighbor);
@@ -327,7 +221,7 @@ pub(super) fn weighted_sum_in<A: EmbeddingArena>(
 /// Drops non-positive entries of `x` and rescales the rest to sum to 1 — the
 /// deterministic equivalent of rebuilding through `Embedding::from_weights`.
 /// Refreshes `support` to the resulting support set.
-pub(super) fn renormalize_in<A: EmbeddingArena>(arena: &mut A, support: &mut Vec<VertexId>) {
+pub(super) fn renormalize_in(arena: &mut DenseArena, support: &mut Vec<VertexId>) {
     arena.support_into(support);
     let total: f64 = support.iter().map(|&v| arena.x(v)).sum();
     if total > 0.0 {
@@ -341,46 +235,137 @@ pub(super) fn renormalize_in<A: EmbeddingArena>(arena: &mut A, support: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn exercise<A: EmbeddingArena>(arena: &mut A) {
-        arena.begin(6);
-        arena.set_x(3, 0.5);
-        arena.set_x(1, 0.25);
-        arena.set_x(5, 0.25);
-        arena.set_x(5, 0.0); // dropped again
-        let mut support = Vec::new();
-        arena.support_into(&mut support);
-        assert_eq!(support, vec![1, 3]);
+    /// A map model of the arena's contract: a non-positive `x` is absent, `dx` is
+    /// scoped to the support given to `dx_begin` (an add outside it is ignored),
+    /// `gamma` to one expansion and the marks to one candidate scan.
+    #[derive(Default)]
+    struct MapModel {
+        x: BTreeMap<VertexId, f64>,
+        dx: BTreeMap<VertexId, f64>,
+        gamma: BTreeMap<VertexId, f64>,
+        marks: BTreeSet<VertexId>,
+    }
 
-        arena.dx_begin(&support);
-        arena.dx_add(1, 2.0);
-        arena.dx_add(4, 9.0); // not a member: ignored
-        assert_eq!(arena.dx(1), 2.0);
-        assert_eq!(arena.dx(3), 0.0);
+    impl MapModel {
+        fn set_x(&mut self, v: VertexId, value: f64) {
+            if value > 0.0 {
+                self.x.insert(v, value);
+            } else {
+                self.x.remove(&v);
+            }
+        }
 
-        arena.gamma_begin();
-        arena.set_gamma(2, -0.5);
-        assert_eq!(arena.gamma(2), Some(-0.5));
-        assert_eq!(arena.gamma(1), None);
+        fn x(&self, v: VertexId) -> f64 {
+            self.x.get(&v).copied().unwrap_or(0.0)
+        }
 
-        arena.marks_begin();
-        assert!(arena.mark(4));
-        assert!(!arena.mark(4));
+        fn support(&self) -> Vec<VertexId> {
+            self.x.keys().copied().collect()
+        }
 
-        // A second solve starts clean.
-        arena.begin(6);
-        arena.support_into(&mut support);
-        assert!(support.is_empty());
-        arena.marks_begin();
-        assert!(arena.mark(4));
-        arena.gamma_begin();
-        assert_eq!(arena.gamma(2), None);
+        fn dx_begin(&mut self, support: &[VertexId]) {
+            self.dx = support.iter().map(|&v| (v, 0.0)).collect();
+        }
+
+        fn dx_add(&mut self, v: VertexId, delta: f64) {
+            if let Some(entry) = self.dx.get_mut(&v) {
+                *entry += delta;
+            }
+        }
+    }
+
+    /// Which of the scoped stores have begun since the last `begin`.
+    #[derive(Default)]
+    struct Scopes {
+        dx: bool,
+        gamma: bool,
+        marks: bool,
     }
 
     #[test]
-    fn dense_and_hash_arenas_agree() {
-        exercise(&mut DenseArena::default());
-        exercise(&mut HashArena::default());
+    fn dense_arena_matches_map_model() {
+        let mut state = 0x5eed_a4e4_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut arena = DenseArena::default();
+        let mut model = MapModel::default();
+        let mut scopes = Scopes::default();
+        let mut n = 0;
+        let mut support = Vec::new();
+        for step in 0..40_000 {
+            // A new solve every few hundred operations, over a universe that grows
+            // and shrinks (up to three mask words).
+            if step % 300 == 0 {
+                n = 1 + next(190) as usize;
+                arena.begin(n);
+                model.x.clear();
+                scopes = Scopes::default();
+            }
+            let v = next(n as u64) as VertexId;
+            // Values on a 1/8 grid from -1 to 2.875: zeros and negatives included.
+            let value = next(32) as f64 / 8.0 - 1.0;
+            match next(11) {
+                0 | 1 => {
+                    arena.set_x(v, value);
+                    model.set_x(v, value);
+                }
+                2 => assert_eq!(arena.x(v).to_bits(), model.x(v).to_bits(), "x({v})"),
+                3 => {
+                    arena.support_into(&mut support);
+                    assert_eq!(support, model.support());
+                }
+                4 => {
+                    // A working support: the embedding's support plus a few
+                    // zero-mass vertices, sorted and deduplicated.
+                    let mut working = model.support();
+                    working.extend((0..next(4)).map(|_| next(n as u64) as VertexId));
+                    working.sort_unstable();
+                    working.dedup();
+                    arena.dx_begin(&working);
+                    model.dx_begin(&working);
+                    scopes.dx = true;
+                }
+                5 if scopes.dx => {
+                    arena.dx_add(v, value);
+                    model.dx_add(v, value);
+                }
+                6 if scopes.dx && !model.dx.is_empty() => {
+                    let member = *model
+                        .dx
+                        .keys()
+                        .nth(next(model.dx.len() as u64) as usize)
+                        .unwrap();
+                    assert_eq!(arena.dx(member).to_bits(), model.dx[&member].to_bits());
+                }
+                7 => {
+                    arena.gamma_begin();
+                    model.gamma.clear();
+                    scopes.gamma = true;
+                }
+                8 if scopes.gamma => {
+                    if next(2) == 0 {
+                        arena.set_gamma(v, value);
+                        model.gamma.insert(v, value);
+                    } else {
+                        let expected = model.gamma.get(&v).map(|g| g.to_bits());
+                        assert_eq!(arena.gamma(v).map(f64::to_bits), expected, "gamma({v})");
+                    }
+                }
+                9 => {
+                    arena.marks_begin();
+                    model.marks.clear();
+                    scopes.marks = true;
+                }
+                10 if scopes.marks => assert_eq!(arena.mark(v), model.marks.insert(v)),
+                _ => {}
+            }
+        }
     }
 
     #[test]

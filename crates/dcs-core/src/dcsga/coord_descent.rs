@@ -8,17 +8,16 @@
 //! local KKT point on the working support `S` (the objective is non-decreasing and the
 //! iterate stays on the simplex).
 //!
-//! The inner loop is generic over an [`super::arena::EmbeddingArena`]: the canonical
-//! dense arena keeps `x` and the linear form `(Dx)_k` in workspace-owned arrays
-//! (zero allocations in steady state, where the old implementation built two
-//! `FxHashMap`s per call), and every edge read goes through a [`GraphView`], so the
+//! The inner loop runs in the workspace's [`DenseArena`], which keeps `x` and the
+//! linear form `(Dx)_k` in workspace-owned arrays (zero allocations in steady
+//! state), and every edge read goes through a [`GraphView`], so the
 //! same kernel serves the signed `G_D`, a materialised `G_{D+}`, the compact
 //! `G_{D+}` of the NewSEA and top-k drivers under their masks, and
 //! positive-filtered overlays.
 
 use dcs_graph::{GraphView, VertexId};
 
-use super::arena::EmbeddingArena;
+use super::arena::DenseArena;
 
 /// The arena-resident 2-coordinate descent: shrinks the arena's embedding to a local
 /// KKT point on `support` (the set `S` of the paper's *local* KKT conditions, Eq. 10)
@@ -30,9 +29,9 @@ use super::arena::EmbeddingArena;
 /// (including dropping to 0).  The descent stops when
 /// `max_{k∈S, x_k<1} ∇_k f − min_{k∈S, x_k>0} ∇_k f ≤ epsilon`, or after
 /// `max_iterations` updates.  The iterate stays in the arena, not renormalised.
-pub(super) fn descend_in<A: EmbeddingArena>(
+pub(super) fn descend_in(
     view: GraphView<'_>,
-    arena: &mut A,
+    arena: &mut DenseArena,
     support: &[VertexId],
     epsilon: f64,
     max_iterations: usize,
@@ -159,7 +158,6 @@ pub(super) fn descend_in<A: EmbeddingArena>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcsga::arena::DenseArena;
     use crate::dcsga::kkt::local_kkt_gap;
     use dcs_densest::Embedding;
     use dcs_graph::{GraphBuilder, SignedGraph};

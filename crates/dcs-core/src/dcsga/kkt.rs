@@ -89,17 +89,6 @@ pub fn local_kkt_gap<'a>(
     }
 }
 
-/// Returns `true` if `x` is a local KKT point on `support` within tolerance `eps`
-/// (Eq. 10/11).
-pub fn is_local_kkt_point<'a>(
-    graph: impl Into<GraphView<'a>>,
-    x: &Embedding,
-    support: &[VertexId],
-    eps: f64,
-) -> bool {
-    local_kkt_gap(graph, x, support) <= eps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +111,7 @@ mod tests {
         let g = k3();
         let x = Embedding::uniform(&[0, 1]);
         // Local KKT on {0, 1}: yes.
-        assert!(is_local_kkt_point(&g, &x, &[0, 1], 1e-9));
+        assert!(local_kkt_gap(&g, &x, &[0, 1]) <= 1e-9);
         // Global: vertex 2 has gradient 2 > λ = 1 → violation 1.
         assert!(!is_kkt_point(&g, &x, 1e-6));
         assert!((kkt_violation(&g, &x) - 1.0).abs() < 1e-9);
@@ -132,7 +121,6 @@ mod tests {
     fn skewed_point_is_not_kkt() {
         let g = k3();
         let x = Embedding::from_weights(vec![(0, 0.7), (1, 0.3)]);
-        assert!(!is_local_kkt_point(&g, &x, &[0, 1], 1e-6));
         assert!(local_kkt_gap(&g, &x, &[0, 1]) > 0.1);
     }
 
@@ -140,7 +128,7 @@ mod tests {
     fn singleton_is_local_kkt_on_itself() {
         let g = k3();
         let x = Embedding::singleton(0);
-        assert!(is_local_kkt_point(&g, &x, &[0], 1e-12));
+        assert!(local_kkt_gap(&g, &x, &[0]) <= 1e-12);
         // Globally it is not (neighbours have positive gradient vs λ = 0).
         assert!(!is_kkt_point(&g, &x, 1e-6));
     }

@@ -22,19 +22,19 @@
 //!
 //! ## Dense workspace-backed embeddings
 //!
-//! Every kernel in this module runs on an [`arena::EmbeddingArena`]: the working
+//! Every kernel in this module runs on one dense embedding arena: the working
 //! embedding `x`, the shrink's linear form `(Dx)_k`, the expansion direction `γ` and
 //! the candidate-dedup marks are indexed, dense arrays
 //! ([`dcs_densest::DenseEmbedding`] + `Vec<f64>` + [`dcs_graph::VertexMask`]) owned
-//! by the [`crate::SolverWorkspace`] and reused across SEACD restarts, top-k rounds,
-//! α-sweep grid points and server jobs — where the original implementation built
-//! fresh `FxHashMap`s per stage.  That reference implementation survives as
-//! [`arena::HashArena`] behind [`NewSea::solve_seeded_reference`]: both backends run
-//! the same monomorphised kernels with every floating-point reduction in explicit
-//! ascending-vertex order, so dense solves are **bit-identical** to reference solves
-//! (property-tested in `dcsga_dense_properties.rs`).
+//! by the [`crate::SolverWorkspace`] ([`DcsgaScratch`]) and reused across SEACD
+//! restarts, top-k rounds, α-sweep grid points and server jobs.  Every
+//! floating-point reduction runs in explicit ascending-vertex order and every store
+//! is reset at the start of its scope, so a solve on a reused workspace is
+//! **bit-identical** to one on a fresh workspace (property-tested in
+//! `dcsga_dense_properties.rs`; the arena's own unit tests check it against a map
+//! model of its contract).
 
-pub mod arena;
+mod arena;
 mod coord_descent;
 pub mod kkt;
 mod newsea;

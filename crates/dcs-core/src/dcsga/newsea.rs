@@ -14,7 +14,7 @@
 //! so far.  In the paper this prunes 1–3 orders of magnitude of initialisations with no
 //! observed loss of quality.
 //!
-//! The canonical path is **compact and dense**: [`NewSea::solve_bounded`] takes
+//! A NewSEA solve is **compact and dense**: [`NewSea::solve_bounded`] takes
 //! `G_D` or any [`GraphView`] of it, copies the view's alive, positive entries into
 //! the workspace's CSR buffers once ([`GraphView::positive_part_into`]), and runs
 //! the whole sweep (the Theorem-6 bound, core numbers, the seeded run, every SEACD
@@ -22,18 +22,15 @@
 //! pass tests an entry's sign.  The compact rows hold the same entries in the same
 //! order as the sign-filtered view, so every float operation sees the same
 //! operands.  The sweep's state lives in the workspace's dense embedding arena, so
-//! steady-state solves allocate nothing but the returned solution.
-//! [`NewSea::solve_seeded_reference`] retains the `FxHashMap`-backed arena, on the
-//! sign-filtered view of `G_D`, as the property-test oracle: it runs the *same*
-//! kernels over hash storage and uncompacted rows, so dense solves are
-//! bit-identical to reference solves.
+//! steady-state solves allocate nothing but the returned solution, and a reused
+//! workspace solves bit-identically to a fresh one.
 
 use std::cmp::Reverse;
 
 use dcs_densest::Embedding;
 use dcs_graph::{core_numbers_view_into, CoreScratch, GraphView, SignedGraph, VertexId, Weight};
 
-use super::arena::{affinity_in, EmbeddingArena, HashArena, KernelScratch};
+use super::arena::{affinity_in, DcsgaScratch};
 use super::refine::refine_in;
 use super::seacd::{run_arena, snapshot_best};
 use super::DcsgaSolution;
@@ -118,40 +115,11 @@ impl NewSea {
             &mut meter,
             init_order,
             max_incident,
-            &mut dcsga.cores,
-            &mut dcsga.arena,
-            &mut dcsga.kernel,
+            dcsga,
             threads,
         );
         *positive = gd_plus.into_raw_csr();
         (solution, meter.finish())
-    }
-
-    /// The `FxHashMap`-backed **reference solve**: identical sweep, hash-arena
-    /// storage, fresh buffers per call, on the sign-filtered view of `gd` rather
-    /// than a compact copy.  Kept as the oracle the property tests compare the
-    /// dense workspace path against (both run the same kernels over the same
-    /// entries in the same order, so results are bit-identical); not a serving
-    /// path.
-    pub fn solve_seeded_reference(&self, gd: &SignedGraph, seed: &[VertexId]) -> DcsgaSolution {
-        let cx = SolveContext::unbounded();
-        let mut meter = cx.meter();
-        let mut order = Vec::new();
-        let mut max_incident = Vec::new();
-        let mut cores = CoreScratch::default();
-        let mut arena = HashArena::default();
-        let mut kernel = KernelScratch::default();
-        sweep_in(
-            GraphView::full(gd).positive_part(),
-            seed,
-            &mut meter,
-            &mut order,
-            &mut max_incident,
-            &mut cores,
-            &mut arena,
-            &mut kernel,
-            1,
-        )
     }
 }
 
@@ -160,21 +128,22 @@ impl NewSea {
 /// dominate.  Bit-identity makes the dispatch unobservable in results.
 const PAR_INIT_MIN_VERTICES: usize = 2048;
 
-/// The generic µ_u-ordered sweep shared by the dense (canonical) and hash
-/// (reference) arenas.  `pview` is a view of `G_{D+}`: the compact positive graph
-/// under the caller's mask, or the sign-filtered view of `G_D`.
-#[allow(clippy::too_many_arguments)]
-fn sweep_in<A: EmbeddingArena>(
+/// The µ_u-ordered sweep over `pview`, a view of `G_{D+}`: the compact positive
+/// graph under the caller's mask.
+fn sweep_in(
     pview: GraphView<'_>,
     seed: &[VertexId],
     meter: &mut WorkMeter,
     order: &mut Vec<(VertexId, Weight)>,
     max_incident: &mut Vec<Weight>,
-    cores: &mut CoreScratch,
-    arena: &mut A,
-    kernel: &mut KernelScratch,
+    dcsga: &mut DcsgaScratch,
     threads: usize,
 ) -> DcsgaSolution {
+    let DcsgaScratch {
+        arena,
+        kernel,
+        cores,
+    } = dcsga;
     let n = pview.num_vertices();
     let mut stats = SmartInitStats::default();
     if pview.alive_count() == 0 || !pview.has_edge() {
@@ -631,18 +600,30 @@ mod tests {
 
     #[test]
     fn reference_solve_matches_canonical_exactly() {
+        // The reference is a solve on a fresh workspace; the canonical serving path
+        // reuses one workspace across jobs, here warmed first on a larger graph.
         let gd = two_cliques();
+        let shared = crate::SharedWorkspace::new();
+        let warm = SolveContext::unbounded().with_workspace(&shared);
+        let mut larger = GraphBuilder::new(40);
+        for u in 0..39u32 {
+            larger.add_edge(u, u + 1, 1.0 + f64::from(u % 3));
+        }
+        NewSea::default().solve_bounded(&larger.build(), &[7, 8], &warm);
         for seed in [&[][..], &[0, 1, 2, 3][..], &[5, 6][..]] {
-            let dense = NewSea::default()
+            let reused = NewSea::default().solve_bounded(&gd, seed, &warm).0;
+            let reference = NewSea::default()
                 .solve_bounded(&gd, seed, &SolveContext::unbounded())
                 .0;
-            let reference = NewSea::default().solve_seeded_reference(&gd, seed);
-            assert_eq!(dense.support(), reference.support());
+            assert_eq!(reused.support(), reference.support());
+            for (u, x) in reused.embedding.iter() {
+                assert_eq!(x.to_bits(), reference.embedding.get(u).to_bits());
+            }
             assert_eq!(
-                dense.affinity_difference.to_bits(),
+                reused.affinity_difference.to_bits(),
                 reference.affinity_difference.to_bits()
             );
-            assert_eq!(dense.stats, reference.stats);
+            assert_eq!(reused.stats, reference.stats);
         }
     }
 

@@ -14,23 +14,19 @@
 //! positive-clique solution whose objective is at least the input's.
 //!
 //! Like the shrink and expansion stages, the refinement loop ([`refine_in`]) runs in
-//! an [`EmbeddingArena`](super::arena::EmbeddingArena) over a [`GraphView`]: no
-//! embedding clones for the two mass-transfer candidates, no materialised `G_{D+}`.
+//! the workspace's [`DenseArena`] over a [`GraphView`]: no embedding clones for the
+//! two mass-transfer candidates, no materialised `G_{D+}`.
 
 use dcs_densest::Embedding;
 use dcs_graph::{GraphView, SignedGraph, VertexId};
 
-use super::arena::{renormalize_in, DenseArena, EmbeddingArena, KernelScratch};
+use super::arena::{renormalize_in, DenseArena, KernelScratch};
 use super::coord_descent::descend_in;
 use super::{KKT_EPS_FACTOR, MAX_CD_ITERATIONS};
 
 /// The arena-resident Algorithm 4: refines the arena's embedding into a
 /// positive-clique solution of the view with objective ≥ the input's.
-pub(super) fn refine_in<A: EmbeddingArena>(
-    view: GraphView<'_>,
-    arena: &mut A,
-    scratch: &mut KernelScratch,
-) {
+pub(super) fn refine_in(view: GraphView<'_>, arena: &mut DenseArena, scratch: &mut KernelScratch) {
     let mut refine_span = dcs_obs::trace::span(dcs_obs::trace::Phase::Refine);
     loop {
         arena.support_into(&mut scratch.support);
@@ -69,9 +65,9 @@ pub(super) fn refine_in<A: EmbeddingArena>(
 /// `f(x')` where `x'` equals the arena's embedding with `x'_boosted = c` and
 /// `skipped` removed — the objective of one mass-transfer candidate, computed in
 /// ascending support order without materialising `x'`.
-fn affinity_overridden<A: EmbeddingArena>(
+fn affinity_overridden(
     view: GraphView<'_>,
-    arena: &A,
+    arena: &DenseArena,
     support: &[VertexId],
     boosted: VertexId,
     c: f64,
@@ -145,10 +141,10 @@ pub(crate) fn refine_with_workspace(
     refine_loaded(GraphView::full(g), x, &mut dcsga.arena, &mut dcsga.kernel)
 }
 
-fn refine_loaded<A: EmbeddingArena>(
+fn refine_loaded(
     view: GraphView<'_>,
     x: Embedding,
-    arena: &mut A,
+    arena: &mut DenseArena,
     scratch: &mut KernelScratch,
 ) -> Embedding {
     arena.begin(view.num_vertices());

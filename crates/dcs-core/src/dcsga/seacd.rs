@@ -13,9 +13,9 @@
 //! objective — unlike the original SEA with its loose objective-improvement stopping
 //! rule.  Expansion errors are still counted defensively and reported.
 //!
-//! The whole run lives in an [`EmbeddingArena`](super::arena::EmbeddingArena): the
-//! iterate, the shrink's linear form, the expansion direction `γ` and the candidate
-//! dedup marks are all arena state, and every edge read goes through a
+//! The whole run lives in the workspace's [`DenseArena`]: the iterate, the shrink's
+//! linear form, the expansion direction `γ` and the candidate dedup marks are all
+//! arena state, and every edge read goes through a
 //! [`GraphView`] — positive-filtered views included, and NewSEA's compact
 //! `G_{D+}` under the caller's mask.  The sparse [`Embedding`] appears only at the
 //! public entry points.
@@ -23,7 +23,7 @@
 use dcs_densest::Embedding;
 use dcs_graph::{GraphView, SignedGraph, VertexId, Weight};
 
-use super::arena::{affinity_in, renormalize_in, weighted_sum_in, EmbeddingArena, KernelScratch};
+use super::arena::{affinity_in, renormalize_in, weighted_sum_in, DenseArena, KernelScratch};
 use super::coord_descent::descend_in;
 use super::refine::refine_with_workspace;
 use super::{CANDIDATE_TOLERANCE, KKT_EPS_FACTOR, MAX_CD_ITERATIONS, MAX_ROUNDS};
@@ -76,9 +76,9 @@ pub(super) struct RunOutcome {
 /// Gathers the expansion candidate set `Z = {i | ∇_i f(x) > λ + tol}` into
 /// `scratch.z` (sorted ascending), looking only at view-surviving neighbours of the
 /// support in `scratch.support`.
-fn expansion_candidates_arena<A: EmbeddingArena>(
+fn expansion_candidates_arena(
     view: GraphView<'_>,
-    arena: &mut A,
+    arena: &mut DenseArena,
     scratch: &mut KernelScratch,
 ) {
     let lambda = 2.0 * affinity_in(view, arena, &scratch.support);
@@ -103,9 +103,9 @@ fn expansion_candidates_arena<A: EmbeddingArena>(
 /// moves mass from the support onto `Z` along `b`, with the closed-form optimal step
 /// `τ`.  Returns `(objective_before, objective_after)`; the iterate is updated (and
 /// renormalised) in the arena, `scratch.support` is refreshed.
-fn expansion_step_arena<A: EmbeddingArena>(
+fn expansion_step_arena(
     view: GraphView<'_>,
-    arena: &mut A,
+    arena: &mut DenseArena,
     scratch: &mut KernelScratch,
 ) -> (f64, f64) {
     let before = affinity_in(view, arena, &scratch.support);
@@ -168,9 +168,9 @@ fn expansion_step_arena<A: EmbeddingArena>(
 
 /// The arena-resident SEACD run: shrink–expand from the arena's current embedding
 /// until a KKT point (or `stop`) is reached.  The final iterate stays in the arena.
-pub(super) fn run_arena<A: EmbeddingArena, F: FnMut(u64) -> bool>(
+pub(super) fn run_arena<F: FnMut(u64) -> bool>(
     view: GraphView<'_>,
-    arena: &mut A,
+    arena: &mut DenseArena,
     scratch: &mut KernelScratch,
     mut stop: F,
 ) -> RunOutcome {
@@ -336,7 +336,7 @@ impl SeaCd {
 }
 
 /// Snapshots the arena's current support/values into the scratch's incumbent buffers.
-pub(super) fn snapshot_best<A: EmbeddingArena>(arena: &A, scratch: &mut KernelScratch) {
+pub(super) fn snapshot_best(arena: &DenseArena, scratch: &mut KernelScratch) {
     scratch.best_support.clear();
     scratch.best_values.clear();
     for i in 0..scratch.support.len() {
@@ -346,12 +346,9 @@ pub(super) fn snapshot_best<A: EmbeddingArena>(arena: &A, scratch: &mut KernelSc
     }
 }
 
-/// Exports the arena's current embedding as a sparse [`Embedding`] (ascending
-/// insertion order, so both arena backends produce bit-identical results).
-pub(super) fn export_embedding<A: EmbeddingArena>(
-    arena: &A,
-    scratch: &mut KernelScratch,
-) -> Embedding {
+/// Exports the arena's current embedding as a sparse [`Embedding`], inserted in
+/// ascending vertex order.
+pub(super) fn export_embedding(arena: &DenseArena, scratch: &mut KernelScratch) -> Embedding {
     arena.support_into(&mut scratch.support);
     Embedding::from_weights(scratch.support.iter().map(|&v| (v, arena.x(v))))
 }

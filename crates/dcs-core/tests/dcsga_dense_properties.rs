@@ -1,11 +1,9 @@
 //! Property-based tests of the dense workspace-backed DCSGA path:
 //!
-//! * dense SEACD/NewSEA solves, which run on a compact copy of `G_{D+}`, are
-//!   **bit-identical** to the retained `FxHashMap`-backed reference
-//!   ([`NewSea::solve_seeded_reference`]), which runs on the sign-filtered view,
-//!   across randomized graphs, seeded and unseeded, with the dense workspace
-//!   reused across a whole job sequence (the risky part: arena and compact-buffer
-//!   resets between solves);
+//! * NewSEA solves on a workspace reused across a whole job sequence are
+//!   **bit-identical** to solves on a fresh workspace, across randomized graphs,
+//!   seeded and unseeded (the risky part: arena and compact-buffer resets between
+//!   solves);
 //! * NewSEA on the signed `G_D` equals solving the **materialised**
 //!   `positive_part()`, bit for bit;
 //! * the solutions really are KKT points of the positive view (via the view-based
@@ -60,24 +58,25 @@ fn assert_bit_identical(a: &DcsgaSolution, b: &DcsgaSolution) -> Result<(), Test
 }
 
 proptest! {
-    /// Dense workspace-backed NewSEA equals the FxHashMap reference bit for bit,
-    /// with the workspace reused across a sequence of seeded and unseeded solves on
-    /// alternating graphs (stale arena state would show up here).
+    /// NewSEA on a workspace reused across a sequence of seeded and unseeded solves
+    /// on alternating graphs equals NewSEA on a fresh workspace bit for bit (stale
+    /// arena state would show up here).
     #[test]
-    fn dense_newsea_is_bit_identical_to_hash_reference(
+    fn reused_workspace_newsea_is_bit_identical_to_fresh(
         jobs in proptest::collection::vec(arb_graph_and_seed(), 1..5),
     ) {
         let shared = SharedWorkspace::new();
         let warm_cx = SolveContext::unbounded().with_workspace(&shared);
+        let fresh_cx = SolveContext::unbounded();
         let solver = NewSea::default();
         for (gd, seed) in &jobs {
-            let dense = solver.solve_bounded(gd, seed, &warm_cx).0;
-            let reference = solver.solve_seeded_reference(gd, seed);
-            assert_bit_identical(&dense, &reference)?;
+            let reused = solver.solve_bounded(gd, seed, &warm_cx).0;
+            let fresh = solver.solve_bounded(gd, seed, &fresh_cx).0;
+            assert_bit_identical(&reused, &fresh)?;
             // And the cold (unseeded) solves agree too.
-            let dense_cold = solver.solve_bounded(gd, &[], &warm_cx).0;
-            let reference_cold = solver.solve_seeded_reference(gd, &[]);
-            assert_bit_identical(&dense_cold, &reference_cold)?;
+            let reused_cold = solver.solve_bounded(gd, &[], &warm_cx).0;
+            let fresh_cold = solver.solve_bounded(gd, &[], &fresh_cx).0;
+            assert_bit_identical(&reused_cold, &fresh_cold)?;
         }
     }
 

@@ -330,19 +330,34 @@ mod tests {
         for (u, v, w) in edges {
             b.add_edge(u, v, w);
         }
-        let g = b.build();
-        // Brute force optimum.  Masks are u64 (not u32): `1 << n` / `1 << v` on a
-        // 32-bit mask silently overflows for n >= 32, and exact-solver tests have
-        // legitimately grown past 8 vertices before.
-        let n = g.num_vertices();
-        debug_assert!(n < 64, "brute-force subset masks are u64");
-        let mut best = 0.0f64;
-        for mask in 1u64..(1u64 << n) {
-            let subset: Vec<u32> = (0..n as u32).filter(|&v| mask & (1u64 << v) != 0).collect();
-            best = best.max(g.average_degree(&subset));
+        let random_ish = b.build();
+        // Two overlapping communities with different weights, plus a light pair.
+        let mut b = GraphBuilder::new(12);
+        for u in 0..6u32 {
+            for v in (u + 1)..6u32 {
+                b.add_edge(u, v, 1.0);
+            }
         }
-        let res = greedy_peeling(&g);
-        assert!(res.average_degree * 2.0 + 1e-9 >= best);
-        assert!(res.average_degree <= best + 1e-9);
+        for u in 5..10u32 {
+            for v in (u + 1)..10u32 {
+                b.add_edge(u, v, 2.0);
+            }
+        }
+        b.add_edge(10, 11, 0.5);
+        let communities = b.build();
+        for g in [random_ish, communities] {
+            // Brute-force optimum over every non-empty subset.  Masks are u64: a
+            // 32-bit `1 << v` silently overflows for n >= 32.
+            let n = g.num_vertices();
+            debug_assert!(n < 64, "brute-force subset masks are u64");
+            let mut best = 0.0f64;
+            for mask in 1u64..(1u64 << n) {
+                let subset: Vec<u32> = (0..n as u32).filter(|&v| mask & (1u64 << v) != 0).collect();
+                best = best.max(g.average_degree(&subset));
+            }
+            let res = greedy_peeling(&g);
+            assert!(res.average_degree * 2.0 + 1e-9 >= best);
+            assert!(res.average_degree <= best + 1e-9);
+        }
     }
 }

@@ -9,9 +9,6 @@
 //! * [`peel`] — the priority structure used by peeling (an indexed 4-ary min-heap keyed
 //!   by the current weighted degree, updated in place) and the peel's reusable
 //!   workspace.
-//! * [`maxflow`] — Dinic's maximum-flow algorithm.
-//! * [`goldberg`] — Goldberg's exact maximum-density-subgraph algorithm (binary search
-//!   over the density combined with min-cut computations) for non-negative weights.
 //! * [`quasi_clique`] — optimal α-quasi-clique extraction (edge-surplus objective,
 //!   Tsourakakis et al. 2013), the problem Section III-D of the paper relates the
 //!   α-scaled difference graph to; `dcs compare` runs it as a comparator.
@@ -24,14 +21,17 @@
 //! * [`sea`] — the original SEA algorithm (shrink via replicator dynamics + expansion),
 //!   including the loose objective-improvement stopping rule the paper criticises; it is
 //!   the `SEA+Refine` comparator of Tables VII and Fig. 2.
+//!
+//! There is no exact densest-subgraph solver.  Goldberg's max-flow reduction needs
+//! non-negative weights, and on the signed difference graph the problem is NP-hard
+//! (Theorem 1), so neither of the paper's algorithms calls one; the tests take their
+//! optimum from brute-force subset enumeration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod charikar;
 pub mod expansion;
-pub mod goldberg;
-pub mod maxflow;
 pub mod peel;
 pub mod quasi_clique;
 pub mod replicator;
@@ -40,10 +40,8 @@ pub mod simplex;
 
 pub use charikar::{greedy_peeling, greedy_peeling_view_into, PeelingResult};
 pub use expansion::{expansion_candidates, expansion_step, ExpansionOutcome};
-pub use goldberg::{densest_subgraph_exact, densest_subgraph_view_until, DensestSubgraph};
-pub use maxflow::FlowNetwork;
 pub use peel::PeelWorkspace;
-pub use quasi_clique::{greedy_quasi_clique, local_search_quasi_clique, QuasiCliqueResult};
+pub use quasi_clique::{greedy_quasi_clique, QuasiCliqueResult};
 pub use replicator::{replicator_dynamics, ReplicatorStop};
 pub use sea::{OriginalSea, SeaConfig, SeaResult};
 pub use simplex::{DenseEmbedding, Embedding};

@@ -12,15 +12,10 @@
 //! a useful comparison point between the paper's two density measures: it sits between
 //! DCSAD (which favours large subgraphs) and DCSGA (whose optimum is a positive clique).
 //!
-//! Two standard heuristics are implemented, following the original paper:
-//!
-//! * [`greedy_quasi_clique`] — peel the vertex of minimum weighted degree, keep the best
-//!   prefix by edge surplus (the `GreedyOQC` algorithm), and
-//! * [`local_search_quasi_clique`] — iterated add/remove passes from a seed subset
-//!   (the `LocalSearchOQC` algorithm), which never returns a worse subset than its seed.
-//!
-//! Both accept signed graphs; on a difference graph they optimise the *contrast* edge
-//! surplus, which is how `dcs compare` uses the greedy one.
+//! [`greedy_quasi_clique`] implements the original paper's `GreedyOQC` heuristic: peel
+//! the vertex of minimum weighted degree and keep the best prefix by edge surplus.  It
+//! accepts signed graphs; on a difference graph it optimises the *contrast* edge
+//! surplus, which is how `dcs compare` uses it.
 
 use dcs_graph::{SignedGraph, VertexId, VertexSubset, Weight};
 
@@ -120,63 +115,6 @@ pub fn greedy_quasi_clique(g: &SignedGraph, alpha: Weight) -> QuasiCliqueResult 
     QuasiCliqueResult::for_subset(g, subset, alpha)
 }
 
-/// `LocalSearchOQC`: hill-climb the edge surplus from a seed subset by repeatedly adding
-/// the best outside vertex or dropping the worst inside vertex until no single move
-/// improves the objective (or `max_passes` full passes were made).
-///
-/// The returned subset never has a smaller edge surplus than the seed.
-pub fn local_search_quasi_clique(
-    g: &SignedGraph,
-    alpha: Weight,
-    seed: &[VertexId],
-    max_passes: usize,
-) -> QuasiCliqueResult {
-    let n = g.num_vertices();
-    let mut members = VertexSubset::from_slice(n, seed);
-    if members.is_empty() && n > 0 {
-        // An empty seed would never grow (adding to an empty set changes surplus by 0),
-        // so seed with the heaviest edge instead.
-        if let Some((u, v, _)) = g.max_weight_edge() {
-            members.insert(u);
-            members.insert(v);
-        }
-    }
-
-    for _ in 0..max_passes {
-        let mut improved = false;
-
-        // Addition pass: adding v changes the surplus by deg_S(v) − α·|S|.
-        for v in 0..n as VertexId {
-            if members.contains(v) {
-                continue;
-            }
-            let gain = g.weighted_degree_in(v, &members) - alpha * members.len() as Weight;
-            if gain > 1e-12 {
-                members.insert(v);
-                improved = true;
-            }
-        }
-
-        // Removal pass: removing v changes the surplus by α·(|S|−1) − deg_S(v).
-        for v in members.to_sorted_vec() {
-            if members.len() <= 1 {
-                break;
-            }
-            let gain = alpha * (members.len() as Weight - 1.0) - g.weighted_degree_in(v, &members);
-            if gain > 1e-12 {
-                members.remove(v);
-                improved = true;
-            }
-        }
-
-        if !improved {
-            break;
-        }
-    }
-
-    QuasiCliqueResult::for_subset(g, members.into_sorted_vec(), alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,47 +185,5 @@ mod tests {
         let r = greedy_quasi_clique(&g, 0.5);
         assert!(r.edge_surplus >= 0.0);
         assert!(r.subset.len() <= 1 || r.total_edge_weight >= 0.0);
-    }
-
-    #[test]
-    fn local_search_improves_a_poor_seed() {
-        let g = clique_with_tail();
-        // Seed with a tail vertex only; local search should grow into the clique region
-        // and never end up worse than the seed.
-        let seed = vec![7u32];
-        let seed_surplus = edge_surplus(g.total_edge_weight(&seed), seed.len(), 1.0 / 3.0);
-        let result = local_search_quasi_clique(&g, 1.0 / 3.0, &seed, 50);
-        assert!(result.edge_surplus >= seed_surplus - 1e-9);
-        assert!(result.subset.len() >= 2);
-    }
-
-    #[test]
-    fn local_search_with_empty_seed_uses_heaviest_edge() {
-        let g = clique_with_tail();
-        let result = local_search_quasi_clique(&g, 1.0 / 3.0, &[], 50);
-        assert!(result.subset.len() >= 2);
-        assert!(result.edge_surplus > 0.0);
-    }
-
-    #[test]
-    fn local_search_refines_the_greedy_answer_on_signed_graphs() {
-        // Difference-graph style input: a positive near-clique plus negative edges.
-        let mut b = GraphBuilder::new(8);
-        for u in 0..4u32 {
-            for v in (u + 1)..4u32 {
-                if (u, v) != (2, 3) {
-                    b.add_edge(u, v, 2.0);
-                }
-            }
-        }
-        b.add_edge(3, 4, -3.0);
-        b.add_edge(4, 5, 1.0);
-        let g = b.build();
-
-        let greedy = greedy_quasi_clique(&g, 0.5);
-        let refined = local_search_quasi_clique(&g, 0.5, &greedy.subset, 50);
-        assert!(refined.edge_surplus >= greedy.edge_surplus - 1e-9);
-        // Vertices incident only to the negative edge must not be selected.
-        assert!(!refined.subset.contains(&4) || refined.total_edge_weight > 0.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use dcs_densest::charikar::greedy_peeling;
 use dcs_densest::replicator::{kkt_gap_on_support, replicator_dynamics, ReplicatorStop};
-use dcs_densest::{densest_subgraph_exact, Embedding, OriginalSea};
+use dcs_densest::{Embedding, OriginalSea};
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -127,14 +127,11 @@ fn brute_force_densest(g: &SignedGraph) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Goldberg's exact solver matches brute force on non-negative graphs, and Charikar's
-    /// greedy is within a factor 2 of it.
+    /// Charikar's greedy peel is within a factor 2 of the brute-force optimum on
+    /// non-negative graphs.
     #[test]
-    fn goldberg_is_exact_and_charikar_within_two(g in arb_positive_graph()) {
+    fn charikar_within_two_of_brute_force(g in arb_positive_graph()) {
         let optimum = brute_force_densest(&g);
-        let exact = densest_subgraph_exact(&g);
-        prop_assert!((exact.average_degree - optimum).abs() < 1e-6,
-            "goldberg {} vs brute force {}", exact.average_degree, optimum);
         let greedy = greedy_peeling(&g);
         prop_assert!(greedy.average_degree <= optimum + 1e-9);
         prop_assert!(2.0 * greedy.average_degree + 1e-9 >= optimum);

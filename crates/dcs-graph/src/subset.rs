@@ -125,18 +125,6 @@ impl VertexSubset {
         &self.items
     }
 
-    /// Returns the members as a sorted `Vec`.
-    ///
-    /// This clones the member list; it is the right call only when the subset must
-    /// stay iterable while the snapshot is consumed (e.g. a removal pass over a
-    /// frozen ordering).  Solution normalisation should use
-    /// [`Self::into_sorted_vec`], which sorts in place without cloning.
-    pub fn to_sorted_vec(&self) -> Vec<VertexId> {
-        let mut v = self.items.clone();
-        v.sort_unstable();
-        v
-    }
-
     /// Consumes the subset and returns its members sorted ascending, without cloning —
     /// the zero-copy solution-normalisation accessor.
     pub fn into_sorted_vec(mut self) -> Vec<VertexId> {
@@ -179,14 +167,14 @@ mod tests {
         assert!(s.remove(3));
         assert!(!s.remove(3));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.to_sorted_vec(), vec![1]);
+        assert_eq!(s.clone().into_sorted_vec(), vec![1]);
     }
 
     #[test]
     fn sorted_accessors_agree_and_avoid_cloning() {
         let s = VertexSubset::from_slice(8, &[7, 2, 5, 0]);
         assert!(s.contains(5) && !s.contains(1));
-        assert_eq!(s.to_sorted_vec(), vec![0, 2, 5, 7]);
+        assert_eq!(s.clone().into_sorted_vec(), vec![0, 2, 5, 7]);
         assert_eq!(s.into_sorted_vec(), vec![0, 2, 5, 7]);
     }
 
@@ -205,7 +193,7 @@ mod tests {
     fn from_slice_dedups() {
         let s = VertexSubset::from_slice(6, &[5, 1, 5, 1, 2]);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.to_sorted_vec(), vec![1, 2, 5]);
+        assert_eq!(s.clone().into_sorted_vec(), vec![1, 2, 5]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   lock.  Snapshots are plain data, mergeable across registries/shards, and
 //!   histograms summarise to p50/p95/p99.
 //! * [`trace`] — a **phase tracer**: span-style begin/end events for solver
-//!   phases (peel, flow rounds, CD shrink/expand, the µ_u sweep, snapshot
-//!   rebuilds, queue wait) recorded into bounded per-thread ring buffers.
+//!   phases (`G_D` build, peel, CD shrink/expand, the µ_u bound and sweep,
+//!   refinement, snapshot rebuilds, queue wait) recorded into bounded
+//!   per-thread ring buffers.
 //!   Tracing is off by default and gated behind one relaxed atomic load —
 //!   an instrumented-but-disabled build pays a branch per *phase* (not per
 //!   iteration), which is unmeasurable next to the phases themselves.  The

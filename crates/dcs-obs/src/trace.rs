@@ -33,8 +33,6 @@ pub const RING_CAPACITY: usize = 4096;
 pub enum Phase {
     /// Greedy peeling of one solve (units: vertices removed).
     Peel,
-    /// Goldberg max-flow binary search of one solve (units: flow rounds).
-    Flow,
     /// One SEACD 2-coordinate-descent shrink stage (units: CD iterations).
     CdShrink,
     /// One SEA expansion step (units: candidate vertices absorbed).
@@ -61,7 +59,6 @@ impl Phase {
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Peel => "peel",
-            Phase::Flow => "flow",
             Phase::CdShrink => "cd_shrink",
             Phase::CdExpand => "cd_expand",
             Phase::MuSweep => "mu_sweep",
@@ -89,7 +86,7 @@ pub struct TraceEvent {
     pub start_us: u64,
     /// Span duration in microseconds.
     pub duration_us: u64,
-    /// Phase-specific work units (vertices removed, flow rounds, …).
+    /// Phase-specific work units (vertices removed, CD iterations, …).
     pub units: u64,
     /// Dense id of the recording thread (assigned on first record).
     pub thread: u64,

@@ -7,7 +7,8 @@
 //! * [`densest`] — classical densest-subgraph machinery (`dcs-densest`),
 //! * [`core`] — the DCS algorithms: difference graphs, DCSGreedy, SEACD, NewSEA
 //!   (`dcs-core`),
-//! * [`baselines`] — EgoScan substitute and exact reference solvers (`dcs-baselines`),
+//! * [`baselines`] — the EgoScan substitute, the paper's external comparator
+//!   (`dcs-baselines`),
 //! * [`datasets`] — synthetic graph-pair generators and recovery metrics
 //!   (`dcs-datasets`),
 //! * [`server`] — the long-running contrast-mining service: session registry,
@@ -55,7 +56,7 @@ pub mod prelude {
     };
     pub use dcs_core::{StreamingConfig, StreamingDcs};
     pub use dcs_datasets::{GraphPair, Scale};
-    pub use dcs_densest::{densest_subgraph_exact, greedy_peeling};
+    pub use dcs_densest::greedy_peeling;
     pub use dcs_graph::{DeltaGraph, GraphBuilder, SignedGraph, VertexId, Weight};
     pub use dcs_server::{Client as DcsClient, Server as DcsServer, ServerConfig};
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example coauthor_groups
+//! cargo run --release --example coauthor_groups
 //! ```
 
 use dcs::core::{difference_graph_with, DiscreteRule, WeightScheme};

@@ -9,7 +9,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example dark_network
+//! cargo run --release --example dark_network
 //! ```
 
 use dcs::core::{difference_graph, top_k_affinity, ContrastReport};

@@ -9,7 +9,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example emerging_communities
+//! cargo run --release --example emerging_communities
 //! ```
 
 use dcs::core::{alpha_sweep, default_alpha_grid, scaled_difference_graph, DensityMeasure};

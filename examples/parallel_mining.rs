@@ -11,7 +11,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example parallel_mining
+//! cargo run --release --example parallel_mining
 //! ```
 
 use std::time::Instant;

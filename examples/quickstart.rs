@@ -2,7 +2,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run -p dcs --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use dcs::prelude::*;

@@ -8,7 +8,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example traffic_anomaly
+//! cargo run --release --example traffic_anomaly
 //! ```
 
 use dcs::core::streaming::{StreamingConfig, StreamingDcs};

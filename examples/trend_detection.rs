@@ -8,7 +8,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p dcs --example trend_detection
+//! cargo run --release --example trend_detection
 //! ```
 
 use dcs::core::dcsga::{clique_census, SeaCd};

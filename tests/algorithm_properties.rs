@@ -1,7 +1,8 @@
 //! Property-based tests of the DCS algorithms on random signed graphs: the invariants
-//! proved in the paper must hold on every instance.
+//! proved in the paper must hold on every instance.  The exponential-time oracles they
+//! compare against (the optimal DCSAD subset, the maximum clique and the Motzkin–Straus
+//! optimum) are defined, and unit-tested, at the end of this file.
 
-use dcs::baselines::exact::{brute_force_dcsad, motzkin_straus_optimum};
 use dcs::core::dcsga::kkt::{is_kkt_point, kkt_violation};
 use dcs::core::dcsga::{refine, NewSea, SeaCd};
 use dcs::core::{difference_graph, DcsError};
@@ -209,4 +210,157 @@ fn error_paths_are_reported() {
         }
         other => panic!("expected mismatch error, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------- brute-force oracles
+
+/// Maximum vertex count accepted by the subset-enumeration oracle.
+const MAX_BRUTE_FORCE_VERTICES: usize = 22;
+
+/// Brute-force optimum of the DCSAD problem `max_S W_D(S)/|S|` by enumerating every
+/// non-empty vertex subset.
+///
+/// # Panics
+///
+/// Panics if the graph has more than 22 vertices (2²² subsets is the practical limit for
+/// a test oracle).
+fn brute_force_dcsad(gd: &SignedGraph) -> (Vec<VertexId>, Weight) {
+    let n = gd.num_vertices();
+    assert!(
+        n <= MAX_BRUTE_FORCE_VERTICES,
+        "brute_force_dcsad is limited to {MAX_BRUTE_FORCE_VERTICES} vertices (got {n})"
+    );
+    let mut best: (Vec<VertexId>, Weight) = (vec![0], 0.0);
+    for mask in 1u64..(1u64 << n) {
+        let subset: Vec<VertexId> = (0..n as u32).filter(|&v| mask & (1 << v) != 0).collect();
+        let density = gd.average_degree(&subset);
+        if density > best.1 {
+            best = (subset, density);
+        }
+    }
+    best
+}
+
+/// Brute-force maximum clique of the *positive part* of a graph (edges with weight > 0),
+/// returned as a sorted vertex list.  Uses a simple branch-and-bound over the vertex
+/// ordering; fine up to a few dozen vertices.
+fn brute_force_max_clique(g: &SignedGraph) -> Vec<VertexId> {
+    let n = g.num_vertices();
+    let adjacent = |u: VertexId, v: VertexId| matches!(g.edge_weight(u, v), Some(w) if w > 0.0);
+    let mut best: Vec<VertexId> = Vec::new();
+    let mut current: Vec<VertexId> = Vec::new();
+
+    fn extend(
+        candidates: &[VertexId],
+        current: &mut Vec<VertexId>,
+        best: &mut Vec<VertexId>,
+        adjacent: &dyn Fn(VertexId, VertexId) -> bool,
+    ) {
+        if current.len() + candidates.len() <= best.len() {
+            return; // bound
+        }
+        if candidates.is_empty() {
+            if current.len() > best.len() {
+                *best = current.clone();
+            }
+            return;
+        }
+        for (idx, &v) in candidates.iter().enumerate() {
+            if current.len() + (candidates.len() - idx) <= best.len() {
+                break;
+            }
+            let next: Vec<VertexId> = candidates[idx + 1..]
+                .iter()
+                .copied()
+                .filter(|&u| adjacent(u, v))
+                .collect();
+            current.push(v);
+            extend(&next, current, best, adjacent);
+            current.pop();
+        }
+    }
+
+    let all: Vec<VertexId> = (0..n as VertexId).collect();
+    extend(&all, &mut current, &mut best, &adjacent);
+    best.sort_unstable();
+    best
+}
+
+/// The Motzkin–Straus optimum of the DCSGA problem for an **unweighted** graph:
+/// `1 − 1/ω(G)` where `ω(G)` is the clique number (0 for an edgeless graph).
+///
+/// Only meaningful when every positive edge has weight exactly 1.
+fn motzkin_straus_optimum(g: &SignedGraph) -> Weight {
+    let clique = brute_force_max_clique(g);
+    if clique.len() <= 1 {
+        0.0
+    } else {
+        1.0 - 1.0 / clique.len() as Weight
+    }
+}
+
+#[test]
+fn dcsad_on_signed_triangle() {
+    let gd = GraphBuilder::from_edges(4, vec![(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, -5.0)]);
+    let (subset, density) = brute_force_dcsad(&gd);
+    assert_eq!(subset, vec![0, 1, 2]);
+    assert!((density - 4.0).abs() < 1e-12);
+}
+
+#[test]
+fn dcsad_all_negative_graph() {
+    let gd = GraphBuilder::from_edges(3, vec![(0, 1, -1.0), (1, 2, -2.0)]);
+    let (subset, density) = brute_force_dcsad(&gd);
+    assert_eq!(subset.len(), 1);
+    assert_eq!(density, 0.0);
+}
+
+#[test]
+fn max_clique_ignores_negative_edges() {
+    let g = GraphBuilder::from_edges(
+        5,
+        vec![
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (0, 2, 1.0),
+            (2, 3, -1.0),
+            (3, 4, -1.0),
+            (0, 3, 1.0),
+            (1, 3, 1.0),
+        ],
+    );
+    // Positive clique {0,1,2} plus vertex 3 connected positively to 0,1 but
+    // negatively to 2, so the max positive clique is {0,1,2} or {0,1,3} (both size 3).
+    let clique = brute_force_max_clique(&g);
+    assert_eq!(clique.len(), 3);
+    assert!(g.is_positive_clique(&clique));
+}
+
+#[test]
+fn max_clique_of_k5() {
+    let mut b = GraphBuilder::new(7);
+    for u in 0..5u32 {
+        for v in (u + 1)..5u32 {
+            b.add_edge(u, v, 1.0);
+        }
+    }
+    b.add_edge(5, 6, 1.0);
+    let clique = brute_force_max_clique(&b.build());
+    assert_eq!(clique, vec![0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn motzkin_straus_values() {
+    let triangle = GraphBuilder::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
+    assert!((motzkin_straus_optimum(&triangle) - 2.0 / 3.0).abs() < 1e-12);
+    let edge = GraphBuilder::from_edges(2, vec![(0, 1, 1.0)]);
+    assert!((motzkin_straus_optimum(&edge) - 0.5).abs() < 1e-12);
+    let empty = SignedGraph::empty(3);
+    assert_eq!(motzkin_straus_optimum(&empty), 0.0);
+}
+
+#[test]
+#[should_panic(expected = "limited")]
+fn brute_force_rejects_large_graphs() {
+    brute_force_dcsad(&SignedGraph::empty(30));
 }
