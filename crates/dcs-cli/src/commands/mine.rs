@@ -77,6 +77,8 @@ fn termination_line(stats: &SolveStats) -> String {
 /// Runs the subcommand and returns the text to print.
 pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let args = parse_args(raw_args, &spec())?;
+    // Started before the inputs load, so the timeline shows their parse.
+    let tracing = TraceGuard::new(args.option("trace-json"));
     let pair = load_pair(&args)?;
     let options = MiningOptions::from_args(&args)?;
     let cx = MiningOptions::solve_context(&args)?;
@@ -88,7 +90,6 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         })?,
     };
 
-    let tracing = TraceGuard::new(args.option("trace-json"));
     let mut out = String::new();
     let mut json_results = Vec::new();
     // The deadline is naturally job-wide (absolute instant); splitting the budget
@@ -283,9 +284,15 @@ mod tests {
             .iter()
             .map(|e| e["phase"].as_str().unwrap())
             .collect();
-        // Both solver families ran: greedy peeling and the NewSEA µ_u sweep,
-        // after the G_D build and the Theorem-6 bound.
-        for phase in ["diff_build", "peel", "mu_bound", "mu_sweep"] {
+        // Both inputs were parsed (at least two `parse` events: tests on other
+        // threads may parse while tracing is on, and the timeline holds every
+        // thread's events), and both solver families ran: greedy peeling and
+        // the NewSEA µ_u sweep, after the G_D build and the Theorem-6 bound.
+        assert!(
+            phases.iter().filter(|&&p| p == "parse").count() >= 2,
+            "{phases:?}"
+        );
+        for phase in ["parse", "diff_build", "peel", "mu_bound", "mu_sweep"] {
             assert!(phases.contains(&phase), "{phase} missing: {phases:?}");
         }
         // The guard switched tracing back off after the run.

@@ -10,7 +10,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use dcs_core::{clamp_weights, difference_graph_with, DiscreteRule, SolveContext, WeightScheme};
-use dcs_graph::labels::{align_vertex_counts, read_labeled_graph_pair_files, VertexLabels};
+use dcs_graph::labels::{read_labeled_graph_pair_files, VertexLabels};
 use dcs_graph::{io as graph_io, SignedGraph, VertexId};
 
 use crate::args::ParsedArgs;
@@ -107,14 +107,13 @@ impl PairInput {
     }
 }
 
-/// Pads the smaller graph of a pair to the other's vertex count
-/// ([`align_vertex_counts`]); a pair whose counts agree is moved through as it is.
-fn aligned(g1: SignedGraph, g2: SignedGraph) -> (SignedGraph, SignedGraph) {
-    if g1.num_vertices() == g2.num_vertices() {
-        (g1, g2)
-    } else {
-        align_vertex_counts(&g1, &g2)
-    }
+/// Pads the smaller graph of a pair in place to the other's vertex count, as
+/// [`dcs_graph::labels::align_vertex_counts`] pads copies of both.
+fn aligned(mut g1: SignedGraph, mut g2: SignedGraph) -> (SignedGraph, SignedGraph) {
+    let n = g1.num_vertices().max(g2.num_vertices());
+    g1.pad_vertices(n);
+    g2.pad_vertices(n);
+    (g1, g2)
 }
 
 /// Which difference graph(s) to mine.
@@ -312,6 +311,39 @@ mod tests {
         assert!(pair.labels.is_none());
         assert_eq!(pair.g1.num_vertices(), 3); // aligned to the larger graph
         assert_eq!(pair.render_vertices(&[2]), vec!["2".to_string()]);
+    }
+
+    #[test]
+    fn pairs_whose_largest_ids_differ_load_and_mine_as_padded_copies() {
+        use dcs_graph::labels::align_vertex_counts;
+        let dir = std::env::temp_dir().join("dcs_cli_input_padding");
+        std::fs::create_dir_all(&dir).unwrap();
+        let small = dir.join("small.edges");
+        let large = dir.join("large.edges");
+        std::fs::write(&small, "0 1 1\n1 2 5\n0 2 1\n").unwrap();
+        std::fs::write(&large, "0 1 4\n1 2 1\n0 2 3\n3 5 2\n4 5 2\n").unwrap();
+        for (p1, p2) in [(&small, &large), (&large, &small)] {
+            // The in-place padding gives the graphs the copying alignment gives.
+            let pair = PairInput::load(p1, p2, true).unwrap();
+            let (g1, g2) = align_vertex_counts(
+                &graph_io::read_edge_list_file(p1).unwrap(),
+                &graph_io::read_edge_list_file(p2).unwrap(),
+            );
+            assert_eq!((pair.g1.num_vertices(), pair.g2.num_vertices()), (6, 6));
+            assert_eq!((&pair.g1, &pair.g2), (&g1, &g2));
+            // And mines the bytes that packs of the copies mine (a pack keeps its
+            // vertex count, so that pair needs no padding).
+            let (pack1, pack2) = (dir.join("g1.dcspack"), dir.join("g2.dcspack"));
+            dcs_datasets::PackWriter::write_graph(&g1, &pack1).unwrap();
+            dcs_datasets::PackWriter::write_graph(&g2, &pack2).unwrap();
+            let mine = |a: &Path, b: &Path| {
+                let args = [a, b].map(|p| p.to_string_lossy().into_owned());
+                crate::commands::mine::run(&[&args[..], &["--numeric".to_owned()]].concat())
+                    .unwrap()
+            };
+            assert_eq!(mine(p1, p2), mine(&pack1, &pack2));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

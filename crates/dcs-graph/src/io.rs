@@ -16,11 +16,25 @@
 //! line or token is copied.  The parsed edges go through a [`GraphBuilder`], which folds
 //! duplicates.
 //!
+//! The numeric reader first tries each line as a *fast line*:
+//! `digits SP digits [SP digits] LF`, with ids of at most 9 digits below
+//! [`MAX_VERTICES`] and a weight of at most 15 digits, the form of an unweighted or
+//! integer-weighted (count) line as [`write_edge_list`] prints it.  A fast line is read
+//! in one pass over its bytes, each digit run stopping at its cap, and its weight is
+//! converted as the walker converts a 1–15 digit token, exactly.  Any other line (a
+//! comment, a tab, a doubled or trailing space, `\r\n`, a missing final newline, a
+//! real-valued, signed or longer number, an id past the limit) goes, alone, to the
+//! walker, so every token rule, error, line number and output bit is the walker's.
+//! After 16 lines in a row that are not fast lines, only every 16th line is tried
+//! until one is, so a text of real-valued weights costs little more than the walker.
+//!
 //! A numeric edge list may name vertex ids below [`MAX_VERTICES`]; a larger id is refused
 //! with [`IoError::VertexLimit`] before any vertex array is sized by it.
 
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
+
+use dcs_obs::trace::Phase;
 
 use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
 
@@ -110,16 +124,15 @@ pub(crate) fn parse_weight(token: &str) -> Option<Weight> {
     }
 }
 
+/// The most digits of an integer weight token converted exactly: its value is below
+/// 10^15 < 2^53.
+const EXACT_DIGITS: usize = 15;
+
 /// The value of a token of 1–15 ASCII digits; `None` for any other token.
 #[inline]
 fn exact_integer(token: &str) -> Option<u64> {
-    if !(1..=15).contains(&token.len()) {
-        return None;
-    }
-    token.bytes().try_fold(0u64, |value, b| {
-        let digit = b.wrapping_sub(b'0');
-        (digit <= 9).then(|| value * 10 + u64::from(digit))
-    })
+    digit_run(token.as_bytes(), 0, EXACT_DIGITS)
+        .and_then(|(value, end)| (end == token.len()).then_some(value))
 }
 
 /// Parses a vertex id token; `None` unless it is ASCII decimal digits whose value fits a
@@ -224,58 +237,159 @@ pub(crate) fn for_each_edge<'t>(
     let mut line_number = 0;
     while line_start < text.len() {
         line_number += 1;
-        let mut tokens = LineTokens {
-            text,
-            at: line_start,
-        };
-        let outcome = match tokens.next() {
-            None => Ok(()),
-            Some(first) if first.starts_with(['#', '%']) => Ok(()),
-            Some(u) => match (tokens.next(), tokens.next().map(parse_weight)) {
-                (Some(v), None) => edge(u, v, 1.0),
-                (Some(v), Some(Some(w))) => edge(u, v, w),
-                _ => Err(Rejected::Malformed),
-            },
-        };
-        let line_end = tokens.line_end();
-        if let Err(rejected) = outcome {
-            return Err(match rejected {
-                Rejected::Malformed => {
-                    let line = &text[line_start..line_end];
-                    let line = if line_end < text.len() {
-                        line.strip_suffix('\r').unwrap_or(line)
-                    } else {
-                        line
-                    };
-                    IoError::Parse {
-                        line_number,
-                        line: line.to_owned(),
-                    }
-                }
-                Rejected::OverLimit(id) => IoError::VertexLimit {
-                    line_number,
-                    id,
-                    limit: MAX_VERTICES,
-                },
-            });
-        }
-        line_start = line_end + 1;
+        line_start = walk_line(text, line_start, line_number, &mut edge)?;
     }
     Ok(())
 }
 
-/// Parses a numeric edge-list text (see [`read_edge_list`]).
-fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
-    let mut builder = GraphBuilder::new(0);
-    for_each_edge(text, |u, v, w| match (parse_vertex(u), parse_vertex(v)) {
-        (Some(u), Some(v)) => {
-            builder.add_edge(below_limit(u)?, below_limit(v)?, w);
-            Ok(())
+/// Walks the one line of `text` that starts at byte `line_start` under the rules of
+/// [`for_each_edge`], as its line `line_number`; returns where the next line starts.
+fn walk_line<'t>(
+    text: &'t str,
+    line_start: usize,
+    line_number: usize,
+    edge: impl FnOnce(&'t str, &'t str, Weight) -> Result<(), Rejected>,
+) -> Result<usize, IoError> {
+    let mut tokens = LineTokens {
+        text,
+        at: line_start,
+    };
+    let outcome = match tokens.next() {
+        None => Ok(()),
+        Some(first) if first.starts_with(['#', '%']) => Ok(()),
+        Some(u) => match (tokens.next(), tokens.next().map(parse_weight)) {
+            (Some(v), None) => edge(u, v, 1.0),
+            (Some(v), Some(Some(w))) => edge(u, v, w),
+            _ => Err(Rejected::Malformed),
+        },
+    };
+    let line_end = tokens.line_end();
+    match outcome {
+        Ok(()) => Ok(line_end + 1),
+        Err(Rejected::Malformed) => {
+            let line = &text[line_start..line_end];
+            let line = if line_end < text.len() {
+                line.strip_suffix('\r').unwrap_or(line)
+            } else {
+                line
+            };
+            Err(IoError::Parse {
+                line_number,
+                line: line.to_owned(),
+            })
         }
-        _ => Err(Rejected::Malformed),
-    })?;
+        Err(Rejected::OverLimit(id)) => Err(IoError::VertexLimit {
+            line_number,
+            id,
+            limit: MAX_VERTICES,
+        }),
+    }
+}
+
+/// The most digits a vertex id of a fast line may have: every 9-digit value fits a
+/// `u32`, so the run needs no overflow check.
+const FAST_ID_DIGITS: usize = 9;
+
+/// The value of the run of 1 to `cap` ASCII digits at byte `at` of `bytes`, and the
+/// position after it; `None` when no digit is there or the run is longer than `cap`.
+/// No digit past the cap is accumulated, so the value cannot overflow.
+#[inline]
+fn digit_run(bytes: &[u8], at: usize, cap: usize) -> Option<(u64, usize)> {
+    let end = bytes.len().min(at + cap);
+    let mut value = 0u64;
+    let mut i = at;
+    while i < end {
+        let digit = bytes[i].wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value * 10 + u64::from(digit);
+        i += 1;
+    }
+    let longer = bytes.get(i).is_some_and(u8::is_ascii_digit);
+    (i > at && !longer).then_some((value, i))
+}
+
+/// Reads the *fast line* that starts at byte `at`, a line of the exact form
+/// `digits SP digits [SP digits] LF` whose ids have at most [`FAST_ID_DIGITS`] digits
+/// and lie below [`MAX_VERTICES`] and whose weight has at most [`EXACT_DIGITS`];
+/// returns its edge and where the next line starts, or `None` for any other line.
+/// On a fast line the token walker would read the same ids, and the same weight bits,
+/// since [`parse_weight`] converts such a token with [`exact_integer`], the same run.
+#[inline]
+fn fast_line(bytes: &[u8], at: usize) -> Option<(VertexId, VertexId, Weight, usize)> {
+    let (u, at) = digit_run(bytes, at, FAST_ID_DIGITS)?;
+    if bytes.get(at) != Some(&b' ') {
+        return None;
+    }
+    let (v, at) = digit_run(bytes, at + 1, FAST_ID_DIGITS)?;
+    let (w, at) = match *bytes.get(at)? {
+        b'\n' => (1.0, at),
+        b' ' => {
+            let (w, at) = digit_run(bytes, at + 1, EXACT_DIGITS)?;
+            (w as Weight, at)
+        }
+        _ => return None,
+    };
+    let limit = MAX_VERTICES as u64;
+    if bytes.get(at) != Some(&b'\n') || u >= limit || v >= limit {
+        return None;
+    }
+    Some((u as VertexId, v as VertexId, w, at + 1))
+}
+
+/// Parses a numeric edge-list text (see [`read_edge_list`]).
+///
+/// Each [`fast_line`] is read in one pass; any other line goes, alone, to the token
+/// walker of [`for_each_edge`], so the rules, errors and line numbers are the walker's.
+/// After [`FAST_RETRY_LINES`] lines in a row that are not fast, only every
+/// [`FAST_RETRY_LINES`]th line is tried until one is a fast line again, so a text of
+/// real-valued weights pays for few failed attempts, while a text that mixes the two
+/// kinds of line tries every line.
+fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
+    let mut span = dcs_obs::trace::span(Phase::Parse);
+    let mut builder = GraphBuilder::new(0);
+    let bytes = text.as_bytes();
+    let mut edge_lines = 0u64;
+    let mut line_start = 0;
+    let mut line_number = 0;
+    let mut misses = 0usize;
+    while line_start < bytes.len() {
+        line_number += 1;
+        let fast = if misses < FAST_RETRY_LINES || line_number % FAST_RETRY_LINES == 0 {
+            fast_line(bytes, line_start)
+        } else {
+            None
+        };
+        line_start = match fast {
+            Some((u, v, w, next)) => {
+                misses = 0;
+                builder.add_edge(u, v, w);
+                edge_lines += 1;
+                next
+            }
+            None => {
+                misses += 1;
+                walk_line(text, line_start, line_number, |u, v, w| {
+                    match (parse_vertex(u), parse_vertex(v)) {
+                        (Some(u), Some(v)) => {
+                            builder.add_edge(below_limit(u)?, below_limit(v)?, w);
+                            edge_lines += 1;
+                            Ok(())
+                        }
+                        _ => Err(Rejected::Malformed),
+                    }
+                })?
+            }
+        };
+    }
+    span.set_units(edge_lines);
     Ok(builder.build())
 }
+
+/// How many lines in a row may fail to be fast lines before [`parse_edge_list`] tries
+/// only every line whose number is a multiple of it.
+const FAST_RETRY_LINES: usize = 16;
 
 /// Parses an edge list from a reader.
 ///
@@ -427,6 +541,42 @@ mod tests {
             assert_eq!(exact_integer(token), None, "{token}");
         }
         assert_eq!(parse_weight("9007199254740993"), Some(9007199254740992.0));
+    }
+
+    #[test]
+    fn fast_lines_stop_at_their_caps() {
+        let fast = |line: &str| fast_line(line.as_bytes(), 0).map(|(u, v, w, _)| (u, v, w));
+        assert_eq!(fast("1 2 3\n"), Some((1, 2, 3.0)));
+        assert_eq!(fast("1 2\n"), Some((1, 2, 1.0)));
+        assert_eq!(
+            fast("000000001 49999999 000000000000003\n"),
+            Some((1, 49_999_999, 3.0))
+        );
+        assert_eq!(
+            fast("7 7 999999999999999\n"),
+            Some((7, 7, 999_999_999_999_999.0))
+        );
+        // Longer runs, ids at the limit, other separators and endings are left to the
+        // token walker; a 20-digit run stops at its cap instead of overflowing.
+        for line in [
+            "0000000001 2 3\n",
+            "1 0000000002 3\n",
+            "1 2 0000000000000003\n",
+            "1 2 99999999999999999999\n",
+            "50000000 1\n",
+            "1 999999999\n",
+            "1 2 3",
+            "1 2 3\r\n",
+            "1  2 3\n",
+            "1 2 3 \n",
+            "1\t2 3\n",
+            "1 2 -3\n",
+            "1 2 3.5\n",
+            "# 1 2\n",
+            "\n",
+        ] {
+            assert_eq!(fast(line), None, "{line:?}");
+        }
     }
 
     #[test]

@@ -153,8 +153,9 @@ impl LabeledGraphBuilder {
 /// DCS inputs must share a vertex set; when two graphs are loaded through a shared,
 /// growing label table the first graph may have been built before the table saw every
 /// label, so it can be smaller.  Padding with isolated vertices changes neither densities
-/// nor any algorithm's output.  The padded copy repeats the graph's last CSR offset; a
-/// caller that owns both graphs and finds their counts equal can skip the copies.
+/// nor any algorithm's output.  Both graphs are copied in full, the larger one too; a
+/// caller that owns both graphs pads the smaller one in place with
+/// [`SignedGraph::pad_vertices`] instead.
 pub fn align_vertex_counts(g1: &SignedGraph, g2: &SignedGraph) -> (SignedGraph, SignedGraph) {
     let n = g1.num_vertices().max(g2.num_vertices());
     let pad = |g: &SignedGraph| {
@@ -167,13 +168,17 @@ pub fn align_vertex_counts(g1: &SignedGraph, g2: &SignedGraph) -> (SignedGraph, 
 
 /// Parses a labelled edge-list text (see [`read_labeled_edge_list`]).
 fn parse_labeled_edge_list(text: &str, labels: &mut VertexLabels) -> Result<SignedGraph, IoError> {
+    let mut span = dcs_obs::trace::span(dcs_obs::trace::Phase::Parse);
     let mut builder = GraphBuilder::new(0);
+    let mut edge_lines = 0u64;
     for_each_edge(text, |u, v, w| {
         let u = labels.intern(u);
         let v = labels.intern(v);
         builder.add_edge(u, v, w);
+        edge_lines += 1;
         Ok(())
     })?;
+    span.set_units(edge_lines);
     builder.grow_to(labels.len());
     Ok(builder.build())
 }
@@ -211,13 +216,10 @@ pub fn read_labeled_graph_pair<R1: BufRead, R2: BufRead>(
     reader2: R2,
 ) -> Result<(SignedGraph, SignedGraph, VertexLabels), IoError> {
     let mut labels = VertexLabels::new();
-    let g1 = read_labeled_edge_list(reader1, &mut labels)?;
+    let mut g1 = read_labeled_edge_list(reader1, &mut labels)?;
     let g2 = read_labeled_edge_list(reader2, &mut labels)?;
-    let (g1, g2) = if g1.num_vertices() == g2.num_vertices() {
-        (g1, g2)
-    } else {
-        align_vertex_counts(&g1, &g2)
-    };
+    // The second read only grows the shared table, so only `g1` can be smaller.
+    g1.pad_vertices(g2.num_vertices());
     Ok((g1, g2, labels))
 }
 

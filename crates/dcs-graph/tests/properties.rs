@@ -49,7 +49,8 @@ fn reference_build(n: usize, insertions: &[(VertexId, VertexId, Weight)]) -> Sig
 
 /// The line-at-a-time numeric reader that `io::read_edge_list` replaced, kept as its
 /// oracle (`BufRead::lines`, one `String` per line), building through
-/// [`reference_build`].
+/// [`reference_build`].  A well-formed line whose id is not below `MAX_VERTICES` is
+/// refused as the reader refuses it, first endpoint first.
 fn reference_read(text: &str) -> Result<SignedGraph, IoError> {
     let vertex = |token: &str| -> Option<VertexId> {
         if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
@@ -69,16 +70,24 @@ fn reference_read(text: &str) -> Result<SignedGraph, IoError> {
         let u = it.next().and_then(vertex);
         let v = it.next().and_then(vertex);
         let w = it.next().map(weight);
-        match (u, v, w) {
-            (Some(u), Some(v), None) => insertions.push((u, v, 1.0)),
-            (Some(u), Some(v), Some(Some(w))) => insertions.push((u, v, w)),
+        let (u, v, w) = match (u, v, w) {
+            (Some(u), Some(v), None) => (u, v, 1.0),
+            (Some(u), Some(v), Some(Some(w))) => (u, v, w),
             _ => {
                 return Err(IoError::Parse {
                     line_number: idx + 1,
                     line,
                 })
             }
+        };
+        if let Some(id) = [u, v].into_iter().find(|&id| id as usize >= MAX_VERTICES) {
+            return Err(IoError::VertexLimit {
+                line_number: idx + 1,
+                id,
+                limit: MAX_VERTICES,
+            });
         }
+        insertions.push((u, v, w));
     }
     Ok(reference_build(0, &insertions))
 }
@@ -313,7 +322,7 @@ fn arb_char_text() -> impl Strategy<Value = String> {
     )
 }
 
-/// The per-row CSR check that `validate_csr` ran before its branch-free fast pass,
+/// The per-row CSR check that `validate_csr` ran before its fast pass,
 /// kept as its oracle: the first violation in row order, or the entry counts.
 fn reference_validate(
     offsets: &[usize],
@@ -545,6 +554,82 @@ fn render_edge_list(lines: &[LineSpec], trailing_newline: bool) -> String {
         }
     }
     text
+}
+
+/// Vertex ids for the fast-line boundary texts: small ids, zero-padded to the 9 digits
+/// a fast line takes and to 10 that it leaves to the token walker, the last id below
+/// the vertex limit, the limit itself, a 9-digit id past it and `2^32`.
+fn arb_boundary_id() -> impl Strategy<Value = String> {
+    prop_oneof![
+        12 => (0u32..12).prop_map(|id| id.to_string()),
+        3 => (0u32..12).prop_map(|id| format!("{id:09}")),
+        3 => (0u32..12).prop_map(|id| format!("{id:010}")),
+        1 => prop::sample::select(vec![
+            "49999999".to_owned(),
+            "50000000".to_owned(),
+            "999999999".to_owned(),
+            "4294967296".to_owned(),
+        ]),
+    ]
+}
+
+/// Weights for the fast-line boundary texts: short integers, the 15 digits a fast
+/// line takes (zero-padded, and the largest) and 16 that it leaves to the token
+/// walker (zero-padded, and values `str::parse` rounds), zero, and tokens that are
+/// not integers.
+fn arb_boundary_weight() -> impl Strategy<Value = String> {
+    prop_oneof![
+        8 => (1u32..10).prop_map(|w| w.to_string()),
+        2 => (0u32..10).prop_map(|w| format!("{w:015}")),
+        2 => (0u32..10).prop_map(|w| format!("{w:016}")),
+        1 => prop::sample::select(vec![
+            "999999999999999".to_owned(),
+            "9007199254740993".to_owned(),
+            "1234567890123457".to_owned(),
+            "0".to_owned(),
+            "2.5".to_owned(),
+            "-1".to_owned(),
+        ]),
+    ]
+}
+
+/// A fast-line boundary text: mostly plain `u v w` and `u v` lines, the form the
+/// numeric reader takes in one pass, mixed line by line with its near misses (a
+/// doubled or trailing space, a tab, `\r\n`, comments) and with the boundary ids and
+/// weights above; the last line may lack its newline.  A text that names the id
+/// 49,999,999 ends in a malformed line, so that neither reader sizes a graph by it.
+fn arb_fast_line_text() -> impl Strategy<Value = String> {
+    let line = (
+        (
+            prop::sample::select(vec![0u8, 0, 0, 0, 0, 1, 1, 2]),
+            arb_boundary_id(),
+            arb_boundary_id(),
+            arb_boundary_weight(),
+        ),
+        (
+            prop::sample::select(vec![" ", " ", " ", " ", " ", " ", "  ", "\t"]),
+            prop::sample::select(vec!["", "", "", "", "", " ", "\t"]),
+            prop::sample::select(vec!["\n", "\n", "\n", "\n", "\n", "\r\n"]),
+        ),
+    );
+    (proptest::collection::vec(line, 0..16), any::<bool>()).prop_map(|(lines, final_newline)| {
+        let mut text = String::new();
+        let count = lines.len();
+        for (i, ((kind, u, v, w), (separator, trailing, ending))) in lines.into_iter().enumerate() {
+            match kind {
+                0 => text.push_str(&format!("{u}{separator}{v} {w}{trailing}")),
+                1 => text.push_str(&format!("{u} {v}{separator}{trailing}")),
+                _ => text.push_str(if w.len() % 2 == 0 { "# 0 1 2" } else { "%x" }),
+            }
+            if i + 1 < count || final_newline {
+                text.push_str(ending);
+            }
+        }
+        if text.contains("49999999") {
+            text.push_str("\n0 x\n");
+        }
+        text
+    })
 }
 
 /// Strategy: a random edge list over `n <= 24` vertices with signed weights.
@@ -1101,6 +1186,15 @@ proptest! {
         prop_assert!(labels.iter().eq(expected_labels.iter()));
     }
 
+    /// The one-pass fast lines and the token walker they fall back to read as the
+    /// line-at-a-time reader reads: the same graph bits, or the same error variant,
+    /// line number and line text (or id), on texts that put fast lines next to their
+    /// near misses.
+    #[test]
+    fn fast_lines_read_as_the_line_reader_reads(text in arb_fast_line_text()) {
+        same_read(dcs_graph::io::read_edge_list(text.as_bytes()), reference_read(&text))?;
+    }
+
     /// Integer weight tokens of 1–20 digits, leading zeros included, read as the bits
     /// `str::parse::<f64>` gives: exact below 16 digits, rounded above.
     #[test]
@@ -1148,6 +1242,27 @@ fn csr_check_names_every_variant_as_the_row_loop() {
         vec![1.0, -2.0, 1.0, 3.0, -2.0, 3.0],
     );
     assert_eq!(checked_counts(&valid), Ok((3, 2, 1)));
+    // Legal steps of the flat pass: a descent across one and across two empty rows
+    // (rows [4], [], [3], [], [], [0, 2]), and an equal pair that straddles two rows
+    // (rows [2], [2], [0, 1]).
+    let legal: Vec<(RawCsr, (usize, usize, usize))> = vec![
+        (
+            (
+                vec![0, 1, 1, 2, 2, 2, 4],
+                vec![4, 3, 0, 2],
+                vec![1.0, -1.0, -2.0, 2.0],
+            ),
+            (2, 1, 1),
+        ),
+        (
+            (vec![0, 1, 2, 4], vec![2, 2, 0, 1], vec![1.0, 1.0, 1.0, 1.0]),
+            (2, 2, 0),
+        ),
+    ];
+    for (csr, counts) in legal {
+        assert_eq!(reference_counts(&csr), Ok(counts), "{csr:?}");
+        assert_eq!(checked_counts(&csr), Ok(counts), "{csr:?}");
+    }
     let cases: Vec<(RawCsr, CorruptGraph)> = vec![
         ((vec![], vec![], vec![]), CorruptGraph::EmptyOffsets),
         (
@@ -1247,6 +1362,29 @@ fn csr_check_names_every_variant_as_the_row_loop() {
             ),
             CorruptGraph::ZeroWeight { vertex: 0 },
         ),
+        // An equal pair inside a row beside one that straddles two rows: rows
+        // [1, 2], [2, 3], [3, 3], [].
+        (
+            (vec![0, 2, 4, 6, 6], vec![1, 2, 2, 3, 3, 3], vec![1.0; 6]),
+            CorruptGraph::UnsortedRow { vertex: 2 },
+        ),
+        // A self-loop as a row's first entry, and as its last.
+        (
+            (valid.0.clone(), vec![1, 2, 1, 2, 0, 1], valid.2.clone()),
+            CorruptGraph::SelfLoop { vertex: 1 },
+        ),
+        (
+            (valid.0.clone(), vec![1, 2, 0, 2, 0, 2], valid.2.clone()),
+            CorruptGraph::SelfLoop { vertex: 2 },
+        ),
+        // A last target equal to `n` in the last row, after an empty row.
+        (
+            (vec![0, 1, 1, 2], vec![2, 3], vec![1.0, 1.0]),
+            CorruptGraph::TargetOutOfRange {
+                vertex: 2,
+                target: 3,
+            },
+        ),
         // The first offending row is named, whatever a later row holds.
         (
             (
@@ -1260,6 +1398,38 @@ fn csr_check_names_every_variant_as_the_row_loop() {
     for (csr, expected) in cases {
         assert_eq!(reference_counts(&csr), Err(expected.clone()), "{csr:?}");
         assert_eq!(checked_counts(&csr), Err(expected), "{csr:?}");
+    }
+}
+
+/// A triple of 240,000 entries, whose adjacent pairs the fast check counts in
+/// several chunks: valid, and with every corruption of [`corrupt`] at the start,
+/// inside and at the end of each array, the check agrees with the row loop.
+#[test]
+fn csr_check_of_a_large_triple_matches_the_row_loop() {
+    // The circulant graph joining each vertex to the three on either side.
+    let n = 40_000usize;
+    let mut valid: RawCsr = (vec![0], Vec::new(), Vec::new());
+    for v in 0..n {
+        let mut row: Vec<usize> = (1..=3)
+            .flat_map(|d| [(v + d) % n, (v + n - d) % n])
+            .collect();
+        row.sort_unstable();
+        for u in row {
+            valid.1.push(u as VertexId);
+            valid.2.push(((u + v) % 4) as f64 - 1.5);
+        }
+        valid.0.push(valid.1.len());
+    }
+    assert_eq!(checked_counts(&valid), Ok((120_000, 60_000, 60_000)));
+    let entries = valid.1.len();
+    for kind in 0..=14 {
+        for at in [1, 2, n / 2 + 3, entries / 2 + 1, entries - 1] {
+            let mut csr = valid.clone();
+            corrupt(&mut csr, kind, at);
+            let expected = reference_counts(&csr);
+            assert!(expected.is_err(), "kind {kind} at {at}");
+            assert_eq!(checked_counts(&csr), expected, "kind {kind} at {at}");
+        }
     }
 }
 

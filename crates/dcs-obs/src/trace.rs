@@ -52,6 +52,9 @@ pub enum Phase {
     /// NewSEA's Theorem-6 bound: core numbers, `µ_u` and their order (units:
     /// vertices ordered).
     MuBound,
+    /// Parsing one numeric or labelled edge-list text into a graph, CSR build
+    /// included (units: edge lines read).
+    Parse,
 }
 
 impl Phase {
@@ -67,6 +70,7 @@ impl Phase {
             Phase::QueueWait => "queue_wait",
             Phase::DiffBuild => "diff_build",
             Phase::MuBound => "mu_bound",
+            Phase::Parse => "parse",
         }
     }
 }
