@@ -284,19 +284,55 @@ mod tests {
             .iter()
             .map(|e| e["phase"].as_str().unwrap())
             .collect();
-        // Both inputs were parsed (at least two `parse` events: tests on other
-        // threads may parse while tracing is on, and the timeline holds every
-        // thread's events), and both solver families ran: greedy peeling and
-        // the NewSEA µ_u sweep, after the G_D build and the Theorem-6 bound.
-        assert!(
-            phases.iter().filter(|&&p| p == "parse").count() >= 2,
-            "{phases:?}"
-        );
-        for phase in ["parse", "diff_build", "peel", "mu_bound", "mu_sweep"] {
+        // Both inputs were read and parsed (at least two `read` and two `parse`
+        // events: tests on other threads may read while tracing is on, and the
+        // timeline holds every thread's events), and both solver families ran:
+        // greedy peeling and the NewSEA µ_u sweep, after the G_D build and the
+        // Theorem-6 bound.
+        for phase in ["read", "parse"] {
+            assert!(
+                phases.iter().filter(|&&p| p == phase).count() >= 2,
+                "{phase}: {phases:?}"
+            );
+        }
+        for phase in ["diff_build", "peel", "mu_bound", "mu_sweep"] {
             assert!(phases.contains(&phase), "{phase} missing: {phases:?}");
         }
         // The guard switched tracing back off after the run.
         assert!(!dcs_obs::trace::enabled());
+    }
+
+    #[test]
+    fn a_negative_weight_is_named_by_its_files_role_in_every_direction() {
+        let dir = std::env::temp_dir().join("dcs_cli_mine_negative");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = dir.join("plain.edges");
+        let negative = dir.join("negative.edges");
+        std::fs::write(&plain, "0 1 2\n1 2 1\n").unwrap();
+        std::fs::write(&negative, "0 1 2\n1 2 -1\n").unwrap();
+        // `--numeric` merges the two edge lists, labelled input the two graphs.
+        for numeric in [true, false] {
+            for (g1, g2, which) in [
+                (&plain, &negative, "G2"),
+                (&negative, &plain, "G1"),
+                (&negative, &negative, "G1"),
+            ] {
+                for direction in ["emerging", "disappearing", "both"] {
+                    let mut args = strings(&["--direction", direction]);
+                    args.extend([g1, g2].map(|p| p.to_string_lossy().into_owned()));
+                    if numeric {
+                        args.push("--numeric".to_owned());
+                    }
+                    let err = run(&args).unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        format!("input graph {which} must have non-negative edge weights"),
+                        "{args:?}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

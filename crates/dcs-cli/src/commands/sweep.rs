@@ -68,7 +68,8 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     };
 
     let tracing = TraceGuard::new(args.option("trace-json"));
-    let sweep = alpha_sweep_in(&pair.g2, &pair.g1, &alphas, measure, &cx)?;
+    let (g1, g2) = pair.graphs();
+    let sweep = alpha_sweep_in(&g2, &g1, &alphas, measure, &cx)?;
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -5,13 +5,22 @@
 //! direction (`--direction emerging|disappearing|both`) and an optional weight clamp.
 //! This module centralises the loading and option interpretation so the subcommands stay
 //! small.
+//!
+//! A numeric text pair is loaded as two folded, sorted edge lists, which the
+//! difference graph merges into its one CSR ([`difference_graph_from_edges`]); every
+//! other pair (packs, a pack beside a text, labelled texts) is loaded as two graphs,
+//! whose rows the difference graph merges ([`difference_graph_with`]).
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::time::Duration;
 
-use dcs_core::{clamp_weights, difference_graph_with, DiscreteRule, SolveContext, WeightScheme};
+use dcs_core::{
+    clamp_weights, difference_graph_from_edges, difference_graph_with, DcsError, DiscreteRule,
+    SolveContext, WeightScheme,
+};
 use dcs_graph::labels::{read_labeled_graph_pair_files, VertexLabels};
-use dcs_graph::{io as graph_io, SignedGraph, VertexId};
+use dcs_graph::{io as graph_io, EdgeTriple, GraphBuilder, SignedGraph, VertexId, Weight};
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
@@ -19,12 +28,26 @@ use crate::error::CliError;
 /// A loaded pair of input graphs plus (when labelled input was used) the label table.
 #[derive(Debug, Clone)]
 pub struct PairInput {
-    /// The first ("early"/"expected") graph `G1`.
-    pub g1: SignedGraph,
-    /// The second ("recent"/"observed") graph `G2`.
-    pub g2: SignedGraph,
+    /// `G1` (the first, "early"/"expected" graph) and `G2` (the second,
+    /// "recent"/"observed" one), over one vertex count.
+    inputs: Inputs,
     /// Label table; `None` when the files were loaded as numeric edge lists.
     pub labels: Option<VertexLabels>,
+}
+
+/// The two graphs of a pair in the form they were loaded in.
+#[derive(Debug, Clone)]
+enum Inputs {
+    /// A numeric text pair: each file's edge list as
+    /// [`GraphBuilder::into_sorted_edges`] returns it, over the larger of the two
+    /// files' vertex counts.
+    Edges {
+        n: usize,
+        g1: Vec<EdgeTriple>,
+        g2: Vec<EdgeTriple>,
+    },
+    /// Any other pair: the two graphs, the smaller padded to the other's count.
+    Graphs { g1: SignedGraph, g2: SignedGraph },
 }
 
 impl PairInput {
@@ -34,11 +57,11 @@ impl PairInput {
     ///
     /// Text endpoints are treated as string labels interned into a shared
     /// table by default; with `numeric` they are parsed as integer vertex ids
-    /// directly.  Packs are always id-addressed, so as soon as either input
-    /// is a pack the whole pair is loaded numerically (a pack written from
-    /// one graph of a pair shares its numbering with the other by
-    /// construction).  When both inputs are packs carrying identical
-    /// vertex-name tables, the names are used for rendering.
+    /// directly, both files read through one reused buffer.  Packs are always
+    /// id-addressed, so as soon as either input is a pack the whole pair is
+    /// loaded numerically (a pack written from one graph of a pair shares its
+    /// numbering with the other by construction).  When both inputs are packs
+    /// carrying identical vertex-name tables, the names are used for rendering.
     pub fn load<P: AsRef<Path>>(path1: P, path2: P, numeric: bool) -> Result<Self, CliError> {
         // An unreadable file sniffs as "not a pack" so the edge-list loader
         // reports the I/O problem with its usual error shape.
@@ -46,19 +69,25 @@ impl PairInput {
         let pack2 = dcs_graph::pack::file_is_pack(&path2).unwrap_or(false);
         if !pack1 && !pack2 {
             return if numeric {
-                let g1 = graph_io::read_edge_list_file(path1)?;
-                let g2 = graph_io::read_edge_list_file(path2)?;
-                let (g1, g2) = aligned(g1, g2);
+                let mut text = String::new();
+                let mut read = |path: P| -> Result<_, CliError> {
+                    graph_io::read_text_file(path, &mut text)?;
+                    Ok(graph_io::parse_sorted_edges(&text)?)
+                };
+                let (n1, g1) = read(path1)?;
+                let (n2, g2) = read(path2)?;
                 Ok(PairInput {
-                    g1,
-                    g2,
+                    inputs: Inputs::Edges {
+                        n: n1.max(n2),
+                        g1,
+                        g2,
+                    },
                     labels: None,
                 })
             } else {
                 let (g1, g2, labels) = read_labeled_graph_pair_files(path1, path2)?;
                 Ok(PairInput {
-                    g1,
-                    g2,
+                    inputs: Inputs::Graphs { g1, g2 },
                     labels: Some(labels),
                 })
             };
@@ -70,7 +99,10 @@ impl PairInput {
             _ => None,
         };
         let (g1, g2) = aligned(g1, g2);
-        Ok(PairInput { g1, g2, labels })
+        Ok(PairInput {
+            inputs: Inputs::Graphs { g1, g2 },
+            labels,
+        })
     }
 
     /// Loads one side of a mixed pair: a pack (with its optional name table)
@@ -96,6 +128,36 @@ impl PairInput {
             labels.intern(name);
         }
         (labels.len() == names.len()).then_some(labels)
+    }
+
+    /// The pair as two graphs `(G1, G2)` over one vertex count; a numeric text
+    /// pair builds them from its edge lists.
+    pub fn graphs(&self) -> (Cow<'_, SignedGraph>, Cow<'_, SignedGraph>) {
+        match &self.inputs {
+            Inputs::Edges { n, g1, g2 } => {
+                let build = |edges: &[EdgeTriple]| {
+                    Cow::Owned(GraphBuilder::from_edges(*n, edges.iter().copied()))
+                };
+                (build(g1), build(g2))
+            }
+            Inputs::Graphs { g1, g2 } => (Cow::Borrowed(g1), Cow::Borrowed(g2)),
+        }
+    }
+
+    /// Checks, `G1` first, that neither input has a negative weight, naming
+    /// each by its file's role.
+    fn check_non_negative(&self) -> Result<(), DcsError> {
+        let lightest = |edges: &[EdgeTriple]| edges.iter().fold(0.0, |lo: Weight, e| lo.min(e.2));
+        let lightest = match &self.inputs {
+            Inputs::Edges { g1, g2, .. } => [lightest(g1), lightest(g2)],
+            Inputs::Graphs { g1, g2 } => [g1, g2].map(|g| g.min_edge_weight().unwrap_or(0.0)),
+        };
+        for (which, lightest) in ["G1", "G2"].into_iter().zip(lightest) {
+            if lightest < 0.0 {
+                return Err(DcsError::NegativeInputWeight { which });
+            }
+        }
+        Ok(())
     }
 
     /// Renders a vertex subset using labels when available, ids otherwise.
@@ -143,6 +205,15 @@ impl Direction {
         match self {
             Direction::Both => vec![Direction::Emerging, Direction::Disappearing],
             d => vec![d],
+        }
+    }
+
+    /// The pair `(g1, g2)` as the direction's `(minuend, subtrahend)`: `(g2, g1)`,
+    /// or `(g1, g2)` when disappearing.
+    fn orient<T>(self, g1: T, g2: T) -> (T, T) {
+        match self {
+            Direction::Emerging | Direction::Both => (g2, g1),
+            Direction::Disappearing => (g1, g2),
         }
     }
 
@@ -256,11 +327,21 @@ impl MiningOptions {
         pair: &PairInput,
         direction: Direction,
     ) -> Result<SignedGraph, CliError> {
-        let (g2, g1) = match direction {
-            Direction::Emerging | Direction::Both => (&pair.g2, &pair.g1),
-            Direction::Disappearing => (&pair.g1, &pair.g2),
+        if direction == Direction::Disappearing {
+            // The library names a negative-weighted input by its argument
+            // position, which this direction swaps: check the files by role.
+            pair.check_non_negative()?;
+        }
+        let gd = match &pair.inputs {
+            Inputs::Edges { n, g1, g2 } => {
+                let (minuend, subtrahend) = direction.orient(g1, g2);
+                difference_graph_from_edges(*n, minuend, subtrahend, self.scheme)?
+            }
+            Inputs::Graphs { g1, g2 } => {
+                let (minuend, subtrahend) = direction.orient(g1, g2);
+                difference_graph_with(minuend, subtrahend, self.scheme)?
+            }
         };
-        let gd = difference_graph_with(g2, g1, self.scheme)?;
         Ok(match self.clamp {
             Some(max_abs) => clamp_weights(&gd, max_abs),
             None => gd,
@@ -293,8 +374,9 @@ mod tests {
     fn loads_labeled_pair() {
         let (p1, p2) = temp_pair_files("dcs_cli_input_labeled");
         let pair = PairInput::load(&p1, &p2, false).unwrap();
-        assert_eq!(pair.g1.num_vertices(), 3);
-        assert_eq!(pair.g2.num_vertices(), 3);
+        let (g1, g2) = pair.graphs();
+        assert_eq!(g1.num_vertices(), 3);
+        assert_eq!(g2.num_vertices(), 3);
         let rendered = pair.render_vertices(&[0, 1]);
         assert_eq!(rendered, vec!["alice".to_string(), "bob".to_string()]);
     }
@@ -309,7 +391,7 @@ mod tests {
         std::fs::write(&p2, "0 1 2\n1 2 3\n").unwrap();
         let pair = PairInput::load(&p1, &p2, true).unwrap();
         assert!(pair.labels.is_none());
-        assert_eq!(pair.g1.num_vertices(), 3); // aligned to the larger graph
+        assert_eq!(pair.graphs().0.num_vertices(), 3); // aligned to the larger graph
         assert_eq!(pair.render_vertices(&[2]), vec!["2".to_string()]);
     }
 
@@ -329,8 +411,9 @@ mod tests {
                 &graph_io::read_edge_list_file(p1).unwrap(),
                 &graph_io::read_edge_list_file(p2).unwrap(),
             );
-            assert_eq!((pair.g1.num_vertices(), pair.g2.num_vertices()), (6, 6));
-            assert_eq!((&pair.g1, &pair.g2), (&g1, &g2));
+            let (loaded1, loaded2) = pair.graphs();
+            assert_eq!((loaded1.num_vertices(), loaded2.num_vertices()), (6, 6));
+            assert_eq!((&*loaded1, &*loaded2), (&g1, &g2));
             // And mines the bytes that packs of the copies mine (a pack keeps its
             // vertex count, so that pair needs no padding).
             let (pack1, pack2) = (dir.join("g1.dcspack"), dir.join("g2.dcspack"));
@@ -355,27 +438,26 @@ mod tests {
         std::fs::write(&text1, "0 1 1\n1 2 2\n").unwrap();
         std::fs::write(&text2, "0 1 4\n0 2 3\n1 2 3\n").unwrap();
         let text_pair = PairInput::load(&text1, &text2, true).unwrap();
+        let (text_g1, text_g2) = text_pair.graphs();
 
         let pack1 = dir.join("g1.pack");
         let pack2 = dir.join("g2.pack");
-        dcs_datasets::PackWriter::write_graph(&text_pair.g1, &pack1).unwrap();
-        dcs_datasets::PackWriter::write_graph(&text_pair.g2, &pack2).unwrap();
+        dcs_datasets::PackWriter::write_graph(&text_g1, &pack1).unwrap();
+        dcs_datasets::PackWriter::write_graph(&text_g2, &pack2).unwrap();
 
         // Both packs: same graphs as the text pair, no labels without names.
         let pack_pair = PairInput::load(&pack1, &pack2, false).unwrap();
-        assert_eq!(pack_pair.g1, text_pair.g1);
-        assert_eq!(pack_pair.g2, text_pair.g2);
+        assert_eq!(pack_pair.graphs(), (text_g1.clone(), text_g2.clone()));
         assert!(pack_pair.labels.is_none());
 
         // Mixed pack + text: the text side falls back to numeric parsing.
         let mixed = PairInput::load(&pack1, &text2, false).unwrap();
-        assert_eq!(mixed.g1, text_pair.g1);
-        assert_eq!(mixed.g2, text_pair.g2);
+        assert_eq!(mixed.graphs(), (text_g1.clone(), text_g2.clone()));
 
         // Packs with identical name tables surface them as labels.
         let names: Vec<String> = ["ann", "bob", "cat"].map(String::from).to_vec();
-        dcs_datasets::PackWriter::write_graph_with_names(&text_pair.g1, &names, &pack1).unwrap();
-        dcs_datasets::PackWriter::write_graph_with_names(&text_pair.g2, &names, &pack2).unwrap();
+        dcs_datasets::PackWriter::write_graph_with_names(&text_g1, &names, &pack1).unwrap();
+        dcs_datasets::PackWriter::write_graph_with_names(&text_g2, &names, &pack2).unwrap();
         let named = PairInput::load(&pack1, &pack2, false).unwrap();
         assert_eq!(named.render_vertices(&[0, 2]), vec!["ann", "cat"]);
         std::fs::remove_dir_all(&dir).ok();

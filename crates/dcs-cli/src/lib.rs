@@ -49,7 +49,7 @@ pub fn usage() -> String {
          Edge lists are `label label [weight]` per line; `--numeric` reads integer vertex ids.\n\
          Mining commands accept `--timeout SECS` and `--budget N`: a tripped bound returns\n\
          the best result found so far instead of running to convergence, and\n\
-         `--trace-json FILE` dumps a phase timeline (input parse, G_D build,\n\
+         `--trace-json FILE` dumps a phase timeline (input read and parse, G_D build,\n\
          peel, CD shrink/expand, µ_u bound and sweep, …) as JSON.  `dcs stats --connect\n\
          HOST:PORT` reads a running server's observability surface (queue, latency\n\
          percentiles, cache hit rate).\n\

@@ -15,6 +15,11 @@ use crate::{EdgeTriple, SignedGraph, VertexId, Weight};
 /// Self-loops are ignored, and adding an edge with an endpoint `>= n` grows the vertex
 /// set automatically.
 ///
+/// A caller that needs the folded edges rather than a graph (the difference graph of a
+/// text pair merges two edge lists into one CSR) takes them from
+/// [`Self::into_sorted_edges`]: the list [`SignedGraph::edges`] of the built graph
+/// would yield, without building its CSR.
+///
 /// ```
 /// use dcs_graph::GraphBuilder;
 /// let mut b = GraphBuilder::new(3);
@@ -153,6 +158,52 @@ impl GraphBuilder {
         SignedGraph::from_csr(offsets, neighbors, weights)
     }
 
+    /// Finalises the builder into its vertex count and the edge list that
+    /// [`SignedGraph::edges`] of [`Self::build`]'s graph yields, bit for bit: each
+    /// edge once as `(u, v, w)` with `u < v`, sorted by `(u, v)`, its insertions summed
+    /// left to right in insertion order, exact zeros dropped.
+    ///
+    /// A list already in that form, as [`crate::io::write_edge_list`] prints one, is
+    /// checked in one pass and returned in place.  Any other list has its endpoints
+    /// ordered, is stable-sorted by `(u, v)` (so each edge's insertions stay in
+    /// insertion order, the order [`Self::build`] sums them in) and is folded in place.
+    pub fn into_sorted_edges(self) -> (usize, Vec<EdgeTriple>) {
+        let GraphBuilder { n, mut edges } = self;
+        let key = |&(u, v, _): &EdgeTriple| (u64::from(u) << 32) | u64::from(v);
+        // Key 0 is `(0, 0)`, a self-loop, so it lies below every edge's key.
+        let mut last = 0;
+        let folded = edges.iter().all(|edge| {
+            let ascending = key(edge) > last;
+            last = key(edge);
+            ascending && edge.0 < edge.1 && edge.2 != 0.0
+        });
+        if folded {
+            return (n, edges);
+        }
+        for edge in &mut edges {
+            if edge.0 > edge.1 {
+                *edge = (edge.1, edge.0, edge.2);
+            }
+        }
+        edges.sort_by_key(key);
+        let mut out = 0;
+        let mut i = 0;
+        while i < edges.len() {
+            let (u, v, mut w) = edges[i];
+            i += 1;
+            while i < edges.len() && (edges[i].0, edges[i].1) == (u, v) {
+                w += edges[i].2;
+                i += 1;
+            }
+            if w != 0.0 {
+                edges[out] = (u, v, w);
+                out += 1;
+            }
+        }
+        edges.truncate(out);
+        (n, edges)
+    }
+
     /// Convenience: build a graph directly from an edge list.
     pub fn from_edges<I: IntoIterator<Item = EdgeTriple>>(n: usize, edges: I) -> SignedGraph {
         let mut b = GraphBuilder::new(n);
@@ -216,6 +267,32 @@ mod tests {
         let g = b.build();
         let (nbrs, _) = g.neighbor_slices(0);
         assert_eq!(nbrs, &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn sorted_edges_fold_as_the_build_folds() {
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(3, 1, 0.1);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 3, 0.2);
+        b.add_edge(1, 0, -1.0); // cancels (0, 1) exactly
+        b.add_edge(2, 0, 0.0); // an explicit zero
+        b.add_edge(5, 5, 1.0); // a self-loop does not grow the vertex count
+        let built = b.clone().build();
+        let (n, edges) = b.into_sorted_edges();
+        assert_eq!(n, 4);
+        assert_eq!(edges, vec![(1, 3, 0.1 + 0.2)]);
+        assert_eq!(edges, built.edges().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn folded_sorted_edges_stay_in_place() {
+        let mut b = GraphBuilder::new(0);
+        b.add_edges([(0, 1, 1.0), (0, 2, -2.0), (1, 2, 3.0)]);
+        let before = b.edges.as_ptr();
+        let (n, edges) = b.into_sorted_edges();
+        assert_eq!((n, edges.as_ptr()), (3, before));
+        assert_eq!(edges, vec![(0, 1, 1.0), (0, 2, -2.0), (1, 2, 3.0)]);
     }
 
     #[test]

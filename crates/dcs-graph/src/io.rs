@@ -16,6 +16,14 @@
 //! line or token is copied.  The parsed edges go through a [`GraphBuilder`], which folds
 //! duplicates.
 //!
+//! A numeric parse ends in one of two forms.  [`read_edge_list`] and
+//! [`read_edge_list_file`] build the graph's CSR.  [`parse_sorted_edges`] stops at the
+//! builder's folded edge list ([`GraphBuilder::into_sorted_edges`]), which a text
+//! pair's difference graph merges with the other file's list, so neither input's CSR
+//! is built.  [`read_text_file`] reads a file into a `String` that the caller may reuse
+//! for the next file; every text read, here and in [`crate::labels`], is one
+//! [`Phase::Read`] span and every parse one [`Phase::Parse`] span.
+//!
 //! The numeric reader first tries each line as a *fast line*:
 //! `digits SP digits [SP digits] LF`, with ids of at most 9 digits below
 //! [`MAX_VERTICES`] and a weight of at most 15 digits, the form of an unweighted or
@@ -31,12 +39,12 @@
 //! A numeric edge list may name vertex ids below [`MAX_VERTICES`]; a larger id is refused
 //! with [`IoError::VertexLimit`] before any vertex array is sized by it.
 
-use std::io::{self, BufRead, BufWriter, Write};
+use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::path::Path;
 
 use dcs_obs::trace::Phase;
 
-use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
+use crate::{EdgeTriple, GraphBuilder, SignedGraph, VertexId, Weight};
 
 /// The number of vertices a numeric edge list may address: its vertex ids must lie
 /// below this.  A graph of this many vertices needs 400 MB of CSR offsets alone; the
@@ -338,7 +346,8 @@ fn fast_line(bytes: &[u8], at: usize) -> Option<(VertexId, VertexId, Weight, usi
     Some((u as VertexId, v as VertexId, w, at + 1))
 }
 
-/// Parses a numeric edge-list text (see [`read_edge_list`]).
+/// Parses a numeric edge-list text (see [`read_edge_list`]) into a [`GraphBuilder`]
+/// and hands it to `finish`, all in one [`Phase::Parse`] span.
 ///
 /// Each [`fast_line`] is read in one pass; any other line goes, alone, to the token
 /// walker of [`for_each_edge`], so the rules, errors and line numbers are the walker's.
@@ -346,7 +355,7 @@ fn fast_line(bytes: &[u8], at: usize) -> Option<(VertexId, VertexId, Weight, usi
 /// [`FAST_RETRY_LINES`]th line is tried until one is a fast line again, so a text of
 /// real-valued weights pays for few failed attempts, while a text that mixes the two
 /// kinds of line tries every line.
-fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
+fn parse_edge_list<T>(text: &str, finish: impl FnOnce(GraphBuilder) -> T) -> Result<T, IoError> {
     let mut span = dcs_obs::trace::span(Phase::Parse);
     let mut builder = GraphBuilder::new(0);
     let bytes = text.as_bytes();
@@ -384,7 +393,7 @@ fn parse_edge_list(text: &str) -> Result<SignedGraph, IoError> {
         };
     }
     span.set_units(edge_lines);
-    Ok(builder.build())
+    Ok(finish(builder))
 }
 
 /// How many lines in a row may fail to be fast lines before [`parse_edge_list`] tries
@@ -398,15 +407,43 @@ const FAST_RETRY_LINES: usize = 16;
 /// integers that fit a `u32`, and must lie below [`MAX_VERTICES`]; the resulting graph
 /// has `max id + 1` vertices.  The whole input is read before parsing starts, so input
 /// that is not UTF-8 is an [`IoError::Io`] wherever it occurs.
-pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<SignedGraph, IoError> {
+pub fn read_edge_list<R: BufRead>(reader: R) -> Result<SignedGraph, IoError> {
     let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    parse_edge_list(&text)
+    read_text(reader, &mut text)?;
+    parse_edge_list(&text, GraphBuilder::build)
 }
 
 /// Reads an edge list from a file path (see [`read_edge_list`]).
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<SignedGraph, IoError> {
-    parse_edge_list(&std::fs::read_to_string(path)?)
+    let mut text = String::new();
+    read_text_file(path, &mut text)?;
+    parse_edge_list(&text, GraphBuilder::build)
+}
+
+/// Parses a numeric edge-list text under the rules of [`read_edge_list`] into its
+/// vertex count and folded edge list ([`GraphBuilder::into_sorted_edges`]): the
+/// `num_vertices()` and `edges()` of the graph [`read_edge_list`] returns, without
+/// building its CSR.
+pub fn parse_sorted_edges(text: &str) -> Result<(usize, Vec<EdgeTriple>), IoError> {
+    parse_edge_list(text, GraphBuilder::into_sorted_edges)
+}
+
+/// Reads the whole file at `path` into `text`, replacing its contents and keeping
+/// its allocation, so one `String` can carry several files.  The read is one
+/// [`Phase::Read`] span whose units are the bytes read.  Input that is not UTF-8 is
+/// an [`IoError::Io`].
+pub fn read_text_file<P: AsRef<Path>>(path: P, text: &mut String) -> Result<(), IoError> {
+    text.clear();
+    Ok(read_text(std::fs::File::open(path)?, text)?)
+}
+
+/// Appends everything `reader` yields to `text` in one [`Phase::Read`] span whose
+/// units are the bytes read.
+pub(crate) fn read_text(mut reader: impl Read, text: &mut String) -> io::Result<()> {
+    let mut span = dcs_obs::trace::span(Phase::Read);
+    let bytes = reader.read_to_string(text)?;
+    span.set_units(bytes as u64);
+    Ok(())
 }
 
 /// Writes the graph as an edge list (`u v w` per line, each undirected edge once).

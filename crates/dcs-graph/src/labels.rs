@@ -21,7 +21,7 @@ use std::io::{self, BufRead, BufWriter, Write};
 
 use rustc_hash::FxHashMap;
 
-use crate::io::{for_each_edge, IoError};
+use crate::io::{for_each_edge, read_text, read_text_file, IoError};
 use crate::{GraphBuilder, SignedGraph, VertexId, Weight};
 
 /// A bidirectional mapping between string labels and dense vertex ids.
@@ -191,11 +191,11 @@ fn parse_labeled_edge_list(text: &str, labels: &mut VertexLabels) -> Result<Sign
 /// same table yields a graph over a shared numbering.  The graph has one vertex per
 /// label in the table.
 pub fn read_labeled_edge_list<R: BufRead>(
-    mut reader: R,
+    reader: R,
     labels: &mut VertexLabels,
 ) -> Result<SignedGraph, IoError> {
     let mut text = String::new();
-    reader.read_to_string(&mut text)?;
+    read_text(reader, &mut text)?;
     parse_labeled_edge_list(&text, labels)
 }
 
@@ -204,7 +204,9 @@ pub fn read_labeled_edge_list_file<P: AsRef<std::path::Path>>(
     path: P,
     labels: &mut VertexLabels,
 ) -> Result<SignedGraph, IoError> {
-    parse_labeled_edge_list(&std::fs::read_to_string(path)?, labels)
+    let mut text = String::new();
+    read_text_file(path, &mut text)?;
+    parse_labeled_edge_list(&text, labels)
 }
 
 /// Loads a `(G1, G2)` pair of labelled edge lists over a single shared vertex numbering.

@@ -13,7 +13,8 @@
 //!
 //! * [`GraphBuilder`] — record an edge list and pack it into CSR form; memory is
 //!   proportional to the insertions, and duplicates fold in insertion order at
-//!   [`GraphBuilder::build`],
+//!   [`GraphBuilder::build`], or into the sorted edge list of
+//!   [`GraphBuilder::into_sorted_edges`] without a CSR,
 //! * [`DeltaGraph`] — an incrementally maintained graph with O(1) weight updates
 //!   into one change map and cheap versioned `Arc<SignedGraph>` CSR snapshots
 //!   that merge the changes into the last snapshot ([`delta`]), the substrate of

@@ -885,6 +885,64 @@ proptest! {
     }
 }
 
+/// Insertions shaped for [`GraphBuilder::into_sorted_edges`]: each drawn edge is
+/// inserted once, twice in both orientations, as a pair that cancels exactly, with an
+/// explicit zero weight, or as a self-loop, over ids past the initial vertex count;
+/// the insertions are then shuffled, kept as drawn, or replaced by the folded edges of
+/// their graph (the list that is returned in place).
+fn arb_edge_insertions() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId, Weight)>)> {
+    (
+        0usize..10,
+        proptest::collection::vec(
+            (0u32..14, 0u32..14, 0u8..5, arb_weight(), arb_weight()),
+            0..40,
+        ),
+        proptest::collection::vec(any::<u32>(), 80),
+        0u8..3,
+    )
+        .prop_map(|(n, drawn, keys, order)| {
+            let mut insertions = Vec::new();
+            for (u, v, kind, a, b) in drawn {
+                match kind {
+                    0 => insertions.push((u, v, a)),
+                    1 => insertions.extend([(u, v, a), (v, u, b)]),
+                    2 => insertions.extend([(v, u, a), (u, v, -a)]),
+                    3 => insertions.push((v, u, 0.0)),
+                    _ => insertions.push((u, u, a)),
+                }
+            }
+            match order {
+                0 => {
+                    let mut keyed: Vec<_> = insertions.into_iter().zip(keys).collect();
+                    keyed.sort_by_key(|&(_, key)| key);
+                    insertions = keyed.into_iter().map(|(edge, _)| edge).collect();
+                }
+                1 => {}
+                _ => insertions = GraphBuilder::from_edges(n, insertions).edges().collect(),
+            }
+            (n, insertions)
+        })
+}
+
+proptest! {
+    /// `into_sorted_edges` returns the built graph's vertex count and `edges()`, weight
+    /// bits included, and `from_edges` over that list builds the same graph again.
+    #[test]
+    fn sorted_edges_are_the_built_graphs_edges((n, insertions) in arb_edge_insertions()) {
+        let mut builder = GraphBuilder::new(n);
+        builder.add_edges(insertions.iter().copied());
+        let built = builder.clone().build();
+        let (vertices, edges) = builder.into_sorted_edges();
+        prop_assert_eq!(vertices, built.num_vertices());
+        let bits = |edges: &mut dyn Iterator<Item = (VertexId, VertexId, Weight)>| {
+            edges.map(|(u, v, w)| (u, v, w.to_bits())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&mut edges.iter().copied()), bits(&mut built.edges()));
+        let rebuilt = GraphBuilder::from_edges(vertices, edges.iter().copied());
+        prop_assert_eq!(csr_bits(&rebuilt), csr_bits(&built));
+    }
+}
+
 /// The graph a from-scratch build gives for the `(min, max)`-keyed edges of
 /// `reference`.
 fn scratch_build(n: usize, reference: &BTreeMap<(u32, u32), f64>) -> SignedGraph {

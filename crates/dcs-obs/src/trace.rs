@@ -52,9 +52,13 @@ pub enum Phase {
     /// NewSEA's Theorem-6 bound: core numbers, `µ_u` and their order (units:
     /// vertices ordered).
     MuBound,
-    /// Parsing one numeric or labelled edge-list text into a graph, CSR build
-    /// included (units: edge lines read).
+    /// Parsing one numeric or labelled edge-list text, up to a graph with its
+    /// CSR built or, for the numeric text of a pair, a folded and sorted edge
+    /// list that the `G_D` build merges (units: edge lines read).
     Parse,
+    /// Reading one edge-list text into memory from its file or reader (units:
+    /// bytes read).
+    Read,
 }
 
 impl Phase {
@@ -71,6 +75,7 @@ impl Phase {
             Phase::DiffBuild => "diff_build",
             Phase::MuBound => "mu_bound",
             Phase::Parse => "parse",
+            Phase::Read => "read",
         }
     }
 }
