@@ -31,17 +31,41 @@
 //! (both measures) and top-k round paths allocate at most half of what the
 //! from-scratch solve does, and — when `--baseline <path>` points at a checked-in
 //! previous report — unless every gated allocation metric is within 10% of that
-//! baseline.  Timings are reported for trend-watching but never gated: CI machines
-//! are too noisy.  Each path runs several timed repetitions, and its row carries
-//! the mean wall clock per solve (`ns_per_solve`) together with the median and
-//! interquartile range of the repetitions' per-solve times (`ns_median`,
-//! `ns_iqr`).
+//! baseline.  These rows' timings are reported for trend-watching but never gated
+//! against a baseline: CI machines are too noisy.  Each path runs several timed
+//! repetitions, and its row carries the mean wall clock per solve (`ns_per_solve`)
+//! together with the median and interquartile range of the repetitions' per-solve
+//! times (`ns_median`, `ns_iqr`).
 //!
 //! Two opt-in sections extend the core allocation suite: `--large` (wall-clock
 //! parallel-speedup + bit-identity at million-edge scale) and `--load`
 //! (cold-load wall clock and allocations of the text edge-list parser against
 //! the zero-copy graph-pack reader, gating a ≥10× pack speedup in median run
 //! times and the O(header) open-allocation contract of the mmap path).
+//!
+//! Four timing sections close every run, after all the allocation-measured ones
+//! (the counting allocator tallies every thread, so the server and the tracer
+//! they start must not run beside a measured path):
+//!
+//! * **delta_vs_scratch** — sparse update batches (1% of the average-degree
+//!   baseline's edges each; 5 batches in `--smoke`, 10 otherwise), each followed
+//!   by the delta snapshot ([`StreamingDcs::difference_snapshot`]), the scratch
+//!   rebuild ([`StreamingDcs::rebuild_difference_snapshot`]), which it must
+//!   equal, and a snapshot at the unchanged version, which must return the same
+//!   `Arc`.  Fails, in every mode, unless the mean delta time beats the mean
+//!   scratch time.
+//! * **engine_wrapper** — `MeasureSolver::solve_bounded`, unbounded, against a
+//!   direct `DcsGreedy::solve` on the final snapshot.
+//! * **tracing** — the same direct solve with the `dcs-obs` phase tracer
+//!   enabled against instrumented-but-disabled (the production default).
+//! * **durability** — observe throughput of a durable session (WAL, group
+//!   commit) against an ephemeral one, both hosted by one in-process server.
+//!
+//! Each of the last three alternates which side runs first from round to round.
+//! In `--smoke` mode the engine and the enabled tracer fail when their median of
+//! 61 rounds exceeds the other side's by more than 5% and by more than 0.2 ms,
+//! and durable observes fail below half of the ephemeral throughput, by upper
+//! medians of 12 rounds.
 //!
 //! ```text
 //! cargo run --release -p dcs-bench --bin solver_hotpath -- [--smoke] [--large] \
@@ -51,13 +75,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use dcs_core::dcsad::DcsGreedy;
 use dcs_core::{
-    mine_difference_in, scaled_difference_graph, top_k_in, DensityMeasure, MeasureSolver,
-    SharedWorkspace, SolveContext, StreamingConfig, StreamingDcs,
+    alpha_sweep_in, mine_difference_in, scaled_difference_graph, top_k_in, DensityMeasure,
+    MeasureSolver, SharedWorkspace, SolveContext, StreamingConfig, StreamingDcs,
 };
 use dcs_graph::{GraphBuilder, SignedGraph, VertexId};
+use dcs_server::{Client, CreateSessionRequest, Server, ServerConfig};
 use serde_json::{json, Value};
 
 /// Counts every allocation the process makes.  `realloc` counts as one allocation
@@ -133,11 +160,11 @@ impl Rng {
     }
 }
 
+/// The scale of one density measure's workload.
 struct BenchConfig {
     vertices: usize,
     baseline_edges: usize,
     repetitions: usize,
-    topk: usize,
 }
 
 fn build_baseline(config: &BenchConfig, rng: &mut Rng) -> SignedGraph {
@@ -232,6 +259,148 @@ fn path_json(label: &str, m: &Measured, runs: &[u64], solves: usize) -> Value {
         "ns_median": median / solves,
         "ns_iqr": iqr / solves,
     })
+}
+
+fn allocs(row: &Value) -> f64 {
+    row["allocs_per_solve"].as_f64().unwrap_or(0.0)
+}
+
+/// One density measure's streaming monitor, brought to production density,
+/// with the rows of the paths both measures share.
+struct MeasureRun {
+    baseline_edges: Vec<(VertexId, VertexId)>,
+    monitor: StreamingDcs,
+    /// The difference snapshot taken before the re-mine churn.
+    gd: Arc<SignedGraph>,
+    graph: Value,
+    mine: Value,
+    remine: Value,
+    sweep: Value,
+}
+
+/// Builds a baseline and a monitor for `measure` from `rng`, observes every
+/// baseline edge once, and measures three paths:
+///
+/// * **mine** — a from-scratch `mine_difference_in` with no workspace;
+/// * **re-mine** — `StreamingDcs::mine_now` with the monitor's workspace warm,
+///   after one churn observe per repetition, applied off the clock;
+/// * **sweep** — per grid point, `alpha_sweep_in` with a warm shared workspace
+///   against a cold loop that builds each α through `scaled_difference_graph`
+///   and solves without a workspace.  Both read the observed graph after the
+///   churn.
+///
+/// `warm` names the scratch the steady paths keep warm, in their row labels.
+fn run_measure(
+    measure: DensityMeasure,
+    config: &BenchConfig,
+    rng: &mut Rng,
+    alphas: &[f64],
+    warm: &str,
+) -> MeasureRun {
+    let baseline = build_baseline(config, rng);
+    let streaming_config = StreamingConfig {
+        remine_every: 0,
+        alert_threshold: 0.0,
+        measure,
+    };
+    let mut monitor = StreamingDcs::new(baseline.clone(), streaming_config).unwrap();
+    let baseline_edges: Vec<(VertexId, VertexId)> =
+        baseline.edges().map(|(u, v, _)| (u, v)).collect();
+    for &(u, v) in &baseline_edges {
+        monitor.observe(u, v, rng.weight());
+    }
+    let gd = monitor.difference_snapshot();
+
+    let (scratch_alert, scratch, scratch_runs) = measure_each(config.repetitions, || {
+        mine_difference_in(
+            &gd,
+            &streaming_config,
+            monitor.observations(),
+            None,
+            &SolveContext::unbounded(),
+        )
+    });
+
+    let _ = monitor.mine_now(); // warm the workspace and the seed
+    let churn: Vec<(VertexId, VertexId)> = (0..config.repetitions)
+        .map(|_| baseline_edges[rng.below(baseline_edges.len())])
+        .collect();
+    let mut churn_edges = churn.iter();
+    // Sparse churn between re-mines, applied outside the measured section — the
+    // gate is about the solve, not the observe (the benchmark's `stream-remine`
+    // and `durable-ingest` workloads time observes).
+    let (remine_alert, remine, remine_runs) = measure_each_after(
+        churn.len(),
+        &mut monitor,
+        |monitor| {
+            let &(u, v) = churn_edges.next().expect("one churn edge per re-mine");
+            monitor.observe(u, v, 0.25);
+        },
+        StreamingDcs::mine_now,
+    );
+    // Sanity: workspace reuse must not change the answer on the unchanged graph
+    // shape (the churn re-observes existing edges upward, so the mined core stays
+    // a valid subset).
+    assert!(
+        !remine_alert.report.subset.is_empty() && !scratch_alert.report.subset.is_empty(),
+        "both {measure} paths must mine something"
+    );
+
+    let g2 = monitor.observed_graph();
+    let solver = MeasureSolver::for_measure(measure);
+    let (cold_points, sweep_cold, sweep_cold_runs) = measure_each(config.repetitions, || {
+        let mut points = 0usize;
+        for &alpha in alphas {
+            let gd_alpha = scaled_difference_graph(&g2, &baseline, alpha).unwrap();
+            let solution = solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
+            if !solution.subset.is_empty() {
+                points += 1;
+            }
+        }
+        points
+    });
+    let sweep_shared = SharedWorkspace::new();
+    let sweep_cx = SolveContext::unbounded().with_workspace(&sweep_shared);
+    let steady_sweep = || alpha_sweep_in(&g2, &baseline, alphas, measure, &sweep_cx).unwrap();
+    let _ = steady_sweep(); // warm
+    let (sweep_outcome, sweep_steady, sweep_steady_runs) =
+        measure_each(config.repetitions, steady_sweep);
+
+    let mine_row = path_json("from_scratch", &scratch, &scratch_runs, 1);
+    let mut remine_row = path_json(&format!("steady_state_{warm}"), &remine, &remine_runs, 1);
+    remine_row["allocs_reduction_vs_scratch"] =
+        json!(allocs(&mine_row) / allocs(&remine_row).max(1.0));
+    let cold_row = path_json(
+        "rebuild_per_alpha",
+        &sweep_cold,
+        &sweep_cold_runs,
+        cold_points,
+    );
+    let steady_row = path_json(
+        &format!("template_reweight_{warm}"),
+        &sweep_steady,
+        &sweep_steady_runs,
+        sweep_outcome.points.len(),
+    );
+    let sweep_ratio = allocs(&cold_row) / allocs(&steady_row).max(1.0);
+    MeasureRun {
+        graph: json!({
+            "vertices": config.vertices,
+            "baseline_edges": baseline.num_edges(),
+            "difference_edges": gd.num_edges(),
+        }),
+        mine: mine_row,
+        remine: remine_row,
+        sweep: json!({
+            "grid_points": alphas.len(),
+            "cold": cold_row,
+            "steady": steady_row,
+            "allocs_reduction_per_point": sweep_ratio,
+        }),
+        baseline_edges,
+        monitor,
+        gd,
+    }
 }
 
 /// The `--large` section: million-edge-scale wall-clock comparison of the
@@ -626,12 +795,284 @@ fn run_load_section(smoke: bool, pack_dir: Option<&str>) -> (Value, bool) {
     (section, failed)
 }
 
+fn millis(run: &Measured) -> f64 {
+    run.nanos as f64 / 1e6
+}
+
+/// The upper median of `samples` (sorted in place), `0.0` when empty.
+fn upper_median(samples: &mut [f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Runs `side(false)` and `side(true)` once a round for `rounds` rounds, the
+/// `false` side first in even rounds and the `true` side first in odd ones, and
+/// returns each side's readings.
+fn alternate(rounds: usize, mut side: impl FnMut(bool) -> f64) -> (Vec<f64>, Vec<f64>) {
+    let mut readings = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    for round in 0..rounds {
+        let first = round % 2 == 1;
+        for variant in [first, !first] {
+            let reading = side(variant);
+            if variant {
+                readings.1.push(reading);
+            } else {
+                readings.0.push(reading);
+            }
+        }
+    }
+    readings
+}
+
+/// The `delta_vs_scratch` section: `batches` sparse batches of updates on
+/// `monitor`, each as many as 1% of `edges`, drawn from a random stream of its
+/// own.  Fails, in every mode, unless the mean delta snapshot beats the mean
+/// scratch rebuild.
+fn run_delta_section(
+    monitor: &mut StreamingDcs,
+    edges: &[(VertexId, VertexId)],
+    batches: usize,
+) -> (Value, bool) {
+    let batch_size = edges.len() / 100;
+    let mut rng = Rng(0x5eed ^ batch_size as u64);
+    let (mut delta, mut scratch, mut cached) = (0.0, 0.0, 0.0);
+    for _ in 0..batches {
+        for _ in 0..batch_size {
+            let (u, v) = edges[rng.below(edges.len())];
+            monitor.observe(u, v, rng.weight() - 2.0);
+        }
+        let (snapshot, delta_run) = measure(|| monitor.difference_snapshot());
+        let (rebuilt, scratch_run) = measure(|| monitor.rebuild_difference_snapshot());
+        let (again, cached_run) = measure(|| monitor.difference_snapshot());
+        assert_eq!(*snapshot, rebuilt, "delta snapshot diverged from rebuild");
+        assert!(
+            Arc::ptr_eq(&snapshot, &again),
+            "unchanged version must return the cached Arc"
+        );
+        delta += millis(&delta_run);
+        scratch += millis(&scratch_run);
+        cached += millis(&cached_run);
+    }
+    let mean = |total: f64| total / batches.max(1) as f64;
+    let speedup = if delta > 0.0 { scratch / delta } else { 0.0 };
+    let failed = speedup < 1.0;
+    if failed {
+        eprintln!("FAIL: delta snapshot not faster than a scratch rebuild ({speedup:.2}x)");
+    }
+    let section = json!({
+        "batches": batches,
+        "batch_size": batch_size,
+        "snapshot_ms": { "delta": mean(delta), "scratch": mean(scratch), "cached": mean(cached) },
+        "speedup_delta_vs_scratch": speedup,
+    });
+    (section, failed)
+}
+
+/// Rounds per side of the engine-wrapper and tracer comparisons.  One solve
+/// takes about 2 ms, and the median of a few rounds moves by more than the 5%
+/// bound between two sides that run the same solver.
+const OVERHEAD_ROUNDS: usize = 61;
+
+/// The overhead of the `with` side's median over the `without` side's.  In
+/// `--smoke` mode it fails above 5% when the medians also differ by more than
+/// 0.2 ms, the slack that absorbs sub-millisecond timer noise.
+fn overhead_gate(what: &str, without: f64, with: f64, smoke: bool) -> (f64, bool) {
+    let overhead = if without > 0.0 {
+        with / without - 1.0
+    } else {
+        0.0
+    };
+    let failed = smoke && overhead > 0.05 && with - without > 0.2;
+    if failed {
+        eprintln!(
+            "FAIL: {what} overhead {:.1}% exceeds the 5% bound \
+             (medians {without:.3} ms without, {with:.3} ms with)",
+            overhead * 100.0
+        );
+    }
+    (overhead, failed)
+}
+
+/// The `engine_wrapper` section: dispatch through `MeasureSolver::solve_bounded`,
+/// unbounded, against a direct `DcsGreedy::solve`; both must return `expected`.
+fn run_engine_section(gd: &SignedGraph, expected: &[VertexId], smoke: bool) -> (Value, bool) {
+    let solver = DcsGreedy::default();
+    let engine_solver = MeasureSolver::AverageDegree(solver.clone());
+    let cx = SolveContext::unbounded();
+    let mut stats = None;
+    let (mut direct_ms, mut engine_ms) = alternate(OVERHEAD_ROUNDS, |engine| {
+        let (subset, run) = if engine {
+            let (solution, run) = measure(|| engine_solver.solve_bounded(gd, &[], &cx));
+            stats = Some(solution.stats);
+            (solution.subset, run)
+        } else {
+            let (solution, run) = measure(|| solver.solve(gd));
+            (solution.subset, run)
+        };
+        assert_eq!(
+            subset, expected,
+            "engine wrapper changed the unbounded result"
+        );
+        millis(&run)
+    });
+    let stats = stats.expect("at least one engine round");
+    let direct_median = upper_median(&mut direct_ms);
+    let engine_median = upper_median(&mut engine_ms);
+    let (overhead, failed) = overhead_gate("engine wrapper", direct_median, engine_median, smoke);
+    let section = json!({
+        "solver": "dcs-greedy",
+        "direct_ms_median": direct_median,
+        "engine_ms_median": engine_median,
+        "overhead_fraction": overhead,
+        "stats": {
+            "iterations": stats.iterations,
+            "candidates": stats.candidates,
+            "prunes": stats.prunes,
+            "wall_ms": stats.wall.as_secs_f64() * 1e3,
+            "termination": stats.termination.as_str(),
+        },
+    });
+    (section, failed)
+}
+
+/// The `tracing` section: the direct solve with the `dcs-obs` phase tracer
+/// enabled against instrumented-but-disabled, the production default.  Both
+/// must return `expected`, the enabled side must record spans, and the tracer
+/// is left disabled.
+fn run_tracing_section(gd: &SignedGraph, expected: &[VertexId], smoke: bool) -> (Value, bool) {
+    use dcs_obs::trace;
+
+    let solver = DcsGreedy::default();
+    trace::set_enabled(false);
+    trace::clear();
+    let (mut off_ms, mut on_ms) = alternate(OVERHEAD_ROUNDS, |enabled| {
+        trace::set_enabled(enabled);
+        let (solution, run) = measure(|| solver.solve(gd));
+        trace::set_enabled(false);
+        assert_eq!(solution.subset, expected, "tracing changed the result");
+        millis(&run)
+    });
+    let (events, dropped) = trace::take_timeline_with_drops();
+    assert!(
+        !events.is_empty(),
+        "enabled tracer recorded no solver phase spans"
+    );
+    let off_median = upper_median(&mut off_ms);
+    let on_median = upper_median(&mut on_ms);
+    let (overhead, failed) = overhead_gate("phase-tracer", off_median, on_median, smoke);
+    let section = json!({
+        "solver": "dcs-greedy",
+        "disabled_ms_median": off_median,
+        "enabled_ms_median": on_median,
+        "overhead_fraction": overhead,
+        "events_recorded": events.len(),
+        "events_dropped": dropped,
+    });
+    (section, failed)
+}
+
+/// Timed rounds per side of the durable-vs-ephemeral comparison.
+const DURABILITY_ROUNDS: usize = 12;
+
+/// The `durability` section: one server with a data directory hosts an
+/// ephemeral and a durable session (default group-commit WAL sync), and the
+/// same observe stream is timed against each.  The durable session pays a
+/// buffered WAL append per batch — the fsync runs on the group-commit timer,
+/// off the request path — so in `--smoke` mode its throughput must keep half
+/// of ephemeral.  One pass is short (~15 ms in `--smoke` mode), so each side
+/// gets a warm-up pass and the sides are compared by the upper medians of
+/// [`DURABILITY_ROUNDS`] alternating rounds.  The server is shut down and
+/// joined before this returns.
+fn run_durability_section(smoke: bool) -> (Value, bool) {
+    let data_dir =
+        std::env::temp_dir().join(format!("dcs_bench_durability_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::create_dir_all(&data_dir).expect("create bench data dir");
+    let config = ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", config)
+        .expect("bind durability server")
+        .start();
+    let mut client = Client::connect(handle.local_addr()).expect("connect durability client");
+    for (session, durable) in [("bench-ephemeral", false), ("bench-durable", true)] {
+        let create = CreateSessionRequest {
+            session: session.to_string(),
+            vertices: Some(64),
+            durable,
+            ..Default::default()
+        };
+        client.create(create).expect("create session");
+    }
+
+    let batches = if smoke { 300 } else { 3_000 };
+    let mut pass = |durable: bool| {
+        let session = if durable {
+            "bench-durable"
+        } else {
+            "bench-ephemeral"
+        };
+        let ((), run) = measure(|| {
+            for tick in 0..batches {
+                let base = (tick % 56) as u32;
+                let updates: Vec<(u32, u32, f64)> = (0..8)
+                    .map(|i| (base + i, base + i + 1, 1.0 + (tick % 7) as f64))
+                    .collect();
+                client.session(session).observe(&updates).expect("observe");
+            }
+        });
+        batches as f64 * 8.0 / (run.nanos as f64 / 1e9)
+    };
+    // Warm both paths once so neither pays first-request costs in the timing.
+    pass(false);
+    pass(true);
+    let (mut ephemeral_rates, mut durable_rates) = alternate(DURABILITY_ROUNDS, pass);
+    let ephemeral_rate = upper_median(&mut ephemeral_rates);
+    let durable_rate = upper_median(&mut durable_rates);
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&data_dir);
+
+    let ratio = if ephemeral_rate > 0.0 {
+        durable_rate / ephemeral_rate
+    } else {
+        0.0
+    };
+    let failed = smoke && ratio < 0.5;
+    if failed {
+        eprintln!(
+            "FAIL: durable observe throughput is {ratio:.2}x ephemeral, below the 0.5x bound"
+        );
+    }
+    let section = json!({
+        "observe_batches": batches,
+        "rounds": DURABILITY_ROUNDS,
+        "batch_size": 8,
+        "wal_sync": "group",
+        "ephemeral_observes_per_sec": ephemeral_rate,
+        "durable_observes_per_sec": durable_rate,
+        "durable_over_ephemeral": ratio,
+    });
+    (section, failed)
+}
+
+/// The node at a dotted key path of `root`.
+fn lookup<'a>(root: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(root, |node, key| node.get(key))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help") {
         println!(
             "usage: solver_hotpath [--smoke] [--large] [--load] [--pack-dir DIR] \
-             [--baseline BENCH_hotpath.json] [--out PATH]"
+             [--baseline BENCH_hotpath.json] [--out PATH]\n\
+             sections: mine, remine, snapshot, topk, sweep, dcsga, [large], [load], \
+             then the timing gates delta_vs_scratch, engine_wrapper, tracing, durability"
         );
         return;
     }
@@ -664,86 +1105,64 @@ fn main() {
                 }
             });
 
-    let config = if smoke {
-        BenchConfig {
-            vertices: 2_000,
-            baseline_edges: 20_000,
-            repetitions: 8,
-            topk: 6,
-        }
-    } else {
-        BenchConfig {
-            vertices: 10_000,
-            baseline_edges: 100_000,
-            repetitions: 12,
-            topk: 8,
-        }
-    };
-
-    // ---- Workload: a streaming monitor at production density (the average-degree
-    // measure exercises the DCSGreedy peel + G_{D+} + component hot path). --------
-    let mut rng = Rng(0x5eed);
-    let baseline = build_baseline(&config, &mut rng);
-    let streaming_config = StreamingConfig {
-        remine_every: 0,
-        alert_threshold: 0.0,
-        measure: DensityMeasure::AverageDegree,
-    };
-    let mut monitor = StreamingDcs::new(baseline.clone(), streaming_config).unwrap();
-    let baseline_edges: Vec<(VertexId, VertexId)> =
-        baseline.edges().map(|(u, v, _)| (u, v)).collect();
-    for &(u, v) in &baseline_edges {
-        monitor.observe(u, v, rng.weight());
-    }
-    let gd = monitor.difference_snapshot();
-
-    // ---- 1. From-scratch mine: no workspace, every buffer allocated per solve. ---
-    let (scratch_alert, scratch, scratch_runs) = measure_each(config.repetitions, || {
-        mine_difference_in(
-            &gd,
-            &streaming_config,
-            monitor.observations(),
-            None,
-            &SolveContext::unbounded(),
+    // The affinity workload is smaller: NewSEA runs many local searches per
+    // solve, and the metrics are self-relative ratios, so the `dcsga` section
+    // does not need the average-degree scale to be meaningful.
+    let (config, topk, ga_config, delta_batches) = if smoke {
+        (
+            BenchConfig {
+                vertices: 2_000,
+                baseline_edges: 20_000,
+                repetitions: 8,
+            },
+            6,
+            BenchConfig {
+                vertices: 600,
+                baseline_edges: 4_000,
+                repetitions: 6,
+            },
+            5,
         )
-    });
+    } else {
+        (
+            BenchConfig {
+                vertices: 10_000,
+                baseline_edges: 100_000,
+                repetitions: 12,
+            },
+            8,
+            BenchConfig {
+                vertices: 1_500,
+                baseline_edges: 12_000,
+                repetitions: 8,
+            },
+            10,
+        )
+    };
+    let alphas: Vec<f64> = (0..=6).map(|i| i as f64 * 0.25).collect();
 
-    // ---- 2. Steady-state re-mine: the monitor's persistent workspace, warm. ------
-    let _ = monitor.mine_now(); // warm the workspace and the seed
-    let churn: Vec<(VertexId, VertexId)> = (0..config.repetitions)
-        .map(|_| baseline_edges[rng.below(baseline_edges.len())])
-        .collect();
-    let mut churn_edges = churn.iter();
-    // Sparse churn between re-mines, applied outside the measured section — the
-    // gate is about the solve, not the observe (streaming_throughput covers the
-    // observe path).
-    let (remine_alert, remine, remine_runs) = measure_each_after(
-        churn.len(),
-        &mut monitor,
-        |monitor| {
-            let &(u, v) = churn_edges.next().expect("one churn edge per re-mine");
-            monitor.observe(u, v, 0.25);
-        },
-        StreamingDcs::mine_now,
-    );
-    let remine_subset = remine_alert.report.subset;
-    // Sanity: workspace reuse must not change the answer on the unchanged graph
-    // shape (the churn batches re-observe existing edges upward, so the mined core
-    // stays a valid subset).
-    assert!(
-        !remine_subset.is_empty() && !scratch_alert.report.subset.is_empty(),
-        "both paths must mine something"
+    // ---- 1, 2, 4. Average degree (the DCSGreedy peel + G_{D+} + component hot
+    // path): from-scratch mine, steady-state re-mine, α-sweep. ------------------
+    let mut rng = Rng(0x5eed);
+    let mut degree = run_measure(
+        DensityMeasure::AverageDegree,
+        &config,
+        &mut rng,
+        &alphas,
+        "workspace",
     );
 
-    // ---- 3. Top-k: masked views + shared workspace vs from-scratch rounds. -------
+    // ---- 3. Top-k: masked views + shared workspace vs from-scratch rounds, on
+    // the snapshot taken before the re-mine churn. --------------------------------
+    let gd = &degree.gd;
     let solver = MeasureSolver::for_measure(DensityMeasure::AverageDegree);
     let (reference_rounds, topk_scratch, topk_scratch_runs) =
         measure_each(config.repetitions, || {
             // The pre-workspace driver shape: clone the working graph, solve with no
             // workspace, compact the CSR in place after every round.
-            let mut remaining = (*gd).clone();
+            let mut remaining = (**gd).clone();
             let mut rounds = 0usize;
-            while rounds < config.topk && remaining.num_positive_edges() > 0 {
+            while rounds < topk && remaining.num_positive_edges() > 0 {
                 let solution = solver.solve_bounded(&remaining, &[], &SolveContext::unbounded());
                 if solution.objective <= 0.0 || solution.subset.is_empty() {
                     break;
@@ -755,162 +1174,38 @@ fn main() {
         });
     let shared = SharedWorkspace::new();
     let warm_cx = SolveContext::unbounded().with_workspace(&shared);
-    let _ = top_k_in(&gd, config.topk, DensityMeasure::AverageDegree, &warm_cx); // warm the shared workspace
+    let _ = top_k_in(gd, topk, DensityMeasure::AverageDegree, &warm_cx); // warm the shared workspace
     let (steady_outcome, topk_steady, topk_steady_runs) = measure_each(config.repetitions, || {
-        top_k_in(&gd, config.topk, DensityMeasure::AverageDegree, &warm_cx)
+        top_k_in(gd, topk, DensityMeasure::AverageDegree, &warm_cx)
     });
     let steady_rounds = steady_outcome.solutions.len();
-
-    // ---- 4. α-sweep: in-place reweighting + shared workspace vs cold rebuild. ----
-    let g2 = monitor.observed_graph();
-    let alphas: Vec<f64> = (0..=6).map(|i| i as f64 * 0.25).collect();
-    let (cold_points, sweep_cold, sweep_cold_runs) = measure_each(config.repetitions, || {
-        let mut points = 0usize;
-        for &alpha in &alphas {
-            let gd_alpha = scaled_difference_graph(&g2, &baseline, alpha).unwrap();
-            let solution = solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
-            if !solution.subset.is_empty() {
-                points += 1;
-            }
-        }
-        points
-    });
-    let sweep_shared = SharedWorkspace::new();
-    let sweep_cx = SolveContext::unbounded().with_workspace(&sweep_shared);
-    let _ = dcs_core::alpha_sweep_in(
-        &g2,
-        &baseline,
-        &alphas,
-        DensityMeasure::AverageDegree,
-        &sweep_cx,
-    )
-    .unwrap(); // warm
-    let (sweep_outcome, sweep_steady, sweep_steady_runs) = measure_each(config.repetitions, || {
-        dcs_core::alpha_sweep_in(
-            &g2,
-            &baseline,
-            &alphas,
-            DensityMeasure::AverageDegree,
-            &sweep_cx,
-        )
-        .unwrap()
-    });
 
     // ---- 4b. Steady-state delta snapshot after a 64-update observe batch. ---------
     // A separate update stream, so the sections after this one see the same
     // random draws with or without it.
     let mut snapshot_rng = Rng(0x5eed ^ 64);
+    let edges = &degree.baseline_edges;
     let (_, snapshot, snapshot_runs) = measure_each_after(
         config.repetitions,
-        &mut monitor,
+        &mut degree.monitor,
         |monitor| {
             for _ in 0..64 {
-                let (u, v) = baseline_edges[snapshot_rng.below(baseline_edges.len())];
+                let (u, v) = edges[snapshot_rng.below(edges.len())];
                 monitor.observe(u, v, 0.25);
             }
         },
         StreamingDcs::difference_snapshot,
     );
 
-    // ---- 5. DCSGA (graph affinity): from-scratch vs steady state + α-sweep. -----
-    // A smaller workload: NewSEA runs many local searches per solve, and the metrics
-    // are self-relative ratios, so the affinity section does not need the full
-    // average-degree scale to be meaningful.
-    let dcsga_scale = if smoke {
-        (600, 4_000, 6)
-    } else {
-        (1_500, 12_000, 8)
-    };
-    let (ga_vertices, ga_edges, ga_reps) = dcsga_scale;
-    let ga_bench = BenchConfig {
-        vertices: ga_vertices,
-        baseline_edges: ga_edges,
-        repetitions: ga_reps,
-        topk: 0,
-    };
-    let ga_baseline = build_baseline(&ga_bench, &mut rng);
-    let ga_streaming_config = StreamingConfig {
-        remine_every: 0,
-        alert_threshold: 0.0,
-        measure: DensityMeasure::GraphAffinity,
-    };
-    let mut ga_monitor = StreamingDcs::new(ga_baseline.clone(), ga_streaming_config).unwrap();
-    let ga_baseline_edges: Vec<(VertexId, VertexId)> =
-        ga_baseline.edges().map(|(u, v, _)| (u, v)).collect();
-    for &(u, v) in &ga_baseline_edges {
-        ga_monitor.observe(u, v, rng.weight());
-    }
-    let ga_gd = ga_monitor.difference_snapshot();
-
-    // From-scratch affinity mine: no workspace, transient dense arena per solve.
-    let (ga_scratch_alert, ga_scratch, ga_scratch_runs) =
-        measure_each(ga_bench.repetitions, || {
-            mine_difference_in(
-                &ga_gd,
-                &ga_streaming_config,
-                ga_monitor.observations(),
-                None,
-                &SolveContext::unbounded(),
-            )
-        });
-
-    // Steady-state affinity re-mine: the monitor's dense embedding arena warm.
-    let _ = ga_monitor.mine_now();
-    let ga_churn: Vec<(VertexId, VertexId)> = (0..ga_bench.repetitions)
-        .map(|_| ga_baseline_edges[rng.below(ga_baseline_edges.len())])
-        .collect();
-    let mut ga_churn_edges = ga_churn.iter();
-    let (ga_remine_alert, ga_remine, ga_remine_runs) = measure_each_after(
-        ga_churn.len(),
-        &mut ga_monitor,
-        |monitor| {
-            let &(u, v) = ga_churn_edges.next().expect("one churn edge per re-mine");
-            monitor.observe(u, v, 0.25);
-        },
-        StreamingDcs::mine_now,
-    );
-    let ga_remine_subset = ga_remine_alert.report.subset;
-    assert!(
-        !ga_remine_subset.is_empty() && !ga_scratch_alert.report.subset.is_empty(),
-        "both affinity paths must mine something"
-    );
-
-    // Affinity α-sweep: template + warm dense workspace vs per-α rebuild, cold.
-    let ga_g2 = ga_monitor.observed_graph();
-    let ga_solver = MeasureSolver::for_measure(DensityMeasure::GraphAffinity);
-    let (ga_cold_points, ga_sweep_cold, ga_sweep_cold_runs) =
-        measure_each(ga_bench.repetitions, || {
-            let mut points = 0usize;
-            for &alpha in &alphas {
-                let gd_alpha = scaled_difference_graph(&ga_g2, &ga_baseline, alpha).unwrap();
-                let solution = ga_solver.solve_bounded(&gd_alpha, &[], &SolveContext::unbounded());
-                if !solution.subset.is_empty() {
-                    points += 1;
-                }
-            }
-            points
-        });
-    let ga_sweep_shared = SharedWorkspace::new();
-    let ga_sweep_cx = SolveContext::unbounded().with_workspace(&ga_sweep_shared);
-    let _ = dcs_core::alpha_sweep_in(
-        &ga_g2,
-        &ga_baseline,
-        &alphas,
+    // ---- 5. DCSGA (graph affinity): from-scratch vs steady state + α-sweep, the
+    // dense embedding arena warm in the steady paths. -----------------------------
+    let affinity = run_measure(
         DensityMeasure::GraphAffinity,
-        &ga_sweep_cx,
-    )
-    .unwrap(); // warm
-    let (ga_sweep_outcome, ga_sweep_steady, ga_sweep_steady_runs) =
-        measure_each(ga_bench.repetitions, || {
-            dcs_core::alpha_sweep_in(
-                &ga_g2,
-                &ga_baseline,
-                &alphas,
-                DensityMeasure::GraphAffinity,
-                &ga_sweep_cx,
-            )
-            .unwrap()
-        });
+        &ga_config,
+        &mut rng,
+        &alphas,
+        "dense_arena",
+    );
 
     // ---- 6. Large-graph parallelism (opt-in: --large). ---------------------------
     let large_section = large.then(|| run_large_section(smoke, baseline_json.as_ref()));
@@ -918,10 +1213,16 @@ fn main() {
     // ---- 7. Cold load: text parse vs zero-copy pack (opt-in: --load). ------------
     let load_section = load.then(|| run_load_section(smoke, pack_dir.as_deref()));
 
+    // ---- 8. Timing gates, after every allocation-measured section: the counting
+    // allocator tallies the server's and the tracer's threads too. ----------------
+    let delta_section = run_delta_section(&mut degree.monitor, edges, delta_batches);
+    let final_gd = degree.monitor.difference_snapshot();
+    let expected = DcsGreedy::default().solve(&final_gd).subset;
+    let engine_section = run_engine_section(&final_gd, &expected, smoke);
+    let tracing_section = run_tracing_section(&final_gd, &expected, smoke);
+    let durability_section = run_durability_section(smoke);
+
     // ---- Report. -----------------------------------------------------------------
-    let mine_row = path_json("from_scratch", &scratch, &scratch_runs, 1);
-    let mut remine_row = path_json("steady_state_workspace", &remine, &remine_runs, 1);
-    let snapshot_row = path_json("delta_merge_64_updates", &snapshot, &snapshot_runs, 1);
     let topk_scratch_row = path_json(
         "clone_and_compact",
         &topk_scratch,
@@ -934,100 +1235,45 @@ fn main() {
         &topk_steady_runs,
         steady_rounds,
     );
-    let sweep_cold_row = path_json(
-        "rebuild_per_alpha",
-        &sweep_cold,
-        &sweep_cold_runs,
-        cold_points,
-    );
-    let sweep_steady_row = path_json(
-        "template_reweight_workspace",
-        &sweep_steady,
-        &sweep_steady_runs,
-        sweep_outcome.points.len(),
-    );
-    let ga_mine_row = path_json("from_scratch", &ga_scratch, &ga_scratch_runs, 1);
-    let mut ga_remine_row = path_json("steady_state_dense_arena", &ga_remine, &ga_remine_runs, 1);
-    let ga_sweep_cold_row = path_json(
-        "rebuild_per_alpha",
-        &ga_sweep_cold,
-        &ga_sweep_cold_runs,
-        ga_cold_points,
-    );
-    let ga_sweep_steady_row = path_json(
-        "template_reweight_dense_arena",
-        &ga_sweep_steady,
-        &ga_sweep_steady_runs,
-        ga_sweep_outcome.points.len(),
-    );
-    let allocs = |row: &Value| row["allocs_per_solve"].as_f64().unwrap_or(0.0);
-    let scratch_allocs = allocs(&mine_row);
-    let remine_allocs = allocs(&remine_row);
-    let topk_scratch_allocs = allocs(&topk_scratch_row);
-    let topk_steady_allocs = allocs(&topk_steady_row);
-    let sweep_cold_allocs = allocs(&sweep_cold_row);
-    let sweep_steady_allocs = allocs(&sweep_steady_row);
-    let ga_scratch_allocs = allocs(&ga_mine_row);
-    let ga_remine_allocs = allocs(&ga_remine_row);
-    let ga_sweep_cold_allocs = allocs(&ga_sweep_cold_row);
-    let ga_sweep_steady_allocs = allocs(&ga_sweep_steady_row);
-    let remine_ratio = scratch_allocs / remine_allocs.max(1.0);
-    let topk_ratio = topk_scratch_allocs / topk_steady_allocs.max(1.0);
-    let sweep_ratio = sweep_cold_allocs / sweep_steady_allocs.max(1.0);
-    let ga_remine_ratio = ga_scratch_allocs / ga_remine_allocs.max(1.0);
-    let ga_sweep_ratio = ga_sweep_cold_allocs / ga_sweep_steady_allocs.max(1.0);
-    remine_row["allocs_reduction_vs_scratch"] = json!(remine_ratio);
-    ga_remine_row["allocs_reduction_vs_scratch"] = json!(ga_remine_ratio);
-
-    let report = json!({
+    let topk_ratio = allocs(&topk_scratch_row) / allocs(&topk_steady_row).max(1.0);
+    let mut report = json!({
         "bench": "solver_hotpath",
         "mode": if smoke { "smoke" } else { "full" },
-        "graph": {
-            "vertices": config.vertices,
-            "baseline_edges": baseline.num_edges(),
-            "difference_edges": gd.num_edges(),
-        },
+        "graph": degree.graph,
         "repetitions": config.repetitions,
-        "mine": mine_row,
-        "remine": remine_row,
-        "snapshot": snapshot_row,
+        "mine": degree.mine,
+        "remine": degree.remine,
+        "snapshot": path_json("delta_merge_64_updates", &snapshot, &snapshot_runs, 1),
         "topk": {
-            "k": config.topk,
+            "k": topk,
             "scratch_rounds": reference_rounds,
             "steady_rounds": steady_rounds,
             "scratch": topk_scratch_row,
             "steady": topk_steady_row,
             "allocs_reduction_per_round": topk_ratio,
         },
-        "sweep": {
-            "grid_points": alphas.len(),
-            "cold": sweep_cold_row,
-            "steady": sweep_steady_row,
-            "allocs_reduction_per_point": sweep_ratio,
-        },
+        "sweep": degree.sweep,
         "dcsga": {
-            "graph": {
-                "vertices": ga_bench.vertices,
-                "baseline_edges": ga_baseline.num_edges(),
-                "difference_edges": ga_gd.num_edges(),
-            },
-            "repetitions": ga_bench.repetitions,
-            "mine": ga_mine_row,
-            "remine": ga_remine_row,
-            "sweep": {
-                "grid_points": alphas.len(),
-                "cold": ga_sweep_cold_row,
-                "steady": ga_sweep_steady_row,
-                "allocs_reduction_per_point": ga_sweep_ratio,
-            },
+            "graph": affinity.graph,
+            "repetitions": ga_config.repetitions,
+            "mine": affinity.mine,
+            "remine": affinity.remine,
+            "sweep": affinity.sweep,
         },
     });
-    let mut report = report;
-    if let Some((section, _)) = &large_section {
-        report["large"] = section.clone();
-    }
-    if let Some((section, _)) = &load_section {
-        report["load"] = section.clone();
+    let mut failed = false;
+    for (key, section) in [
+        ("large", large_section),
+        ("load", load_section),
+        ("delta_vs_scratch", Some(delta_section)),
+        ("engine_wrapper", Some(engine_section)),
+        ("tracing", Some(tracing_section)),
+        ("durability", Some(durability_section)),
+    ] {
+        if let Some((value, section_failed)) = section {
+            report[key] = value;
+            failed |= section_failed;
+        }
     }
     let rendered = serde_json::to_string_pretty(&report).unwrap();
     println!("{rendered}");
@@ -1035,68 +1281,40 @@ fn main() {
         eprintln!("warning: could not write {out_path}: {error}");
     }
 
-    // ---- Gates. ------------------------------------------------------------------
-    let mut failed = large_section.as_ref().is_some_and(|(_, f)| *f)
-        || load_section.as_ref().is_some_and(|(_, f)| *f);
-    if remine_ratio < 2.0 {
-        eprintln!(
-            "FAIL: steady-state re-mine allocates {remine_allocs:.1}/solve vs \
-             {scratch_allocs:.1} from scratch ({remine_ratio:.2}x < 2x reduction)"
-        );
-        failed = true;
-    }
-    if topk_ratio < 2.0 {
-        eprintln!(
-            "FAIL: top-k steady rounds allocate {topk_steady_allocs:.1}/round vs \
-             {topk_scratch_allocs:.1} from scratch ({topk_ratio:.2}x < 2x reduction)"
-        );
-        failed = true;
-    }
-    if ga_remine_ratio < 2.0 {
-        eprintln!(
-            "FAIL: DCSGA steady-state re-mine allocates {ga_remine_allocs:.1}/solve vs \
-             {ga_scratch_allocs:.1} from scratch ({ga_remine_ratio:.2}x < 2x reduction)"
-        );
-        failed = true;
+    // ---- Allocation gates. -------------------------------------------------------
+    // Each steady path must allocate at most half of its from-scratch reference.
+    for (what, steady, scratch) in [
+        ("steady-state re-mine", "remine", "mine"),
+        ("top-k steady rounds", "topk.steady", "topk.scratch"),
+        ("DCSGA steady-state re-mine", "dcsga.remine", "dcsga.mine"),
+    ] {
+        let steady_allocs = lookup(&report, steady).map_or(0.0, allocs);
+        let scratch_allocs = lookup(&report, scratch).map_or(0.0, allocs);
+        let ratio = scratch_allocs / steady_allocs.max(1.0);
+        if ratio < 2.0 {
+            eprintln!(
+                "FAIL: {what}: {steady_allocs:.1} allocations per solve vs \
+                 {scratch_allocs:.1} from scratch ({ratio:.2}x < 2x reduction)"
+            );
+            failed = true;
+        }
     }
 
     // Regression gate against a checked-in baseline, allocation metrics only
     // (allocation counts are deterministic for the fixed workload; timings are not).
     if let Some(previous) = &baseline_json {
         let path = baseline_path.as_deref().unwrap_or("baseline");
-        let checks: [(&str, f64, &[&str]); 5] = [
-            (
-                "remine.allocs_per_solve",
-                remine_allocs,
-                &["remine", "allocs_per_solve"],
-            ),
-            (
-                "topk.steady.allocs_per_solve",
-                topk_steady_allocs,
-                &["topk", "steady", "allocs_per_solve"],
-            ),
-            (
-                "sweep.steady.allocs_per_solve",
-                sweep_steady_allocs,
-                &["sweep", "steady", "allocs_per_solve"],
-            ),
-            (
-                "dcsga.remine.allocs_per_solve",
-                ga_remine_allocs,
-                &["dcsga", "remine", "allocs_per_solve"],
-            ),
-            (
-                "dcsga.sweep.steady.allocs_per_solve",
-                ga_sweep_steady_allocs,
-                &["dcsga", "sweep", "steady", "allocs_per_solve"],
-            ),
-        ];
-        for (label, current, keys) in checks {
-            let mut node = Some(previous);
-            for key in keys {
-                node = node.and_then(|v| v.get(key));
-            }
-            let Some(reference) = node.and_then(|v| v.as_f64()) else {
+        for label in [
+            "remine.allocs_per_solve",
+            "topk.steady.allocs_per_solve",
+            "sweep.steady.allocs_per_solve",
+            "dcsga.remine.allocs_per_solve",
+            "dcsga.sweep.steady.allocs_per_solve",
+        ] {
+            let current = lookup(&report, label)
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
+            let Some(reference) = lookup(previous, label).and_then(Value::as_f64) else {
                 eprintln!("warning: baseline {path} lacks {label}; skipping");
                 continue;
             };

@@ -3,7 +3,7 @@
 //!
 //! Each binary in `src/bin/` runs as `cargo run -p dcs-bench --release --bin <name>`;
 //! its module docs give its options.  Ten regenerate a table or figure of the paper,
-//! and two are the CI gates:
+//! and one is the CI gate:
 //!
 //! | Binary | Produces |
 //! |---|---|
@@ -17,8 +17,7 @@
 //! | `table14_large` | Table XIV: DCSGA on the large DBLP-C and Actor graphs |
 //! | `fig02_density_sweep` | Fig. 2: SEACD+Refine's speed-up over SEA+Refine and SEA's expansion-error rate against the density `m+/n` of `G_{D+}` |
 //! | `fig03_clique_counts` | Fig. 3: the positive-clique census of the Douban-style difference graphs |
-//! | `solver_hotpath` | `BENCH_hotpath.json`; with `--smoke`, fails unless steady-state re-mines and top-k rounds allocate at most half of a from-scratch solve and every gated allocation count is within 10% of `--baseline`; `--large` adds 4-thread bit-identity, `--load` the ≥10× pack-over-text load gate |
-//! | `streaming_throughput` | Delta-snapshot, engine-wrapper, tracer and durable-observe timings; with `--smoke`, fails unless the delta snapshot beats a scratch rebuild, the engine wrapper and the enabled tracer cost within 5%, and durable observes keep half of ephemeral throughput; `--soak` checks that connection churn leaks no file descriptors |
+//! | `solver_hotpath` | `BENCH_hotpath.json`; with `--smoke`, fails unless steady-state re-mines and top-k rounds allocate at most half of a from-scratch solve and every gated allocation count is within 10% of `--baseline`; `--large` adds 4-thread bit-identity, `--load` the ≥10× pack-over-text load gate; its closing timing sections fail, in every mode, unless the delta snapshot beats a scratch rebuild, and with `--smoke` unless the engine wrapper and the enabled tracer cost within 5% and durable observes keep half of ephemeral throughput |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

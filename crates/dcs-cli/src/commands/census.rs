@@ -30,7 +30,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let pair = load_pair(&args)?;
     let options = MiningOptions::from_args(&args)?;
     let top: usize = args.parse_option("top", 5)?;
-    let threads: usize = args.parse_option("threads", 1)?;
+    let threads = MiningOptions::solve_context(&args)?.threads();
 
     let mut out = String::new();
     let mut json_sections = Vec::new();

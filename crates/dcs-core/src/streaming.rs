@@ -118,8 +118,7 @@ pub struct StreamingDcs {
     workspace: SharedWorkspace,
 }
 
-/// Outcome of a batched observation ([`StreamingDcs::observe_batch`] /
-/// [`StreamingDcs::apply_batch`]).
+/// Outcome of a batched observation ([`StreamingDcs::apply_batch`]).
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// Number of updates that were applied (in-range, non-self-loop).
@@ -338,14 +337,6 @@ impl StreamingDcs {
         }
     }
 
-    /// Applies a batch of observations, returning every alert raised along the way.
-    pub fn observe_batch<I: IntoIterator<Item = (VertexId, VertexId, Weight)>>(
-        &mut self,
-        updates: I,
-    ) -> Vec<ContrastAlert> {
-        self.apply_batch(updates).alerts
-    }
-
     /// Applies a batch of observations and reports how many were applied vs
     /// ignored alongside the raised alerts — the accounting the serving layer
     /// returns to remote clients.
@@ -394,8 +385,8 @@ impl StreamingDcs {
     ///
     /// This is the pre-delta-engine snapshot path, kept as the reference
     /// implementation: property tests assert the incremental snapshot is
-    /// identical to it, and the streaming-throughput benchmark measures the
-    /// speedup of [`Self::difference_snapshot`] over it.
+    /// identical to it, and the `solver_hotpath` benchmark's `delta_vs_scratch`
+    /// gate fails unless [`Self::difference_snapshot`] is faster.
     pub fn rebuild_difference_snapshot(&self) -> SignedGraph {
         let mut builder = GraphBuilder::new(self.num_vertices());
         for (&(u, v), &w) in &self.observed {
@@ -665,7 +656,9 @@ mod tests {
         assert_eq!(alert.observations, 3);
 
         // Now a dense anomalous triangle forms among {0,1,2}.
-        let alerts = monitor.observe_batch(vec![(0, 1, 9.0), (0, 2, 9.0), (1, 2, 9.0)]);
+        let alerts = monitor
+            .apply_batch(vec![(0, 1, 9.0), (0, 2, 9.0), (1, 2, 9.0)])
+            .alerts;
         assert_eq!(alerts.len(), 1);
         let alert = &alerts[0];
         assert!(

@@ -817,7 +817,13 @@ impl SignedGraph {
     /// Builds `G_{D+}`: the subgraph of this graph containing only the edges with
     /// strictly positive weight (all vertices are kept).
     pub fn positive_part(&self) -> SignedGraph {
-        self.filter_edges(|w| w > 0.0)
+        let mut builder = crate::GraphBuilder::new(self.num_vertices());
+        for (u, v, w) in self.edges() {
+            if w > 0.0 {
+                builder.add_edge(u, v, w);
+            }
+        }
+        builder.build()
     }
 
     /// Returns a copy of the graph with every edge weight negated (turns the Emerging
@@ -831,24 +837,9 @@ impl SignedGraph {
         g
     }
 
-    /// Returns a copy of the graph with all edges incident to `vertices` removed (the
-    /// vertex set itself is unchanged, so vertex ids stay stable).  Used by the top-k
-    /// contrast-subgraph miner to exclude already-reported subgraphs.
-    pub fn without_vertices(&self, vertices: &[VertexId]) -> SignedGraph {
-        let exclude = VertexSubset::from_slice(self.num_vertices(), vertices);
-        let mut builder = crate::GraphBuilder::new(self.num_vertices());
-        for (u, v, w) in self.edges() {
-            if !exclude.contains(u) && !exclude.contains(v) {
-                builder.add_edge(u, v, w);
-            }
-        }
-        builder.build()
-    }
-
     /// Removes all edges incident to `vertices` **in place**, compacting the
-    /// CSR arrays without allocating a new graph (the vertex set itself is
-    /// unchanged, so vertex ids stay stable — same contract as
-    /// [`Self::without_vertices`]).
+    /// CSR arrays without allocating a new graph.  The vertex set itself is
+    /// unchanged, so vertex ids stay stable.
     ///
     /// This is the peeling primitive of the top-k miners: peeling `k`
     /// subgraphs out of one difference graph touches each remaining adjacency
@@ -891,17 +882,6 @@ impl SignedGraph {
         self.num_positive_edges = num_pos / 2;
         self.num_negative_edges = num_neg / 2;
         self.num_edges = self.num_positive_edges + self.num_negative_edges;
-    }
-
-    /// Returns the subgraph keeping only edges whose weight satisfies `keep`.
-    pub fn filter_edges<F: Fn(Weight) -> bool>(&self, keep: F) -> SignedGraph {
-        let mut builder = crate::GraphBuilder::new(self.num_vertices());
-        for (u, v, w) in self.edges() {
-            if keep(w) {
-                builder.add_edge(u, v, w);
-            }
-        }
-        builder.build()
     }
 
     /// Returns a copy of the graph with every edge weight transformed by `f`; edges whose
@@ -961,6 +941,19 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
 
+    /// A copy of `g` without the edges incident to `vertices`, rebuilt through
+    /// the builder: the oracle of [`SignedGraph::remove_vertices_in_place`].
+    fn without_vertices(g: &SignedGraph, vertices: &[VertexId]) -> SignedGraph {
+        let exclude = VertexSubset::from_slice(g.num_vertices(), vertices);
+        let mut builder = GraphBuilder::new(g.num_vertices());
+        for (u, v, w) in g.edges() {
+            if !exclude.contains(u) && !exclude.contains(v) {
+                builder.add_edge(u, v, w);
+            }
+        }
+        builder.build()
+    }
+
     /// The example difference graph of Fig. 1 in the paper:
     /// G1 edges: (1,2)=?, ... we use the GD from the figure directly:
     /// GD: (v1,v2)=1, (v1,v4)=-2, (v3,v4)=3, (v3,v5)=-1, (v4,v5)=2  (0-indexed below)
@@ -1013,7 +1006,7 @@ mod tests {
             vec![3, 7, 11, 29],
             (0..15).collect::<Vec<_>>(),
         ] {
-            let copied = g.without_vertices(&removal);
+            let copied = without_vertices(&g, &removal);
             let mut in_place = g.clone();
             in_place.remove_vertices_in_place(&removal);
             assert_eq!(in_place.num_edges(), copied.num_edges());
@@ -1137,13 +1130,13 @@ mod tests {
     #[test]
     fn without_vertices_drops_incident_edges() {
         let g = fig1_gd();
-        let pruned = g.without_vertices(&[3]);
+        let pruned = without_vertices(&g, &[3]);
         assert_eq!(pruned.num_vertices(), 5);
         assert_eq!(pruned.num_edges(), 2); // only (0,1) and (2,4) survive
         assert_eq!(pruned.edge_weight(2, 3), None);
         assert_eq!(pruned.edge_weight(0, 1), Some(1.0));
         // Removing nothing is the identity on the edge set.
-        let same = g.without_vertices(&[]);
+        let same = without_vertices(&g, &[]);
         assert_eq!(same.num_edges(), g.num_edges());
     }
 
@@ -1154,7 +1147,5 @@ mod tests {
         assert_eq!(doubled.edge_weight(2, 3), Some(6.0));
         let clamped = g.map_weights(|w| if w > 2.0 { 2.0 } else { w });
         assert_eq!(clamped.edge_weight(2, 3), Some(2.0));
-        let only_big = g.filter_edges(|w| w.abs() >= 2.0);
-        assert_eq!(only_big.num_edges(), 3);
     }
 }
