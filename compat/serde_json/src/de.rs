@@ -1,6 +1,8 @@
-//! Deserialization: a strict, recursive-descent JSON parser into [`Value`].
+//! Deserialization: [`from_str`] builds a [`Value`] from the pull
+//! tokenizer's events ([`crate::Tokenizer`]).
 
-use crate::value::{Map, Number, Value};
+use crate::token::Tokenizer;
+use crate::value::Value;
 
 /// Parse/serialize error (line/column are not tracked; the byte offset is).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -10,7 +12,7 @@ pub struct Error {
 }
 
 impl Error {
-    fn new(message: impl Into<String>, offset: usize) -> Self {
+    pub(crate) fn new(message: impl Into<String>, offset: usize) -> Self {
         Error {
             message: message.into(),
             offset,
@@ -41,207 +43,13 @@ impl Deserialize for Value {
 /// Parses a complete JSON document (trailing whitespace is allowed, trailing
 /// content is an error, like serde_json).
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value(0)?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::new("trailing characters", parser.pos));
+    let mut tokens = Tokenizer::new(input);
+    let first = tokens
+        .next_event()?
+        .expect("a document starts with a value or fails");
+    let value = tokens.value_from(first)?;
+    if tokens.next_event()?.is_some() {
+        unreachable!("the tokenizer ends after the top-level value");
     }
     T::from_json_value(value)
-}
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!("expected {:?}", byte as char), self.pos))
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
-            return Err(Error::new("recursion limit exceeded", self.pos));
-        }
-        match self.peek() {
-            None => Err(Error::new("unexpected end of input", self.pos)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'{') => self.parse_object(depth),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(Error::new(
-                format!("unexpected character {:?}", c as char),
-                self.pos,
-            )),
-        }
-    }
-
-    fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!("expected {keyword:?}"), self.pos))
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::new("expected ',' or ']'", self.pos)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(Error::new("expected ',' or '}'", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape", self.pos))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| Error::new("invalid \\u escape", self.pos))?;
-                            // Surrogate pairs are not reconstructed; lone
-                            // surrogates become the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::new("invalid escape", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid UTF-8", self.pos))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number", start))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::PosInt(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::NegInt(i)));
-            }
-        }
-        let f: f64 = text
-            .parse()
-            .map_err(|_| Error::new(format!("invalid number {text:?}"), start))?;
-        Ok(Value::Number(Number::Float(f)))
-    }
 }

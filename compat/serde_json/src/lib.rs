@@ -12,15 +12,31 @@
 //!
 //! Numbers are stored as `u64`/`i64`/`f64` variants like the real crate, and
 //! non-finite floats serialize to `null` (serde_json's behaviour).
+//!
+//! There is one grammar, in the pull [`Tokenizer`] (the `token` module):
+//! a strict pass over a `&str` that yields [`Event`]s and reports errors
+//! with their byte offsets.  [`from_str`] builds its [`Value`] from those
+//! events, and a typed decoder (the server's `Request::decode`) reads them
+//! straight into its own types, so a document is validated once and needs
+//! no tree.  The tokenizer is the one API this shim has that the real crate
+//! does not.  The recursive-descent parser `from_str` used before it lives
+//! on in this crate's tests as the oracle: on the server's request corpus,
+//! every short number spelling, generated documents and byte mutations of
+//! them, `from_str` must give the same `Value`, or the same error message
+//! at the same offset.
 
 use std::fmt;
 
 mod de;
+#[cfg(test)]
+mod oracle;
 mod ser;
+mod token;
 mod value;
 
 pub use de::{from_str, Error};
 pub use ser::{to_string, to_string_pretty, Serialize};
+pub use token::{Event, JsonNumber, JsonStr, Tokenizer};
 pub use value::{Map, Number, Value};
 
 impl fmt::Display for Value {

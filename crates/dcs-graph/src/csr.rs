@@ -582,13 +582,19 @@ impl SignedGraph {
         (&self.neighbors[range.clone()], &self.weights[range])
     }
 
-    /// Iterates every undirected edge `(u, v, w)` exactly once, with `u < v`.
+    /// Iterates every undirected edge `(u, v, w)` exactly once, with `u < v`,
+    /// in row order.  Each row is sorted, so its edges to higher vertices are
+    /// the slice after its first neighbour above `u`: the walk skips the
+    /// lower half instead of testing every neighbour.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-        self.vertices().flat_map(move |u| {
-            self.neighbors(u)
-                .filter(move |e| u < e.neighbor)
-                .map(move |e| (u, e.neighbor, e.weight))
-        })
+        EdgeWalk {
+            offsets: &self.offsets,
+            neighbors: &self.neighbors,
+            weights: &self.weights,
+            row: 0,
+            at: 0,
+            end: 0,
+        }
     }
 
     /// Looks up the weight of the edge `(u, v)`, or `None` if the edge does not exist.
@@ -935,6 +941,42 @@ impl<'a> Iterator for NeighborIter<'a> {
 }
 
 impl<'a> ExactSizeIterator for NeighborIter<'a> {}
+
+/// The iterator of [`SignedGraph::edges`]: entries `at..end` of row
+/// `row - 1` are still to come.
+struct EdgeWalk<'g> {
+    offsets: &'g [usize],
+    neighbors: &'g [VertexId],
+    weights: &'g [Weight],
+    row: usize,
+    at: usize,
+    end: usize,
+}
+
+impl Iterator for EdgeWalk<'_> {
+    type Item = (VertexId, VertexId, Weight);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.at == self.end {
+            if self.row + 1 == self.offsets.len() {
+                return None;
+            }
+            let (start, end) = (self.offsets[self.row], self.offsets[self.row + 1]);
+            let u = self.row as VertexId;
+            self.at = start + self.neighbors[start..end].partition_point(|&v| v <= u);
+            self.end = end;
+            self.row += 1;
+        }
+        let at = self.at;
+        self.at += 1;
+        Some((
+            (self.row - 1) as VertexId,
+            self.neighbors[at],
+            self.weights[at],
+        ))
+    }
+}
 
 #[cfg(test)]
 mod tests {

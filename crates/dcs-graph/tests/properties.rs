@@ -648,7 +648,43 @@ fn arb_graph() -> impl Strategy<Value = SignedGraph> {
     })
 }
 
+/// Strategy: a sparse graph over up to 64 vertices, so most draws have
+/// empty rows (first, last and in between).
+fn arb_sparse_graph() -> impl Strategy<Value = SignedGraph> {
+    (1usize..64).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32, -5.0f64..5.0f64);
+        (Just(n), proptest::collection::vec(edge, 0..24)).prop_map(|(n, edges)| {
+            let mut b = GraphBuilder::new(n);
+            for (u, v, w) in edges {
+                if u != v && w != 0.0 {
+                    b.add_edge(u, v, w);
+                }
+            }
+            b.build()
+        })
+    })
+}
+
 proptest! {
+    /// `edges` walks each row from its first neighbour above the row; it
+    /// yields the same sequence, weights bit for bit, as filtering every
+    /// neighbour of every row, including on graphs with empty rows.
+    #[test]
+    fn edges_equal_the_filtered_walk(g in arb_sparse_graph()) {
+        let filtered: Vec<(VertexId, VertexId, u64)> = g
+            .vertices()
+            .flat_map(|u| {
+                g.neighbors(u)
+                    .filter(move |e| u < e.neighbor)
+                    .map(move |e| (u, e.neighbor, e.weight.to_bits()))
+            })
+            .collect();
+        let walked: Vec<(VertexId, VertexId, u64)> =
+            g.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+        prop_assert_eq!(walked.len(), g.num_edges());
+        prop_assert_eq!(walked, filtered);
+    }
+
     /// Adjacency is symmetric: the weight of (u, v) equals the weight of (v, u), and
     /// every stored neighbor relation exists in both directions.
     #[test]

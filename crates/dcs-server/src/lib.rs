@@ -45,8 +45,15 @@
 //! [`Response`] enums (tagged on `"cmd"`) round-trip to the wire shapes
 //! above via `Request::from_value` / `Request::to_value` and
 //! `Response::into_body`.  The server's dispatcher and the [`Client`] both
-//! speak the typed layer; raw `serde_json::Value` remains the wire truth,
-//! and unknown-command / missing-field error strings are stable.
+//! speak the typed layer, and unknown-command / missing-field error strings
+//! are stable.  The server decodes each line with `Request::decode`, which
+//! validates it once and reads `updates` and `edges` without building a
+//! tree; it answers exactly as `from_value` on the parsed line would.
+//!
+//! A request line may hold at most 64 MiB (`load_baseline` of about 4M
+//! edges; larger baselines belong in packs).  A longer line gets one error
+//! response naming the limit, after the requests before it are answered,
+//! and then the connection closes.
 //!
 //! | `cmd`            | request fields                                             | response fields (besides `ok`) |
 //! |------------------|------------------------------------------------------------|--------------------------------|
@@ -278,8 +285,8 @@ pub use error::ServerError;
 pub use jobs::{Completion, JobSpec, JobTable, WorkerPool};
 pub use metrics::{histogram_summary, ServerMetrics};
 pub use protocol::{
-    alert_to_json, parse_measure, report_to_json, stats_to_json, CreateSessionRequest, JobBounds,
-    Request, Response, PROTO_VERSION,
+    alert_to_json, parse_measure, report_to_json, stats_to_json, CreateSessionRequest, Decoded,
+    JobBounds, Request, Response, PROTO_VERSION,
 };
 pub use server::{Server, ServerHandle};
 pub use session::{ObserveMailbox, Session, SessionRegistry, SessionStats};

@@ -3,14 +3,22 @@
 //! built from.
 //!
 //! The wire schema itself is documented in the crate-level docs ([`crate`]).
-//! `serde_json::Value` remains the wire truth; the typed layer round-trips
-//! to it via [`Request::from_value`] / [`Request::to_value`] and
+//! The typed layer round-trips to `serde_json::Value` via
+//! [`Request::from_value`] / [`Request::to_value`] and
 //! [`Response::into_body`], keeping every error string and field order
 //! byte-identical to the hand-rolled dispatch it replaced.
+//!
+//! The server reads a request line with [`Request::decode`]: one pass of
+//! the `serde_json` tokenizer validates the line, the `updates` and `edges`
+//! lists decode straight into triples, and only the small fields become
+//! trees, checked by the same code as `from_value`.  `from_value` is its
+//! oracle (`tests/protocol_decode.rs` holds the two to the same answer on
+//! every line), the path the benchmark's replay times, and the way to read
+//! a request that is already a tree.
 
 use dcs_core::{ContrastAlert, ContrastReport, DensityMeasure, SolveStats};
 use dcs_graph::{VertexId, Weight};
-use serde_json::{json, Value};
+use serde_json::{json, Event, JsonNumber, Map, Tokenizer, Value};
 
 use crate::error::ServerError;
 
@@ -122,47 +130,166 @@ pub fn optional_u64_opt(request: &Value, name: &str) -> Result<Option<u64>, Serv
     }
 }
 
+/// One `(u, v, weight)` entry of an `edges` or `updates` list.
+type Triple = (VertexId, VertexId, Weight);
+
+/// The fields that hold triple lists.
+const TRIPLE_LISTS: [&str; 2] = ["edges", "updates"];
+
 /// Parses an `[[u, v, w], …]` triple list (edges or weight updates).  A weight must be
 /// a finite number: JSON has no NaN or infinity, but an overflowing literal such as
 /// `1e999` parses to infinity and is refused here.
-pub fn parse_triples(
-    request: &Value,
-    name: &str,
-) -> Result<Vec<(VertexId, VertexId, Weight)>, ServerError> {
+pub fn parse_triples(request: &Value, name: &str) -> Result<Vec<Triple>, ServerError> {
     let raw = request[name]
         .as_array()
         .ok_or_else(|| ServerError::BadRequest(format!("missing array field {name:?}")))?;
     let mut triples = Vec::with_capacity(raw.len());
     for (index, entry) in raw.iter().enumerate() {
-        let triple = entry
-            .as_array()
-            .filter(|t| t.len() == 2 || t.len() == 3)
-            .ok_or_else(|| {
-                ServerError::BadRequest(format!(
-                    "{name}[{index}] must be a [u, v] or [u, v, weight] array"
-                ))
-            })?;
-        let endpoint = |slot: usize| -> Result<VertexId, ServerError> {
-            triple[slot]
-                .as_u64()
-                .and_then(|v| VertexId::try_from(v).ok())
-                .ok_or_else(|| {
-                    ServerError::BadRequest(format!("{name}[{index}][{slot}] must be a vertex id"))
-                })
-        };
-        let weight = if triple.len() == 3 {
-            triple[2]
-                .as_f64()
-                .filter(|w| w.is_finite())
-                .ok_or_else(|| {
-                    ServerError::BadRequest(format!("{name}[{index}][2] must be a finite number"))
-                })?
-        } else {
-            1.0
-        };
-        triples.push((endpoint(0)?, endpoint(1)?, weight));
+        let items = entry.as_array().map_or(&[][..], Vec::as_slice);
+        triples.push(check_triple(
+            name,
+            index,
+            items.len(),
+            [items.first(), items.get(1)].map(|item| item.and_then(Value::as_u64)),
+            items.get(2).and_then(Value::as_f64),
+        )?);
     }
     Ok(triples)
+}
+
+/// The checks of entry `index` of a triple list, in order: its length
+/// (`len` items; 0 for an entry that is not an array), its weight, then
+/// each endpoint.  `ids` are the first two items as non-negative integers
+/// and `weight` the third as a number, `None` where they are not.
+#[inline]
+fn check_triple(
+    name: &str,
+    index: usize,
+    len: usize,
+    ids: [Option<u64>; 2],
+    weight: Option<f64>,
+) -> Result<Triple, ServerError> {
+    let checked = match len {
+        2 => Some(1.0),
+        3 => weight.filter(|w| w.is_finite()),
+        _ => None,
+    };
+    match (checked, vertex_id(ids[0]), vertex_id(ids[1])) {
+        (Some(weight), Some(u), Some(v)) => Ok((u, v, weight)),
+        _ => Err(triple_error(name, index, len, ids, weight)),
+    }
+}
+
+fn vertex_id(id: Option<u64>) -> Option<VertexId> {
+    id.and_then(|id| VertexId::try_from(id).ok())
+}
+
+/// The first check [`check_triple`] fails, given that one does.
+#[cold]
+#[inline(never)]
+fn triple_error(
+    name: &str,
+    index: usize,
+    len: usize,
+    ids: [Option<u64>; 2],
+    weight: Option<f64>,
+) -> ServerError {
+    ServerError::BadRequest(if len != 2 && len != 3 {
+        format!("{name}[{index}] must be a [u, v] or [u, v, weight] array")
+    } else if len == 3 && !weight.is_some_and(f64::is_finite) {
+        format!("{name}[{index}][2] must be a finite number")
+    } else {
+        let slot = usize::from(vertex_id(ids[0]).is_some());
+        format!("{name}[{index}][{slot}] must be a vertex id")
+    })
+}
+
+/// Decodes a triple list straight from `tokens`, its `[` already read,
+/// checking each entry as [`parse_triples`] does.  The outer error is the
+/// line's JSON error; the inner one is the first entry's check that fails,
+/// after which the rest of the list is only validated.
+#[inline(never)]
+fn triples_from_tokens(
+    tokens: &mut Tokenizer<'_>,
+    name: &str,
+) -> Result<Result<Vec<Triple>, ServerError>, serde_json::Error> {
+    let mut triples = Vec::new();
+    let mut failed = None;
+    let mut index = 0;
+    loop {
+        match pending(tokens)? {
+            Event::EndArray => break,
+            Event::StartArray if failed.is_none() => {
+                let mut entry = Entry::default();
+                let stop = tokens.array_numbers(|number| entry.record(number))?;
+                if stop != Event::EndArray {
+                    entry = entry.finish(tokens, stop)?;
+                }
+                match check_triple(name, index, entry.len, entry.ids, entry.weight) {
+                    Ok(triple) => triples.push(triple),
+                    Err(error) => failed = Some(error),
+                }
+            }
+            entry => {
+                if failed.is_none() {
+                    failed = Some(triple_error(name, index, 0, [None; 2], None));
+                }
+                tokens.skip_from(entry)?;
+            }
+        }
+        index += 1;
+    }
+    Ok(failed.map_or(Ok(triples), Err))
+}
+
+/// What [`check_triple`] reads of one array entry of a triple list.
+#[derive(Default)]
+struct Entry {
+    len: usize,
+    ids: [Option<u64>; 2],
+    weight: Option<f64>,
+}
+
+impl Entry {
+    #[inline]
+    fn record(&mut self, number: JsonNumber<'_>) {
+        match self.len {
+            0 | 1 => self.ids[self.len] = number.as_u64(),
+            2 => self.weight = Some(number.as_f64()),
+            _ => {}
+        }
+        self.len += 1;
+    }
+
+    /// Reads the rest of an entry from `item`, the first item that is not
+    /// a number, to its `]`.
+    #[cold]
+    #[inline(never)]
+    fn finish<'a>(
+        mut self,
+        tokens: &mut Tokenizer<'a>,
+        mut item: Event<'a>,
+    ) -> Result<Entry, serde_json::Error> {
+        loop {
+            match item {
+                Event::EndArray => return Ok(self),
+                Event::Number(number) => self.record(number),
+                other => {
+                    tokens.skip_from(other)?;
+                    self.len += 1;
+                }
+            }
+            item = pending(tokens)?;
+        }
+    }
+}
+
+/// The next event inside a value that is not complete yet.
+#[inline(always)]
+fn pending<'a>(tokens: &mut Tokenizer<'a>) -> Result<Event<'a>, serde_json::Error> {
+    Ok(tokens
+        .next_event()?
+        .expect("a value in progress ends with a token"))
 }
 
 /// Parses an optional `alphas` array.
@@ -184,12 +311,13 @@ pub fn parse_alphas(request: &Value) -> Result<Option<Vec<f64>>, ServerError> {
     }
 }
 
-/// Builds a success response, echoing the request's `id` when present.
-/// Every response declares the server's protocol version as `"proto"`.
-pub fn ok_response(request: &Value, mut body: Value) -> Value {
+/// Builds a success response, echoing the request's `id` unless it is
+/// `null` (a request without one reads as `null`).  Every response declares
+/// the server's protocol version as `"proto"`.
+pub fn ok_response(id: &Value, mut body: Value) -> Value {
     body["ok"] = json!(true);
     body["proto"] = json!(PROTO_VERSION);
-    echo_id(request, &mut body);
+    echo_id(id, &mut body);
     body
 }
 
@@ -197,18 +325,17 @@ pub fn ok_response(request: &Value, mut body: Value) -> Value {
 ///
 /// Load-shed errors ([`ServerError::Overloaded`]) additionally carry a
 /// `retry_after_ms` backoff hint so well-behaved clients can pace retries.
-pub fn error_response(request: &Value, error: &ServerError) -> Value {
+pub fn error_response(id: &Value, error: &ServerError) -> Value {
     let mut body = json!({ "ok": false, "error": error.to_string() });
     if let ServerError::Overloaded { retry_after_ms } = error {
         body["retry_after_ms"] = json!(retry_after_ms);
     }
     body["proto"] = json!(PROTO_VERSION);
-    echo_id(request, &mut body);
+    echo_id(id, &mut body);
     body
 }
 
-fn echo_id(request: &Value, body: &mut Value) {
-    let id = &request["id"];
+fn echo_id(id: &Value, body: &mut Value) {
     if !id.is_null() {
         body["id"] = id.clone();
     }
@@ -356,12 +483,91 @@ pub enum Request {
     Shutdown,
 }
 
+/// A request line as [`Request::decode`] reads it.
+#[derive(Debug)]
+pub struct Decoded {
+    /// The `id` a response echoes: the line's top-level `id`, or
+    /// `Value::Null` (echoed as nothing) when it has none.
+    pub id: Value,
+    /// The typed request, or the error [`Request::from_value`] returns for
+    /// the line's tree.
+    pub request: Result<Request, ServerError>,
+}
+
 impl Request {
-    /// Parses a wire request.  Field order and error strings match the
-    /// historical dispatch exactly: `cmd` first, then (new, additive) the
-    /// optional `proto` declaration, then the per-command fields in their
-    /// legacy order.
+    /// Decodes one request line the way the server does: one tokenizer pass
+    /// validates the whole line and reads its top-level fields, and the
+    /// `updates` and `edges` lists decode straight into triples, with no
+    /// tree.  The other fields are small trees, checked by the same code as
+    /// [`Request::from_value`], in its order.
+    ///
+    /// The result always equals `from_value` on `serde_json::from_str(line)`:
+    /// the same JSON error, or the same request (weights bit for bit) or
+    /// error string, and the same `id`.  A repeated key counts its last
+    /// value, as a parsed object does.
+    pub fn decode(line: &str) -> Result<Decoded, serde_json::Error> {
+        let mut tokens = Tokenizer::new(line);
+        let first = pending(&mut tokens)?;
+        if first != Event::StartObject {
+            // Not an object: every field reads as null.
+            tokens.skip_from(first)?;
+            let end = tokens.next_event()?;
+            debug_assert!(end.is_none());
+            return Ok(Decoded {
+                id: Value::Null,
+                request: Request::from_value(&Value::Null),
+            });
+        }
+        let mut fields = Map::new();
+        let mut lists: [Option<Result<Vec<Triple>, ServerError>>; 2] = [None, None];
+        while let Event::Key(key) = pending(&mut tokens)? {
+            let name = key.decode();
+            let value = pending(&mut tokens)?;
+            match TRIPLE_LISTS.iter().position(|list| *list == name) {
+                Some(list) if value == Event::StartArray => {
+                    lists[list] = Some(triples_from_tokens(&mut tokens, &name)?);
+                    fields.remove(&name);
+                }
+                list => {
+                    if let Some(list) = list {
+                        lists[list] = None;
+                    }
+                    let value = tokens.value_from(value)?;
+                    fields.insert(name.into_owned(), value);
+                }
+            }
+        }
+        let end = tokens.next_event()?;
+        debug_assert!(end.is_none());
+        let fields = Value::Object(fields);
+        let request = Request::from_fields(&fields, |name| {
+            let list = TRIPLE_LISTS.iter().position(|list| *list == name);
+            match list.and_then(|list| lists[list].take()) {
+                Some(decoded) => decoded,
+                None => parse_triples(&fields, name),
+            }
+        });
+        Ok(Decoded {
+            id: fields["id"].clone(),
+            request,
+        })
+    }
+
+    /// Parses a wire request from its tree.  Field order and error strings
+    /// match the historical dispatch exactly: `cmd` first, then (new,
+    /// additive) the optional `proto` declaration, then the per-command
+    /// fields in their legacy order.  The server decodes with
+    /// [`Request::decode`]; this is its oracle.
     pub fn from_value(request: &Value) -> Result<Request, ServerError> {
+        Request::from_fields(request, |name| parse_triples(request, name))
+    }
+
+    /// The checks of [`Request::from_value`], with the `edges` and
+    /// `updates` lists taken from `triples`.
+    fn from_fields(
+        request: &Value,
+        mut triples: impl FnMut(&str) -> Result<Vec<Triple>, ServerError>,
+    ) -> Result<Request, ServerError> {
         let cmd = required_str(request, "cmd")?;
         match &request["proto"] {
             Value::Null => {}
@@ -408,11 +614,11 @@ impl Request {
             }
             "load_baseline" => Ok(Request::LoadBaseline {
                 session: required_str(request, "session")?.to_string(),
-                edges: parse_triples(request, "edges")?,
+                edges: triples("edges")?,
             }),
             "observe" => Ok(Request::Observe {
                 session: required_str(request, "session")?.to_string(),
-                updates: parse_triples(request, "updates")?,
+                updates: triples("updates")?,
             }),
             "mine" => {
                 let measure = parse_measure(request["measure"].as_str())?;
@@ -711,15 +917,15 @@ mod tests {
     #[test]
     fn responses_echo_the_request_id() {
         let request = json!({"cmd": "ping", "id": 42});
-        let ok = ok_response(&request, json!({"pong": true}));
+        let ok = ok_response(&request["id"], json!({"pong": true}));
         assert_eq!(ok["ok"], true);
         assert_eq!(ok["id"], 42);
-        let err = error_response(&request, &ServerError::Busy);
+        let err = error_response(&request["id"], &ServerError::Busy);
         assert_eq!(err["ok"], false);
         assert_eq!(err["id"], 42);
         assert!(err["error"].as_str().unwrap().contains("busy"));
         // Without an id nothing is echoed.
-        let quiet = ok_response(&json!({"cmd": "ping"}), json!({}));
+        let quiet = ok_response(&json!({"cmd": "ping"})["id"], json!({}));
         assert!(quiet["id"].is_null());
     }
 
@@ -842,9 +1048,9 @@ mod tests {
 
     #[test]
     fn responses_carry_the_proto_version() {
-        let ok = ok_response(&json!({"cmd": "ping"}), Response::Pong.into_body());
+        let ok = ok_response(&json!({"cmd": "ping"})["id"], Response::Pong.into_body());
         assert_eq!(ok["proto"], 1);
-        let err = error_response(&json!({"cmd": "ping"}), &ServerError::Busy);
+        let err = error_response(&json!({"cmd": "ping"})["id"], &ServerError::Busy);
         assert_eq!(err["proto"], 1);
     }
 
@@ -890,13 +1096,16 @@ mod tests {
     #[test]
     fn overloaded_responses_carry_a_retry_hint() {
         let request = json!({"cmd": "observe", "id": "req-9"});
-        let shed = error_response(&request, &ServerError::Overloaded { retry_after_ms: 75 });
+        let shed = error_response(
+            &request["id"],
+            &ServerError::Overloaded { retry_after_ms: 75 },
+        );
         assert_eq!(shed["ok"], false);
         assert_eq!(shed["error"], "overloaded");
         assert_eq!(shed["retry_after_ms"], 75);
         assert_eq!(shed["id"], "req-9");
         // Only load-shed errors carry the hint.
-        let busy = error_response(&request, &ServerError::Busy);
+        let busy = error_response(&request["id"], &ServerError::Busy);
         assert!(busy["retry_after_ms"].is_null());
     }
 }

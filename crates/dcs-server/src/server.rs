@@ -36,7 +36,8 @@ use crate::error::ServerError;
 use crate::jobs::{JobSpec, JobTable, WorkerPool};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    alert_to_json, error_response, ok_response, CreateSessionRequest, JobBounds, Request, Response,
+    alert_to_json, error_response, ok_response, CreateSessionRequest, Decoded, JobBounds, Request,
+    Response,
 };
 use crate::session::{Session, SessionRegistry, SharedSession};
 use crate::ServerConfig;
@@ -59,6 +60,14 @@ const READ_CHUNK: usize = 16 * 1024;
 /// queued for it (requests dispatch one at a time per connection, so a
 /// pipelining flood would otherwise buffer unboundedly in memory).
 const MAX_PIPELINE: usize = 128;
+
+/// The longest request line a connection may send, its `\n` not counted:
+/// enough for a `load_baseline` of 4M edges (larger baselines belong in
+/// packs).  A longer line, complete or not, is answered with one error that
+/// names the limit, and the connection is closed after the requests before
+/// it are answered; its bytes are dropped as soon as the limit is passed, so
+/// one client cannot grow the read buffer past it.
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// After shutdown, how long the event loops keep flushing connections that
 /// have no job in flight before force-closing what remains.
@@ -370,6 +379,9 @@ struct Conn {
     write_pos: usize,
     awaiting: Option<Inflight>,
     eof: bool,
+    /// A line passed [`MAX_LINE_BYTES`]: nothing more is read, and once the
+    /// lines before it are answered the connection gets one error and closes.
+    overlong: bool,
     dead: bool,
     /// Write-backpressured: trips at [`HIGH_WATER`], clears at [`LOW_WATER`].
     throttled: bool,
@@ -390,6 +402,7 @@ impl Conn {
             write_pos: 0,
             awaiting: None,
             eof: false,
+            overlong: false,
             dead: false,
             throttled: false,
             registered: true,
@@ -411,16 +424,26 @@ impl Conn {
 
     /// Splits complete lines out of `read_buf` (incremental: the scan resumes
     /// where the last one stopped, so a slowly arriving giant line is not
-    /// rescanned from the start on every read).
+    /// rescanned from the start on every read).  A line longer than
+    /// [`MAX_LINE_BYTES`] marks the connection `overlong` and is dropped with
+    /// everything buffered after it.
     fn parse_lines(&mut self) {
         let mut start = 0usize;
         let mut index = self.scan_from;
-        while index < self.read_buf.len() {
-            if self.read_buf[index] == b'\n' {
-                self.lines.push_back(self.read_buf[start..index].to_vec());
-                start = index + 1;
+        while let Some(offset) = self.read_buf[index..].iter().position(|&b| b == b'\n') {
+            let end = index + offset;
+            if end - start > MAX_LINE_BYTES {
+                break;
             }
-            index += 1;
+            self.lines.push_back(self.read_buf[start..end].to_vec());
+            start = end + 1;
+            index = start;
+        }
+        if self.read_buf.len() - start > MAX_LINE_BYTES {
+            self.overlong = true;
+            self.read_buf = Vec::new();
+            self.scan_from = 0;
+            return;
         }
         if start > 0 {
             self.read_buf.drain(..start);
@@ -431,7 +454,12 @@ impl Conn {
     /// Drains readable bytes (bounded per event so one firehose connection
     /// cannot starve the loop; level-triggered polling re-reports leftovers).
     fn fill_read(&mut self) {
-        if self.eof || self.dead || self.throttled || self.lines.len() >= MAX_PIPELINE {
+        if self.eof
+            || self.overlong
+            || self.dead
+            || self.throttled
+            || self.lines.len() >= MAX_PIPELINE
+        {
             return;
         }
         let mut chunk = [0u8; READ_CHUNK];
@@ -696,7 +724,21 @@ impl IoLoop {
                 }
                 match conn.lines.pop_front() {
                     Some(line) => line,
-                    None => break,
+                    None => {
+                        if conn.overlong {
+                            // Every line before the long one is answered:
+                            // refuse it, then close once the reply is out.
+                            conn.overlong = false;
+                            conn.eof = true;
+                            let error = ServerError::BadRequest(format!(
+                                "request line longer than {MAX_LINE_BYTES} bytes"
+                            ));
+                            conn.write_buf.extend_from_slice(
+                                render_line(&error_response(&Value::Null, &error)).as_bytes(),
+                            );
+                        }
+                        break;
+                    }
                 }
             };
             let conn_id = match self.conns[slot].as_ref() {
@@ -728,6 +770,7 @@ impl IoLoop {
                 let shutting = self.shared.shutting_down.load(Ordering::SeqCst);
                 let desired = Interest {
                     readable: !conn.eof
+                        && !conn.overlong
                         && !conn.throttled
                         && conn.lines.len() < MAX_PIPELINE
                         && !shutting,
@@ -800,8 +843,8 @@ impl IoLoop {
         if trimmed.is_empty() {
             return;
         }
-        let request: Value = match serde_json::from_str(trimmed) {
-            Ok(value) => value,
+        let Decoded { id, request } = match Request::decode(trimmed) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 let response = error_response(
                     &Value::Null,
@@ -812,14 +855,18 @@ impl IoLoop {
             }
         };
         self.shared.metrics.note_request();
-        match self.dispatch(slot, conn_id, &request) {
+        let dispatched = match request {
+            Ok(request) => self.dispatch(slot, conn_id, request, &id),
+            Err(error) => Dispatch::Done(Err(error)),
+        };
+        match dispatched {
             Dispatch::Done(Ok(body)) => {
-                let response = ok_response(&request, body);
+                let response = ok_response(&id, body);
                 self.queue_response(slot, &response);
             }
             Dispatch::Done(Err(error)) => {
                 self.shared.metrics.note_error();
-                let response = error_response(&request, &error);
+                let response = error_response(&id, &error);
                 self.queue_response(slot, &response);
             }
             Dispatch::Pooled { cancel } => {
@@ -830,20 +877,17 @@ impl IoLoop {
         }
     }
 
-    fn dispatch(&mut self, slot: usize, conn_id: u64, request: &Value) -> Dispatch {
-        let typed = match Request::from_value(request) {
-            Ok(typed) => typed,
-            Err(error) => return Dispatch::Done(Err(error)),
-        };
+    /// Runs a decoded request; `id` is what its response echoes.
+    fn dispatch(&mut self, slot: usize, conn_id: u64, request: Request, id: &Value) -> Dispatch {
         let shared = &self.shared;
-        match typed {
+        match request {
             Request::Ping => Dispatch::Done(Ok(Response::Pong.into_body())),
             Request::CreateSession(create) => Dispatch::Done(create_session(create, shared)),
             Request::LoadBaseline { session, edges } => {
                 Dispatch::Done(load_baseline(&session, &edges, shared))
             }
             Request::Observe { session, updates } => {
-                match self.observe(slot, conn_id, request, &session, updates) {
+                match self.observe(slot, conn_id, id, &session, updates) {
                     Ok(dispatch) => dispatch,
                     Err(error) => Dispatch::Done(Err(error)),
                 }
@@ -855,7 +899,7 @@ impl IoLoop {
             } => self.job(
                 slot,
                 conn_id,
-                request,
+                id,
                 &session,
                 JobSpec::Mine { measure },
                 &bounds,
@@ -868,7 +912,7 @@ impl IoLoop {
             } => self.job(
                 slot,
                 conn_id,
-                request,
+                id,
                 &session,
                 JobSpec::TopK { k, measure },
                 &bounds,
@@ -881,7 +925,7 @@ impl IoLoop {
             } => self.job(
                 slot,
                 conn_id,
-                request,
+                id,
                 &session,
                 JobSpec::Sweep { alphas, measure },
                 &bounds,
@@ -920,12 +964,12 @@ impl IoLoop {
         &mut self,
         slot: usize,
         conn_id: u64,
-        request: &Value,
+        id: &Value,
         name: &str,
         spec: JobSpec,
         bounds: &JobBounds,
     ) -> Dispatch {
-        match self.start_job(slot, conn_id, request, name, spec, bounds) {
+        match self.start_job(slot, conn_id, id, name, spec, bounds) {
             Ok(dispatch) => dispatch,
             Err(error) => Dispatch::Done(Err(error)),
         }
@@ -949,7 +993,7 @@ impl IoLoop {
         &mut self,
         slot: usize,
         conn_id: u64,
-        request: &Value,
+        id: &Value,
         name: &str,
         updates: Vec<(dcs_graph::VertexId, dcs_graph::VertexId, dcs_graph::Weight)>,
     ) -> Result<Dispatch, ServerError> {
@@ -978,7 +1022,7 @@ impl IoLoop {
         let completion = {
             let shared = Arc::clone(&self.shared);
             let io = Arc::clone(&self.io);
-            let request = request.clone();
+            let id = id.clone();
             let mailbox = Arc::clone(&mailbox);
             Box::new(move |outcome: Result<Value, ServerError>| {
                 mailbox.exit();
@@ -987,11 +1031,11 @@ impl IoLoop {
                         shared
                             .metrics
                             .note_observe(body["applied"].as_u64().unwrap_or(0));
-                        ok_response(&request, body)
+                        ok_response(&id, body)
                     }
                     Err(error) => {
                         shared.metrics.note_error();
-                        error_response(&request, &error)
+                        error_response(&id, &error)
                     }
                 };
                 io.post(IoMsg::JobDone {
@@ -1028,7 +1072,7 @@ impl IoLoop {
         &mut self,
         slot: usize,
         conn_id: u64,
-        request: &Value,
+        id: &Value,
         name: &str,
         spec: JobSpec,
         bounds: &JobBounds,
@@ -1069,7 +1113,7 @@ impl IoLoop {
         let completion = {
             let shared = Arc::clone(&self.shared);
             let io = Arc::clone(&self.io);
-            let request = request.clone();
+            let id = id.clone();
             let job_id = job_id.clone();
             Box::new(move |outcome: Result<Value, ServerError>| {
                 if let Some(id) = &job_id {
@@ -1087,11 +1131,11 @@ impl IoLoop {
                             body["termination"].as_str(),
                             body["cached"].as_bool().unwrap_or(false),
                         );
-                        ok_response(&request, body)
+                        ok_response(&id, body)
                     }
                     Err(error) => {
                         shared.metrics.note_error();
-                        error_response(&request, &error)
+                        error_response(&id, &error)
                     }
                 };
                 io.post(IoMsg::JobDone {

@@ -1,8 +1,9 @@
 //! Admission control and event-loop behavior over a real socket: load
 //! shedding with retry hints, observe-mailbox bounds, write backpressure
 //! that does not stall other connections, cancel-on-disconnect liveness,
-//! framing parity for a final unterminated request line, strict UTF-8
-//! decoding of request lines, and the refusal of non-finite edge weights.
+//! framing parity for a final unterminated request line, the bound on a
+//! request line's length, strict UTF-8 decoding of request lines, and the
+//! refusal of non-finite edge weights.
 //!
 //! These tests speak raw NDJSON over `TcpStream` instead of using
 //! [`dcs_server::Client`], because the client collapses `ok: false`
@@ -395,6 +396,55 @@ fn final_unterminated_line_still_parses() {
     // Nothing more arrives and the server closes its side.
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn an_overlong_line_is_refused_and_its_connection_closed() {
+    const MAX_LINE_BYTES: usize = 64 << 20;
+    let (handle, addr) = start_server(ServerConfig {
+        worker_threads: 1,
+        io_threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A request answered before the long line still gets its reply.
+    let mut long = Wire::connect(addr);
+    long.send(&json!({ "cmd": "ping", "id": 1 }));
+    // One byte past the limit, with no newline: the server has read every
+    // byte when it refuses the line, so it closes with nothing unread.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        long.writer
+            .write_all(&chunk[..n])
+            .expect("send the long line");
+        left -= n;
+    }
+    let pong = long.recv();
+    assert_eq!(pong["id"], 1, "{pong}");
+    let refused = long.recv();
+    assert_eq!(refused["ok"], false, "{refused}");
+    assert_eq!(
+        refused["error"],
+        format!("bad request: request line longer than {MAX_LINE_BYTES} bytes"),
+    );
+    assert!(refused["id"].is_null(), "{refused}");
+    let mut rest = String::new();
+    assert_eq!(
+        long.reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection closes after the refusal: {rest:?}"
+    );
+
+    // The same I/O thread still serves another connection.
+    let mut other = Wire::connect(addr);
+    let pong = other.request(&json!({ "cmd": "ping", "id": 2 }));
+    assert_eq!(pong["ok"], true, "{pong}");
+    assert_eq!(pong["id"], 2, "{pong}");
 
     handle.shutdown();
     handle.join();
