@@ -8,7 +8,7 @@
 use dcs_core::dcsga::{clique_census, parallel_sweep};
 use serde_json::json;
 
-use crate::args::{parse_args, ArgSpec, ParsedArgs};
+use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::input::{MiningOptions, PairInput};
 use crate::output::json_to_string;
@@ -27,7 +27,7 @@ fn spec() -> ArgSpec {
 /// Runs the subcommand and returns the text to print.
 pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let args = parse_args(raw_args, &spec())?;
-    let pair = load_pair(&args)?;
+    let pair = PairInput::from_args(&args)?;
     let options = MiningOptions::from_args(&args)?;
     let top: usize = args.parse_option("top", 5)?;
     let threads = MiningOptions::solve_context(&args)?.threads();
@@ -97,12 +97,6 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         out.push_str(&json_to_string(&json!({ "census": json_sections })));
     }
     Ok(out)
-}
-
-fn load_pair(args: &ParsedArgs) -> Result<PairInput, CliError> {
-    let g1 = args.positional(0, "G1 edge-list file")?;
-    let g2 = args.positional(1, "G2 edge-list file")?;
-    PairInput::load(g1, g2, args.flag("numeric"))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use dcs_core::ContrastReport;
 use dcs_densest::greedy_quasi_clique;
 use serde_json::json;
 
-use crate::args::{parse_args, ArgSpec, ParsedArgs};
+use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::input::{MiningOptions, PairInput};
 use crate::output::{json_to_string, report_to_json};
@@ -37,7 +37,7 @@ struct Row {
 /// Runs the subcommand and returns the text to print.
 pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let args = parse_args(raw_args, &spec())?;
-    let pair = load_pair(&args)?;
+    let pair = PairInput::from_args(&args)?;
     let options = MiningOptions::from_args(&args)?;
     let quasi_alpha: f64 = args.parse_option("quasi-alpha", 1.0)?;
 
@@ -103,12 +103,6 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         out.push_str(&json_to_string(&json!({ "comparison": json_rows })));
     }
     Ok(out)
-}
-
-fn load_pair(args: &ParsedArgs) -> Result<PairInput, CliError> {
-    let g1 = args.positional(0, "G1 edge-list file")?;
-    let g2 = args.positional(1, "G2 edge-list file")?;
-    PairInput::load(g1, g2, args.flag("numeric"))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use dcs_datasets::DiffStats;
 use dcs_server::Client;
 use serde_json::{json, Value};
 
-use crate::args::{parse_args, ArgSpec, ParsedArgs};
+use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::input::{MiningOptions, PairInput};
 use crate::output::{json_to_string, render_block};
@@ -36,7 +36,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     if let Some(addr) = args.option("connect") {
         return server_stats(addr, args.option("session"), args.flag("json"));
     }
-    let pair = load_pair(&args)?;
+    let pair = PairInput::from_args(&args)?;
     let options = MiningOptions::from_args(&args)?;
 
     let mut out = String::new();
@@ -72,12 +72,6 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         out.push_str(&json_to_string(&json!({ "stats": json_sections })));
     }
     Ok(out)
-}
-
-fn load_pair(args: &ParsedArgs) -> Result<PairInput, CliError> {
-    let g1 = args.positional(0, "G1 edge-list file")?;
-    let g2 = args.positional(1, "G2 edge-list file")?;
-    PairInput::load(g1, g2, args.flag("numeric"))
 }
 
 /// Fetches and renders the `stats` payload of a running server: the

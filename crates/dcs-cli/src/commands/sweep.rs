@@ -51,9 +51,7 @@ fn parse_alphas(args: &ParsedArgs) -> Result<Vec<f64>, CliError> {
 /// Runs the subcommand and returns the text to print.
 pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let args = parse_args(raw_args, &spec())?;
-    let g1_path = args.positional(0, "G1 edge-list file")?;
-    let g2_path = args.positional(1, "G2 edge-list file")?;
-    let pair = PairInput::load(g1_path, g2_path, args.flag("numeric"))?;
+    let pair = PairInput::from_args(&args)?;
     let cx = MiningOptions::solve_context(&args)?;
     let alphas = parse_alphas(&args)?;
     let measure = match args.option("measure").unwrap_or("affinity") {

@@ -8,7 +8,7 @@ use dcs_core::{top_k_in, DensityMeasure, SolveStats};
 use dcs_server::stats_to_json;
 use serde_json::json;
 
-use crate::args::{parse_args, ArgSpec, ParsedArgs};
+use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;
 use crate::input::{MiningOptions, PairInput};
 use crate::output::{json_to_string, render_report, report_to_json, TraceGuard};
@@ -39,7 +39,7 @@ fn spec() -> ArgSpec {
 /// Runs the subcommand and returns the text to print.
 pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let args = parse_args(raw_args, &spec())?;
-    let pair = load_pair(&args)?;
+    let pair = PairInput::from_args(&args)?;
     let options = MiningOptions::from_args(&args)?;
     let cx = MiningOptions::solve_context(&args)?;
     let k: usize = args.parse_option("k", 5)?;
@@ -102,12 +102,6 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
         })));
     }
     Ok(out)
-}
-
-fn load_pair(args: &ParsedArgs) -> Result<PairInput, CliError> {
-    let g1 = args.positional(0, "G1 edge-list file")?;
-    let g2 = args.positional(1, "G2 edge-list file")?;
-    PairInput::load(g1, g2, args.flag("numeric"))
 }
 
 #[cfg(test)]

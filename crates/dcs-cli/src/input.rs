@@ -51,18 +51,26 @@ enum Inputs {
 }
 
 impl PairInput {
-    /// Loads a pair of graph files, each either a text edge list or a binary
-    /// graph pack (auto-detected by the pack magic bytes — see
-    /// [`dcs_graph::pack`]).
+    /// Loads the pair a command names by its first two positionals (`G1`,
+    /// then `G2`), each either a text edge list or a binary graph pack
+    /// (auto-detected by the pack magic bytes — see [`dcs_graph::pack`]).
     ///
     /// Text endpoints are treated as string labels interned into a shared
-    /// table by default; with `numeric` they are parsed as integer vertex ids
-    /// directly, both files read through one reused buffer.  Packs are always
-    /// id-addressed, so as soon as either input is a pack the whole pair is
-    /// loaded numerically (a pack written from one graph of a pair shares its
-    /// numbering with the other by construction).  When both inputs are packs
-    /// carrying identical vertex-name tables, the names are used for rendering.
-    pub fn load<P: AsRef<Path>>(path1: P, path2: P, numeric: bool) -> Result<Self, CliError> {
+    /// table by default; with `--numeric` they are parsed as integer vertex
+    /// ids directly, both files read through one reused buffer.  Packs are
+    /// always id-addressed, so as soon as either input is a pack the whole
+    /// pair is loaded numerically (a pack written from one graph of a pair
+    /// shares its numbering with the other by construction).  When both
+    /// inputs are packs carrying identical vertex-name tables, the names are
+    /// used for rendering.
+    pub fn from_args(args: &ParsedArgs) -> Result<Self, CliError> {
+        let g1 = args.positional(0, "G1 edge-list file")?;
+        let g2 = args.positional(1, "G2 edge-list file")?;
+        Self::load(g1, g2, args.flag("numeric"))
+    }
+
+    /// Loads the pair at `path1` and `path2` as [`Self::from_args`] describes.
+    fn load<P: AsRef<Path>>(path1: P, path2: P, numeric: bool) -> Result<Self, CliError> {
         // An unreadable file sniffs as "not a pack" so the edge-list loader
         // reports the I/O problem with its usual error shape.
         let pack1 = dcs_graph::pack::file_is_pack(&path1).unwrap_or(false);

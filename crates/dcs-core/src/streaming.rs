@@ -7,18 +7,20 @@
 //! communities, money-laundering dark networks).
 //!
 //! In that scenario `G2` is not a static file but a stream of observations.  This module
-//! maintains the **difference graph** incrementally and re-mines the DCS on a
-//! configurable cadence:
+//! maintains the observed graph and the **difference graph** incrementally, as two
+//! [`DeltaGraph`]s (each the last CSR snapshot plus the edges changed since), and
+//! re-mines the DCS on a configurable cadence:
 //!
-//! * [`StreamingDcs::observe`] applies one weight update in `O(1)` amortized: the
-//!   [`DeltaGraph`] of difference weights starts from the negated baseline (or from
-//!   `G2 − G1` for an initial observation), so an update reads one baseline weight,
-//!   records `D(u,v) = obs(u,v) − A1(u,v)` in the delta's change map and never
-//!   re-walks `G1`.  Updates that do not change the observed graph (a zero delta, or
-//!   a negative delta on an edge already clamped at zero) are **no-ops**: they bump
-//!   neither the version nor the observation counter and are reported as `ignored`
-//!   in [`BatchOutcome`].  An update whose new weight overflows to infinity is a
-//!   no-op too;
+//! * [`StreamingDcs::observe`] applies one weight update in `O(1)` amortized: it reads
+//!   the old observed weight from `G2`'s delta graph and stores the new one, then
+//!   records `D(u,v) = obs(u,v) − A1(u,v)` in `G_D`'s.  `G2`'s starts empty (or from
+//!   the initial observation itself, which is not copied when it is pack-backed) and
+//!   `G_D`'s from the negated baseline (or from `G2 − G1`), so an update reads one
+//!   baseline weight and never re-walks `G1`.  Updates that do not change the
+//!   observed graph (a zero delta, or a negative delta on an edge already clamped
+//!   at zero) are **no-ops**: they bump neither the version nor the observation
+//!   counter and are reported as `ignored` in [`BatchOutcome`].  An update whose
+//!   new weight overflows to infinity is a no-op too;
 //! * [`StreamingDcs::difference_snapshot`] returns the current `G_D` as a cheap
 //!   `Arc<SignedGraph>` **delta snapshot**: the edges changed since the last snapshot
 //!   are merged into its CSR (unchanged rows are copied in runs, changed rows merged
@@ -26,6 +28,10 @@
 //!   the previous snapshot is returned pointer-equal, with no work at all.  Consumers
 //!   (the mining server's workers) hold the `Arc` and solve without copying the
 //!   graph or blocking further observations;
+//! * [`StreamingDcs::observed_graph`] returns the current `G2` the same way, for the
+//!   callers that need the raw observations rather than `G_D`: the serving layer's
+//!   checkpoints (which write it as a pack) and α-sweep jobs (which re-scale the
+//!   `(G2, G1)` pair);
 //! * every [`StreamingConfig::remine_every`] updates — or on demand via
 //!   [`StreamingDcs::mine_now`] — the current difference snapshot is mined, and when
 //!   the mined density difference exceeds [`StreamingConfig::alert_threshold`] the
@@ -43,7 +49,6 @@
 use std::sync::Arc;
 
 use dcs_graph::{DeltaGraph, GraphBuilder, SignedGraph, VertexId, Weight};
-use rustc_hash::FxHashMap;
 
 use crate::diff::{difference_graph_with, WeightScheme};
 use crate::engine::{MeasureSolver, SolveContext, SolveStats};
@@ -95,10 +100,13 @@ pub struct ContrastAlert {
 #[derive(Debug, Clone)]
 pub struct StreamingDcs {
     baseline: Arc<SignedGraph>,
-    /// Current observed weights, keyed by the normalised `(min, max)` endpoint pair.
-    observed: FxHashMap<(VertexId, VertexId), Weight>,
-    /// The difference graph `G_D = G2 − G1`, maintained incrementally: the last
-    /// snapshot plus the edges changed since, which the next snapshot merges in.
+    /// The observed graph `G2`, maintained incrementally: the last snapshot plus
+    /// the edges changed since.  Every weight is positive; a zero weight is an
+    /// absent edge.  Only checkpoints, α-sweeps and [`Self::observed_graph`]
+    /// snapshot it.
+    observed: DeltaGraph,
+    /// The difference graph `G_D = G2 − G1`, maintained the same way and
+    /// changed at the same `(u, v)` as `observed` on every applied observation.
     delta: DeltaGraph,
     config: StreamingConfig,
     observations: usize,
@@ -142,18 +150,16 @@ impl StreamingDcs {
         // With no observations yet, D(u,v) = 0 − A1(u,v) = −A1(u,v): the negated
         // baseline is the first snapshot.  Snapshots never re-walk G1 after this.
         let delta = DeltaGraph::from_graph(baseline.negated());
-        Ok(Self::from_parts(
-            baseline,
-            FxHashMap::default(),
-            delta,
-            config,
-        ))
+        let observed = DeltaGraph::new(baseline.num_vertices());
+        Ok(Self::from_parts(baseline, observed, delta, config))
     }
 
     /// Starts the observed graph from an initial snapshot `G2` instead of from empty.
     ///
     /// Like the baseline (and like any DCS input graph), the initial `G2` must be
-    /// non-negatively weighted.
+    /// non-negatively weighted.  A clone of it becomes the first snapshot of the
+    /// observed graph: a pack-backed `initial` (a recovered checkpoint) shares its
+    /// mapping, no edge is copied.
     pub fn with_initial_observation(
         baseline: SignedGraph,
         initial: &SignedGraph,
@@ -174,10 +180,9 @@ impl StreamingDcs {
         // D(u,v) = obs(u,v) − A1(u,v) over the union of both edge sets, merged row
         // by row: the first snapshot.
         let gd = difference_graph_with(initial, &baseline, WeightScheme::Weighted)?;
-        let observed = initial.edges().map(|(u, v, w)| ((u, v), w)).collect();
         Ok(Self::from_parts(
             baseline,
-            observed,
+            DeltaGraph::from_graph(initial.clone()),
             DeltaGraph::from_graph(gd),
             config,
         ))
@@ -187,7 +192,7 @@ impl StreamingDcs {
     /// whose difference graph is `delta`.
     fn from_parts(
         baseline: SignedGraph,
-        observed: FxHashMap<(VertexId, VertexId), Weight>,
+        observed: DeltaGraph,
         delta: DeltaGraph,
         config: StreamingConfig,
     ) -> Self {
@@ -247,7 +252,7 @@ impl StreamingDcs {
 
     /// Number of edges currently present in the observed graph.
     pub fn observed_edge_count(&self) -> usize {
-        self.observed.len()
+        self.observed.num_edges()
     }
 
     /// Observations applied since the last mine — how far into the current
@@ -256,20 +261,6 @@ impl StreamingDcs {
     /// observation a never-interrupted one would.
     pub fn updates_since_mine(&self) -> usize {
         self.updates_since_mine
-    }
-
-    /// The current observed weights as `(u, v, weight)` triples with `u < v`,
-    /// in ascending `(u, v)` order — the deterministic iteration checkpoint
-    /// writers need (hash-map order would make checkpoint bytes
-    /// run-dependent).
-    pub fn observed_edges_sorted(&self) -> Vec<(VertexId, VertexId, Weight)> {
-        let mut edges: Vec<(VertexId, VertexId, Weight)> = self
-            .observed
-            .iter()
-            .map(|(&(u, v), &w)| (u, v, w))
-            .collect();
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        edges
     }
 
     /// Restores the streaming counters and warm-start seed of a monitor that
@@ -307,19 +298,15 @@ impl StreamingDcs {
         if u == v || (u as usize) >= self.num_vertices() || (v as usize) >= self.num_vertices() {
             return None; // self-loops and out-of-range endpoints are ignored
         }
-        let k = key(u, v);
-        let old = self.observed.get(&k).copied().unwrap_or(0.0);
+        let old = self.observed.weight(u, v).unwrap_or(0.0);
         let new = (old + delta).max(0.0);
         if new == old || !new.is_finite() {
             // No-op: the observed graph did not change, or the sum overflowed (a
             // G_D weight must stay finite).
             return None;
         }
-        if new == 0.0 {
-            self.observed.remove(&k);
-        } else {
-            self.observed.insert(k, new);
-        }
+        // A new weight of zero removes the edge.
+        self.observed.set_weight(u, v, new);
         // Maintain the difference weight directly: D(u,v) = obs(u,v) − A1(u,v).
         let base = self.baseline_weight(u, v);
         self.delta.set_weight(u, v, new - base);
@@ -359,13 +346,11 @@ impl StreamingDcs {
         outcome
     }
 
-    /// The current observed graph `G2` as a [`SignedGraph`].
-    pub fn observed_graph(&self) -> SignedGraph {
-        let mut builder = GraphBuilder::new(self.num_vertices());
-        for (&(u, v), &w) in &self.observed {
-            builder.add_edge(u, v, w);
-        }
-        builder.build()
+    /// The current observed graph `G2` as a shared CSR snapshot, maintained like
+    /// [`Self::difference_snapshot`]: the edges changed since the last one are
+    /// merged into it, and with no change since, the same `Arc` comes back.
+    pub fn observed_graph(&mut self) -> Arc<SignedGraph> {
+        self.observed.snapshot()
     }
 
     /// The current difference graph `G_D = G2 − G1` as a shared CSR snapshot.
@@ -381,15 +366,18 @@ impl StreamingDcs {
     }
 
     /// Rebuilds the difference graph from scratch through a [`GraphBuilder`],
-    /// re-walking the observed map and every baseline edge.
+    /// re-walking every observed and every baseline edge.
     ///
     /// This is the pre-delta-engine snapshot path, kept as the reference
     /// implementation: property tests assert the incremental snapshot is
     /// identical to it, and the `solver_hotpath` benchmark's `delta_vs_scratch`
-    /// gate fails unless [`Self::difference_snapshot`] is faster.
+    /// gate fails unless [`Self::difference_snapshot`] is faster.  It reads the
+    /// observed edges with [`DeltaGraph::edges`], not through a `G2` snapshot:
+    /// `G2` and `G_D` change the same edges, so a fault in the snapshot merge
+    /// would corrupt both alike and a comparison of the two would not see it.
     pub fn rebuild_difference_snapshot(&self) -> SignedGraph {
         let mut builder = GraphBuilder::new(self.num_vertices());
-        for (&(u, v), &w) in &self.observed {
+        for (u, v, w) in self.observed.edges() {
             builder.add_edge(u, v, w);
         }
         for (u, v, w) in self.baseline.edges() {
@@ -451,14 +439,6 @@ pub fn mine_difference_in(
         observations,
         report,
         stats: solution.stats,
-    }
-}
-
-fn key(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
-    if u <= v {
-        (u, v)
-    } else {
-        (v, u)
     }
 }
 
@@ -782,6 +762,11 @@ mod tests {
         let mut recovered =
             StreamingDcs::with_initial_observation(baseline(8), &observed, affinity_config(3, 0.0))
                 .unwrap();
+        // The initial observation is the recovered monitor's first `G2` snapshot.
+        assert_eq!(
+            recovered.observed_edge_count(),
+            control.observed_edge_count()
+        );
         recovered.restore_counters(
             control.version(),
             control.observations(),
@@ -805,10 +790,10 @@ mod tests {
             assert_eq!(a.observations, b.observations);
         }
         assert_eq!(recovered.last_support(), control.last_support());
-        // Sorted observed edges are deterministic and match.
+        // The observed graphs match bit for bit.
         assert_eq!(
-            recovered.observed_edges_sorted(),
-            control.observed_edges_sorted()
+            csr_bits(&recovered.observed_graph()),
+            csr_bits(&control.observed_graph())
         );
     }
 
@@ -913,6 +898,10 @@ mod tests {
                 csr_bits(&folded_initial(&baseline, &initial).snapshot())
             );
             assert_eq!(started.observed_edge_count(), initial.num_edges());
+            // The initial observation is `G2`'s first snapshot, its mapping shared.
+            let observed = started.observed_graph();
+            assert_eq!(csr_bits(&observed), csr_bits(&initial));
+            assert_eq!(observed.is_pack_backed(), initial.is_pack_backed());
             // Later observations merge into the same bits as the fold.
             let mut folded = folded_initial(&baseline, &initial);
             for (u, v) in [(0u32, 1u32), (2, 9), (5, 39), (0, 1)] {

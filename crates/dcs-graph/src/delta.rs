@@ -11,9 +11,9 @@
 //! 1996): it keeps the last snapshot as its sorted base, plus one hash map of
 //! the edges changed since it.
 //!
-//! * mutation is **O(1) amortized** per update — one insert into the change
-//!   map ([`DeltaGraph::set_weight`], [`DeltaGraph::add_weight`]); the edge
-//!   counts are kept current from each update's old and new weight,
+//! * mutation is **O(1) amortized** per update — one probe of the change map
+//!   ([`DeltaGraph::set_weight`]) finds the old weight and stores the new
+//!   one; the edge counts are kept current from both,
 //! * every mutation that changes a weight bumps a monotone
 //!   [`DeltaGraph::version`],
 //! * [`DeltaGraph::snapshot`] merges the change map into the last snapshot.
@@ -28,8 +28,10 @@
 //!
 //! Consumers hold the returned `Arc<SignedGraph>` for as long as they need it
 //! (e.g. a mining worker solving outside a session lock) without blocking
-//! further mutation: a snapshot somebody holds is never written to.
+//! further mutation: a snapshot somebody holds is never written to.  A
+//! streaming monitor (`dcs-core`'s `StreamingDcs`) holds two, for `G2` and `G_D`.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
@@ -175,28 +177,44 @@ impl DeltaGraph {
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) out of range for {n} vertices"
         );
-        let old = self.weight(u, v);
-        if (w == 0.0 && old.is_none()) || old == Some(w) {
-            return false;
-        }
-        if let Some(old) = old {
-            self.positive -= usize::from(old > 0.0);
-            self.negative -= usize::from(old < 0.0);
-        }
+        // One probe finds the old weight (`0.0`: absent) and stores the new
+        // one; an edge with no change yet reads its weight from the base row.
+        let old = match self.changes.entry(key(u, v)) {
+            Entry::Occupied(change) if *change.get() == w => return false,
+            Entry::Occupied(mut change) => change.insert(w),
+            Entry::Vacant(change) => {
+                let (nbrs, ws) = self.base.neighbor_slices(u);
+                let old = nbrs.binary_search(&v).map_or(0.0, |i| ws[i]);
+                if old == w {
+                    return false;
+                }
+                change.insert(w);
+                old
+            }
+        };
+        self.positive -= usize::from(old > 0.0);
+        self.negative -= usize::from(old < 0.0);
         self.positive += usize::from(w > 0.0);
         self.negative += usize::from(w < 0.0);
-        self.changes.insert(key(u, v), w);
         self.version += 1;
         true
     }
 
-    /// Adds `delta` to the weight of edge `(u, v)`; a resulting weight of
-    /// exactly `0.0` removes the edge.  Returns the new weight.  Same panics
-    /// and no-op semantics as [`Self::set_weight`].
-    pub fn add_weight(&mut self, u: VertexId, v: VertexId, delta: Weight) -> Weight {
-        let new = self.weight(u, v).unwrap_or(0.0) + delta;
-        self.set_weight(u, v, new);
-        new
+    /// The current edges `(u, v, w)`, each once with `u < v`, read without a
+    /// merge (so it can check [`Self::snapshot`]): the last snapshot's edges
+    /// that no change shadows, in row order, then the changed edges still
+    /// present, in no particular order.
+    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
+        let unchanged = self
+            .base
+            .edges()
+            .filter(|&(u, v, _)| !self.changes.contains_key(&(u, v)));
+        let changed = self
+            .changes
+            .iter()
+            .filter(|&(_, &w)| w != 0.0)
+            .map(|(&(u, v), &w)| (u, v, w));
+        unchanged.chain(changed)
     }
 
     /// Packs the current state into an immutable CSR [`SignedGraph`].
@@ -409,8 +427,8 @@ mod tests {
         assert!(d.set_weight(0, 1, 0.0));
         assert_eq!(d.num_edges(), 1);
         assert_eq!(d.weight(0, 1), None);
-        assert_eq!(d.add_weight(0, 1, 3.0), 3.0);
-        assert_eq!(d.add_weight(0, 1, -3.0), 0.0);
+        assert!(d.set_weight(0, 1, 3.0));
+        assert!(d.set_weight(0, 1, 0.0));
         assert_eq!(d.weight(0, 1), None);
         assert_eq!(d.num_edges(), 1);
         // Reads of merged edges go through the snapshot's rows.
@@ -420,6 +438,46 @@ mod tests {
         assert_eq!(d.weight(9, 1), None);
         assert!(!d.set_weight(1, 2, -1.5));
         assert!(!d.set_weight(0, 1, 0.0));
+    }
+
+    /// `set_weight` reads and writes through one probe of the change map: a
+    /// no-op leaves the version and both edge counts as they were, and an
+    /// edge of the base snapshot is removed and re-added like any other.
+    #[test]
+    fn one_probe_set_weight_keeps_version_and_counts() {
+        let state = |d: &DeltaGraph| (d.version(), d.positive, d.negative);
+        let base = GraphBuilder::from_edges(4, vec![(0, 1, 2.0), (1, 2, -1.5)]);
+        let mut d = DeltaGraph::from_graph(base);
+        assert_eq!(state(&d), (0, 1, 1));
+        // The same weight again, on a base edge and on a changed one.
+        assert!(!d.set_weight(1, 0, 2.0));
+        assert_eq!(state(&d), (0, 1, 1));
+        assert!(d.set_weight(2, 3, 4.0));
+        assert!(!d.set_weight(3, 2, 4.0));
+        assert_eq!(state(&d), (1, 2, 1));
+        // `0.0` and `-0.0` on an absent edge store nothing.
+        assert!(!d.set_weight(0, 3, 0.0));
+        assert!(!d.set_weight(3, 0, -0.0));
+        assert_eq!(state(&d), (1, 2, 1));
+        assert!(!d.changes.contains_key(&(0, 3)));
+        // Removing a base edge; removing it again is a no-op.
+        assert!(d.set_weight(1, 0, -0.0));
+        assert_eq!(state(&d), (2, 1, 1));
+        assert_eq!(d.weight(0, 1), None);
+        assert!(!d.set_weight(0, 1, 0.0));
+        assert!(!d.set_weight(0, 1, -0.0));
+        assert_eq!(state(&d), (2, 1, 1));
+        // Re-adding the removed edge, with the other sign.
+        assert!(d.set_weight(0, 1, -3.0));
+        assert_eq!(state(&d), (3, 1, 2));
+        assert_eq!(d.weight(1, 0), Some(-3.0));
+        let expected = GraphBuilder::from_edges(4, vec![(0, 1, -3.0), (1, 2, -1.5), (2, 3, 4.0)]);
+        assert_eq!(*d.snapshot(), expected);
+        // Merged, the same weight is still a no-op and a removal still counts.
+        assert!(!d.set_weight(0, 1, -3.0));
+        assert_eq!(state(&d), (3, 1, 2));
+        assert!(d.set_weight(2, 1, 0.0));
+        assert_eq!(state(&d), (4, 1, 1));
     }
 
     #[test]

@@ -841,11 +841,11 @@ proptest! {
                     continue;
                 }
                 let value = if absolute {
-                    delta.set_weight(a, b, w);
                     w
                 } else {
-                    delta.add_weight(a, b, w)
+                    delta.weight(a, b).unwrap_or(0.0) + w
                 };
+                delta.set_weight(a, b, value);
                 let key = (a.min(b), a.max(b));
                 if value == 0.0 {
                     reference.remove(&key);
@@ -856,8 +856,15 @@ proptest! {
             }
             prop_assert_eq!(delta.num_edges(), reference.len());
             // Snapshot mid-sequence on roughly a third of the operations so the
-            // merge of a partly changed graph is exercised.
+            // merge of a partly changed graph is exercised.  The unmerged walk
+            // reads the same edges first.
             if snapshot_now || i % 3 == 0 {
+                let mut walked: Vec<_> =
+                    delta.edges().map(|(u, v, w)| ((u, v), w.to_bits())).collect();
+                walked.sort_unstable();
+                let expected: Vec<_> =
+                    reference.iter().map(|(&key, &w)| (key, w.to_bits())).collect();
+                prop_assert_eq!(walked, expected);
                 let snap = delta.snapshot();
                 let scratch = scratch_build(n as usize, &reference);
                 prop_assert_eq!(csr_bits(&snap), csr_bits(&scratch));

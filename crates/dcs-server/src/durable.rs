@@ -23,7 +23,8 @@
 //! (`{"kind":"baseline","v":V}`, referencing `baseline-<V>.dcspack`).
 //! Batches that apply nothing never change the version and are not logged.
 //!
-//! A checkpoint compacts the log: the observed graph `G2` is written as an
+//! A checkpoint compacts the log: the snapshot of the observed graph `G2`
+//! (the session's second delta graph, beside `G_D`'s) is written as an
 //! ordinary graph pack whose session-metadata section
 //! ([`dcs_graph::pack::KIND_SESSION`]) carries the counters a session cannot
 //! reconstruct from the graph alone — version counter, observation count,
@@ -38,20 +39,26 @@
 //! checkpoint** — a checkpoint that fails to open, verify or decode falls
 //! back to the previous generation — and replaying every WAL segment in
 //! ascending generation order, skipping records at or below the restored
-//! version.  Replay re-applies each batch through the ordinary streaming
-//! engine and asserts the resulting version matches the record, so a
-//! recovered session is observation-for-observation identical to one that
-//! never stopped.  A **torn tail** (a crash mid-append) is tolerated in the
-//! newest segment only — rotation syncs a segment before opening its
-//! successor — and truncated; corruption anywhere else aborts recovery
-//! rather than silently dropping acknowledged observes.
+//! version.  Every `ckpt-<G>.dcspack` and `baseline-<B>.dcspack` is verified
+//! whole before use ([`GraphPack::verify`]: each section's checksum, the CSR
+//! and its symmetry), since opening a pack reads only its header; a bad
+//! baseline fails recovery, as no generation can do without it.  The
+//! checkpoint's pack-backed graph becomes the first snapshot of the
+//! recovered `G2`, no edge copied.  Replay re-applies each batch through the
+//! ordinary streaming engine and asserts the resulting version matches the
+//! record, so a recovered session is observation-for-observation identical
+//! to one that never stopped.  A **torn tail** (a crash mid-append) is
+//! tolerated in the newest segment only — rotation syncs a segment before
+//! opening its successor — and truncated; corruption anywhere else aborts
+//! recovery rather than silently dropping acknowledged observes.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use dcs_core::{DensityMeasure, StreamingConfig, StreamingDcs};
-use dcs_graph::{GraphBuilder, GraphPack, SignedGraph, VertexId, Weight};
+use dcs_graph::{GraphPack, SignedGraph, VertexId, Weight};
 use serde_json::{json, Value};
 
 use crate::error::ServerError;
@@ -64,10 +71,9 @@ pub enum WalSync {
     /// `fsync` after every appended record — an acknowledged observe is on
     /// disk before the response leaves the server.
     Always,
-    /// Group commit (the default): appends buffer in the OS page cache and a
-    /// background flusher `fsync`s them on the
-    /// [`group-commit interval`](crate::ServerConfig::group_commit_ms).  A
-    /// crash can lose at most the last interval's acknowledged observes.
+    /// Group commit (the default): appends buffer in the OS page cache and the
+    /// server's durability thread `fsync`s them every 25 ms.  A crash can lose
+    /// at most the last interval's acknowledged observes.
     #[default]
     Group,
     /// Never `fsync`; durability is left to the operating system.
@@ -347,8 +353,8 @@ pub(crate) struct CheckpointState {
     pub observations: usize,
     pub updates_since_mine: usize,
     pub last_support: Option<Vec<VertexId>>,
-    pub observed: Vec<(VertexId, VertexId, Weight)>,
-    pub vertices: usize,
+    /// The observed graph's snapshot.
+    pub observed: Arc<SignedGraph>,
     pub config: StreamingConfig,
     pub cache_keys: Vec<String>,
 }
@@ -471,7 +477,6 @@ impl DurableSession {
 
     fn write_checkpoint(&mut self, state: &CheckpointState) -> Result<(), ServerError> {
         let version = state.version_base + state.monitor_version;
-        let observed = GraphBuilder::from_edges(state.vertices, state.observed.iter().copied());
         let meta = json!({
             "format": 1,
             "monitor_version": state.monitor_version,
@@ -494,7 +499,7 @@ impl DurableSession {
         // 1. The checkpoint pack, atomically (tmp + fsync + rename + dir sync).
         write_atomically(&ckpt_path(&self.dir, version), |tmp| {
             dcs_datasets::PackWriter::write_graph_with_session(
-                &observed,
+                &state.observed,
                 meta_bytes.as_bytes(),
                 tmp,
             )
@@ -619,12 +624,21 @@ fn fresh_state(record: &CreationRecord) -> Result<RecoveredState, ServerError> {
     })
 }
 
+/// Opens a pack of the session directory (a checkpoint or a baseline) and
+/// verifies it whole before any of it is used: [`GraphPack::open`] alone
+/// checks only the header.
+fn open_verified(path: &Path) -> Result<GraphPack, ServerError> {
+    let pack = GraphPack::open(path)?;
+    pack.verify()?;
+    Ok(pack)
+}
+
 fn load_checkpoint(
     dir: &Path,
     generation: u64,
     record: &CreationRecord,
 ) -> Result<RecoveredState, ServerError> {
-    let pack = GraphPack::open(ckpt_path(dir, generation))?;
+    let pack = open_verified(&ckpt_path(dir, generation))?;
     let meta_bytes = pack
         .session_bytes()
         .ok_or_else(|| durability_error("checkpoint lacks a session-metadata section".into()))?;
@@ -671,10 +685,12 @@ fn load_checkpoint(
         }
     };
 
+    // A bad baseline fails this generation and every older one (their WAL
+    // replays install it, or they name it too), and so recovery.
     let (baseline, backing, pack_open_ms) = if baseline_id == 0 {
         load_creation_baseline(record)?
     } else {
-        let graph = GraphPack::open(baseline_path(dir, baseline_id))?.to_graph()?;
+        let graph = open_verified(&baseline_path(dir, baseline_id))?.to_graph()?;
         (graph, "memory", None)
     };
     let observed = pack.to_graph()?;
@@ -756,7 +772,7 @@ fn replay_segment(
                     }
                 }
                 Some("baseline") => {
-                    let baseline = GraphPack::open(baseline_path(dir, version))?.to_graph()?;
+                    let baseline = open_verified(&baseline_path(dir, version))?.to_graph()?;
                     state.monitor = StreamingDcs::new(baseline, config)?;
                     state.version_base = version;
                     state.baseline_id = version;
@@ -975,6 +991,16 @@ mod tests {
         }
     }
 
+    fn edge_bits_of(edges: &[(VertexId, VertexId, Weight)]) -> Vec<(VertexId, VertexId, u64)> {
+        edges.iter().map(|&(u, v, w)| (u, v, w.to_bits())).collect()
+    }
+
+    /// The edges of a session's observed-graph snapshot, weights as bits.
+    fn edge_bits(session: &mut Session) -> Vec<(VertexId, VertexId, u64)> {
+        let observed = session.monitor_mut().observed_graph();
+        edge_bits_of(&observed.edges().collect::<Vec<_>>())
+    }
+
     #[test]
     fn session_names_encode_to_safe_directories() {
         for name in ["plain", "has space", "slash/../dots", "ünïcode", "."] {
@@ -1027,14 +1053,14 @@ mod tests {
         let version = session.version();
         drop(session);
 
-        let (name, recovered) =
+        let (name, mut recovered) =
             open_session_dir(&data.join(encode_session_dir("fresh")), WalSync::None).unwrap();
         assert_eq!(name, "fresh");
         assert_eq!(recovered.version(), version);
         assert_eq!(recovered.monitor().observations(), 3);
         assert_eq!(
-            recovered.monitor().observed_edges_sorted(),
-            vec![(0, 1, 3.0), (2, 3, 1.0)]
+            edge_bits(&mut recovered),
+            edge_bits_of(&[(0, 1, 3.0), (2, 3, 1.0)])
         );
         fs::remove_dir_all(&data).ok();
     }
@@ -1048,15 +1074,15 @@ mod tests {
         assert!(session.checkpoint().unwrap());
         session.observe(&[(2, 3, 1.0)]).unwrap();
         let version = session.version();
-        let edges = session.monitor().observed_edges_sorted();
+        let edges = edge_bits(&mut session);
         drop(session);
 
         let dir = data.join(encode_session_dir("c"));
         assert!(dir.join("ckpt-2.dcspack").is_file());
         assert!(dir.join("wal-2.ndjson").is_file());
-        let (_, recovered) = open_session_dir(&dir, WalSync::None).unwrap();
+        let (_, mut recovered) = open_session_dir(&dir, WalSync::None).unwrap();
         assert_eq!(recovered.version(), version);
-        assert_eq!(recovered.monitor().observed_edges_sorted(), edges);
+        assert_eq!(edge_bits(&mut recovered), edges);
         fs::remove_dir_all(&data).ok();
     }
 

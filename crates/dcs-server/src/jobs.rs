@@ -110,9 +110,9 @@ impl JobSpec {
 
     /// Captures the job's inputs under the session lock.  Snapshots are
     /// `Arc` handles to the session's incrementally maintained difference
-    /// graph: an unchanged session hands out the same graph pointer to every
-    /// worker, and a changed one only merges the edges its updates changed
-    /// into the previous snapshot.
+    /// graph (a sweep's, to its observed graph): an unchanged session hands
+    /// out the same graph pointer to every worker, and a changed one only
+    /// merges the edges its updates changed into the previous snapshot.
     fn snapshot(&self, session: &mut crate::session::Session) -> Snapshot {
         let monitor = session.monitor_mut();
         match self {
@@ -228,10 +228,10 @@ impl JobSpec {
 
 /// Inputs captured under the session lock, solved outside it.
 ///
-/// Graphs are `Arc` handles into the session's delta engine (and baseline) —
-/// capturing a snapshot clones pointers, not adjacency arrays.  Only the
-/// observed graph of a sweep is materialised, because the sweep re-scales the
-/// raw `(G2, G1)` pair rather than consuming `G_D`.
+/// Graphs are `Arc` handles into the session's delta graphs (and baseline) —
+/// capturing a snapshot clones pointers, not adjacency arrays.  A sweep takes
+/// the observed graph `G2`'s snapshot rather than `G_D`'s, because it
+/// re-scales the raw `(G2, G1)` pair.
 enum Snapshot {
     Mine {
         gd: Arc<dcs_graph::SignedGraph>,
@@ -246,7 +246,7 @@ enum Snapshot {
         measure: DensityMeasure,
     },
     Sweep {
-        g2: dcs_graph::SignedGraph,
+        g2: Arc<dcs_graph::SignedGraph>,
         g1: Arc<dcs_graph::SignedGraph>,
         alphas: Vec<f64>,
         measure: DensityMeasure,

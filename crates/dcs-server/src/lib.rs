@@ -118,9 +118,9 @@
 //! `wal-<G>.ndjson`, `ckpt-<G>.dcspack`, `baseline-<B>.dcspack`), the
 //! recovery procedure (newest valid checkpoint + WAL tail replay, with
 //! torn-tail truncation and corrupt-checkpoint generation fallback) and
-//! the sync modes ([`WalSync`]: `always` / `group` / `none`;
-//! [`ServerConfig::group_commit_ms`] sets the group-commit interval,
-//! [`ServerConfig::checkpoint_every`] the checkpoint trigger).  Ephemeral
+//! the sync modes ([`WalSync`]: `always` / `group` / `none`; group commit
+//! `fsync`s every 25 ms, and [`ServerConfig::checkpoint_every`] sets the
+//! checkpoint trigger).  Ephemeral
 //! sessions on the same server pay nothing.  `dcs sessions --data-dir`
 //! inspects a data directory offline.
 //!
@@ -336,12 +336,8 @@ pub struct ServerConfig {
     /// session directory found under it at start.
     pub data_dir: Option<std::path::PathBuf>,
     /// When durable sessions' write-ahead logs reach stable storage — see
-    /// [`WalSync`].  Defaults to group commit.
+    /// [`WalSync`].  Defaults to group commit, `fsync`ed every 25 ms.
     pub wal_sync: WalSync,
-    /// Interval of the background durability thread, in milliseconds: each
-    /// tick `fsync`s group-committed WAL bytes and checks the checkpoint
-    /// trigger.  Clamped to at least 1.  Default 25.
-    pub group_commit_ms: u64,
     /// Checkpoint after this many WAL records accumulate in a session's live
     /// segment (0 disables automatic checkpoints).  Default 256.
     pub checkpoint_every: u64,
@@ -384,7 +380,6 @@ impl Default for ServerConfig {
             observe_mailbox: 1024,
             data_dir: None,
             wal_sync: WalSync::default(),
-            group_commit_ms: 25,
             checkpoint_every: 256,
         }
     }

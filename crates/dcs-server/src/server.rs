@@ -73,6 +73,10 @@ const MAX_LINE_BYTES: usize = 64 << 20;
 /// have no job in flight before force-closing what remains.
 const SHUTDOWN_DRAIN_CAP: Duration = Duration::from_secs(5);
 
+/// The durability thread's interval: each tick `fsync`s the group-committed
+/// WAL bytes of every durable session and checks its checkpoint trigger.
+const GROUP_COMMIT: Duration = Duration::from_millis(25);
+
 /// A bound but not yet running mining server.
 pub struct Server {
     listener: TcpListener,
@@ -213,7 +217,6 @@ impl Server {
             std::thread::Builder::new()
                 .name("dcs-durable".into())
                 .spawn(move || {
-                    let interval = Duration::from_millis(shared.config.group_commit_ms.max(1));
                     loop {
                         // Read the flag first so a final flush always runs
                         // after shutdown is requested.
@@ -230,7 +233,7 @@ impl Server {
                         if shutting {
                             break;
                         }
-                        std::thread::park_timeout(interval);
+                        std::thread::park_timeout(GROUP_COMMIT);
                     }
                 })
                 .expect("spawn durability thread")

@@ -239,28 +239,24 @@ impl Session {
         Ok(())
     }
 
-    /// Writes a checkpoint now: the observed graph as a pack with a
-    /// session-metadata section, then rotates the WAL.  Returns `false`
+    /// Writes a checkpoint now: the observed graph's snapshot as a pack with
+    /// a session-metadata section, then rotates the WAL.  Returns `false`
     /// (without touching the disk) for ephemeral sessions.
     pub fn checkpoint(&mut self) -> Result<bool, ServerError> {
-        let state = match &self.durable {
-            None => return Ok(false),
-            Some(_) => CheckpointState {
-                monitor_version: self.monitor.version(),
-                version_base: self.version_base,
-                observations: self.monitor.observations(),
-                updates_since_mine: self.monitor.updates_since_mine(),
-                last_support: self.monitor.last_support().map(|s| s.to_vec()),
-                observed: self.monitor.observed_edges_sorted(),
-                vertices: self.monitor.num_vertices(),
-                config: *self.monitor.config(),
-                cache_keys: self.cache.keys(),
-            },
+        let Some(durable) = &mut self.durable else {
+            return Ok(false);
         };
-        self.durable
-            .as_mut()
-            .expect("checked above")
-            .checkpoint(&state)?;
+        let state = CheckpointState {
+            monitor_version: self.monitor.version(),
+            version_base: self.version_base,
+            observations: self.monitor.observations(),
+            updates_since_mine: self.monitor.updates_since_mine(),
+            last_support: self.monitor.last_support().map(|s| s.to_vec()),
+            observed: self.monitor.observed_graph(),
+            config: *self.monitor.config(),
+            cache_keys: self.cache.keys(),
+        };
+        durable.checkpoint(&state)?;
         Ok(true)
     }
 

@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dcs_core::{DensityMeasure, StreamingConfig, StreamingDcs};
+use dcs_core::{DensityMeasure, StreamingConfig};
 use dcs_datasets::PackWriter;
 use dcs_graph::{GraphBuilder, GraphPack, SignedGraph, VertexId, Weight};
 use dcs_server::{
@@ -71,11 +71,10 @@ fn batches(vertices: u32, count: usize, seed: u64) -> Vec<Vec<(VertexId, VertexI
         .collect()
 }
 
-/// Serializes the difference snapshot through the pack writer and returns the
-/// file bytes — the byte-equality half of the recovery property.
-fn snapshot_bytes(monitor: &mut StreamingDcs, path: &PathBuf) -> Vec<u8> {
-    let snapshot: std::sync::Arc<SignedGraph> = monitor.difference_snapshot();
-    PackWriter::write_graph(&snapshot, path).unwrap();
+/// Serializes a snapshot through the pack writer and returns the file bytes —
+/// the byte-equality half of the recovery property.
+fn pack_bytes(graph: &SignedGraph, path: &Path) -> Vec<u8> {
+    PackWriter::write_graph(graph, path).unwrap();
     std::fs::read(path).unwrap()
 }
 
@@ -96,15 +95,19 @@ fn assert_identical(recovered: &mut Session, control: &mut Session, scratch: &Pa
         control.monitor().last_support(),
         "warm-start support diverged"
     );
-    assert_eq!(
-        recovered.monitor().observed_edges_sorted(),
-        control.monitor().observed_edges_sorted()
-    );
     let recovered_pack = scratch.join("recovered.dcspack");
     let control_pack = scratch.join("control.dcspack");
     assert_eq!(
-        snapshot_bytes(recovered.monitor_mut(), &recovered_pack),
-        snapshot_bytes(control.monitor_mut(), &control_pack),
+        pack_bytes(&recovered.monitor_mut().observed_graph(), &recovered_pack),
+        pack_bytes(&control.monitor_mut().observed_graph(), &control_pack),
+        "observed_graph bytes diverged"
+    );
+    assert_eq!(
+        pack_bytes(
+            &recovered.monitor_mut().difference_snapshot(),
+            &recovered_pack
+        ),
+        pack_bytes(&control.monitor_mut().difference_snapshot(), &control_pack),
         "difference_snapshot bytes diverged"
     );
 }
@@ -247,6 +250,119 @@ fn corrupt_checkpoint_falls_back_a_generation() {
     let (_, mut recovered) = durable::open_session_dir(&dir, WalSync::Group).unwrap();
     assert_identical(&mut recovered, &mut control, &data_dir);
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// The files `prefix*` of a session directory, sorted by name.
+fn files_named(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(prefix))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Flips the lowest mantissa bit of the first weight in the pack at `path`:
+/// the file still opens and its CSR still decodes, only the section
+/// checksum tells.
+fn flip_first_weight_bit(path: &Path) {
+    let weights = GraphPack::open(path)
+        .unwrap()
+        .sections()
+        .iter()
+        .find(|s| s.name == "weights")
+        .copied()
+        .unwrap();
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[weights.offset] ^= 1;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A checkpoint whose payload was damaged in a way that still decodes — one
+/// weight bit, or one digit of a metadata counter that still parses — falls
+/// back a generation: recovery verifies every section checksum before it
+/// adopts a checkpoint, where opening a pack checks only its header.
+#[test]
+fn checkpoint_payload_damage_that_still_decodes_falls_back_a_generation() {
+    for damage in ["weight bit", "metadata digit"] {
+        let data_dir = temp_dir(&format!("payload_{}", damage.replace(' ', "_")));
+        let stream = batches(16, 15, 0xdc5_0040);
+        let mut session =
+            durable::create_durable_session(&data_dir, "pd", 16, config(), WalSync::Group).unwrap();
+        let mut control = Session::new(16, config()).unwrap();
+        for (i, batch) in stream.iter().enumerate() {
+            session.observe(batch).unwrap();
+            control.observe(batch).unwrap();
+            if i == 4 || i == 9 {
+                assert!(session.checkpoint().unwrap());
+            }
+        }
+        drop(session);
+        let dir = data_dir.join(durable::encode_session_dir("pd"));
+        let checkpoints = files_named(&dir, "ckpt-");
+        assert_eq!(checkpoints.len(), 2);
+        let newest = checkpoints.last().unwrap();
+        if damage == "weight bit" {
+            flip_first_weight_bit(newest);
+        } else {
+            // The last digit of the observation count: the metadata still
+            // parses, to a different count.
+            let mut bytes = std::fs::read(newest).unwrap();
+            let key = b"\"observations\":";
+            let at = bytes.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+            let digits = bytes[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+            let last = &mut bytes[at + digits - 1];
+            *last = b'0' + (*last - b'0' + 1) % 10;
+            std::fs::write(newest, &bytes).unwrap();
+        }
+        assert!(
+            GraphPack::open(newest).unwrap().to_graph().is_ok(),
+            "{damage}: the damaged checkpoint still decodes"
+        );
+
+        let (_, mut recovered) = durable::open_session_dir(&dir, WalSync::Group).unwrap();
+        assert_identical(&mut recovered, &mut control, &data_dir);
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
+}
+
+/// A baseline pack with a flipped weight bit fails recovery, whether a
+/// checkpoint names it or the WAL's baseline record does: no older
+/// generation could do without it.
+#[test]
+fn a_damaged_baseline_fails_recovery() {
+    for checkpointed in [false, true] {
+        let data_dir = temp_dir(&format!("damaged_baseline_{checkpointed}"));
+        let mut session =
+            durable::create_durable_session(&data_dir, "db", 8, config(), WalSync::Group).unwrap();
+        session.observe(&[(0, 1, 1.0)]).unwrap();
+        session
+            .load_baseline(&[(0, 1, 3.0), (2, 3, 1.5), (4, 5, 2.0)])
+            .unwrap();
+        session.observe(&[(2, 3, 0.5)]).unwrap();
+        if checkpointed {
+            assert!(session.checkpoint().unwrap());
+        }
+        drop(session);
+        let dir = data_dir.join(durable::encode_session_dir("db"));
+        assert!(durable::open_session_dir(&dir, WalSync::Group).is_ok());
+        let baselines = files_named(&dir, "baseline-");
+        assert_eq!(baselines.len(), 1);
+        flip_first_weight_bit(&baselines[0]);
+
+        let error = durable::open_session_dir(&dir, WalSync::Group).unwrap_err();
+        assert!(error.to_string().contains("weights"), "{error}");
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 }
 
 /// A failed checkpoint fail-stops the session: with the session directory

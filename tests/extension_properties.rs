@@ -2,6 +2,8 @@
 //! algorithms: weight schemes, top-k mining, streaming maintenance, quasi-clique
 //! extraction, parallel sweeps and labelled IO.
 
+use std::collections::BTreeMap;
+
 use dcs::core::streaming::{StreamingConfig, StreamingDcs};
 use dcs::core::{
     clamp_weights, difference_graph, difference_graph_with, scaled_difference_graph,
@@ -12,6 +14,16 @@ use dcs::graph::labels::LabeledGraphBuilder;
 use dcs::graph::labels::{read_labeled_edge_list, write_labeled_edge_list, VertexLabels};
 use dcs::prelude::*;
 use proptest::prelude::*;
+
+/// Offsets, neighbours and weight bits of a graph's CSR.
+fn csr_bits(g: &SignedGraph) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
+    let (offsets, neighbors, weights) = g.clone().into_raw_csr();
+    (
+        offsets,
+        neighbors,
+        weights.into_iter().map(f64::to_bits).collect(),
+    )
+}
 
 /// Strategy: a random signed graph over at most 16 vertices.
 fn arb_signed_graph() -> impl Strategy<Value = SignedGraph> {
@@ -172,6 +184,88 @@ proptest! {
         // Unchanged version: pointer-equal snapshot, no rebuild.
         let again = monitor.difference_snapshot();
         prop_assert!(std::sync::Arc::ptr_eq(&snapshot, &again));
+    }
+
+    /// Random observes — clamps to zero, sums that overflow, exact cancellations,
+    /// self-loops and out-of-range ids — against a `BTreeMap` model folded by
+    /// `observe`'s rule: `observed_edge_count()` after every observe, and every
+    /// `observed_graph()` snapshot taken at random points between observes (so
+    /// merges of many changes, of one and of none), match the model bit for bit.
+    #[test]
+    fn observed_snapshots_follow_the_observe_rule(
+        (g1, g2) in arb_graph_pair(),
+        start_observed in any::<bool>(),
+        ops in proptest::collection::vec(
+            (0u32..18, 0u32..18, 0u32..8, -6.0f64..6.0, 0u32..3),
+            0..120,
+        ),
+    ) {
+        let config = StreamingConfig {
+            remine_every: 0,
+            alert_threshold: 0.0,
+            measure: DensityMeasure::AverageDegree,
+        };
+        let n = g1.num_vertices() as u32;
+        let mut model: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        let mut monitor = if start_observed {
+            model.extend(g2.edges().map(|(u, v, w)| ((u, v), w)));
+            StreamingDcs::with_initial_observation(g1, &g2, config).unwrap()
+        } else {
+            StreamingDcs::new(g1, config).unwrap()
+        };
+        let mut last = monitor.observed_graph();
+        let mut changed = false;
+        for (a, b, kind, w, snapshot) in ops {
+            // Kind 7 keeps the raw ids, most of which fall past `n`.
+            let (u, v) = if kind == 7 { (a, b) } else { (a % n, b % n) };
+            let key = (u.min(v), u.max(v));
+            let old = model.get(&key).copied().unwrap_or(0.0);
+            let delta = match kind {
+                0 => f64::MAX,
+                1 => -old,
+                2 => -1e9,
+                _ => w,
+            };
+            // The rule: ignore self-loops and out-of-range ids, clamp at zero,
+            // and change nothing when the weight stays or stops being finite.
+            let new = (old + delta).max(0.0);
+            let applies = u != v && u < n && v < n && new != old && new.is_finite();
+            if applies {
+                if new == 0.0 {
+                    model.remove(&key);
+                } else {
+                    model.insert(key, new);
+                }
+            }
+            let version = monitor.version();
+            monitor.observe(u, v, delta);
+            prop_assert_eq!(monitor.version(), version + u64::from(applies));
+            prop_assert_eq!(monitor.observed_edge_count(), model.len());
+            changed |= applies;
+            if snapshot == 0 {
+                // `G2` holds a merged base and the changes since: the `G_D`
+                // reference walks both.
+                prop_assert_eq!(
+                    &*monitor.difference_snapshot(),
+                    &monitor.rebuild_difference_snapshot()
+                );
+                let observed = monitor.observed_graph();
+                prop_assert_eq!(std::sync::Arc::ptr_eq(&observed, &last), !changed);
+                let edges: Vec<_> =
+                    observed.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+                let expected: Vec<_> =
+                    model.iter().map(|(&(u, v), &w)| (u, v, w.to_bits())).collect();
+                prop_assert_eq!(edges, expected);
+                let built = GraphBuilder::from_edges(
+                    n as usize,
+                    model.iter().map(|(&(u, v), &w)| (u, v, w)),
+                );
+                prop_assert_eq!(csr_bits(&observed), csr_bits(&built));
+                prop_assert_eq!(observed.num_negative_edges(), 0);
+                last = observed;
+                changed = false;
+            }
+        }
     }
 
     /// Replaying G2's edges through the streaming monitor reproduces exactly the batch
