@@ -2,7 +2,7 @@
 
 use dcs_core::dcsad::DcsGreedy;
 use dcs_core::dcsga::NewSea;
-use dcs_core::{ContrastReport, SolveStats};
+use dcs_core::{ContrastReport, DensityMeasure, SolveStats};
 // The stats shape is the same wire contract the server speaks — one serializer.
 use dcs_server::stats_to_json;
 use serde_json::json;
@@ -27,11 +27,12 @@ enum Measure {
 
 impl Measure {
     fn parse(text: &str) -> Option<Measure> {
-        match text.to_ascii_lowercase().as_str() {
-            "degree" | "average-degree" | "ad" => Some(Measure::Degree),
-            "affinity" | "graph-affinity" | "ga" => Some(Measure::Affinity),
-            "both" => Some(Measure::Both),
-            _ => None,
+        if text.eq_ignore_ascii_case("both") {
+            return Some(Measure::Both);
+        }
+        match text.parse().ok()? {
+            DensityMeasure::GraphAffinity => Some(Measure::Affinity),
+            DensityMeasure::AverageDegree | DensityMeasure::TotalDegree => Some(Measure::Degree),
         }
     }
 

@@ -1,15 +1,15 @@
 //! `dcs pack` — convert a text edge list into a binary graph pack.
 //!
 //! Packs are the zero-copy input format: `dcs mine|topk|sweep|stats` and the
-//! server open them by memory-mapping instead of parsing text (see the
-//! format spec in the `dcs-datasets` crate's `pack` module docs).  By
+//! server open them by memory-mapping instead of parsing text (the format
+//! and its writer are specified in the [`dcs_graph::pack`] module docs).  By
 //! default the input is read as a labelled edge list and the labels are
 //! embedded as the pack's vertex-name section; `--numeric` reads integer
 //! vertex ids and writes no names.
 
-use dcs_datasets::PackWriter;
 use dcs_graph::io as graph_io;
 use dcs_graph::labels::{read_labeled_edge_list_file, VertexLabels};
+use dcs_graph::PackWriter;
 
 use crate::args::{parse_args, ArgSpec};
 use crate::error::CliError;

@@ -60,8 +60,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_datasets::PackWriter;
-    use dcs_graph::GraphBuilder;
+    use dcs_graph::{GraphBuilder, PackWriter};
 
     fn strings(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()

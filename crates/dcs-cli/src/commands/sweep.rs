@@ -54,16 +54,7 @@ pub fn run(raw_args: &[String]) -> Result<String, CliError> {
     let pair = PairInput::from_args(&args)?;
     let cx = MiningOptions::solve_context(&args)?;
     let alphas = parse_alphas(&args)?;
-    let measure = match args.option("measure").unwrap_or("affinity") {
-        "affinity" | "graph-affinity" | "ga" => DensityMeasure::GraphAffinity,
-        "degree" | "average-degree" | "ad" => DensityMeasure::AverageDegree,
-        other => {
-            return Err(CliError::InvalidValue {
-                option: "measure".to_string(),
-                value: other.to_string(),
-            })
-        }
-    };
+    let measure = args.parse_option("measure", DensityMeasure::GraphAffinity)?;
 
     let tracing = TraceGuard::new(args.option("trace-json"));
     let (g1, g2) = pair.graphs();

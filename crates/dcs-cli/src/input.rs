@@ -425,8 +425,8 @@ mod tests {
             // And mines the bytes that packs of the copies mine (a pack keeps its
             // vertex count, so that pair needs no padding).
             let (pack1, pack2) = (dir.join("g1.dcspack"), dir.join("g2.dcspack"));
-            dcs_datasets::PackWriter::write_graph(&g1, &pack1).unwrap();
-            dcs_datasets::PackWriter::write_graph(&g2, &pack2).unwrap();
+            dcs_graph::PackWriter::write_graph(&g1, &pack1).unwrap();
+            dcs_graph::PackWriter::write_graph(&g2, &pack2).unwrap();
             let mine = |a: &Path, b: &Path| {
                 let args = [a, b].map(|p| p.to_string_lossy().into_owned());
                 crate::commands::mine::run(&[&args[..], &["--numeric".to_owned()]].concat())
@@ -450,8 +450,8 @@ mod tests {
 
         let pack1 = dir.join("g1.pack");
         let pack2 = dir.join("g2.pack");
-        dcs_datasets::PackWriter::write_graph(&text_g1, &pack1).unwrap();
-        dcs_datasets::PackWriter::write_graph(&text_g2, &pack2).unwrap();
+        dcs_graph::PackWriter::write_graph(&text_g1, &pack1).unwrap();
+        dcs_graph::PackWriter::write_graph(&text_g2, &pack2).unwrap();
 
         // Both packs: same graphs as the text pair, no labels without names.
         let pack_pair = PairInput::load(&pack1, &pack2, false).unwrap();
@@ -464,8 +464,8 @@ mod tests {
 
         // Packs with identical name tables surface them as labels.
         let names: Vec<String> = ["ann", "bob", "cat"].map(String::from).to_vec();
-        dcs_datasets::PackWriter::write_graph_with_names(&text_g1, &names, &pack1).unwrap();
-        dcs_datasets::PackWriter::write_graph_with_names(&text_g2, &names, &pack2).unwrap();
+        dcs_graph::PackWriter::write_graph_with_names(&text_g1, &names, &pack1).unwrap();
+        dcs_graph::PackWriter::write_graph_with_names(&text_g2, &names, &pack2).unwrap();
         let named = PairInput::load(&pack1, &pack2, false).unwrap();
         assert_eq!(named.render_vertices(&[0, 2]), vec!["ann", "cat"]);
         std::fs::remove_dir_all(&dir).ok();

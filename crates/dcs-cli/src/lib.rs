@@ -21,9 +21,9 @@
 //! Edge lists are `label label [weight]` per line by default (`--numeric` switches to
 //! integer vertex ids); both graphs are interned into a shared vertex numbering so that
 //! the difference graph is well defined.  Mining commands also accept binary graph
-//! packs (written by `dcs pack` or `dcs-datasets`) anywhere an edge list is expected —
-//! the format is auto-detected per file and packs are memory-mapped instead of
-//! parsed.  The library surface of this crate is
+//! packs (written by `dcs pack` or any caller of [`dcs_graph::PackWriter`]) anywhere
+//! an edge list is expected — the format is auto-detected per file and packs are
+//! memory-mapped instead of parsed.  The library surface of this crate is
 //! [`run`], which maps raw arguments to the text a command prints — the binary in
 //! `main.rs` is a thin wrapper, and tests call [`run`] directly.
 

@@ -172,6 +172,27 @@ fn topk_reports_disjoint_groups_in_rank_order() {
     }
 }
 
+/// Every mining command reads `--measure` the same way: its aliases in any
+/// ASCII case.
+#[test]
+fn measure_tokens_ignore_case_in_every_mining_command() {
+    let dir = temp_dir("dcs_cli_e2e_measure_case");
+    let (p1, p2) = write_labeled_pair(&dir);
+    for command in ["mine", "topk", "sweep"] {
+        for (spelling, canonical) in [("GA", "affinity"), ("Degree", "degree")] {
+            let run =
+                |measure: &str| dcs_cli::run(&strings(&[command, &p1, &p2, "--measure", measure]));
+            let out = run(spelling);
+            assert!(out.is_ok(), "{command} --measure {spelling}: {out:?}");
+            assert_eq!(
+                out.unwrap(),
+                run(canonical).unwrap(),
+                "{command} --measure {spelling}"
+            );
+        }
+    }
+}
+
 #[test]
 fn census_reports_the_top_clique_of_each_direction_at_any_thread_count() {
     let dir = temp_dir("dcs_cli_e2e_census");

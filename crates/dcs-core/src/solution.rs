@@ -9,6 +9,8 @@
 use dcs_densest::Embedding;
 use dcs_graph::{components, SignedGraph, VertexId, VertexSubset, Weight};
 
+use crate::DcsError;
+
 /// The graph density measure under which a DCS was mined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DensityMeasure {
@@ -27,6 +29,34 @@ impl std::fmt::Display for DensityMeasure {
             DensityMeasure::AverageDegree => write!(f, "average degree"),
             DensityMeasure::GraphAffinity => write!(f, "graph affinity"),
             DensityMeasure::TotalDegree => write!(f, "total degree"),
+        }
+    }
+}
+
+impl DensityMeasure {
+    /// The short token naming the measure on the command line, on the wire
+    /// and in durable session files: `"affinity"` or `"degree"`.  Cache keys
+    /// depend on it, so it never changes.  `TotalDegree`, which no miner
+    /// takes, shares `"degree"`.
+    pub fn token(self) -> &'static str {
+        match self {
+            DensityMeasure::GraphAffinity => "affinity",
+            DensityMeasure::AverageDegree | DensityMeasure::TotalDegree => "degree",
+        }
+    }
+}
+
+/// Parses a measure token, ignoring ASCII case: `affinity`, `graph-affinity`
+/// or `ga` for graph affinity; `degree`, `average-degree` or `ad` for
+/// average degree.
+impl std::str::FromStr for DensityMeasure {
+    type Err = DcsError;
+
+    fn from_str(text: &str) -> Result<Self, DcsError> {
+        match text.to_ascii_lowercase().as_str() {
+            "affinity" | "graph-affinity" | "ga" => Ok(DensityMeasure::GraphAffinity),
+            "degree" | "average-degree" | "ad" => Ok(DensityMeasure::AverageDegree),
+            _ => Err(DcsError::InvalidConfig(format!("unknown measure {text:?}"))),
         }
     }
 }
@@ -184,5 +214,24 @@ mod tests {
         assert_eq!(DensityMeasure::AverageDegree.to_string(), "average degree");
         assert_eq!(DensityMeasure::GraphAffinity.to_string(), "graph affinity");
         assert_eq!(DensityMeasure::TotalDegree.to_string(), "total degree");
+    }
+
+    #[test]
+    fn measure_tokens() {
+        for text in ["affinity", "Graph-Affinity", "GA", "ga"] {
+            assert_eq!(text.parse(), Ok(DensityMeasure::GraphAffinity));
+        }
+        for text in ["degree", "Degree", "AVERAGE-DEGREE", "ad"] {
+            assert_eq!(text.parse(), Ok(DensityMeasure::AverageDegree));
+        }
+        for text in ["entropy", "both", "total-degree", ""] {
+            assert!(text.parse::<DensityMeasure>().is_err());
+        }
+        assert_eq!(DensityMeasure::GraphAffinity.token(), "affinity");
+        assert_eq!(DensityMeasure::AverageDegree.token(), "degree");
+        assert_eq!(DensityMeasure::TotalDegree.token(), "degree");
+        for measure in [DensityMeasure::GraphAffinity, DensityMeasure::AverageDegree] {
+            assert_eq!(measure.token().parse(), Ok(measure));
+        }
     }
 }

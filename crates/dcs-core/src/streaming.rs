@@ -837,7 +837,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dcs-streaming-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.dcspack");
-        dcs_datasets::PackWriter::write_graph(graph, &path).unwrap();
+        dcs_graph::PackWriter::write_graph(graph, &path).unwrap();
         let opened = dcs_graph::GraphPack::open(&path)
             .unwrap()
             .to_graph()

@@ -18,9 +18,8 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dcs_graph::GraphBuilder;
+use dcs_graph::{GraphBuilder, PackSummary, PackWriter};
 
-use crate::pack::{PackSummary, PackWriter};
 use crate::planted::{allocate_groups, plant_dense_group};
 use crate::random::{chung_lu_edges, collaboration_weight, power_law_weights};
 use crate::{GraphPair, GroupKind, PlantedGroup};

@@ -28,6 +28,9 @@
 //! expected-vs-observed road traffic on a grid network ([`traffic`]) and
 //! expected-vs-observed transaction volumes with planted laundering rings
 //! ([`transactions`]).
+//!
+//! [`large::generate_packs`] writes the million-edge benchmark pair as graph
+//! packs; the format and its writer belong to [`dcs_graph::pack`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +40,6 @@ pub mod collab;
 pub mod conflict;
 pub mod keywords;
 pub mod large;
-pub mod pack;
 pub mod planted;
 pub mod random;
 pub mod recovery;
@@ -49,9 +51,12 @@ pub mod transactions;
 pub use coauthor::CoauthorConfig;
 pub use collab::CollabConfig;
 pub use conflict::ConflictConfig;
+// The pack writer lives with the format in `dcs_graph::pack`; this re-export
+// keeps the benchmark's data preparation (`benchmark/src/data.rs`, its one
+// importer) building.
+pub use dcs_graph::pack::{PackSummary, PackWriter};
 pub use keywords::{KeywordConfig, TopicSpec};
 pub use large::LargeConfig;
-pub use pack::{PackSummary, PackWriter};
 pub use recovery::{best_match, jaccard, RecoveryReport};
 pub use social_interest::SocialInterestConfig;
 pub use stats::DiffStats;

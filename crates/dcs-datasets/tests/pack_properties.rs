@@ -1,5 +1,5 @@
-//! Property tests of the graph-pack pipeline: writer ([`dcs_datasets::pack`])
-//! against reader ([`dcs_graph::pack`]).
+//! Property tests of the graph-pack pipeline ([`dcs_graph::pack`]): writer
+//! against reader, on arbitrary graphs and on a generated pair.
 //!
 //! Three contracts, over arbitrary graphs and arbitrary corruption:
 //!
@@ -18,8 +18,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dcs_datasets::{LargeConfig, PackWriter};
-use dcs_graph::{GraphBuilder, GraphPack, SignedGraph};
+use dcs_datasets::LargeConfig;
+use dcs_graph::{GraphBuilder, GraphPack, PackWriter, SignedGraph};
 use proptest::prelude::*;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);

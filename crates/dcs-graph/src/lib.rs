@@ -31,7 +31,9 @@
 //! * k-hop neighbourhoods by breadth-first search ([`traversal`]),
 //! * a dense [`VertexSubset`] set with O(1) membership tests used pervasively in the
 //!   peeling and local-search algorithms,
-//! * plain-text edge-list IO ([`io`]).
+//! * plain-text edge-list IO ([`io`]),
+//! * graph packs, the binary CSR file format: its specification, its writer and its
+//!   zero-copy memory-mapped reader ([`pack`]).
 //!
 //! ## Example
 //!
@@ -80,7 +82,7 @@ pub use csr::{CorruptGraph, CsrBuffers, EdgeRef, NeighborIter, SignedGraph};
 pub use delta::DeltaGraph;
 pub use labels::{LabeledGraphBuilder, VertexLabels};
 pub use mask::VertexMask;
-pub use pack::{GraphPack, PackError};
+pub use pack::{GraphPack, PackError, PackSummary, PackWriter};
 pub use subset::VertexSubset;
 pub use view::GraphView;
 

@@ -25,8 +25,8 @@
 //!
 //! A checkpoint compacts the log: the snapshot of the observed graph `G2`
 //! (the session's second delta graph, beside `G_D`'s) is written as an
-//! ordinary graph pack whose session-metadata section
-//! ([`dcs_graph::pack::KIND_SESSION`]) carries the counters a session cannot
+//! ordinary graph pack whose session-metadata section (kind 5 of the
+//! [`dcs_graph::pack`] format) carries the counters a session cannot
 //! reconstruct from the graph alone — version counter, observation count,
 //! cadence phase, warm-start support, configured measure, result-cache keys.
 //! After a checkpoint at version `V` the WAL rotates to a fresh
@@ -62,7 +62,7 @@ use dcs_graph::{GraphPack, SignedGraph, VertexId, Weight};
 use serde_json::{json, Value};
 
 use crate::error::ServerError;
-use crate::protocol::{measure_token, parse_measure, parse_triples};
+use crate::protocol::{parse_measure, parse_triples};
 use crate::session::Session;
 
 /// When the write-ahead log is flushed to stable storage.
@@ -185,7 +185,7 @@ impl CreationRecord {
             "vertices": self.vertices,
             "remine_every": self.remine_every,
             "alert_threshold": self.alert_threshold,
-            "measure": measure_token(self.measure),
+            "measure": self.measure.token(),
         });
         if let Some(pack) = &self.pack {
             record["pack"] = json!(pack);
@@ -441,7 +441,7 @@ impl DurableSession {
     ) -> Result<(), ServerError> {
         self.check_poisoned()?;
         let result = write_atomically(&baseline_path(&self.dir, version), |tmp| {
-            dcs_datasets::PackWriter::write_graph(baseline, tmp).map(drop)
+            dcs_graph::PackWriter::write_graph(baseline, tmp).map(drop)
         })
         .map_err(ServerError::Io)
         .and_then(|()| {
@@ -488,7 +488,7 @@ impl DurableSession {
                 Some(support) => json!(support.clone()),
             },
             "baseline": self.baseline_id,
-            "measure": measure_token(state.config.measure),
+            "measure": state.config.measure.token(),
             "remine_every": state.config.remine_every,
             "alert_threshold": state.config.alert_threshold,
             "cache_keys": state.cache_keys.clone(),
@@ -498,7 +498,7 @@ impl DurableSession {
 
         // 1. The checkpoint pack, atomically (tmp + fsync + rename + dir sync).
         write_atomically(&ckpt_path(&self.dir, version), |tmp| {
-            dcs_datasets::PackWriter::write_graph_with_session(
+            dcs_graph::PackWriter::write_graph_with_session(
                 &state.observed,
                 meta_bytes.as_bytes(),
                 tmp,
@@ -626,11 +626,12 @@ fn fresh_state(record: &CreationRecord) -> Result<RecoveredState, ServerError> {
 
 /// Opens a pack of the session directory (a checkpoint or a baseline) and
 /// verifies it whole before any of it is used: [`GraphPack::open`] alone
-/// checks only the header.
-fn open_verified(path: &Path) -> Result<GraphPack, ServerError> {
+/// checks only the header.  Returns the pack with the graph the audit
+/// decoded.
+fn open_verified(path: &Path) -> Result<(GraphPack, SignedGraph), ServerError> {
     let pack = GraphPack::open(path)?;
-    pack.verify()?;
-    Ok(pack)
+    let graph = pack.verify()?;
+    Ok((pack, graph))
 }
 
 fn load_checkpoint(
@@ -638,7 +639,7 @@ fn load_checkpoint(
     generation: u64,
     record: &CreationRecord,
 ) -> Result<RecoveredState, ServerError> {
-    let pack = open_verified(&ckpt_path(dir, generation))?;
+    let (pack, observed) = open_verified(&ckpt_path(dir, generation))?;
     let meta_bytes = pack
         .session_bytes()
         .ok_or_else(|| durability_error("checkpoint lacks a session-metadata section".into()))?;
@@ -690,10 +691,9 @@ fn load_checkpoint(
     let (baseline, backing, pack_open_ms) = if baseline_id == 0 {
         load_creation_baseline(record)?
     } else {
-        let graph = open_verified(&baseline_path(dir, baseline_id))?.to_graph()?;
+        let (_, graph) = open_verified(&baseline_path(dir, baseline_id))?;
         (graph, "memory", None)
     };
-    let observed = pack.to_graph()?;
     let mut monitor = StreamingDcs::with_initial_observation(baseline, &observed, record.config())?;
     monitor.restore_counters(
         monitor_version,
@@ -772,7 +772,7 @@ fn replay_segment(
                     }
                 }
                 Some("baseline") => {
-                    let baseline = open_verified(&baseline_path(dir, version))?.to_graph()?;
+                    let (_, baseline) = open_verified(&baseline_path(dir, version))?;
                     state.monitor = StreamingDcs::new(baseline, config)?;
                     state.version_base = version;
                     state.baseline_id = version;
@@ -933,7 +933,7 @@ pub fn inspect_data_dir(data_dir: &Path) -> Result<Vec<SessionDirSummary>, Serve
             name: record.name.clone(),
             directory: dir.clone(),
             vertices: record.vertices,
-            measure: measure_token(record.measure).to_string(),
+            measure: record.measure.token().to_string(),
             remine_every: record.remine_every,
             checkpoint_generation: generations(&dir, "ckpt-", ".dcspack").last().copied(),
             wal_segments: wal_gens.len(),

@@ -38,7 +38,7 @@ use dcs_obs::trace;
 use serde_json::{json, Value};
 
 use crate::error::ServerError;
-use crate::protocol::{alert_to_json, measure_token, report_to_json, stats_to_json};
+use crate::protocol::{alert_to_json, report_to_json, stats_to_json};
 use crate::session::SharedSession;
 
 /// Description of one mining job; doubles as the cache key.
@@ -90,7 +90,7 @@ impl JobSpec {
     /// requests with the same key against the same graph version are
     /// interchangeable.
     pub fn cache_key(&self, default_measure: DensityMeasure) -> String {
-        let resolved = |m: &Option<DensityMeasure>| measure_token(m.unwrap_or(default_measure));
+        let resolved = |m: &Option<DensityMeasure>| m.unwrap_or(default_measure).token();
         match self {
             JobSpec::Mine { measure } => format!("mine|{}", resolved(measure)),
             JobSpec::TopK { k, measure } => format!("topk|{k}|{}", resolved(measure)),

@@ -86,7 +86,8 @@
 //!
 //! A `create_session` carrying a `pack` field opens a binary **graph pack**
 //! (the zero-copy CSR format of `dcs_graph::pack`, written by `dcs pack` or
-//! `dcs-datasets`) from the server's filesystem as the session baseline.
+//! any caller of `dcs_graph::PackWriter`) from the server's filesystem as the
+//! session baseline.
 //! The file is memory-mapped where the platform allows, and its CSR arrays
 //! back the baseline graph directly — no edge-list upload, no
 //! graph rebuild.  Per-session `stats` report `backing: "pack"` and the

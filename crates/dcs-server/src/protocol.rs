@@ -28,27 +28,18 @@ use crate::error::ServerError;
 pub const PROTO_VERSION: u64 = 1;
 
 /// Parses a `measure` string (`"affinity"` / `"degree"` plus the aliases the
-/// CLI accepts); `None` input falls back to the session's configured measure.
+/// CLI accepts, see [`DensityMeasure`]'s `FromStr`); `None` input falls back
+/// to the session's configured measure.
 pub fn parse_measure(raw: Option<&str>) -> Result<Option<DensityMeasure>, ServerError> {
-    match raw {
-        None => Ok(None),
-        Some(text) => match text.to_ascii_lowercase().as_str() {
-            "affinity" | "graph-affinity" | "ga" => Ok(Some(DensityMeasure::GraphAffinity)),
-            "degree" | "average-degree" | "ad" => Ok(Some(DensityMeasure::AverageDegree)),
-            other => Err(ServerError::BadRequest(format!(
-                "unknown measure {other:?} (expected \"affinity\" or \"degree\")"
-            ))),
-        },
-    }
-}
-
-/// Short job-key token for a measure (stable across requests — cache keys
-/// depend on it).
-pub fn measure_token(measure: DensityMeasure) -> &'static str {
-    match measure {
-        DensityMeasure::GraphAffinity => "affinity",
-        DensityMeasure::AverageDegree | DensityMeasure::TotalDegree => "degree",
-    }
+    raw.map(|text| {
+        text.parse().map_err(|_| {
+            ServerError::BadRequest(format!(
+                "unknown measure {:?} (expected \"affinity\" or \"degree\")",
+                text.to_ascii_lowercase()
+            ))
+        })
+    })
+    .transpose()
 }
 
 /// Renders a [`ContrastReport`] as the protocol's report shape.
@@ -688,7 +679,7 @@ impl Request {
                     body["alert_threshold"] = json!(create.alert_threshold);
                 }
                 if let Some(measure) = create.measure {
-                    body["measure"] = json!(measure_token(measure));
+                    body["measure"] = json!(measure.token());
                 }
                 if create.durable {
                     body["durable"] = json!(true);
@@ -708,7 +699,7 @@ impl Request {
             } => {
                 let mut body = json!({ "cmd": "mine", "session": session });
                 if let Some(measure) = measure {
-                    body["measure"] = json!(measure_token(*measure));
+                    body["measure"] = json!(measure.token());
                 }
                 bounds.encode_into(&mut body);
                 body
@@ -721,7 +712,7 @@ impl Request {
             } => {
                 let mut body = json!({ "cmd": "topk", "session": session, "k": k });
                 if let Some(measure) = measure {
-                    body["measure"] = json!(measure_token(*measure));
+                    body["measure"] = json!(measure.token());
                 }
                 bounds.encode_into(&mut body);
                 body
@@ -737,7 +728,7 @@ impl Request {
                     body["alphas"] = json!(alphas.clone());
                 }
                 if let Some(measure) = measure {
-                    body["measure"] = json!(measure_token(*measure));
+                    body["measure"] = json!(measure.token());
                 }
                 bounds.encode_into(&mut body);
                 body
@@ -876,9 +867,13 @@ mod tests {
             parse_measure(Some("average-degree")).unwrap(),
             Some(DensityMeasure::AverageDegree)
         );
-        assert!(parse_measure(Some("entropy")).is_err());
-        assert_eq!(measure_token(DensityMeasure::GraphAffinity), "affinity");
-        assert_eq!(measure_token(DensityMeasure::TotalDegree), "degree");
+        match parse_measure(Some("Entropy")) {
+            Err(ServerError::BadRequest(message)) => assert_eq!(
+                message,
+                "unknown measure \"entropy\" (expected \"affinity\" or \"degree\")"
+            ),
+            other => panic!("expected a bad request, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1112,7 +1112,7 @@ impl IoLoop {
         };
 
         let kind = spec.kind_token();
-        let measure = crate::protocol::measure_token(measure);
+        let measure = measure.token();
         let completion = {
             let shared = Arc::clone(&self.shared);
             let io = Arc::clone(&self.io);

@@ -512,7 +512,7 @@ mod tests {
             std::process::id()
         ));
         let g = dcs_graph::GraphBuilder::from_edges(6, vec![(0, 1, 2.0), (2, 3, 1.0)]);
-        dcs_datasets::PackWriter::write_graph(&g, &path).unwrap();
+        dcs_graph::PackWriter::write_graph(&g, &path).unwrap();
 
         let mut session = Session::from_pack(path.to_str().unwrap(), config(), 1_000).unwrap();
         let stats = session.stats();

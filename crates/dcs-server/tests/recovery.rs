@@ -11,8 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use dcs_core::{DensityMeasure, StreamingConfig};
-use dcs_datasets::PackWriter;
-use dcs_graph::{GraphBuilder, GraphPack, SignedGraph, VertexId, Weight};
+use dcs_graph::{GraphBuilder, GraphPack, PackWriter, SignedGraph, VertexId, Weight};
 use dcs_server::{
     durable, Client, CreateSessionRequest, Server, ServerConfig, ServerError, Session, WalSync,
 };

@@ -188,7 +188,7 @@ fn pack_backed_sessions_over_the_wire() {
     let baseline = builder.build();
     let pack_path =
         std::env::temp_dir().join(format!("dcs_server_roundtrip_{}.pack", std::process::id()));
-    dcs_datasets::PackWriter::write_graph(&baseline, &pack_path).unwrap();
+    dcs_graph::PackWriter::write_graph(&baseline, &pack_path).unwrap();
 
     let handle = start_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();

@@ -3,7 +3,8 @@
 //! Facade crate of the `density-contrast` workspace: it re-exports the full public API of
 //! the underlying crates so applications can depend on a single crate.
 //!
-//! * [`graph`] — signed weighted graphs, components, cores, IO (`dcs-graph`),
+//! * [`graph`] — signed weighted graphs, components, cores, IO and graph packs
+//!   (`dcs-graph`),
 //! * [`densest`] — classical densest-subgraph machinery (`dcs-densest`),
 //! * [`core`] — the DCS algorithms: difference graphs, DCSGreedy, SEACD, NewSEA
 //!   (`dcs-core`),
